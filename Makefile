@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-json bench-diff repro repro-full demo-keys clean
+.PHONY: all build vet check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module bench-json bench-diff repro repro-full demo-keys clean
 
 all: build test
 
@@ -16,9 +16,10 @@ vet:
 # detector over the concurrent packages, the fault-injection suite, the
 # conformance oracle, the native fuzz targets' smoke pass, the
 # exposition-format lint, the coverage floor, a one-iteration smoke
-# pass over the pipeline benchmarks, the end-to-end tracing smoke test,
-# and the benchmark regression report.
-check: build vet test race chaos conform fuzz-smoke metrics-lint cover bench-smoke trace-smoke bench-diff
+# pass over the pipeline benchmarks, the live-path benchmark's own
+# module, the end-to-end tracing smoke test, and the benchmark
+# regression report.
+check: build vet test race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke bench-diff
 
 test:
 	$(GO) test ./...
@@ -99,6 +100,12 @@ bench:
 # seconds without measuring anything.
 bench-smoke:
 	$(GO) test ./internal/perf/ -run xxx -bench . -benchtime 1x
+
+# bench/ is a Go module of its own, so build, vet and test above never
+# compile it: an internal/ API change can break the live-path benchmark
+# without tier-1 noticing. Vet it and run its tests (~8 s).
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the committed benchmark snapshot (preserves the recorded
 # pre-change baseline) and append to the BENCH_history.jsonl trend.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,7 +175,11 @@ func (s ValidatorStats) Failures() uint64 { return s.Missing + s.Expired + s.For
 // tag costs a single verification instead of one per packet. Only the
 // performing caller increments Verifications (and Forged on failure);
 // waiters return the shared result uncounted, keeping the counter equal
-// to the number of signature checks actually executed.
+// to the number of signature checks actually executed. The live
+// forwarder groups same-tag Interests in its verify pool before they
+// reach the validator, so there the singleflight serves only the inline
+// callers (aggregated PIT records); the simulator and the producer
+// verify inline throughout.
 type TagValidator struct {
 	registry pki.Verifier
 
@@ -228,13 +231,8 @@ func (v *TagValidator) Validate(t *Tag, now time.Time) error {
 // own signature check (the result is shared state; aborting it would
 // poison every concurrent waiter).
 func (v *TagValidator) ValidateCtx(ctx context.Context, t *Tag, now time.Time) error {
-	if t == nil {
-		v.missing.Add(1)
-		return ErrNoTag
-	}
-	if t.Expired(now) {
-		v.expired.Add(1)
-		return fmt.Errorf("%w: at %s", ErrTagExpired, t.Expiry)
+	if err := v.CheckFresh(t, now); err != nil {
+		return err
 	}
 	key := string(t.CacheKey())
 	v.mu.Lock()
@@ -250,16 +248,6 @@ func (v *TagValidator) ValidateCtx(ctx context.Context, t *Tag, now time.Time) e
 	c := &verifyCall{done: make(chan struct{})}
 	v.calls[key] = c
 	v.mu.Unlock()
-
-	// Yield once before burning CPU on the verification so duplicate
-	// requests for the same tag that are already queued behind us (other
-	// faces' readers on a busy or single-core edge device) get a chance to
-	// coalesce onto this call as waiters instead of each re-verifying the
-	// moment this call retires. An ECDSA verify never yields on its own,
-	// so without this the singleflight only collapses duplicates on
-	// machines with spare cores. Costs one scheduler pass (~µs) against a
-	// signature check three orders of magnitude larger.
-	runtime.Gosched()
 
 	v.verifications.Add(1)
 	v.inflight.Add(1)
@@ -279,6 +267,22 @@ func (v *TagValidator) ValidateCtx(ctx context.Context, t *Tag, now time.Time) e
 	v.mu.Unlock()
 	close(c.done)
 	return c.err
+}
+
+// CheckFresh is the cheap half of Validate — presence and expiry,
+// counted as Validate counts them — for a caller that takes the
+// signature outcome from another request's validation of the same tag
+// (the live verify pool's coalesced Interests).
+func (v *TagValidator) CheckFresh(t *Tag, now time.Time) error {
+	if t == nil {
+		v.missing.Add(1)
+		return ErrNoTag
+	}
+	if t.Expired(now) {
+		v.expired.Add(1)
+		return fmt.Errorf("%w: at %s", ErrTagExpired, t.Expiry)
+	}
+	return nil
 }
 
 // Verifications returns the number of signature verifications performed.

@@ -69,7 +69,10 @@ const (
 )
 
 // InterestInput carries the explicit inputs of an Interest-path
-// decision (OpEdgeInterest, OpContent).
+// decision (OpEdgeInterest, OpContent). The pre- and post-verify phases
+// take the fast call's inputs unchanged apart from Phase, Flag and
+// VerifyErr: what a backend caches after a verification is keyed by
+// them (IBAC binds the name).
 type InterestInput struct {
 	Op    Op
 	Phase Phase

@@ -86,36 +86,22 @@ func (r *Router) RotateEpoch(epoch uint64) bool { return r.engine.OnEpochRotate(
 // EdgeOnInterest runs the edge On-Interest checkpoint to completion,
 // verifying inline when the engine asks for it.
 func (r *Router) EdgeOnInterest(t *core.Tag, requestAP core.AccessPath, contentName names.Name, now time.Time) Verdict {
-	dec := r.EdgeOnInterestFast(t, requestAP, contentName, now)
+	in := InterestInput{Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now}
+	dec := r.engine.CheckInterest(in)
 	if dec.NeedsVerify() {
-		return r.EdgeVerifyMiss(t, now)
+		return r.VerifyMiss(in)
 	}
 	return dec
 }
 
 // EdgeOnInterestFast is the cheap half of EdgeOnInterest — everything
 // except the signature verification. When the verdict is ActionVerify
-// the caller must finish with EdgeVerifyMiss, either inline or, on the
-// live plane, after parking the Interest in the verification pool.
+// the caller must finish with VerifyMiss on the same inputs, either
+// inline or, on the live plane, after parking the Interest in the
+// verification pool.
 func (r *Router) EdgeOnInterestFast(t *core.Tag, requestAP core.AccessPath, contentName names.Name, now time.Time) Verdict {
 	return r.engine.CheckInterest(InterestInput{
 		Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now,
-	})
-}
-
-// EdgeVerifyMiss completes an EdgeOnInterestFast verdict that reported
-// ActionVerify: re-check the cheap gates (a revocation push may have
-// landed while the Interest was parked), verify the tag's signature,
-// and fold the outcome into the engine.
-func (r *Router) EdgeVerifyMiss(t *core.Tag, now time.Time) Verdict {
-	if pre := r.engine.CheckInterest(InterestInput{
-		Op: OpEdgeInterest, Phase: PhasePreVerify, Tag: t, Now: now,
-	}); pre.Denied() {
-		return pre
-	}
-	err := r.validator.Validate(t, now)
-	return r.engine.CheckInterest(InterestInput{
-		Op: OpEdgeInterest, Phase: PhasePostVerify, Tag: t, Now: now, VerifyErr: err,
 	})
 }
 
@@ -158,36 +144,72 @@ func (r *Router) EdgeOnAggregatedData(t *core.Tag, meta core.ContentMeta, now ti
 // PITs can still be satisfied — the paper's deliberate bandwidth/abuse
 // trade-off (§5.B).
 func (r *Router) ContentOnInterest(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	dec := r.ContentOnInterestFast(t, meta, flag, now)
+	in := InterestInput{Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now}
+	dec := r.engine.CheckInterest(in)
 	if dec.NeedsVerify() {
-		return r.ContentVerifyMiss(t, dec.Flag, now)
+		in.Flag = dec.Flag
+		return r.VerifyMiss(in)
 	}
 	return dec
 }
 
 // ContentOnInterestFast is the cheap half of ContentOnInterest. When
-// the verdict is ActionVerify the caller must finish with
-// ContentVerifyMiss, passing the verdict's Flag (the effective F after
-// the DisableCollaboration ablation).
+// the verdict is ActionVerify the caller must finish with VerifyMiss on
+// the same inputs, with Flag replaced by the verdict's Flag.
 func (r *Router) ContentOnInterestFast(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
 	return r.engine.CheckInterest(InterestInput{
 		Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now,
 	})
 }
 
-// ContentVerifyMiss completes a ContentOnInterestFast verdict that
-// reported ActionVerify: re-check the cheap gates, verify the
-// signature, and fold the outcome into the engine.
-func (r *Router) ContentVerifyMiss(t *core.Tag, flag float64, now time.Time) Verdict {
-	if pre := r.engine.CheckInterest(InterestInput{
-		Op: OpContent, Phase: PhasePreVerify, Tag: t, Flag: flag, Now: now,
-	}); pre.Denied() {
+// --- Completing an ActionVerify verdict ----------------------------------------
+
+// VerifyMiss completes an Interest-path decision (OpEdgeInterest or
+// OpContent) whose fast phase reported ActionVerify. in is the fast
+// call's input, with Flag set to the fast verdict's Flag (the effective
+// F after the DisableCollaboration ablation). It re-checks the cheap
+// gates (a revocation push may have landed while the Interest was
+// parked), verifies the tag's signature, and folds the outcome into the
+// engine. The verdict's Verified field reports whether the validator
+// ran: when it did, Reason is the validator's outcome (nil on success),
+// which the live verify pool hands to VerifyShared for every request
+// that waited on this one.
+func (r *Router) VerifyMiss(in InterestInput) Verdict {
+	in.Phase = PhasePreVerify
+	if pre := r.engine.CheckInterest(in); pre.Denied() {
 		return pre
 	}
-	err := r.validator.Validate(t, now)
-	return r.engine.CheckInterest(InterestInput{
-		Op: OpContent, Phase: PhasePostVerify, Tag: t, Flag: flag, Now: now, VerifyErr: err,
-	})
+	in.Phase, in.VerifyErr = PhasePostVerify, r.validator.Validate(in.Tag, in.Now)
+	return r.engine.CheckInterest(in)
+}
+
+// VerifyShared completes the same kind of decision for a request whose
+// tag another request has just had verified: verifyErr is that
+// validation's outcome. The request is decided as what it now is, a
+// subsequent request for a verified tag. Its own gates run first
+// (revocation, and expiry at its own clock, which replaces the shared
+// outcome exactly as its own Validate call would have); on success the
+// fast phase runs again, normally a cache hit, so nothing is inserted
+// twice; if the fast phase still asks for a verification (the filter
+// was reset in between, or IBAC's per-name key is new) or the shared
+// outcome is a failure, the post-verify phase folds verifyErr in. No
+// path yields a more permissive verdict than VerifyMiss would.
+func (r *Router) VerifyShared(in InterestInput, verifyErr error) Verdict {
+	in.Phase = PhasePreVerify
+	if pre := r.engine.CheckInterest(in); pre.Denied() {
+		return pre
+	}
+	if err := r.validator.CheckFresh(in.Tag, in.Now); err != nil {
+		verifyErr = err
+	}
+	if verifyErr == nil {
+		in.Phase = PhaseFast
+		if dec := r.engine.CheckInterest(in); !dec.NeedsVerify() {
+			return dec
+		}
+	}
+	in.Phase, in.VerifyErr = PhasePostVerify, verifyErr
+	return r.engine.CheckInterest(in)
 }
 
 // --- Protocol 4: intermediate router -----------------------------------------

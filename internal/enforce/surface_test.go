@@ -90,8 +90,14 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 			if !r.ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
-			if d = r.EdgeVerifyMiss(tag, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
+			edgeIn := InterestInput{Op: OpEdgeInterest, Tag: tag, Name: testContentName, Now: now}
+			if d = r.VerifyMiss(edgeIn); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) || d.Verified {
 				t.Fatalf("parked edge Interest not denied as revoked: %+v", d)
+			}
+			// An Interest that waited on another's successful verification
+			// is denied by the same gate.
+			if d = r.VerifyShared(edgeIn, nil); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
+				t.Fatalf("coalesced edge Interest not denied as revoked: %+v", d)
 			}
 
 			// Same race on the content checkpoint.
@@ -105,8 +111,12 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 			if !r2.ApplyRevocation(1, false, []core.TagID{tag2.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
-			if d = r2.ContentVerifyMiss(tag2, d.Flag, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
+			contentIn := InterestInput{Op: OpContent, Tag: tag2, Meta: meta, Flag: d.Flag, Now: now}
+			if d = r2.VerifyMiss(contentIn); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) || d.Verified {
 				t.Fatalf("parked content Interest not denied as revoked: %+v", d)
+			}
+			if d = r2.VerifyShared(contentIn, nil); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
+				t.Fatalf("coalesced content Interest not denied as revoked: %+v", d)
 			}
 		})
 	}

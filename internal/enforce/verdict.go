@@ -92,8 +92,10 @@ type Verdict struct {
 	// BFHit reports the validation cache vouched for the tag, skipping
 	// the signature check (informational, for tracing).
 	BFHit bool
-	// Verified reports a signature verification ran for this decision
-	// (informational, for tracing).
+	// Verified reports the validator ran for this decision: Reason is
+	// then its outcome, which Router.VerifyShared applies to the requests
+	// that waited on this one. A denial without it was settled by a cheap
+	// gate and says nothing about the tag's signature.
 	Verified bool
 }
 

@@ -112,9 +112,11 @@ func (f *Forwarder) ApplyRevocation(version uint64, full bool, revoked []core.Ta
 // flushRevokedParked NACKs parked verify jobs whose tag fell into the
 // revocation set while they waited — a revoked tag's verdict is already
 // known, so burning a worker slot (and making the client wait) on its
-// signature would be wasted work. In-flight jobs re-check revocation in
-// EdgeVerifyMiss/ContentVerifyMiss, so nothing slips through. No-op
-// when the router skips revocation checks (ablation).
+// signature would be wasted work. A job the flush does not reach (its
+// verification is running, or it parks a moment later) re-checks
+// revocation in its own pre-verify gate, leader or follower, so nothing
+// slips through. No-op when the router skips revocation checks
+// (ablation).
 func (f *Forwarder) flushRevokedParked() {
 	if f.cfg.Tactic.DisableRevocationCheck {
 		return

@@ -9,12 +9,14 @@
 // pipeline directly, and the pipeline holds no global lock. Every layer
 // it touches synchronises itself: the FIB is read-mostly behind an
 // RWMutex, the PIT and CS are sharded by name hash with per-shard locks
-// (internal/ndn), the Bloom filter is an atomic bitset, and the tag
-// validator deduplicates concurrent verifications of the same tag so N
-// faces presenting one unverified tag cost one signature check. The
-// forwarder's own mutex guards only face-table membership (attach,
-// detach, uplink registration); sends are per-face serialised by
-// transport.Conn. A background ticker expires PIT entries.
+// (internal/ndn), and the Bloom filter is an atomic bitset. Signature
+// verification runs off the readers, in the verify pool
+// (verifypool.go), which is also where it is deduplicated: Interests
+// carrying one unverified tag attach to the first of them there, so N
+// faces presenting the tag cost one signature check and one filter
+// insertion. The forwarder's own mutex guards only face-table
+// membership (attach, detach, uplink registration); sends are per-face
+// serialised by transport.Conn. A background ticker expires PIT entries.
 package forwarder
 
 import (
@@ -602,10 +604,12 @@ func (f *Forwarder) parkForVerify(job *verifyJob) {
 // handleInterest runs the Interest pipeline (the real-time analogue of
 // the simulator's RouterNode.HandleInterest). It holds no forwarder-wide
 // lock: enforcement, CS, PIT, and FIB synchronise themselves, so faces
-// proceed in parallel and serialise only per name shard. Signature
-// verification never runs here: a decision that needs one parks the
-// Interest in the verify pool and the reader moves to the next packet,
-// so the hop histogram measures the reader's hot path only.
+// proceed in parallel and serialise only per name shard. No Interest's
+// signature is verified here: a decision that needs a verification
+// parks the Interest in the verify pool and the reader moves to the
+// next packet, so the hop histogram measures the reader's hot path
+// only. (handleData still verifies aggregated PIT records inline, on
+// the reader of the face the Data arrived on.)
 func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
 	now := time.Now()
 	inTC := i.Trace

@@ -60,11 +60,14 @@ const (
 	MetricVerifyInFlight = "tactic_tag_verifications_in_flight"
 
 	// Bounded async verification pool: Interests shed over a face's
-	// admission budget, Interests currently parked awaiting a worker,
-	// parked Interests flushed on face death/revocation/shutdown, and
-	// the time each Interest spent parked.
+	// admission budget, Interests currently parked awaiting a verdict
+	// (queued for a worker, or following another Interest's verification
+	// of the same tag), Interests answered from another Interest's
+	// verification, parked Interests flushed on face
+	// death/revocation/shutdown, and the time each Interest spent parked.
 	MetricVerifySheds       = obs.FamilyVerifySheds
 	MetricVerifyParked      = "tactic_verify_parked"
+	MetricVerifyCoalesced   = "tactic_verify_coalesced_total"
 	MetricVerifyFlushed     = "tactic_verify_flushed_total"
 	MetricVerifyParkSeconds = "tactic_verify_park_seconds"
 
@@ -214,7 +217,7 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 	m.stageEncodeSend = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "encode_send"))
 	m.stageDecode = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "decode"))
 	reg.Help(MetricVerifySheds, "Interests shed with Overload NACKs because their face exceeded its verification budget.")
-	reg.Help(MetricVerifyParkSeconds, "Time Interests spent parked awaiting a verification worker.")
+	reg.Help(MetricVerifyParkSeconds, "Time Interests spent parked awaiting a verification verdict.")
 	m.sheds = reg.Counter(MetricVerifySheds, m.role)
 	m.parkSeconds = reg.Histogram(MetricVerifyParkSeconds, nil, m.role)
 	return m
@@ -344,7 +347,9 @@ func (f *Forwarder) registerSampled(reg *obs.Registry) {
 	f.tactic.Validator().SetVerifyHistogram(reg.Histogram(MetricStageSeconds, nil, role, obs.L("stage", "verify")))
 	reg.Help(MetricVerifyInFlight, "Tag signature verifications currently executing.")
 	reg.GaugeFunc(MetricVerifyInFlight, func() float64 { return float64(f.tactic.Validator().InFlight()) }, role)
-	reg.Help(MetricVerifyParked, "Interests currently parked in the verification pool.")
+	reg.Help(MetricVerifyParked, "Interests currently parked in the verification pool awaiting a verdict.")
+	reg.Help(MetricVerifyCoalesced, "Interests answered from another Interest's verification of the same tag.")
+	reg.CounterFunc(MetricVerifyCoalesced, func() float64 { return float64(f.vp.Coalesced()) }, role)
 	reg.Help(MetricVerifyFlushed, "Parked Interests flushed with NACKs (face death, revocation, shutdown).")
 	reg.GaugeFunc(MetricVerifyParked, func() float64 { return float64(f.vp.Parked()) }, role)
 	reg.CounterFunc(MetricVerifyFlushed, func() float64 { return float64(f.vp.Flushed()) }, role)
@@ -461,11 +466,14 @@ type VerifyPoolStatus struct {
 	// cap (0 = admission disabled).
 	Workers int `json:"workers"`
 	Budget  int `json:"budget"`
-	// Parked counts Interests currently awaiting a worker.
+	// Parked counts Interests currently awaiting a verdict.
 	Parked int64 `json:"parked"`
-	// Sheds and Flushed are lifetime Overload sheds and flush NACKs.
-	Sheds   uint64 `json:"sheds"`
-	Flushed uint64 `json:"flushed"`
+	// Sheds and Flushed are lifetime Overload sheds and flush NACKs;
+	// Coalesced counts Interests answered from another Interest's
+	// verification of the same tag.
+	Sheds     uint64 `json:"sheds"`
+	Flushed   uint64 `json:"flushed"`
+	Coalesced uint64 `json:"coalesced"`
 }
 
 // Status snapshots the forwarder for /statusz. Only the face walk needs
@@ -484,11 +492,12 @@ func (f *Forwarder) Status() Status {
 		Validator:      f.tactic.Validator().Stats(),
 		Counters:       f.Stats(),
 		VerifyPool: VerifyPoolStatus{
-			Workers: f.cfg.VerifyWorkers,
-			Budget:  f.vp.budget,
-			Parked:  f.vp.Parked(),
-			Sheds:   f.vp.Sheds(),
-			Flushed: f.vp.Flushed(),
+			Workers:   f.cfg.VerifyWorkers,
+			Budget:    f.vp.budget,
+			Parked:    f.vp.Parked(),
+			Sheds:     f.vp.Sheds(),
+			Flushed:   f.vp.Flushed(),
+			Coalesced: f.vp.Coalesced(),
 		},
 	}
 	f.mu.RLock()

@@ -17,10 +17,11 @@ import (
 
 // TestLiveDuplicateTagVerifiedOnce floods an edge router from many faces
 // with Interests that all carry the SAME valid-but-uncached tag. The
-// concurrent pipeline must collapse the burst to (nearly) one signature
-// verification: the first face's miss verifies and populates the Bloom
-// filter while the other faces either coalesce onto the in-flight
-// verification or hit the filter afterwards. Run under -race via the
+// concurrent pipeline must collapse the burst to exactly one signature
+// verification: the first face's miss leads, every other face's miss
+// attaches to it in the verify pool, and all are answered from its one
+// outcome. The verifier is held until all sixteen have parked, so the
+// count does not depend on the schedule. Run under -race via the
 // Makefile's race target.
 func TestLiveDuplicateTagVerifiedOnce(t *testing.T) {
 	reg := pki.NewRegistry()
@@ -32,10 +33,13 @@ func TestLiveDuplicateTagVerifiedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	gate := &gatePKI{inner: reg}
+	gate.hold()
 	edge, err := New(Config{
 		ID:       "edge-dup",
 		Role:     RoleEdge,
 		Registry: reg,
+		Verifier: gate,
 		Tactic:   core.Config{EdgeValidateOnMiss: true},
 		Seed:     1,
 	})
@@ -43,6 +47,7 @@ func TestLiveDuplicateTagVerifiedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer edge.Close()
+	defer gate.release()
 
 	const faces = 16
 	conns := make([]net.Conn, faces)
@@ -90,6 +95,8 @@ func TestLiveDuplicateTagVerifiedOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	waitFor(t, "every other face to attach to the leader", func() bool { return edge.vp.Parked() == faces-1 })
+	gate.release()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for edge.Stats().Drops < faces {
@@ -99,15 +106,11 @@ func TestLiveDuplicateTagVerifiedOnce(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	got := edge.Tactic().Validator().Verifications()
-	if got < 1 {
-		t.Fatal("tag was never verified")
+	if got := edge.Tactic().Validator().Verifications(); got != 1 {
+		t.Errorf("%d faces with one shared tag cost %d verifications, want exactly 1", faces, got)
 	}
-	// Exactly 1 in the common schedule; a little slack for faces whose
-	// Bloom lookup missed before the winner's insert landed but that
-	// arrived at the validator after its call retired.
-	if got > faces/4 {
-		t.Errorf("%d faces with one shared tag cost %d verifications, want ~1 (<= %d)", faces, got, faces/4)
+	if got := edge.vp.Coalesced(); got != faces-1 {
+		t.Errorf("coalesced = %d, want %d", got, faces-1)
 	}
 	if inFlight := edge.Tactic().Validator().InFlight(); inFlight != 0 {
 		t.Errorf("InFlight = %d after quiescence, want 0", inFlight)

@@ -38,6 +38,19 @@ func traceWith(c *obs.Collector, pred func(*obs.Trace) bool) *obs.Trace {
 	return nil
 }
 
+// awaitEdgeVerifySpan waits until the edge's recorder holds a span with
+// a verify event. A verify-pool worker ends the Interest's span after
+// forwarding it, so on a busy host the reply can reach the client
+// before the span reaches the recorder.
+func awaitEdgeVerifySpan(t *testing.T, edge *obs.Tracer) {
+	t.Helper()
+	waitFor(t, edge.Node()+" to record its verify span", func() bool {
+		return traceWith(assembleRecorders(edge), func(tr *obs.Trace) bool {
+			return hasEvent(tr, edge.Node(), "verify")
+		}) != nil
+	})
+}
+
 // hasEvent reports whether any span in the trace carries the stage,
 // optionally restricted to one node.
 func hasEvent(tr *obs.Trace, node, stage string) bool {
@@ -99,6 +112,7 @@ func TestTraceSmoke(t *testing.T) {
 		t.Fatal("client recorded no trace ID")
 	}
 
+	awaitEdgeVerifySpan(t, tracers["edge-0"])
 	c := assembleRecorders(clientTracer, tracers["edge-0"], tracers["core-0"], prodTracer)
 	tr := traceWith(c, func(tr *obs.Trace) bool {
 		return tr.Hops() >= 2 && hasEvent(tr, "edge-0", "verify")
@@ -252,6 +266,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	awaitEdgeVerifySpan(t, edgeTracers[1])
 	all := []*obs.Tracer{aliceTracer, bobTracer, prodTracer, coreTracer}
 	all = append(all, edgeTracers...)
 	c := assembleRecorders(all...)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
+	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
 )
@@ -30,22 +31,37 @@ import (
 // stays within its budget still cannot starve the other faces' parked
 // work.
 //
+// The pool is also where live-plane verification is deduplicated: each
+// tag is verified once. The first parked Interest carrying a tag (by
+// Tag.CacheKey()) is the tag's *leader* — the only one queued and the
+// only one a worker verifies. Every Interest admitted with the same tag
+// while the leader is parked or in flight attaches to it as a
+// *follower*: charged to its own face's budget, but holding neither a
+// queue slot nor a worker. When the leader's verification returns, its
+// outcome is folded into the engine first (so the Bloom-filter insert
+// is visible before the group closes) and each follower is then decided
+// as a subsequent request for that tag — enforce.Router.VerifyShared,
+// with the follower's own inputs, clock and gates — which is a cache
+// hit on success, so a run of Interests for one tag costs one
+// verification and one insertion.
+//
 // Parked jobs are flushed — with best-effort NACKs — when their face
 // dies, when their tag is revoked by a control push, and on forwarder
 // shutdown, so nothing leaks and no client waits out a PIT lifetime
-// for a verdict that can never come.
+// for a verdict that can never come. A flushed leader hands its group
+// to its first surviving follower.
 
 // verifyKind says which enforcement decision a parked job completes.
 type verifyKind int
 
 const (
 	// verifyEdgeInterest: EdgeOnInterestFast reported NeedVerify (edge
-	// BF miss under EdgeValidateOnMiss). Completion is EdgeVerifyMiss,
-	// then the rest of the Interest pipeline.
+	// BF miss under EdgeValidateOnMiss). Completion is the OpEdgeInterest
+	// verdict, then the rest of the Interest pipeline.
 	verifyEdgeInterest verifyKind = iota
 	// verifyContentHit: ContentOnInterestFast reported NeedVerify for a
 	// content-store hit (F = 0 BF miss, or the F != 0 probabilistic
-	// re-check fired). Completion is ContentVerifyMiss, then the Data
+	// re-check fired). Completion is the OpContent verdict, then the Data
 	// send.
 	verifyContentHit
 )
@@ -67,18 +83,37 @@ type verifyJob struct {
 	sp       *obs.Span
 	inTC     ndn.TraceContext
 	sampled  bool
+
+	// The fields below belong to the pool and are guarded by its mutex.
+
+	// key is the tag's cache key while this job leads a group.
+	key string
+	// followers are the same-tag jobs admitted while this job led.
+	followers []*verifyJob
 }
 
-// faceVerifyQueue is one face's admission queue.
+// input rebuilds the job's fast-phase enforcement input, which the
+// verify completions take.
+func (j *verifyJob) input() enforce.InterestInput {
+	if j.kind == verifyContentHit {
+		return enforce.InterestInput{Op: enforce.OpContent, Tag: j.i.Tag, Meta: j.content.Meta, Flag: j.flag, Now: j.now}
+	}
+	return enforce.InterestInput{Op: enforce.OpEdgeInterest, Tag: j.i.Tag, RequestAP: j.i.AccessPath, Name: j.i.Name, Now: j.now}
+}
+
+// faceVerifyQueue is one face's admission state.
 type faceVerifyQueue struct {
-	jobs     []*verifyJob
-	inflight int
+	// jobs are the face's queued leaders, oldest first.
+	jobs []*verifyJob
+	// charged counts every admitted job of the face that has no verdict
+	// yet — queued, in flight, or following — against the budget.
+	charged int
 }
 
 // verifyPool is the bounded worker pool.
 type verifyPool struct {
 	f *Forwarder
-	// budget caps parked+in-flight jobs per arrival face; 0 disables
+	// budget caps the jobs charged to one arrival face; 0 disables
 	// admission (used by the DisableAdmission ablation — parking is
 	// still asynchronous, only the cap is gone).
 	budget int
@@ -88,19 +123,24 @@ type verifyPool struct {
 	queues map[ndn.FaceID]*faceVerifyQueue
 	// order is the round-robin rotation over faces that currently have
 	// a queue; rr is the next index to scan from.
-	order  []ndn.FaceID
-	rr     int
-	closed bool
+	order []ndn.FaceID
+	rr    int
+	// leaders maps a tag's cache key to the parked or in-flight job
+	// whose verification will decide every job carrying that tag.
+	leaders map[string]*verifyJob
+	closed  bool
 
-	parked  atomic.Int64
-	sheds   atomic.Uint64
-	flushed atomic.Uint64
+	parked    atomic.Int64
+	sheds     atomic.Uint64
+	flushed   atomic.Uint64
+	coalesced atomic.Uint64
 
 	wg sync.WaitGroup
 }
 
 func newVerifyPool(f *Forwarder, workers, budget int) *verifyPool {
-	p := &verifyPool{f: f, budget: budget, queues: make(map[ndn.FaceID]*faceVerifyQueue)}
+	p := &verifyPool{f: f, budget: budget,
+		queues: make(map[ndn.FaceID]*faceVerifyQueue), leaders: make(map[string]*verifyJob)}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -109,9 +149,10 @@ func newVerifyPool(f *Forwarder, workers, budget int) *verifyPool {
 	return p
 }
 
-// admit parks a job against its arrival face's budget. It returns false
-// — and the caller must shed with an Overload NACK — when the face is
-// over budget or the pool is shutting down.
+// admit parks a job against its arrival face's budget: queued as its
+// tag's leader, or attached to the leader the tag already has. It
+// returns false — and the caller must shed with an Overload NACK — when
+// the face is over budget or the pool is shutting down.
 func (p *verifyPool) admit(job *verifyJob) bool {
 	id := job.from.id
 	p.mu.Lock()
@@ -126,20 +167,29 @@ func (p *verifyPool) admit(job *verifyJob) bool {
 		p.queues[id] = q
 		p.order = append(p.order, id)
 	}
-	if p.budget > 0 && len(q.jobs)+q.inflight >= p.budget {
+	if p.budget > 0 && q.charged >= p.budget {
 		p.mu.Unlock()
 		p.sheds.Add(1)
 		return false
 	}
-	q.jobs = append(q.jobs, job)
+	q.charged++
 	p.parked.Add(1)
+	key := job.i.Tag.CacheKey()
+	if leader := p.leaders[string(key)]; leader != nil {
+		leader.followers = append(leader.followers, job)
+		p.mu.Unlock()
+		return true
+	}
+	job.key = string(key)
+	p.leaders[job.key] = job
+	q.jobs = append(q.jobs, job)
 	p.mu.Unlock()
 	p.cond.Signal()
 	return true
 }
 
-// next pops one job round-robin across faces. It blocks until a job is
-// available or the pool closes (nil).
+// next pops one leader round-robin across faces. It blocks until one is
+// queued or the pool closes (nil).
 func (p *verifyPool) next() *verifyJob {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -155,7 +205,6 @@ func (p *verifyPool) next() *verifyJob {
 			}
 			job := q.jobs[0]
 			q.jobs = q.jobs[1:]
-			q.inflight++
 			p.parked.Add(-1)
 			p.rr = (idx + 1) % len(p.order)
 			return job
@@ -164,32 +213,83 @@ func (p *verifyPool) next() *verifyJob {
 	}
 }
 
-// release retires a job's in-flight slot and garbage-collects its
-// face's queue entry when idle.
-func (p *verifyPool) release(job *verifyJob) {
-	id := job.from.id
-	p.mu.Lock()
-	if q := p.queues[id]; q != nil {
-		q.inflight--
-		if q.inflight == 0 && len(q.jobs) == 0 {
-			delete(p.queues, id)
-			for i, fid := range p.order {
-				if fid == id {
-					p.order = append(p.order[:i], p.order[i+1:]...)
-					if p.rr > i {
-						p.rr--
-					}
-					break
-				}
+// uncharge returns one budget slot to a face and garbage-collects the
+// face's queue entry when nothing is charged to it. Caller holds p.mu.
+func (p *verifyPool) uncharge(id ndn.FaceID) {
+	q := p.queues[id]
+	q.charged--
+	if q.charged > 0 {
+		return
+	}
+	delete(p.queues, id)
+	for i, fid := range p.order {
+		if fid == id {
+			p.order = append(p.order[:i], p.order[i+1:]...)
+			if p.rr > i {
+				p.rr--
 			}
-			if len(p.order) > 0 {
-				p.rr %= len(p.order)
-			} else {
-				p.rr = 0
-			}
+			break
 		}
 	}
-	p.mu.Unlock()
+	if len(p.order) > 0 {
+		p.rr %= len(p.order)
+	} else {
+		p.rr = 0
+	}
+}
+
+// unqueue takes a leader out of its face's queue, reporting false when
+// it is not there: a worker has it. Caller holds p.mu.
+func (p *verifyPool) unqueue(leader *verifyJob) bool {
+	q := p.queues[leader.from.id]
+	for i, job := range q.jobs {
+		if job == leader {
+			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// handoff ends a leader's lead without a verification outcome to share
+// (it was flushed, or its own pre-verify gate denied it): the first
+// follower takes over the group, queued on its own face, or the key
+// retires with the group empty. Caller holds p.mu.
+func (p *verifyPool) handoff(leader *verifyJob) {
+	followers := leader.followers
+	leader.followers = nil
+	if len(followers) == 0 {
+		delete(p.leaders, leader.key)
+		return
+	}
+	next := followers[0]
+	next.key, next.followers = leader.key, followers[1:]
+	p.leaders[next.key] = next
+	q := p.queues[next.from.id]
+	q.jobs = append(q.jobs, next)
+	p.cond.Signal()
+}
+
+// retire ends an in-flight leader's lead and frees its budget slot.
+// With a verification outcome to share the group closes and its
+// followers are returned, uncharged, for the caller to decide; without
+// one the group is handed off.
+func (p *verifyPool) retire(leader *verifyJob, verified bool) []*verifyJob {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.uncharge(leader.from.id)
+	if !verified {
+		p.handoff(leader)
+		return nil
+	}
+	followers := leader.followers
+	leader.followers = nil
+	delete(p.leaders, leader.key)
+	for _, fj := range followers {
+		p.uncharge(fj.from.id)
+	}
+	p.parked.Add(int64(-len(followers)))
+	return followers
 }
 
 func (p *verifyPool) worker() {
@@ -200,12 +300,12 @@ func (p *verifyPool) worker() {
 			return
 		}
 		p.run(job)
-		p.release(job)
 	}
 }
 
-// run completes a parked job's enforcement decision and resumes its
-// pipeline. It executes on a worker goroutine — never on a face reader.
+// run verifies a leader's tag, decides the leader and then every
+// follower from that one outcome, and resumes their pipelines. It
+// executes on a worker goroutine — never on a face reader.
 func (p *verifyPool) run(job *verifyJob) {
 	f := p.f
 	parkDur := time.Since(job.parkedAt)
@@ -213,12 +313,32 @@ func (p *verifyPool) run(job *verifyJob) {
 	if job.sp != nil {
 		job.sp.EventDur("parked", parkDur, "")
 	}
+	dec := f.tactic.VerifyMiss(job.input())
+	if job.sp != nil {
+		job.sp.Event("verify", verifyDetail(dec.Denied()))
+	}
+	// The group closes before the leader's pipeline resumes: an edge
+	// verdict can lead straight to a content decision that parks the
+	// same tag again, and that job must lead a group of its own.
+	followers := p.retire(job, dec.Verified)
+	p.coalesced.Add(uint64(len(followers)))
+	p.complete(job, dec)
+	for _, fj := range followers {
+		wait := time.Since(fj.parkedAt)
+		f.m.observeParkTime(wait)
+		fdec := f.tactic.VerifyShared(fj.input(), dec.Reason)
+		if fj.sp != nil {
+			fj.sp.EventDur("coalesced", wait, verifyDetail(fdec.Denied()))
+		}
+		p.complete(fj, fdec)
+	}
+}
+
+// complete resumes a job's pipeline with its enforcement verdict.
+func (p *verifyPool) complete(job *verifyJob, dec enforce.Verdict) {
+	f := p.f
 	switch job.kind {
 	case verifyEdgeInterest:
-		dec := f.tactic.EdgeVerifyMiss(job.i.Tag, job.now)
-		if job.sp != nil {
-			job.sp.Event("verify", verifyDetail(dec.Denied()))
-		}
 		if dec.Denied() {
 			f.nackInterest(job.i, job.from, dec.Reason, job.sp, job.inTC)
 			return
@@ -229,40 +349,35 @@ func (p *verifyPool) run(job *verifyJob) {
 		}
 		f.continueInterest(job.i, job.from, job.now, job.sp, job.inTC, job.sampled)
 	case verifyContentHit:
-		dec := f.tactic.ContentVerifyMiss(job.i.Tag, job.flag, job.now)
-		if job.sp != nil {
-			job.sp.Event("verify", verifyDetail(dec.Denied()))
-		}
 		f.finishContentHit(job.i, job.from, job.content, dec, job.sp, job.inTC, job.sampled)
 	}
 }
 
-// flushWhere removes parked jobs matching keep==true and NACKs each
-// with the given reason (best-effort: the face may already be gone).
-// In-flight jobs are not touched — their verdicts land normally.
+// flushWhere removes parked jobs matching match — queued leaders and
+// followers alike — and NACKs each with the given reason (best-effort:
+// the face may already be gone). An in-flight leader is not touched —
+// its verdict lands normally — but its followers are.
 func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 	var out []*verifyJob
 	p.mu.Lock()
-	for id, q := range p.queues {
-		kept := q.jobs[:0]
-		for _, job := range q.jobs {
-			if match(job) {
-				out = append(out, job)
+	for _, leader := range p.leaders {
+		kept := leader.followers[:0]
+		for _, fj := range leader.followers {
+			if match(fj) {
+				out = append(out, fj)
 			} else {
-				kept = append(kept, job)
+				kept = append(kept, fj)
 			}
 		}
-		q.jobs = kept
-		if len(q.jobs) == 0 && q.inflight == 0 {
-			delete(p.queues, id)
+		leader.followers = kept
+		if match(leader) && p.unqueue(leader) {
+			out = append(out, leader)
+			p.handoff(leader)
 		}
 	}
-	// Rebuild the rotation over the surviving queues.
-	p.order = p.order[:0]
-	for id := range p.queues {
-		p.order = append(p.order, id)
+	for _, job := range out {
+		p.uncharge(job.from.id)
 	}
-	p.rr = 0
 	p.parked.Add(int64(-len(out)))
 	p.mu.Unlock()
 	for _, job := range out {
@@ -279,9 +394,9 @@ func (p *verifyPool) flushFace(id ndn.FaceID, reason error) int {
 }
 
 // shutdown stops the workers (in-flight verifies complete and deliver
-// their verdicts), then flushes every still-parked job with an Overload
-// NACK. Callers must invoke it while faces are still attached so the
-// flush NACKs can reach clients.
+// their groups' verdicts), then flushes every still-parked job with an
+// Overload NACK. Callers must invoke it while faces are still attached
+// so the flush NACKs can reach clients.
 func (p *verifyPool) shutdown() {
 	p.mu.Lock()
 	p.closed = true
@@ -294,8 +409,14 @@ func (p *verifyPool) shutdown() {
 // Sheds returns the number of Interests shed over budget.
 func (p *verifyPool) Sheds() uint64 { return p.sheds.Load() }
 
-// Parked returns the number of Interests currently parked.
+// Parked returns the number of Interests currently awaiting a verdict:
+// queued leaders and followers (a leader being verified is counted by
+// the validator's in-flight gauge instead).
 func (p *verifyPool) Parked() int64 { return p.parked.Load() }
 
 // Flushed returns the number of parked Interests flushed with NACKs.
 func (p *verifyPool) Flushed() uint64 { return p.flushed.Load() }
+
+// Coalesced returns the number of Interests answered from another
+// Interest's verification.
+func (p *verifyPool) Coalesced() uint64 { return p.coalesced.Load() }

@@ -65,6 +65,12 @@ type vpEnv struct {
 }
 
 func newVPEnv(t *testing.T, workers, budget int) *vpEnv {
+	return newVPEnvCfg(t, workers, budget, nil)
+}
+
+// newVPEnvCfg additionally lets the caller mutate the edge's Config
+// before New (mod may be nil).
+func newVPEnvCfg(t *testing.T, workers, budget int, mod func(cfg *Config)) *vpEnv {
 	t.Helper()
 	provKey, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/prov0/KEY/1"))
 	if err != nil {
@@ -79,11 +85,15 @@ func newVPEnv(t *testing.T, workers, budget int) *vpEnv {
 		t.Fatal(err)
 	}
 	gate := &gatePKI{inner: reg}
-	fwd, err := New(Config{
+	cfg := Config{
 		ID: "edge-0", Role: RoleEdge, Registry: reg, Verifier: gate,
 		Tactic: core.Config{EdgeValidateOnMiss: true}, Seed: 1,
 		VerifyWorkers: workers, VerifyBudget: budget,
-	})
+	}
+	if mod != nil {
+		mod(&cfg)
+	}
+	fwd, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +102,35 @@ func newVPEnv(t *testing.T, workers, budget int) *vpEnv {
 		t.Fatal(err)
 	}
 	go fwd.Serve(ln) //nolint:errcheck // exits on close
-	t.Cleanup(func() { gate.release(); fwd.Close(); ln.Close() })
+	t.Cleanup(func() {
+		gate.release()
+		// Every test must leave the pool empty: no job parked, no face
+		// charged, no tag still mapped to a leader.
+		var idle string
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if idle = poolResidue(fwd.vp); idle == "" || time.Now().After(deadline) {
+				break
+			}
+		}
+		if idle != "" {
+			t.Errorf("verify pool not empty at test end: %s", idle)
+		}
+		fwd.Close()
+		ln.Close()
+	})
 	return &vpEnv{t: t, fwd: fwd, gate: gate, addr: ln.Addr().String(), provKey: provKey, rogue: rogue}
+}
+
+// poolResidue describes whatever a quiescent pool still holds ("" when
+// nothing).
+func poolResidue(p *verifyPool) string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.leaders) == 0 && len(p.queues) == 0 && len(p.order) == 0 && p.parked.Load() == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d leaders, %d face queues, %d in rotation, parked=%d",
+		len(p.leaders), len(p.queues), len(p.order), p.parked.Load())
 }
 
 // forgedTag mints a structurally valid tag signed by the rogue key:
@@ -136,9 +173,20 @@ func (e *vpEnv) sendForged(conn *transport.Conn, base uint64, n int) {
 	}
 }
 
-// collectNACKs reads n Data frames off conn and tallies them by NACK
-// reason label.
+// collectNACKs reads n Data frames off conn, all of which must be NACKs,
+// and tallies them by reason label.
 func (e *vpEnv) collectNACKs(conn *transport.Conn, n int) map[string]int {
+	e.t.Helper()
+	got := e.collectReplies(conn, n)
+	if got["content"] != 0 {
+		e.t.Fatalf("replies = %v, want only NACKs", got)
+	}
+	return got
+}
+
+// collectReplies reads n Data frames off conn and tallies them: a NACK
+// under its reason label, anything else under "content".
+func (e *vpEnv) collectReplies(conn *transport.Conn, n int) map[string]int {
 	e.t.Helper()
 	got := make(map[string]int)
 	for k := 0; k < n; k++ {
@@ -155,7 +203,11 @@ func (e *vpEnv) collectNACKs(conn *transport.Conn, n int) map[string]int {
 			// Skip control-plane frames (e.g. revocation pushes).
 		}
 		if !pkt.Data.Nack {
-			e.t.Fatalf("response %d is not a NACK: %+v", k+1, pkt)
+			if pkt.Data.Content == nil {
+				e.t.Fatalf("response %d is neither a NACK nor content: %+v", k+1, pkt)
+			}
+			got["content"]++
+			continue
 		}
 		got[core.ReasonLabel(pkt.Data.NackReason)]++
 	}

@@ -304,7 +304,9 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 				return
 			}
 			proc += r.chargeSpan(sp, func() {
-				dec = r.tactic.EdgeVerifyMiss(i.Tag, now)
+				dec = r.tactic.VerifyMiss(enforce.InterestInput{
+					Op: enforce.OpEdgeInterest, Tag: i.Tag, RequestAP: i.AccessPath, Name: i.Name, Now: now,
+				})
 			})
 			r.noteVerify(from, now.Add(proc))
 		}
