@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module bench-json bench-diff repro repro-full demo-keys clean
+.PHONY: all build vet fmt-check check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module bench-json bench-diff repro repro-full demo-keys clean
 
 all: build test
 
@@ -12,14 +12,19 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The pre-merge gate: compile, static checks, full tests, the race
-# detector over the concurrent packages, the fault-injection suite, the
-# conformance oracle, the native fuzz targets' smoke pass, the
-# exposition-format lint, the coverage floor, a one-iteration smoke
+# Formatting gate: fails when gofmt would change any file (bench/, a
+# module of its own, included).
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# The pre-merge gate: compile, static checks, formatting, full tests,
+# the race detector over the concurrent packages, the fault-injection
+# suite, the conformance oracle, the native fuzz targets' smoke pass,
+# the exposition-format lint, the coverage floor, a one-iteration smoke
 # pass over the pipeline benchmarks, the live-path benchmark's own
 # module, the end-to-end tracing smoke test, and the benchmark
 # regression report.
-check: build vet test race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke bench-diff
+check: build vet fmt-check test race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke bench-diff
 
 test:
 	$(GO) test ./...

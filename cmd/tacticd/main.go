@@ -79,7 +79,7 @@ func run(args []string) error {
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "per-frame write deadline on every face (0 = none)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "recycle a face after this long without a frame (0 = never)")
 	keepalive := fs.Duration("keepalive", 0, "send keepalive frames on every face at this interval (0 = none); set peers' -idle-timeout to ~3x this")
-	coalesce := fs.Duration("coalesce", 0, "aggregate stream-face writes for up to this window before flushing (0 = flush per frame); sub-millisecond values trade a little latency for fewer syscalls")
+	coalesce := fs.Duration("coalesce", 0, "hold every stream-face write for up to this window before flushing (0 = off). Stream faces already batch replies by themselves while their reader has a backlog, at no latency cost; a window adds batching only for frames sent toward a face whose own reader is idle (Data relayed to a quiet downstream), and delays every light-load reply by up to the window")
 	mtu := fs.Int("mtu", 0, "datagram face MTU in bytes: frames larger than this are fragmented on udp:// faces (0 = default 1400)")
 	chaosSpec := fs.String("chaos", "", "fault-inject upstream links, e.g. drop=0.05,delay=0.1,maxdelay=20ms,seed=1 (testing only)")
 	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification worker goroutines (0 = default)")

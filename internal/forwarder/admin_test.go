@@ -108,6 +108,7 @@ func TestAdminEndpointsOnLiveNetwork(t *testing.T) {
 		MetricVerifications: 1,
 		MetricCSHits:        1,
 		MetricFaceFrames:    8,
+		MetricFaceFlushes:   1,
 		MetricPITEntries:    0,
 	} {
 		if got := metricValue(t, exposition, metric); got < min {
@@ -159,6 +160,13 @@ func TestAdminEndpointsOnLiveNetwork(t *testing.T) {
 	}
 	if len(statusz.Status.Faces) == 0 {
 		t.Error("status lists no faces")
+	}
+	var flushes uint64
+	for _, fs := range statusz.Status.Faces {
+		flushes += fs.Stats.Flushes
+	}
+	if flushes == 0 {
+		t.Error("status faces report no flushes beside their frames")
 	}
 	if len(statusz.Metrics) == 0 {
 		t.Error("statusz carries no metrics snapshot")

@@ -429,6 +429,7 @@ func (c *Client) Instrument(reg *obs.Registry) {
 		BytesIn:   reg.Counter(MetricFaceBytes, role, node, in),
 		BytesOut:  reg.Counter(MetricFaceBytes, role, node, out),
 		Errors:    reg.Counter(MetricFaceErrors, role, node),
+		Flushes:   reg.Counter(MetricFaceFlushes, role, node),
 	})
 }
 

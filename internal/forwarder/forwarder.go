@@ -94,10 +94,12 @@ type Config struct {
 	// period so peers' idle timeouts hold off on quiet-but-healthy
 	// links (0 = none).
 	KeepaliveInterval time.Duration
-	// CoalesceWrites aggregates stream-face sends: instead of one flush
-	// per frame, frames buffer up to this window (or 32 KiB) and share a
-	// syscall — higher pps on busy TCP faces at sub-millisecond latency
-	// cost (0 = flush per frame; datagram faces are unaffected).
+	// CoalesceWrites adds a time window to the stream faces' own write
+	// batching (transport.Conn defers flushes while its reader has a
+	// backlog, unprompted): every frame buffers up to this window (or
+	// 32 KiB), which also batches frames sent toward a face whose reader
+	// is idle, at up to the window in latency on every light-load reply
+	// (0 = no window; datagram faces are unaffected).
 	CoalesceWrites time.Duration
 	// BFSyncInterval advertises validated-tag Bloom filter deltas to
 	// the registered sync peers at this period (0 = disabled; see

@@ -42,6 +42,7 @@ const (
 	MetricFaceFrames    = "tactic_face_frames_total"
 	MetricFaceBytes     = "tactic_face_bytes_total"
 	MetricFaceErrors    = "tactic_face_errors_total"
+	MetricFaceFlushes   = "tactic_face_flushes_total"
 
 	// Failure-handling metrics: PIT expiries/flushes, route detachment,
 	// managed-uplink lifecycle, and client retransmissions (see README
@@ -182,6 +183,7 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 	reg.Help(MetricFaceFrames, "Frames moved per face, by link kind and direction.")
 	reg.Help(MetricFaceBytes, "Frame bytes moved per face, by link kind and direction.")
 	reg.Help(MetricFaceErrors, "Framing and I/O failures per face.")
+	reg.Help(MetricFaceFlushes, "Write-buffer flushes per stream face; frames out per flush is the send-side batch size.")
 	reg.Help(MetricPITExpired, "PIT entries expired unanswered (the paper's silent request expiry).")
 	reg.Help(MetricPITFlushed, "PIT entries flushed because their upstream face died.")
 	reg.Help(MetricRoutesDetached, "FIB routes detached because their face died.")
@@ -304,6 +306,8 @@ func (m *obsMetrics) faceMetrics(id ndn.FaceID, downstream, datagram bool) *tran
 		tm.Reassembled = m.reg.Counter(transport.MetricUDPReassembled, m.role, face, kind)
 		tm.ReassemblyEvictions = m.reg.Counter(transport.MetricUDPReassemblyEvictions, m.role, face, kind)
 		tm.Oversize = m.reg.Counter(transport.MetricUDPRxOversize, m.role, face, kind)
+	} else {
+		tm.Flushes = m.reg.Counter(MetricFaceFlushes, m.role, face, kind)
 	}
 	return tm
 }

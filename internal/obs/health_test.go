@@ -11,10 +11,10 @@ import (
 // fakeClock steps time deterministically for rate windows.
 type fakeClock struct{ at time.Time }
 
-func (c *fakeClock) now() time.Time           { return c.at }
-func (c *fakeClock) step(d time.Duration)     { c.at = c.at.Add(d) }
-func newFakeClock() *fakeClock                { return &fakeClock{at: time.Unix(1700000000, 0)} }
-func healthCfg(c *fakeClock) HealthConfig     { return HealthConfig{Now: c.now, MinWindow: time.Second} }
+func (c *fakeClock) now() time.Time       { return c.at }
+func (c *fakeClock) step(d time.Duration) { c.at = c.at.Add(d) }
+func newFakeClock() *fakeClock            { return &fakeClock{at: time.Unix(1700000000, 0)} }
+func healthCfg(c *fakeClock) HealthConfig { return HealthConfig{Now: c.now, MinWindow: time.Second} }
 func findReason(r HealthReport, rule string) *HealthReason {
 	for i := range r.Reasons {
 		if r.Reasons[i].Rule == rule {

@@ -118,8 +118,9 @@ func wirePair(b *testing.B, variant string) (sender, receiver transport.Face) {
 // across a real loopback socket — and reporting it as a pps metric.
 // Variants:
 //
-//	tcp           stream framing, one write+flush syscall per frame
-//	tcp-coalesced stream framing with sender write aggregation
+//	tcp           stream framing, the default flush rule (frames sent while
+//	              the sender's reader has credits buffered share a flush)
+//	tcp-coalesced the same plus a sender-side time window (SetCoalesce)
 //	udp           datagram faces, one sendto/recvfrom per datagram
 //	udp-batched   datagram faces over recvmmsg/sendmmsg batches
 //

@@ -5,10 +5,13 @@
 // reset. The same seed and call sequence always produces the same fault
 // schedule, so chaos soaks are reproducible.
 //
-// Faults are injected per Write call. internal/transport flushes one
-// frame per Write, so for TACTIC traffic each fault hits exactly one
-// NDN packet — a dropped Write is a lost Interest or Data, matching the
-// simulator's per-packet loss model (internal/sim.LinkSpec.LossProb).
+// Faults are injected per Write call. internal/transport hands a Write
+// whole frames only, so a fault hits the whole frames of one flush: one
+// NDN packet at light load — a dropped Write is a lost Interest or Data,
+// matching the simulator's per-packet loss model
+// (internal/sim.LinkSpec.LossProb) — and a burst of packets under load,
+// when a stream face batches its writes. Stream framing survives either
+// way.
 package chaos
 
 import (
@@ -168,7 +171,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	switch act {
 	case actDrop:
 		c.drops.Add(1)
-		c.flushHeld(1) // a drop still overtakes earlier held writes
+		c.flushHeld(1)     // a drop still overtakes earlier held writes
 		return len(b), nil // lost on the wire; the sender can't tell
 	case actDup:
 		c.dups.Add(1)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/transport"
@@ -117,6 +118,68 @@ func TestChaosUnderTransport(t *testing.T) {
 		if pkt.Interest == nil || pkt.Interest.Nonce != 5 {
 			t.Fatalf("copy %d corrupted: %+v", i, pkt)
 		}
+	}
+}
+
+// TestChaosDropLosesWholeFrames is the framing contract faults rely on:
+// a Write carries whole frames only, so a dropped Write loses packets and
+// never desynchronises the stream. Deferral is active (a window only the
+// byte threshold can end), and each round queues a frame that fits beside
+// what is buffered and then one that does not — the case bufio would
+// split across two Writes.
+func TestChaosDropLosesWholeFrames(t *testing.T) {
+	a, b := net.Pipe()
+	faulty := Wrap(a, Config{Seed: 11, Drop: 0.4})
+	sender := transport.New(faulty)
+	receiver := transport.New(b)
+	sender.SetCoalesce(time.Hour)
+
+	received := make(chan int, 1)
+	recvErr := make(chan error, 1)
+	go func() {
+		defer receiver.Close() // a receiver that gave up must fail the sender, not wedge it
+		n := 0
+		for {
+			if _, err := receiver.Receive(); err != nil {
+				received <- n
+				recvErr <- err
+				return
+			}
+			n++
+		}
+	}()
+
+	data := func(size int) *ndn.Data {
+		name := names.MustParse("/prov0/obj/c0")
+		return &ndn.Data{Name: name, Content: &core.Content{
+			Meta:      core.ContentMeta{Name: name, Level: 1, ProviderKey: names.MustParse("/prov0/KEY/1")},
+			Payload:   make([]byte, size),
+			Signature: []byte("sig"),
+		}}
+	}
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		for _, err := range []error{
+			sender.SendData(data(30 << 10)), // held: under the threshold
+			sender.SendData(data(40 << 10)), // larger than the buffer's free space
+			sender.SendInterest(&ndn.Interest{Name: names.MustParse("/x/y"), Kind: ndn.KindContent, Nonce: uint64(i)}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sender.Close()
+
+	got := <-received
+	if err := <-recvErr; !errors.Is(err, io.EOF) {
+		t.Errorf("stream ended with %v, want a clean EOF", err)
+	}
+	if st := receiver.Stats(); st.Errors != 0 {
+		t.Errorf("receiver counted %d framing errors", st.Errors)
+	}
+	if drops := faulty.Stats().Drops; drops == 0 || got == 0 || got >= 3*rounds {
+		t.Errorf("%d of %d frames arrived with %d dropped writes: the schedule exercised nothing", got, 3*rounds, drops)
 	}
 }
 

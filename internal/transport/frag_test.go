@@ -125,7 +125,7 @@ func TestReassemblerTimeoutEviction(t *testing.T) {
 func TestReassemblerCapacityEviction(t *testing.T) {
 	r := newReassembler(2, time.Minute)
 	now := time.Now()
-	r.add(now, mkFragBody(1, 0, 2, []byte("a")))                     //nolint:errcheck
+	r.add(now, mkFragBody(1, 0, 2, []byte("a")))                       //nolint:errcheck
 	r.add(now.Add(time.Millisecond), mkFragBody(2, 0, 2, []byte("b"))) //nolint:errcheck
 	// A third packet evicts the oldest (id 1).
 	r.add(now.Add(2*time.Millisecond), mkFragBody(3, 0, 2, []byte("c"))) //nolint:errcheck
@@ -141,12 +141,12 @@ func TestReassemblerRejectsMalformed(t *testing.T) {
 	r := newReassembler(4, time.Second)
 	now := time.Now()
 	cases := [][]byte{
-		nil,                                // truncated header
-		mkFragBody(1, 0, 0, nil),           // zero count
-		mkFragBody(1, 5, 5, nil),           // index out of range
+		nil,                                   // truncated header
+		mkFragBody(1, 0, 0, nil),              // zero count
+		mkFragBody(1, 5, 5, nil),              // index out of range
 		mkFragBody(1, 0, maxFragCount+1, nil), // oversized count
-		mkFragBody(1, 0, 1, nil),           // empty payload, count=1: would complete empty
-		mkFragBody(1, 0, 2, nil),           // empty payload mid-packet
+		mkFragBody(1, 0, 1, nil),              // empty payload, count=1: would complete empty
+		mkFragBody(1, 0, 2, nil),              // empty payload mid-packet
 	}
 	for i, body := range cases {
 		if _, err := r.add(now, body); !errors.Is(err, ErrBadFragment) {

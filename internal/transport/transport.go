@@ -75,6 +75,14 @@ func IsFatal(err error) bool {
 // *Conn frames packets over byte streams (TCP, Unix, net.Pipe) and
 // *DatagramFace carries them over UDP with fragmentation. Reads are
 // single-reader; sends are safe for concurrent use.
+//
+// A send that returns nil has queued the frame, not necessarily put it
+// on the wire: a stream face holds frames back while its own reader
+// still has received input to work through and writes them together
+// when that reader runs dry, so a reply can wait for the face's reader
+// to drain — bounded by 32 KiB of held frames and by a sub-millisecond
+// backstop for a reader that does not come back (see Conn). A failed
+// late flush is reported by the next send as a fatal error.
 type Face interface {
 	// Receive blocks for the next packet; keepalives are consumed
 	// internally. io.EOF signals a clean close.
@@ -128,14 +136,18 @@ type Stats struct {
 	Errors uint64
 	// KeepalivesIn and KeepalivesOut count liveness frames exchanged.
 	KeepalivesIn, KeepalivesOut uint64
+	// Flushes counts write-buffer flushes on a stream face (zero on
+	// datagram faces): FramesOut ÷ Flushes is the frames carried per
+	// write to the socket.
+	Flushes uint64
 }
 
 // Metrics routes a connection's counters into an obs registry; any field
 // may be nil (obs counters and histograms no-op when nil). Typically one
 // Metrics per face, labelled with the face ID.
 type Metrics struct {
-	// FramesIn/FramesOut/BytesIn/BytesOut/Errors mirror Stats.
-	FramesIn, FramesOut, BytesIn, BytesOut, Errors *obs.Counter
+	// FramesIn/FramesOut/BytesIn/BytesOut/Errors/Flushes mirror Stats.
+	FramesIn, FramesOut, BytesIn, BytesOut, Errors, Flushes *obs.Counter
 	// DecodeSeconds, when set, receives the TLV decode latency of a
 	// sample (1 in 64) of received packets.
 	DecodeSeconds *obs.Histogram
@@ -143,10 +155,10 @@ type Metrics struct {
 	// Datagram-plane counters, nil on stream faces: fragments sent and
 	// received, frames completed by reassembly, partial packets evicted
 	// (timeout or slot pressure), and oversized datagrams dropped.
-	FragmentsIn, FragmentsOut   *obs.Counter
-	Reassembled                 *obs.Counter
-	ReassemblyEvictions         *obs.Counter
-	Oversize                    *obs.Counter
+	FragmentsIn, FragmentsOut *obs.Counter
+	Reassembled               *obs.Counter
+	ReassemblyEvictions       *obs.Counter
+	Oversize                  *obs.Counter
 
 	// Events, when set, receives operator events from the face (e.g.
 	// reassembly-eviction bursts), labelled with Face.
@@ -162,11 +174,35 @@ const decodeSampleMask = 63
 
 // Conn frames NDN packets over a byte stream. Reads are single-reader;
 // writes are internally serialised and safe for concurrent use.
+//
+// Writes batch themselves under load. When Receive hands back a packet
+// and more input is already buffered, the reader will be back in
+// Receive without touching the socket, so frames sent meanwhile stay in
+// the write buffer; just before the reader next goes to the socket
+// (progressReader.Read) it has them flushed. With one packet in flight
+// nothing is ever pending and every frame is flushed at once. A batch
+// is bounded by deferFlushBytes and, for a reader that does not come
+// back, by flushBackstop.
+//
+// The reader itself never takes the write lock and never writes: a
+// sender blocked in the socket, or a flush the peer is slow to take,
+// must not stop the reads that let the peer make progress. It fires the
+// flush timer at once instead, so deferred frames are written from the
+// timer's goroutine.
 type Conn struct {
 	c  net.Conn
 	r  *bufio.Reader
 	w  *bufio.Writer
-	mu sync.Mutex // guards w, wErr, flushTimer, timerArmed
+	mu sync.Mutex // guards w, wErr and arming flushTimer
+
+	// inputPending is the reader's promise to have deferred frames
+	// flushed: set when Receive returns with more input buffered, cleared
+	// when the reader goes to the socket and on a Receive error.
+	inputPending atomic.Bool
+	// deferred is set (under mu) while frames wait in w with flushTimer
+	// armed, and cleared by the flush. The reader loads it without mu; a
+	// frame deferred just as the reader looks is left to the armed timer.
+	deferred atomic.Bool
 
 	// writeTimeout and idleTimeout hold time.Duration nanoseconds;
 	// 0 disables the respective deadline.
@@ -174,17 +210,16 @@ type Conn struct {
 	idleTimeout  atomic.Int64
 
 	// coalesce holds the flush-aggregation window in nanoseconds; 0
-	// flushes every frame (the default). See SetCoalesce.
+	// (the default) defers only on inputPending. See SetCoalesce.
 	coalesce   atomic.Int64
 	flushTimer *time.Timer
-	timerArmed bool
-	// wErr is the sticky write-path error: once the stream failed (or an
-	// async coalesced flush failed) every later send reports it as fatal.
+	// wErr is the sticky write-path error: once the stream failed (or a
+	// deferred flush failed) every later send reports it as fatal.
 	wErr error
 
 	framesIn, framesOut atomic.Uint64
 	bytesIn, bytesOut   atomic.Uint64
-	errs                atomic.Uint64
+	errs, flushes       atomic.Uint64
 	kaIn, kaOut         atomic.Uint64
 	metrics             atomic.Pointer[Metrics]
 
@@ -211,13 +246,19 @@ func New(c net.Conn) *Conn {
 // progressReader is the read path beneath the bufio.Reader: it pushes
 // the idle deadline forward before every underlying read, so any byte
 // of progress counts as liveness (reads served from the bufio buffer
-// never block and need no deadline).
+// never block and need no deadline). It is the one place the read side
+// goes to the socket and may block, so it first has the frames flushed
+// that writers deferred on the reader's behalf.
 type progressReader struct {
 	c   *Conn
 	set bool // a deadline is currently installed
 }
 
 func (p *progressReader) Read(b []byte) (int, error) {
+	p.c.inputPending.Store(false)
+	if p.c.deferred.Load() {
+		p.c.flushTimer.Reset(0) // set before deferred was: see writeFrame
+	}
 	if d := time.Duration(p.c.idleTimeout.Load()); d > 0 {
 		p.c.c.SetReadDeadline(time.Now().Add(d)) //nolint:errcheck // best-effort; the read reports failures
 		p.set = true
@@ -254,11 +295,12 @@ func (c *Conn) Stats() Stats {
 		Errors:        c.errs.Load(),
 		KeepalivesIn:  c.kaIn.Load(),
 		KeepalivesOut: c.kaOut.Load(),
+		Flushes:       c.flushes.Load(),
 	}
 }
 
-// countIn/countOut/countErr update the atomic tallies and any attached
-// registry counters.
+// countIn/countOut/countErr/countFlush update the atomic tallies and any
+// attached registry counters.
 func (c *Conn) countIn(n int) {
 	c.framesIn.Add(1)
 	c.bytesIn.Add(uint64(n))
@@ -284,12 +326,22 @@ func (c *Conn) countErr() {
 	}
 }
 
-// SetCoalesce enables write aggregation: instead of flushing every
-// frame, frames accumulate in the write buffer and flush when it holds
-// coalesceFlushBytes or when window elapses since the first buffered
-// frame — back-to-back Data replies share one syscall. window <= 0
-// restores flush-per-frame (the default). A failed asynchronous flush
-// is sticky: the next send reports it as a fatal ConnError.
+func (c *Conn) countFlush() {
+	c.flushes.Add(1)
+	if m := c.metrics.Load(); m != nil {
+		m.Flushes.Inc()
+	}
+}
+
+// SetCoalesce adds a time window to the deferral rule: every frame —
+// not only those sent while the reader has input pending — stays in
+// the write buffer until it holds deferFlushBytes or window elapses
+// since the first buffered frame. It batches what the reader cannot
+// promise to flush: a stream of frames toward a face whose own reader
+// is idle (Data relayed to a quiet downstream), at the cost of up to
+// window on every light-load reply. window <= 0 removes the window
+// (the default). A failed deferred flush is sticky: the next send
+// reports it as a fatal ConnError.
 func (c *Conn) SetCoalesce(window time.Duration) {
 	if window < 0 {
 		window = 0
@@ -297,22 +349,26 @@ func (c *Conn) SetCoalesce(window time.Duration) {
 	c.coalesce.Store(int64(window))
 }
 
-// coalesceFlushBytes flushes a coalescing writer early once this many
-// bytes are buffered, keeping latency bounded under load.
-const coalesceFlushBytes = 32 << 10
+const (
+	// deferFlushBytes flushes deferred frames early once this many bytes
+	// are buffered, bounding a batch (and its latency) under load. Half
+	// the write buffer, so a held frame always fits.
+	deferFlushBytes = 32 << 10
+	// flushBackstop bounds how long frames deferred on the reader's
+	// promise wait when the reader does not come back promptly: blocked
+	// on another wedged face, verifying aggregated records inline, or an
+	// owner that stopped calling Receive.
+	flushBackstop = time.Millisecond
+)
 
 // Close closes the underlying connection and stops the keepalive
-// sender, if any. Buffered coalesced frames are flushed best-effort
-// first (skipped when a writer currently holds the lock).
+// sender, if any. Deferred frames are flushed best-effort first
+// (skipped when a writer currently holds the lock).
 func (c *Conn) Close() error {
 	c.doneOnce.Do(func() { close(c.done) })
 	if c.mu.TryLock() {
-		if c.timerArmed {
-			c.flushTimer.Stop()
-			c.timerArmed = false
-		}
-		if c.wErr == nil && c.w.Buffered() > 0 {
-			c.w.Flush() //nolint:errcheck // best-effort on teardown
+		if c.wErr == nil {
+			c.flushLocked() //nolint:errcheck // best-effort on teardown
 		}
 		c.mu.Unlock()
 	}
@@ -403,11 +459,11 @@ func (c *Conn) SendControl(m *ndn.Control) error {
 // the size bound is applied.
 func (c *Conn) SendFrame(frame []byte) error { return c.writeFrame(frame) }
 
-// writeFrame writes one frame under the write lock, flushing
-// immediately (the default) or deferring the flush to the coalescing
-// window (SetCoalesce). A failure here (including a write-deadline
-// expiry) may leave a partial frame in the stream, so it is reported as
-// a fatal ConnError.
+// writeFrame queues one frame under the write lock and flushes, unless
+// a later flush is promised — by the reader (inputPending) or by the
+// SetCoalesce window — and the batch is still under deferFlushBytes. A
+// failure here (including a write-deadline expiry) may leave a partial
+// frame in the stream, so it is reported as a fatal ConnError.
 func (c *Conn) writeFrame(frame []byte) error {
 	if len(frame) > MaxPacketSize {
 		return ErrPacketTooLarge
@@ -417,42 +473,73 @@ func (c *Conn) writeFrame(frame []byte) error {
 	if c.wErr != nil {
 		return &ConnError{Op: "write", Err: c.wErr}
 	}
-	if d := time.Duration(c.writeTimeout.Load()); d > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck // best-effort; the write reports failures
-	}
-	if _, err := c.w.Write(frame); err != nil {
-		c.countErr()
-		c.wErr = err
-		return &ConnError{Op: "write", Err: err}
-	}
 	window := time.Duration(c.coalesce.Load())
-	if window <= 0 || c.w.Buffered() >= coalesceFlushBytes {
-		if err := c.flushLocked(); err != nil {
-			return err
+	if (window > 0 || c.inputPending.Load()) && c.w.Buffered()+len(frame) < deferFlushBytes {
+		c.w.Write(frame) //nolint:errcheck // fits the buffer: never reaches the socket
+		// The first frame of a batch arms the timer: the window itself, or
+		// the backstop behind the reader's promise. deferred is stored
+		// after flushTimer exists, so the reader may use the timer without
+		// mu once it has seen deferred set.
+		if !c.deferred.Load() {
+			if window <= 0 {
+				window = flushBackstop
+			}
+			if c.flushTimer == nil {
+				c.flushTimer = time.AfterFunc(window, c.timerFlush)
+			} else {
+				c.flushTimer.Reset(window)
+			}
+			c.deferred.Store(true)
 		}
 		c.countOut(len(frame))
 		return nil
 	}
-	// Coalescing: leave the frame buffered and arm the flush timer once
-	// per aggregation window (the first buffered frame arms it).
-	if !c.timerArmed {
-		c.timerArmed = true
-		if c.flushTimer == nil {
-			c.flushTimer = time.AfterFunc(window, c.timedFlush)
-		} else {
-			c.flushTimer.Reset(window)
+	c.setWriteDeadline()
+	// A Write to the socket must carry whole frames only (a fault injected
+	// per Write then loses packets, never the stream's framing), but bufio
+	// splits a frame larger than its free space across two. Empty the
+	// buffer first; the frame then fits, or goes to the socket on its own.
+	if len(frame) > c.w.Available() {
+		if err := c.flushLocked(); err != nil {
+			return err
+		}
+	}
+	if len(frame) > c.w.Size() {
+		c.countFlush()
+		if _, err := c.c.Write(frame); err != nil {
+			c.countErr()
+			c.wErr = err
+			return &ConnError{Op: "write", Err: err}
+		}
+	} else {
+		c.w.Write(frame) //nolint:errcheck // fits the buffer: never reaches the socket
+		if err := c.flushLocked(); err != nil {
+			return err
 		}
 	}
 	c.countOut(len(frame))
 	return nil
 }
 
-// flushLocked flushes the write buffer; the caller holds mu.
-func (c *Conn) flushLocked() error {
-	if c.timerArmed {
-		c.flushTimer.Stop()
-		c.timerArmed = false
+// setWriteDeadline bounds the socket writes that follow by the write
+// timeout, if one is set.
+func (c *Conn) setWriteDeadline() {
+	if d := time.Duration(c.writeTimeout.Load()); d > 0 {
+		c.c.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck // best-effort; the write reports failures
 	}
+}
+
+// flushLocked hands the write buffer to the socket and disarms the
+// timer; the caller holds mu and has set the write deadline.
+func (c *Conn) flushLocked() error {
+	if c.deferred.Load() {
+		c.flushTimer.Stop()
+		c.deferred.Store(false)
+	}
+	if c.w.Buffered() == 0 {
+		return nil
+	}
+	c.countFlush()
 	if err := c.w.Flush(); err != nil {
 		c.countErr()
 		c.wErr = err
@@ -461,30 +548,35 @@ func (c *Conn) flushLocked() error {
 	return nil
 }
 
-// timedFlush is the coalescing window expiry: flush whatever is
-// buffered. Errors are sticky and surface on the next send.
-func (c *Conn) timedFlush() {
+// timerFlush is the flush timer's func and keeps the promise made to
+// writeFrame: the reader ran dry and fired the timer, or the SetCoalesce
+// window or the backstop ran out. It flushes whatever writers left
+// buffered; errors are sticky and surface on the next send.
+func (c *Conn) timerFlush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.timerArmed = false
 	if c.wErr != nil || c.w.Buffered() == 0 {
 		return
 	}
-	if d := time.Duration(c.writeTimeout.Load()); d > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck // best-effort
-	}
-	if err := c.w.Flush(); err != nil {
-		c.countErr()
-		c.wErr = err
-	}
+	c.setWriteDeadline()
+	c.flushLocked() //nolint:errcheck // sticky in wErr
 }
 
 // Receive blocks for the next packet. io.EOF signals a clean close.
 // Keepalive frames are consumed internally: they refresh the idle
-// deadline but are never surfaced. The frame bytes live in a pooled
-// buffer released on return — safe because the decoders copy everything
-// they keep.
+// deadline but are never surfaced. When it returns a packet with more
+// input already buffered, sends defer their flush to the reader (see
+// Conn) until it is back here and runs dry.
 func (c *Conn) Receive() (Packet, error) {
+	pkt, err := c.receive()
+	c.inputPending.Store(err == nil && c.r.Buffered() > 0)
+	return pkt, err
+}
+
+// receive reads and decodes the next packet. The frame bytes live in a
+// pooled buffer released on return — safe because the decoders copy
+// everything they keep.
+func (c *Conn) receive() (Packet, error) {
 	buf := ndn.AcquireBuffer()
 	defer ndn.ReleaseBuffer(buf)
 	frame, typ, err := c.receiveFrame(buf)

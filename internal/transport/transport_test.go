@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -533,5 +534,366 @@ func TestCoalesceAsyncFlushErrorIsSticky(t *testing.T) {
 			t.Fatal("flush error never surfaced")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countingConn counts the Write calls reaching the socket and, when
+// wrote is set, reports each call's error on it.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+	wrote  chan error
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	n, err := c.Conn.Write(b)
+	if c.wrote != nil {
+		c.wrote <- err
+	}
+	return n, err
+}
+
+// flushPair builds a Conn under test over a net.Pipe whose socket writes
+// are counted, and the raw peer end. A net.Pipe Read returns what one
+// Write supplied, so one raw Write of several frames reaches the Conn's
+// reader as one segment, deterministically.
+func flushPair(t *testing.T) (*Conn, *countingConn, net.Conn) {
+	t.Helper()
+	a, b := net.Pipe()
+	cc := &countingConn{Conn: b}
+	c := New(cc)
+	t.Cleanup(func() { c.Close(); a.Close() })
+	return c, cc, a
+}
+
+// holdBackstop leaves c as if its backstop were armed an hour ahead, so
+// only the reader running dry (or the byte threshold) gets deferred
+// frames flushed: what a test needs to tell the reader's promise from
+// the backstop.
+func holdBackstop(c *Conn) {
+	c.mu.Lock()
+	c.flushTimer = time.AfterFunc(time.Hour, c.timerFlush)
+	c.deferred.Store(true)
+	c.mu.Unlock()
+}
+
+func nonceInterest(n uint64) *ndn.Interest {
+	return &ndn.Interest{Name: names.MustParse("/p/x"), Kind: ndn.KindContent, Nonce: n}
+}
+
+// interestFrames encodes Interests with nonces from..to-1 back to back.
+func interestFrames(t *testing.T, from, to uint64) []byte {
+	t.Helper()
+	var out []byte
+	for n := from; n < to; n++ {
+		var err error
+		if out, err = ndn.AppendInterest(out, nonceInterest(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// rawWrite writes b to the raw end without blocking the test on the
+// synchronous pipe.
+func rawWrite(raw net.Conn, b []byte) {
+	go raw.Write(b) //nolint:errcheck // a lost write fails the test's receives
+}
+
+func wantNonce(t *testing.T, c *Conn, n uint64) {
+	t.Helper()
+	pkt, err := c.Receive()
+	if err != nil {
+		t.Fatalf("receive nonce %d: %v", n, err)
+	}
+	if pkt.Interest == nil || pkt.Interest.Nonce != n {
+		t.Fatalf("got %+v, want interest nonce %d", pkt, n)
+	}
+}
+
+// With one frame in flight the reader never has input pending: every
+// frame is flushed by the send that queued it, and the timer is never
+// created.
+func TestFlushPingPongOneWritePerFrame(t *testing.T) {
+	c, cc, raw := flushPair(t)
+	peer := New(raw)
+	const rounds = 50
+	done := make(chan error, 1)
+	go func() { // echo server on the Conn under test
+		for i := 0; i < rounds; i++ {
+			pkt, err := c.Receive()
+			if err == nil {
+				err = c.SendInterest(pkt.Interest)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := uint64(0); i < rounds; i++ {
+		if err := peer.SendInterest(nonceInterest(i)); err != nil {
+			t.Fatal(err)
+		}
+		wantNonce(t, peer, i)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if w := cc.writes.Load(); w != rounds {
+		t.Errorf("socket writes = %d, want one per frame (%d)", w, rounds)
+	}
+	if st := c.Stats(); st.Flushes != rounds || st.FramesOut != rounds {
+		t.Errorf("flushes = %d, frames out = %d, want %d each", st.Flushes, st.FramesOut, rounds)
+	}
+	for _, conn := range []*Conn{c, peer} {
+		conn.mu.Lock()
+		if conn.flushTimer != nil {
+			t.Error("light-load ping-pong touched the flush timer")
+		}
+		conn.mu.Unlock()
+	}
+}
+
+// Frames that arrive in one segment are echoed in one write: the reader
+// defers while it has input pending and the reply to the last frame of
+// the segment carries the batch.
+func TestFlushBatchFollowsBacklog(t *testing.T) {
+	c, cc, raw := flushPair(t)
+	peer := New(raw)
+	const n = 64
+	rawWrite(raw, interestFrames(t, 0, n))
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			pkt, err := c.Receive()
+			if err == nil {
+				err = c.SendInterest(pkt.Interest)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := uint64(0); i < n; i++ {
+		wantNonce(t, peer, i)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if w := cc.writes.Load(); w > n/8 {
+		t.Errorf("socket writes = %d for %d echoed frames, want far fewer", w, n)
+	}
+	if st := c.Stats(); st.FramesOut != n || st.Flushes != uint64(cc.writes.Load()) {
+		t.Errorf("frames out = %d, flushes = %d, socket writes = %d", st.FramesOut, st.Flushes, cc.writes.Load())
+	}
+}
+
+// A frame another goroutine sends while the reader is mid-batch is not
+// flushed by that send; it goes out when the reader runs dry.
+func TestFlushDeferredFrameFromAnotherGoroutine(t *testing.T) {
+	c, cc, raw := flushPair(t)
+	peer := New(raw)
+	holdBackstop(c)
+	rawWrite(raw, interestFrames(t, 0, 2))
+	wantNonce(t, c, 0) // nonce 1 is still buffered: input pending
+	sent := make(chan error, 1)
+	go func() { sent <- c.SendInterest(nonceInterest(100)) }()
+	// Nobody reads the pipe yet, so the send returns only if it deferred.
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if w := cc.writes.Load(); w != 0 {
+		t.Fatalf("send with input pending wrote to the socket (%d writes)", w)
+	}
+	wantNonce(t, c, 1)
+	go c.Receive() //nolint:errcheck // runs dry: fires the flush, then blocks until the pipe closes
+	wantNonce(t, peer, 100)
+}
+
+// A reader that takes a packet with input pending and never calls
+// Receive again cannot keep its promise; the backstop flushes the reply.
+func TestFlushBackstopCoversAbsentReader(t *testing.T) {
+	c, cc, raw := flushPair(t)
+	peer := New(raw)
+	peer.SetIdleTimeout(5 * time.Second) // fail, do not hang, if the reply never comes
+	rawWrite(raw, interestFrames(t, 0, 2))
+	wantNonce(t, c, 0)
+	if err := c.SendInterest(nonceInterest(100)); err != nil {
+		t.Fatal(err)
+	}
+	wantNonce(t, peer, 100)
+	if w := cc.writes.Load(); w != 1 {
+		t.Errorf("socket writes = %d, want 1", w)
+	}
+}
+
+// The flush the reader fires runs under the write timeout, and its
+// failure is sticky: the next send reports a fatal ConnError.
+func TestFlushByReaderHonoursWriteTimeoutAndIsSticky(t *testing.T) {
+	c, cc, raw := flushPair(t)
+	cc.wrote = make(chan error, 1)
+	c.SetWriteTimeout(50 * time.Millisecond)
+	holdBackstop(c)
+	rawWrite(raw, interestFrames(t, 0, 2))
+	wantNonce(t, c, 0)
+	if err := c.SendInterest(nonceInterest(100)); err != nil {
+		t.Fatalf("deferred send: %v", err)
+	}
+	wantNonce(t, c, 1)
+	go c.Receive() //nolint:errcheck // runs dry; the peer never reads the flush
+	var ne net.Error
+	if err := <-cc.wrote; !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("deferred flush against a wedged peer: %v, want a net timeout", err)
+	}
+	err := c.SendInterest(nonceInterest(101))
+	if !IsFatal(err) || !errors.As(err, &ne) || !ne.Timeout() {
+		t.Errorf("send after a failed deferred flush: %v, want the sticky fatal timeout", err)
+	}
+	if c.Stats().Errors == 0 {
+		t.Error("failed flush not counted as a connection error")
+	}
+}
+
+// Half a frame in the read buffer counts as input pending: the reply is
+// deferred, and the reader has it flushed on its way to the socket for
+// the other half instead of waiting for a peer that waits for the reply.
+func TestFlushPartialFramePendingDoesNotDeadlock(t *testing.T) {
+	c, _, raw := flushPair(t)
+	peer := New(raw)
+	holdBackstop(c)
+	frames := interestFrames(t, 0, 2)
+	cut := len(frames) - 3
+	rawWrite(raw, frames[:cut])
+	wantNonce(t, c, 0)
+	if err := c.SendInterest(nonceInterest(100)); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		// The peer sends the rest only after it has the reply.
+		if pkt, err := peer.Receive(); err == nil && pkt.Interest.Nonce == 100 {
+			raw.Write(frames[cut:]) //nolint:errcheck // a lost write fails the receive below
+		}
+	}()
+	wantNonce(t, c, 1)
+}
+
+// The reader must never wait for a write. A sends Interests open-loop
+// from one goroutine and reads the replies slowly from another; B
+// answers every Interest inline with 8 KiB of Data, as
+// Producer.serveConn and an edge CS hit do. Once B blocks writing Data
+// nobody drains A's Interests, A's sender blocks in write(2) holding mu
+// (or leaves deferred frames that no longer fit the socket), and only
+// A's reader can get things moving again: it must neither wait for mu
+// nor flush those frames itself.
+func TestFlushReaderKeepsDrainingBehindBlockedSender(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	small := func(c net.Conn) net.Conn { // reach the blocked state quickly
+		c.(*net.TCPConn).SetReadBuffer(64 << 10)  //nolint:errcheck // only sizes the test
+		c.(*net.TCPConn).SetWriteBuffer(64 << 10) //nolint:errcheck // only sizes the test
+		return c
+	}
+	go func() { // B: reply inline
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		b := New(small(raw))
+		defer b.Close()
+		payload := make([]byte, 8<<10)
+		for {
+			pkt, err := b.Receive()
+			if err != nil {
+				return
+			}
+			name := pkt.Interest.Name
+			if b.SendData(&ndn.Data{Name: name, Content: &core.Content{
+				Meta:    core.ContentMeta{Name: name, Level: 2, ProviderKey: name},
+				Payload: payload,
+			}}) != nil {
+				return
+			}
+		}
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(small(raw))
+	defer a.Close()
+
+	const n = 20000
+	go func() { // A's sender: open loop
+		for i := uint64(0); i < n; i++ {
+			if a.SendInterest(nonceInterest(i)) != nil {
+				return
+			}
+		}
+	}()
+	var got atomic.Int64
+	done := make(chan error, 1)
+	go func() { // A's reader: slow at first, so the socket buffers fill
+		for i := 0; i < n; i++ {
+			if _, err := a.Receive(); err != nil {
+				done <- err
+				return
+			}
+			got.Add(1)
+			if i < 200 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		done <- nil
+	}()
+	for last := int64(-1); ; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-time.After(5 * time.Second):
+			now := got.Load()
+			if now == last {
+				t.Fatalf("no reply for 5 s after %d of %d: the reader is stuck behind a blocked write", now, n)
+			}
+			last = now
+		}
+	}
+}
+
+// Flushes counts the writes that reach the socket, whether a frame went
+// through the write buffer or, larger than it, around it.
+func TestFlushCountMatchesSocketWrites(t *testing.T) {
+	c, cc, raw := flushPair(t)
+	peer := New(raw)
+	name := names.MustParse("/p/big")
+	big := &ndn.Data{Name: name, Content: &core.Content{
+		Meta:    core.ContentMeta{Name: name, Level: 2, ProviderKey: name},
+		Payload: make([]byte, 0xffff), // the largest a Content field encodes: the frame outgrows the 64 KiB buffer
+	}}
+	errc := make(chan error, 1)
+	go func() {
+		err := c.SendInterest(nonceInterest(1))
+		if err == nil {
+			err = c.SendData(big)
+		}
+		errc <- err
+	}()
+	wantNonce(t, peer, 1)
+	go peer.Receive() //nolint:errcheck // drains the large frame so the send completes
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if st, w := c.Stats(), cc.writes.Load(); st.Flushes != 2 || w != 2 {
+		t.Errorf("flushes = %d, socket writes = %d, want 2 each", st.Flushes, w)
 	}
 }

@@ -281,7 +281,7 @@ func TestUDPReassemblyTimeoutEvictionOnFace(t *testing.T) {
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 8 {
 		t.Fatalf("marker interest: %+v err=%v", pkt, err)
 	}
-	time.Sleep(120 * time.Millisecond) // past the reassembly timeout
+	time.Sleep(120 * time.Millisecond)          // past the reassembly timeout
 	cl.SendFrame(frag(1, 1, 2, []byte("late"))) //nolint:errcheck
 	cl.SendFrame(full(9))                       //nolint:errcheck
 	pkt, err := srv.Receive()
