@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -17,13 +18,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tacticsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tacticsim", flag.ContinueOnError)
 	topo := fs.Int("topo", 1, "Table III topology (1-4)")
 	seed := fs.Int64("seed", 1, "run seed")
@@ -76,46 +77,46 @@ func run(args []string) error {
 	}
 	wall := time.Since(start)
 
-	fmt.Printf("TACTIC simulation — topology %d, seed %d, %s simulated (%s wall, %d events)\n\n",
+	fmt.Fprintf(out, "TACTIC simulation — topology %d, seed %d, %s simulated (%s wall, %d events)\n\n",
 		*topo, *seed, *duration, wall.Round(time.Millisecond), res.Events)
 	schemeLabel := sc.Baseline.String()
 	if sc.Ablations.Scheme != core.SchemeTACTIC {
 		schemeLabel = sc.Ablations.Scheme.String()
 	}
-	fmt.Printf("scheme: %s   BF capacity %d @ max FPP %g   tag TTL %s   fidelity %v\n\n",
+	fmt.Fprintf(out, "scheme: %s   BF capacity %d @ max FPP %g   tag TTL %s   fidelity %v\n\n",
 		schemeLabel, *bfSize, *bfFPP, *ttl, *fidelity)
 
 	printDelivery := func(label string, d metrics.Delivery) {
-		fmt.Printf("%-10s requested %9d   received %9d   delivery rate %.4f\n",
+		fmt.Fprintf(out, "%-10s requested %9d   received %9d   delivery rate %.4f\n",
 			label, d.Requested, d.Received, d.Ratio())
 	}
 	printDelivery("clients", res.ClientDelivery)
 	printDelivery("attackers", res.AttackerDelivery)
-	fmt.Println()
+	fmt.Fprintln(out)
 
-	fmt.Printf("client latency: mean %s  min %s  max %s  (%d samples)\n",
+	fmt.Fprintf(out, "client latency: mean %s  min %s  max %s  (%d samples)\n",
 		res.ClientLatency.Mean().Round(10*time.Microsecond),
 		res.ClientLatency.Min().Round(10*time.Microsecond),
 		res.ClientLatency.Max().Round(10*time.Microsecond),
 		res.ClientLatency.Count())
-	fmt.Printf("tag rates: Q %.2f/s  R %.2f/s   registrations issued %d, dropped %d\n\n",
+	fmt.Fprintf(out, "tag rates: Q %.2f/s  R %.2f/s   registrations issued %d, dropped %d\n\n",
 		res.TagQRate(), res.TagRRate(), res.RegistrationsIssued, res.RegistrationsFailed)
 
-	fmt.Printf("router ops      %12s %12s %12s %8s\n", "lookups", "insertions", "verifications", "resets")
-	fmt.Printf("  edge routers  %12d %12d %12d %8d\n",
+	fmt.Fprintf(out, "router ops      %12s %12s %12s %8s\n", "lookups", "insertions", "verifications", "resets")
+	fmt.Fprintf(out, "  edge routers  %12d %12d %12d %8d\n",
 		res.EdgeOps.Lookups, res.EdgeOps.Insertions, res.EdgeOps.Verifications, res.EdgeOps.Resets)
-	fmt.Printf("  core routers  %12d %12d %12d %8d\n",
+	fmt.Fprintf(out, "  core routers  %12d %12d %12d %8d\n",
 		res.CoreOps.Lookups, res.CoreOps.Insertions, res.CoreOps.Verifications, res.CoreOps.Resets)
-	fmt.Printf("  providers: served %d, verifications %d\n\n", res.ProviderContentServed, res.ProviderVerifications)
+	fmt.Fprintf(out, "  providers: served %d, verifications %d\n\n", res.ProviderContentServed, res.ProviderVerifications)
 
 	hitRatio := 0.0
 	if res.CSHits+res.CSMisses > 0 {
 		hitRatio = float64(res.CSHits) / float64(res.CSHits+res.CSMisses)
 	}
-	fmt.Printf("content store: hits %d, misses %d (hit ratio %.3f)\n\n", res.CSHits, res.CSMisses, hitRatio)
+	fmt.Fprintf(out, "content store: hits %d, misses %d (hit ratio %.3f)\n\n", res.CSHits, res.CSMisses, hitRatio)
 
 	if len(res.AttackerByKind) > 0 {
-		fmt.Println("attacker outcomes by threat scenario:")
+		fmt.Fprintln(out, "attacker outcomes by threat scenario:")
 		kinds := make([]string, 0, len(res.AttackerByKind))
 		for k := range res.AttackerByKind {
 			kinds = append(kinds, k)
@@ -123,26 +124,26 @@ func run(args []string) error {
 		sort.Strings(kinds)
 		for _, k := range kinds {
 			d := res.AttackerByKind[k]
-			fmt.Printf("  %-14s requested %7d  received %5d  rate %.4f\n", k, d.Requested, d.Received, d.Ratio())
+			fmt.Fprintf(out, "  %-14s requested %7d  received %5d  rate %.4f\n", k, d.Requested, d.Received, d.Ratio())
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 
 	if len(res.Drops) > 0 {
-		fmt.Println("router drops by reason:")
+		fmt.Fprintln(out, "router drops by reason:")
 		reasons := make([]string, 0, len(res.Drops))
 		for r := range res.Drops {
 			reasons = append(reasons, r)
 		}
 		sort.Strings(reasons)
 		for _, r := range reasons {
-			fmt.Printf("  %-24s %d\n", r, res.Drops[r])
+			fmt.Fprintf(out, "  %-24s %d\n", r, res.Drops[r])
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 
 	if len(res.HopDecomp) > 0 {
-		experiment.FormatHopDecomp(os.Stdout, res.HopDecomp, res.TracesAssembled)
+		experiment.FormatHopDecomp(out, res.HopDecomp, res.TracesAssembled)
 	}
 	return nil
 }

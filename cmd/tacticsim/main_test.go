@@ -1,13 +1,45 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"regexp"
+	"testing"
+)
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// wallToken is the one non-deterministic token in a report.
+var wallToken = regexp.MustCompile(`\([^ ]+ wall,`)
+
+// TestRunShortSimulation is the standing "the sim did not move" check:
+// the full report of a short fixed-seed run must match the committed
+// golden byte for byte, wall time masked. A change that means to move
+// the sim regenerates it with `go test ./cmd/tacticsim -update` and
+// explains the diff.
 func TestRunShortSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	if err := run([]string{"-topo", "1", "-duration", "10s", "-seed", "1"}); err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-topo", "1", "-duration", "10s", "-seed", "1"}, &out); err != nil {
 		t.Fatal(err)
+	}
+	got := wallToken.ReplaceAll(out.Bytes(), []byte("(<wall> wall,"))
+	const golden = "testdata/topo1_10s_seed1.golden"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("report differs from %s (regenerate with -update if the sim was meant to move)\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
 }
 
@@ -15,19 +47,19 @@ func TestRunBaselineScheme(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	if err := run([]string{"-topo", "1", "-duration", "5s", "-scheme", "open-ndn"}); err != nil {
+	if err := run([]string{"-topo", "1", "-duration", "5s", "-scheme", "open-ndn"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-scheme", "bogus"}); err == nil {
+	if err := run([]string{"-scheme", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if err := run([]string{"-topo", "9", "-duration", "1s"}); err == nil {
+	if err := run([]string{"-topo", "9", "-duration", "1s"}, io.Discard); err == nil {
 		t.Error("invalid topology accepted")
 	}
-	if err := run([]string{"-not-a-flag"}); err == nil {
+	if err := run([]string{"-not-a-flag"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -59,79 +58,74 @@ var (
 // state is Bloom-filter hits).
 const DefaultVerifyBudget = 64
 
-// Wire codes for NACK reasons (the NackReason TLV payload). 0 is
-// reserved for "unspecified/other" so an absent or unknown code decodes
-// to a non-nil generic reason on a NACK.
-const (
-	reasonCodeOther uint8 = iota
-	reasonCodeNoTag
-	reasonCodeExpired
-	reasonCodeForged
-	reasonCodePrefixMismatch
-	reasonCodeAccessPath
-	reasonCodeLevel
-	reasonCodeKeyMismatch
-	reasonCodeRevoked
-	reasonCodeOverload
-)
-
 // ErrDenied is the catch-all NACK reason: a denial whose specific cause
 // was not (or could not be) carried on the wire.
 var ErrDenied = errors.New("core: request denied")
 
+// reasons is the one NACK-reason vocabulary, shared by the wire codec,
+// the live metrics and traces, and the simulator's drop keys. The index
+// is the NackReason TLV's 1-byte wire code, so entries are only ever
+// appended. Code 0 is the catch-all: an absent or unknown code decodes
+// to ErrDenied, so a decoded NACK always carries a non-nil reason, and
+// an error wrapping none of the sentinels encodes as 0 and is labelled
+// "other".
+var reasons = [...]struct {
+	err   error
+	label string
+}{
+	0: {ErrDenied, "other"},
+	1: {ErrNoTag, "no_tag"},
+	2: {ErrTagExpired, "expired"},
+	3: {ErrTagForged, "forged"},
+	4: {ErrPrefixMismatch, "prefix_mismatch"},
+	5: {ErrAccessPathMismatch, "access_path"},
+	6: {ErrInsufficientLevel, "level"},
+	7: {ErrProviderKeyMismatch, "key_mismatch"},
+	8: {ErrTagRevoked, "revoked"},
+	9: {ErrOverload, "overload"},
+}
+
 // ReasonCode maps a validation error to its 1-byte wire code for the
 // NackReason TLV. Unknown errors (and nil) map to 0.
 func ReasonCode(err error) uint8 {
-	switch {
-	case err == nil:
-		return reasonCodeOther
-	case errors.Is(err, ErrNoTag):
-		return reasonCodeNoTag
-	case errors.Is(err, ErrTagExpired):
-		return reasonCodeExpired
-	case errors.Is(err, ErrTagForged):
-		return reasonCodeForged
-	case errors.Is(err, ErrPrefixMismatch):
-		return reasonCodePrefixMismatch
-	case errors.Is(err, ErrAccessPathMismatch):
-		return reasonCodeAccessPath
-	case errors.Is(err, ErrInsufficientLevel):
-		return reasonCodeLevel
-	case errors.Is(err, ErrProviderKeyMismatch):
-		return reasonCodeKeyMismatch
-	case errors.Is(err, ErrTagRevoked):
-		return reasonCodeRevoked
-	case errors.Is(err, ErrOverload):
-		return reasonCodeOverload
+	if err == nil {
+		return 0
 	}
-	return reasonCodeOther
+	for code := 1; code < len(reasons); code++ {
+		if errors.Is(err, reasons[code].err) {
+			return uint8(code)
+		}
+	}
+	return 0
 }
 
 // ReasonFromCode maps a wire code back to the canonical sentinel error.
-// Unknown codes (including 0) map to ErrDenied so a decoded NACK always
-// carries a non-nil reason.
+// Unknown codes (including 0) map to ErrDenied.
 func ReasonFromCode(code uint8) error {
-	switch code {
-	case reasonCodeNoTag:
-		return ErrNoTag
-	case reasonCodeExpired:
-		return ErrTagExpired
-	case reasonCodeForged:
-		return ErrTagForged
-	case reasonCodePrefixMismatch:
-		return ErrPrefixMismatch
-	case reasonCodeAccessPath:
-		return ErrAccessPathMismatch
-	case reasonCodeLevel:
-		return ErrInsufficientLevel
-	case reasonCodeKeyMismatch:
-		return ErrProviderKeyMismatch
-	case reasonCodeRevoked:
-		return ErrTagRevoked
-	case reasonCodeOverload:
-		return ErrOverload
+	if int(code) < len(reasons) {
+		return reasons[code].err
 	}
 	return ErrDenied
+}
+
+// ReasonLabel maps a validation or pre-check error to a short, stable
+// identifier suitable as a metric label, trace annotation or drop key.
+// Unknown errors map to "other"; nil maps to "".
+func ReasonLabel(err error) string {
+	if err == nil {
+		return ""
+	}
+	return reasons[ReasonCode(err)].label
+}
+
+// ReasonLabels lists every label ReasonLabel can produce for a non-nil
+// error, so instrumentation can pre-create one counter per reason.
+func ReasonLabels() []string {
+	out := make([]string, len(reasons))
+	for i, r := range reasons {
+		out[i] = r.label
+	}
+	return out
 }
 
 // ContentMeta is the access-control metadata a provider embeds in every
@@ -159,9 +153,6 @@ type ValidatorStats struct {
 	// Forged counts signature rejections (threat (b)).
 	Forged uint64
 }
-
-// Failures returns the total rejected validations.
-func (s ValidatorStats) Failures() uint64 { return s.Missing + s.Expired + s.Forged }
 
 // TagValidator performs full tag validation — freshness plus signature
 // verification through a PKI verifier — and counts signature
@@ -218,19 +209,6 @@ func (v *TagValidator) SetVerifyHistogram(h *obs.Histogram) { v.verifySeconds.St
 // filters amortise; see the type comment for how concurrent duplicate
 // validations are collapsed.
 func (v *TagValidator) Validate(t *Tag, now time.Time) error {
-	return v.ValidateCtx(context.Background(), t, now)
-}
-
-// ValidateCtx is Validate with cancellation for waiters collapsed onto
-// another caller's in-flight verification. A waiter whose ctx is
-// canceled detaches immediately and returns ctx.Err(); the shared call
-// it was waiting on is unaffected — the performing caller still
-// completes, publishes the result, and clears the slot, so a canceled
-// waiter neither leaks the call entry nor consumes the outcome other
-// waiters share. Cancellation does not abort the performing caller's
-// own signature check (the result is shared state; aborting it would
-// poison every concurrent waiter).
-func (v *TagValidator) ValidateCtx(ctx context.Context, t *Tag, now time.Time) error {
 	if err := v.CheckFresh(t, now); err != nil {
 		return err
 	}
@@ -238,12 +216,8 @@ func (v *TagValidator) ValidateCtx(ctx context.Context, t *Tag, now time.Time) e
 	v.mu.Lock()
 	if c, ok := v.calls[key]; ok {
 		v.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.err
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		<-c.done
+		return c.err
 	}
 	c := &verifyCall{done: make(chan struct{})}
 	v.calls[key] = c
@@ -300,41 +274,6 @@ func (v *TagValidator) Stats() ValidatorStats {
 		Expired:       v.expired.Load(),
 		Forged:        v.forged.Load(),
 	}
-}
-
-// ReasonLabel maps a validation or pre-check error to a short, stable
-// identifier suitable as a metric label or trace annotation. Unknown
-// errors map to "other"; nil maps to "".
-func ReasonLabel(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrNoTag):
-		return "no_tag"
-	case errors.Is(err, ErrTagExpired):
-		return "expired"
-	case errors.Is(err, ErrTagForged):
-		return "forged"
-	case errors.Is(err, ErrPrefixMismatch):
-		return "prefix_mismatch"
-	case errors.Is(err, ErrAccessPathMismatch):
-		return "access_path"
-	case errors.Is(err, ErrInsufficientLevel):
-		return "level"
-	case errors.Is(err, ErrProviderKeyMismatch):
-		return "key_mismatch"
-	case errors.Is(err, ErrTagRevoked):
-		return "revoked"
-	case errors.Is(err, ErrOverload):
-		return "overload"
-	}
-	return "other"
-}
-
-// ReasonLabels lists every label ReasonLabel can produce for a non-nil
-// error, so instrumentation can pre-create one counter per reason.
-func ReasonLabels() []string {
-	return []string{"no_tag", "expired", "forged", "prefix_mismatch", "access_path", "level", "key_mismatch", "revoked", "overload", "other"}
 }
 
 // PreCheckEdge is the edge-router half of Protocol 1: a cheap filter

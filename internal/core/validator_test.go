@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,5 +129,55 @@ func TestValidatorFailureNotCached(t *testing.T) {
 	}
 	if got := v.Stats().Forged; got != 2 {
 		t.Fatalf("Forged = %d, want 2", got)
+	}
+}
+
+// TestReasonVocabulary pins the one reason table: every sentinel owns a
+// wire code that decodes back to it and a label no other sentinel has,
+// wrapped errors resolve to their sentinel, and everything else falls
+// to the catch-all.
+func TestReasonVocabulary(t *testing.T) {
+	sentinels := []error{
+		ErrDenied, ErrNoTag, ErrTagExpired, ErrTagForged, ErrPrefixMismatch, ErrAccessPathMismatch,
+		ErrInsufficientLevel, ErrProviderKeyMismatch, ErrTagRevoked, ErrOverload,
+	}
+	if len(sentinels) != len(reasons) {
+		t.Fatalf("test lists %d sentinels, the table %d", len(sentinels), len(reasons))
+	}
+	codes, labels := map[uint8]error{}, map[string]error{}
+	for _, err := range sentinels {
+		code, label := ReasonCode(err), ReasonLabel(err)
+		if got := ReasonFromCode(code); got != err {
+			t.Errorf("%v: code %d decodes to %v", err, code, got)
+		}
+		if prev, dup := codes[code]; dup {
+			t.Errorf("%v and %v share wire code %d", prev, err, code)
+		}
+		if prev, dup := labels[label]; dup || label == "" {
+			t.Errorf("%v: label %q empty or shared with %v", err, label, prev)
+		}
+		codes[code], labels[label] = err, err
+		wrapped := fmt.Errorf("%w: detail", err)
+		if ReasonCode(wrapped) != code || ReasonLabel(wrapped) != label {
+			t.Errorf("wrapped %v resolves to (%d, %q), want (%d, %q)", err, ReasonCode(wrapped), ReasonLabel(wrapped), code, label)
+		}
+	}
+	if got := ReasonLabels(); len(got) != len(labels) {
+		t.Errorf("ReasonLabels lists %d labels, want %d", len(got), len(labels))
+	} else {
+		for _, l := range got {
+			if labels[l] == nil {
+				t.Errorf("ReasonLabels lists %q, which no sentinel owns", l)
+			}
+		}
+	}
+	if ReasonCode(nil) != 0 || ReasonLabel(nil) != "" {
+		t.Error("nil must encode as 0 and carry no label")
+	}
+	if stray := errors.New("stray"); ReasonCode(stray) != 0 || ReasonLabel(stray) != "other" {
+		t.Error("an error outside the vocabulary must fall to the catch-all")
+	}
+	if ReasonFromCode(200) != ErrDenied {
+		t.Error("an unknown wire code must decode to ErrDenied")
 	}
 }

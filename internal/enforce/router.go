@@ -229,3 +229,122 @@ func (r *Router) IntermediateOnAggregatedContent(t *core.Tag, meta core.ContentM
 		Op: OpAggregate, Phase: PhasePostVerify, Tag: t, Meta: meta, Flag: dec.Flag, Now: now, VerifyErr: err,
 	})
 }
+
+// --- One PIT record on Data arrival (Protocol 2 On-Content, Protocol 4 lines 6-26) ---
+
+// Delivery is what one PIT record's requester is sent when Data arrives.
+type Delivery uint8
+
+const (
+	// DeliverNothing: the edge drops the response for this requester.
+	DeliverNothing Delivery = iota
+	// DeliverContent: the content, no NACK.
+	DeliverContent
+	// DeliverContentNACK: the content alongside a NACK, so that valid
+	// requests aggregated further downstream can still be satisfied
+	// (the paper's §5.B trade-off).
+	DeliverContentNACK
+	// DeliverNACK: a bare NACK; the arriving Data carried no content.
+	DeliverNACK
+)
+
+// Nack reports whether the requester is sent a NACK.
+func (d Delivery) Nack() bool { return d >= DeliverContentNACK }
+
+// ArrivedData is what a record's decision reads from the arriving Data.
+type ArrivedData struct {
+	// Content is nil on a bare NACK.
+	Content *core.Content
+	// Flag is the F the Data carries.
+	Flag float64
+	// Nack and NackReason are the upstream's verdict on the primary tag.
+	Nack       bool
+	NackReason error
+}
+
+// RecordVerdict decides one PIT record. The plane sends, toward the
+// record's face, the arriving content (when Deliver says so) under the
+// record's own tag with this Flag and Reason.
+type RecordVerdict struct {
+	Deliver Delivery
+	// Stage is the enforcement checkpoint that was consulted; StageNone
+	// when role, tag presence and content level settled it alone (the
+	// simulator charges router CPU only for consulted checkpoints).
+	Stage Stage
+	// Flag is the F to carry downstream.
+	Flag float64
+	// Reason is the NACK reason, or why nothing is delivered; nil on
+	// DeliverContent.
+	Reason error
+	// Minted reports the NACK originates at this router (its own
+	// checkpoint or the tagless rule), as opposed to one relayed from
+	// upstream: planes count minted NACKs only.
+	Minted bool
+}
+
+// OnDataRecord decides what the requester behind one PIT record gets
+// from an arriving Data. It is the single sequencing of the content-side
+// checkpoints, shared by the simulator's router and the live forwarder.
+//
+// At an edge router (Protocol 2 On-Content) the client gets the content
+// or nothing: a tagless record only Public, un-NACKed content; the
+// primary record whatever EdgeOnData allows (a NACKed response is
+// dropped); an aggregated record is judged on its own tag by
+// EdgeOnAggregatedData, independently of the primary's NACK — the
+// content rides along with NACKs precisely for its sake — and gets
+// nothing from a bare NACK.
+//
+// At any other router (Protocol 4) the primary record is relayed as it
+// arrived, NACK included (lines 6-10). An aggregated record is relayed
+// a bare NACK as such, and otherwise always receives the content: alone
+// if it is Public or IntermediateOnAggregatedContent accepts the
+// record's tag and stored F (lines 11-26), alongside a NACK if not.
+func (r *Router) OnDataRecord(edge, primary bool, tag *core.Tag, recFlag float64, d ArrivedData, now time.Time) RecordVerdict {
+	if edge {
+		stage := StageEdgeData
+		switch {
+		case tag == nil:
+			if d.Content != nil && d.Content.Meta.Level == core.Public && !d.Nack {
+				return RecordVerdict{Deliver: DeliverContent, Flag: d.Flag}
+			}
+			return RecordVerdict{Reason: core.ErrNoTag}
+		case primary:
+			if r.EdgeOnData(tag, d.Flag, d.Nack).Denied() {
+				// The checkpoint only observes the upstream's NACK; the
+				// reason worth reporting is the upstream's.
+				return RecordVerdict{Stage: stage, Reason: d.NackReason}
+			}
+		case d.Content == nil:
+			return RecordVerdict{Reason: d.NackReason}
+		default:
+			stage = StageAggregate
+			if dec := r.EdgeOnAggregatedData(tag, d.Content.Meta, now); dec.Denied() {
+				return RecordVerdict{Stage: stage, Reason: dec.Reason}
+			}
+		}
+		return RecordVerdict{Deliver: DeliverContent, Stage: stage, Flag: d.Flag}
+	}
+	switch {
+	case primary:
+		v := RecordVerdict{Deliver: DeliverContent, Flag: d.Flag, Reason: d.NackReason}
+		switch {
+		case d.Nack && d.Content == nil:
+			v.Deliver = DeliverNACK
+		case d.Nack:
+			v.Deliver = DeliverContentNACK
+		}
+		return v
+	case d.Content == nil:
+		return RecordVerdict{Deliver: DeliverNACK, Reason: d.NackReason}
+	case tag == nil:
+		if d.Content.Meta.Level == core.Public {
+			return RecordVerdict{Deliver: DeliverContent, Flag: d.Flag}
+		}
+		return RecordVerdict{Deliver: DeliverContentNACK, Reason: core.ErrNoTag, Minted: true}
+	}
+	dec := r.IntermediateOnAggregatedContent(tag, d.Content.Meta, recFlag, now)
+	if dec.Denied() {
+		return RecordVerdict{Deliver: DeliverContentNACK, Stage: StageAggregate, Flag: dec.Flag, Reason: dec.Reason, Minted: true}
+	}
+	return RecordVerdict{Deliver: DeliverContent, Stage: StageAggregate, Flag: dec.Flag}
+}

@@ -112,12 +112,7 @@ func (v Verdict) NackCode() uint8 { return core.ReasonCode(v.Reason) }
 
 // ReasonLabel is the stable metric/golden-file label for the denial
 // reason ("" when none).
-func (v Verdict) ReasonLabel() string {
-	if v.Reason == nil {
-		return ""
-	}
-	return core.ReasonLabel(v.Reason)
-}
+func (v Verdict) ReasonLabel() string { return core.ReasonLabel(v.Reason) }
 
 // Shed is the verdict a plane uses when its admission budget rejects a
 // verification-needing packet (the bounded verify pool's shed policy).

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/metrics"
 )
 
@@ -55,7 +56,7 @@ func (s *Suite) Extensions() (*ExtensionsResult, error) {
 		if len(run.TraitorSuspects) > out.TraitorSuspects {
 			out.TraitorSuspects = len(run.TraitorSuspects)
 		}
-		out.TraitorMismatches += run.Drops["access-path-mismatch"]
+		out.TraitorMismatches += run.Drops[core.ReasonLabel(core.ErrAccessPathMismatch)]
 	}
 	_ = avg
 

@@ -19,8 +19,8 @@ func TestTraitorTracingFlagsSharedTagVictims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Drops["access-path-mismatch"] < 10 {
-		t.Fatalf("too few mismatches (%d) to exercise the detector", res.Drops["access-path-mismatch"])
+	if res.Drops["access_path"] < 10 {
+		t.Fatalf("too few mismatches (%d) to exercise the detector", res.Drops["access_path"])
 	}
 	if len(res.TraitorSuspects) == 0 {
 		t.Error("sustained tag sharing should flag the victim's client key")

@@ -119,10 +119,10 @@ func TestRunAttackersBlockedPerKind(t *testing.T) {
 		}
 	}
 	// The designed defences actually fired.
-	if res.Drops["access-path-mismatch"] == 0 {
+	if res.Drops["access_path"] == 0 {
 		t.Error("shared-tag attacker never hit the access-path check")
 	}
-	if res.Drops["tag-expired"] == 0 {
+	if res.Drops["expired"] == 0 {
 		t.Error("expired-tag attacker never hit the expiry pre-check")
 	}
 }

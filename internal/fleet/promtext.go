@@ -201,18 +201,6 @@ func baseFamily(name string, types map[string]string) string {
 	return name
 }
 
-// SumFamily sums every sample of one family (histogram samples count
-// by their own series names, so pass the exact sample name).
-func SumFamily(exp *Exposition, name string) float64 {
-	var sum float64
-	for _, s := range exp.Samples {
-		if s.Name == name {
-			sum += s.Value
-		}
-	}
-	return sum
-}
-
 // MaxFamily returns the largest sample of one family, and whether any
 // sample matched.
 func MaxFamily(exp *Exposition, name string) (float64, bool) {

@@ -170,21 +170,9 @@ type Forwarder struct {
 	syncCount uint64
 	syncGen   atomic.Uint64
 
-	stats statCounters
-
 	wg     sync.WaitGroup
 	closed chan struct{}
 	once   sync.Once
-}
-
-// statCounters are the forwarder's packet tallies, bumped lock-free by
-// the per-face pipeline goroutines.
-type statCounters struct {
-	interests atomic.Uint64
-	data      atomic.Uint64
-	csHits    atomic.Uint64
-	nacks     atomic.Uint64
-	drops     atomic.Uint64
 }
 
 // Stats counts forwarder activity.
@@ -260,7 +248,7 @@ func New(cfg Config) (*Forwarder, error) {
 		budget = 0 // park without bound; the shed policy is ablated away
 	}
 	f.vp = newVerifyPool(f, cfg.VerifyWorkers, budget)
-	f.registerSampled(cfg.Obs)
+	f.registerSampled()
 	f.wg.Add(1)
 	go f.expireLoop()
 	if cfg.BFSyncInterval > 0 {
@@ -322,13 +310,8 @@ func (f *Forwarder) addFace(conn transport.Face, downstream bool, onDown func())
 	f.mu.Unlock()
 	_, datagram := conn.(*transport.DatagramFace)
 	tm := f.m.faceMetrics(id, downstream, datagram)
-	if tm == nil && f.ev != nil {
-		tm = &transport.Metrics{} // events-only attachment; counters stay nil (no-op)
-	}
-	if tm != nil {
-		tm.Events = f.ev
-		tm.Face = int(id)
-	}
+	tm.Events = f.ev
+	tm.Face = int(id)
 	conn.SetMetrics(tm)
 	f.ev.Emit(obs.EventFaceUp, int(id), faceAttr(conn, downstream), 0)
 
@@ -447,14 +430,9 @@ func (f *Forwarder) ServeFaces(l transport.FaceListener) error {
 		// interim Metrics keyed face="demux" counts that window so no
 		// traffic is invisible to the registry.
 		demux := f.m.demuxMetrics()
-		if demux != nil || f.ev != nil {
-			if demux == nil {
-				demux = &transport.Metrics{}
-			}
-			demux.Events = f.ev
-			demux.Face = -1
-			ep.SetMetricsFactory(func(netip.AddrPort) *transport.Metrics { return demux })
-		}
+		demux.Events = f.ev
+		demux.Face = -1
+		ep.SetMetricsFactory(func(netip.AddrPort) *transport.Metrics { return demux })
 	}
 	for {
 		face, err := l.Accept()
@@ -496,14 +474,15 @@ func (f *Forwarder) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the forwarder's counters.
+// Stats returns a snapshot of the forwarder's counters: the /metrics
+// series themselves, NACKs summed over reasons and drops over causes.
 func (f *Forwarder) Stats() Stats {
 	return Stats{
-		Interests:     f.stats.interests.Load(),
-		Data:          f.stats.data.Load(),
-		CSHits:        f.stats.csHits.Load(),
-		NACKs:         f.stats.nacks.Load(),
-		Drops:         f.stats.drops.Load(),
+		Interests:     f.m.interest.Value(),
+		Data:          f.m.data.Value(),
+		CSHits:        f.m.csHits.Value(),
+		NACKs:         sumCounters(f.m.nacks),
+		Drops:         sumCounters(f.m.drops),
 		VerifySheds:   f.vp.Sheds(),
 		VerifyFlushed: f.vp.Flushed(),
 	}
@@ -529,13 +508,11 @@ func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 	fs, ok := f.faces[face]
 	f.mu.RUnlock()
 	if !ok {
-		f.stats.drops.Add(1)
 		f.m.drop(dropNoFace)
 		return
 	}
 	if err := fs.conn.SendData(d); err != nil {
 		f.logf("send data on face %d: %v", face, err)
-		f.stats.drops.Add(1)
 		f.m.drop(dropSendErr)
 		if transport.IsFatal(err) {
 			f.removeFace(face)
@@ -570,7 +547,6 @@ func formatFlag(flag float64) string {
 // nackInterest denies an Interest back to its arrival face with the
 // given reason, counting the NACK and ending the span.
 func (f *Forwarder) nackInterest(i *ndn.Interest, from *faceState, reason error, sp *obs.Span, inTC ndn.TraceContext) {
-	f.stats.nacks.Add(1)
 	f.m.nack(reason)
 	f.send(from.id, &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: reason,
 		Trace: propagateTrace(inTC, sp)})
@@ -592,7 +568,6 @@ func (f *Forwarder) parkForVerify(job *verifyJob) {
 	if f.vp.admit(job) {
 		return
 	}
-	f.m.shed()
 	if f.ev != nil {
 		// Rate-limited to ~1 event/s: a shed storm logs as a burst count,
 		// not one event per dropped Interest.
@@ -610,19 +585,17 @@ func (f *Forwarder) parkForVerify(job *verifyJob) {
 // signature is verified here: a decision that needs a verification
 // parks the Interest in the verify pool and the reader moves to the
 // next packet, so the hop histogram measures the reader's hot path
-// only. (handleData still verifies aggregated PIT records inline, on
-// the reader of the face the Data arrived on.)
+// only. (deliverRecord still verifies aggregated PIT records inline.)
 func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
 	now := time.Now()
 	inTC := i.Trace
 	sp := f.cfg.Tracer.StartCtx(traceCtx(inTC), "interest", i.Name.String())
-	n := f.stats.interests.Add(1)
-	f.m.interest.Inc()
+	n := f.m.interest.Inc()
 	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
 	// 1-in-64 packets contribute pit_cs / encode_send stage timings
 	// (bf_lookup and verify are timed inside their own layers); a packet
 	// with a span is always timed so its trace shows the decomposition.
-	sampled := sp != nil || (f.m.stagePITCS != nil && n&stageSampleMask == 0)
+	sampled := sp != nil || n&stageSampleMask == 0
 	if sp != nil && decodeDur > 0 {
 		sp.EventDur("decode", decodeDur, "")
 	}
@@ -676,11 +649,11 @@ func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur t
 // content (alongside a NACK when the tag failed — the paper's §5.B
 // trade-off), or the content alone.
 func (f *Forwarder) finishContentHit(i *ndn.Interest, from *faceState, content *core.Content, dec enforce.Verdict, sp *obs.Span, inTC ndn.TraceContext, sampled bool) {
+	outcome := "cs_hit"
 	if dec.Denied() {
-		f.stats.nacks.Add(1)
 		f.m.nack(dec.Reason)
+		outcome = "nack:" + core.ReasonLabel(dec.Reason)
 	} else {
-		f.stats.csHits.Add(1)
 		f.m.csHits.Inc()
 	}
 	var sendStart time.Time
@@ -693,11 +666,7 @@ func (f *Forwarder) finishContentHit(i *ndn.Interest, from *faceState, content *
 		Trace: propagateTrace(inTC, sp),
 	})
 	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
-	if dec.Denied() {
-		sp.End("nack:" + core.ReasonLabel(dec.Reason))
-	} else {
-		sp.End("cs_hit")
-	}
+	sp.End(outcome)
 }
 
 // continueInterest is the Interest pipeline after edge enforcement
@@ -742,7 +711,6 @@ func (f *Forwarder) continueInterest(i *ndn.Interest, from *faceState, now time.
 	observeStageSpan(f.m.stagePITCS, "pit_cs", tables, sp)
 	switch outcome {
 	case ndn.PITDuplicate:
-		f.stats.drops.Add(1)
 		f.m.drop(dropDupNonce)
 		sp.End("drop:" + dropDupNonce)
 		return
@@ -771,7 +739,6 @@ func (f *Forwarder) continueInterest(i *ndn.Interest, from *faceState, now time.
 	face, ok := f.fib.Lookup(i.Name)
 	if !ok {
 		f.pit.Consume(i.Name)
-		f.stats.drops.Add(1)
 		f.m.drop(dropNoRoute)
 		f.logf("no route for %s", i.Name)
 		sp.End("drop:" + dropNoRoute)
@@ -788,7 +755,6 @@ func (f *Forwarder) continueInterest(i *ndn.Interest, from *faceState, now time.
 		if errors.Is(err, errNoFace) {
 			cause = dropNoFace
 		}
-		f.stats.drops.Add(1)
 		f.m.drop(cause)
 		f.pit.Consume(i.Name) // the request never left; free it for retransmission
 		sp.End("drop:" + cause)
@@ -804,23 +770,27 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 	inTC := d.Trace
 	sp := f.cfg.Tracer.StartCtx(traceCtx(inTC), "data", d.Name.String())
 	outTC := propagateTrace(inTC, sp)
-	f.stats.data.Add(1)
 	f.m.data.Inc()
 	if sp != nil && decodeDur > 0 {
 		sp.EventDur("decode", decodeDur, "")
 	}
 
+	switch {
+	case d.Registration == nil:
+		if d.Content != nil {
+			f.cs.Insert(d.Content)
+		}
+	case f.cfg.Role == RoleEdge && d.Registration.Tag != nil:
+		f.tactic.EdgeOnTagResponse(d.Registration.Tag)
+	}
+	entry, ok := f.pit.Consume(d.Name)
+	if !ok {
+		f.m.drop(dropUnsolicited)
+		sp.End("drop:" + dropUnsolicited)
+		return
+	}
 	if d.Registration != nil {
-		if f.cfg.Role == RoleEdge && d.Registration.Tag != nil {
-			f.tactic.EdgeOnTagResponse(d.Registration.Tag)
-		}
-		entry, ok := f.pit.Consume(d.Name)
-		if !ok {
-			f.stats.drops.Add(1)
-			f.m.drop(dropUnsolicited)
-			sp.End("drop:" + dropUnsolicited)
-			return
-		}
+		// A registration response goes to every requester as it came.
 		d.Trace = outTC
 		for _, rec := range entry.Records {
 			f.send(rec.InFace, d)
@@ -828,58 +798,8 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		sp.End("registration")
 		return
 	}
-
-	if d.Content != nil {
-		f.cs.Insert(d.Content)
-	}
-	entry, ok := f.pit.Consume(d.Name)
-	if !ok {
-		f.stats.drops.Add(1)
-		f.m.drop(dropUnsolicited)
-		sp.End("drop:" + dropUnsolicited)
-		return
-	}
-
-	primary := entry.Records[0]
-	if f.cfg.Role == RoleEdge {
-		f.edgeDeliver(d, primary, true, now, sp, outTC)
-	} else {
-		f.send(primary.InFace, &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: primary.Tag,
-			Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason,
-			Trace: outTC,
-		})
-	}
-	for _, rec := range entry.Records[1:] {
-		if f.cfg.Role == RoleEdge {
-			f.edgeDeliver(d, rec, false, now, sp, outTC)
-			continue
-		}
-		if d.Content == nil {
-			f.send(rec.InFace, &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: d.NackReason, Trace: outTC})
-			continue
-		}
-		if rec.Tag == nil {
-			if d.Content.Meta.Level == core.Public {
-				f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC})
-			} else {
-				f.stats.nacks.Add(1)
-				f.m.nack(core.ErrNoTag)
-				f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Nack: true, NackReason: core.ErrNoTag, Trace: outTC})
-			}
-			continue
-		}
-		dec := f.tactic.IntermediateOnAggregatedContent(rec.Tag, d.Content.Meta, rec.Flag, now)
-		if dec.Denied() {
-			f.stats.nacks.Add(1)
-			f.m.nack(dec.Reason)
-			sp.Event("nack_aggregate", core.ReasonLabel(dec.Reason))
-		}
-		f.send(rec.InFace, &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: rec.Tag,
-			Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-			Trace: outTC,
-		})
+	for idx, rec := range entry.Records {
+		f.deliverRecord(d, rec, idx == 0, now, sp, outTC)
 	}
 	if d.Nack {
 		sp.End("relayed_nack:" + core.ReasonLabel(d.NackReason))
@@ -888,31 +808,29 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 	}
 }
 
-// edgeDeliver applies Protocol 2's On-Content logic for one record.
-func (f *Forwarder) edgeDeliver(d *ndn.Data, rec ndn.PITRecord, isPrimary bool, now time.Time, sp *obs.Span, outTC ndn.TraceContext) {
-	if rec.Tag == nil {
-		if d.Content != nil && d.Content.Meta.Level == core.Public && !d.Nack {
-			f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC})
-		} else {
-			f.stats.drops.Add(1)
-			f.m.drop(dropUndeliverable)
-			sp.Event("edge_drop", "no_tag")
+// deliverRecord answers one PIT record from the arriving Data as
+// enforce.OnDataRecord decides (Protocol 2 On-Content at an edge,
+// Protocol 4 lines 6-26 at a core). Aggregated records' tags are
+// verified inline, on the reader of the face the Data arrived on.
+func (f *Forwarder) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.Time, sp *obs.Span, outTC ndn.TraceContext) {
+	v := f.tactic.OnDataRecord(f.cfg.Role == RoleEdge, primary, rec.Tag, rec.Flag,
+		enforce.ArrivedData{Content: d.Content, Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason}, now)
+	if v.Minted {
+		f.m.nack(v.Reason)
+		sp.Event("nack_aggregate", core.ReasonLabel(v.Reason))
+	}
+	if v.Deliver == enforce.DeliverNothing {
+		f.m.drop(dropUndeliverable)
+		sp.Event("edge_drop", core.ReasonLabel(v.Reason))
+		if rec.Tag != nil {
+			// Tell the client so it can fail fast rather than time out.
+			f.send(rec.InFace, &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: v.Reason, Trace: outTC})
 		}
 		return
 	}
-	var deliver bool
-	if isPrimary {
-		deliver = !f.tactic.EdgeOnData(rec.Tag, d.Flag, d.Nack).Denied()
-	} else if d.Content != nil {
-		deliver = !f.tactic.EdgeOnAggregatedData(rec.Tag, d.Content.Meta, now).Denied()
-	}
-	if !deliver {
-		f.stats.drops.Add(1)
-		f.m.drop(dropUndeliverable)
-		sp.Event("edge_drop", core.ReasonLabel(d.NackReason))
-		// Tell the client so it can fail fast rather than time out.
-		f.send(rec.InFace, &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: d.NackReason, Trace: outTC})
-		return
-	}
-	f.send(rec.InFace, &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC})
+	f.send(rec.InFace, &ndn.Data{
+		Name: d.Name, Content: d.Content, Tag: rec.Tag,
+		Flag: v.Flag, Nack: v.Deliver.Nack(), NackReason: v.Reason,
+		Trace: outTC,
+	})
 }

@@ -100,8 +100,10 @@ func (r Role) String() string {
 }
 
 // obsMetrics pre-resolves the forwarder's registry series so the packet
-// pipeline increments lock-free atomics only. All fields tolerate a nil
-// registry (every handle is nil and no-ops).
+// pipeline increments lock-free atomics only. These series are the
+// forwarder's only packet counters — Stats() reads them back — so reg is
+// never nil: without a Config.Obs the forwarder counts into a private
+// registry.
 type obsMetrics struct {
 	reg            *obs.Registry
 	role           obs.Label
@@ -123,9 +125,8 @@ type obsMetrics struct {
 	stageEncodeSend *obs.Histogram
 	stageDecode     *obs.Histogram
 
-	// Verify-pool series: sheds over budget and park time (the parked
-	// gauge is a registerSampled callback over the pool itself).
-	sheds       *obs.Counter
+	// Verify-pool park time (the pool's own counters and gauge are
+	// registerSampled callbacks).
 	parkSeconds *obs.Histogram
 
 	// Lifecycle control plane: frames by kind and outcome, and BF sync
@@ -138,14 +139,6 @@ type obsMetrics struct {
 // stageSampleMask selects which packets contribute pit_cs / encode_send
 // stage timings: packet counts where count&mask == 0.
 const stageSampleMask = 63
-
-// observeStage records one sampled stage timing; start is zero when the
-// packet was not sampled.
-func observeStage(h *obs.Histogram, start time.Time) {
-	if !start.IsZero() {
-		h.Observe(time.Since(start).Seconds())
-	}
-}
 
 // observeStageSpan records one stage timing into the stage histogram
 // (tagging the bucket with the span's trace ID as an exemplar) and onto
@@ -170,10 +163,10 @@ func verifyDetail(failed bool) string {
 }
 
 func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
-	m := &obsMetrics{reg: reg, role: obs.L("role", role.String())}
 	if reg == nil {
-		return m
+		reg = obs.NewRegistry()
 	}
+	m := &obsMetrics{reg: reg, role: obs.L("role", role.String())}
 	reg.Help(MetricInterests, "Interests entering the pipeline.")
 	reg.Help(MetricData, "Data packets entering the pipeline.")
 	reg.Help(MetricCSHits, "Interests answered from the content store.")
@@ -218,34 +211,24 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 	m.stagePITCS = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "pit_cs"))
 	m.stageEncodeSend = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "encode_send"))
 	m.stageDecode = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "decode"))
-	reg.Help(MetricVerifySheds, "Interests shed with Overload NACKs because their face exceeded its verification budget.")
 	reg.Help(MetricVerifyParkSeconds, "Time Interests spent parked awaiting a verification verdict.")
-	m.sheds = reg.Counter(MetricVerifySheds, m.role)
 	m.parkSeconds = reg.Histogram(MetricVerifyParkSeconds, nil, m.role)
 	return m
 }
 
-// shed counts one Interest shed over a face's verification budget.
-func (m *obsMetrics) shed() {
-	if m.sheds != nil {
-		m.sheds.Inc()
+// sumCounters totals one labelled family's pre-created series.
+func sumCounters(byLabel map[string]*obs.Counter) uint64 {
+	var n uint64
+	for _, c := range byLabel {
+		n += c.Value()
 	}
+	return n
 }
 
-// observeParkTime records how long one Interest sat parked.
-func (m *obsMetrics) observeParkTime(d time.Duration) {
-	if m.parkSeconds != nil {
-		m.parkSeconds.Observe(d.Seconds())
-	}
-}
-
-// nack counts one NACK under its reason label.
+// nack counts one NACK under its reason label (a reasonless one under
+// "other").
 func (m *obsMetrics) nack(reason error) {
-	if m.nacks == nil {
-		return
-	}
-	label := core.ReasonLabel(reason)
-	c, ok := m.nacks[label]
+	c, ok := m.nacks[core.ReasonLabel(reason)]
 	if !ok {
 		c = m.nacks["other"]
 	}
@@ -256,9 +239,6 @@ func (m *obsMetrics) nack(reason error) {
 // The map is read-only after newObsMetrics (handleControl runs on
 // concurrent per-face goroutines); unknown kinds count under "other".
 func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
-	if m.ctrls == nil {
-		return
-	}
 	c, ok := m.ctrls[kind.String()+"/"+outcome]
 	if !ok {
 		c = m.ctrls["other"]
@@ -267,20 +247,12 @@ func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
 }
 
 // drop counts one drop under its cause label.
-func (m *obsMetrics) drop(cause string) {
-	if m.drops == nil {
-		return
-	}
-	m.drops[cause].Inc()
-}
+func (m *obsMetrics) drop(cause string) { m.drops[cause].Inc() }
 
 // faceMetrics builds the per-face transport counters. datagram adds the
 // UDP-plane series (fragments, reassembly, evictions, oversize) that
 // only datagram faces bump.
 func (m *obsMetrics) faceMetrics(id ndn.FaceID, downstream, datagram bool) *transport.Metrics {
-	if m.reg == nil {
-		return nil
-	}
 	link := "upstream"
 	if downstream {
 		link = "downstream"
@@ -317,9 +289,6 @@ func (m *obsMetrics) faceMetrics(id ndn.FaceID, downstream, datagram bool) *tran
 // keyed face="demux" (not the remote address) keeps label cardinality
 // bounded no matter how many remotes connect.
 func (m *obsMetrics) demuxMetrics() *transport.Metrics {
-	if m.reg == nil {
-		return nil
-	}
 	face := obs.L("face", "demux")
 	in, out := obs.L("dir", "in"), obs.L("dir", "out")
 	return &transport.Metrics{
@@ -342,15 +311,14 @@ func (m *obsMetrics) demuxMetrics() *transport.Metrics {
 // callbacks take no forwarder lock except the face-count gauge (f.mu
 // read lock; the obs registry never scrapes under its own lock, so no
 // lock order is imposed).
-func (f *Forwarder) registerSampled(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	role := obs.L("role", f.cfg.Role.String())
+func (f *Forwarder) registerSampled() {
+	reg, role := f.m.reg, f.m.role
 	f.tactic.Bloom().SetLookupHistogram(reg.Histogram(MetricStageSeconds, nil, role, obs.L("stage", "bf_lookup")))
 	f.tactic.Validator().SetVerifyHistogram(reg.Histogram(MetricStageSeconds, nil, role, obs.L("stage", "verify")))
 	reg.Help(MetricVerifyInFlight, "Tag signature verifications currently executing.")
 	reg.GaugeFunc(MetricVerifyInFlight, func() float64 { return float64(f.tactic.Validator().InFlight()) }, role)
+	reg.Help(MetricVerifySheds, "Interests shed with Overload NACKs because their face exceeded its verification budget.")
+	reg.CounterFunc(MetricVerifySheds, func() float64 { return float64(f.vp.Sheds()) }, role)
 	reg.Help(MetricVerifyParked, "Interests currently parked in the verification pool awaiting a verdict.")
 	reg.Help(MetricVerifyCoalesced, "Interests answered from another Interest's verification of the same tag.")
 	reg.CounterFunc(MetricVerifyCoalesced, func() float64 { return float64(f.vp.Coalesced()) }, role)

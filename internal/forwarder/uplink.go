@@ -77,20 +77,19 @@ func (f *Forwarder) ManageUpstream(cfg UplinkConfig) (*Uplink, error) {
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	u := &Uplink{f: f, cfg: cfg, closed: make(chan struct{}), face: ndn.FaceNone}
-	if reg := f.m.reg; reg != nil {
-		reg.Help(MetricUplinkConnects, "Managed-uplink attaches, including reconnects.")
-		reg.Help(MetricUplinkDown, "Managed-uplink detaches (the face died).")
-		reg.Help(MetricUplinkUp, "1 while the managed uplink has a live face, else 0.")
-		addr := obs.L("addr", cfg.Addr)
-		u.connects = reg.Counter(MetricUplinkConnects, f.m.role, addr)
-		u.downs = reg.Counter(MetricUplinkDown, f.m.role, addr)
-		reg.GaugeFunc(MetricUplinkUp, func() float64 {
-			if u.up.Load() {
-				return 1
-			}
-			return 0
-		}, f.m.role, addr)
-	}
+	reg := f.m.reg
+	reg.Help(MetricUplinkConnects, "Managed-uplink attaches, including reconnects.")
+	reg.Help(MetricUplinkDown, "Managed-uplink detaches (the face died).")
+	reg.Help(MetricUplinkUp, "1 while the managed uplink has a live face, else 0.")
+	addr := obs.L("addr", cfg.Addr)
+	u.connects = reg.Counter(MetricUplinkConnects, f.m.role, addr)
+	u.downs = reg.Counter(MetricUplinkDown, f.m.role, addr)
+	reg.GaugeFunc(MetricUplinkUp, func() float64 {
+		if u.up.Load() {
+			return 1
+		}
+		return 0
+	}, f.m.role, addr)
 	f.mu.Lock()
 	select {
 	case <-f.closed:

@@ -309,7 +309,7 @@ func (p *verifyPool) worker() {
 func (p *verifyPool) run(job *verifyJob) {
 	f := p.f
 	parkDur := time.Since(job.parkedAt)
-	f.m.observeParkTime(parkDur)
+	f.m.parkSeconds.Observe(parkDur.Seconds())
 	if job.sp != nil {
 		job.sp.EventDur("parked", parkDur, "")
 	}
@@ -325,7 +325,7 @@ func (p *verifyPool) run(job *verifyJob) {
 	p.complete(job, dec)
 	for _, fj := range followers {
 		wait := time.Since(fj.parkedAt)
-		f.m.observeParkTime(wait)
+		f.m.parkSeconds.Observe(wait.Seconds())
 		fdec := f.tactic.VerifyShared(fj.input(), dec.Reason)
 		if fj.sp != nil {
 			fj.sp.EventDur("coalesced", wait, verifyDetail(fdec.Denied()))

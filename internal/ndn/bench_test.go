@@ -38,7 +38,7 @@ func BenchmarkPITInsertConsume(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := nms[i%len(nms)]
-		p.Insert(n, PITRecord{InFace: 1, Nonce: uint64(i)}, deadline)
+		p.Admit(n, PITRecord{InFace: 1, Nonce: uint64(i)}, time.Time{}, deadline)
 		p.Consume(n)
 	}
 }

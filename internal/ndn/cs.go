@@ -12,7 +12,8 @@ import (
 // publisher, can be cached at every node in the network allowing
 // subsequent requests for the content to be fulfilled from these
 // in-network caches" (§1). A router whose CS holds the requested content
-// acts as a content router (R_C^c) and runs Protocol 3.
+// acts as a content router (R_C^c) and runs Protocol 3. A CS is not safe
+// for concurrent use; the live plane's ShardedCS locks around 16 of them.
 type CS struct {
 	capacity int
 	ll       *list.List
@@ -92,9 +93,6 @@ func (c *CS) Names() []string {
 	}
 	return out
 }
-
-// Capacity returns the configured maximum.
-func (c *CS) Capacity() int { return c.capacity }
 
 // Stats returns hits, misses, and evictions.
 func (c *CS) Stats() (hits, misses, evicted uint64) {

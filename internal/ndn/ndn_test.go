@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -119,69 +120,138 @@ func TestPropertyFIBMatchesNaive(t *testing.T) {
 
 func pitTime(sec int64) time.Time { return time.Unix(sec, 0) }
 
-func TestPITCreateAndAggregate(t *testing.T) {
-	p := NewPIT()
+// pitTable is the PIT surface the forwarding pipelines use; the plain
+// table (sim) and the sharded one (live) must behave identically
+// behind it.
+type pitTable interface {
+	Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID)
+	SetOutFace(name names.Name, face FaceID) bool
+	Consume(name names.Name) (*PITEntry, bool)
+	DropByOutFace(face FaceID) []*PITEntry
+	ExpireBefore(now time.Time) []*PITEntry
+	Len() int
+	Stats() (created, aggregated, expired uint64)
+}
+
+// forEachPIT runs body against a fresh table of each implementation.
+func forEachPIT(t *testing.T, body func(t *testing.T, p pitTable)) {
+	t.Run("plain", func(t *testing.T) { body(t, NewPIT()) })
+	t.Run("sharded", func(t *testing.T) { body(t, NewShardedPIT()) })
+}
+
+// TestPITAdmit walks the one admission rule step by step on one name.
+func TestPITAdmit(t *testing.T) {
 	name := names.MustParse("/prov0/obj/c0")
-	e, isNew := p.Insert(name, PITRecord{InFace: 1, Nonce: 10}, pitTime(5))
-	if !isNew || len(e.Records) != 1 {
-		t.Fatalf("first insert: new=%v records=%d", isNew, len(e.Records))
+	steps := []struct {
+		what     string
+		rec      PITRecord
+		now, exp int64
+		outcome  AdmitOutcome
+		outFace  FaceID
+		setOut   FaceID // recorded after the step when not FaceNone
+	}{
+		{"new", PITRecord{InFace: 1, Nonce: 10}, 1, 5, PITNew, FaceNone, FaceNone},
+		{"aggregated while the primary forward is in flight", PITRecord{InFace: 2, Nonce: 11}, 2, 6, PITAggregated, FaceNone, 7},
+		{"duplicate nonce", PITRecord{InFace: 3, Nonce: 11}, 2, 9, PITDuplicate, FaceNone, FaceNone},
+		{"aggregated, out-face reported", PITRecord{InFace: 3, Nonce: 12}, 3, 4, PITAggregated, 7, FaceNone},
+		// Live at 5: step 2 extended the lifetime to 6, step 4's
+		// shorter one did not cut it, the duplicate's 9 was not taken.
+		{"lifetime extended", PITRecord{InFace: 4, Nonce: 13}, 5, 6, PITAggregated, 7, FaceNone},
+		{"expired leftover replaced", PITRecord{InFace: 5, Nonce: 10}, 6, 10, PITNew, FaceNone, FaceNone},
 	}
-	e2, isNew2 := p.Insert(name, PITRecord{InFace: 2, Nonce: 11, Flag: 0.5}, pitTime(6))
-	if isNew2 {
-		t.Error("second insert should aggregate")
-	}
-	if e2 != e || len(e.Records) != 2 {
-		t.Errorf("aggregation: records=%d", len(e.Records))
-	}
-	if e.Records[1].Flag != 0.5 || e.Records[1].InFace != 2 {
-		t.Error("aggregated tuple <T, F, InFace> not preserved")
-	}
-	if !e.Expires.Equal(pitTime(6)) {
-		t.Error("aggregation should extend entry lifetime")
-	}
-	created, aggregated, _ := p.Stats()
-	if created != 1 || aggregated != 1 {
-		t.Errorf("stats = %d created, %d aggregated", created, aggregated)
-	}
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		for _, st := range steps {
+			outcome, outFace := p.Admit(name, st.rec, pitTime(st.now), pitTime(st.exp))
+			if outcome != st.outcome || outFace != st.outFace {
+				t.Fatalf("%s: Admit = (%v, %v), want (%v, %v)", st.what, outcome, outFace, st.outcome, st.outFace)
+			}
+			if st.setOut != FaceNone && !p.SetOutFace(name, st.setOut) {
+				t.Fatalf("%s: SetOutFace found no entry", st.what)
+			}
+		}
+		if created, aggregated, _ := p.Stats(); created != 2 || aggregated != 3 {
+			t.Errorf("stats = %d created, %d aggregated; want 2, 3", created, aggregated)
+		}
+		e, ok := p.Consume(name)
+		if !ok {
+			t.Fatal("entry missing")
+		}
+		last := steps[len(steps)-1]
+		if len(e.Records) != 1 || e.Records[0] != last.rec || !e.Expires.Equal(pitTime(last.exp)) || e.OutFace != FaceNone {
+			t.Errorf("replacement entry = %+v, want only the last record, fresh lifetime, no out-face", e)
+		}
+		if p.SetOutFace(name, 1) {
+			t.Error("SetOutFace reported an entry that does not exist")
+		}
+	})
+}
+
+func TestPITAggregatedTuplesPreserved(t *testing.T) {
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		name := names.MustParse("/prov0/obj/c0")
+		recs := []PITRecord{
+			{InFace: 1, Nonce: 10, Arrived: pitTime(1)},
+			{InFace: 2, Nonce: 11, Flag: 0.5, Arrived: pitTime(2)},
+		}
+		for _, r := range recs {
+			p.Admit(name, r, pitTime(2), pitTime(6))
+		}
+		e, _ := p.Consume(name)
+		if e == nil || len(e.Records) != 2 || e.Records[0] != recs[0] || e.Records[1] != recs[1] {
+			t.Errorf("aggregated tuples <T, F, InFace> not preserved in arrival order: %+v", e)
+		}
+	})
+}
+
+func TestPITStats(t *testing.T) {
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		name := names.MustParse("/prov0/obj/c0")
+		p.Admit(name, PITRecord{Nonce: 1}, pitTime(1), pitTime(5))
+		p.Admit(name, PITRecord{Nonce: 2}, pitTime(1), pitTime(5))
+		p.Admit(name, PITRecord{Nonce: 2}, pitTime(1), pitTime(5)) // duplicate: not counted
+		p.Admit(names.MustParse("/prov0/obj/c1"), PITRecord{Nonce: 3}, pitTime(1), pitTime(5))
+		if created, aggregated, _ := p.Stats(); created != 2 || aggregated != 1 {
+			t.Errorf("stats = %d created, %d aggregated; want 2, 1", created, aggregated)
+		}
+	})
 }
 
 func TestPITConsume(t *testing.T) {
-	p := NewPIT()
-	name := names.MustParse("/prov0/obj/c0")
-	p.Insert(name, PITRecord{InFace: 1}, pitTime(5))
-	e, ok := p.Consume(name)
-	if !ok || e == nil {
-		t.Fatal("consume failed")
-	}
-	if _, ok := p.Lookup(name); ok {
-		t.Error("consumed entry still present")
-	}
-	if _, ok := p.Consume(name); ok {
-		t.Error("double consume succeeded")
-	}
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		name := names.MustParse("/prov0/obj/c0")
+		p.Admit(name, PITRecord{InFace: 1}, pitTime(1), pitTime(5))
+		e, ok := p.Consume(name)
+		if !ok || e == nil {
+			t.Fatal("consume failed")
+		}
+		if p.Len() != 0 {
+			t.Error("consumed entry still present")
+		}
+		if _, ok := p.Consume(name); ok {
+			t.Error("double consume succeeded")
+		}
+	})
 }
 
 func TestPITExpiry(t *testing.T) {
-	p := NewPIT()
-	p.Insert(names.MustParse("/a/1"), PITRecord{}, pitTime(5))
-	p.Insert(names.MustParse("/a/2"), PITRecord{}, pitTime(10))
-	expired := p.ExpireBefore(pitTime(7))
-	if len(expired) != 1 || !expired[0].Name.Equal(names.MustParse("/a/1")) {
-		t.Errorf("expired = %v", expired)
-	}
-	if p.Len() != 1 {
-		t.Errorf("remaining = %d", p.Len())
-	}
-	_, _, expCount := p.Stats()
-	if expCount != 1 {
-		t.Errorf("expired count = %d", expCount)
-	}
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		p.Admit(names.MustParse("/a/1"), PITRecord{}, pitTime(1), pitTime(5))
+		p.Admit(names.MustParse("/a/2"), PITRecord{}, pitTime(1), pitTime(10))
+		expired := p.ExpireBefore(pitTime(7))
+		if len(expired) != 1 || !expired[0].Name.Equal(names.MustParse("/a/1")) {
+			t.Errorf("expired = %v", expired)
+		}
+		if p.Len() != 1 {
+			t.Errorf("remaining = %d", p.Len())
+		}
+		if _, _, expCount := p.Stats(); expCount != 1 {
+			t.Errorf("expired count = %d", expCount)
+		}
+	})
 }
 
 func TestPITNonceDedup(t *testing.T) {
-	p := NewPIT()
-	name := names.MustParse("/a/1")
-	e, _ := p.Insert(name, PITRecord{Nonce: 42}, pitTime(5))
+	e := &PITEntry{Records: []PITRecord{{Nonce: 42}}}
 	if !e.HasNonce(42) {
 		t.Error("nonce not recorded")
 	}
@@ -191,103 +261,139 @@ func TestPITNonceDedup(t *testing.T) {
 }
 
 func TestPropertyPITRecordCount(t *testing.T) {
-	// Total records across the PIT equals inserts minus consumed/expired
-	// records.
-	f := func(ops []uint8) bool {
-		p := NewPIT()
-		inserted, removed := 0, 0
-		nms := []names.Name{names.MustParse("/a"), names.MustParse("/b"), names.MustParse("/c")}
-		for i, op := range ops {
-			n := nms[int(op)%len(nms)]
-			switch {
-			case op%3 != 0:
-				p.Insert(n, PITRecord{Nonce: uint64(i)}, pitTime(int64(100)))
-				inserted++
-			default:
-				if e, ok := p.Consume(n); ok {
-					removed += len(e.Records)
+	// Total records across the PIT equals admitted records minus
+	// consumed ones.
+	for _, newPIT := range []func() pitTable{
+		func() pitTable { return NewPIT() },
+		func() pitTable { return NewShardedPIT() },
+	} {
+		f := func(ops []uint8) bool {
+			p := newPIT()
+			inserted, removed := 0, 0
+			nms := []names.Name{names.MustParse("/a"), names.MustParse("/b"), names.MustParse("/c")}
+			for i, op := range ops {
+				n := nms[int(op)%len(nms)]
+				switch {
+				case op%3 != 0:
+					p.Admit(n, PITRecord{Nonce: uint64(i)}, pitTime(1), pitTime(100))
+					inserted++
+				default:
+					if e, ok := p.Consume(n); ok {
+						removed += len(e.Records)
+					}
 				}
 			}
-		}
-		live := 0
-		for _, n := range nms {
-			if e, ok := p.Lookup(n); ok {
-				live += len(e.Records)
+			live := 0
+			for _, n := range nms {
+				if e, ok := p.Consume(n); ok {
+					live += len(e.Records)
+				}
 			}
+			return live == inserted-removed
 		}
-		return live == inserted-removed
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
 // --- CS ----------------------------------------------------------------------
 
-func chunk(t *testing.T, name string) *core.Content {
-	t.Helper()
+func chunk(name names.Name) *core.Content {
 	return &core.Content{
-		Meta:    core.ContentMeta{Name: names.MustParse(name), Level: 1},
+		Meta:    core.ContentMeta{Name: name, Level: 1},
 		Payload: []byte("payload"),
 	}
 }
 
+// csTable is the CS surface the forwarding pipelines use.
+type csTable interface {
+	Insert(content *core.Content)
+	Lookup(name names.Name) (*core.Content, bool)
+	Contains(name names.Name) bool
+	Len() int
+	Stats() (hits, misses, evicted uint64)
+}
+
+// forEachLRU runs body against one LRU of the given capacity from each
+// implementation: a plain CS, and one shard's worth of a ShardedCS — a
+// store numShards times as large, fed only names that hash to one
+// shard. name(i) is the i-th such name.
+func forEachLRU(t *testing.T, capacity int, body func(t *testing.T, cs csTable, name func(i int) names.Name)) {
+	t.Run("plain", func(t *testing.T) {
+		body(t, NewCS(capacity), func(i int) names.Name { return names.MustParse(fmt.Sprintf("/a/%d", i)) })
+	})
+	t.Run("sharded", func(t *testing.T) {
+		var sameShard []names.Name
+		for n := 0; len(sameShard) < 8; n++ {
+			if nm := names.MustParse(fmt.Sprintf("/a/%d", n)); shardIndex(nm.Key()) == 0 {
+				sameShard = append(sameShard, nm)
+			}
+		}
+		body(t, NewShardedCS(capacity*numShards), func(i int) names.Name { return sameShard[i] })
+	})
+}
+
 func TestCSInsertLookup(t *testing.T) {
-	cs := NewCS(2)
-	cs.Insert(chunk(t, "/a/1"))
-	if got, ok := cs.Lookup(names.MustParse("/a/1")); !ok || got == nil {
-		t.Fatal("lookup after insert failed")
-	}
-	if _, ok := cs.Lookup(names.MustParse("/a/2")); ok {
-		t.Error("phantom hit")
-	}
-	hits, misses, _ := cs.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d", hits, misses)
-	}
+	forEachLRU(t, 2, func(t *testing.T, cs csTable, name func(int) names.Name) {
+		cs.Insert(chunk(name(1)))
+		if got, ok := cs.Lookup(name(1)); !ok || got == nil {
+			t.Fatal("lookup after insert failed")
+		}
+		if _, ok := cs.Lookup(name(2)); ok {
+			t.Error("phantom hit")
+		}
+		hits, misses, _ := cs.Stats()
+		if hits != 1 || misses != 1 {
+			t.Errorf("stats = %d/%d", hits, misses)
+		}
+	})
 }
 
 func TestCSLRUEviction(t *testing.T) {
-	cs := NewCS(2)
-	cs.Insert(chunk(t, "/a/1"))
-	cs.Insert(chunk(t, "/a/2"))
-	// Touch /a/1 so /a/2 becomes LRU.
-	cs.Lookup(names.MustParse("/a/1"))
-	cs.Insert(chunk(t, "/a/3"))
-	if cs.Contains(names.MustParse("/a/2")) {
-		t.Error("LRU entry survived eviction")
-	}
-	if !cs.Contains(names.MustParse("/a/1")) || !cs.Contains(names.MustParse("/a/3")) {
-		t.Error("wrong entry evicted")
-	}
-	if _, _, evicted := cs.Stats(); evicted != 1 {
-		t.Errorf("evicted = %d", evicted)
-	}
+	forEachLRU(t, 2, func(t *testing.T, cs csTable, name func(int) names.Name) {
+		cs.Insert(chunk(name(1)))
+		cs.Insert(chunk(name(2)))
+		// Touch 1 so 2 becomes LRU.
+		cs.Lookup(name(1))
+		cs.Insert(chunk(name(3)))
+		if cs.Contains(name(2)) {
+			t.Error("LRU entry survived eviction")
+		}
+		if !cs.Contains(name(1)) || !cs.Contains(name(3)) {
+			t.Error("wrong entry evicted")
+		}
+		if _, _, evicted := cs.Stats(); evicted != 1 {
+			t.Errorf("evicted = %d", evicted)
+		}
+	})
 }
 
 func TestCSReinsertRefreshes(t *testing.T) {
-	cs := NewCS(2)
-	cs.Insert(chunk(t, "/a/1"))
-	cs.Insert(chunk(t, "/a/2"))
-	cs.Insert(chunk(t, "/a/1")) // refresh, /a/2 now LRU
-	cs.Insert(chunk(t, "/a/3"))
-	if cs.Contains(names.MustParse("/a/2")) {
-		t.Error("refreshed entry should not be LRU")
-	}
-	if cs.Len() != 2 {
-		t.Errorf("Len = %d", cs.Len())
-	}
+	forEachLRU(t, 2, func(t *testing.T, cs csTable, name func(int) names.Name) {
+		cs.Insert(chunk(name(1)))
+		cs.Insert(chunk(name(2)))
+		cs.Insert(chunk(name(1))) // refresh, 2 now LRU
+		cs.Insert(chunk(name(3)))
+		if cs.Contains(name(2)) {
+			t.Error("refreshed entry should not be LRU")
+		}
+		if cs.Len() != 2 {
+			t.Errorf("Len = %d", cs.Len())
+		}
+	})
 }
 
 func TestCSZeroCapacity(t *testing.T) {
-	cs := NewCS(0)
-	cs.Insert(chunk(t, "/a/1"))
-	if cs.Len() != 0 {
-		t.Error("zero-capacity CS cached a chunk")
-	}
-	if _, ok := cs.Lookup(names.MustParse("/a/1")); ok {
-		t.Error("zero-capacity CS hit")
-	}
+	forEachLRU(t, 0, func(t *testing.T, cs csTable, name func(int) names.Name) {
+		cs.Insert(chunk(name(1)))
+		if cs.Len() != 0 {
+			t.Error("zero-capacity CS cached a chunk")
+		}
+		if _, ok := cs.Lookup(name(1)); ok {
+			t.Error("zero-capacity CS hit")
+		}
+	})
 }
 
 func TestPropertyCSNeverExceedsCapacity(t *testing.T) {

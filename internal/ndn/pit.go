@@ -58,7 +58,8 @@ func (e *PITEntry) HasNonce(nonce uint64) bool {
 	return false
 }
 
-// PIT is a Pending Interest Table.
+// PIT is a Pending Interest Table. It is not safe for concurrent use;
+// the live plane's ShardedPIT locks around 16 of them.
 type PIT struct {
 	entries    map[string]*PITEntry
 	aggregated uint64
@@ -71,30 +72,57 @@ func NewPIT() *PIT {
 	return &PIT{entries: make(map[string]*PITEntry)}
 }
 
-// Lookup returns the entry for name, if any.
-func (p *PIT) Lookup(name names.Name) (*PITEntry, bool) {
-	e, ok := p.entries[name.Key()]
-	return e, ok
-}
+// AdmitOutcome classifies what a PIT did with one Interest.
+type AdmitOutcome int
 
-// Insert records an Interest. When no entry exists one is created (and
-// the caller must forward the Interest upstream — Protocol 4 lines 1-2);
-// otherwise the record is aggregated into the existing entry (lines
-// 3-5). The returned bool reports whether the entry is new.
-func (p *PIT) Insert(name names.Name, rec PITRecord, expires time.Time) (*PITEntry, bool) {
+// Admit outcomes.
+const (
+	// PITNew: a fresh entry was created; the caller must forward the
+	// Interest upstream (Protocol 4 lines 1-2). The live forwarder then
+	// records the route with SetOutFace, aborting the entry if it cannot
+	// forward.
+	PITNew AdmitOutcome = iota
+	// PITAggregated: the Interest joined an existing pending entry
+	// (Protocol 4 lines 3-5). The returned out-face (FaceNone while the
+	// primary forward is still in flight, or never recorded) lets the
+	// caller re-send retransmissions upstream.
+	PITAggregated
+	// PITDuplicate: the entry already holds this nonce; drop.
+	PITDuplicate
+)
+
+// Admit records one Interest — the one PIT admission rule both planes
+// run: it aggregates onto a live entry (extending its lifetime and
+// reporting the entry's out-face for retransmission handling), reports
+// a duplicate nonce, or — replacing any expired leftover — creates a
+// fresh entry.
+func (p *PIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID) {
 	k := name.Key()
-	if e, ok := p.entries[k]; ok {
+	if e, ok := p.entries[k]; ok && e.Expires.After(now) {
+		if e.HasNonce(rec.Nonce) {
+			return PITDuplicate, FaceNone
+		}
 		e.Records = append(e.Records, rec)
 		if expires.After(e.Expires) {
 			e.Expires = expires
 		}
 		p.aggregated++
-		return e, false
+		return PITAggregated, e.OutFace
 	}
-	e := &PITEntry{Name: name, Records: []PITRecord{rec}, Expires: expires, OutFace: FaceNone}
-	p.entries[k] = e
+	// No entry, or an expired leftover to replace.
+	p.entries[k] = &PITEntry{Name: name, Records: []PITRecord{rec}, Expires: expires, OutFace: FaceNone}
 	p.created++
-	return e, true
+	return PITNew, FaceNone
+}
+
+// SetOutFace records the upstream face the primary Interest of name was
+// forwarded to, reporting whether the entry still exists.
+func (p *PIT) SetOutFace(name names.Name, face FaceID) bool {
+	e, ok := p.entries[name.Key()]
+	if ok {
+		e.OutFace = face
+	}
+	return ok
 }
 
 // DropByOutFace removes and returns every entry whose primary Interest

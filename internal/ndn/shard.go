@@ -1,21 +1,22 @@
 package ndn
 
 import (
-	"container/list"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
 )
 
-// Concurrency-safe forwarding tables for the live plane: the PIT and CS
-// are sharded by a hash of the content name so packets for different
-// names proceed in parallel, while all operations on one name serialise
-// on its shard lock. The simulator keeps using the plain single-threaded
-// PIT/CS/FIB in pit.go, cs.go, and fib.go — only internal/forwarder uses
-// these types.
+// Concurrency-safe forwarding tables for the live plane. They hold no
+// table logic of their own: a ShardedPIT is numShards × {mutex, PIT}, a
+// ShardedCS numShards × {mutex, CS}, and a LockedFIB one RWMutex over a
+// FIB. Every method picks the shard by a hash of the content name, locks
+// it and delegates to the plain table in pit.go, cs.go or fib.go — the
+// same code the single-threaded simulator calls directly — so packets
+// for different names proceed in parallel while all operations on one
+// name serialise on its shard lock. Only internal/forwarder uses these
+// types.
 
 // numShards is the shard count for the PIT and CS. A small power of two:
 // enough to keep unrelated names off each other's locks, small enough
@@ -33,27 +34,10 @@ func shardIndex(key string) int {
 	return int(h & (numShards - 1))
 }
 
-// AdmitOutcome classifies what a ShardedPIT did with one Interest.
-type AdmitOutcome int
-
-// Admit outcomes.
-const (
-	// PITNew: a fresh entry was created; the caller must resolve a route,
-	// record it with SetOutFace, and forward the Interest (aborting the
-	// entry if it cannot).
-	PITNew AdmitOutcome = iota
-	// PITAggregated: the Interest joined an existing pending entry. The
-	// returned out-face (FaceNone while the primary forward is still in
-	// flight) lets the caller re-send retransmissions upstream.
-	PITAggregated
-	// PITDuplicate: the entry already holds this nonce; drop.
-	PITDuplicate
-)
-
 // pitShard is one lock-striped slice of the PIT.
 type pitShard struct {
-	mu      sync.Mutex
-	entries map[string]*PITEntry
+	mu  sync.Mutex
+	pit *PIT
 }
 
 // ShardedPIT is a Pending Interest Table safe for concurrent use,
@@ -61,78 +45,48 @@ type pitShard struct {
 // DropByOutFace are removed from the table before being returned, so the
 // caller owns them exclusively.
 type ShardedPIT struct {
-	shards     [numShards]pitShard
-	created    atomic.Uint64
-	aggregated atomic.Uint64
-	expired    atomic.Uint64
+	shards [numShards]pitShard
 }
 
 // NewShardedPIT creates an empty concurrent PIT.
 func NewShardedPIT() *ShardedPIT {
 	p := &ShardedPIT{}
 	for i := range p.shards {
-		p.shards[i].entries = make(map[string]*PITEntry)
+		p.shards[i].pit = NewPIT()
 	}
 	return p
 }
 
-func (p *ShardedPIT) shard(key string) *pitShard { return &p.shards[shardIndex(key)] }
-
-// Admit records one Interest: it aggregates onto a live entry (extending
-// its lifetime and reporting the entry's out-face for retransmission
-// handling), reports a duplicate nonce, or — replacing any expired
-// leftover — creates a fresh entry whose out-face the caller must set
-// once a route is resolved.
-func (p *ShardedPIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID) {
-	k := name.Key()
-	s := p.shard(k)
+// lock returns name's shard, locked.
+func (p *ShardedPIT) lock(name names.Name) *pitShard {
+	s := &p.shards[shardIndex(name.Key())]
 	s.mu.Lock()
+	return s
+}
+
+// Admit records one Interest (see PIT.Admit). On PITNew the caller must
+// resolve a route, record it with SetOutFace, and forward the Interest,
+// consuming the entry again if it cannot.
+func (p *ShardedPIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID) {
+	s := p.lock(name)
 	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		if e.Expires.After(now) {
-			if e.HasNonce(rec.Nonce) {
-				return PITDuplicate, FaceNone
-			}
-			e.Records = append(e.Records, rec)
-			if expires.After(e.Expires) {
-				e.Expires = expires
-			}
-			p.aggregated.Add(1)
-			return PITAggregated, e.OutFace
-		}
-		delete(s.entries, k) // expired leftover; replace
-	}
-	s.entries[k] = &PITEntry{Name: name, Records: []PITRecord{rec}, Expires: expires, OutFace: FaceNone}
-	p.created.Add(1)
-	return PITNew, FaceNone
+	return s.pit.Admit(name, rec, now, expires)
 }
 
 // SetOutFace records the upstream face the primary Interest of name was
 // forwarded to, reporting whether the entry still exists.
 func (p *ShardedPIT) SetOutFace(name names.Name, face FaceID) bool {
-	k := name.Key()
-	s := p.shard(k)
-	s.mu.Lock()
+	s := p.lock(name)
 	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if ok {
-		e.OutFace = face
-	}
-	return ok
+	return s.pit.SetOutFace(name, face)
 }
 
 // Consume removes and returns the entry for name — the router is about
 // to satisfy (or abort) it.
 func (p *ShardedPIT) Consume(name names.Name) (*PITEntry, bool) {
-	k := name.Key()
-	s := p.shard(k)
-	s.mu.Lock()
+	s := p.lock(name)
 	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if ok {
-		delete(s.entries, k)
-	}
-	return e, ok
+	return s.pit.Consume(name)
 }
 
 // DropByOutFace removes and returns every entry whose primary Interest
@@ -142,12 +96,7 @@ func (p *ShardedPIT) DropByOutFace(face FaceID) []*PITEntry {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		for k, e := range s.entries {
-			if e.OutFace == face {
-				out = append(out, e)
-				delete(s.entries, k)
-			}
-		}
+		out = append(out, s.pit.DropByOutFace(face)...)
 		s.mu.Unlock()
 	}
 	return out
@@ -160,13 +109,7 @@ func (p *ShardedPIT) ExpireBefore(now time.Time) []*PITEntry {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		for k, e := range s.entries {
-			if !e.Expires.After(now) {
-				out = append(out, e)
-				delete(s.entries, k)
-				p.expired.Add(1)
-			}
-		}
+		out = append(out, s.pit.ExpireBefore(now)...)
 		s.mu.Unlock()
 	}
 	return out
@@ -178,7 +121,7 @@ func (p *ShardedPIT) Len() int {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		n += len(s.entries)
+		n += s.pit.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -187,15 +130,20 @@ func (p *ShardedPIT) Len() int {
 // Stats returns entries created, Interests aggregated into existing
 // entries, and entries expired.
 func (p *ShardedPIT) Stats() (created, aggregated, expired uint64) {
-	return p.created.Load(), p.aggregated.Load(), p.expired.Load()
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		c, a, e := s.pit.Stats()
+		s.mu.Unlock()
+		created, aggregated, expired = created+c, aggregated+a, expired+e
+	}
+	return created, aggregated, expired
 }
 
 // csShard is one lock-striped LRU slice of the content store.
 type csShard struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List
-	index    map[string]*list.Element
+	mu sync.Mutex
+	cs *CS
 }
 
 // ShardedCS is a content store safe for concurrent use: an LRU per
@@ -203,83 +151,54 @@ type csShard struct {
 // is tracked per shard, an approximation of global LRU that never takes
 // a global lock).
 type ShardedCS struct {
-	capacity int
-	shards   [numShards]csShard
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	evicted  atomic.Uint64
+	shards [numShards]csShard
 }
 
 // NewShardedCS creates a concurrent content store holding at most
-// capacity chunks in total. A zero or negative capacity disables caching
-// (every Lookup misses).
+// capacity chunks in total (at least one per shard when capacity is
+// positive). A zero or negative capacity disables caching (every Lookup
+// misses).
 func NewShardedCS(capacity int) *ShardedCS {
-	c := &ShardedCS{capacity: capacity}
 	per := capacity / numShards
 	if per <= 0 && capacity > 0 {
 		per = 1
 	}
+	c := &ShardedCS{}
 	for i := range c.shards {
-		c.shards[i] = csShard{capacity: per, ll: list.New(), index: make(map[string]*list.Element)}
+		c.shards[i].cs = NewCS(per)
 	}
 	return c
 }
 
-func (c *ShardedCS) shard(key string) *csShard { return &c.shards[shardIndex(key)] }
+// lock returns name's shard, locked.
+func (c *ShardedCS) lock(name names.Name) *csShard {
+	s := &c.shards[shardIndex(name.Key())]
+	s.mu.Lock()
+	return s
+}
 
 // Insert caches a chunk, evicting its shard's least recently used entry
 // when the shard is full. Re-inserting an existing name refreshes its
 // recency.
 func (c *ShardedCS) Insert(content *core.Content) {
-	if c.capacity <= 0 {
-		return
-	}
-	k := content.Meta.Name.Key()
-	s := c.shard(k)
-	s.mu.Lock()
+	s := c.lock(content.Meta.Name)
 	defer s.mu.Unlock()
-	if el, ok := s.index[k]; ok {
-		s.ll.MoveToFront(el)
-		el.Value.(*csItem).content = content
-		return
-	}
-	el := s.ll.PushFront(&csItem{key: k, content: content})
-	s.index[k] = el
-	if s.ll.Len() > s.capacity {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.index, oldest.Value.(*csItem).key)
-		c.evicted.Add(1)
-	}
+	s.cs.Insert(content)
 }
 
 // Lookup returns the cached chunk for name, refreshing its recency.
 func (c *ShardedCS) Lookup(name names.Name) (*core.Content, bool) {
-	k := name.Key()
-	s := c.shard(k)
-	s.mu.Lock()
-	el, ok := s.index[k]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	content := el.Value.(*csItem).content
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return content, true
+	s := c.lock(name)
+	defer s.mu.Unlock()
+	return s.cs.Lookup(name)
 }
 
 // Contains reports whether name is cached without touching recency or
 // hit/miss statistics.
 func (c *ShardedCS) Contains(name names.Name) bool {
-	k := name.Key()
-	s := c.shard(k)
-	s.mu.Lock()
-	_, ok := s.index[k]
-	s.mu.Unlock()
-	return ok
+	s := c.lock(name)
+	defer s.mu.Unlock()
+	return s.cs.Contains(name)
 }
 
 // Len returns the number of cached chunks.
@@ -288,7 +207,7 @@ func (c *ShardedCS) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.ll.Len()
+		n += s.cs.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -304,20 +223,22 @@ func (c *ShardedCS) Names() []string {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k := range s.index {
-			out = append(out, k)
-		}
+		out = append(out, s.cs.Names()...)
 		s.mu.Unlock()
 	}
 	return out
 }
 
-// Capacity returns the configured total maximum.
-func (c *ShardedCS) Capacity() int { return c.capacity }
-
 // Stats returns hits, misses, and evictions.
 func (c *ShardedCS) Stats() (hits, misses, evicted uint64) {
-	return c.hits.Load(), c.misses.Load(), c.evicted.Load()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		h, m, e := s.cs.Stats()
+		s.mu.Unlock()
+		hits, misses, evicted = hits+h, misses+m, evicted+e
+	}
+	return hits, misses, evicted
 }
 
 // LockedFIB is a FIB safe for concurrent use: route lookups (the per

@@ -46,8 +46,8 @@ func TestSimRevocationPush(t *testing.T) {
 		t.Fatalf("revoked tag still served: %+v", d)
 	}
 	// The edge denied it (Protocol 2 pre-BF check), under its own reason.
-	if h.edge.Stats().Drops["tag-revoked"] == 0 {
-		t.Error("edge did not record the tag-revoked drop")
+	if h.edge.Stats().Drops["revoked"] == 0 {
+		t.Error("edge did not record the revoked drop")
 	}
 
 	// A stale push is a no-op; an advancing empty full push lifts it.

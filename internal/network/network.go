@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/sim"
@@ -230,29 +231,38 @@ func (n *Network) rebuildReverseFaces(idx int) {
 	n.reverseFace[idx] = rf
 }
 
-// SampleOps charges the delay model for a batch of operations, returning
-// the total sampled processing delay.
-func (n *Network) SampleOps(rng *rand.Rand, lookups, inserts, verifies uint64) time.Duration {
-	lk, ins, vf := n.SampleOpsSplit(rng, lookups, inserts, verifies)
-	return lk + ins + vf
-}
-
-// SampleOpsSplit is SampleOps with the delay decomposed per operation
-// class. The RNG draw order is identical to SampleOps (lookups, then
-// insertions, then verifications), so traced runs reproduce untraced
-// ones event for event.
-func (n *Network) SampleOpsSplit(rng *rand.Rand, lookups, inserts, verifies uint64) (lk, ins, vf time.Duration) {
+// chargeOps runs fn and samples the delay model for the Bloom-filter and
+// signature operations it performed on tactic, recording the
+// decomposition on sp (nil records nothing). It returns the total
+// sampled processing delay. Draws come per operation in class order
+// (lookups, then insertions, then verifications) whether or not a span
+// records them, so traced runs reproduce untraced ones event for event.
+func (n *Network) chargeOps(tactic *enforce.Router, rng *rand.Rand, sp *SimSpan, fn func()) time.Duration {
+	bfBefore := tactic.Bloom().Stats()
+	vBefore := tactic.Validator().Verifications()
+	fn()
 	if !n.ChargeDelays {
-		return 0, 0, 0
+		return 0
 	}
-	for i := uint64(0); i < lookups; i++ {
-		lk += n.Delays.BFLookup.Sample(rng)
+	bfAfter := tactic.Bloom().Stats()
+	var total time.Duration
+	for _, op := range [...]struct {
+		stage string
+		count uint64
+		delay sim.NormalDelay
+	}{
+		{"bf_lookup", bfAfter.Lookups - bfBefore.Lookups, n.Delays.BFLookup},
+		{"bf_insert", bfAfter.Insertions - bfBefore.Insertions, n.Delays.BFInsert},
+		{"verify", tactic.Validator().Verifications() - vBefore, n.Delays.SigVerify},
+	} {
+		var d time.Duration
+		for i := uint64(0); i < op.count; i++ {
+			d += op.delay.Sample(rng)
+		}
+		if d > 0 {
+			sp.Event(op.stage, d, "")
+		}
+		total += d
 	}
-	for i := uint64(0); i < inserts; i++ {
-		ins += n.Delays.BFInsert.Sample(rng)
-	}
-	for i := uint64(0); i < verifies; i++ {
-		vf += n.Delays.SigVerify.Sample(rng)
-	}
-	return lk, ins, vf
+	return total
 }

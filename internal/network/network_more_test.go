@@ -216,7 +216,7 @@ func TestEdgePreCheckDropReasons(t *testing.T) {
 	}
 	h.net.SendInterest(0, 0, &ndn.Interest{Name: h.content.Meta.Name, Kind: ndn.KindContent, Nonce: 1, Tag: expired}, 0)
 	h.engine.Run()
-	if h.edge.Stats().Drops["tag-expired"] == 0 {
+	if h.edge.Stats().Drops["expired"] == 0 {
 		t.Error("expired-tag drop not recorded")
 	}
 
@@ -226,7 +226,7 @@ func TestEdgePreCheckDropReasons(t *testing.T) {
 	}
 	h.net.SendInterest(0, 0, &ndn.Interest{Name: names.MustParse("/prov9/obj/c0"), Kind: ndn.KindContent, Nonce: 2, Tag: cross}, 0)
 	h.engine.Run()
-	if h.edge.Stats().Drops["prefix-mismatch"] == 0 {
+	if h.edge.Stats().Drops["prefix_mismatch"] == 0 {
 		t.Error("prefix-mismatch drop not recorded")
 	}
 }

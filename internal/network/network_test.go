@@ -300,7 +300,7 @@ func TestAccessPathEnforcedAtEdge(t *testing.T) {
 			t.Fatal("expected NACK")
 		}
 	}
-	if h.edge.Stats().Drops["access-path-mismatch"] == 0 {
+	if h.edge.Stats().Drops["access_path"] == 0 {
 		t.Error("edge should record an access-path mismatch")
 	}
 	_ = tag

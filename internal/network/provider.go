@@ -93,7 +93,7 @@ func (p *ProviderNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		return
 	}
 	var dec enforce.Verdict
-	proc := p.chargeOpsSpan(sp, func() {
+	proc := p.net.chargeOps(p.tactic, p.rng, sp, func() {
 		dec = p.tactic.ContentOnInterest(i.Tag, content.Meta, i.Flag, now)
 	})
 	outcome := "served"
@@ -140,33 +140,6 @@ func (p *ProviderNode) handleRegistration(i *ndn.Interest, from ndn.FaceID, now 
 
 // HandleData is a no-op: providers are origins.
 func (p *ProviderNode) HandleData(d *ndn.Data, from ndn.FaceID) {}
-
-// chargeOpsSpan charges the delay model for ops performed in fn,
-// recording the decomposition on sp (nil records nothing). The RNG
-// draw order matches SampleOps, so tracing never perturbs a run.
-func (p *ProviderNode) chargeOpsSpan(sp *SimSpan, fn func()) time.Duration {
-	bfBefore := p.tactic.Bloom().Stats()
-	vBefore := p.tactic.Validator().Verifications()
-	fn()
-	bfAfter := p.tactic.Bloom().Stats()
-	vAfter := p.tactic.Validator().Verifications()
-	lk, ins, vf := p.net.SampleOpsSplit(p.rng,
-		bfAfter.Lookups-bfBefore.Lookups,
-		bfAfter.Insertions-bfBefore.Insertions,
-		vAfter-vBefore)
-	if sp != nil {
-		if lk > 0 {
-			sp.Event("bf_lookup", lk, "")
-		}
-		if ins > 0 {
-			sp.Event("bf_insert", ins, "")
-		}
-		if vf > 0 {
-			sp.Event("verify", vf, "")
-		}
-	}
-	return lk + ins + vf
-}
 
 // ProviderNodeStats snapshots the provider's counters.
 type ProviderNodeStats struct {

@@ -160,45 +160,12 @@ func (r *RouterNode) CSNames() []string { return r.cs.Names() }
 func (r *RouterNode) drop(reason string) { r.drops[reason]++ }
 
 // charge runs fn, samples the computational delay for the Bloom-filter
-// and signature operations it performed, and serialises that work on the
-// router's CPU. The returned duration is the total wait from now until
-// this packet's processing completes (queueing behind earlier bursts
-// included).
-func (r *RouterNode) charge(fn func()) time.Duration {
-	return r.chargeSpan(nil, fn)
-}
-
-// chargeSpan is charge with the delay decomposition recorded as stage
-// events on sp (nil records nothing). The RNG draws are identical
-// either way, so tracing never perturbs a run.
-func (r *RouterNode) chargeSpan(sp *SimSpan, fn func()) time.Duration {
-	bfBefore := r.tactic.Bloom().Stats()
-	vBefore := r.tactic.Validator().Verifications()
-	fn()
-	bfAfter := r.tactic.Bloom().Stats()
-	vAfter := r.tactic.Validator().Verifications()
-	lk, ins, vf := r.net.SampleOpsSplit(r.rng,
-		bfAfter.Lookups-bfBefore.Lookups,
-		bfAfter.Insertions-bfBefore.Insertions,
-		vAfter-vBefore)
-	if sp != nil {
-		if lk > 0 {
-			sp.Event("bf_lookup", lk, "")
-		}
-		if ins > 0 {
-			sp.Event("bf_insert", ins, "")
-		}
-		if vf > 0 {
-			sp.Event("verify", vf, "")
-		}
-	}
-	wait := r.cpuWait(lk + ins + vf)
-	if sp != nil {
-		if q := wait - (lk + ins + vf); q > 0 {
-			sp.Event("queue", q, "")
-		}
-	}
-	return wait
+// and signature operations it performed (decomposed onto sp), and
+// serialises that work on the router's CPU. The returned duration is the
+// total wait from now until this packet's processing completes
+// (queueing behind earlier bursts included).
+func (r *RouterNode) charge(sp *SimSpan, fn func()) time.Duration {
+	return r.cpuWait(sp, r.net.chargeOps(r.tactic, r.rng, sp, fn))
 }
 
 // id returns the router's topology node identity.
@@ -213,8 +180,9 @@ func (r *RouterNode) role() string {
 }
 
 // cpuWait books work on the router CPU and returns the delay from now
-// until it finishes.
-func (r *RouterNode) cpuWait(work time.Duration) time.Duration {
+// until it finishes, recording any time spent queued behind earlier work
+// on sp.
+func (r *RouterNode) cpuWait(sp *SimSpan, work time.Duration) time.Duration {
 	now := r.net.Engine.Now()
 	start := now
 	if r.cpuBusyUntil.After(start) {
@@ -222,6 +190,9 @@ func (r *RouterNode) cpuWait(work time.Duration) time.Duration {
 	}
 	end := start.Add(work)
 	r.cpuBusyUntil = end
+	if q := start.Sub(now); q > 0 {
+		sp.Event("queue", q, "")
+	}
 	return end.Sub(now)
 }
 
@@ -285,38 +256,32 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		// split fast/slow exactly like the live forwarder: the BF-backed
 		// fast decision runs first, and only a miss that needs a
 		// signature check passes through per-face admission. The split is
-		// RNG-neutral — SampleOpsSplit draws per operation in class order
+		// RNG-neutral — chargeOps draws per operation in class order
 		// (lookups, inserts, verifies), which is the same sequence the
 		// combined charge produced.
 		var dec enforce.Verdict
-		proc += r.chargeSpan(sp, func() {
+		proc += r.charge(sp, func() {
 			dec = r.tactic.EdgeOnInterestFast(i.Tag, i.AccessPath, i.Name, now)
 		})
 		if dec.NeedsVerify() {
 			if !r.admitVerify(from, now) {
-				r.drop(reasonString(core.ErrOverload))
-				r.nacksSent++
-				sp.Event("precheck", 0, reasonString(core.ErrOverload))
-				nack := &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: core.ErrOverload,
-					Trace: NextHopTrace(inTC, sp)}
-				r.net.SendData(r.index, from, nack, proc)
-				sp.End("nack", proc)
-				return
-			}
-			proc += r.chargeSpan(sp, func() {
-				dec = r.tactic.VerifyMiss(enforce.InterestInput{
-					Op: enforce.OpEdgeInterest, Tag: i.Tag, RequestAP: i.AccessPath, Name: i.Name, Now: now,
+				dec = enforce.Shed(enforce.StageEdgeInterest)
+			} else {
+				proc += r.charge(sp, func() {
+					dec = r.tactic.VerifyMiss(enforce.InterestInput{
+						Op: enforce.OpEdgeInterest, Tag: i.Tag, RequestAP: i.AccessPath, Name: i.Name, Now: now,
+					})
 				})
-			})
-			r.noteVerify(from, now.Add(proc))
+				r.noteVerify(from, now.Add(proc))
+			}
 		}
 		if dec.Denied() {
-			r.drop(reasonString(dec.Reason))
+			r.drop(core.ReasonLabel(dec.Reason))
 			r.nacksSent++
 			if r.cfg.Traitor != nil && errors.Is(dec.Reason, core.ErrAccessPathMismatch) {
 				r.cfg.Traitor.Observe(i.Tag, i.AccessPath)
 			}
-			sp.Event("precheck", 0, reasonString(dec.Reason))
+			sp.Event("precheck", 0, core.ReasonLabel(dec.Reason))
 			nack := &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: dec.Reason,
 				Trace: NextHopTrace(inTC, sp)}
 			r.net.SendData(r.index, from, nack, proc)
@@ -337,7 +302,7 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 			}
 			// Content-router role: Protocol 3.
 			var dec enforce.Verdict
-			proc += r.chargeSpan(sp, func() {
+			proc += r.charge(sp, func() {
 				dec = r.tactic.ContentOnInterest(i.Tag, content.Meta, i.Flag, now)
 			})
 			outcome := "cs_hit"
@@ -364,24 +329,17 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	}
 
 	// PIT: duplicate suppression, then aggregate-or-create.
-	if entry, ok := r.pit.Lookup(i.Name); ok && entry.Expires.After(now) {
-		if entry.HasNonce(i.Nonce) {
-			r.drop("duplicate-nonce")
-			sp.End("drop_duplicate_nonce", proc)
-			return
-		}
-		r.pit.Insert(i.Name, ndn.PITRecord{
-			Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now,
-		}, now.Add(r.cfg.PITLifetime))
+	switch outcome, _ := r.pit.Admit(i.Name, ndn.PITRecord{
+		Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now,
+	}, now, now.Add(r.cfg.PITLifetime)); outcome {
+	case ndn.PITDuplicate:
+		r.drop("duplicate-nonce")
+		sp.End("drop_duplicate_nonce", proc)
+		return
+	case ndn.PITAggregated:
 		sp.End("pit_aggregated", proc)
 		return
-	} else if ok {
-		// Stale entry: drop it and start fresh.
-		r.pit.Consume(i.Name)
 	}
-	r.pit.Insert(i.Name, ndn.PITRecord{
-		Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now,
-	}, now.Add(r.cfg.PITLifetime))
 
 	face, ok := r.fib.Lookup(i.Name)
 	if !ok {
@@ -421,7 +379,6 @@ func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 	}
 	outTC := NextHopTrace(inTC, sp)
 
-	primary := entry.Records[0]
 	if r.cfg.DisableEnforcement {
 		for _, rec := range entry.Records {
 			out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
@@ -430,66 +387,13 @@ func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 		sp.End("delivered", 0)
 		return
 	}
-	if r.isEdge {
-		outcome, proc := r.edgeDeliver(d, primary, true, now, outTC, sp)
-		sp.End(outcome, proc)
-	} else {
-		// Protocol 4 lines 6-10: the primary requester receives the
-		// content as-is, NACK included.
-		out := &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: primary.Tag,
-			Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason,
-			Trace: outTC,
-		}
-		r.net.SendData(r.index, primary.InFace, out, 0)
-		sp.End("forwarded", 0)
-	}
-
-	// Aggregated records: validate per tag (Protocol 2 lines 22-23 at
-	// the edge, Protocol 4 lines 11-26 at core routers). The hop span
-	// has ended: it narrates the traced (primary) request's path;
-	// aggregated deliveries still carry the onward context so their
-	// consumers see a complete hop count.
+	// The hop span narrates the traced (primary) request's path and ends
+	// with it; aggregated deliveries still carry the onward context so
+	// their consumers see a complete hop count.
+	outcome, proc := r.deliverRecord(d, entry.Records[0], true, now, outTC, sp)
+	sp.End(outcome, proc)
 	for _, rec := range entry.Records[1:] {
-		if d.Content == nil {
-			// Pure NACK (DropOnNACK ablation upstream): nothing can be
-			// delivered; propagate the NACK.
-			if !r.isEdge {
-				out := &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: d.NackReason, Trace: outTC}
-				r.net.SendData(r.index, rec.InFace, out, 0)
-			} else {
-				r.drop("edge-nack-drop")
-			}
-			continue
-		}
-		if r.isEdge {
-			r.edgeDeliver(d, rec, false, now, outTC, nil)
-			continue
-		}
-		if rec.Tag == nil {
-			if publicContent(d) {
-				out := &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC}
-				r.net.SendData(r.index, rec.InFace, out, 0)
-			} else {
-				r.nacksSent++
-				out := &ndn.Data{Name: d.Name, Content: d.Content, Nack: true, NackReason: core.ErrNoTag, Trace: outTC}
-				r.net.SendData(r.index, rec.InFace, out, 0)
-			}
-			continue
-		}
-		var dec enforce.Verdict
-		proc := r.charge(func() {
-			dec = r.tactic.IntermediateOnAggregatedContent(rec.Tag, d.Content.Meta, rec.Flag, now)
-		})
-		if dec.Denied() {
-			r.nacksSent++
-		}
-		out := &ndn.Data{
-			Name: d.Name, Content: d.Content, Tag: rec.Tag,
-			Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-			Trace: outTC,
-		}
-		r.net.SendData(r.index, rec.InFace, out, proc)
+		r.deliverRecord(d, rec, false, now, outTC, nil)
 	}
 }
 
@@ -502,52 +406,50 @@ func (r *RouterNode) servableFromCache(c *core.Content) bool {
 	return c.Meta.Level == core.Public
 }
 
-// publicContent reports whether the data carries Public-level content.
-func publicContent(d *ndn.Data) bool {
-	return d.Content != nil && d.Content.Meta.Level == core.Public
-}
-
-// edgeDeliver applies Protocol 2's On-Content logic for one PIT record
-// and forwards (or drops) the content toward the client, stamping outTC
-// on whatever it sends. It returns the outcome and charged processing
-// time for the caller's hop span (sp decomposes the charge; nil for
-// aggregated records, whose work is not part of the traced request).
-func (r *RouterNode) edgeDeliver(d *ndn.Data, rec ndn.PITRecord, isPrimary bool, now time.Time, outTC ndn.TraceContext, sp *SimSpan) (string, time.Duration) {
-	if rec.Tag == nil {
-		// Tagless requester: deliverable only for Public content.
-		if publicContent(d) && !d.Nack {
-			out := &ndn.Data{Name: d.Name, Content: d.Content, Flag: d.Flag, Trace: outTC}
-			r.net.SendData(r.index, rec.InFace, out, 0)
-			return "delivered", 0
-		}
-		r.drop("tagless-private")
-		return "drop_tagless_private", 0
-	}
-	var deliver bool
-	var proc time.Duration
-	if r.cfg.Colluding {
+// deliverRecord answers one PIT record from the arriving Data as
+// enforce.OnDataRecord decides (Protocol 2 On-Content at the edge,
+// Protocol 4 lines 6-26 elsewhere), stamping outTC on whatever it sends.
+// It returns the outcome and charged processing time for the caller's
+// hop span (sp decomposes the charge; nil for aggregated records, whose
+// work is not part of the traced request). Router CPU is charged only
+// when the decision consulted an enforcement checkpoint.
+func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.Time, outTC ndn.TraceContext, sp *SimSpan) (string, time.Duration) {
+	if r.isEdge && r.cfg.Colluding && rec.Tag != nil && d.Content != nil {
 		// Threat (f): deliver regardless of the upstream verdict.
-		if d.Content != nil {
-			out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
-			r.net.SendData(r.index, rec.InFace, out, 0)
-		}
+		out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
+		r.net.SendData(r.index, rec.InFace, out, 0)
 		return "delivered", 0
 	}
-	if isPrimary {
-		proc = r.chargeSpan(sp, func() { deliver = !r.tactic.EdgeOnData(rec.Tag, d.Flag, d.Nack).Denied() })
-	} else {
-		// An aggregated record's validity is independent of the primary
-		// tag's NACK: the content rides along with NACKs precisely so
-		// that valid aggregated requests can still be satisfied.
-		proc = r.chargeSpan(sp, func() { deliver = !r.tactic.EdgeOnAggregatedData(rec.Tag, d.Content.Meta, now).Denied() })
+	var v enforce.RecordVerdict
+	work := r.net.chargeOps(r.tactic, r.rng, sp, func() {
+		v = r.tactic.OnDataRecord(r.isEdge, primary, rec.Tag, rec.Flag,
+			enforce.ArrivedData{Content: d.Content, Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason}, now)
+	})
+	var proc time.Duration
+	if v.Stage != enforce.StageNone {
+		proc = r.cpuWait(sp, work)
 	}
-	if !deliver {
+	if v.Minted {
+		r.nacksSent++
+	}
+	if v.Deliver == enforce.DeliverNothing {
+		if rec.Tag == nil {
+			r.drop("tagless-private")
+			return "drop_tagless_private", proc
+		}
 		r.drop("edge-nack-drop")
 		return "drop_edge_nack", proc
 	}
-	out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
+	out := &ndn.Data{
+		Name: d.Name, Content: d.Content, Tag: rec.Tag,
+		Flag: v.Flag, Nack: v.Deliver.Nack(), NackReason: v.Reason,
+		Trace: outTC,
+	}
 	r.net.SendData(r.index, rec.InFace, out, proc)
-	return "delivered", proc
+	if r.isEdge {
+		return "delivered", proc
+	}
+	return "forwarded", proc
 }
 
 // handleRegistrationData forwards a registration response along the
@@ -556,7 +458,7 @@ func (r *RouterNode) edgeDeliver(d *ndn.Data, rec ndn.PITRecord, isPrimary bool,
 func (r *RouterNode) handleRegistrationData(d *ndn.Data) {
 	var proc time.Duration
 	if r.isEdge && d.Registration.Tag != nil {
-		proc = r.charge(func() { r.tactic.EdgeOnTagResponse(d.Registration.Tag) })
+		proc = r.charge(nil, func() { r.tactic.EdgeOnTagResponse(d.Registration.Tag) })
 	}
 	entry, ok := r.pit.Consume(d.Name)
 	if !ok {
@@ -608,34 +510,5 @@ func (r *RouterNode) Stats() RouterNodeStats {
 		CSHits:     hits,
 		CSMisses:   misses,
 		PITCreated: created, PITAggregated: aggregated, PITExpired: expired,
-	}
-}
-
-// reasonString maps a drop reason to a stable metric key.
-func reasonString(err error) string {
-	if err == nil {
-		return "unknown"
-	}
-	switch {
-	case errors.Is(err, core.ErrAccessPathMismatch):
-		return "access-path-mismatch"
-	case errors.Is(err, core.ErrTagExpired):
-		return "tag-expired"
-	case errors.Is(err, core.ErrPrefixMismatch):
-		return "prefix-mismatch"
-	case errors.Is(err, core.ErrTagForged):
-		return "tag-forged"
-	case errors.Is(err, core.ErrInsufficientLevel):
-		return "insufficient-level"
-	case errors.Is(err, core.ErrProviderKeyMismatch):
-		return "provider-key-mismatch"
-	case errors.Is(err, core.ErrTagRevoked):
-		return "tag-revoked"
-	case errors.Is(err, core.ErrNoTag):
-		return "no-tag"
-	case errors.Is(err, core.ErrOverload):
-		return "overload"
-	default:
-		return "invalid"
 	}
 }

@@ -46,11 +46,13 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
+// Inc adds one and returns the new count (0 for nil), so a caller that
+// samples every Nth event needs no second counter.
+func (c *Counter) Inc() uint64 {
+	if c == nil {
+		return 0
 	}
+	return c.v.Add(1)
 }
 
 // Add adds n.

@@ -301,14 +301,6 @@ func (s *Span) TraceID() uint64 {
 	return s.traceID
 }
 
-// SpanID returns the span's own ID (0 for nil).
-func (s *Span) SpanID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.spanID
-}
-
 // Context returns the trace context to stamp on packets this span's
 // node sends onward: same trace, this span as parent, next hop index,
 // and the originator's head-sampling decision carried through. The zero

@@ -6,7 +6,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 )
@@ -129,12 +128,4 @@ func writeTraceJSON(w http.ResponseWriter, traces []*Trace) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(out) //nolint:errcheck // client gone mid-write
-}
-
-// ServeAdminTracer is ServeAdmin plus a /tracez endpoint backed by tr's
-// flight recorder.
-func ServeAdminTracer(addr string, reg *Registry, statusz func() any, tr *Tracer) (net.Listener, error) {
-	mux := NewAdminMux(reg, statusz)
-	AttachTracez(mux, tr)
-	return serveMux(addr, mux)
 }

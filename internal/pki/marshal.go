@@ -20,11 +20,10 @@ import (
 
 // PEM block types.
 const (
-	pemECDSAPrivate   = "TACTIC ECDSA PRIVATE KEY"
-	pemECDSAPublic    = "TACTIC ECDSA PUBLIC KEY"
-	pemFastPrivate    = "TACTIC SIM PRIVATE KEY"
-	pemEd25519Private = "TACTIC ED25519 PRIVATE KEY"
-	pemEd25519Public  = "TACTIC ED25519 PUBLIC KEY"
+	pemECDSAPrivate  = "TACTIC ECDSA PRIVATE KEY"
+	pemECDSAPublic   = "TACTIC ECDSA PUBLIC KEY"
+	pemFastPrivate   = "TACTIC SIM PRIVATE KEY"
+	pemEd25519Public = "TACTIC ED25519 PUBLIC KEY"
 )
 
 // pemLocatorHeader carries the key-locator name.
@@ -73,32 +72,6 @@ func UnmarshalECDSAPrivate(data []byte, rng io.Reader) (*ECDSAKeyPair, error) {
 		locator:   locator,
 		nonceRand: &hashStream{seed: seed[:]},
 	}, nil
-}
-
-// MarshalEd25519Private serialises an Ed25519 key pair (private half)
-// to PEM.
-func MarshalEd25519Private(k *Ed25519KeyPair) ([]byte, error) {
-	return pem.EncodeToMemory(&pem.Block{
-		Type:    pemEd25519Private,
-		Headers: map[string]string{pemLocatorHeader: k.locator.String()},
-		Bytes:   k.priv.Seed(),
-	}), nil
-}
-
-// UnmarshalEd25519Private parses a PEM Ed25519 key pair.
-func UnmarshalEd25519Private(data []byte) (*Ed25519KeyPair, error) {
-	block, _ := pem.Decode(data)
-	if block == nil || block.Type != pemEd25519Private {
-		return nil, fmt.Errorf("pki: no %s PEM block", pemEd25519Private)
-	}
-	locator, err := names.Parse(block.Headers[pemLocatorHeader])
-	if err != nil {
-		return nil, fmt.Errorf("pki: key locator header: %w", err)
-	}
-	if len(block.Bytes) != ed25519.SeedSize {
-		return nil, fmt.Errorf("pki: bad ed25519 seed length %d", len(block.Bytes))
-	}
-	return &Ed25519KeyPair{priv: ed25519.NewKeyFromSeed(block.Bytes), locator: locator}, nil
 }
 
 // MarshalPublic serialises a verifying key (with its locator) to PEM.
