@@ -2,15 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module bench-json bench-diff repro repro-full demo-keys clean
+.PHONY: all build vet fmt-check check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module repro repro-full demo-keys clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# The second line fails when a shipped binary links the testing package
+# (benchmarks belong in _test.go files and in bench/): the grep must
+# print nothing.
 vet:
 	$(GO) vet ./...
+	! $(GO) list -deps ./cmd/... | grep -x testing
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -21,10 +25,10 @@ fmt-check:
 # the race detector over the concurrent packages, the fault-injection
 # suite, the conformance oracle, the native fuzz targets' smoke pass,
 # the exposition-format lint, the coverage floor, a one-iteration smoke
-# pass over the pipeline benchmarks, the live-path benchmark's own
-# module, the end-to-end tracing smoke test, and the benchmark
-# regression report.
-check: build vet fmt-check test race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke bench-diff
+# pass over the wire and signature benchmarks, the live-path
+# benchmark's own module (the guard that bench/ still builds against
+# internal/), and the end-to-end tracing smoke test.
+check: build vet fmt-check test race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke
 
 test:
 	$(GO) test ./...
@@ -101,27 +105,17 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of every pipeline benchmark: catches harness bit-rot in
-# seconds without measuring anything.
+# One iteration of the benchmarks outside the paper-figure suite (wire
+# pps, signature verification): catches bit-rot in seconds without
+# measuring anything. The live path is measured by bench/run.sh.
 bench-smoke:
-	$(GO) test ./internal/perf/ -run xxx -bench . -benchtime 1x
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/transport/ ./internal/pki/
 
 # bench/ is a Go module of its own, so build, vet and test above never
 # compile it: an internal/ API change can break the live-path benchmark
 # without tier-1 noticing. Vet it and run its tests (~8 s).
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Refresh the committed benchmark snapshot (preserves the recorded
-# pre-change baseline) and append to the BENCH_history.jsonl trend.
-bench-json:
-	$(GO) run ./cmd/tacticbench -bench-out BENCH_pipeline.json
-
-# Report deltas of the committed snapshot against its recorded
-# pre-change baseline and the previous history entry (informational:
-# always exits zero).
-bench-diff:
-	$(GO) run ./cmd/tacticbench -bench-diff BENCH_pipeline.json
 
 # Regenerate every paper table and figure (reduced scale, ~7 min).
 repro:

@@ -11,22 +11,17 @@ package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/experiment"
-	"github.com/tactic-icn/tactic/internal/perf"
 )
 
 func main() {
@@ -44,20 +39,9 @@ func run(args []string) error {
 	fidelity := fs.Bool("fidelity", true, "paper-fidelity mode (request-driven BF resets, literal delay model)")
 	only := fs.String("only", "", "run a single experiment: fig5|fig6|fig7|fig8|table2|table4|table5|ablations|extensions")
 	csvDir := fs.String("csv", "", "also write full per-second series as CSV files into this directory")
-	benchOut := fs.String("bench-out", "", "run the live forwarding-plane benchmarks and write a JSON snapshot to this file instead of the simulation suite")
-	benchHistory := fs.String("bench-history", "BENCH_history.jsonl", "with -bench-out, also append the snapshot as one JSONL line to this file (empty disables)")
-	benchDiff := fs.String("bench-diff", "", "compare a benchmark snapshot (JSON file) against its pre_change_baseline and the previous history entry, then exit")
-	benchWarn := fs.Float64("bench-warn", 0, "with -bench-diff, emit ::warning lines and exit nonzero when any benchmark's ns/op regresses more than this percent against the previous history entry (0 disables)")
 	quiet := fs.Bool("q", false, "suppress per-run progress")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *benchDiff != "" {
-		return diffBenchSnapshot(*benchDiff, *benchHistory, *benchWarn)
-	}
-	if *benchOut != "" {
-		return writeBenchSnapshot(*benchOut, *benchHistory)
 	}
 
 	topoList, err := parseTopos(*topos)
@@ -125,269 +109,6 @@ func run(args []string) error {
 		return fmt.Errorf("unknown experiment %q", *only)
 	}
 	return nil
-}
-
-// benchResult is one benchmark's recorded numbers, as stored in
-// BENCH_pipeline.json and BENCH_history.jsonl.
-type benchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Iterations  int     `json:"iterations"`
-	// PPS carries the custom packets-per-second metric of the wire
-	// benchmarks (absent for the in-process pipeline benches).
-	PPS float64 `json:"pps,omitempty"`
-}
-
-// benchSnapshot is the decoded shape of a snapshot file or history line.
-type benchSnapshot struct {
-	Recorded   string                 `json:"recorded"`
-	Go         string                 `json:"go"`
-	Benchmarks map[string]benchResult `json:"benchmarks"`
-	Baseline   json.RawMessage        `json:"pre_change_baseline"`
-}
-
-// baselineBenchmarks decodes the pre_change_baseline key, which is
-// either a bare benchmarks map or an annotated {commit, note,
-// benchmarks} object.
-func (s *benchSnapshot) baselineBenchmarks() (map[string]benchResult, string) {
-	if len(s.Baseline) == 0 {
-		return nil, ""
-	}
-	var nested struct {
-		Commit     string                 `json:"commit"`
-		Benchmarks map[string]benchResult `json:"benchmarks"`
-	}
-	if json.Unmarshal(s.Baseline, &nested) == nil && len(nested.Benchmarks) > 0 {
-		return nested.Benchmarks, nested.Commit
-	}
-	var flat map[string]benchResult
-	if json.Unmarshal(s.Baseline, &flat) == nil && len(flat) > 0 {
-		return flat, ""
-	}
-	return nil, ""
-}
-
-// writeBenchSnapshot runs the forwarding-plane benchmarks from
-// internal/perf and writes the results as JSON (the committed
-// BENCH_pipeline.json is such a snapshot). A pre_change_baseline key in
-// an existing snapshot at path is preserved, so regenerating the file
-// keeps the recorded before/after comparison intact. When historyPath
-// is non-empty the same snapshot is appended there as one JSONL line,
-// building the machine-local trend the bench-diff mode compares
-// against.
-func writeBenchSnapshot(path, historyPath string) error {
-	type result = benchResult
-	benches := []struct {
-		name string
-		body func(*testing.B)
-	}{
-		{"ForwarderPipeline/mixed/faces=1", perf.ForwarderPipeline(perf.PipelineOptions{Faces: 1, MissEvery: 16})},
-		{"ForwarderPipeline/mixed/faces=4", perf.ForwarderPipeline(perf.PipelineOptions{Faces: 4, MissEvery: 16})},
-		{"ForwarderPipeline/mixed/faces=16", perf.ForwarderPipeline(perf.PipelineOptions{Faces: 16, MissEvery: 16})},
-		{"ForwarderPipeline/hit/faces=1", perf.ForwarderPipeline(perf.PipelineOptions{Faces: 1})},
-		{"ForwarderPipeline/hit/faces=4", perf.ForwarderPipeline(perf.PipelineOptions{Faces: 4})},
-		{"ForwarderPipeline/hit/faces=16", perf.ForwarderPipeline(perf.PipelineOptions{Faces: 16})},
-		{"ForwarderPipeline/mixed-flood/faces=16", perf.ForwarderFloodPipeline(perf.PipelineOptions{Faces: 16})},
-		{"MicroBFLookup", perf.MicroBFLookup()},
-		{"MicroVerify", perf.MicroVerify()},
-		{"MicroVerifyEd25519", perf.MicroVerifyEd25519()},
-		{"MicroRevocationCheck", perf.MicroRevocationCheck()},
-		{"MicroTLVRoundTrip", perf.MicroTLVRoundTrip()},
-		{"WirePPS/tcp", perf.WirePPS("tcp")},
-		{"WirePPS/tcp-coalesced", perf.WirePPS("tcp-coalesced")},
-		{"WirePPS/udp", perf.WirePPS("udp")},
-		{"WirePPS/udp-batched", perf.WirePPS("udp-batched")},
-	}
-
-	out := map[string]any{
-		"recorded": time.Now().UTC().Format(time.RFC3339),
-		"go":       runtime.Version(),
-		"cpus":     runtime.NumCPU(),
-	}
-	if prev, err := os.ReadFile(path); err == nil {
-		var m map[string]json.RawMessage
-		if json.Unmarshal(prev, &m) == nil {
-			if b, ok := m["pre_change_baseline"]; ok {
-				out["pre_change_baseline"] = b
-			}
-		}
-	}
-	results := make(map[string]result, len(benches))
-	for _, bench := range benches {
-		fmt.Fprintf(os.Stderr, "bench %s...\n", bench.name)
-		r := testing.Benchmark(bench.body)
-		results[bench.name] = result{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-			PPS:         r.Extra["pps"],
-		}
-	}
-	out["benchmarks"] = results
-
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-
-	if historyPath != "" {
-		line := map[string]any{
-			"recorded":   out["recorded"],
-			"go":         out["go"],
-			"cpus":       out["cpus"],
-			"benchmarks": results,
-		}
-		enc, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		f, err := os.OpenFile(historyPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		_, werr := f.Write(append(enc, '\n'))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Fprintf(os.Stderr, "appended %s\n", historyPath)
-	}
-	return nil
-}
-
-// diffBenchSnapshot compares the snapshot at path against (a) its own
-// pre_change_baseline, if recorded, and (b) the last history entry
-// older than the snapshot. It reports deltas and, by default, exits
-// zero: benchmark noise across machines makes hard-failing on a
-// threshold worse than useless. warnPct > 0 opts into an advisory
-// gate — any ns/op regression beyond that percent against the history
-// entry prints a "::warning" line (GitHub annotation syntax) and turns
-// the exit nonzero, for CI jobs that run with continue-on-error.
-func diffBenchSnapshot(path, historyPath string, warnPct float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(snap.Benchmarks) == 0 {
-		return fmt.Errorf("%s: no benchmarks key", path)
-	}
-
-	if base, commit := snap.baselineBenchmarks(); len(base) > 0 {
-		label := ""
-		if commit != "" {
-			label = " (commit " + commit + ")"
-		}
-		fmt.Printf("%s vs its pre_change_baseline%s:\n", path, label)
-		printBenchDiff(snap.Benchmarks, base)
-	} else {
-		fmt.Printf("%s has no pre_change_baseline; skipping that comparison\n", path)
-	}
-
-	prev, when := previousHistoryEntry(historyPath, snap.Recorded)
-	if prev == nil {
-		fmt.Printf("\nno earlier entry in %s; history comparison skipped\n", historyPath)
-		return nil
-	}
-	fmt.Printf("\n%s vs history entry %s:\n", path, when)
-	printBenchDiff(snap.Benchmarks, prev)
-
-	if warnPct > 0 {
-		var regressed []string
-		for name, c := range snap.Benchmarks {
-			r, ok := prev[name]
-			if !ok || r.NsPerOp <= 0 {
-				continue
-			}
-			if pct := (c.NsPerOp - r.NsPerOp) / r.NsPerOp * 100; pct > warnPct {
-				regressed = append(regressed, fmt.Sprintf("%s +%.1f%% (%.0f -> %.0f ns/op)", name, pct, r.NsPerOp, c.NsPerOp))
-			}
-		}
-		sort.Strings(regressed)
-		for _, msg := range regressed {
-			fmt.Printf("::warning title=benchmark regression::%s\n", msg)
-		}
-		if len(regressed) > 0 {
-			return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% vs history entry %s", len(regressed), warnPct, when)
-		}
-	}
-	return nil
-}
-
-// previousHistoryEntry returns the benchmarks of the latest history
-// line recorded strictly before cutoff (or the last line when none
-// qualify and the file has >1 entry — the final line is usually the
-// snapshot itself).
-func previousHistoryEntry(historyPath, cutoff string) (map[string]benchResult, string) {
-	raw, err := os.ReadFile(historyPath)
-	if err != nil {
-		return nil, ""
-	}
-	var best map[string]benchResult
-	bestWhen := ""
-	for _, line := range strings.Split(string(raw), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var s benchSnapshot
-		if json.Unmarshal([]byte(line), &s) != nil || len(s.Benchmarks) == 0 {
-			continue
-		}
-		// RFC 3339 strings order lexicographically.
-		if cutoff != "" && s.Recorded >= cutoff {
-			continue
-		}
-		if s.Recorded >= bestWhen {
-			best, bestWhen = s.Benchmarks, s.Recorded
-		}
-	}
-	return best, bestWhen
-}
-
-// printBenchDiff prints per-benchmark deltas of cur against ref.
-func printBenchDiff(cur, ref map[string]benchResult) {
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := cur[name]
-		r, ok := ref[name]
-		if !ok {
-			fmt.Printf("  %-36s %10.0f ns/op  (new)\n", name, c.NsPerOp)
-			continue
-		}
-		pct := 0.0
-		if r.NsPerOp > 0 {
-			pct = (c.NsPerOp - r.NsPerOp) / r.NsPerOp * 100
-		}
-		mark := ""
-		switch {
-		case pct >= 3:
-			mark = "  <-- slower"
-		case pct <= -3:
-			mark = "  <-- faster"
-		}
-		if c.PPS > 0 {
-			mark = fmt.Sprintf("  [%.0f pps]%s", c.PPS, mark)
-		}
-		fmt.Printf("  %-36s %10.0f ns/op  vs %10.0f  (%+.1f%%, allocs %d vs %d)%s\n",
-			name, c.NsPerOp, r.NsPerOp, pct, c.AllocsPerOp, r.AllocsPerOp, mark)
-	}
 }
 
 // formatted runs one experiment and prints its result.

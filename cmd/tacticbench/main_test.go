@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/tactic-icn/tactic/internal/experiment"
@@ -59,5 +60,13 @@ func TestRunInvalidFlags(t *testing.T) {
 	}
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	// The benchmark-snapshot mode is gone (bench/ is the one ledger); its
+	// flags must be unknown, not silently start a run.
+	for _, removed := range []string{"-bench-out", "-bench-history", "-bench-diff", "-bench-warn"} {
+		err := run([]string{removed, "x"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%s x) = %v, want flag-not-defined error", removed, err)
+		}
 	}
 }

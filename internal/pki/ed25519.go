@@ -12,13 +12,12 @@ import (
 // --- Ed25519 scheme ---------------------------------------------------------
 //
 // Ed25519 is the cheaper real-crypto alternative to ECDSA P-256 for tag
-// signatures: verification is roughly 2x faster per operation on
-// amd64 (see BENCH_pipeline.json MicroVerify vs MicroVerifyEd25519) and
-// the scheme admits batch verification. Providers pick their scheme at
-// key-generation time; routers are scheme-agnostic — the registry
-// dispatches on whatever PublicKey implementation is bound to the tag's
-// provider key locator, so a deployment can migrate provider by
-// provider.
+// signatures: one verification costs roughly two thirds of a P-256 one
+// on amd64 (BenchmarkVerify in this package times the pair). Providers
+// pick their scheme at key-generation time; routers are scheme-agnostic
+// — the registry dispatches on whatever PublicKey implementation is
+// bound to the tag's provider key locator, so a deployment can migrate
+// provider by provider.
 
 // Ed25519KeyPair is an Ed25519 signing key bound to a locator.
 type Ed25519KeyPair struct {
@@ -56,10 +55,7 @@ type ed25519PublicKey struct {
 	pub ed25519.PublicKey
 }
 
-var (
-	_ PublicKey      = ed25519PublicKey{}
-	_ BatchPublicKey = ed25519PublicKey{}
-)
+var _ PublicKey = ed25519PublicKey{}
 
 func (p ed25519PublicKey) Verify(msg, sig []byte) error {
 	if len(sig) != ed25519.SignatureSize || !ed25519.Verify(p.pub, msg, sig) {
@@ -70,56 +66,4 @@ func (p ed25519PublicKey) Verify(msg, sig []byte) error {
 
 func (p ed25519PublicKey) Fingerprint() [32]byte {
 	return sha256.Sum256(append([]byte("ed25519:"), p.pub...))
-}
-
-// VerifyBatch checks each (msgs[i], sigs[i]) pair under this key and
-// returns nil iff every signature verifies. Ed25519 admits true batch
-// verification (one multi-scalar multiplication amortised over the
-// batch), but the standard library exposes no batch entry point and
-// this repository adds no dependencies, so the current implementation
-// is the sequential fallback — the seam is what callers program
-// against, and a batch-capable implementation slots in behind it
-// without touching them.
-func (p ed25519PublicKey) VerifyBatch(msgs, sigs [][]byte) error {
-	if len(msgs) != len(sigs) {
-		return fmt.Errorf("pki: batch length mismatch: %d msgs vs %d sigs", len(msgs), len(sigs))
-	}
-	for i := range msgs {
-		if err := p.Verify(msgs[i], sigs[i]); err != nil {
-			return fmt.Errorf("pki: batch item %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// BatchPublicKey is implemented by schemes that can verify several
-// signatures under one key more cheaply than one at a time. Callers
-// must treat a batch failure as "at least one bad signature" and fall
-// back to per-item Verify to attribute blame.
-type BatchPublicKey interface {
-	PublicKey
-	// VerifyBatch returns nil iff every sigs[i] is valid over msgs[i].
-	VerifyBatch(msgs, sigs [][]byte) error
-}
-
-// VerifyBatch resolves the locator once and checks every (msg, sig)
-// pair under it, using the scheme's batch verification when the key
-// implements BatchPublicKey and a sequential loop otherwise.
-func (r *Registry) VerifyBatch(locator names.Name, msgs, sigs [][]byte) error {
-	if len(msgs) != len(sigs) {
-		return fmt.Errorf("pki: batch length mismatch: %d msgs vs %d sigs", len(msgs), len(sigs))
-	}
-	key, err := r.Lookup(locator)
-	if err != nil {
-		return err
-	}
-	if bk, ok := key.(BatchPublicKey); ok {
-		return bk.VerifyBatch(msgs, sigs)
-	}
-	for i := range msgs {
-		if err := key.Verify(msgs[i], sigs[i]); err != nil {
-			return fmt.Errorf("pki: batch item %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // udpPair builds a listener endpoint and one dialed face pointed at it.
-func udpPair(t *testing.T, opts UDPOptions) (*UDPEndpoint, *DatagramFace) {
+func udpPair(t testing.TB, opts UDPOptions) (*UDPEndpoint, *DatagramFace) {
 	t.Helper()
 	ep, err := ListenUDP("127.0.0.1:0", opts)
 	if err != nil {
@@ -29,7 +29,7 @@ func udpPair(t *testing.T, opts UDPOptions) (*UDPEndpoint, *DatagramFace) {
 }
 
 // acceptOne pulls the next face off the endpoint with a timeout.
-func acceptOne(t *testing.T, ep *UDPEndpoint) Face {
+func acceptOne(t testing.TB, ep *UDPEndpoint) Face {
 	t.Helper()
 	type res struct {
 		f   Face

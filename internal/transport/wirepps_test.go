@@ -1,13 +1,14 @@
-package perf
+package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
-	"github.com/tactic-icn/tactic/internal/transport"
 )
 
 // Wire-benchmark knobs. The sender keeps wireWindow pre-encoded frames
@@ -33,9 +34,31 @@ const (
 	wireStallTimeout = 5 * time.Second
 )
 
+// nonceSentinel marks the nonce bytes inside a pre-encoded frame so the
+// patch offset can be located once per frame.
+const nonceSentinel = 0xA5C3A5C3A5C3A5C3
+
+// encodeWithSentinel encodes an Interest carrying the sentinel nonce and
+// returns the frame plus the offset of the 8 nonce bytes.
+func encodeWithSentinel(b *testing.B, i *ndn.Interest) ([]byte, int) {
+	b.Helper()
+	i.Nonce = nonceSentinel
+	frame, err := ndn.EncodeInterest(i)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pat [8]byte
+	binary.BigEndian.PutUint64(pat[:], nonceSentinel)
+	at := bytes.Index(frame, pat[:])
+	if at < 0 || bytes.Contains(frame[at+8:], pat[:]) {
+		b.Fatalf("nonce sentinel not unique in encoded frame")
+	}
+	return frame, at
+}
+
 // wirePair builds the two connected faces for one WirePPS variant:
 // sender dials, receiver accepts.
-func wirePair(b *testing.B, variant string) (sender, receiver transport.Face) {
+func wirePair(b *testing.B, variant string) (sender, receiver Face) {
 	b.Helper()
 	switch variant {
 	case "tcp", "tcp-coalesced":
@@ -61,61 +84,33 @@ func wirePair(b *testing.B, variant string) (sender, receiver transport.Face) {
 		if !ok {
 			b.Fatal("accept failed")
 		}
-		sc := transport.New(cs)
+		sc := New(cs)
 		if variant == "tcp-coalesced" {
 			// Coalesce only the bulk direction: credits must flush
 			// immediately or the sender stalls on flow control.
 			sc.SetCoalesce(wireCoalesceWindow)
 		}
-		rc := transport.New(ss)
+		rc := New(ss)
 		b.Cleanup(func() { sc.Close(); rc.Close() })
 		return sc, rc
 	case "udp", "udp-batched":
-		opts := transport.UDPOptions{DisableBatch: variant == "udp"}
-		ep, err := transport.ListenUDP("127.0.0.1:0", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl, err := transport.DialUDP(ep.Addr().String(), opts)
-		if err != nil {
-			ep.Close()
-			b.Fatal(err)
-		}
+		ep, cl := udpPair(b, UDPOptions{DisableBatch: variant == "udp"})
 		// The listener face materialises on the first datagram: kick it
 		// with a keepalive and accept.
 		if err := cl.SendKeepalive(); err != nil {
 			b.Fatal(err)
 		}
-		type res struct {
-			f   transport.Face
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			f, err := ep.Accept()
-			ch <- res{f, err}
-		}()
-		var srv transport.Face
-		select {
-		case r := <-ch:
-			if r.err != nil {
-				b.Fatal(r.err)
-			}
-			srv = r.f
-		case <-time.After(wireStallTimeout):
-			b.Fatal("udp accept timed out")
-		}
-		b.Cleanup(func() { cl.Close(); ep.Close() })
-		return cl, srv
+		return cl, acceptOne(b, ep)
 	default:
 		b.Fatalf("unknown wire variant %q", variant)
 		return nil, nil
 	}
 }
 
-// WirePPS returns a benchmark body measuring raw wire throughput — one
-// op is one pre-encoded Interest frame delivered (received and decoded)
-// across a real loopback socket — and reporting it as a pps metric.
+// BenchmarkWirePPS measures raw wire throughput — one op is one
+// pre-encoded Interest frame delivered (received and decoded) across a
+// real loopback socket — and reports it as a pps metric; compare it
+// across variants (batched UDP should clear stream TCP by a wide margin).
 // Variants:
 //
 //	tcp           stream framing, the default flush rule (frames sent while
@@ -127,72 +122,76 @@ func wirePair(b *testing.B, variant string) (sender, receiver transport.Face) {
 // Flow control is credit-based (cumulative count every wireCreditEvery
 // frames), so the measurement is syscall + framing cost, not kernel
 // buffer depth or retransmission luck.
-func WirePPS(variant string) func(*testing.B) {
-	return func(b *testing.B) {
-		sender, receiver := wirePair(b, variant)
-		sender.SetIdleTimeout(wireStallTimeout)
-		receiver.SetIdleTimeout(wireStallTimeout)
+func BenchmarkWirePPS(b *testing.B) {
+	for _, variant := range []string{"tcp", "tcp-coalesced", "udp", "udp-batched"} {
+		b.Run(variant, func(b *testing.B) { wirePPS(b, variant) })
+	}
+}
 
-		wireName := names.MustNew("provbench", "obj", "chunk0")
-		frame, _ := encodeWithSentinel(b, &ndn.Interest{
-			Name: wireName, Kind: ndn.KindContent,
-		})
-		credit, creditAt := encodeWithSentinel(b, &ndn.Interest{
-			Name: wireName, Kind: ndn.KindContent,
-		})
+// wirePPS is the body of one BenchmarkWirePPS variant.
+func wirePPS(b *testing.B, variant string) {
+	sender, receiver := wirePair(b, variant)
+	sender.SetIdleTimeout(wireStallTimeout)
+	receiver.SetIdleTimeout(wireStallTimeout)
 
-		recvErr := make(chan error, 1)
-		n := b.N
-		b.ReportAllocs()
-		b.ResetTimer()
+	wireName := names.MustNew("provbench", "obj", "chunk0")
+	frame, _ := encodeWithSentinel(b, &ndn.Interest{
+		Name: wireName, Kind: ndn.KindContent,
+	})
+	credit, creditAt := encodeWithSentinel(b, &ndn.Interest{
+		Name: wireName, Kind: ndn.KindContent,
+	})
 
-		go func() {
-			recvd := 0
-			cl := &benchClient{} // for patchNonce
-			for recvd < n {
-				pkt, err := receiver.Receive()
-				if err != nil {
+	recvErr := make(chan error, 1)
+	n := b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+
+	go func() {
+		recvd := 0
+		for recvd < n {
+			pkt, err := receiver.Receive()
+			if err != nil {
+				recvErr <- err
+				return
+			}
+			if pkt.Interest == nil {
+				continue
+			}
+			recvd++
+			if recvd%wireCreditEvery == 0 || recvd == n {
+				binary.BigEndian.PutUint64(credit[creditAt:creditAt+8], uint64(recvd))
+				if err := receiver.SendFrame(credit); err != nil {
 					recvErr <- err
 					return
 				}
-				if pkt.Interest == nil {
-					continue
-				}
-				recvd++
-				if recvd%wireCreditEvery == 0 || recvd == n {
-					cl.patchNonce(credit, creditAt, uint64(recvd))
-					if err := receiver.SendFrame(credit); err != nil {
-						recvErr <- err
-						return
-					}
-				}
 			}
-			recvErr <- nil
-		}()
+		}
+		recvErr <- nil
+	}()
 
-		sent, acked := 0, 0
-		for sent < n {
-			if sent-acked >= wireWindow {
-				pkt, err := sender.Receive()
-				if err != nil {
-					b.Fatalf("credit wait after %d/%d frames: %v", sent, n, err)
-				}
-				if pkt.Interest != nil && int(pkt.Interest.Nonce) > acked {
-					acked = int(pkt.Interest.Nonce)
-				}
-				continue
+	sent, acked := 0, 0
+	for sent < n {
+		if sent-acked >= wireWindow {
+			pkt, err := sender.Receive()
+			if err != nil {
+				b.Fatalf("credit wait after %d/%d frames: %v", sent, n, err)
 			}
-			if err := sender.SendFrame(frame); err != nil {
-				b.Fatalf("send %d: %v", sent, err)
+			if pkt.Interest != nil && int(pkt.Interest.Nonce) > acked {
+				acked = int(pkt.Interest.Nonce)
 			}
-			sent++
+			continue
 		}
-		if err := <-recvErr; err != nil {
-			b.Fatalf("receiver: %v", err)
+		if err := sender.SendFrame(frame); err != nil {
+			b.Fatalf("send %d: %v", sent, err)
 		}
-		b.StopTimer()
-		if secs := b.Elapsed().Seconds(); secs > 0 {
-			b.ReportMetric(float64(n)/secs, "pps")
-		}
+		sent++
+	}
+	if err := <-recvErr; err != nil {
+		b.Fatalf("receiver: %v", err)
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(n)/secs, "pps")
 	}
 }
