@@ -10,11 +10,13 @@ build:
 	$(GO) build ./...
 
 # The second line fails when a shipped binary links the testing package
-# (benchmarks belong in _test.go files and in bench/): the grep must
-# print nothing.
+# (benchmarks belong in _test.go files and in bench/), the third when a
+# simulator-side package imports the live stack: each grep must print
+# nothing.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
+	! $(GO) list -deps ./internal/experiment ./internal/network ./internal/workload ./internal/sim | grep -E 'internal/(forwarder|transport)$$'
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

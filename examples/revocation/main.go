@@ -76,7 +76,7 @@ func run() error {
 	if _, err := producer.PublishObject("report", 2, []byte("quarterly numbers, confidential"), 1024); err != nil {
 		return err
 	}
-	prodAddr, err := listen(producer.Serve)
+	prodAddr, err := listen(producer.ServeFaces)
 	if err != nil {
 		return err
 	}
@@ -86,7 +86,7 @@ func run() error {
 		return err
 	}
 	defer coreFwd.Close()
-	coreAddr, err := listen(coreFwd.Serve)
+	coreAddr, err := listen(coreFwd.ServeFaces)
 	if err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func run() error {
 		return err
 	}
 	defer edgeFwd.Close()
-	edgeAddr, err := listen(edgeFwd.Serve)
+	edgeAddr, err := listen(edgeFwd.ServeFaces)
 	if err != nil {
 		return err
 	}
@@ -199,8 +199,8 @@ func run() error {
 }
 
 // listen serves on an ephemeral loopback listener.
-func listen(serve func(net.Listener) error) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+func listen(serve func(transport.FaceListener) error) (string, error) {
+	ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		return "", err
 	}

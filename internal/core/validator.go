@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -159,18 +158,13 @@ type ValidatorStats struct {
 // verifications, the paper's most expensive router operation (Fig. 7's
 // "V" series).
 //
-// TagValidator is safe for concurrent use. Concurrent Validate calls for
-// the SAME tag (by cache key) are collapsed through a singleflight: one
-// caller performs the signature verification while the others wait and
-// share its outcome, so a burst of Interests carrying one not-yet-cached
-// tag costs a single verification instead of one per packet. Only the
-// performing caller increments Verifications (and Forged on failure);
-// waiters return the shared result uncounted, keeping the counter equal
-// to the number of signature checks actually executed. The live
-// forwarder groups same-tag Interests in its verify pool before they
-// reach the validator, so there the singleflight serves only the inline
-// callers (aggregated PIT records); the simulator and the producer
-// verify inline throughout.
+// TagValidator is safe for concurrent use, and every Validate that gets
+// past the freshness check performs (and counts) one signature check:
+// Verifications is the number executed. Deduplicating concurrent checks
+// of one tag is the caller's business and happens in one place, the live
+// forwarder's verify pool, which groups same-tag Interests before they
+// reach the validator; the simulator is single-threaded, and the inline
+// callers (aggregated PIT records, the producer) verify per call.
 type TagValidator struct {
 	registry pki.Verifier
 
@@ -181,23 +175,13 @@ type TagValidator struct {
 	inflight      atomic.Int64
 
 	// verifySeconds, when set, receives the latency of every signature
-	// verification performed (waiters collapsed by the singleflight are
-	// not re-observed).
+	// verification performed.
 	verifySeconds atomic.Pointer[obs.Histogram]
-
-	mu    sync.Mutex // guards calls
-	calls map[string]*verifyCall
-}
-
-// verifyCall is one in-flight signature verification.
-type verifyCall struct {
-	done chan struct{}
-	err  error
 }
 
 // NewTagValidator creates a validator over the given trust registry.
 func NewTagValidator(registry pki.Verifier) *TagValidator {
-	return &TagValidator{registry: registry, calls: make(map[string]*verifyCall)}
+	return &TagValidator{registry: registry}
 }
 
 // SetVerifyHistogram attaches a latency histogram observing each
@@ -206,23 +190,11 @@ func (v *TagValidator) SetVerifyHistogram(h *obs.Histogram) { v.verifySeconds.St
 
 // Validate checks the tag end to end: presence, expiry, and the
 // provider's signature. This is the expensive operation that Bloom
-// filters amortise; see the type comment for how concurrent duplicate
-// validations are collapsed.
+// filters amortise.
 func (v *TagValidator) Validate(t *Tag, now time.Time) error {
 	if err := v.CheckFresh(t, now); err != nil {
 		return err
 	}
-	key := string(t.CacheKey())
-	v.mu.Lock()
-	if c, ok := v.calls[key]; ok {
-		v.mu.Unlock()
-		<-c.done
-		return c.err
-	}
-	c := &verifyCall{done: make(chan struct{})}
-	v.calls[key] = c
-	v.mu.Unlock()
-
 	v.verifications.Add(1)
 	v.inflight.Add(1)
 	start := time.Now()
@@ -233,14 +205,9 @@ func (v *TagValidator) Validate(t *Tag, now time.Time) error {
 	v.inflight.Add(-1)
 	if err != nil {
 		v.forged.Add(1)
-		c.err = fmt.Errorf("%w: %w", ErrTagForged, err)
+		return fmt.Errorf("%w: %w", ErrTagForged, err)
 	}
-
-	v.mu.Lock()
-	delete(v.calls, key)
-	v.mu.Unlock()
-	close(c.done)
-	return c.err
+	return nil
 }
 
 // CheckFresh is the cheap half of Validate — presence and expiry,

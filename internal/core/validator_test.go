@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,23 +10,14 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 )
 
-// gateVerifier is a pki.Verifier whose Verify blocks until released,
-// counting calls — it makes the validator's singleflight observable.
-type gateVerifier struct {
-	started chan struct{} // closed-ish: receives one token per Verify entry
-	release chan struct{}
-	calls   atomic.Int32
-	err     error
+// countVerifier is a pki.Verifier that counts its calls and answers err.
+type countVerifier struct {
+	calls atomic.Int32
+	err   error
 }
 
-func (g *gateVerifier) Verify(locator names.Name, msg, sig []byte) error {
+func (g *countVerifier) Verify(locator names.Name, msg, sig []byte) error {
 	g.calls.Add(1)
-	if g.started != nil {
-		g.started <- struct{}{}
-	}
-	if g.release != nil {
-		<-g.release
-	}
 	return g.err
 }
 
@@ -41,60 +31,10 @@ func testTag(user string) *Tag {
 	}
 }
 
-// TestValidatorSingleflightExactlyOnce holds one verification open while
-// N more Validate calls for the same tag arrive; they must all wait on
-// the in-flight call and share its outcome, for exactly one signature
-// check in total.
-func TestValidatorSingleflightExactlyOnce(t *testing.T) {
-	g := &gateVerifier{started: make(chan struct{}, 1), release: make(chan struct{})}
-	v := NewTagValidator(g)
-	tag := testTag("alice")
-	now := time.Now()
-
-	leaderDone := make(chan error, 1)
-	go func() { leaderDone <- v.Validate(tag, now) }()
-	<-g.started // the leader is inside Verify and holds the call open
-
-	const waiters = 16
-	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = v.Validate(tag, now)
-		}(i)
-	}
-
-	// Give the waiters time to park on the in-flight call, then let the
-	// leader finish.
-	time.Sleep(50 * time.Millisecond)
-	close(g.release)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader Validate: %v", err)
-	}
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("waiter %d: %v", i, err)
-		}
-	}
-	if got := g.calls.Load(); got != 1 {
-		t.Fatalf("verifier called %d times, want exactly 1", got)
-	}
-	if got := v.Verifications(); got != 1 {
-		t.Fatalf("Verifications() = %d, want 1 (waiters must not be counted)", got)
-	}
-	if got := v.InFlight(); got != 0 {
-		t.Fatalf("InFlight() = %d after quiescence, want 0", got)
-	}
-}
-
-// TestValidatorDistinctTagsNotCollapsed checks the singleflight keys on
-// the tag's cache key: different tags verify independently.
+// TestValidatorDistinctTagsNotCollapsed checks that every Validate is a
+// signature check of its own, counted once and finished on return.
 func TestValidatorDistinctTagsNotCollapsed(t *testing.T) {
-	g := &gateVerifier{}
+	g := &countVerifier{}
 	v := NewTagValidator(g)
 	now := time.Now()
 	if err := v.Validate(testTag("alice"), now); err != nil {
@@ -106,14 +46,20 @@ func TestValidatorDistinctTagsNotCollapsed(t *testing.T) {
 	if got := g.calls.Load(); got != 2 {
 		t.Fatalf("verifier called %d times for two distinct tags, want 2", got)
 	}
+	if got := v.Verifications(); got != 2 {
+		t.Fatalf("Verifications() = %d, want 2: one per signature check executed", got)
+	}
+	if got := v.InFlight(); got != 0 {
+		t.Fatalf("InFlight() = %d after quiescence, want 0", got)
+	}
 }
 
 // TestValidatorFailureNotCached checks that a failed verification is
-// shared with concurrent waiters but never cached: the next Validate
-// after the call retires re-verifies. (Forged tags must keep failing
-// loudly, not be remembered as cheap rejections an attacker could probe.)
+// never cached: the next Validate re-verifies. (Forged tags must keep
+// failing loudly, not be remembered as cheap rejections an attacker
+// could probe.)
 func TestValidatorFailureNotCached(t *testing.T) {
-	g := &gateVerifier{err: errors.New("bad signature")}
+	g := &countVerifier{err: errors.New("bad signature")}
 	v := NewTagValidator(g)
 	tag := testTag("mallory")
 	now := time.Now()

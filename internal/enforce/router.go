@@ -16,8 +16,9 @@ import (
 // engine's OnRevocation hook.
 //
 // Router is safe for concurrent use: the Bloom filter is internally
-// atomic, the validator serialises duplicate verifications through a
-// singleflight, and the TACTIC backend's randomness stream is guarded
+// atomic, the validator keeps only atomic counters (duplicate
+// verifications of one tag are merged before it, in the live verify
+// pool), and the TACTIC backend's randomness stream is guarded
 // by a mutex (the only lock a decision function can take, held for one
 // Float64 draw). The discrete-event simulator still serialises all
 // accesses, so its deterministic rng draw order is unchanged.

@@ -28,7 +28,7 @@ type liveNode struct {
 	reg    *obs.Registry
 	ev     *obs.Events
 	health *obs.Health
-	ln     net.Listener // forwarding listener
+	ln     transport.FaceListener // forwarding listener
 	admin  net.Listener
 }
 
@@ -64,11 +64,11 @@ func startLiveNode(t *testing.T, name string, role forwarder.Role, reg *pki.Regi
 	n.fwd = fwd
 	n.health = obs.NewHealth(n.reg, name, hcfg, n.ev)
 
-	n.ln, err = net.Listen("tcp", "127.0.0.1:0")
+	n.ln, err = transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go fwd.Serve(n.ln) //nolint:errcheck // exits on close
+	go fwd.ServeFaces(n.ln) //nolint:errcheck // exits on close
 
 	mux := obs.NewAdminMux(n.reg, func() any { return fwd.Status() })
 	obs.AttachEventz(mux, n.ev)

@@ -61,8 +61,8 @@ plain 7
 	if byKey["plain"].Value != 7 {
 		t.Fatalf("bare sample missing")
 	}
-	if v, ok := MaxFamily(exp, "lat_count"); !ok || v != 5 {
-		t.Fatalf("MaxFamily lat_count = %v %v", v, ok)
+	if byKey["lat_count"].Value != 5 {
+		t.Fatalf("histogram count sample missing: %v", byKey)
 	}
 }
 

@@ -200,16 +200,3 @@ func baseFamily(name string, types map[string]string) string {
 	}
 	return name
 }
-
-// MaxFamily returns the largest sample of one family, and whether any
-// sample matched.
-func MaxFamily(exp *Exposition, name string) (float64, bool) {
-	var max float64
-	found := false
-	for _, s := range exp.Samples {
-		if s.Name == name && (!found || s.Value > max) {
-			max, found = s.Value, true
-		}
-	}
-	return max, found
-}

@@ -340,7 +340,7 @@ func (c *Client) Fetch(name names.Name, timeout time.Duration) (*core.Content, e
 	attempt := 0
 	d, err := c.awaitRetry(func(nonce uint64) *ndn.Interest {
 		if sp != nil && attempt > 0 {
-			sp.Event("retransmit", "attempt "+itoa(attempt))
+			sp.Event("retransmit", "attempt "+strconv.Itoa(attempt))
 		}
 		attempt++
 		return &ndn.Interest{
@@ -370,7 +370,7 @@ func (c *Client) Fetch(name names.Name, timeout time.Duration) (*core.Content, e
 	}
 	c.fetchOK.Add(1)
 	if sp != nil && d.Trace.Valid() {
-		sp.Event("response", "path_hops "+itoa(int(d.Trace.Hops)))
+		sp.Event("response", "path_hops "+strconv.Itoa(int(d.Trace.Hops)))
 	}
 	endTrace(sp, nil)
 	return d.Content, nil
@@ -401,7 +401,7 @@ func (c *Client) Stats() ClientStats {
 }
 
 // Instrument exposes the client's outcome counters on reg, labelled
-// with the client's node ID, and wires its connection's frame counters.
+// with the client's node ID, and its connection's frame counters.
 // Safe on a nil registry.
 func (c *Client) Instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -422,15 +422,7 @@ func (c *Client) Instrument(reg *obs.Registry) {
 	reg.CounterFunc(MetricRegistrations, sampled(&c.regFailed), role, node, obs.L("result", "failed"))
 	reg.Help(MetricClientRetransmits, "Interests resent after a per-attempt timeout.")
 	reg.CounterFunc(MetricClientRetransmits, sampled(&c.retransmits), role, node)
-	in, out := obs.L("dir", "in"), obs.L("dir", "out")
-	c.conn.SetMetrics(&transport.Metrics{
-		FramesIn:  reg.Counter(MetricFaceFrames, role, node, in),
-		FramesOut: reg.Counter(MetricFaceFrames, role, node, out),
-		BytesIn:   reg.Counter(MetricFaceBytes, role, node, in),
-		BytesOut:  reg.Counter(MetricFaceBytes, role, node, out),
-		Errors:    reg.Counter(MetricFaceErrors, role, node),
-		Flushes:   reg.Counter(MetricFaceFlushes, role, node),
-	})
+	faceStatSeries(reg, c.conn.Stats, true, role, node)
 }
 
 // DefaultWindow is FetchObject's outstanding-request window — the
@@ -486,7 +478,7 @@ func (c *Client) FetchObjectWindowed(base names.Name, window int, timeout time.D
 		go func() {
 			defer wg.Done()
 			for chunk := range work {
-				name := base.MustAppend("chunk" + itoa(chunk))
+				name := base.MustAppend("chunk" + strconv.Itoa(chunk))
 				content, err := c.Fetch(name, timeout)
 				if err != nil {
 					results <- result{chunk: chunk, err: err}

@@ -1,6 +1,7 @@
 package forwarder
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/bloom"
@@ -44,7 +45,7 @@ func (f *Forwarder) handleControl(m *ndn.Control, from *faceState) {
 			return
 		}
 		f.m.control(m.Kind, ctrlApplied)
-		f.ev.Emit(obs.EventRevocation, int(from.id), "v"+itoa(int(m.Version))+" from "+m.Origin, uint64(len(m.Revoked)))
+		f.ev.Emit(obs.EventRevocation, int(from.id), "v"+strconv.Itoa(int(m.Version))+" from "+m.Origin, uint64(len(m.Revoked)))
 		f.logf("control: revocation set v%d (%d entries, full=%v) from %q", m.Version, len(m.Revoked), m.Full, m.Origin)
 		f.flushRevokedParked()
 		f.floodControl(m, from.id)
@@ -103,7 +104,7 @@ func (f *Forwarder) ApplyRevocation(version uint64, full bool, revoked []core.Ta
 		return false
 	}
 	f.m.control(ndn.CtrlRevoke, ctrlApplied)
-	f.ev.Emit(obs.EventRevocation, -1, "v"+itoa(int(version))+" local", uint64(len(revoked)))
+	f.ev.Emit(obs.EventRevocation, -1, "v"+strconv.Itoa(int(version))+" local", uint64(len(revoked)))
 	f.flushRevokedParked()
 	f.floodControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Origin: f.cfg.ID, Full: full, Revoked: revoked}, ndn.FaceNone)
 	return true

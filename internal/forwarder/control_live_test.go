@@ -181,12 +181,12 @@ func TestLiveNeighborBFSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer edge2.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go edge2.Serve(ln) //nolint:errcheck // exits on close
+	go edge2.ServeFaces(ln) //nolint:errcheck // exits on close
 	up, err := edge2.DialUpstream(n.coreAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -249,12 +249,12 @@ func TestLivePeriodicBFSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer edge2.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go edge2.Serve(ln) //nolint:errcheck // exits on close
+	go edge2.ServeFaces(ln) //nolint:errcheck // exits on close
 
 	peer, err := n.edgeFwd.DialUpstream(ln.Addr().String())
 	if err != nil {

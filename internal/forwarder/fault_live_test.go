@@ -36,10 +36,10 @@ type faultNet struct {
 
 	coreAddr string
 	coreFwd  *Forwarder
-	coreLn   net.Listener
+	coreLn   transport.FaceListener
 
 	edgeFwd  *Forwarder
-	edgeLn   net.Listener
+	edgeLn   transport.FaceListener
 	edgeAddr string
 	edgeObs  *obs.Registry
 	uplink   *Uplink
@@ -83,11 +83,11 @@ func startFaultNetCfg(t *testing.T, dial func(string) (net.Conn, error), mod fun
 		t.Fatal(err)
 	}
 
-	prodLn, err := net.Listen("tcp", "127.0.0.1:0")
+	prodLn, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go fn.producer.Serve(prodLn) //nolint:errcheck // exits on close
+	go fn.producer.ServeFaces(prodLn) //nolint:errcheck // exits on close
 	fn.prodAddr = prodLn.Addr().String()
 	fn.cleanup = append(fn.cleanup, func() { prodLn.Close(); fn.producer.Close() })
 
@@ -105,11 +105,11 @@ func startFaultNetCfg(t *testing.T, dial func(string) (net.Conn, error), mod fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn.edgeLn, err = net.Listen("tcp", "127.0.0.1:0")
+	fn.edgeLn, err = transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go fn.edgeFwd.Serve(fn.edgeLn) //nolint:errcheck
+	go fn.edgeFwd.ServeFaces(fn.edgeLn) //nolint:errcheck
 	fn.edgeAddr = fn.edgeLn.Addr().String()
 	fn.uplink, err = fn.edgeFwd.ManageUpstream(UplinkConfig{
 		Addr: fn.coreAddr, Routes: []names.Name{fn.prefix}, Retry: fastRetry, Dial: dial,
@@ -135,11 +135,11 @@ func (fn *faultNet) startCore(addr string) {
 	if err != nil {
 		fn.t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := transport.ListenFace(addr, transport.UDPOptions{})
 	if err != nil {
 		fn.t.Fatal(err)
 	}
-	go fwd.Serve(ln) //nolint:errcheck
+	go fwd.ServeFaces(ln) //nolint:errcheck
 	up, err := fwd.ManageUpstream(UplinkConfig{
 		Addr: fn.prodAddr, Routes: []names.Name{fn.prefix}, Retry: fastRetry,
 	})
@@ -197,7 +197,7 @@ func (fn *faultNet) enrolledClient(name string) *Client {
 func fetchRange(c *Client, prefix names.Name, from, to int, timeout time.Duration) int {
 	ok := 0
 	for i := from; i < to; i++ {
-		if _, err := c.Fetch(prefix.MustAppend("soak", "chunk"+itoa(i)), timeout); err == nil {
+		if _, err := c.Fetch(prefix.MustAppend("soak", "chunk"+strconv.Itoa(i)), timeout); err == nil {
 			ok++
 		}
 	}
@@ -244,7 +244,7 @@ func TestLiveFailoverSoak(t *testing.T) {
 	fn := startFaultNet(t, nil)
 	defer fn.Close()
 
-	admin, err := obs.ServeAdmin("127.0.0.1:0", fn.edgeObs, func() any { return fn.edgeFwd.Status() })
+	admin, err := obs.Serve("127.0.0.1:0", obs.NewAdminMux(fn.edgeObs, func() any { return fn.edgeFwd.Status() }))
 	if err != nil {
 		t.Fatal(err)
 	}

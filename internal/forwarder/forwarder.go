@@ -23,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -134,6 +132,8 @@ type faceState struct {
 	// after the face is detached — managed uplinks use it to trigger
 	// reconnection.
 	onDown func()
+	// series are the face's registry series (see exposeFace).
+	series []faceSeries
 }
 
 // Forwarder is a real-time TACTIC router.
@@ -306,13 +306,9 @@ func (f *Forwarder) addFace(conn transport.Face, downstream bool, onDown func())
 	id := f.next
 	f.next++
 	fs := &faceState{id: id, conn: conn, downstream: downstream, onDown: onDown}
+	f.exposeFace(fs) // before the face can be found: detaching reads fs.series
 	f.faces[id] = fs
 	f.mu.Unlock()
-	_, datagram := conn.(*transport.DatagramFace)
-	tm := f.m.faceMetrics(id, downstream, datagram)
-	tm.Events = f.ev
-	tm.Face = int(id)
-	conn.SetMetrics(tm)
 	f.ev.Emit(obs.EventFaceUp, int(id), faceAttr(conn, downstream), 0)
 
 	f.wg.Add(1)
@@ -380,7 +376,7 @@ func (f *Forwarder) removeFace(id ndn.FaceID) {
 	if n := f.vp.flushFace(id, core.ErrOverload); n > 0 {
 		f.logf("face %d: flushed %d parked verifications", id, n)
 	}
-	fs.conn.Close()
+	f.release(fs)
 	f.ev.Emit(obs.EventFaceDown, int(id), faceAttr(fs.conn, fs.downstream), 0)
 	f.logf("face %d closed", id)
 	if fs.onDown != nil {
@@ -404,36 +400,10 @@ func (f *Forwarder) DialUpstream(addr string) (ndn.FaceID, error) {
 	return f.AddFace(face, false), nil
 }
 
-// Serve accepts downstream connections until the listener closes.
-func (f *Forwarder) Serve(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-f.closed:
-				return nil
-			default:
-				return err
-			}
-		}
-		f.AddFace(transport.New(conn), true)
-	}
-}
-
 // ServeFaces accepts downstream faces from any FaceListener — a stream
 // listener or a UDP endpoint, whose faces appear on the first datagram
 // from each new remote — until the listener closes.
 func (f *Forwarder) ServeFaces(l transport.FaceListener) error {
-	if ep, ok := l.(*transport.UDPEndpoint); ok {
-		// Demux-created faces process datagrams before Accept hands them
-		// to addFace (which attaches the per-face-ID series); a shared
-		// interim Metrics keyed face="demux" counts that window so no
-		// traffic is invisible to the registry.
-		demux := f.m.demuxMetrics()
-		demux.Events = f.ev
-		demux.Face = -1
-		ep.SetMetricsFactory(func(netip.AddrPort) *transport.Metrics { return demux })
-	}
 	for {
 		face, err := l.Accept()
 		if err != nil {
@@ -466,7 +436,7 @@ func (f *Forwarder) Close() error {
 	}
 	f.mu.Lock()
 	for id, fs := range f.faces {
-		fs.conn.Close()
+		f.release(fs)
 		delete(f.faces, id)
 	}
 	f.mu.Unlock()

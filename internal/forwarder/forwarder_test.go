@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -81,8 +82,8 @@ func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *o
 		t.Fatal(err)
 	}
 
-	listen := func(serve func(net.Listener) error) string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	listen := func(serve func(transport.FaceListener) error) string {
+		ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *o
 		return ln.Addr().String()
 	}
 
-	prodAddr := listen(n.producer.Serve)
+	prodAddr := listen(n.producer.ServeFaces)
 	n.cleanup = append(n.cleanup, func() { n.producer.Close() })
 
 	coreCfg := Config{ID: "core-0", Role: RoleCore, Registry: n.registry, Seed: 1, Obs: coreObs}
@@ -102,7 +103,7 @@ func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *o
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreAddr := listen(n.coreFwd.Serve)
+	coreAddr := listen(n.coreFwd.ServeFaces)
 	n.coreAddr = coreAddr
 	n.cleanup = append(n.cleanup, func() { n.coreFwd.Close() })
 	up, err := n.coreFwd.DialUpstream(prodAddr)
@@ -119,7 +120,7 @@ func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *o
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.edgeAddr = listen(n.edgeFwd.Serve)
+	n.edgeAddr = listen(n.edgeFwd.ServeFaces)
 	n.cleanup = append(n.cleanup, func() { n.edgeFwd.Close() })
 	up, err = n.edgeFwd.DialUpstream(coreAddr)
 	if err != nil {
@@ -328,7 +329,7 @@ func TestLiveClientSharedAcrossGoroutines(t *testing.T) {
 	for g := 0; g < 3; g++ {
 		g := g
 		go func() {
-			name := n.prefix.MustAppend("report", "chunk"+itoa(g))
+			name := n.prefix.MustAppend("report", "chunk"+strconv.Itoa(g))
 			_, err := alice.Fetch(name, liveTimeout)
 			errc <- err
 		}()

@@ -1,6 +1,7 @@
 package forwarder
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/bloom"
@@ -12,8 +13,7 @@ import (
 
 // Metric names exported by the live stack (see README "Operating &
 // monitoring"). Shared between the forwarder, the producer, and the
-// simulator bridge in internal/experiment so a dashboard reads one
-// vocabulary regardless of the source.
+// client so a dashboard reads one vocabulary regardless of the source.
 const (
 	MetricInterests     = "tactic_interests_total"
 	MetricData          = "tactic_data_total"
@@ -249,58 +249,80 @@ func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
 // drop counts one drop under its cause label.
 func (m *obsMetrics) drop(cause string) { m.drops[cause].Inc() }
 
-// faceMetrics builds the per-face transport counters. datagram adds the
-// UDP-plane series (fragments, reassembly, evictions, oversize) that
-// only datagram faces bump.
-func (m *obsMetrics) faceMetrics(id ndn.FaceID, downstream, datagram bool) *transport.Metrics {
+// faceSeries is one registry series of a face: a scrape-time view of a
+// number the face (or its socket) counts itself.
+type faceSeries struct {
+	name   string
+	labels []obs.Label
+	read   func() float64
+}
+
+// faceStatSeries registers what transport.Stats counts under labels —
+// the forwarder's per-face labels or the client's node label — so the
+// series and Stats() are one ledger read twice. stats is the face's
+// Stats method; flushes adds the counter only stream faces move.
+func faceStatSeries(reg *obs.Registry, stats func() transport.Stats, flushes bool, labels ...obs.Label) []faceSeries {
+	in, out := obs.L("dir", "in"), obs.L("dir", "out")
+	ss := []faceSeries{
+		{MetricFaceFrames, []obs.Label{in}, func() float64 { return float64(stats().FramesIn) }},
+		{MetricFaceFrames, []obs.Label{out}, func() float64 { return float64(stats().FramesOut) }},
+		{MetricFaceBytes, []obs.Label{in}, func() float64 { return float64(stats().BytesIn) }},
+		{MetricFaceBytes, []obs.Label{out}, func() float64 { return float64(stats().BytesOut) }},
+		{MetricFaceErrors, nil, func() float64 { return float64(stats().Errors) }},
+	}
+	if flushes {
+		ss = append(ss, faceSeries{MetricFaceFlushes, nil, func() float64 { return float64(stats().Flushes) }})
+	}
+	return registerSeries(reg, ss, labels)
+}
+
+// registerSeries registers each series under labels plus its own.
+func registerSeries(reg *obs.Registry, ss []faceSeries, labels []obs.Label) []faceSeries {
+	for i := range ss {
+		ss[i].labels = append(append([]obs.Label(nil), labels...), ss[i].labels...)
+		reg.CounterFunc(ss[i].name, ss[i].read, ss[i].labels...)
+	}
+	return ss
+}
+
+// exposeFace registers the face's series (role, face, link labels) and
+// hands the face its non-counter hooks. An upstream datagram face was
+// dialed, so it owns its socket and the socket's datagram-plane counters
+// get per-face series too; a downstream one shares its listener's, which
+// UDPEndpoint.Instrument exposes once for the endpoint.
+func (f *Forwarder) exposeFace(fs *faceState) {
+	m := f.m
 	link := "upstream"
-	if downstream {
+	if fs.downstream {
 		link = "downstream"
 	}
-	face := obs.L("face", itoa(int(id)))
-	kind := obs.L("link", link)
-	in, out := obs.L("dir", "in"), obs.L("dir", "out")
-	tm := &transport.Metrics{
-		FramesIn:      m.reg.Counter(MetricFaceFrames, m.role, face, kind, in),
-		FramesOut:     m.reg.Counter(MetricFaceFrames, m.role, face, kind, out),
-		BytesIn:       m.reg.Counter(MetricFaceBytes, m.role, face, kind, in),
-		BytesOut:      m.reg.Counter(MetricFaceBytes, m.role, face, kind, out),
-		Errors:        m.reg.Counter(MetricFaceErrors, m.role, face, kind),
-		DecodeSeconds: m.stageDecode,
-	}
-	if datagram {
+	labels := []obs.Label{m.role, obs.L("face", strconv.Itoa(int(fs.id))), obs.L("link", link)}
+	df, datagram := fs.conn.(*transport.DatagramFace)
+	fs.series = faceStatSeries(m.reg, fs.conn.Stats, !datagram, labels...)
+	if datagram && !fs.downstream {
 		m.reg.Help(transport.MetricUDPFragments, "Fragment datagrams moved, by direction.")
 		m.reg.Help(transport.MetricUDPReassembled, "Frames completed from fragment reassembly.")
 		m.reg.Help(transport.MetricUDPReassemblyEvictions, "Partial packets evicted before reassembly completed (timeout or slot pressure).")
 		m.reg.Help(transport.MetricUDPRxOversize, "UDP datagrams truncated and dropped for exceeding the receive buffer (MTU mismatch).")
-		tm.FragmentsIn = m.reg.Counter(transport.MetricUDPFragments, m.role, face, kind, in)
-		tm.FragmentsOut = m.reg.Counter(transport.MetricUDPFragments, m.role, face, kind, out)
-		tm.Reassembled = m.reg.Counter(transport.MetricUDPReassembled, m.role, face, kind)
-		tm.ReassemblyEvictions = m.reg.Counter(transport.MetricUDPReassemblyEvictions, m.role, face, kind)
-		tm.Oversize = m.reg.Counter(transport.MetricUDPRxOversize, m.role, face, kind)
-	} else {
-		tm.Flushes = m.reg.Counter(MetricFaceFlushes, m.role, face, kind)
+		fs.series = append(fs.series, registerSeries(m.reg, []faceSeries{
+			{transport.MetricUDPFragments, []obs.Label{obs.L("dir", "in")}, func() float64 { in, _ := df.Fragments(); return float64(in) }},
+			{transport.MetricUDPFragments, []obs.Label{obs.L("dir", "out")}, func() float64 { _, out := df.Fragments(); return float64(out) }},
+			{transport.MetricUDPReassembled, nil, func() float64 { return float64(df.Reassembled()) }},
+			{transport.MetricUDPReassemblyEvictions, nil, func() float64 { return float64(df.ReassemblyEvictions()) }},
+			{transport.MetricUDPRxOversize, nil, func() float64 { return float64(df.Oversize()) }},
+		}, labels)...)
 	}
-	return tm
+	fs.conn.SetMetrics(&transport.Metrics{DecodeSeconds: m.stageDecode, Events: f.ev, Face: int(fs.id)})
 }
 
-// demuxMetrics builds the shared interim Metrics for faces the UDP
-// endpoint demuxes before Accept hands them to addFace. One series set
-// keyed face="demux" (not the remote address) keeps label cardinality
-// bounded no matter how many remotes connect.
-func (m *obsMetrics) demuxMetrics() *transport.Metrics {
-	face := obs.L("face", "demux")
-	in, out := obs.L("dir", "in"), obs.L("dir", "out")
-	return &transport.Metrics{
-		FramesIn:            m.reg.Counter(MetricFaceFrames, m.role, face, obs.L("link", "downstream"), in),
-		BytesIn:             m.reg.Counter(MetricFaceBytes, m.role, face, obs.L("link", "downstream"), in),
-		Errors:              m.reg.Counter(MetricFaceErrors, m.role, face, obs.L("link", "downstream")),
-		DecodeSeconds:       m.stageDecode,
-		FragmentsIn:         m.reg.Counter(transport.MetricUDPFragments, m.role, face, in),
-		FragmentsOut:        m.reg.Counter(transport.MetricUDPFragments, m.role, face, out),
-		Reassembled:         m.reg.Counter(transport.MetricUDPReassembled, m.role, face),
-		ReassemblyEvictions: m.reg.Counter(transport.MetricUDPReassemblyEvictions, m.role, face),
-		Oversize:            m.reg.Counter(transport.MetricUDPRxOversize, m.role, face),
+// release closes a detached face and re-points its series at their last
+// values: the series outlive the face (a counter never disappears from
+// /metrics), and must not keep its buffers alive through their callbacks.
+func (f *Forwarder) release(fs *faceState) {
+	fs.conn.Close()
+	for _, s := range fs.series {
+		last := s.read()
+		f.m.reg.CounterFunc(s.name, func() float64 { return last }, s.labels...)
 	}
 }
 

@@ -3,6 +3,7 @@ package forwarder
 import (
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -119,7 +120,7 @@ func (p *Producer) PublishObject(object string, level core.AccessLevel, payload 
 		if end > len(payload) {
 			end = len(payload)
 		}
-		name := base.MustAppend("chunk" + itoa(chunks))
+		name := base.MustAppend("chunk" + strconv.Itoa(chunks))
 		content, err := p.provider.Publish(name, level, payload[off:end])
 		if err != nil {
 			return chunks, err
@@ -127,45 +128,12 @@ func (p *Producer) PublishObject(object string, level core.AccessLevel, payload 
 		p.AddContent(content)
 		chunks++
 	}
-	manifest, err := p.provider.Publish(base.MustAppend("manifest"), level, []byte(itoa(chunks)))
+	manifest, err := p.provider.Publish(base.MustAppend("manifest"), level, []byte(strconv.Itoa(chunks)))
 	if err != nil {
 		return chunks, err
 	}
 	p.AddContent(manifest)
 	return chunks, nil
-}
-
-// itoa is a minimal integer formatter (avoids strconv in the hot path).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// Serve accepts connections until the listener closes.
-func (p *Producer) Serve(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-p.closed:
-				return nil
-			default:
-				return err
-			}
-		}
-		c := transport.New(conn)
-		p.wg.Add(1)
-		go p.serveConn(c)
-	}
 }
 
 // ServeFaces accepts faces from any FaceListener — a stream listener

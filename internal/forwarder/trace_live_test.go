@@ -3,7 +3,6 @@ package forwarder
 import (
 	"crypto/rand"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
+	"github.com/tactic-icn/tactic/internal/transport"
 )
 
 // assembleRecorders pours every node's flight recorder into one
@@ -169,8 +169,8 @@ func TestTraceEndToEnd(t *testing.T) {
 			cleanup[i]()
 		}
 	}()
-	listen := func(serve func(net.Listener) error) string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	listen := func(serve func(transport.FaceListener) error) string {
+		ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	prodTracer := newTracer("prod-0", "producer")
 	producer.SetTracer(prodTracer)
-	prodAddr := listen(producer.Serve)
+	prodAddr := listen(producer.ServeFaces)
 	cleanup = append(cleanup, func() { producer.Close() })
 
 	coreTracer := newTracer("core-0", "core")
@@ -194,7 +194,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coreAddr := listen(coreFwd.Serve)
+	coreAddr := listen(coreFwd.ServeFaces)
 	cleanup = append(cleanup, func() { coreFwd.Close() })
 	up, err := coreFwd.DialUpstream(prodAddr)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edgeAddrs[i] = listen(fwd.Serve)
+		edgeAddrs[i] = listen(fwd.ServeFaces)
 		cleanup = append(cleanup, func() { fwd.Close() })
 		up, err := fwd.DialUpstream(coreAddr)
 		if err != nil {

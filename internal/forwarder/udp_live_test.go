@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -212,7 +213,7 @@ func TestLiveUDPFetch(t *testing.T) {
 	// Then the fragmented path: 4000 B chunks over a 1400 B MTU.
 	delivered := 0
 	for i := 0; i < 12; i++ {
-		content, err := alice.Fetch(un.prefix.MustAppend("big", "chunk"+itoa(i)), 2*time.Second)
+		content, err := alice.Fetch(un.prefix.MustAppend("big", "chunk"+strconv.Itoa(i)), 2*time.Second)
 		if err != nil {
 			t.Logf("big chunk%d: %v", i, err)
 			continue

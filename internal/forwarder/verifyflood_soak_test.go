@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,7 +76,7 @@ func TestSoakVerifyFlood(t *testing.T) {
 		defer clients[i].Close()
 		// Warm victim i's chunk into the edge CS and its tag into the
 		// BF, so the measured phases below run the pure hit path.
-		if _, err := clients[i].Fetch(fn.prefix.MustAppend("soak", "chunk"+itoa(i)), 2*time.Second); err != nil {
+		if _, err := clients[i].Fetch(fn.prefix.MustAppend("soak", "chunk"+strconv.Itoa(i)), 2*time.Second); err != nil {
 			t.Fatalf("victim %d warmup: %v", i, err)
 		}
 	}
@@ -89,7 +90,7 @@ func TestSoakVerifyFlood(t *testing.T) {
 			wg.Add(1)
 			go func(i int, cl *Client) {
 				defer wg.Done()
-				name := fn.prefix.MustAppend("soak", "chunk"+itoa(i))
+				name := fn.prefix.MustAppend("soak", "chunk"+strconv.Itoa(i))
 				lat := make([]time.Duration, 0, perPhase)
 				for k := 0; k < perPhase; k++ {
 					start := time.Now()

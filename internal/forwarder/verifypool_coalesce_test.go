@@ -360,7 +360,7 @@ func TestVerifyPoolCoalescedIsObservable(t *testing.T) {
 	e.gate.release()
 	e.collectNACKs(a, 1)
 	e.collectNACKs(b, 2)
-	waitFor(t, "spans to end", func() bool { return rec.Total() == 3 })
+	waitFor(t, "spans to end", func() bool { return len(rec.Snapshot()) == 3 })
 
 	snap := reg.Snapshot()
 	if got := snap[MetricVerifyCoalesced+`{role="edge"}`]; got != 2 {

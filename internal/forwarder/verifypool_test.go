@@ -97,11 +97,11 @@ func newVPEnvCfg(t *testing.T, workers, budget int, mod func(cfg *Config)) *vpEn
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go fwd.Serve(ln) //nolint:errcheck // exits on close
+	go fwd.ServeFaces(ln) //nolint:errcheck // exits on close
 	t.Cleanup(func() {
 		gate.release()
 		// Every test must leave the pool empty: no job parked, no face

@@ -51,7 +51,7 @@ func (ts *TimeSeries) Observe(elapsed time.Duration, value float64) {
 }
 
 // Add accumulates a delta into the bucket sum without recording a
-// sample, so event-rate series (Sums/Rates) stay correct when a single
+// sample, so event-count series (Sums) stay correct when a single
 // event carries a multi-unit delta, and Averages still reflects only
 // Observe'd samples.
 func (ts *TimeSeries) Add(elapsed time.Duration, delta float64) {
@@ -79,17 +79,6 @@ func (ts *TimeSeries) Averages() []float64 {
 func (ts *TimeSeries) Sums() []float64 {
 	out := make([]float64, len(ts.sums))
 	copy(out, ts.sums)
-	return out
-}
-
-// Rates returns per-bucket totals divided by the bucket width in
-// seconds — events per second.
-func (ts *TimeSeries) Rates() []float64 {
-	sec := ts.bucket.Seconds()
-	out := make([]float64, len(ts.sums))
-	for i := range ts.sums {
-		out[i] = ts.sums[i] / sec
-	}
 	return out
 }
 

@@ -40,10 +40,6 @@ func TestTimeSeriesRatesAndSums(t *testing.T) {
 	if sums[0] != 2 || sums[1] != 1 {
 		t.Errorf("sums = %v", sums)
 	}
-	rates := ts.Rates()
-	if rates[0] != 1 || rates[1] != 0.5 {
-		t.Errorf("rates = %v", rates)
-	}
 }
 
 func TestTimeSeriesAddDoesNotCountSamples(t *testing.T) {
@@ -66,9 +62,6 @@ func TestTimeSeriesAddDoesNotCountSamples(t *testing.T) {
 	}
 	if got := ts.Averages()[1]; !math.IsNaN(got) {
 		t.Errorf("Add-only bucket average = %v, want NaN (Add must not record samples)", got)
-	}
-	if got := ts.Rates()[1]; got != 8 {
-		t.Errorf("Add-only bucket rate = %v/s, want 8", got)
 	}
 }
 

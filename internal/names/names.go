@@ -124,9 +124,6 @@ func (n Name) String() string {
 // Len reports the number of components.
 func (n Name) Len() int { return len(n.components) }
 
-// IsRoot reports whether the name has no components.
-func (n Name) IsRoot() bool { return len(n.components) == 0 }
-
 // Component returns the i-th component. It panics if i is out of range,
 // matching slice semantics.
 func (n Name) Component(i int) string { return n.components[i] }
@@ -178,12 +175,6 @@ func (n Name) Prefix(k int) Name {
 		cut += 1 + len(c)
 	}
 	return Name{components: n.components[:k], key: n.key[:cut]}
-}
-
-// Parent returns the name with its last component removed. The parent of
-// the root is the root.
-func (n Name) Parent() Name {
-	return n.Prefix(len(n.components) - 1)
 }
 
 // Equal reports whether two names have identical components.

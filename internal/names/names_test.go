@@ -79,12 +79,8 @@ func TestPrefixAndParent(t *testing.T) {
 	if got := n.Prefix(99).String(); got != "/a/b/c/d" {
 		t.Errorf("Prefix(99) = %q", got)
 	}
-	if got := n.Parent().String(); got != "/a/b/c" {
-		t.Errorf("Parent = %q", got)
-	}
-	root := Name{}
-	if !root.Parent().IsRoot() {
-		t.Error("Parent of root should be root")
+	if got := (Name{}).Prefix(-1).String(); got != "/" {
+		t.Errorf("Prefix(-1) of root = %q", got)
 	}
 }
 
@@ -157,7 +153,7 @@ func TestProviderPrefix(t *testing.T) {
 	if got := MustParse("/prov3/obj/chunk").ProviderPrefix().String(); got != "/prov3" {
 		t.Errorf("ProviderPrefix = %q", got)
 	}
-	if !(Name{}).ProviderPrefix().IsRoot() {
+	if (Name{}).ProviderPrefix().Len() != 0 {
 		t.Error("ProviderPrefix of root should be root")
 	}
 }

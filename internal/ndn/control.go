@@ -216,28 +216,3 @@ func DecodeControl(b []byte) (*Control, error) {
 	}
 	return c, nil
 }
-
-// WireSizeControl estimates a control message's encoded size, for
-// traffic accounting in the simulator.
-func WireSizeControl(c *Control) int {
-	n := 6 + 3 + 10 // outer header + kind + version
-	if c.Origin != "" {
-		n += 2 + len(c.Origin)
-	}
-	if c.Full {
-		n += 2
-	}
-	if len(c.Revoked) > 0 {
-		n += 1 + varLenSize(uint64(len(c.Revoked)*tagIDSize)) + len(c.Revoked)*tagIDSize
-	}
-	if c.Bits != 0 || c.Hashes != 0 {
-		n += 14
-	}
-	if len(c.Words) > 0 {
-		n += 1 + varLenSize(uint64(len(c.Words)*wordDeltaSize)) + len(c.Words)*wordDeltaSize
-	}
-	if c.Added != 0 {
-		n += 10
-	}
-	return n
-}

@@ -36,9 +36,6 @@ func TestControlRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, c) {
 			t.Fatalf("control round trip mutated message:\n got %+v\nwant %+v", got, c)
 		}
-		if sz := WireSizeControl(c); sz != len(enc) {
-			t.Errorf("WireSizeControl(%v) = %d, encoded %d bytes", c.Kind, sz, len(enc))
-		}
 	}
 }
 

@@ -113,14 +113,6 @@ func (e *Events) Node() string {
 	return e.node
 }
 
-// Cap returns the ring capacity (0 for nil).
-func (e *Events) Cap() int {
-	if e == nil {
-		return 0
-	}
-	return len(e.slots)
-}
-
 // Total returns how many events were ever emitted, including ones the
 // ring has since overwritten (0 for nil).
 func (e *Events) Total() uint64 {

@@ -16,9 +16,6 @@ import (
 
 func TestEventsRingAndSnapshot(t *testing.T) {
 	ev := NewEvents("n0", 4)
-	if ev.Cap() != 4 {
-		t.Fatalf("cap = %d, want 4", ev.Cap())
-	}
 	for i := 0; i < 6; i++ {
 		ev.Emit(EventFaceUp, i, "tcp", 0)
 	}
@@ -49,7 +46,7 @@ func TestEventsNilSafe(t *testing.T) {
 	if got := ev.Snapshot(); got != nil {
 		t.Fatalf("nil snapshot = %v", got)
 	}
-	if ev.Total() != 0 || ev.Cap() != 0 || ev.Node() != "" {
+	if ev.Total() != 0 || ev.Node() != "" {
 		t.Fatal("nil accessors not zero")
 	}
 	ch, cancel := ev.Subscribe(1)

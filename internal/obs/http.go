@@ -44,23 +44,11 @@ func NewAdminMux(reg *Registry, statusz func() any) *http.ServeMux {
 	return mux
 }
 
-// ServeAdmin listens on addr and serves the admin mux in a background
-// goroutine, returning the bound listener (close it to stop). It exists
-// so commands can expose observability with one call.
-func ServeAdmin(addr string, reg *Registry, statusz func() any) (net.Listener, error) {
-	return serveMux(addr, NewAdminMux(reg, statusz))
-}
-
 // Serve listens on addr and serves mux in a background goroutine,
-// returning the bound listener (close it to stop). Commands that extend
-// the admin mux (eventz, healthz, tracez) compose NewAdminMux + Attach*
-// and hand the result here.
+// returning the bound listener (close it to stop). Commands compose
+// NewAdminMux + Attach* (eventz, healthz, tracez) and hand the result
+// here.
 func Serve(addr string, mux *http.ServeMux) (net.Listener, error) {
-	return serveMux(addr, mux)
-}
-
-// serveMux listens on addr and serves mux in a background goroutine.
-func serveMux(addr string, mux *http.ServeMux) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

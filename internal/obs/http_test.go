@@ -72,7 +72,7 @@ func TestAdminMuxEndpoints(t *testing.T) {
 
 func TestServeAdmin(t *testing.T) {
 	reg := NewRegistry()
-	ln, err := ServeAdmin("127.0.0.1:0", reg, nil)
+	ln, err := Serve("127.0.0.1:0", NewAdminMux(reg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func renderLabels(labels []Label) string {
 // only ever read an already-populated series. Kinds that render to the
 // same Prometheus type are compatible — a family may mix direct
 // counters and CounterFunc-sampled counters (under distinct labels), as
-// the simulator's PublishObs and the live forwarder do. get panics when
+// the live forwarder does. get panics when
 // a name is reused with an incompatible type, or when one exact
 // (name, labels) series is requested both direct and func-backed —
 // programming errors that would corrupt the exposition.

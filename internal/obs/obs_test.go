@@ -184,10 +184,9 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
-// TestCounterAndCounterFuncShareFamily: the simulator's PublishObs
-// publishes plain counters under the same metric names the live
-// forwarder registers as CounterFunc (distinct label sets). Both render
-// as Prometheus counters, so one registry must accept the mix.
+// TestCounterAndCounterFuncShareFamily: one family may hold plain
+// counters and CounterFunc-sampled ones under distinct label sets. Both
+// render as Prometheus counters, so one registry must accept the mix.
 func TestCounterAndCounterFuncShareFamily(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("bf_lookups_total", func() float64 { return 11 }, L("role", "edge"))

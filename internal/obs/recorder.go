@@ -49,15 +49,6 @@ func (r *Recorder) Cap() int {
 	return len(r.slots)
 }
 
-// Total returns how many spans were ever added, including overwritten
-// ones (0 for nil).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.cur.Load()
-}
-
 // WriteJSONL writes the retained spans, oldest first, as one JSON line
 // each — the same line format the live trace writer emits — and returns
 // how many spans were written. Used to flush the flight recorder to

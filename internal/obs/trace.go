@@ -228,14 +228,6 @@ type Span struct {
 	events  [maxSpanEvents]SpanEvent
 }
 
-// Start begins a span for a packet with no wire trace context. It
-// returns nil (a no-op span) when the tracer is nil or the packet is
-// not locally sampled. kind distinguishes pipelines ("interest",
-// "data"); name is the packet name.
-func (t *Tracer) Start(kind, name string) *Span {
-	return t.StartCtx(TraceCtx{}, kind, name)
-}
-
 // StartCtx begins a span for a packet carrying wire trace context ctx
 // (the zero TraceCtx for untraced packets). The packet is recorded when
 // the wire says so (ctx.Sampled — the originator's head-sampling

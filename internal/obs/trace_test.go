@@ -12,7 +12,7 @@ import (
 func TestSpanEmitsJSONLine(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer("edge-0", 1, &buf)
-	sp := tr.Start("interest", "/prov0/report/chunk0")
+	sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
 	sp.Event("precheck", "ok")
 	sp.Event("bf_lookup", "hit")
 	sp.Event("flag", "F=0.0001")
@@ -45,7 +45,7 @@ func TestTracerSampling(t *testing.T) {
 	const total = 1000
 	kept := 0
 	for i := 0; i < total; i++ {
-		if sp := tr.Start("interest", "/x"); sp != nil {
+		if sp := tr.StartCtx(TraceCtx{}, "interest", "/x"); sp != nil {
 			kept++
 			sp.End("ok")
 		}
@@ -71,7 +71,7 @@ func TestTracerDisabled(t *testing.T) {
 		t.Error("nil writer should disable the tracer")
 	}
 	var tr *Tracer
-	sp := tr.Start("interest", "/x") // must not panic
+	sp := tr.StartCtx(TraceCtx{}, "interest", "/x") // must not panic
 	sp.Event("a", "b")
 	sp.End("ok")
 	if tr.Spans() != 0 {
@@ -88,7 +88,7 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := tr.Start("interest", "/x")
+				sp := tr.StartCtx(TraceCtx{}, "interest", "/x")
 				sp.Event("stage", "d")
 				sp.End("ok")
 			}

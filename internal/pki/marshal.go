@@ -29,11 +29,6 @@ const (
 // pemLocatorHeader carries the key-locator name.
 const pemLocatorHeader = "Locator"
 
-// NewECDSAPublicKey wraps a raw ECDSA public key as a verifying key.
-func NewECDSAPublicKey(pub *ecdsa.PublicKey) PublicKey {
-	return ecdsaPublicKey{pub: pub}
-}
-
 // MarshalECDSAPrivate serialises a key pair (private half) to PEM.
 func MarshalECDSAPrivate(k *ECDSAKeyPair) ([]byte, error) {
 	der, err := x509.MarshalECPrivateKey(k.priv)

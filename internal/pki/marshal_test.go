@@ -113,23 +113,3 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("public block parsed as private")
 	}
 }
-
-func TestNewECDSAPublicKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	kp, err := GenerateECDSA(rng, names.MustParse("/p/KEY/1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := NewECDSAPublicKey(&kp.priv.PublicKey)
-	msg := []byte("x")
-	sig, err := kp.Sign(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrapped.Verify(msg, sig); err != nil {
-		t.Errorf("wrapped key rejects valid signature: %v", err)
-	}
-	if FingerprintHex(wrapped) == "" || len(FingerprintHex(wrapped)) != 16 {
-		t.Errorf("fingerprint hex = %q", FingerprintHex(wrapped))
-	}
-}

@@ -232,33 +232,6 @@ func (c *Conn) flushHeld(passed int) {
 	}
 }
 
-// Listener wraps an accepting listener so every accepted connection is
-// fault-injected, each with a distinct deterministic seed derived from
-// the base seed and the accept ordinal.
-type Listener struct {
-	net.Listener
-	cfg Config
-	n   atomic.Int64
-}
-
-// WrapListener adds fault injection to all accepted connections.
-func WrapListener(ln net.Listener, cfg Config) *Listener {
-	return &Listener{Listener: ln, cfg: cfg}
-}
-
-// Accept wraps the next accepted connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	cfg := l.cfg
-	if cfg.Seed != 0 {
-		cfg.Seed += l.n.Add(1)
-	}
-	return Wrap(c, cfg), nil
-}
-
 // Dialer returns a dial function whose connections are fault-injected,
 // each with a distinct deterministic seed — shaped to drop into
 // forwarder.UplinkConfig.Dial. The address may carry a scheme

@@ -125,14 +125,21 @@ type Packet struct {
 	DecodeDur time.Duration
 }
 
-// Stats is a snapshot of one connection's frame and byte counters.
+// Stats is a snapshot of one face's ledger. The face counts each frame
+// here and nowhere else, so a registry series for the face is this
+// snapshot read at scrape time.
 type Stats struct {
-	// FramesIn and FramesOut count complete frames received and sent
-	// (keepalives included — they are frames).
+	// FramesIn and FramesOut count complete frames received and sent, on
+	// every carrier alike. A keepalive is a frame: it counts here in both
+	// directions as well as under KeepalivesIn/KeepalivesOut. A packet
+	// fragmented over several datagrams is one frame.
 	FramesIn, FramesOut uint64
-	// BytesIn and BytesOut count frame bytes (header + body).
+	// BytesIn and BytesOut count frame bytes (header + body); on a
+	// datagram face BytesIn counts datagram bytes, fragment headers
+	// included.
 	BytesIn, BytesOut uint64
-	// Errors counts framing and I/O failures (clean EOFs excluded).
+	// Errors counts framing, decoding and I/O failures (clean EOFs
+	// excluded).
 	Errors uint64
 	// KeepalivesIn and KeepalivesOut count liveness frames exchanged.
 	KeepalivesIn, KeepalivesOut uint64
@@ -142,24 +149,12 @@ type Stats struct {
 	Flushes uint64
 }
 
-// Metrics routes a connection's counters into an obs registry; any field
-// may be nil (obs counters and histograms no-op when nil). Typically one
-// Metrics per face, labelled with the face ID.
+// Metrics carries a face's observability hooks that are not counters
+// (those are Stats); any field may be unset.
 type Metrics struct {
-	// FramesIn/FramesOut/BytesIn/BytesOut/Errors/Flushes mirror Stats.
-	FramesIn, FramesOut, BytesIn, BytesOut, Errors, Flushes *obs.Counter
 	// DecodeSeconds, when set, receives the TLV decode latency of a
 	// sample (1 in 64) of received packets.
 	DecodeSeconds *obs.Histogram
-
-	// Datagram-plane counters, nil on stream faces: fragments sent and
-	// received, frames completed by reassembly, partial packets evicted
-	// (timeout or slot pressure), and oversized datagrams dropped.
-	FragmentsIn, FragmentsOut *obs.Counter
-	Reassembled               *obs.Counter
-	ReassemblyEvictions       *obs.Counter
-	Oversize                  *obs.Counter
-
 	// Events, when set, receives operator events from the face (e.g.
 	// reassembly-eviction bursts), labelled with Face.
 	Events *obs.Events
@@ -190,6 +185,7 @@ const decodeSampleMask = 63
 // flush timer at once instead, so deferred frames are written from the
 // timer's goroutine.
 type Conn struct {
+	faceCore
 	c  net.Conn
 	r  *bufio.Reader
 	w  *bufio.Writer
@@ -204,11 +200,6 @@ type Conn struct {
 	// frame deferred just as the reader looks is left to the armed timer.
 	deferred atomic.Bool
 
-	// writeTimeout and idleTimeout hold time.Duration nanoseconds;
-	// 0 disables the respective deadline.
-	writeTimeout atomic.Int64
-	idleTimeout  atomic.Int64
-
 	// coalesce holds the flush-aggregation window in nanoseconds; 0
 	// (the default) defers only on inputPending. See SetCoalesce.
 	coalesce   atomic.Int64
@@ -216,26 +207,13 @@ type Conn struct {
 	// wErr is the sticky write-path error: once the stream failed (or a
 	// deferred flush failed) every later send reports it as fatal.
 	wErr error
-
-	framesIn, framesOut atomic.Uint64
-	bytesIn, bytesOut   atomic.Uint64
-	errs, flushes       atomic.Uint64
-	kaIn, kaOut         atomic.Uint64
-	metrics             atomic.Pointer[Metrics]
-
-	done     chan struct{}
-	doneOnce sync.Once
-	kaOnce   sync.Once
-	kaWG     sync.WaitGroup
 }
 
 // New wraps a net.Conn.
 func New(c net.Conn) *Conn {
-	conn := &Conn{
-		c:    c,
-		w:    bufio.NewWriterSize(c, 64<<10),
-		done: make(chan struct{}),
-	}
+	conn := &Conn{c: c, w: bufio.NewWriterSize(c, 64<<10)}
+	conn.done = make(chan struct{})
+	conn.write = conn.writeFrame
 	// Reads go through progressReader so the idle deadline refreshes on
 	// every low-level read, not once per frame: a slow multi-KB frame on
 	// a lossy link keeps making progress without tripping the idle timer.
@@ -267,70 +245,6 @@ func (p *progressReader) Read(b []byte) (int, error) {
 		p.set = false
 	}
 	return p.c.c.Read(b)
-}
-
-// SetWriteTimeout bounds each frame write (header through flush): a
-// peer that stops draining its socket surfaces as a fatal ConnError
-// within d instead of blocking the sender forever. 0 disables.
-func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout.Store(int64(d)) }
-
-// SetIdleTimeout makes Receive fail when no frame (keepalives count)
-// arrives for d, so a silently dead peer is detected and the face
-// recycled. Set it comfortably above the peer's keepalive interval
-// (≥ 3x). 0 disables.
-func (c *Conn) SetIdleTimeout(d time.Duration) { c.idleTimeout.Store(int64(d)) }
-
-// SetMetrics attaches per-face observability counters. Safe to call
-// concurrently with traffic; counters attached mid-stream miss earlier
-// frames (the Stats snapshot does not).
-func (c *Conn) SetMetrics(m *Metrics) { c.metrics.Store(m) }
-
-// Stats returns a snapshot of the connection's counters.
-func (c *Conn) Stats() Stats {
-	return Stats{
-		FramesIn:      c.framesIn.Load(),
-		FramesOut:     c.framesOut.Load(),
-		BytesIn:       c.bytesIn.Load(),
-		BytesOut:      c.bytesOut.Load(),
-		Errors:        c.errs.Load(),
-		KeepalivesIn:  c.kaIn.Load(),
-		KeepalivesOut: c.kaOut.Load(),
-		Flushes:       c.flushes.Load(),
-	}
-}
-
-// countIn/countOut/countErr/countFlush update the atomic tallies and any
-// attached registry counters.
-func (c *Conn) countIn(n int) {
-	c.framesIn.Add(1)
-	c.bytesIn.Add(uint64(n))
-	if m := c.metrics.Load(); m != nil {
-		m.FramesIn.Inc()
-		m.BytesIn.Add(uint64(n))
-	}
-}
-
-func (c *Conn) countOut(n int) {
-	c.framesOut.Add(1)
-	c.bytesOut.Add(uint64(n))
-	if m := c.metrics.Load(); m != nil {
-		m.FramesOut.Inc()
-		m.BytesOut.Add(uint64(n))
-	}
-}
-
-func (c *Conn) countErr() {
-	c.errs.Add(1)
-	if m := c.metrics.Load(); m != nil {
-		m.Errors.Inc()
-	}
-}
-
-func (c *Conn) countFlush() {
-	c.flushes.Add(1)
-	if m := c.metrics.Load(); m != nil {
-		m.Flushes.Inc()
-	}
 }
 
 // SetCoalesce adds a time window to the deferral rule: every frame —
@@ -365,7 +279,7 @@ const (
 // sender, if any. Deferred frames are flushed best-effort first
 // (skipped when a writer currently holds the lock).
 func (c *Conn) Close() error {
-	c.doneOnce.Do(func() { close(c.done) })
+	c.markDone()
 	if c.mu.TryLock() {
 		if c.wErr == nil {
 			c.flushLocked() //nolint:errcheck // best-effort on teardown
@@ -377,87 +291,8 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// SendKeepalive writes one liveness frame.
-func (c *Conn) SendKeepalive() error {
-	if err := c.writeFrame([]byte{typeKeepalive, 0}); err != nil {
-		return err
-	}
-	c.kaOut.Add(1)
-	return nil
-}
-
-// StartKeepalive sends a liveness frame every interval until the
-// connection closes or a send fails, keeping the peer's idle timeout
-// from firing on a healthy-but-quiet link. At most one keepalive
-// goroutine runs per Conn; interval <= 0 is a no-op.
-func (c *Conn) StartKeepalive(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	c.kaOnce.Do(func() {
-		c.kaWG.Add(1)
-		go func() {
-			defer c.kaWG.Done()
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-c.done:
-					return
-				case <-t.C:
-					if err := c.SendKeepalive(); err != nil {
-						return
-					}
-				}
-			}
-		}()
-	})
-}
-
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
-
-// SendInterest writes one Interest frame. The encoding goes through a
-// pooled scratch buffer: the frame bytes live only until the flush.
-func (c *Conn) SendInterest(i *ndn.Interest) error {
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendInterest(*buf, i)
-	if err != nil {
-		return err
-	}
-	*buf = frame[:0] // keep any growth for the pool
-	return c.writeFrame(frame)
-}
-
-// SendData writes one Data frame through a pooled scratch buffer.
-func (c *Conn) SendData(d *ndn.Data) error {
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendData(*buf, d)
-	if err != nil {
-		return err
-	}
-	*buf = frame[:0] // keep any growth for the pool
-	return c.writeFrame(frame)
-}
-
-// SendControl writes one control frame through a pooled scratch buffer.
-func (c *Conn) SendControl(m *ndn.Control) error {
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendControl(*buf, m)
-	if err != nil {
-		return err
-	}
-	*buf = frame[:0] // keep any growth for the pool
-	return c.writeFrame(frame)
-}
-
-// SendFrame writes one pre-encoded TLV frame verbatim. The caller
-// vouches for the bytes being a complete frame; no validation beyond
-// the size bound is applied.
-func (c *Conn) SendFrame(frame []byte) error { return c.writeFrame(frame) }
 
 // writeFrame queues one frame under the write lock and flushes, unless
 // a later flush is promised — by the reader (inputPending) or by the
@@ -465,9 +300,6 @@ func (c *Conn) SendFrame(frame []byte) error { return c.writeFrame(frame) }
 // failure here (including a write-deadline expiry) may leave a partial
 // frame in the stream, so it is reported as a fatal ConnError.
 func (c *Conn) writeFrame(frame []byte) error {
-	if len(frame) > MaxPacketSize {
-		return ErrPacketTooLarge
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.wErr != nil {
@@ -491,7 +323,6 @@ func (c *Conn) writeFrame(frame []byte) error {
 			}
 			c.deferred.Store(true)
 		}
-		c.countOut(len(frame))
 		return nil
 	}
 	c.setWriteDeadline()
@@ -505,9 +336,9 @@ func (c *Conn) writeFrame(frame []byte) error {
 		}
 	}
 	if len(frame) > c.w.Size() {
-		c.countFlush()
+		c.flushes.Add(1)
 		if _, err := c.c.Write(frame); err != nil {
-			c.countErr()
+			c.errs.Add(1)
 			c.wErr = err
 			return &ConnError{Op: "write", Err: err}
 		}
@@ -517,7 +348,6 @@ func (c *Conn) writeFrame(frame []byte) error {
 			return err
 		}
 	}
-	c.countOut(len(frame))
 	return nil
 }
 
@@ -539,9 +369,9 @@ func (c *Conn) flushLocked() error {
 	if c.w.Buffered() == 0 {
 		return nil
 	}
-	c.countFlush()
+	c.flushes.Add(1)
 	if err := c.w.Flush(); err != nil {
-		c.countErr()
+		c.errs.Add(1)
 		c.wErr = err
 		return &ConnError{Op: "flush", Err: err}
 	}
@@ -573,79 +403,25 @@ func (c *Conn) Receive() (Packet, error) {
 	return pkt, err
 }
 
-// receive reads and decodes the next packet. The frame bytes live in a
-// pooled buffer released on return — safe because the decoders copy
-// everything they keep.
+// receive reads, counts and decodes frames until one is a packet. The
+// frame bytes live in a pooled buffer released on return — safe because
+// the decoders copy everything they keep. The idle deadline is applied
+// beneath the bufio layer (progressReader), refreshed on any read
+// progress rather than once per frame.
 func (c *Conn) receive() (Packet, error) {
 	buf := ndn.AcquireBuffer()
 	defer ndn.ReleaseBuffer(buf)
-	frame, typ, err := c.receiveFrame(buf)
-	if err != nil {
-		return Packet{}, err
-	}
-	var hist *obs.Histogram
-	var start time.Time
-	if m := c.metrics.Load(); m != nil && m.DecodeSeconds != nil && c.framesIn.Load()&decodeSampleMask == 0 {
-		hist = m.DecodeSeconds
-		start = time.Now()
-	}
-	switch typ {
-	case typeInterest:
-		i, err := ndn.DecodeInterest(frame)
-		if err != nil {
-			c.countErr()
-			return Packet{}, err
-		}
-		var dur time.Duration
-		if hist != nil {
-			dur = time.Since(start)
-			hist.Observe(dur.Seconds())
-		}
-		return Packet{Interest: i, DecodeDur: dur}, nil
-	case typeData:
-		d, err := ndn.DecodeData(frame)
-		if err != nil {
-			c.countErr()
-			return Packet{}, err
-		}
-		var dur time.Duration
-		if hist != nil {
-			dur = time.Since(start)
-			hist.Observe(dur.Seconds())
-		}
-		return Packet{Data: d, DecodeDur: dur}, nil
-	case typeControl:
-		m, err := ndn.DecodeControl(frame)
-		if err != nil {
-			c.countErr()
-			return Packet{}, err
-		}
-		return Packet{Control: m}, nil
-	default:
-		c.countErr()
-		return Packet{}, fmt.Errorf("%w: %#x", ErrBadPacketType, typ)
-	}
-}
-
-// receiveFrame reads the next non-keepalive frame into buf (growing it
-// as needed). The idle deadline is applied beneath the bufio layer
-// (progressReader), refreshed on any read progress rather than once per
-// frame.
-func (c *Conn) receiveFrame(buf *[]byte) ([]byte, byte, error) {
 	for {
 		frame, typ, err := readFrame(c.r, buf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) { // clean close is not an error
-				c.countErr()
+				c.errs.Add(1)
 			}
-			return nil, 0, err
+			return Packet{}, err
 		}
-		c.countIn(len(frame))
-		if typ == typeKeepalive {
-			c.kaIn.Add(1)
-			continue
+		if pkt, ok, err := c.received(typ, frame, len(frame)); ok || err != nil {
+			return pkt, err
 		}
-		return frame, typ, nil
 	}
 }
 

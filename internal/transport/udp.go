@@ -99,35 +99,25 @@ type UDPEndpoint struct {
 	// rxDrops counts datagrams dropped on full face queues and new
 	// remotes shed on a full accept backlog.
 	rxDrops atomic.Uint64
-	// rxOversize counts datagrams larger than the receive buffer
-	// (MTU + headroom), truncated by the socket and dropped — a peer
-	// configured with a bigger MTU, not generic corruption.
-	rxOversize atomic.Uint64
+	// dg counts the datagram plane for every face this socket ever
+	// demuxed, dead ones included.
+	dg dgramCounters
+}
 
-	// Endpoint-wide datagram-plane aggregates, summed across faces
-	// (including ones that have since died): fragments moved, frames
-	// completed by reassembly, partial packets evicted.
+// dgramCounters is the datagram plane's ledger. It has one owner, the
+// socket: a UDPEndpoint's faces count into the endpoint's (which
+// UDPEndpoint.Instrument exposes), a NewDatagramConn face into its own.
+type dgramCounters struct {
+	// fragsIn and fragsOut count fragment datagrams moved; reassembled,
+	// frames completed from fragments; reasmEvicted, partial packets
+	// evicted before completing (timeout or slot pressure).
 	fragsIn, fragsOut atomic.Uint64
 	reassembled       atomic.Uint64
 	reasmEvicted      atomic.Uint64
-
-	// metricsFactory, when set, builds the Metrics attached to each
-	// demux-created face at creation time, so auto-accepted faces are
-	// counted from their first datagram (faces surfaced through Accept
-	// can still have metrics replaced later via SetMetrics).
-	metricsFactory atomic.Pointer[func(netip.AddrPort) *Metrics]
-}
-
-// SetMetricsFactory installs a constructor invoked for every face the
-// endpoint creates (demuxed remotes and dialed faces alike); the
-// returned Metrics (nil allowed) is attached before the face sees its
-// first datagram. Safe to call concurrently with the read loop.
-func (ep *UDPEndpoint) SetMetricsFactory(fn func(remote netip.AddrPort) *Metrics) {
-	if fn == nil {
-		ep.metricsFactory.Store(nil)
-		return
-	}
-	ep.metricsFactory.Store(&fn)
+	// oversize counts datagrams larger than the receive buffer (MTU +
+	// headroom), truncated by the socket and dropped — a peer configured
+	// with a bigger MTU, not generic corruption, so kept apart from errors.
+	oversize atomic.Uint64
 }
 
 // ListenUDP binds a datagram endpoint on addr ("host:port").
@@ -226,27 +216,12 @@ func (ep *UDPEndpoint) RxDrops() uint64 { return ep.rxDrops.Load() }
 // RxOversize returns datagrams dropped because they exceeded the
 // receive buffer (a peer with a larger MTU), counted separately from
 // parse errors so an MTU mismatch is diagnosable.
-func (ep *UDPEndpoint) RxOversize() uint64 { return ep.rxOversize.Load() }
+func (ep *UDPEndpoint) RxOversize() uint64 { return ep.dg.oversize.Load() }
 
 // Fragments returns fragment datagrams received and sent across every
 // face this endpoint ever demuxed (dead faces' counts persist).
 func (ep *UDPEndpoint) Fragments() (in, out uint64) {
-	return ep.fragsIn.Load(), ep.fragsOut.Load()
-}
-
-// Reassembled returns frames completed from fragments across all faces.
-func (ep *UDPEndpoint) Reassembled() uint64 { return ep.reassembled.Load() }
-
-// ReassemblyEvictions returns partial packets evicted before completion
-// across all faces.
-func (ep *UDPEndpoint) ReassemblyEvictions() uint64 { return ep.reasmEvicted.Load() }
-
-// BatchStats reports whether batched I/O is active and the probed
-// GSO/GRO offload state, plus how many times the runtime GSO fallback
-// fired (a kernel that rejected a segmented send).
-func (ep *UDPEndpoint) BatchStats() (batch, gso, gro bool, gsoFallbacks uint64) {
-	gso, gro, gsoFallbacks = ep.bio.stats()
-	return ep.bio != nil, gso, gro, gsoFallbacks
+	return ep.dg.fragsIn.Load(), ep.dg.fragsOut.Load()
 }
 
 // Close stops the endpoint: the socket closes, every face's Receive
@@ -277,12 +252,12 @@ func (ep *UDPEndpoint) newFace(remote netip.AddrPort) *DatagramFace {
 		ep:    ep,
 		raddr: remote,
 		rq:    make(chan *[]byte, recvQueueLen),
+		opts:  ep.opts,
 		asm:   newReassembler(ep.opts.ReassemblyEntries, ep.opts.ReassemblyTimeout),
-		done:  make(chan struct{}),
+		dg:    &ep.dg,
 	}
-	if fn := ep.metricsFactory.Load(); fn != nil {
-		f.metrics.Store((*fn)(remote))
-	}
+	f.done = make(chan struct{})
+	f.write = f.sendFrame
 	ep.mu.Lock()
 	ep.faces[remote] = f
 	ep.mu.Unlock()
@@ -322,7 +297,7 @@ func (ep *UDPEndpoint) readLoop() {
 				if trunc {
 					// The kernel cut the datagram to fit the batch buffer
 					// (MSG_TRUNC): an oversized send from a bigger-MTU peer.
-					ep.rxOversize.Add(1)
+					ep.dg.oversize.Add(1)
 					continue
 				}
 				ap := canonAddr(addr)
@@ -351,7 +326,7 @@ func (ep *UDPEndpoint) readLoop() {
 		}
 		if n == len(ep.rbuf) {
 			// The headroom byte was consumed: the datagram was truncated.
-			ep.rxOversize.Add(1)
+			ep.dg.oversize.Add(1)
 			continue
 		}
 		ep.deliver(ep.rbuf[:n], canonAddr(addr))
@@ -479,6 +454,8 @@ var ErrIdleTimeout = errors.New("transport: idle timeout")
 // NewDatagramConn (any datagram-semantics net.Conn, e.g. chaos-wrapped).
 // Reads are single-reader; sends are safe for concurrent use.
 type DatagramFace struct {
+	faceCore
+
 	// Endpoint mode: ep+raddr+rq carry datagrams demultiplexed by the
 	// endpoint's batch loops.
 	ep    *UDPEndpoint
@@ -490,38 +467,18 @@ type DatagramFace struct {
 	rbuf []byte
 	wmu  sync.Mutex
 
-	opts UDPOptions
-	asm  *reassembler
-
-	writeTimeout atomic.Int64
-	idleTimeout  atomic.Int64
-	pktID        atomic.Uint64
-
-	framesIn, framesOut atomic.Uint64
-	bytesIn, bytesOut   atomic.Uint64
-	errs                atomic.Uint64
-	kaIn, kaOut         atomic.Uint64
-	// oversize counts truncated-and-dropped datagrams in conn mode
-	// (endpoint mode counts them on the endpoint); kept apart from errs
-	// so an MTU mismatch is diagnosable.
-	oversize atomic.Uint64
-	// Datagram-plane counters: fragments moved, frames completed by
-	// reassembly, partial packets evicted.
-	fragsIn, fragsOut atomic.Uint64
-	reassembled       atomic.Uint64
-	reasmEvicted      atomic.Uint64
+	opts  UDPOptions
+	asm   *reassembler
+	pktID atomic.Uint64
+	// dg is the socket's datagram-plane ledger: the endpoint's, shared
+	// with every face demuxed from it, or in conn mode the face's own.
+	dg *dgramCounters
 	// evictSeen tracks how much of asm.evicted has been published into
-	// reasmEvicted; plain (non-atomic) because only the single receive
+	// dg.reasmEvicted; plain (non-atomic) because only the single receive
 	// loop that owns asm touches it.
 	evictSeen uint64
 	// evictGate rate-limits reassembly-eviction events to one per second.
 	evictGate obs.BurstGate
-	metrics   atomic.Pointer[Metrics]
-
-	done     chan struct{}
-	doneOnce sync.Once
-	kaOnce   sync.Once
-	kaWG     sync.WaitGroup
 }
 
 // NewDatagramConn wraps a datagram-semantics net.Conn (each Write is
@@ -543,132 +500,36 @@ func NewDatagramConn(c net.Conn, opts UDPOptions) *DatagramFace {
 	if bc, ok := c.(interface{ SetWriteBuffer(int) error }); ok {
 		bc.SetWriteBuffer(4 << 20) //nolint:errcheck
 	}
-	return &DatagramFace{
+	f := &DatagramFace{
 		c: c,
 		// One byte of headroom so a read filling the buffer is detectable
 		// as a truncated oversized datagram (see readConn).
 		rbuf: make([]byte, bufSize+1),
 		opts: opts,
 		asm:  newReassembler(opts.ReassemblyEntries, opts.ReassemblyTimeout),
-		done: make(chan struct{}),
+		dg:   new(dgramCounters),
 	}
+	f.done = make(chan struct{})
+	f.write = f.sendFrame
+	return f
 }
 
-// mtu returns the face's datagram payload budget.
-func (f *DatagramFace) mtu() int {
-	if f.ep != nil {
-		return f.ep.opts.MTU
-	}
-	return f.opts.MTU
-}
-
-// SetWriteTimeout bounds each datagram send (queue admission in
-// endpoint mode, the socket write in conn mode). 0 disables.
-func (f *DatagramFace) SetWriteTimeout(d time.Duration) { f.writeTimeout.Store(int64(d)) }
-
-// SetIdleTimeout makes Receive fail with ErrIdleTimeout when no
-// datagram (keepalives count) arrives for d — the only way a
-// connectionless peer's death is detected. 0 disables.
-func (f *DatagramFace) SetIdleTimeout(d time.Duration) { f.idleTimeout.Store(int64(d)) }
-
-// SetMetrics attaches per-face observability counters.
-func (f *DatagramFace) SetMetrics(m *Metrics) { f.metrics.Store(m) }
-
-// Oversize returns conn-mode datagrams dropped because they exceeded
-// the receive buffer (a peer with a larger MTU); endpoint-mode faces
-// report these on UDPEndpoint.RxOversize instead.
-func (f *DatagramFace) Oversize() uint64 { return f.oversize.Load() }
-
-// Fragments returns fragment datagrams received and sent by this face.
+// Fragments, Reassembled, ReassemblyEvictions and Oversize read the
+// datagram-plane ledger of the face's socket (see dgramCounters): this
+// face's traffic alone when it was dialed or wraps a conn, every face of
+// the endpoint when it was demuxed from a listener.
 func (f *DatagramFace) Fragments() (in, out uint64) {
-	return f.fragsIn.Load(), f.fragsOut.Load()
+	return f.dg.fragsIn.Load(), f.dg.fragsOut.Load()
 }
 
-// Reassembled returns frames this face completed from fragments.
-func (f *DatagramFace) Reassembled() uint64 { return f.reassembled.Load() }
+// Reassembled returns frames completed from fragments.
+func (f *DatagramFace) Reassembled() uint64 { return f.dg.reassembled.Load() }
 
-// ReassemblyEvictions returns partial packets this face evicted before
-// completion (reassembly timeout or slot pressure).
-func (f *DatagramFace) ReassemblyEvictions() uint64 { return f.reasmEvicted.Load() }
+// ReassemblyEvictions returns partial packets evicted before completion.
+func (f *DatagramFace) ReassemblyEvictions() uint64 { return f.dg.reasmEvicted.Load() }
 
-// Stats returns a snapshot of the face's counters.
-func (f *DatagramFace) Stats() Stats {
-	return Stats{
-		FramesIn:      f.framesIn.Load(),
-		FramesOut:     f.framesOut.Load(),
-		BytesIn:       f.bytesIn.Load(),
-		BytesOut:      f.bytesOut.Load(),
-		Errors:        f.errs.Load(),
-		KeepalivesIn:  f.kaIn.Load(),
-		KeepalivesOut: f.kaOut.Load(),
-	}
-}
-
-// countInBytes accounts one received datagram's bytes; frames are
-// counted separately so a fragmented packet is one frame, not N.
-func (f *DatagramFace) countInBytes(n int) {
-	f.bytesIn.Add(uint64(n))
-	if m := f.metrics.Load(); m != nil {
-		m.BytesIn.Add(uint64(n))
-	}
-}
-
-// countInFrame accounts one complete logical frame.
-func (f *DatagramFace) countInFrame() {
-	f.framesIn.Add(1)
-	if m := f.metrics.Load(); m != nil {
-		m.FramesIn.Inc()
-	}
-}
-
-func (f *DatagramFace) countOut(n int) {
-	f.framesOut.Add(1)
-	f.bytesOut.Add(uint64(n))
-	if m := f.metrics.Load(); m != nil {
-		m.FramesOut.Inc()
-		m.BytesOut.Add(uint64(n))
-	}
-}
-
-func (f *DatagramFace) countErr() {
-	f.errs.Add(1)
-	if m := f.metrics.Load(); m != nil {
-		m.Errors.Inc()
-	}
-}
-
-// countFragIn accounts one received fragment datagram.
-func (f *DatagramFace) countFragIn() {
-	f.fragsIn.Add(1)
-	if f.ep != nil {
-		f.ep.fragsIn.Add(1)
-	}
-	if m := f.metrics.Load(); m != nil {
-		m.FragmentsIn.Inc()
-	}
-}
-
-// countFragsOut accounts n sent fragment datagrams.
-func (f *DatagramFace) countFragsOut(n int) {
-	f.fragsOut.Add(uint64(n))
-	if f.ep != nil {
-		f.ep.fragsOut.Add(uint64(n))
-	}
-	if m := f.metrics.Load(); m != nil {
-		m.FragmentsOut.Add(uint64(n))
-	}
-}
-
-// countReassembled accounts one frame completed by reassembly.
-func (f *DatagramFace) countReassembled() {
-	f.reassembled.Add(1)
-	if f.ep != nil {
-		f.ep.reassembled.Add(1)
-	}
-	if m := f.metrics.Load(); m != nil {
-		m.Reassembled.Inc()
-	}
-}
+// Oversize returns datagrams dropped for exceeding the receive buffer.
+func (f *DatagramFace) Oversize() uint64 { return f.dg.oversize.Load() }
 
 // noteEvictions publishes reassembler evictions accumulated since the
 // last call (the reassembler's counter is private to the receive loop)
@@ -680,27 +541,11 @@ func (f *DatagramFace) noteEvictions() {
 		return
 	}
 	f.evictSeen = f.asm.evicted
-	f.reasmEvicted.Add(d)
-	if f.ep != nil {
-		f.ep.reasmEvicted.Add(d)
-	}
-	m := f.metrics.Load()
-	if m != nil {
-		m.ReassemblyEvictions.Add(d)
-	}
-	if m != nil && m.Events != nil {
+	f.dg.reasmEvicted.Add(d)
+	if m := f.metrics.Load(); m != nil && m.Events != nil {
 		if burst := f.evictGate.Add(d); burst > 0 {
 			m.Events.Emit(obs.EventReassemblyEvict, m.Face, f.RemoteAddr().String(), burst)
 		}
-	}
-}
-
-// countOversize accounts one truncated-and-dropped oversized datagram
-// (conn mode; endpoint mode counts these on the shared socket).
-func (f *DatagramFace) countOversize() {
-	f.oversize.Add(1)
-	if m := f.metrics.Load(); m != nil {
-		m.Oversize.Inc()
 	}
 }
 
@@ -711,9 +556,6 @@ func (f *DatagramFace) RemoteAddr() net.Addr {
 	}
 	return net.UDPAddrFromAddrPort(f.raddr)
 }
-
-// markDone releases Receive waiters without touching shared state.
-func (f *DatagramFace) markDone() { f.doneOnce.Do(func() { close(f.done) }) }
 
 // Close releases the face. On a dialed endpoint the whole endpoint
 // closes with it; on a listener endpoint only this remote's slot frees
@@ -732,81 +574,6 @@ func (f *DatagramFace) Close() error {
 	return err
 }
 
-// SendKeepalive sends one liveness datagram.
-func (f *DatagramFace) SendKeepalive() error {
-	if err := f.sendFrame([]byte{typeKeepalive, 0}); err != nil {
-		return err
-	}
-	f.kaOut.Add(1)
-	return nil
-}
-
-// StartKeepalive sends a liveness datagram every interval until the
-// face closes or a send fails. At most one keepalive goroutine runs
-// per face; interval <= 0 is a no-op.
-func (f *DatagramFace) StartKeepalive(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	f.kaOnce.Do(func() {
-		f.kaWG.Add(1)
-		go func() {
-			defer f.kaWG.Done()
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-f.done:
-					return
-				case <-t.C:
-					if err := f.SendKeepalive(); err != nil {
-						return
-					}
-				}
-			}
-		}()
-	})
-}
-
-// SendInterest encodes and sends one Interest.
-func (f *DatagramFace) SendInterest(i *ndn.Interest) error {
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendInterest(*buf, i)
-	if err != nil {
-		return err
-	}
-	*buf = frame[:0]
-	return f.sendFrame(frame)
-}
-
-// SendData encodes and sends one Data, fragmenting past the MTU.
-func (f *DatagramFace) SendData(d *ndn.Data) error {
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendData(*buf, d)
-	if err != nil {
-		return err
-	}
-	*buf = frame[:0]
-	return f.sendFrame(frame)
-}
-
-// SendControl encodes and sends one control frame.
-func (f *DatagramFace) SendControl(m *ndn.Control) error {
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendControl(*buf, m)
-	if err != nil {
-		return err
-	}
-	*buf = frame[:0]
-	return f.sendFrame(frame)
-}
-
-// SendFrame sends one pre-encoded TLV frame verbatim.
-func (f *DatagramFace) SendFrame(frame []byte) error { return f.sendFrame(frame) }
-
 // sendFrame fragments (when needed) and transmits one frame.
 func (f *DatagramFace) sendFrame(frame []byte) error {
 	select {
@@ -814,27 +581,23 @@ func (f *DatagramFace) sendFrame(frame []byte) error {
 		return net.ErrClosed
 	default:
 	}
-	if len(frame) > MaxPacketSize {
-		return ErrPacketTooLarge
-	}
 	var id uint64
 	var nfrags int
-	if mtu := f.mtu(); len(frame) > mtu {
+	mtu := f.opts.MTU
+	if len(frame) > mtu {
 		id = f.pktID.Add(1)
 		chunk := mtu - fragOverhead
 		nfrags = (len(frame) + chunk - 1) / chunk
 	}
-	err := fragmentFrame(frame, f.mtu(), id, f.emit)
-	if err != nil {
+	if err := fragmentFrame(frame, mtu, id, f.emit); err != nil {
 		if IsFatal(err) {
-			f.countErr()
+			f.errs.Add(1)
 		}
 		return err
 	}
 	if nfrags > 0 {
-		f.countFragsOut(nfrags)
+		f.dg.fragsOut.Add(uint64(nfrags))
 	}
-	f.countOut(len(frame))
 	return nil
 }
 
@@ -862,24 +625,19 @@ func (f *DatagramFace) Receive() (Packet, error) {
 	for {
 		var pkt Packet
 		var ok bool
-		var err error
 		if f.ep != nil {
-			buf, rerr := f.nextQueued()
-			if rerr != nil {
-				return Packet{}, rerr
+			buf, err := f.nextQueued()
+			if err != nil {
+				return Packet{}, err
 			}
-			pkt, ok, err = f.process(*buf)
+			pkt, ok = f.process(*buf)
 			ndn.ReleaseBuffer(buf)
 		} else {
-			dg, rerr := f.readConn()
-			if rerr != nil {
-				return Packet{}, rerr
+			dg, err := f.readConn()
+			if err != nil {
+				return Packet{}, err
 			}
-			pkt, ok, err = f.process(dg)
-		}
-		if err != nil {
-			f.countErr()
-			continue
+			pkt, ok = f.process(dg)
 		}
 		if ok {
 			return pkt, nil
@@ -937,98 +695,47 @@ func (f *DatagramFace) readConn() ([]byte, error) {
 		if n == len(f.rbuf) {
 			// The headroom byte was consumed: a bigger-MTU peer's datagram
 			// was truncated by the socket.
-			f.countOversize()
+			f.dg.oversize.Add(1)
 			continue
 		}
 		return f.rbuf[:n], nil
 	}
 }
 
-// process ingests one datagram: keepalives refresh liveness, fragments
-// feed the reassembler, whole frames decode directly. ok reports
-// whether pkt carries a decoded packet.
-func (f *DatagramFace) process(dg []byte) (pkt Packet, ok bool, err error) {
+// process ingests one datagram: a whole frame (a keepalive is one) is
+// counted and decoded as it stands, a fragment feeds the reassembler and
+// is a frame only once it completes one. ok reports whether pkt carries
+// a decoded packet; a datagram that does not parse, reassemble or decode
+// is counted as an error and skipped.
+func (f *DatagramFace) process(dg []byte) (pkt Packet, ok bool) {
 	typ, body, err := parseDatagram(dg)
 	if err != nil {
-		return Packet{}, false, err
+		f.errs.Add(1)
+		return Packet{}, false
 	}
-	f.countInBytes(len(dg))
-	switch typ {
-	case typeKeepalive:
-		f.kaIn.Add(1)
-		return Packet{}, false, nil
-	case typeFrag:
-		f.countFragIn()
-		frame, err := f.asm.add(time.Now(), body)
-		f.noteEvictions()
-		if err != nil {
-			return Packet{}, false, err
-		}
-		if frame == nil {
-			return Packet{}, false, nil
-		}
-		if len(frame) == 0 {
-			// The reassembler rejects empty fragments, so a complete frame
-			// is never empty; guard anyway — frame[0] on a zero-length
-			// reassembly would panic the receive loop on remote input.
-			return Packet{}, false, ErrBadFragment
-		}
-		pkt, err := f.decodeFrame(frame[0], frame)
-		if err != nil {
-			return Packet{}, false, err
-		}
-		f.countReassembled()
-		f.countInFrame()
-		return pkt, true, nil
-	default:
-		pkt, err := f.decodeFrame(typ, dg)
-		if err != nil {
-			return Packet{}, false, err
-		}
-		f.countInFrame()
-		return pkt, true, nil
+	if typ != typeFrag {
+		pkt, ok, _ = f.received(typ, dg, len(dg))
+		return pkt, ok
 	}
-}
-
-// decodeFrame decodes one complete TLV frame, sampling decode latency
-// like the stream path does.
-func (f *DatagramFace) decodeFrame(typ byte, frame []byte) (Packet, error) {
-	var hist *obs.Histogram
-	var start time.Time
-	if m := f.metrics.Load(); m != nil && m.DecodeSeconds != nil && f.framesIn.Load()&decodeSampleMask == 0 {
-		hist = m.DecodeSeconds
-		start = time.Now()
+	f.bytesIn.Add(uint64(len(dg)))
+	f.dg.fragsIn.Add(1)
+	frame, err := f.asm.add(time.Now(), body)
+	f.noteEvictions()
+	if err == nil && frame != nil && len(frame) == 0 {
+		// The reassembler rejects empty fragments, so a complete frame
+		// is never empty; guard anyway — frame[0] on a zero-length
+		// reassembly would panic the receive loop on remote input.
+		err = ErrBadFragment
 	}
-	switch typ {
-	case typeInterest:
-		i, err := ndn.DecodeInterest(frame)
-		if err != nil {
-			return Packet{}, err
-		}
-		var dur time.Duration
-		if hist != nil {
-			dur = time.Since(start)
-			hist.Observe(dur.Seconds())
-		}
-		return Packet{Interest: i, DecodeDur: dur}, nil
-	case typeData:
-		d, err := ndn.DecodeData(frame)
-		if err != nil {
-			return Packet{}, err
-		}
-		var dur time.Duration
-		if hist != nil {
-			dur = time.Since(start)
-			hist.Observe(dur.Seconds())
-		}
-		return Packet{Data: d, DecodeDur: dur}, nil
-	case typeControl:
-		m, err := ndn.DecodeControl(frame)
-		if err != nil {
-			return Packet{}, err
-		}
-		return Packet{Control: m}, nil
-	default:
-		return Packet{}, fmt.Errorf("%w: %#x", ErrBadPacketType, typ)
+	if err != nil {
+		f.errs.Add(1)
+		return Packet{}, false
 	}
+	if frame == nil {
+		return Packet{}, false
+	}
+	if pkt, ok, _ = f.received(frame[0], frame, 0); ok {
+		f.dg.reassembled.Add(1)
+	}
+	return pkt, ok
 }

@@ -70,10 +70,10 @@ func (ep *UDPEndpoint) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	}
 	cf(MetricUDPRxDrops, func() float64 { return float64(ep.RxDrops()) })
 	cf(MetricUDPRxOversize, func() float64 { return float64(ep.RxOversize()) })
-	cf(MetricUDPFragments, func() float64 { return float64(ep.fragsIn.Load()) }, obs.L("dir", "in"))
-	cf(MetricUDPFragments, func() float64 { return float64(ep.fragsOut.Load()) }, obs.L("dir", "out"))
-	cf(MetricUDPReassembled, func() float64 { return float64(ep.reassembled.Load()) })
-	cf(MetricUDPReassemblyEvictions, func() float64 { return float64(ep.reasmEvicted.Load()) })
+	cf(MetricUDPFragments, func() float64 { return float64(ep.dg.fragsIn.Load()) }, obs.L("dir", "in"))
+	cf(MetricUDPFragments, func() float64 { return float64(ep.dg.fragsOut.Load()) }, obs.L("dir", "out"))
+	cf(MetricUDPReassembled, func() float64 { return float64(ep.dg.reassembled.Load()) })
+	cf(MetricUDPReassemblyEvictions, func() float64 { return float64(ep.dg.reasmEvicted.Load()) })
 	cf(MetricUDPGSOFallbacks, func() float64 {
 		_, _, fb := ep.bio.stats()
 		return float64(fb)

@@ -2,8 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"net/netip"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,85 +10,55 @@ import (
 	"github.com/tactic-icn/tactic/internal/obs"
 )
 
-// TestUDPMetricsFactoryCountsDemuxedFaces is the regression test for
-// the demux gap: faces auto-created by the endpoint's read loop got no
-// Metrics, so their traffic was invisible to the registry. A factory
-// installed on the endpoint must see every demuxed face counted from
-// its first datagram.
-func TestUDPMetricsFactoryCountsDemuxedFaces(t *testing.T) {
-	reg := obs.NewRegistry()
-	ev := obs.NewEvents("n0", 32)
+// TestUDPDemuxedFaceCountsBeforeAccept is the regression test for the
+// demux gap: a face the endpoint's read loop creates takes datagrams
+// before Accept hands it to anyone who could attach a series. The face
+// counts in its own ledger from its first datagram, so a series
+// registered after Accept — a scrape-time view of Stats — reports all of
+// it, and the socket's datagram-plane ledger has the fragments.
+func TestUDPDemuxedFaceCountsBeforeAccept(t *testing.T) {
 	ep, cl := udpPair(t, UDPOptions{})
-	var made int
-	ep.SetMetricsFactory(func(remote netip.AddrPort) *Metrics {
-		made++
-		l := obs.L("face", remote.String())
-		return &Metrics{
-			FramesIn:            reg.Counter("tactic_face_frames_in_total", l),
-			FragmentsIn:         reg.Counter(MetricUDPFragments, l, obs.L("dir", "in")),
-			Reassembled:         reg.Counter(MetricUDPReassembled, l),
-			ReassemblyEvictions: reg.Counter(MetricUDPReassemblyEvictions, l),
-			Events:              ev,
-			Face:                7,
-		}
-	})
-
-	// A fragmented Data exercises fragsIn + reassembled on the demuxed
-	// (factory-built) face.
-	payload := bytes.Repeat([]byte{0x5A}, 3500)
-	if err := cl.SendData(testData(payload)); err != nil {
+	// Everything is sent, and demuxed, before Accept: a whole frame, a
+	// keepalive, and a Data big enough to fragment.
+	if err := cl.SendInterest(&ndn.Interest{Name: names.MustParse("/p/x"), Kind: ndn.KindContent, Nonce: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SendKeepalive(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SendData(testData(bytes.Repeat([]byte{0x5A}, 3500))); err != nil {
 		t.Fatal(err)
 	}
 	srv := acceptOne(t, ep)
-	pkt, err := srv.Receive()
-	if err != nil || pkt.Data == nil {
+	reg := obs.NewRegistry()
+	reg.CounterFunc("frames_in_total", func() float64 { return float64(srv.Stats().FramesIn) })
+	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil {
 		t.Fatalf("receive: %+v err=%v", pkt, err)
 	}
-	if made != 1 {
-		t.Fatalf("factory invoked %d times, want 1", made)
+	if pkt, err := srv.Receive(); err != nil || pkt.Data == nil {
+		t.Fatalf("receive: %+v err=%v", pkt, err)
 	}
-	df := srv.(*DatagramFace)
-	in, _ := df.Fragments()
-	if in < 2 || df.Reassembled() != 1 {
-		t.Fatalf("face frag counters: in=%d reassembled=%d", in, df.Reassembled())
+	sent, got := cl.Stats(), srv.Stats()
+	if got.FramesIn != 3 || got.FramesIn != sent.FramesOut || got.KeepalivesIn != 1 {
+		t.Fatalf("demuxed face stats %+v, dialer sent %+v: want 3 frames in, 1 keepalive", got, sent)
 	}
-	epIn, epOut := ep.Fragments()
-	if epIn != in || ep.Reassembled() != 1 {
-		t.Fatalf("endpoint aggregates: in=%d out=%d reassembled=%d", epIn, epOut, ep.Reassembled())
+	if v := reg.Snapshot()["frames_in_total"]; v != 3 {
+		t.Fatalf("series registered after Accept reads %v, want 3", v)
 	}
-	// The dial side counted the outgoing fragments.
-	if _, out := cl.Fragments(); out != in {
-		t.Fatalf("dialer frags out = %d, want %d", out, in)
-	}
-	snap := reg.Snapshot()
-	var sawFrag, sawReasm bool
-	for k, v := range snap {
-		if strings.HasPrefix(k, MetricUDPFragments+"{") && v == float64(in) {
-			sawFrag = true
-		}
-		if strings.HasPrefix(k, MetricUDPReassembled+"{") && v == 1 {
-			sawReasm = true
-		}
-	}
-	if !sawFrag || !sawReasm {
-		t.Fatalf("registry missing factory-fed series: frag=%v reasm=%v snap=%v", sawFrag, sawReasm, snap)
+	in, _ := ep.Fragments()
+	if _, out := cl.Fragments(); in < 2 || out != in || ep.dg.reassembled.Load() != 1 {
+		t.Fatalf("datagram plane: endpoint in=%d reassembled=%d, dialer out=%d", in, ep.dg.reassembled.Load(), out)
 	}
 }
 
 // TestUDPReassemblyEvictionMetricsAndEvent drives a timeout eviction
-// and asserts it surfaces in the per-face counter, the endpoint
-// aggregate, and a reassembly_evict event.
+// and asserts it surfaces in the endpoint's ledger, its registry
+// series, and a reassembly_evict event.
 func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	reg := obs.NewRegistry()
 	ev := obs.NewEvents("n0", 32)
 	ep, cl := udpPair(t, UDPOptions{ReassemblyTimeout: 60 * time.Millisecond})
-	ep.SetMetricsFactory(func(remote netip.AddrPort) *Metrics {
-		return &Metrics{
-			ReassemblyEvictions: reg.Counter(MetricUDPReassemblyEvictions, obs.L("face", "1")),
-			Events:              ev,
-			Face:                1,
-		}
-	})
+	ep.Instrument(reg)
 	frag := func(id uint64, idx, cnt uint16, payload []byte) []byte {
 		body := mkFragBody(id, idx, cnt, payload)
 		dg := append([]byte{typeFrag}, appendTLVLen(nil, len(body))...)
@@ -109,6 +77,7 @@ func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	cl.SendFrame(frag(1, 0, 2, []byte("half"))) //nolint:errcheck
 	cl.SendFrame(whole(8))                      //nolint:errcheck
 	srv := acceptOne(t, ep)
+	srv.SetMetrics(&Metrics{Events: ev, Face: 1})
 	srv.SetIdleTimeout(2 * time.Second)
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 8 {
 		t.Fatalf("marker: %+v err=%v", pkt, err)
@@ -119,11 +88,10 @@ func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 9 {
 		t.Fatalf("post-evict marker: %+v err=%v", pkt, err)
 	}
-	df := srv.(*DatagramFace)
-	if df.ReassemblyEvictions() != 1 || ep.ReassemblyEvictions() != 1 {
-		t.Fatalf("evictions: face=%d endpoint=%d, want 1/1", df.ReassemblyEvictions(), ep.ReassemblyEvictions())
+	if n := srv.(*DatagramFace).ReassemblyEvictions(); n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
-	if got := reg.Snapshot()[MetricUDPReassemblyEvictions+`{face="1"}`]; got != 1 {
+	if got := reg.Snapshot()[MetricUDPReassemblyEvictions+`{scope="endpoint"}`]; got != 1 {
 		t.Fatalf("registry eviction counter = %v, want 1", got)
 	}
 	var found *obs.Event
@@ -162,7 +130,8 @@ func TestUDPEndpointInstrument(t *testing.T) {
 	if got := snap[facesKey]; got != 1 {
 		t.Fatalf("%s = %v, want 1", facesKey, got)
 	}
-	batch, gso, _, fb := ep.BatchStats()
+	batch := ep.bio != nil
+	gso, _, fb := ep.bio.stats()
 	batchKey := MetricUDPBatchEnabled + `{role="edge",scope="endpoint"}`
 	if got := snap[batchKey]; got != boolGauge(batch) {
 		t.Fatalf("%s = %v, want %v", batchKey, got, boolGauge(batch))
