@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check check test test-short test-repeat race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module repro repro-full demo-keys clean
+.PHONY: all build vet fmt-check check test test-short test-repeat allocs race chaos soak trace-smoke conform fuzz-smoke metrics-lint cover bench bench-smoke bench-module repro repro-full demo-keys clean
 
 all: build test
 
@@ -24,13 +24,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The pre-merge gate: compile, static checks, formatting, full tests,
-# the race detector over the concurrent packages, the fault-injection
-# suite, the conformance oracle, the native fuzz targets' smoke pass,
-# the exposition-format lint, the coverage floor, a one-iteration smoke
-# pass over the wire and signature benchmarks, the live-path
-# benchmark's own module (the guard that bench/ still builds against
-# internal/), and the end-to-end tracing smoke test.
-check: build vet fmt-check test race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke
+# the hot path's allocation guards (uncached), the race detector over
+# the concurrent packages, the fault-injection suite, the conformance
+# oracle, the native fuzz targets' smoke pass, the exposition-format
+# lint, the coverage floor, a one-iteration smoke pass over the wire and
+# signature benchmarks, the live-path benchmark's own module (the guard
+# that bench/ still builds against internal/), and the end-to-end
+# tracing smoke test.
+check: build vet fmt-check test allocs race chaos conform fuzz-smoke metrics-lint cover bench-smoke bench-module trace-smoke
 
 test:
 	$(GO) test ./...
@@ -44,11 +45,19 @@ test-short:
 test-repeat:
 	$(GO) test -short -count=2 -shuffle=on ./...
 
+# Allocation guards: the testing.AllocsPerRun tests (named Test...Allocs)
+# that hold each hot-path site to what it keeps — a datagram send, a
+# recvmmsg/sendmmsg round, a Content decode, a PIT admission, an intern
+# hit, an unsampled span. -count=1 because a cached pass proves nothing
+# about the toolchain's escape analysis today.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./internal/...
+
 # Race-detector pass over every package the live forwarding plane runs
 # concurrently: the forwarder itself plus its lock-free/sharded layers
 # (bloom, core validator, ndn tables) and the transports.
 race:
-	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/...
+	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/... ./internal/intern/... ./internal/names/...
 
 # Fault-injection suite: failover/chaos soaks and face churn, under the
 # race detector (see README "Failure handling & chaos testing").
@@ -82,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTLVDecode$$' -fuzztime $(FUZZTIME) ./internal/ndn/
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/ndn/
 	$(GO) test -run '^$$' -fuzz '^FuzzTagEncoding$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzContentEncoding$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzRevocationTLV$$' -fuzztime $(FUZZTIME) ./internal/ndn/
 	$(GO) test -run '^$$' -fuzz '^FuzzControlSync$$' -fuzztime $(FUZZTIME) ./internal/ndn/
 	$(GO) test -run '^$$' -fuzz '^FuzzFragRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/transport/

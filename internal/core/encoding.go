@@ -46,7 +46,12 @@ func EncodeContent(c *Content) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeContent reverses EncodeContent.
+// DecodeContent reverses EncodeContent. The decoded content keeps one
+// private copy of its encoding: Payload and Signature are views into it,
+// capped at their own length so an append through either reallocates
+// instead of running into the next field. The two names resolve through
+// the intern table behind names.ParseBytes, so a content seen before
+// costs the copy and the struct.
 func DecodeContent(b []byte) (*Content, error) {
 	d := decoder{buf: b}
 	version, err := d.byte()
@@ -72,23 +77,25 @@ func DecodeContent(b []byte) (*Content, error) {
 	if err != nil {
 		return nil, err
 	}
+	payloadEnd := d.off
 	sig, err := d.lenPrefixed()
 	if err != nil {
 		return nil, err
 	}
-	name, err := names.Parse(string(nameRaw))
+	name, err := names.ParseBytes(nameRaw)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode content name: %w", err)
 	}
-	prov, err := names.Parse(string(provRaw))
+	prov, err := names.ParseBytes(provRaw)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode content provider key: %w", err)
 	}
+	enc := append([]byte(nil), b[:d.off]...)
 	return &Content{
 		Meta:      ContentMeta{Name: name, Level: AccessLevel(level), ProviderKey: prov},
-		Payload:   append([]byte(nil), payload...),
-		Signature: append([]byte(nil), sig...),
-		enc:       append([]byte(nil), b[:d.off]...),
+		Payload:   enc[payloadEnd-len(payload) : payloadEnd : payloadEnd],
+		Signature: enc[d.off-len(sig) : d.off : d.off],
+		enc:       enc,
 	}, nil
 }
 

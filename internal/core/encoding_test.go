@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -217,4 +219,118 @@ func TestPropertyDecodersNeverPanic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// publishedChunk returns the encoding of one signed, encrypted chunk.
+func publishedChunk(t testing.TB) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	signer, err := pki.GenerateFast(rng, names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := NewProvider(names.MustParse("/prov0"), signer, time.Minute, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content, err := prov.Publish(names.MustParse("/prov0/obj/chunk7"), 2, bytes.Repeat([]byte{0xC7}, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeContent(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestDecodeContentAllocs holds the decoder to what it keeps: with both
+// names in the intern table, one copy of the encoding and the struct.
+func TestDecodeContentAllocs(t *testing.T) {
+	enc := publishedChunk(t)
+	if _, err := DecodeContent(enc); err != nil { // warm the intern table
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := DecodeContent(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("DecodeContent allocates %.1f/op on a warm table, want <= 2", allocs)
+	}
+}
+
+// TestDecodeContentViews pins what sharing one copy must not change: the
+// decoded fields are views of a private copy (not of the input), an
+// append through Payload cannot reach Signature, and the cached encoding
+// is the accepted input byte for byte, trailing bytes excluded.
+func TestDecodeContentViews(t *testing.T) {
+	enc := publishedChunk(t)
+	in := append(append([]byte(nil), enc...), 0xEE, 0xEE) // trailing garbage is not part of the content
+	c, err := DecodeContent(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(c.Payload) != len(c.Payload) || cap(c.Signature) != len(c.Signature) {
+		t.Fatalf("views are not capped: payload %d/%d, signature %d/%d",
+			len(c.Payload), cap(c.Payload), len(c.Signature), cap(c.Signature))
+	}
+	sig := append([]byte(nil), c.Signature...)
+	_ = append(c.Payload, 0xFF, 0xFF, 0xFF, 0xFF)
+	if !bytes.Equal(c.Signature, sig) {
+		t.Error("append to Payload wrote into Signature")
+	}
+	for i := range in {
+		in[i] = 0 // the frame buffer goes back to its pool
+	}
+	again, err := EncodeContent(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, enc) {
+		t.Error("EncodeContent(DecodeContent(b)) differs from b")
+	}
+	if !bytes.Equal(c.Signature, sig) {
+		t.Error("decoded content aliases its input")
+	}
+}
+
+// TestDecodeContentConcurrent decodes one content and a spread of names
+// from several goroutines at once: the intern table is process-wide, so
+// the race detector sees every decoder share it.
+func TestDecodeContentConcurrent(t *testing.T) {
+	var encs [][]byte
+	for i := 0; i < 64; i++ {
+		enc, err := EncodeContent(&Content{
+			Meta:      ContentMeta{Name: names.MustNew("p", "o", "c"+strconv.Itoa(i)), Level: 1, ProviderKey: names.MustParse("/p/KEY/1")},
+			Payload:   []byte("xyz"),
+			Signature: []byte{1, 2, 3, 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for i, enc := range encs {
+					c, err := DecodeContent(enc)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if want := "/p/o/c" + strconv.Itoa(i); c.Meta.Name.String() != want {
+						t.Errorf("decoded name %s, want %s", c.Meta.Name, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +76,78 @@ func FuzzTagEncoding(f *testing.F) {
 		}
 		if !bytes.Equal(out.CacheKey(), in.CacheKey()) {
 			t.Fatalf("cache key changed across round trip")
+		}
+	})
+}
+
+// FuzzContentEncoding exercises the content codec the way the wire does.
+// DecodeContent must never panic on arbitrary bytes; what it accepts is
+// kept byte for byte (the cached encoding is the accepted prefix of the
+// input) and its canonical re-encode decodes to the same fields. The
+// decoder reads its names through the intern table, so a fuzzed name is
+// also spliced into a well-formed content and decoded twice — the second
+// time from the table — and must be judged exactly as names.Parse judges
+// it, errors included.
+func FuzzContentEncoding(f *testing.F) {
+	chunk := publishedChunk(f)
+	f.Add(chunk, []byte("/prov0/obj/chunk7"))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{contentEncodingVersion}, []byte("/"))
+	f.Add(chunk[:len(chunk)/2], []byte("/a//b"))
+	f.Add(append(append([]byte(nil), chunk...), 0xEE), []byte("/a/b/"))
+	f.Add(chunk, []byte("no-slash"))
+	f.Fuzz(func(t *testing.T, data, name []byte) {
+		if dec, err := DecodeContent(data); err == nil {
+			enc, err := EncodeContent(dec)
+			if err != nil {
+				t.Fatalf("encode of accepted content: %v", err)
+			}
+			if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+				t.Fatal("cached encoding is not the accepted input")
+			}
+			if cap(dec.Payload) != len(dec.Payload) || cap(dec.Signature) != len(dec.Signature) {
+				t.Fatal("decoded views are not capped")
+			}
+			// Rebuilt from its fields the content has no cached encoding.
+			canon, err := EncodeContent(&Content{Meta: dec.Meta, Payload: dec.Payload, Signature: dec.Signature})
+			if err != nil {
+				t.Fatalf("canonical encode of accepted content: %v", err)
+			}
+			re, err := DecodeContent(canon)
+			if err != nil {
+				t.Fatalf("re-decode of accepted content: %v", err)
+			}
+			if !re.Meta.Name.Equal(dec.Meta.Name) || re.Meta.Level != dec.Meta.Level ||
+				!re.Meta.ProviderKey.Equal(dec.Meta.ProviderKey) ||
+				!bytes.Equal(re.Payload, dec.Payload) || !bytes.Equal(re.Signature, dec.Signature) {
+				t.Fatalf("content re-encode mutated fields: %+v != %+v", re, dec)
+			}
+		}
+
+		if len(name) > 0xFFFF {
+			name = name[:0xFFFF]
+		}
+		spliced := []byte{contentEncodingVersion}
+		spliced = appendLenPrefixed(spliced, name)
+		spliced = append(spliced, 0, 2)
+		spliced = appendLenPrefixed(spliced, []byte("/prov0/KEY/1"))
+		spliced = appendLenPrefixed(spliced, []byte("payload"))
+		spliced = appendLenPrefixed(spliced, []byte("sig"))
+		want, wantErr := names.Parse(string(name))
+		for pass := 0; pass < 2; pass++ {
+			got, err := DecodeContent(spliced)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("pass %d: name %q: DecodeContent err %v, names.Parse err %v", pass, name, err, wantErr)
+			}
+			if err != nil {
+				if !strings.HasSuffix(err.Error(), wantErr.Error()) {
+					t.Fatalf("pass %d: name %q: error %q does not carry %q", pass, name, err, wantErr)
+				}
+				continue
+			}
+			if !got.Meta.Name.Equal(want) || got.Meta.Name.Len() != want.Len() || got.Meta.Name.String() != want.String() {
+				t.Fatalf("pass %d: name %q decoded as %s, names.Parse gives %s", pass, name, got.Meta.Name, want)
+			}
 		}
 	})
 }

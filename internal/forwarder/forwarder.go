@@ -472,7 +472,10 @@ var errNoFace = errors.New("forwarder: face detached")
 
 // send transmits a Data on a face. Failures are counted as drops; a
 // connection-level failure additionally detaches the face so the next
-// packet does not hit the same dead peer.
+// packet does not hit the same dead peer. The Data is encoded here, with
+// the concrete encoder, and handed to the face as a frame: passed through
+// the Face interface it would escape, and every reply literal the
+// pipeline builds would be a heap allocation.
 func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 	f.mu.RLock()
 	fs, ok := f.faces[face]
@@ -481,7 +484,14 @@ func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 		f.m.drop(dropNoFace)
 		return
 	}
-	if err := fs.conn.SendData(d); err != nil {
+	buf := ndn.AcquireBuffer()
+	defer ndn.ReleaseBuffer(buf)
+	frame, err := ndn.AppendData(*buf, d)
+	if err == nil {
+		*buf = frame[:0] // keep any growth for the pool
+		err = fs.conn.SendFrame(frame)
+	}
+	if err != nil {
 		f.logf("send data on face %d: %v", face, err)
 		f.m.drop(dropSendErr)
 		if transport.IsFatal(err) {

@@ -142,7 +142,7 @@ func (n *liveNetwork) newLiveClient(t testing.TB, name string, level core.Access
 		t.Fatal(err)
 	}
 	if level > 0 {
-		n.producer.Provider().Enroll(identity.KeyLocator(), key.Public(), level)
+		n.producer.Enroll(identity.KeyLocator(), key.Public(), level)
 	}
 	cl, err := Dial(n.edgeAddr, identity, name, "edge-0")
 	if err != nil {
@@ -296,7 +296,7 @@ func TestLiveExpiredTagRejectedAfterTTL(t *testing.T) {
 	// the stale tag is rejected and re-registration is refused. Polling
 	// (instead of sleeping past the 700 ms TTL) keeps the test synced to
 	// the expiry event on a loaded machine.
-	n.producer.Provider().Revoke(mustClientKey(t, alice))
+	n.producer.Revoke(mustClientKey(t, alice))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := alice.Fetch(n.prefix.MustAppend("report", "chunk1"), liveTimeout); err != nil {

@@ -10,6 +10,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/bloom"
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/enforce"
+	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
@@ -60,8 +61,24 @@ func NewProducerWithConfig(provider *core.Provider, registry *pki.Registry, logf
 	}, nil
 }
 
-// Provider exposes the underlying provider (for enrollment).
+// Provider exposes the underlying provider, for set-up before the
+// producer serves: the provider is not safe for concurrent use, and once
+// faces are attached every access goes through the producer's lock.
 func (p *Producer) Provider() *core.Provider { return p.provider }
+
+// Enroll creates (or updates) a client account; safe while serving.
+func (p *Producer) Enroll(clientKey names.Name, key pki.PublicKey, level core.AccessLevel) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.provider.Enroll(clientKey, key, level)
+}
+
+// Revoke removes a client's account; safe while serving.
+func (p *Producer) Revoke(clientKey names.Name) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.provider.Revoke(clientKey)
+}
 
 // SetTracer records a per-Interest span at the origin for traced
 // requests. Call before Serve.
@@ -121,19 +138,34 @@ func (p *Producer) PublishObject(object string, level core.AccessLevel, payload 
 			end = len(payload)
 		}
 		name := base.MustAppend("chunk" + strconv.Itoa(chunks))
-		content, err := p.provider.Publish(name, level, payload[off:end])
-		if err != nil {
+		if err := p.publish(name, level, payload[off:end]); err != nil {
 			return chunks, err
 		}
-		p.AddContent(content)
 		chunks++
 	}
-	manifest, err := p.provider.Publish(base.MustAppend("manifest"), level, []byte(strconv.Itoa(chunks)))
-	if err != nil {
+	if err := p.publish(base.MustAppend("manifest"), level, []byte(strconv.Itoa(chunks))); err != nil {
 		return chunks, err
 	}
-	p.AddContent(manifest)
 	return chunks, nil
+}
+
+// publish signs one chunk and installs it in its wire form: the copy
+// DecodeContent hands back carries its encoding, so answering with it
+// appends those bytes instead of serialising the payload per Interest.
+func (p *Producer) publish(name names.Name, level core.AccessLevel, plaintext []byte) error {
+	content, err := p.provider.Publish(name, level, plaintext)
+	if err != nil {
+		return err
+	}
+	enc, err := core.EncodeContent(content)
+	if err != nil {
+		return err
+	}
+	if content, err = core.DecodeContent(enc); err != nil {
+		return err
+	}
+	p.AddContent(content)
+	return nil
 }
 
 // ServeFaces accepts faces from any FaceListener — a stream listener

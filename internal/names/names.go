@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"github.com/tactic-icn/tactic/internal/intern"
 )
 
 // Errors returned by name parsing and manipulation.
@@ -101,6 +103,19 @@ func Parse(s string) (Name, error) {
 	}
 	return makeName(parts), nil
 }
+
+// parsed interns ParseBytes results by their exact input bytes.
+var parsed intern.Cache[Name]
+
+// ParseBytes is Parse(string(b)) for names read off the wire: the result
+// for input seen before comes from a bounded, process-wide intern table
+// (see internal/intern) and allocates nothing. Malformed input is never
+// cached, so the error is Parse's every time.
+func ParseBytes(b []byte) (Name, error) {
+	return parsed.Resolve(b, parseBytes)
+}
+
+func parseBytes(b []byte) (Name, error) { return Parse(string(b)) }
 
 // MustParse is Parse but panics on error.
 func MustParse(s string) Name {

@@ -220,3 +220,29 @@ func TestPropertyCompareTotalOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestParseBytesAgreesWithParse: the interned parse is Parse, first time
+// and from the table, for accepted spellings (a trailing slash included —
+// "/a/b/" and "/a/b" are two keys for one name) and for rejected ones,
+// whose errors are Parse's own and never cached.
+func TestParseBytesAgreesWithParse(t *testing.T) {
+	for _, in := range []string{"/", "/a", "/a/b/", "/a/b", "/prov0/obj12/chunk3", "", "a/b", "no-slash", "/a//b", "//"} {
+		want, wantErr := Parse(in)
+		for pass := 0; pass < 2; pass++ {
+			got, err := ParseBytes([]byte(in))
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("pass %d: ParseBytes(%q) err = %v, Parse err = %v", pass, in, err, wantErr)
+			}
+			if !got.Equal(want) || got.String() != want.String() || !reflect.DeepEqual(got.Components(), want.Components()) {
+				t.Errorf("pass %d: ParseBytes(%q) = %s %v, Parse = %s %v", pass, in, got, got.Components(), want, want.Components())
+			}
+		}
+	}
+	in := []byte("/seen/before")
+	if _, err := ParseBytes(in); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseBytes(in) }); allocs != 0 { //nolint:errcheck
+		t.Errorf("ParseBytes of a seen name allocates %.1f/op, want 0", allocs)
+	}
+}

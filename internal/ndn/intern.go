@@ -1,99 +1,22 @@
 package ndn
 
 import (
-	"sync"
-
 	"github.com/tactic-icn/tactic/internal/core"
+	"github.com/tactic-icn/tactic/internal/intern"
 	"github.com/tactic-icn/tactic/internal/names"
 )
 
-// Decode-side interning for the live wire path. An edge router sees the
-// same tag on every Interest of a client session and the same handful of
-// content names over and over; re-parsing them per packet (two name
-// parses and three copies per tag) dominates the decode stage. Tags and
-// names are immutable once constructed, so decoded values keyed by their
-// exact wire bytes can be shared freely across packets and goroutines.
-//
-// Both caches are sharded maps with generation clearing: when a shard
-// fills, it is dropped wholesale and repopulated by subsequent traffic.
-// That bounds memory without LRU bookkeeping on the hot path; a clear
-// costs one decode per live key, which the steady state amortises to
-// nothing. Lookups with a []byte key use the map[string] compiler
-// optimisation, so a cache hit allocates nothing.
-
-// internShardCap bounds each shard of each intern cache; total capacity
-// is internShardCap * numShards entries.
-const internShardCap = 512
-
-// internCache is one sharded wire-bytes → value cache.
-type internCache[V any] struct {
-	shards [numShards]struct {
-		mu sync.Mutex
-		m  map[string]V
-	}
-}
-
-func (c *internCache[V]) shard(key []byte) *struct {
-	mu sync.Mutex
-	m  map[string]V
-} {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return &c.shards[h&(numShards-1)]
-}
-
-func (c *internCache[V]) get(key []byte) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	v, ok := s.m[string(key)]
-	s.mu.Unlock()
-	return v, ok
-}
-
-func (c *internCache[V]) put(key []byte, v V) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if s.m == nil || len(s.m) >= internShardCap {
-		s.m = make(map[string]V, internShardCap/4)
-	}
-	s.m[string(key)] = v
-	s.mu.Unlock()
-}
-
+// Decode-side interning for the TLV elements whose parse dominates the
+// decode stage (two name parses and three copies per tag): DecodeInterest
+// and DecodeData resolve them here. The mechanism and its bound live in
+// internal/intern. Content names, which cross the wire in URI form inside
+// the Content element, go through the same mechanism behind
+// names.ParseBytes.
 var (
 	// tagIntern maps a tag's exact wire encoding (including signature) to
 	// its decoded form. Keys cover every byte, so two distinct tags can
 	// never collide.
-	tagIntern internCache[*core.Tag]
+	tagIntern intern.Cache[*core.Tag]
 	// nameIntern maps a Name element's value bytes to the parsed name.
-	nameIntern internCache[names.Name]
+	nameIntern intern.Cache[names.Name]
 )
-
-// decodeTagInterned is core.DecodeTag behind the tag intern cache.
-func decodeTagInterned(v []byte) (*core.Tag, error) {
-	if t, ok := tagIntern.get(v); ok {
-		return t, nil
-	}
-	t, err := core.DecodeTag(v)
-	if err != nil {
-		return nil, err
-	}
-	tagIntern.put(v, t)
-	return t, nil
-}
-
-// decodeNameInterned is decodeName behind the name intern cache.
-func decodeNameInterned(v []byte) (names.Name, error) {
-	if n, ok := nameIntern.get(v); ok {
-		return n, nil
-	}
-	n, err := decodeName(v)
-	if err != nil {
-		return names.Name{}, err
-	}
-	nameIntern.put(v, n)
-	return n, nil
-}

@@ -216,6 +216,26 @@ func TestPITStats(t *testing.T) {
 	})
 }
 
+// TestPITAdmitAllocs: a fresh entry is one allocation — its first record
+// rides inline — on the plain table and under the shard lock alike.
+func TestPITAdmitAllocs(t *testing.T) {
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		name := names.MustParse("/prov0/obj/c0")
+		rec := PITRecord{InFace: 1, Nonce: 10}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if outcome, _ := p.Admit(name, rec, pitTime(1), pitTime(5)); outcome != PITNew {
+				t.Fatalf("Admit = %v, want PITNew", outcome)
+			}
+			if e, ok := p.Consume(name); !ok || len(e.Records) != 1 || e.Records[0] != rec {
+				t.Fatalf("consumed %+v", e)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("admitting a new entry allocates %.1f/op, want <= 1", allocs)
+		}
+	})
+}
+
 func TestPITConsume(t *testing.T) {
 	forEachPIT(t, func(t *testing.T, p pitTable) {
 		name := names.MustParse("/prov0/obj/c0")

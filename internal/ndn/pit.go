@@ -36,6 +36,10 @@ type PITEntry struct {
 	// Records lists the requesters; Records[0] is the primary (the
 	// Interest that created the entry and was forwarded).
 	Records []PITRecord
+	// first backs Records until a second requester aggregates: most
+	// entries live and die with one record, so it rides in the entry's own
+	// allocation.
+	first [1]PITRecord
 	// Expires is the entry's lifetime deadline; expired entries free
 	// their requesters' windows (the paper's 1 s request expiry, §8.B).
 	Expires time.Time
@@ -110,7 +114,9 @@ func (p *PIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (Adm
 		return PITAggregated, e.OutFace
 	}
 	// No entry, or an expired leftover to replace.
-	p.entries[k] = &PITEntry{Name: name, Records: []PITRecord{rec}, Expires: expires, OutFace: FaceNone}
+	e := &PITEntry{Name: name, first: [1]PITRecord{rec}, Expires: expires, OutFace: FaceNone}
+	e.Records = e.first[:]
+	p.entries[k] = e
 	p.created++
 	return PITNew, FaceNone
 }

@@ -253,7 +253,7 @@ func DecodeInterest(b []byte) (*Interest, error) {
 		}
 		switch typ {
 		case tlvName:
-			if i.Name, err = decodeNameInterned(v); err != nil {
+			if i.Name, err = nameIntern.Resolve(v, decodeName); err != nil {
 				return nil, err
 			}
 		case tlvKind:
@@ -267,7 +267,7 @@ func DecodeInterest(b []byte) (*Interest, error) {
 			}
 			i.Nonce = binary.BigEndian.Uint64(v)
 		case tlvTag:
-			if i.Tag, err = decodeTagInterned(v); err != nil {
+			if i.Tag, err = tagIntern.Resolve(v, core.DecodeTag); err != nil {
 				return nil, err
 			}
 		case tlvFlag:
@@ -370,7 +370,7 @@ func DecodeData(b []byte) (*Data, error) {
 		}
 		switch typ {
 		case tlvName:
-			if d.Name, err = decodeNameInterned(v); err != nil {
+			if d.Name, err = nameIntern.Resolve(v, decodeName); err != nil {
 				return nil, err
 			}
 		case tlvContent:
@@ -378,7 +378,7 @@ func DecodeData(b []byte) (*Data, error) {
 				return nil, err
 			}
 		case tlvTag:
-			if d.Tag, err = decodeTagInterned(v); err != nil {
+			if d.Tag, err = tagIntern.Resolve(v, core.DecodeTag); err != nil {
 				return nil, err
 			}
 		case tlvFlag:

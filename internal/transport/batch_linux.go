@@ -87,6 +87,19 @@ type batchIO struct {
 	siovs  [batchMax][gsoMaxSegs]syscall.Iovec
 	snames [batchMax]syscall.RawSockaddrAny
 	sctrls [batchMax][cmsgSpace16]byte
+
+	// recv and send are the RawConn callbacks, built once: a closure made
+	// per call would escape through the RawConn interface and cost an
+	// allocation (plus its captured results) every syscall round. They
+	// exchange arguments and results with readBatch and writeBatch through
+	// the fields below — rn/rerr owned by the read loop, sfrom/sto/sn/serr
+	// by the write loop.
+	recv, send func(fd uintptr) bool
+	rn         int
+	rerr       error
+	sfrom, sto int // the shdrs[sfrom:sto] window one sendmmsg offers
+	sn         int
+	serr       syscall.Errno
 }
 
 // newBatchIO prepares batch state for pc, or nil when the socket does
@@ -129,6 +142,8 @@ func newBatchIO(pc *net.UDPConn, bufSize int) *batchIO {
 		b.shdrs[i].hdr.Iov = &b.siovs[i][0]
 		b.shdrs[i].hdr.Iovlen = 1
 	}
+	b.recv = b.recvmmsg
+	b.send = b.sendmmsg
 	return b
 }
 
@@ -146,31 +161,33 @@ func (b *batchIO) readBatch() (int, error) {
 			b.rhdrs[i].hdr.SetControllen(cmsgSpace16)
 		}
 	}
-	var n int
-	var serr error
-	err := b.raw.Read(func(fd uintptr) bool {
-		for {
-			r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&b.rhdrs[0])), batchMax,
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch e {
-			case 0:
-				n = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // netpoller parks until readable
-			default:
-				serr = e
-				return true
-			}
-		}
-	})
-	if err != nil {
+	b.rn, b.rerr = 0, nil
+	if err := b.raw.Read(b.recv); err != nil {
 		return 0, err
 	}
-	return n, serr
+	return b.rn, b.rerr
+}
+
+// recvmmsg is the raw.Read callback: one non-blocking recvmmsg over every
+// receive slot, its outcome left in rn/rerr.
+func (b *batchIO) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&b.rhdrs[0])), batchMax,
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch e {
+		case 0:
+			b.rn = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // netpoller parks until readable
+		default:
+			b.rerr = e
+			return true
+		}
+	}
 }
 
 // msg returns the i-th received message of the last readBatch plus its
@@ -265,31 +282,11 @@ func (b *batchIO) writeBatch(msgs []outDatagram) {
 		sent := 0
 		regroup := false
 		for sent < nb {
-			var n int
-			var serr syscall.Errno
-			err := b.raw.Write(func(fd uintptr) bool {
-				for {
-					r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-						uintptr(unsafe.Pointer(&b.shdrs[sent])), uintptr(nb-sent),
-						syscall.MSG_DONTWAIT, 0, 0)
-					switch e {
-					case 0:
-						n = int(r1)
-						return true
-					case syscall.EINTR:
-						continue
-					case syscall.EAGAIN:
-						return false // netpoller parks until writable
-					default:
-						serr = e
-						return true
-					}
-				}
-			})
-			if err != nil {
+			b.sfrom, b.sto, b.sn, b.serr = sent, nb, 0, 0
+			if err := b.raw.Write(b.send); err != nil {
 				return // socket closed; drop the rest
 			}
-			if serr != 0 {
+			if b.serr != 0 {
 				if runs[sent] > 1 {
 					// The kernel rejected a GSO message: turn the offload
 					// off and replay its datagrams one per message.
@@ -302,12 +299,34 @@ func (b *batchIO) writeBatch(msgs []outDatagram) {
 				sent++ // skip the single datagram the kernel rejected
 				continue
 			}
-			sent += n
+			sent += b.sn
 		}
 		if regroup {
 			continue
 		}
 		msgs = msgs[consumed:]
+	}
+}
+
+// sendmmsg is the raw.Write callback: one non-blocking sendmmsg over
+// shdrs[sfrom:sto], its outcome left in sn/serr.
+func (b *batchIO) sendmmsg(fd uintptr) bool {
+	for {
+		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.shdrs[b.sfrom])), uintptr(b.sto-b.sfrom),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch e {
+		case 0:
+			b.sn = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // netpoller parks until writable
+		default:
+			b.serr = e
+			return true
+		}
 	}
 }
 

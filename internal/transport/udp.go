@@ -415,27 +415,35 @@ func (ep *UDPEndpoint) writeLoop() {
 }
 
 // enqueue queues one datagram for addr, blocking while the send queue
-// is full (bounded by timeout when > 0).
+// is full (bounded by timeout when > 0). A closed endpoint refuses the
+// datagram whether or not the queue has room: nobody drains it any more.
 func (ep *UDPEndpoint) enqueue(addr netip.AddrPort, dg []byte, timeout time.Duration) error {
+	select {
+	case <-ep.closed:
+		return &ConnError{Op: "write", Err: net.ErrClosed}
+	default:
+	}
 	buf := ndn.AcquireBuffer()
 	*buf = append((*buf)[:0], dg...)
+	out := outDatagram{addr: addr, buf: buf}
+	// Fast path: a queue with room needs no timer machinery.
+	select {
+	case ep.sendQ <- out:
+		return nil
+	default:
+	}
+	var expired <-chan time.Time // nil without a timeout: blocks forever
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
-		select {
-		case ep.sendQ <- outDatagram{addr: addr, buf: buf}:
-			return nil
-		case <-t.C:
-			ndn.ReleaseBuffer(buf)
-			return &ConnError{Op: "write", Err: errors.New("transport: udp send queue full")}
-		case <-ep.closed:
-			ndn.ReleaseBuffer(buf)
-			return &ConnError{Op: "write", Err: net.ErrClosed}
-		}
+		expired = t.C
 	}
 	select {
-	case ep.sendQ <- outDatagram{addr: addr, buf: buf}:
+	case ep.sendQ <- out:
 		return nil
+	case <-expired:
+		ndn.ReleaseBuffer(buf)
+		return &ConnError{Op: "write", Err: errors.New("transport: udp send queue full")}
 	case <-ep.closed:
 		ndn.ReleaseBuffer(buf)
 		return &ConnError{Op: "write", Err: net.ErrClosed}
