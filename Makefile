@@ -11,12 +11,15 @@ build:
 
 # The second line fails when a shipped binary links the testing package
 # (benchmarks belong in _test.go files and in bench/), the third when a
-# simulator-side package imports the live stack: each grep must print
-# nothing.
+# simulator-side package imports the live stack, the fourth when the
+# origin grows a receive loop or enforcement state of its own again (it
+# is a Forwarder; see internal/forwarder/producer.go): each grep must
+# print nothing.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
 	! $(GO) list -deps ./internal/experiment ./internal/network ./internal/workload ./internal/sim | grep -E 'internal/(forwarder|transport)$$'
+	! grep -nE 'Receive\(\)|enforce\.NewRouter|bloom\.New' internal/forwarder/producer.go
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

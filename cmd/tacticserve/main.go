@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], nil); err != nil {
 		fmt.Fprintln(os.Stderr, "tacticserve:", err)
 		os.Exit(1)
 	}
@@ -42,7 +42,9 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-func run(args []string) error {
+// run serves until its listener closes; listening, when non-nil, is
+// handed that listener once it is up, so a caller can stop the server.
+func run(args []string, listening func(transport.FaceListener)) error {
 	fs := flag.NewFlagSet("tacticserve", flag.ContinueOnError)
 	listen := fs.String("listen", ":7000", "listen address; prefix udp:// for datagram faces (default TCP)")
 	admin := fs.String("admin", "", "admin HTTP address for /metrics, /statusz, /debug/pprof (empty = disabled)")
@@ -178,5 +180,8 @@ func run(args []string) error {
 	}
 	network, _ := transport.SplitScheme(*listen)
 	log.Printf("tacticserve %s listening on %s/%s (tag TTL %s)", prefix, network, ln.Addr(), *ttl)
+	if listening != nil {
+		listening(ln)
+	}
 	return producer.ServeFaces(ln)
 }

@@ -1,9 +1,9 @@
 // Package forwarder is the deployable counterpart of the simulator's
 // router nodes: a concurrent TACTIC forwarder that speaks the TLV wire
 // format over real connections (internal/transport), plus a Producer
-// origin server and a fetching Client. Together with cmd/tacticd,
-// cmd/tacticserve, and cmd/tacticget they form a runnable TACTIC
-// network on localhost or across machines.
+// origin (a Forwarder itself) and a fetching Client. Together with
+// cmd/tacticd, cmd/tacticserve, and cmd/tacticget they form a runnable
+// TACTIC network on localhost or across machines.
 //
 // Concurrency model: one reader goroutine per face runs the enforcement
 // pipeline directly, and the pipeline holds no global lock. Every layer
@@ -156,6 +156,13 @@ type Forwarder struct {
 	// vp parks Interests awaiting signature verification off the face
 	// readers (see verifypool.go).
 	vp *verifyPool
+
+	// origin, when non-nil, makes this node a provider's origin (see
+	// producer.go): an Interest its content store does not answer goes to
+	// the origin instead of the PIT and FIB, and Data and control frames
+	// are ignored — an origin has no upstream to hear either from, and
+	// control frames are not authenticated.
+	origin *Producer
 
 	mu      sync.RWMutex // guards faces, next, uplinks
 	faces   map[ndn.FaceID]*faceState
@@ -340,6 +347,7 @@ func (f *Forwarder) readLoop(fs *faceState) {
 		switch {
 		case pkt.Interest != nil:
 			f.handleInterest(pkt.Interest, fs, pkt.DecodeDur)
+		case f.origin != nil: // an origin ignores Data and control frames
 		case pkt.Data != nil:
 			f.handleData(pkt.Data, fs, pkt.DecodeDur)
 		case pkt.Control != nil:
@@ -684,6 +692,10 @@ func (f *Forwarder) continueInterest(i *ndn.Interest, from *faceState, now time.
 			return
 		}
 	}
+	if f.origin != nil {
+		f.origin.answerMiss(i, from, now, sp, inTC)
+		return
+	}
 
 	outcome, outFace := f.pit.Admit(i.Name,
 		ndn.PITRecord{Tag: i.Tag, Flag: i.Flag, InFace: from.id, Nonce: i.Nonce, Arrived: now},
@@ -755,6 +767,16 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		sp.EventDur("decode", decodeDur, "")
 	}
 
+	// A Data changes state only as the answer to a pending Interest, on
+	// the face that Interest was forwarded to: anything else — a client
+	// pushing content or a forged tag at its edge — is dropped before the
+	// content store and the Bloom filter, its entry left pending.
+	entry, ok := f.pit.ConsumeFrom(d.Name, from.id)
+	if !ok {
+		f.m.drop(dropUnsolicited)
+		sp.End("drop:" + dropUnsolicited)
+		return
+	}
 	switch {
 	case d.Registration == nil:
 		if d.Content != nil {
@@ -762,12 +784,6 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		}
 	case f.cfg.Role == RoleEdge && d.Registration.Tag != nil:
 		f.tactic.EdgeOnTagResponse(d.Registration.Tag)
-	}
-	entry, ok := f.pit.Consume(d.Name)
-	if !ok {
-		f.m.drop(dropUnsolicited)
-		sp.End("drop:" + dropUnsolicited)
-		return
 	}
 	if d.Registration != nil {
 		// A registration response goes to every requester as it came.

@@ -1,15 +1,14 @@
 package forwarder
 
 import (
-	"math/rand"
+	"math"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"github.com/tactic-icn/tactic/internal/bloom"
 	"github.com/tactic-icn/tactic/internal/core"
-	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
@@ -17,25 +16,19 @@ import (
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
-// Producer is a provider origin server for the real-time stack: it
-// answers registration Interests with fresh tags and serves published
-// content, running Protocol 3 as the origin content router.
+// Producer is a provider origin for the real-time stack: a core-role
+// Forwarder whose content store is the published catalogue, so content
+// Interests run Protocol 3 on the one content-router path (verify pool,
+// per-face budget and shedding included), plus the provider state that
+// answers registration Interests with fresh tags.
 type Producer struct {
-	mu       sync.Mutex
+	node *Forwarder
+
+	mu       sync.Mutex // guards provider
 	provider *core.Provider
-	tactic   *enforce.Router
-	store    map[string]*core.Content
-	logf     func(format string, args ...any)
-	tracer   *obs.Tracer
 
-	served        uint64
-	nacked        uint64
-	registrations uint64
-	regFailed     uint64
-
-	closed chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
+	registrations atomic.Uint64
+	regFailed     atomic.Uint64
 }
 
 // NewProducer creates an origin server around a provider identity,
@@ -48,17 +41,15 @@ func NewProducer(provider *core.Provider, registry *pki.Registry, logf func(stri
 // enforcement configuration — the origin is a content router, so a
 // scheme selected for the plane must reach it too.
 func NewProducerWithConfig(provider *core.Provider, registry *pki.Registry, logf func(string, ...any), cfg core.Config) (*Producer, error) {
-	bf, err := bloom.NewPaper(500, 1e-4)
+	// The catalogue is never evicted: the store is unbounded.
+	node, err := New(Config{ID: "producer:" + provider.Prefix().String(), Role: RoleCore,
+		Registry: registry, CSCapacity: math.MaxInt, Tactic: cfg, Logf: logf})
 	if err != nil {
 		return nil, err
 	}
-	return &Producer{
-		provider: provider,
-		tactic:   enforce.NewRouter("producer:"+provider.Prefix().String(), bf, core.NewTagValidator(registry), rand.New(rand.NewSource(time.Now().UnixNano())), cfg),
-		store:    make(map[string]*core.Content),
-		logf:     logf,
-		closed:   make(chan struct{}),
-	}, nil
+	p := &Producer{node: node, provider: provider}
+	node.origin = p
+	return p, nil
 }
 
 // Provider exposes the underlying provider, for set-up before the
@@ -82,11 +73,7 @@ func (p *Producer) Revoke(clientKey names.Name) {
 
 // SetTracer records a per-Interest span at the origin for traced
 // requests. Call before Serve.
-func (p *Producer) SetTracer(t *obs.Tracer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tracer = t
-}
+func (p *Producer) SetTracer(t *obs.Tracer) { p.node.cfg.Tracer = t }
 
 // Instrument exposes the producer's counters on reg as scrape-time
 // callbacks, labelled with the provider prefix. Safe on a nil registry.
@@ -107,18 +94,12 @@ func (p *Producer) Instrument(reg *obs.Registry) {
 	reg.CounterFunc(MetricRegistrations, sampled(func(s ProducerStats) uint64 { return s.Registrations }), role, prefix, obs.L("result", "issued"))
 	reg.CounterFunc(MetricRegistrations, sampled(func(s ProducerStats) uint64 { return s.RegistrationsFailed }), role, prefix, obs.L("result", "failed"))
 	reg.CounterFunc(MetricVerifications, func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return float64(p.tactic.Validator().Verifications())
+		return float64(p.node.tactic.Validator().Verifications())
 	}, role, prefix)
 }
 
 // AddContent installs a published chunk.
-func (p *Producer) AddContent(c *core.Content) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.store[c.Meta.Name.Key()] = c
-}
+func (p *Producer) AddContent(c *core.Content) { p.node.cs.Insert(c) }
 
 // PublishObject chunks and publishes a payload as
 // <prefix>/<object>/chunk<i> plus a <prefix>/<object>/manifest chunk
@@ -171,124 +152,47 @@ func (p *Producer) publish(name names.Name, level core.AccessLevel, plaintext []
 // ServeFaces accepts faces from any FaceListener — a stream listener
 // or a UDP endpoint (one face per remote, created on its first
 // datagram) — until the listener closes.
-func (p *Producer) ServeFaces(l transport.FaceListener) error {
-	for {
-		face, err := l.Accept()
-		if err != nil {
-			select {
-			case <-p.closed:
-				return nil
-			default:
-				return err
-			}
-		}
-		p.wg.Add(1)
-		go p.serveConn(face)
-	}
-}
+func (p *Producer) ServeFaces(l transport.FaceListener) error { return p.node.ServeFaces(l) }
 
 // ServeConn answers Interests arriving on an already-established
-// connection (e.g. one end of a net.Pipe), returning immediately; the
-// serving goroutine exits when the connection closes. It lets a
-// multi-node topology be assembled entirely over in-process transports —
+// connection (e.g. one end of a net.Pipe), returning immediately. It lets
+// a multi-node topology be assembled entirely over in-process transports —
 // the conformance harness wires producers to core routers this way.
-func (p *Producer) ServeConn(conn net.Conn) {
-	c := transport.New(conn)
-	p.wg.Add(1)
-	go p.serveConn(c)
-}
+func (p *Producer) ServeConn(conn net.Conn) { p.node.AddFace(transport.New(conn), true) }
 
-// serveConn answers one face's Interests.
-func (p *Producer) serveConn(c transport.Face) {
-	defer p.wg.Done()
-	defer c.Close()
-	for {
-		pkt, err := c.Receive()
-		if err != nil {
-			return
-		}
-		if pkt.Interest == nil {
-			continue // producers ignore Data
-		}
-		if d := p.answer(pkt.Interest); d != nil {
-			if err := c.SendData(d); err != nil {
-				return
-			}
-		}
+// answerMiss is the origin's end of the Interest pipeline, reached when
+// the catalogue did not answer: a registration Interest is answered with
+// a fresh tag under the provider's lock; an unpublished name is silence
+// (the origin has nowhere to forward it).
+func (p *Producer) answerMiss(i *ndn.Interest, from *faceState, now time.Time, sp *obs.Span, inTC ndn.TraceContext) {
+	f := p.node
+	if i.Kind != ndn.KindRegistration {
+		f.m.drop(dropNoRoute)
+		sp.End("drop:" + dropNoRoute)
+		return
 	}
-}
-
-// answer produces the response for one Interest (nil = drop).
-func (p *Producer) answer(i *ndn.Interest) *ndn.Data {
-	now := time.Now()
+	if i.Registration == nil {
+		p.regFailed.Add(1)
+		sp.End("drop:bad_registration")
+		return
+	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	sp := p.tracer.StartCtx(traceCtx(i.Trace), "producer", i.Name.String())
-
-	if i.Kind == ndn.KindRegistration {
-		if i.Registration == nil {
-			p.regFailed++
-			sp.End("drop_bad_registration")
-			return nil
-		}
-		resp, err := p.provider.Register(*i.Registration, now)
-		if err != nil {
-			p.regFailed++
-			if p.logf != nil {
-				p.logf("registration rejected: %v", err)
-			}
-			sp.End("drop_registration_rejected")
-			return nil
-		}
-		p.registrations++
-		sp.End("registered")
-		return &ndn.Data{Name: i.Name, Registration: resp, Trace: propagateTrace(i.Trace, sp)}
+	resp, err := p.provider.Register(*i.Registration, now)
+	p.mu.Unlock()
+	if err != nil {
+		p.regFailed.Add(1)
+		f.logf("registration rejected: %v", err)
+		sp.End("drop:registration_rejected")
+		return
 	}
-
-	content, ok := p.store[i.Name.Key()]
-	if !ok {
-		sp.End("drop_no_content")
-		return nil
-	}
-	var enfStart time.Time
-	if sp != nil {
-		enfStart = time.Now()
-	}
-	dec := p.tactic.ContentOnInterest(i.Tag, content.Meta, i.Flag, now)
-	if sp != nil {
-		enfDur := time.Since(enfStart)
-		switch {
-		case dec.Verified:
-			sp.EventDur("verify", enfDur, verifyDetail(dec.Denied()))
-		case dec.BFHit:
-			sp.EventDur("bf_lookup", enfDur, "hit")
-		default:
-			sp.EventDur("bf_lookup", enfDur, "miss")
-		}
-		sp.Event("flag", formatFlag(dec.Flag))
-	}
-	outcome := "served"
-	if dec.Denied() {
-		p.nacked++
-		outcome = "nack"
-	} else {
-		p.served++
-	}
-	sp.End(outcome)
-	return &ndn.Data{
-		Name: i.Name, Content: content, Tag: i.Tag,
-		Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-		Trace: propagateTrace(i.Trace, sp),
-	}
+	p.registrations.Add(1)
+	f.send(from.id, &ndn.Data{Name: i.Name, Registration: resp, Trace: propagateTrace(inTC, sp)})
+	sp.End("registered")
 }
 
-// Close stops accepting and waits for in-flight connections.
-func (p *Producer) Close() error {
-	p.once.Do(func() { close(p.closed) })
-	p.wg.Wait()
-	return nil
-}
+// Close stops the origin: every face is closed, peers still connected
+// or not, and its goroutines have exited on return.
+func (p *Producer) Close() error { return p.node.Close() }
 
 // ProducerStats snapshots the origin's counters.
 type ProducerStats struct {
@@ -298,12 +202,12 @@ type ProducerStats struct {
 	Registrations, RegistrationsFailed uint64
 }
 
-// Stats returns a snapshot of the producer's counters.
+// Stats returns a snapshot of the producer's counters: content replies
+// are the node's content-store hits and NACKs.
 func (p *Producer) Stats() ProducerStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	st := p.node.Stats()
 	return ProducerStats{
-		Served: p.served, NACKed: p.nacked,
-		Registrations: p.registrations, RegistrationsFailed: p.regFailed,
+		Served: st.CSHits, NACKed: st.NACKs,
+		Registrations: p.registrations.Load(), RegistrationsFailed: p.regFailed.Load(),
 	}
 }

@@ -33,8 +33,7 @@ func (e *vpEnv) validTag(user string) *core.Tag {
 }
 
 // warmProtected publishes level-2 content under vpName straight into
-// the edge's content store (unsolicited Data is stored before the PIT
-// check drops it).
+// the edge's content store.
 func (e *vpEnv) warmProtected() {
 	e.t.Helper()
 	provider, err := core.NewProvider(names.MustParse("/prov0"), e.provKey, time.Minute, rand.Reader)
@@ -45,10 +44,7 @@ func (e *vpEnv) warmProtected() {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	if err := e.dial().SendData(&ndn.Data{Name: vpName, Content: content}); err != nil {
-		e.t.Fatal(err)
-	}
-	waitFor(e.t, "content to reach the store", func() bool { return len(e.fwd.CSNames()) == 1 })
+	e.fwd.cs.Insert(content)
 }
 
 // sendTag sends n Interests for vpName carrying tag, nonces base+1..n.

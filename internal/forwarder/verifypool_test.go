@@ -387,8 +387,7 @@ func TestVerifyPoolFlushOnShutdown(t *testing.T) {
 func TestVerifyPoolReaderNotBlocked(t *testing.T) {
 	e := newVPEnv(t, 1, 8)
 
-	// Publish public content straight into the edge CS (unsolicited
-	// Data is inserted before the PIT check drops it).
+	// Publish public content straight into the edge CS.
 	rng := rand.Reader
 	provider, err := core.NewProvider(names.MustParse("/prov0"), e.provKey, time.Minute, rng)
 	if err != nil {
@@ -398,10 +397,7 @@ func TestVerifyPoolReaderNotBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := e.dial()
-	if err := warm.SendData(&ndn.Data{Name: content.Meta.Name, Content: content}); err != nil {
-		t.Fatal(err)
-	}
+	e.fwd.cs.Insert(content)
 
 	e.gate.hold()
 	conn := e.dial()

@@ -127,6 +127,7 @@ type pitTable interface {
 	Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID)
 	SetOutFace(name names.Name, face FaceID) bool
 	Consume(name names.Name) (*PITEntry, bool)
+	ConsumeFrom(name names.Name, face FaceID) (*PITEntry, bool)
 	DropByOutFace(face FaceID) []*PITEntry
 	ExpireBefore(now time.Time) []*PITEntry
 	Len() int
@@ -249,6 +250,21 @@ func TestPITConsume(t *testing.T) {
 		}
 		if _, ok := p.Consume(name); ok {
 			t.Error("double consume succeeded")
+		}
+		// ConsumeFrom takes the entry only on the face it was forwarded to.
+		if _, ok := p.ConsumeFrom(name, 7); ok {
+			t.Error("ConsumeFrom found an entry that does not exist")
+		}
+		p.Admit(name, PITRecord{InFace: 1}, pitTime(1), pitTime(5))
+		if _, ok := p.ConsumeFrom(name, 7); ok {
+			t.Error("ConsumeFrom took an entry that was never forwarded")
+		}
+		p.SetOutFace(name, 7)
+		if _, ok := p.ConsumeFrom(name, 1); ok || p.Len() != 1 {
+			t.Errorf("ConsumeFrom on the wrong face: ok=%v, %d entries left, want the entry kept", ok, p.Len())
+		}
+		if e, ok := p.ConsumeFrom(name, 7); !ok || e.OutFace != 7 || p.Len() != 0 {
+			t.Errorf("ConsumeFrom on the out-face: ok=%v entry=%+v, %d entries left", ok, e, p.Len())
 		}
 	})
 }

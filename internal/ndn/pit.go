@@ -157,6 +157,19 @@ func (p *PIT) Consume(name names.Name) (*PITEntry, bool) {
 	return e, ok
 }
 
+// ConsumeFrom is Consume for Data arriving on face: the entry goes only
+// when its primary Interest was forwarded there, so Data from any other
+// face neither satisfies nor kills a pending request.
+func (p *PIT) ConsumeFrom(name names.Name, face FaceID) (*PITEntry, bool) {
+	k := name.Key()
+	e, ok := p.entries[k]
+	if !ok || e.OutFace != face {
+		return nil, false
+	}
+	delete(p.entries, k)
+	return e, true
+}
+
 // ExpireBefore removes entries whose lifetime ended at or before now and
 // returns them so callers can account for the timed-out requesters.
 func (p *PIT) ExpireBefore(now time.Time) []*PITEntry {

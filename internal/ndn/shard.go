@@ -89,6 +89,14 @@ func (p *ShardedPIT) Consume(name names.Name) (*PITEntry, bool) {
 	return s.pit.Consume(name)
 }
 
+// ConsumeFrom consumes the entry for name only if it was forwarded to
+// face (see PIT.ConsumeFrom).
+func (p *ShardedPIT) ConsumeFrom(name names.Name, face FaceID) (*PITEntry, bool) {
+	s := p.lock(name)
+	defer s.mu.Unlock()
+	return s.pit.ConsumeFrom(name, face)
+}
+
 // DropByOutFace removes and returns every entry whose primary Interest
 // was forwarded to face — called when that face dies.
 func (p *ShardedPIT) DropByOutFace(face FaceID) []*PITEntry {

@@ -3,6 +3,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -125,16 +126,10 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 		return nil, err
 	}
 
-	// Teardown order matters: closing a forwarder closes its face conns,
-	// which is what unblocks the producers' serve goroutines — so
-	// forwarders go down first, producers after.
-	var fwdClosers, prodClosers []func()
+	var closers []io.Closer
 	defer func() {
-		for _, c := range fwdClosers {
-			c()
-		}
-		for _, c := range prodClosers {
-			c()
+		for _, c := range closers {
+			c.Close()
 		}
 	}()
 
@@ -169,7 +164,7 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 			return err
 		}
 		fwds[idx] = f
-		fwdClosers = append(fwdClosers, func() { f.Close() })
+		closers = append(closers, f)
 		return nil
 	}
 	for _, idx := range info.cores {
@@ -214,7 +209,7 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 		if err != nil {
 			return nil, err
 		}
-		prodClosers = append(prodClosers, func() { prod.Close() })
+		closers = append(closers, prod)
 		for ci, c := range scn.Contents {
 			if c.Provider == p {
 				prod.AddContent(mat.contents[ci])
