@@ -50,8 +50,9 @@ test-repeat:
 
 # Allocation guards: the testing.AllocsPerRun tests (named Test...Allocs)
 # that hold each hot-path site to what it keeps — a datagram send, a
-# recvmmsg/sendmmsg round, a Content decode, a PIT admission, an intern
-# hit, an unsampled span. -count=1 because a cached pass proves nothing
+# recvmmsg/sendmmsg round, an idle-timeout wait, a Content decode, a PIT
+# admit/consume cycle, a CS insert that evicts, an intern hit, an
+# unsampled span. -count=1 because a cached pass proves nothing
 # about the toolchain's escape analysis today.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...

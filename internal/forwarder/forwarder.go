@@ -770,8 +770,12 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 	// A Data changes state only as the answer to a pending Interest, on
 	// the face that Interest was forwarded to: anything else — a client
 	// pushing content or a forged tag at its edge — is dropped before the
-	// content store and the Bloom filter, its entry left pending.
-	entry, ok := f.pit.ConsumeFrom(d.Name, from.id)
+	// content store and the Bloom filter, its entry left pending. The
+	// requesters are copied out (one record, nearly always; the array
+	// stays on this stack) and the PIT keeps the entry for its next
+	// admission.
+	var scratch [4]ndn.PITRecord
+	records, ok := f.pit.ConsumeFrom(d.Name, from.id, scratch[:0])
 	if !ok {
 		f.m.drop(dropUnsolicited)
 		sp.End("drop:" + dropUnsolicited)
@@ -788,13 +792,13 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 	if d.Registration != nil {
 		// A registration response goes to every requester as it came.
 		d.Trace = outTC
-		for _, rec := range entry.Records {
+		for _, rec := range records {
 			f.send(rec.InFace, d)
 		}
 		sp.End("registration")
 		return
 	}
-	for idx, rec := range entry.Records {
+	for idx, rec := range records {
 		f.deliverRecord(d, rec, idx == 0, now, sp, outTC)
 	}
 	if d.Nack {

@@ -5,15 +5,27 @@
 // constructed, so decoded values keyed by their exact wire bytes can be
 // shared freely across packets and goroutines.
 //
-// A Cache is a sharded map with generation clearing: when a shard fills,
-// it is dropped wholesale and repopulated by subsequent traffic. That
-// bounds memory without LRU bookkeeping on the hot path; a clear costs one
-// decode per live key, which the steady state amortises to nothing.
+// A Cache is a sharded table with single-victim replacement: each shard
+// is a slot array of at most ShardCap entries plus a key → slot index,
+// and an insert into a full shard overwrites one uniformly random slot.
+// Past its bound the table therefore degrades by a slope — a working set
+// k entries over the bound costs about 2k re-decodes per pass — where
+// dropping a full shard wholesale re-decoded every key of every pass, and
+// where LRU would turn a cyclic scan one key over the bound into 100 %
+// misses. The victim comes from a real generator rather than from the
+// key or from map iteration order: a remote peer feeding never-repeated
+// keys (forged tags) then displaces resident entries no faster than
+// chance. The shard is picked with one hash/maphash pass over the key,
+// seeded per process, so a peer cannot aim its keys at one shard either.
 // Lookups with a []byte key use the map[string] compiler optimisation, so
 // a cache hit allocates nothing.
 package intern
 
-import "sync"
+import (
+	"hash/maphash"
+	"math/rand/v2"
+	"sync"
+)
 
 const (
 	// Shards is the number of lock-striped shards of a Cache; a power of
@@ -24,13 +36,25 @@ const (
 	ShardCap = 512
 )
 
+var seed = maphash.MakeSeed()
+
 // Cache is one sharded wire-bytes → value cache. The zero value is ready
 // to use; it is safe for concurrent use.
 type Cache[V any] struct {
-	shards [Shards]struct {
-		mu sync.Mutex
-		m  map[string]V
-	}
+	shards [Shards]shard[V]
+}
+
+type shard[V any] struct {
+	mu sync.Mutex
+	// slots grows to ShardCap and stays there; index maps a resident key
+	// to its slot.
+	slots []slot[V]
+	index map[string]int32
+}
+
+type slot[V any] struct {
+	key string
+	val V
 }
 
 // Resolve returns the value decoded from key, from the cache when the
@@ -38,27 +62,38 @@ type Cache[V any] struct {
 // successful decodes are cached, so malformed input is re-judged (and
 // re-rejected) every time.
 func (c *Cache[V]) Resolve(key []byte, decode func([]byte) (V, error)) (V, error) {
-	h := uint64(14695981039346656037) // FNV-1a
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	s := &c.shards[h&(Shards-1)]
+	s := &c.shards[maphash.Bytes(seed, key)&(Shards-1)]
 	s.mu.Lock()
-	v, ok := s.m[string(key)]
-	s.mu.Unlock()
-	if ok {
+	if i, ok := s.index[string(key)]; ok {
+		v := s.slots[i].val
+		s.mu.Unlock()
 		return v, nil
 	}
+	s.mu.Unlock()
 	v, err := decode(key)
 	if err != nil {
 		return v, err
 	}
 	s.mu.Lock()
-	if s.m == nil || len(s.m) >= ShardCap {
-		s.m = make(map[string]V, ShardCap/4)
+	defer s.mu.Unlock()
+	// Another reader may have missed the same key and inserted it while
+	// this one decoded: its value stays, so one absent key displaces at
+	// most one resident entry.
+	if i, ok := s.index[string(key)]; ok {
+		return s.slots[i].val, nil
 	}
-	s.m[string(key)] = v
-	s.mu.Unlock()
+	i := len(s.slots)
+	if i < ShardCap {
+		if s.index == nil {
+			s.index = make(map[string]int32, ShardCap/4)
+		}
+		s.slots = append(s.slots, slot[V]{})
+	} else {
+		i = rand.IntN(ShardCap)
+		delete(s.index, s.slots[i].key)
+	}
+	k := string(key)
+	s.slots[i] = slot[V]{k, v}
+	s.index[k] = int32(i)
 	return v, nil
 }

@@ -1,8 +1,6 @@
 package ndn
 
 import (
-	"container/list"
-
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
 )
@@ -16,27 +14,41 @@ import (
 // for concurrent use; the live plane's ShardedCS locks around 16 of them.
 type CS struct {
 	capacity int
-	ll       *list.List
-	index    map[string]*list.Element
-	hits     uint64
-	misses   uint64
-	evicted  uint64
+	// root is the sentinel of the recency ring: root.next is the most
+	// recently used item, root.prev the least.
+	root    csItem
+	index   map[string]*csItem
+	hits    uint64
+	misses  uint64
+	evicted uint64
 }
 
-// csItem is one cached chunk.
+// csItem is one cached chunk, linked into its store's recency ring. A
+// full store rewrites its least recently used item in place, so items
+// are allocated only while the store grows.
 type csItem struct {
-	key     string
-	content *core.Content
+	prev, next *csItem
+	key        string
+	content    *core.Content
 }
 
 // NewCS creates a content store holding at most capacity chunks. A zero
 // or negative capacity disables caching (every Lookup misses).
 func NewCS(capacity int) *CS {
-	return &CS{
-		capacity: capacity,
-		ll:       list.New(),
-		index:    make(map[string]*list.Element),
-	}
+	c := &CS{capacity: capacity, index: make(map[string]*csItem)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+// unlink takes it out of the recency ring.
+func (c *CS) unlink(it *csItem) {
+	it.prev.next, it.next.prev = it.next, it.prev
+}
+
+// pushFront links it in as the most recently used item.
+func (c *CS) pushFront(it *csItem) {
+	it.prev, it.next = &c.root, c.root.next
+	it.prev.next, it.next.prev = it, it
 }
 
 // Insert caches a chunk, evicting the least recently used entry when
@@ -46,31 +58,36 @@ func (c *CS) Insert(content *core.Content) {
 		return
 	}
 	k := content.Meta.Name.Key()
-	if el, ok := c.index[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*csItem).content = content
-		return
-	}
-	el := c.ll.PushFront(&csItem{key: k, content: content})
-	c.index[k] = el
-	if c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.index, oldest.Value.(*csItem).key)
+	it, ok := c.index[k]
+	switch {
+	case ok:
+		c.unlink(it)
+	case len(c.index) >= c.capacity:
+		it = c.root.prev
+		c.unlink(it)
+		delete(c.index, it.key)
 		c.evicted++
+		it.key = k
+		c.index[k] = it
+	default:
+		it = &csItem{key: k}
+		c.index[k] = it
 	}
+	it.content = content
+	c.pushFront(it)
 }
 
 // Lookup returns the cached chunk for name, refreshing its recency.
 func (c *CS) Lookup(name names.Name) (*core.Content, bool) {
-	el, ok := c.index[name.Key()]
+	it, ok := c.index[name.Key()]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	c.unlink(it)
+	c.pushFront(it)
 	c.hits++
-	return el.Value.(*csItem).content, true
+	return it.content, true
 }
 
 // Contains reports whether name is cached without touching recency or
@@ -81,7 +98,7 @@ func (c *CS) Contains(name names.Name) bool {
 }
 
 // Len returns the number of cached chunks.
-func (c *CS) Len() int { return c.ll.Len() }
+func (c *CS) Len() int { return len(c.index) }
 
 // Names returns the cached content names in unspecified order, without
 // touching recency or hit/miss statistics. The conformance oracle uses

@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -127,7 +128,7 @@ type pitTable interface {
 	Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID)
 	SetOutFace(name names.Name, face FaceID) bool
 	Consume(name names.Name) (*PITEntry, bool)
-	ConsumeFrom(name names.Name, face FaceID) (*PITEntry, bool)
+	ConsumeFrom(name names.Name, face FaceID, recs []PITRecord) ([]PITRecord, bool)
 	DropByOutFace(face FaceID) []*PITEntry
 	ExpireBefore(now time.Time) []*PITEntry
 	Len() int
@@ -252,19 +253,85 @@ func TestPITConsume(t *testing.T) {
 			t.Error("double consume succeeded")
 		}
 		// ConsumeFrom takes the entry only on the face it was forwarded to.
-		if _, ok := p.ConsumeFrom(name, 7); ok {
+		if recs, ok := p.ConsumeFrom(name, 7, nil); ok || len(recs) != 0 {
 			t.Error("ConsumeFrom found an entry that does not exist")
 		}
-		p.Admit(name, PITRecord{InFace: 1}, pitTime(1), pitTime(5))
-		if _, ok := p.ConsumeFrom(name, 7); ok {
+		first, second := PITRecord{InFace: 1, Nonce: 1}, PITRecord{InFace: 2, Nonce: 2, Flag: 0.5}
+		p.Admit(name, first, pitTime(1), pitTime(5))
+		p.Admit(name, second, pitTime(1), pitTime(5))
+		if recs, ok := p.ConsumeFrom(name, 7, nil); ok || len(recs) != 0 {
 			t.Error("ConsumeFrom took an entry that was never forwarded")
 		}
 		p.SetOutFace(name, 7)
-		if _, ok := p.ConsumeFrom(name, 1); ok || p.Len() != 1 {
+		if recs, ok := p.ConsumeFrom(name, 1, nil); ok || len(recs) != 0 || p.Len() != 1 {
 			t.Errorf("ConsumeFrom on the wrong face: ok=%v, %d entries left, want the entry kept", ok, p.Len())
 		}
-		if e, ok := p.ConsumeFrom(name, 7); !ok || e.OutFace != 7 || p.Len() != 0 {
-			t.Errorf("ConsumeFrom on the out-face: ok=%v entry=%+v, %d entries left", ok, e, p.Len())
+		// The requesters are appended to the caller's slice, primary first.
+		var scratch [4]PITRecord
+		recs, ok := p.ConsumeFrom(name, 7, scratch[:0])
+		if !ok || len(recs) != 2 || recs[0] != first || recs[1] != second || p.Len() != 0 {
+			t.Errorf("ConsumeFrom on the out-face: ok=%v records=%+v, %d entries left", ok, recs, p.Len())
+		}
+		if &recs[0] != &scratch[0] {
+			t.Error("ConsumeFrom did not use the caller's slice")
+		}
+	})
+}
+
+// TestPITAdmitConsumeAllocs: an entry ConsumeFrom emptied is the next
+// Admit's, so the live plane's admit → set-out-face → consume-from cycle
+// allocates nothing once a shard has seen its first Data.
+func TestPITAdmitConsumeAllocs(t *testing.T) {
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		name := names.MustParse("/prov0/obj/c0")
+		rec := PITRecord{InFace: 1, Nonce: 10}
+		var scratch [4]PITRecord
+		cycle := func() {
+			if outcome, _ := p.Admit(name, rec, pitTime(1), pitTime(5)); outcome != PITNew {
+				t.Fatalf("Admit = %v, want PITNew", outcome)
+			}
+			p.SetOutFace(name, 7)
+			if recs, ok := p.ConsumeFrom(name, 7, scratch[:0]); !ok || len(recs) != 1 || recs[0] != rec {
+				t.Fatalf("consumed %+v, %v", recs, ok)
+			}
+		}
+		cycle() // warm the shard
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("an admit/consume-from cycle allocates %.1f/op, want 0", allocs)
+		}
+	})
+}
+
+// TestPITRecycledEntryIsFresh: an entry that comes back from ConsumeFrom
+// carries nothing of its previous use — not its aggregated records, its
+// out-face, its lifetime or its name — and an entry handed to a caller is
+// never reused under it.
+func TestPITRecycledEntryIsFresh(t *testing.T) {
+	forEachPIT(t, func(t *testing.T, p pitTable) {
+		a, b := names.MustParse("/prov0/obj/a"), names.MustParse("/prov0/obj/b")
+		for n := uint64(1); n <= 3; n++ {
+			p.Admit(a, PITRecord{InFace: FaceID(n), Nonce: n}, pitTime(1), pitTime(9))
+		}
+		p.SetOutFace(a, 7)
+		if recs, ok := p.ConsumeFrom(a, 7, nil); !ok || len(recs) != 3 {
+			t.Fatalf("consumed %+v, %v", recs, ok)
+		}
+		rec := PITRecord{InFace: 4, Nonce: 4}
+		if outcome, out := p.Admit(b, rec, pitTime(2), pitTime(5)); outcome != PITNew || out != FaceNone {
+			t.Fatalf("Admit = %v, %v", outcome, out)
+		}
+		held, ok := p.Consume(b)
+		if !ok || !held.Name.Equal(b) || len(held.Records) != 1 || held.Records[0] != rec ||
+			held.OutFace != FaceNone || !held.Expires.Equal(pitTime(5)) {
+			t.Fatalf("recycled entry = %+v, want only the new admission", held)
+		}
+		// held is the caller's now: further traffic must not touch it.
+		p.Admit(a, PITRecord{InFace: 5, Nonce: 5}, pitTime(3), pitTime(9))
+		p.SetOutFace(a, 7)
+		p.ConsumeFrom(a, 7, nil)
+		p.Admit(a, PITRecord{InFace: 6, Nonce: 6}, pitTime(3), pitTime(9))
+		if !held.Name.Equal(b) || len(held.Records) != 1 || held.Records[0] != rec {
+			t.Errorf("an entry handed out by Consume changed under its holder: %+v", held)
 		}
 	})
 }
@@ -446,6 +513,126 @@ func TestPropertyCSNeverExceedsCapacity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// listCS is the container/list LRU the content store was before its
+// recency ring became intrusive, kept as the reference the simulator's
+// golden rests on: same eviction order, same counters.
+type listCS struct {
+	capacity              int
+	ll                    *list.List // of *core.Content
+	index                 map[string]*list.Element
+	hits, misses, evicted uint64
+}
+
+func (m *listCS) insert(c *core.Content) {
+	k := c.Meta.Name.Key()
+	if el, ok := m.index[k]; ok {
+		m.ll.MoveToFront(el)
+		el.Value = c
+		return
+	}
+	m.index[k] = m.ll.PushFront(c)
+	if m.ll.Len() > m.capacity {
+		oldest := m.ll.Back()
+		m.ll.Remove(oldest)
+		delete(m.index, oldest.Value.(*core.Content).Meta.Name.Key())
+		m.evicted++
+	}
+}
+
+func (m *listCS) lookup(name names.Name) (*core.Content, bool) {
+	el, ok := m.index[name.Key()]
+	if !ok {
+		m.misses++
+		return nil, false
+	}
+	m.ll.MoveToFront(el)
+	m.hits++
+	return el.Value.(*core.Content), true
+}
+
+// TestCSMatchesListModel drives the store and the reference through
+// 20 000 seeded random steps and compares everything observable after
+// each: the outcome, Len, Stats and the whole recency order.
+func TestCSMatchesListModel(t *testing.T) {
+	const capacity, universe, steps = 16, 48, 20000
+	cs := NewCS(capacity)
+	model := &listCS{capacity: capacity, ll: list.New(), index: map[string]*list.Element{}}
+	nm := make([]names.Name, universe)
+	for i := range nm {
+		nm[i] = names.MustParse(fmt.Sprintf("/prov0/obj/c%d", i))
+	}
+	r := rand.New(rand.NewSource(22))
+	for step := 0; step < steps; step++ {
+		n := nm[r.Intn(universe)]
+		switch op := r.Intn(10); {
+		case op < 5:
+			c := chunk(n)
+			cs.Insert(c)
+			model.insert(c)
+		case op < 9:
+			got, ok := cs.Lookup(n)
+			want, wantOK := model.lookup(n)
+			if ok != wantOK || got != want {
+				t.Fatalf("step %d: Lookup(%s) = %p, %v; model %p, %v", step, n, got, ok, want, wantOK)
+			}
+		default:
+			_, want := model.index[n.Key()]
+			if got := cs.Contains(n); got != want {
+				t.Fatalf("step %d: Contains(%s) = %v, model %v", step, n, got, want)
+			}
+		}
+		h, m, e := cs.Stats()
+		if cs.Len() != model.ll.Len() || len(cs.Names()) != model.ll.Len() || h != model.hits || m != model.misses || e != model.evicted {
+			t.Fatalf("step %d: Len %d Stats %d/%d/%d, model Len %d Stats %d/%d/%d",
+				step, cs.Len(), h, m, e, model.ll.Len(), model.hits, model.misses, model.evicted)
+		}
+		order := csOrder(cs)
+		if len(order) != model.ll.Len() {
+			t.Fatalf("step %d: %d items in recency order, model holds %d", step, len(order), model.ll.Len())
+		}
+		for el, i := model.ll.Front(), 0; el != nil; el, i = el.Next(), i+1 {
+			if want := el.Value.(*core.Content); order[i] != want {
+				t.Fatalf("step %d: recency order diverges from the model at place %d (%s)", step, i, want.Meta.Name)
+			}
+		}
+	}
+}
+
+// csOrder returns the store's contents from most to least recently used.
+// It is the one place TestCSMatchesListModel reads the store's insides,
+// so the test runs unchanged against any recency structure given its walk.
+func csOrder(c *CS) []*core.Content {
+	var out []*core.Content
+	for it := c.root.next; it != &c.root; it = it.next {
+		out = append(out, it.content)
+	}
+	return out
+}
+
+// TestCSInsertAtCapacityAllocs: a full store rewrites its least recently
+// used item in place, so an insert that evicts allocates nothing.
+func TestCSInsertAtCapacityAllocs(t *testing.T) {
+	forEachLRU(t, 4, func(t *testing.T, cs csTable, name func(int) names.Name) {
+		var chunks [8]*core.Content
+		for i := range chunks {
+			chunks[i] = chunk(name(i))
+			cs.Insert(chunks[i])
+		}
+		_, _, before := cs.Stats()
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			cs.Insert(chunks[i%len(chunks)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("an insert into a full store allocates %.1f/op, want 0", allocs)
+		}
+		if _, _, evicted := cs.Stats(); evicted-before != 1001 {
+			t.Errorf("%d of 1001 inserts evicted, want all", evicted-before)
+		}
+	})
 }
 
 // --- Packets -----------------------------------------------------------------

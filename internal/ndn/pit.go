@@ -65,7 +65,12 @@ func (e *PITEntry) HasNonce(nonce uint64) bool {
 // PIT is a Pending Interest Table. It is not safe for concurrent use;
 // the live plane's ShardedPIT locks around 16 of them.
 type PIT struct {
-	entries    map[string]*PITEntry
+	entries map[string]*PITEntry
+	// free holds the entries ConsumeFrom emptied, for the next Admit: they
+	// never left the table, so nobody else holds one. Entries handed to a
+	// caller (Consume, DropByOutFace, ExpireBefore) are the caller's and do
+	// not come back.
+	free       []*PITEntry
 	aggregated uint64
 	created    uint64
 	expired    uint64
@@ -95,6 +100,11 @@ const (
 	PITDuplicate
 )
 
+// pitFreeMax bounds how many emptied entries a PIT keeps for reuse
+// (about 40 KB), so a burst of pending Interests does not stay allocated
+// after it is answered.
+const pitFreeMax = 256
+
 // Admit records one Interest — the one PIT admission rule both planes
 // run: it aggregates onto a live entry (extending its lifetime and
 // reporting the entry's out-face for retransmission handling), reports
@@ -114,7 +124,13 @@ func (p *PIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (Adm
 		return PITAggregated, e.OutFace
 	}
 	// No entry, or an expired leftover to replace.
-	e := &PITEntry{Name: name, first: [1]PITRecord{rec}, Expires: expires, OutFace: FaceNone}
+	var e *PITEntry
+	if n := len(p.free); n > 0 {
+		e, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		e = new(PITEntry)
+	}
+	*e = PITEntry{Name: name, first: [1]PITRecord{rec}, Expires: expires, OutFace: FaceNone}
 	e.Records = e.first[:]
 	p.entries[k] = e
 	p.created++
@@ -159,15 +175,23 @@ func (p *PIT) Consume(name names.Name) (*PITEntry, bool) {
 
 // ConsumeFrom is Consume for Data arriving on face: the entry goes only
 // when its primary Interest was forwarded there, so Data from any other
-// face neither satisfies nor kills a pending request.
-func (p *PIT) ConsumeFrom(name names.Name, face FaceID) (*PITEntry, bool) {
+// face neither satisfies nor kills a pending request. The requesters are
+// appended to recs (Records[0], the primary, first) and the emptied entry
+// stays inside the table for the next Admit, so the Data path has nothing
+// to hand back and no way to read an entry that is in use again.
+func (p *PIT) ConsumeFrom(name names.Name, face FaceID, recs []PITRecord) ([]PITRecord, bool) {
 	k := name.Key()
 	e, ok := p.entries[k]
 	if !ok || e.OutFace != face {
-		return nil, false
+		return recs, false
 	}
 	delete(p.entries, k)
-	return e, true
+	recs = append(recs, e.Records...)
+	if len(p.free) < pitFreeMax {
+		*e = PITEntry{} // let go of the name and the tags
+		p.free = append(p.free, e)
+	}
+	return recs, true
 }
 
 // ExpireBefore removes entries whose lifetime ended at or before now and

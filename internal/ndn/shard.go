@@ -43,7 +43,8 @@ type pitShard struct {
 // ShardedPIT is a Pending Interest Table safe for concurrent use,
 // sharded by name hash. Entries returned by Consume, ExpireBefore, and
 // DropByOutFace are removed from the table before being returned, so the
-// caller owns them exclusively.
+// caller owns them exclusively; ConsumeFrom returns the records and keeps
+// the entry.
 type ShardedPIT struct {
 	shards [numShards]pitShard
 }
@@ -90,11 +91,11 @@ func (p *ShardedPIT) Consume(name names.Name) (*PITEntry, bool) {
 }
 
 // ConsumeFrom consumes the entry for name only if it was forwarded to
-// face (see PIT.ConsumeFrom).
-func (p *ShardedPIT) ConsumeFrom(name names.Name, face FaceID) (*PITEntry, bool) {
+// face, appending its requesters to recs (see PIT.ConsumeFrom).
+func (p *ShardedPIT) ConsumeFrom(name names.Name, face FaceID, recs []PITRecord) ([]PITRecord, bool) {
 	s := p.lock(name)
 	defer s.mu.Unlock()
-	return s.pit.ConsumeFrom(name, face)
+	return s.pit.ConsumeFrom(name, face, recs)
 }
 
 // DropByOutFace removes and returns every entry whose primary Interest

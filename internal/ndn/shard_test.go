@@ -2,6 +2,7 @@ package ndn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,100 @@ func TestShardedPITConcurrentAdmitConsume(t *testing.T) {
 	}
 	if pit.Len() != 0 {
 		t.Fatalf("PIT holds %d entries after draining", pit.Len())
+	}
+}
+
+// TestShardedPITRecycleUnderSweeps: workers admit and consume-from a
+// shared set of names — each consume hands its entry back to the shard —
+// while a sweeper takes entries out through ExpireBefore and
+// DropByOutFace and holds on to them. Every record, however it is
+// delivered, must carry the tag it was admitted with under the name it
+// was admitted for, and an entry the sweeper holds must still read so at
+// the end: a recycled entry is never observable through an old handle.
+func TestShardedPITRecycleUnderSweeps(t *testing.T) {
+	pit := NewShardedPIT()
+	t0 := time.Now()
+	const namesN, workers, rounds = 8, 2, 4000
+	const outFace, doomedFace = FaceID(7), FaceID(9)
+	nn := make([]names.Name, namesN)
+	tags := make([]*core.Tag, namesN)
+	for i := range nn {
+		nn[i] = names.MustParse(fmt.Sprintf("/prov0/obj/chunk%d", i))
+		tags[i] = &core.Tag{Level: core.AccessLevel(i)}
+	}
+	// A record's nonce names the name it was admitted for.
+	check := func(how string, name names.Name, recs []PITRecord) {
+		for _, rec := range recs {
+			idx := rec.Nonce % namesN
+			if rec.Tag != tags[idx] || !name.Equal(nn[idx]) {
+				t.Errorf("%s: record with nonce %d (admitted for %s) delivered under %s with tag level %d",
+					how, rec.Nonce, nn[idx], name, rec.Tag.Level)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var scratch [4]PITRecord
+			for r := 0; r < rounds; r++ {
+				idx := (r + w) % namesN
+				rec := PITRecord{Tag: tags[idx], InFace: FaceID(w + 1), Nonce: uint64((r*workers+w)*namesN + idx)}
+				// Every fourth entry is born expired and every fifth is
+				// forwarded to the face the sweeper flushes.
+				expires, face := t0.Add(time.Minute), outFace
+				if r%4 == 0 {
+					expires = t0
+				}
+				if r%5 == 0 {
+					face = doomedFace
+				}
+				if outcome, _ := pit.Admit(nn[idx], rec, t0.Add(-time.Second), expires); outcome == PITNew {
+					pit.SetOutFace(nn[idx], face)
+				}
+				if recs, ok := pit.ConsumeFrom(nn[idx], outFace, scratch[:0]); ok {
+					check("ConsumeFrom", nn[idx], recs)
+				}
+			}
+		}(w)
+	}
+	// The sweeper keeps each entry it is handed beside a copy of what the
+	// entry read at that moment.
+	type handle struct {
+		entry *PITEntry
+		name  names.Name
+		recs  []PITRecord
+	}
+	stop := make(chan struct{})
+	swept := make(chan []handle, 1)
+	go func() {
+		var held []handle
+		for {
+			for _, e := range append(pit.ExpireBefore(t0), pit.DropByOutFace(doomedFace)...) {
+				held = append(held, handle{e, e.Name, append([]PITRecord(nil), e.Records...)})
+			}
+			select {
+			case <-stop:
+				swept <- held
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	held := <-swept
+	for _, h := range held {
+		check("swept entry", h.name, h.recs)
+		if !h.entry.Name.Equal(h.name) || !slices.Equal(h.entry.Records, h.recs) {
+			t.Errorf("entry swept for %s with %d records now reads %s with %d: it was reused under its holder",
+				h.name, len(h.recs), h.entry.Name, len(h.entry.Records))
+		}
+	}
+	if len(held) == 0 {
+		t.Error("the sweeper never took an entry: the test raced nothing")
 	}
 }
 

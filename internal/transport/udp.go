@@ -487,6 +487,10 @@ type DatagramFace struct {
 	evictSeen uint64
 	// evictGate rate-limits reassembly-eviction events to one per second.
 	evictGate obs.BurstGate
+	// idleTimer is the one timer behind every idle-timeout wait in
+	// nextQueued, built on first use; the single receive loop owns it and
+	// leaves it stopped and drained between waits.
+	idleTimer *time.Timer
 }
 
 // NewDatagramConn wraps a datagram-semantics net.Conn (each Write is
@@ -663,14 +667,21 @@ func (f *DatagramFace) nextQueued() (*[]byte, error) {
 	default:
 	}
 	if d := time.Duration(f.idleTimeout.Load()); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
+		t := f.idleTimer
+		if t == nil {
+			t = time.NewTimer(d)
+			f.idleTimer = t
+		} else {
+			t.Reset(d)
+		}
 		select {
 		case buf := <-f.rq:
+			stopTimer(t)
 			return buf, nil
 		case <-t.C:
 			return nil, ErrIdleTimeout
 		case <-f.done:
+			stopTimer(t)
 			return nil, net.ErrClosed
 		}
 	}
@@ -679,6 +690,16 @@ func (f *DatagramFace) nextQueued() (*[]byte, error) {
 		return buf, nil
 	case <-f.done:
 		return nil, net.ErrClosed
+	}
+}
+
+// stopTimer leaves t stopped with an empty channel, the only state in
+// which Reset is safe while go.mod's go 1.22 keeps timer channels
+// buffered: when t fired while its select took another case, the value
+// is taken out.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
 	}
 }
 

@@ -47,6 +47,38 @@ func TestDatagramFaceSendFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestDatagramFaceIdleWaitAllocs: a face with an idle timeout that finds
+// its queue empty waits on its one re-armed timer, so a wait a datagram
+// ends allocates nothing.
+func TestDatagramFaceIdleWaitAllocs(t *testing.T) {
+	_, f := idleEndpoint(1)
+	f.SetIdleTimeout(10 * time.Second)
+	dgram := []byte{typeKeepalive, 0}
+	kick := make(chan struct{})
+	defer close(kick)
+	go func() {
+		for range kick {
+			// Let the receiver reach its wait first; a datagram that beats
+			// it there is taken on the fast path, which proves nothing but
+			// breaks nothing either.
+			time.Sleep(100 * time.Microsecond)
+			f.rq <- &dgram
+		}
+	}()
+	allocs := testing.AllocsPerRun(200, func() {
+		kick <- struct{}{}
+		if buf, err := f.nextQueued(); err != nil || buf != &dgram {
+			t.Fatalf("nextQueued = %v, %v", buf, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an idle wait ended by a datagram allocates %.1f/op, want 0", allocs)
+	}
+	if f.idleTimer == nil {
+		t.Error("no wait reached the idle timer: every datagram was already queued")
+	}
+}
+
 // TestUDPSendQueueFullTimesOut: a full queue holds the sender for the
 // write time-out — not less — and then fails the send as a fatal
 // connection error naming the queue.
