@@ -13,13 +13,16 @@ build:
 # (benchmarks belong in _test.go files and in bench/), the third when a
 # simulator-side package imports the live stack, the fourth when the
 # origin grows a receive loop or enforcement state of its own again (it
-# is a Forwarder; see internal/forwarder/producer.go): each grep must
-# print nothing.
+# is a Forwarder; see internal/forwarder/producer.go), the fifth when a
+# driver walks the tables or consults a checkpoint itself instead of
+# through the node core (internal/node sequences CS -> PIT -> FIB and
+# Protocols 1-4 once): each grep must print nothing.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
 	! $(GO) list -deps ./internal/experiment ./internal/network ./internal/workload ./internal/sim | grep -E 'internal/(forwarder|transport)$$'
 	! grep -nE 'Receive\(\)|enforce\.NewRouter|bloom\.New' internal/forwarder/producer.go
+	! grep -nE '\.pit\.Admit|\.fib\.Lookup|\.cs\.Lookup|OnDataRecord|EdgeOnInterestFast|ContentOnInterestFast' $$(ls internal/network/*.go internal/forwarder/*.go | grep -v _test.go)
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

@@ -105,8 +105,7 @@ func run() error {
 		hitRatio = float64(res.CSHits) / float64(res.CSHits+res.CSMisses)
 	}
 	fmt.Printf("\nedge caching kept working under enforcement: %d cache hits (%.3f hit ratio)\n", res.CSHits, hitRatio)
-	fmt.Printf("NACKed deliveries dropped at the edge (insufficient level, per Protocol 2): %d\n",
-		res.Drops["edge-nack-drop"])
-	fmt.Printf("tagless requests for private content dropped: %d\n", res.Drops["tagless-private"])
+	fmt.Printf("answers the edge did not deliver (NACKed for insufficient level, or private content to a tagless requester; Protocol 2): %d\n",
+		res.Drops["undeliverable"])
 	return nil
 }

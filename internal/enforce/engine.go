@@ -22,12 +22,11 @@
 // Two backends exist: the paper's tag-based scheme (core.SchemeTACTIC)
 // and Interest-based access control (core.SchemeIBAC). The Router type
 // in this package pairs an Engine with a core.TagValidator and exposes
-// the protocol-shaped methods the planes call: one per Interest-path
-// checkpoint, and, for arriving Data, Router.OnDataRecord — the single
-// sequencing of the content-side checkpoints for one PIT record
-// (Protocol 2 On-Content, Protocol 4 lines 6-26), which says what the
-// record's requester is sent and why. Both planes call it once per
-// record and keep only their own loop, send and accounting.
+// the protocol-shaped methods the node core (internal/node) sequences:
+// one per Interest-path checkpoint, and, for arriving Data,
+// Router.OnDataRecord — the single sequencing of the content-side
+// checkpoints for one PIT record (Protocol 2 On-Content, Protocol 4
+// lines 6-26), which says what the record's requester is sent and why.
 package enforce
 
 import (

@@ -103,26 +103,26 @@ func TestAggregateALBypassAndHardening(t *testing.T) {
 	if d := r.ContentOnInterest(low, highMeta(prov), 0, now); !d.Denied() {
 		t.Fatal("content router should reject the low-level tag (Protocol 1)")
 	}
-	if r.EdgeOnAggregatedData(low, highMeta(prov), now).Denied() {
+	if r.aggregated(OpEdgeAggregate, low, highMeta(prov), 0, now).Denied() {
 		t.Error("paper-faithful aggregate path should (incorrectly) deliver — the documented flaw")
 	}
-	if d := r.IntermediateOnAggregatedContent(low, highMeta(prov), 0, now); d.Denied() {
+	if d := r.aggregated(OpAggregate, low, highMeta(prov), 0, now); d.Denied() {
 		t.Error("paper-faithful intermediate aggregate path should (incorrectly) forward")
 	}
 
 	// Hardened router: both aggregate paths reject it.
 	hr, hprov := testRouter(t, 55, core.Config{EnforceALOnAggregates: true})
 	hlow := issueTestTag(t, hprov, 1, 0, testTime(100))
-	if !hr.EdgeOnAggregatedData(hlow, highMeta(hprov), now).Denied() {
+	if !hr.aggregated(OpEdgeAggregate, hlow, highMeta(hprov), 0, now).Denied() {
 		t.Error("hardened edge aggregate path delivered a low-level tag")
 	}
-	if d := hr.IntermediateOnAggregatedContent(hlow, highMeta(hprov), 0, now); !d.Denied() ||
+	if d := hr.aggregated(OpAggregate, hlow, highMeta(hprov), 0, now); !d.Denied() ||
 		!errors.Is(d.Reason, core.ErrInsufficientLevel) {
 		t.Errorf("hardened intermediate aggregate path: %+v", d)
 	}
 	// Valid high-level tags still pass under hardening.
 	high := issueTestTag(t, hprov, 3, 0, testTime(100))
-	if hr.EdgeOnAggregatedData(high, highMeta(hprov), now).Denied() {
+	if hr.aggregated(OpEdgeAggregate, high, highMeta(hprov), 0, now).Denied() {
 		t.Error("hardening broke legitimate aggregate delivery")
 	}
 }

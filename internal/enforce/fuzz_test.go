@@ -94,7 +94,7 @@ func FuzzEnforceDecision(f *testing.F) {
 			case 1:
 				return mid.ContentOnInterest(tag, meta, flag, now)
 			case 2:
-				return mid.IntermediateOnAggregatedContent(tag, meta, flag, now)
+				return mid.aggregated(OpAggregate, tag, meta, flag, now)
 			default:
 				return edge.EdgeOnData(tag, flag, nack)
 			}

@@ -178,8 +178,8 @@ func (h *goldenHarness) replay(t testing.TB, tc GoldenCase) (bool, string, strin
 	case "content":
 		return finish(h.core.ContentOnInterest(tag, meta, 0, h.now))
 	case "aggregate":
-		ev := h.edge.EdgeOnAggregatedData(tag, meta, h.now)
-		cv := h.core.IntermediateOnAggregatedContent(tag, meta, 0, h.now)
+		ev := h.edge.aggregated(OpEdgeAggregate, tag, meta, 0, h.now)
+		cv := h.core.aggregated(OpAggregate, tag, meta, 0, h.now)
 		ed, es, er := finish(ev)
 		cd, cs, cr := finish(cv)
 		if ed != cd || es != cs || er != cr {

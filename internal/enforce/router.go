@@ -44,13 +44,6 @@ func NewRouter(id string, bf *bloom.Filter, validator *core.TagValidator, rng *r
 // ID returns the router's identity (also its access-path entity ID).
 func (r *Router) ID() string { return r.id }
 
-// Engine exposes the decision core (for the golden-verdict harnesses
-// and scheme-aware metrics).
-func (r *Router) Engine() Engine { return r.engine }
-
-// Scheme identifies the enforcement backend in use.
-func (r *Router) Scheme() core.Scheme { return r.engine.Scheme() }
-
 // Bloom exposes the router's validation cache for metric collection.
 func (r *Router) Bloom() *bloom.Filter { return r.engine.Bloom() }
 
@@ -84,15 +77,20 @@ func (r *Router) RotateEpoch(epoch uint64) bool { return r.engine.OnEpochRotate(
 
 // --- Protocol 2: edge router ------------------------------------------------
 
-// EdgeOnInterest runs the edge On-Interest checkpoint to completion,
-// verifying inline when the engine asks for it.
-func (r *Router) EdgeOnInterest(t *core.Tag, requestAP core.AccessPath, contentName names.Name, now time.Time) Verdict {
-	in := InterestInput{Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now}
+// inline decides an Interest-path checkpoint to completion, verifying
+// inline when the engine asks for it.
+func (r *Router) inline(in InterestInput) Verdict {
 	dec := r.engine.CheckInterest(in)
 	if dec.NeedsVerify() {
+		in.Flag = dec.Flag
 		return r.VerifyMiss(in)
 	}
 	return dec
+}
+
+// EdgeOnInterest runs the edge On-Interest checkpoint to completion.
+func (r *Router) EdgeOnInterest(t *core.Tag, requestAP core.AccessPath, contentName names.Name, now time.Time) Verdict {
+	return r.inline(InterestInput{Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now})
 }
 
 // EdgeOnInterestFast is the cheap half of EdgeOnInterest — everything
@@ -120,38 +118,14 @@ func (r *Router) EdgeOnData(t *core.Tag, dataFlag float64, nack bool) Verdict {
 	})
 }
 
-// EdgeOnAggregatedData validates one aggregated PIT tag on content
-// arrival at the edge (Protocol 2 lines 22-23), verifying inline when
-// the engine asks for it. meta is the arriving content's access
-// metadata.
-func (r *Router) EdgeOnAggregatedData(t *core.Tag, meta core.ContentMeta, now time.Time) Verdict {
-	dec := r.engine.CheckContent(ContentInput{
-		Op: OpEdgeAggregate, Tag: t, Meta: meta, Now: now,
-	})
-	if !dec.NeedsVerify() {
-		return dec
-	}
-	err := r.validator.Validate(t, now)
-	return r.engine.CheckContent(ContentInput{
-		Op: OpEdgeAggregate, Phase: PhasePostVerify, Tag: t, Meta: meta, Now: now, VerifyErr: err,
-	})
-}
-
 // --- Protocol 3: content router ---------------------------------------------
 
-// ContentOnInterest runs the content-router checkpoint to completion,
-// verifying inline when the engine asks for it. The content is returned
-// even alongside a NACK so that valid requests aggregated in downstream
-// PITs can still be satisfied — the paper's deliberate bandwidth/abuse
-// trade-off (§5.B).
+// ContentOnInterest runs the content-router checkpoint to completion.
+// The content is returned even alongside a NACK so that valid requests
+// aggregated in downstream PITs can still be satisfied — the paper's
+// deliberate bandwidth/abuse trade-off (§5.B).
 func (r *Router) ContentOnInterest(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	in := InterestInput{Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now}
-	dec := r.engine.CheckInterest(in)
-	if dec.NeedsVerify() {
-		in.Flag = dec.Flag
-		return r.VerifyMiss(in)
-	}
-	return dec
+	return r.inline(InterestInput{Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now})
 }
 
 // ContentOnInterestFast is the cheap half of ContentOnInterest. When
@@ -213,22 +187,20 @@ func (r *Router) VerifyShared(in InterestInput, verifyErr error) Verdict {
 	return r.engine.CheckInterest(in)
 }
 
-// --- Protocol 4: intermediate router -----------------------------------------
+// --- Aggregated PIT records (Protocol 2 lines 22-23, Protocol 4 lines 11-26) ---
 
-// IntermediateOnAggregatedContent validates one aggregated PIT tuple
-// <T_w, F, InFace_w> when the content arrives (Protocol 4 lines 11-26),
-// verifying inline when the engine asks for it.
-func (r *Router) IntermediateOnAggregatedContent(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	dec := r.engine.CheckContent(ContentInput{
-		Op: OpAggregate, Tag: t, Meta: meta, Flag: flag, Now: now,
-	})
+// aggregated validates one aggregated PIT record's tag when the content
+// arrives, verifying inline when the engine asks for it: op is
+// OpEdgeAggregate at an edge (flag unused) and OpAggregate, with the
+// record's stored F, at an intermediate router (<T_w, F, InFace_w>).
+func (r *Router) aggregated(op Op, t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
+	in := ContentInput{Op: op, Tag: t, Meta: meta, Flag: flag, Now: now}
+	dec := r.engine.CheckContent(in)
 	if !dec.NeedsVerify() {
 		return dec
 	}
-	err := r.validator.Validate(t, now)
-	return r.engine.CheckContent(ContentInput{
-		Op: OpAggregate, Phase: PhasePostVerify, Tag: t, Meta: meta, Flag: dec.Flag, Now: now, VerifyErr: err,
-	})
+	in.Phase, in.Flag, in.VerifyErr = PhasePostVerify, dec.Flag, r.validator.Validate(t, now)
+	return r.engine.CheckContent(in)
 }
 
 // --- One PIT record on Data arrival (Protocol 2 On-Content, Protocol 4 lines 6-26) ---
@@ -285,21 +257,21 @@ type RecordVerdict struct {
 
 // OnDataRecord decides what the requester behind one PIT record gets
 // from an arriving Data. It is the single sequencing of the content-side
-// checkpoints, shared by the simulator's router and the live forwarder.
+// checkpoints; the node core (internal/node) calls it once per record.
 //
 // At an edge router (Protocol 2 On-Content) the client gets the content
 // or nothing: a tagless record only Public, un-NACKed content; the
 // primary record whatever EdgeOnData allows (a NACKed response is
-// dropped); an aggregated record is judged on its own tag by
-// EdgeOnAggregatedData, independently of the primary's NACK — the
+// dropped); an aggregated record is judged on its own tag
+// (OpEdgeAggregate), independently of the primary's NACK — the
 // content rides along with NACKs precisely for its sake — and gets
 // nothing from a bare NACK.
 //
 // At any other router (Protocol 4) the primary record is relayed as it
 // arrived, NACK included (lines 6-10). An aggregated record is relayed
 // a bare NACK as such, and otherwise always receives the content: alone
-// if it is Public or IntermediateOnAggregatedContent accepts the
-// record's tag and stored F (lines 11-26), alongside a NACK if not.
+// if it is Public or OpAggregate accepts the record's tag and stored F
+// (lines 11-26), alongside a NACK if not.
 func (r *Router) OnDataRecord(edge, primary bool, tag *core.Tag, recFlag float64, d ArrivedData, now time.Time) RecordVerdict {
 	if edge {
 		stage := StageEdgeData
@@ -319,7 +291,7 @@ func (r *Router) OnDataRecord(edge, primary bool, tag *core.Tag, recFlag float64
 			return RecordVerdict{Reason: d.NackReason}
 		default:
 			stage = StageAggregate
-			if dec := r.EdgeOnAggregatedData(tag, d.Content.Meta, now); dec.Denied() {
+			if dec := r.aggregated(OpEdgeAggregate, tag, d.Content.Meta, 0, now); dec.Denied() {
 				return RecordVerdict{Stage: stage, Reason: dec.Reason}
 			}
 		}
@@ -343,7 +315,7 @@ func (r *Router) OnDataRecord(edge, primary bool, tag *core.Tag, recFlag float64
 		}
 		return RecordVerdict{Deliver: DeliverContentNACK, Reason: core.ErrNoTag, Minted: true}
 	}
-	dec := r.IntermediateOnAggregatedContent(tag, d.Content.Meta, recFlag, now)
+	dec := r.aggregated(OpAggregate, tag, d.Content.Meta, recFlag, now)
 	if dec.Denied() {
 		return RecordVerdict{Deliver: DeliverContentNACK, Stage: StageAggregate, Flag: dec.Flag, Reason: dec.Reason, Minted: true}
 	}

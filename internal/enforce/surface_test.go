@@ -19,8 +19,8 @@ func TestRouterSurfaceBothSchemes(t *testing.T) {
 			if r.ID() != "r1" {
 				t.Errorf("ID = %q", r.ID())
 			}
-			if r.Scheme() != scheme || r.Engine().Scheme() != scheme {
-				t.Errorf("scheme = %v / %v, want %v", r.Scheme(), r.Engine().Scheme(), scheme)
+			if r.engine.Scheme() != scheme {
+				t.Errorf("scheme = %v, want %v", r.engine.Scheme(), scheme)
 			}
 			if r.Bloom() == nil || r.Validator() == nil || r.Revocations() == nil {
 				t.Fatal("nil accessor")
@@ -128,10 +128,10 @@ func TestEngineUnknownOp(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeTACTIC, core.SchemeIBAC} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			r, _ := testRouter(t, 1, core.Config{Scheme: scheme})
-			if v := r.Engine().CheckInterest(InterestInput{}); !v.Denied() || v.Stage != StageNone {
+			if v := r.engine.CheckInterest(InterestInput{}); !v.Denied() || v.Stage != StageNone {
 				t.Errorf("zero-op CheckInterest: %+v", v)
 			}
-			if v := r.Engine().CheckContent(ContentInput{Op: OpEdgeInterest}); !v.Denied() || v.Stage != StageNone {
+			if v := r.engine.CheckContent(ContentInput{Op: OpEdgeInterest}); !v.Denied() || v.Stage != StageNone {
 				t.Errorf("mismatched-op CheckContent: %+v", v)
 			}
 		})

@@ -32,7 +32,7 @@ func TestVerifiedRequestIsCachedUnderItsOwnKey(t *testing.T) {
 							}
 							return r.ContentOnInterest(tag, in.Meta, 0, now)
 						}
-						dec := r.Engine().CheckInterest(in)
+						dec := r.engine.CheckInterest(in)
 						if dec.NeedsVerify() {
 							dec = r.VerifyMiss(in)
 						}
@@ -84,7 +84,7 @@ func TestVerifySharedIsASubsequentRequest(t *testing.T) {
 			if d := r.VerifyShared(in, nil); d.Denied() || !d.Verified {
 				t.Fatalf("follower after a reset: %+v, want a verified delivery", d)
 			}
-			if d := r.Engine().CheckInterest(in); !d.BFHit {
+			if d := r.engine.CheckInterest(in); !d.BFHit {
 				t.Fatalf("follower's folded success was not cached: %+v", d)
 			}
 
@@ -95,7 +95,7 @@ func TestVerifySharedIsASubsequentRequest(t *testing.T) {
 			if d := r.VerifyShared(other, nil); d.Denied() {
 				t.Fatalf("follower with another name: %+v", d)
 			}
-			if d := r.Engine().CheckInterest(other); !d.BFHit {
+			if d := r.engine.CheckInterest(other); !d.BFHit {
 				t.Fatalf("follower's own (token, name) not cached: %+v", d)
 			}
 

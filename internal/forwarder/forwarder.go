@@ -33,22 +33,22 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
-// Role selects which TACTIC protocols a forwarder runs on its
-// downstream faces.
-type Role int
+// Role selects which TACTIC protocols a forwarder runs on its downstream
+// faces: RoleEdge runs Protocol 2 on them and stamps access paths as the
+// clients' first-hop entity, RoleCore runs the content/intermediate
+// protocols only.
+type Role = node.Role
 
 // Roles.
 const (
-	// RoleEdge runs Protocol 2 on downstream (client-side) faces and
-	// stamps access paths as the clients' first-hop entity.
-	RoleEdge Role = iota + 1
-	// RoleCore runs the content/intermediate protocols only.
-	RoleCore
+	RoleEdge = node.RoleEdge
+	RoleCore = node.RoleCore
 )
 
 // Config parameterises a forwarder.
@@ -149,17 +149,20 @@ type Forwarder struct {
 
 	// fib, pit, and cs synchronise themselves (see internal/ndn); the
 	// pipeline reaches them without holding f.mu.
-	fib *ndn.LockedFIB
+	fib *ndn.FIB
 	pit *ndn.ShardedPIT
 	cs  *ndn.ShardedCS
+	// node sequences them and the checkpoints for every packet
+	// (internal/node); this type is its real-time driver.
+	node *node.Core
 
 	// vp parks Interests awaiting signature verification off the face
 	// readers (see verifypool.go).
 	vp *verifyPool
 
 	// origin, when non-nil, makes this node a provider's origin (see
-	// producer.go): an Interest its content store does not answer goes to
-	// the origin instead of the PIT and FIB, and Data and control frames
+	// producer.go): the node core has the origin role, a registration
+	// Interest goes to the origin to answer, and Data and control frames
 	// are ignored — an origin has no upstream to hear either from, and
 	// control frames are not authenticated.
 	origin *Producer
@@ -244,12 +247,13 @@ func New(cfg Config) (*Forwarder, error) {
 		start:  time.Now(),
 		m:      newObsMetrics(cfg.Obs, cfg.Role),
 		ev:     cfg.Events,
-		fib:    ndn.NewLockedFIB(),
+		fib:    ndn.NewFIB(),
 		pit:    ndn.NewShardedPIT(),
 		cs:     ndn.NewShardedCS(cfg.CSCapacity),
 		faces:  make(map[ndn.FaceID]*faceState),
 		closed: make(chan struct{}),
 	}
+	f.node = node.New(f.tactic, f.fib, f.pit, f.cs, cfg.Role, cfg.PITLifetime)
 	budget := cfg.VerifyBudget
 	if cfg.Tactic.DisableAdmission {
 		budget = 0 // park without bound; the shed policy is ablated away
@@ -381,7 +385,7 @@ func (f *Forwarder) removeFace(id ndn.FaceID) {
 		f.m.pitFlushed.Add(uint64(len(flushed)))
 		f.logf("face %d: flushed %d pending interests", id, len(flushed))
 	}
-	if n := f.vp.flushFace(id, core.ErrOverload); n > 0 {
+	if n := f.vp.flushWhere(func(j *verifyJob) bool { return j.from.id == id }, core.ErrOverload); n > 0 {
 		f.logf("face %d: flushed %d parked verifications", id, n)
 	}
 	f.release(fs)
@@ -489,7 +493,7 @@ func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 	fs, ok := f.faces[face]
 	f.mu.RUnlock()
 	if !ok {
-		f.m.drop(dropNoFace)
+		f.m.drop(node.DropNoFace)
 		return
 	}
 	buf := ndn.AcquireBuffer()
@@ -501,7 +505,7 @@ func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 	}
 	if err != nil {
 		f.logf("send data on face %d: %v", face, err)
-		f.m.drop(dropSendErr)
+		f.m.drop(node.DropSendErr)
 		if transport.IsFatal(err) {
 			f.removeFace(face)
 		}
@@ -527,18 +531,161 @@ func (f *Forwarder) sendInterest(face ndn.FaceID, i *ndn.Interest) error {
 	return nil
 }
 
-// formatFlag renders an F value for trace annotations.
-func formatFlag(flag float64) string {
-	return "F=" + strconv.FormatFloat(flag, 'g', -1, 64)
+// arrival is one Interest on its way through the pipeline, with what this
+// driver keeps beside it: the face to answer, the protocol time it arrived
+// at (expiry and PIT lifetimes are judged against the arrival, not a
+// dequeue), its span, the trace context to stamp on whatever is sent for
+// it, and whether its stages are timed.
+type arrival struct {
+	i       *ndn.Interest
+	from    *faceState
+	now     time.Time
+	sp      *obs.Span
+	outTC   ndn.TraceContext
+	sampled bool
 }
 
-// nackInterest denies an Interest back to its arrival face with the
-// given reason, counting the NACK and ending the span.
-func (f *Forwarder) nackInterest(i *ndn.Interest, from *faceState, reason error, sp *obs.Span, inTC ndn.TraceContext) {
-	f.m.nack(reason)
-	f.send(from.id, &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: reason,
-		Trace: propagateTrace(inTC, sp)})
-	sp.End("nack:" + core.ReasonLabel(reason))
+// handleInterest runs one Interest through the node core (the real-time
+// analogue of the simulator's RouterNode.HandleInterest) and acts on the
+// step it returns. It holds no forwarder-wide lock: enforcement, CS, PIT
+// and FIB synchronise themselves, so faces proceed in parallel and
+// serialise only per name shard. No Interest's signature is verified
+// here: a decision that needs one parks the Interest in the verify pool
+// and the reader moves on, so the hop histogram and the pit_cs stage
+// measure the reader's hot path only. (Aggregated PIT records are still
+// verified inline, on the Data path.)
+func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
+	now := time.Now()
+	a := arrival{i: i, from: from, now: now}
+	a.sp = f.cfg.Tracer.StartCtx(traceCtx(i.Trace), "interest", i.Name.String())
+	a.outTC = propagateTrace(i.Trace, a.sp)
+	n := f.m.interest.Inc()
+	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
+	// 1-in-64 packets contribute pit_cs / encode_send stage timings
+	// (bf_lookup and verify are timed inside their own layers); a packet
+	// with a span is always timed so its trace shows the decomposition.
+	a.sampled = a.sp != nil || n&stageSampleMask == 0
+	if a.sp != nil && decodeDur > 0 {
+		a.sp.EventDur("decode", decodeDur, "")
+	}
+	checks := node.Protocol3
+	if i.Kind == ndn.KindContent && f.cfg.Role == RoleEdge && from.downstream {
+		// The edge is its clients' first-hop entity: reset-then-stamp
+		// the access path, then Protocol 2 applies.
+		i.AccessPath = core.EmptyAccessPath.Accumulate(f.cfg.ID)
+		checks |= node.Protocol2
+	}
+	var walk time.Time
+	if a.sampled {
+		walk = time.Now()
+	}
+	st := f.node.OnInterest(i, from.id, checks, now)
+	if st.Action != node.Verify || st.Pending.Op != enforce.OpEdgeInterest {
+		observeStageSpan(f.m.stagePITCS, "pit_cs", walk, a.sp) // the call reached the tables
+	}
+	if a.sp != nil {
+		narrate(a.sp, i, st)
+	}
+	f.act(a, st)
+}
+
+// narrate records on a span the enforcement a step went through: the F
+// carried (a core hop sees the edge's collaboration flag on the wire) and
+// which check decided — on F != 0 at a content router whether the
+// probabilistic re-check fired, otherwise whether the validation cache
+// vouched for the tag.
+func narrate(sp *obs.Span, i *ndn.Interest, st node.Step) {
+	if i.Flag != 0 {
+		sp.Event("flag", "F="+strconv.FormatFloat(i.Flag, 'g', -1, 64))
+	}
+	switch {
+	case st.Stage == enforce.StageNone:
+	case st.Stage == enforce.StageContent && i.Flag != 0 && st.Action == node.Verify:
+		sp.Event("flag_check", "recheck")
+	case st.Stage == enforce.StageContent && i.Flag != 0:
+		sp.Event("flag_check", "recheck_skipped")
+	case st.BFHit:
+		sp.Event("bf_lookup", "hit")
+	default:
+		sp.Event("bf_lookup", "miss")
+	}
+}
+
+// act carries out the step the node core returned for an Interest, on the
+// face reader or — resumed with a verdict — on a verify-pool worker.
+func (f *Forwarder) act(a arrival, st node.Step) {
+	i, sp := a.i, a.sp
+	var sendStart time.Time
+	if a.sampled {
+		sendStart = time.Now()
+	}
+	switch st.Action {
+	case node.Verify:
+		f.parkForVerify(&verifyJob{arrival: a, pending: st.Pending})
+	case node.Reply:
+		f.reply(a, st.Reply, sendStart)
+	case node.Register:
+		f.origin.register(a)
+	case node.Aggregate:
+		// A fresh nonce for a pending name is a retransmission: re-send
+		// upstream as well as aggregating, so an Interest lost on the uplink
+		// is recovered instead of black-holing every requester until the
+		// entry expires. While the primary forward is still in flight the
+		// out-face is unset and there is nothing to recover yet.
+		if st.Face != ndn.FaceNone {
+			i.Trace = a.outTC
+			f.sendInterest(st.Face, i) //nolint:errcheck // best-effort recovery
+		}
+		sp.End("aggregated")
+	case node.Forward:
+		i.Trace = a.outTC
+		err := f.sendInterest(st.Face, i)
+		if err == nil {
+			observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
+			sp.End("forwarded")
+			return
+		}
+		st.Cause = node.DropSendErr
+		if errors.Is(err, errNoFace) {
+			st.Cause = node.DropNoFace
+		}
+		fallthrough
+	case node.Drop:
+		// An Interest admitted to the PIT that never left — no route, or
+		// the send failed — consumes its fresh entry again, so
+		// retransmissions re-forward instead of aggregating onto a dead
+		// entry for a full PIT lifetime. (A retransmission landing in the
+		// abort window aggregates onto the doomed entry and is recovered by
+		// its own retransmission, like a lost upstream Interest.)
+		if st.Cause != node.DropDupNonce {
+			f.pit.Consume(i.Name)
+		}
+		if st.Cause == node.DropNoRoute && f.origin == nil {
+			f.logf("no route for %s", i.Name)
+		}
+		f.m.drop(st.Cause)
+		sp.End("drop:" + st.Cause)
+	}
+}
+
+// reply answers an Interest on its arrival face: the content (alongside a
+// NACK when the tag failed — the paper's §5.B trade-off), the content
+// alone, or a bare NACK. It counts the NACK or the hit and ends the span.
+func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
+	outcome := "cs_hit"
+	if ans.Nack {
+		f.m.nack(ans.Reason)
+		outcome = "nack:" + core.ReasonLabel(ans.Reason)
+	} else {
+		f.m.csHits.Inc()
+	}
+	f.send(a.from.id, &ndn.Data{
+		Name: a.i.Name, Content: ans.Content, Tag: a.i.Tag,
+		Flag: ans.Flag, Nack: ans.Nack, NackReason: ans.Reason,
+		Trace: a.outTC,
+	})
+	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, a.sp)
+	a.sp.End(outcome)
 }
 
 // parkForVerify hands an Interest whose enforcement decision needs a
@@ -563,200 +710,12 @@ func (f *Forwarder) parkForVerify(job *verifyJob) {
 			f.ev.Emit(obs.EventShedBurst, int(job.from.id), "verify_overload", burst)
 		}
 	}
-	f.nackInterest(job.i, job.from, core.ErrOverload, job.sp, job.inTC)
+	f.reply(job.arrival, node.Answer{Nack: true, Reason: core.ErrOverload}, time.Time{})
 }
 
-// handleInterest runs the Interest pipeline (the real-time analogue of
-// the simulator's RouterNode.HandleInterest). It holds no forwarder-wide
-// lock: enforcement, CS, PIT, and FIB synchronise themselves, so faces
-// proceed in parallel and serialise only per name shard. No Interest's
-// signature is verified here: a decision that needs a verification
-// parks the Interest in the verify pool and the reader moves to the
-// next packet, so the hop histogram measures the reader's hot path
-// only. (deliverRecord still verifies aggregated PIT records inline.)
-func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
-	now := time.Now()
-	inTC := i.Trace
-	sp := f.cfg.Tracer.StartCtx(traceCtx(inTC), "interest", i.Name.String())
-	n := f.m.interest.Inc()
-	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
-	// 1-in-64 packets contribute pit_cs / encode_send stage timings
-	// (bf_lookup and verify are timed inside their own layers); a packet
-	// with a span is always timed so its trace shows the decomposition.
-	sampled := sp != nil || n&stageSampleMask == 0
-	if sp != nil && decodeDur > 0 {
-		sp.EventDur("decode", decodeDur, "")
-	}
-
-	if i.Kind == ndn.KindContent && f.cfg.Role == RoleEdge && from.downstream {
-		// The edge is its clients' first-hop entity: reset-then-stamp
-		// the access path, then run Protocol 2.
-		i.AccessPath = core.EmptyAccessPath.Accumulate(f.cfg.ID)
-		var enfStart time.Time
-		if sp != nil {
-			enfStart = time.Now()
-		}
-		dec := f.tactic.EdgeOnInterestFast(i.Tag, i.AccessPath, i.Name, now)
-		if sp != nil {
-			enfDur := time.Since(enfStart)
-			if dec.Reason != nil {
-				sp.Event("precheck", core.ReasonLabel(dec.Reason))
-			} else {
-				sp.Event("precheck", "ok")
-			}
-			// The enforcement verdict: which check decided, and its cost.
-			switch {
-			case dec.BFHit:
-				sp.EventDur("bf_lookup", enfDur, "hit")
-			default:
-				sp.EventDur("bf_lookup", enfDur, "miss")
-			}
-		}
-		if dec.Denied() {
-			f.nackInterest(i, from, dec.Reason, sp, inTC)
-			return
-		}
-		if dec.NeedsVerify() {
-			f.parkForVerify(&verifyJob{kind: verifyEdgeInterest, i: i, from: from,
-				now: now, sp: sp, inTC: inTC, sampled: sampled})
-			return
-		}
-		i.Flag = dec.Flag
-		if sp != nil {
-			sp.Event("flag", formatFlag(dec.Flag))
-		}
-	} else if sp != nil && i.Flag != 0 {
-		// A core hop sees the edge's collaboration flag on the wire.
-		sp.Event("flag", formatFlag(i.Flag))
-	}
-
-	f.continueInterest(i, from, now, sp, inTC, sampled)
-}
-
-// finishContentHit sends the verdict for a content-store hit: the
-// content (alongside a NACK when the tag failed — the paper's §5.B
-// trade-off), or the content alone.
-func (f *Forwarder) finishContentHit(i *ndn.Interest, from *faceState, content *core.Content, dec enforce.Verdict, sp *obs.Span, inTC ndn.TraceContext, sampled bool) {
-	outcome := "cs_hit"
-	if dec.Denied() {
-		f.m.nack(dec.Reason)
-		outcome = "nack:" + core.ReasonLabel(dec.Reason)
-	} else {
-		f.m.csHits.Inc()
-	}
-	var sendStart time.Time
-	if sampled {
-		sendStart = time.Now()
-	}
-	f.send(from.id, &ndn.Data{
-		Name: i.Name, Content: content, Tag: i.Tag,
-		Flag: dec.Flag, Nack: dec.Denied(), NackReason: dec.Reason,
-		Trace: propagateTrace(inTC, sp),
-	})
-	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
-	sp.End(outcome)
-}
-
-// continueInterest is the Interest pipeline after edge enforcement
-// settled (or was not required): content-store lookup, PIT admission,
-// FIB resolution, forward. It runs on the face reader when no signature
-// check was needed and on a verify-pool worker otherwise.
-func (f *Forwarder) continueInterest(i *ndn.Interest, from *faceState, now time.Time, sp *obs.Span, inTC ndn.TraceContext, sampled bool) {
-	var tables time.Time
-	if sampled {
-		tables = time.Now()
-	}
-	if i.Kind == ndn.KindContent {
-		if content, ok := f.cs.Lookup(i.Name); ok {
-			observeStageSpan(f.m.stagePITCS, "pit_cs", tables, sp)
-			dec := f.tactic.ContentOnInterestFast(i.Tag, content.Meta, i.Flag, now)
-			if sp != nil {
-				// The content-router verdict: on F != 0 whether the
-				// probabilistic re-check fired; on F = 0 which check
-				// vouched for the tag.
-				switch {
-				case i.Flag != 0 && dec.NeedsVerify():
-					sp.Event("flag_check", "recheck")
-				case i.Flag != 0:
-					sp.Event("flag_check", "recheck_skipped")
-				case dec.BFHit:
-					sp.Event("bf_lookup", "hit")
-				}
-			}
-			if dec.NeedsVerify() {
-				f.parkForVerify(&verifyJob{kind: verifyContentHit, i: i, from: from,
-					content: content, flag: dec.Flag, now: now, sp: sp, inTC: inTC, sampled: sampled})
-				return
-			}
-			f.finishContentHit(i, from, content, dec, sp, inTC, sampled)
-			return
-		}
-	}
-	if f.origin != nil {
-		f.origin.answerMiss(i, from, now, sp, inTC)
-		return
-	}
-
-	outcome, outFace := f.pit.Admit(i.Name,
-		ndn.PITRecord{Tag: i.Tag, Flag: i.Flag, InFace: from.id, Nonce: i.Nonce, Arrived: now},
-		now, now.Add(f.cfg.PITLifetime))
-	observeStageSpan(f.m.stagePITCS, "pit_cs", tables, sp)
-	switch outcome {
-	case ndn.PITDuplicate:
-		f.m.drop(dropDupNonce)
-		sp.End("drop:" + dropDupNonce)
-		return
-	case ndn.PITAggregated:
-		// A fresh nonce for a pending name is a retransmission: re-send
-		// upstream as well as aggregating, so an Interest silently lost
-		// on the uplink is recovered instead of black-holing every
-		// requester until the entry expires. While the primary forward is
-		// still in flight the out-face is unset and there is nothing to
-		// recover yet.
-		if outFace != ndn.FaceNone {
-			i.Trace = propagateTrace(inTC, sp)
-			f.sendInterest(outFace, i) //nolint:errcheck // best-effort recovery
-		}
-		sp.End("aggregated")
-		return
-	}
-
-	// PITNew: resolve the route, record it on the entry, forward. An
-	// Interest that cannot be forwarded consumes its fresh entry again,
-	// so retransmissions re-forward instead of aggregating onto a dead
-	// entry for a full PIT lifetime. (A concurrent retransmission landing
-	// in the abort window aggregates onto the doomed entry and is
-	// recovered by its own retransmission — the same exposure a lost
-	// upstream Interest has.)
-	face, ok := f.fib.Lookup(i.Name)
-	if !ok {
-		f.pit.Consume(i.Name)
-		f.m.drop(dropNoRoute)
-		f.logf("no route for %s", i.Name)
-		sp.End("drop:" + dropNoRoute)
-		return
-	}
-	f.pit.SetOutFace(i.Name, face)
-	var sendStart time.Time
-	if sampled {
-		sendStart = time.Now()
-	}
-	i.Trace = propagateTrace(inTC, sp)
-	if err := f.sendInterest(face, i); err != nil {
-		cause := dropSendErr
-		if errors.Is(err, errNoFace) {
-			cause = dropNoFace
-		}
-		f.m.drop(cause)
-		f.pit.Consume(i.Name) // the request never left; free it for retransmission
-		sp.End("drop:" + cause)
-		return
-	}
-	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
-	sp.End("forwarded")
-}
-
-// handleData runs the Data pipeline, lock-free like handleInterest.
+// handleData runs the Data pipeline, lock-free like handleInterest: the
+// node core admits the Data (or reports it unsolicited) and decides each
+// requester; this driver sends.
 func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Duration) {
 	now := time.Now()
 	inTC := d.Trace
@@ -766,28 +725,15 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 	if sp != nil && decodeDur > 0 {
 		sp.EventDur("decode", decodeDur, "")
 	}
-
-	// A Data changes state only as the answer to a pending Interest, on
-	// the face that Interest was forwarded to: anything else — a client
-	// pushing content or a forged tag at its edge — is dropped before the
-	// content store and the Bloom filter, its entry left pending. The
-	// requesters are copied out (one record, nearly always; the array
+	// The requesters are copied out (one record, nearly always; the array
 	// stays on this stack) and the PIT keeps the entry for its next
 	// admission.
 	var scratch [4]ndn.PITRecord
-	records, ok := f.pit.ConsumeFrom(d.Name, from.id, scratch[:0])
-	if !ok {
-		f.m.drop(dropUnsolicited)
-		sp.End("drop:" + dropUnsolicited)
+	records, cause := f.node.OnData(d, from.id, true, scratch[:0])
+	if cause != "" {
+		f.m.drop(cause)
+		sp.End("drop:" + cause)
 		return
-	}
-	switch {
-	case d.Registration == nil:
-		if d.Content != nil {
-			f.cs.Insert(d.Content)
-		}
-	case f.cfg.Role == RoleEdge && d.Registration.Tag != nil:
-		f.tactic.EdgeOnTagResponse(d.Registration.Tag)
 	}
 	if d.Registration != nil {
 		// A registration response goes to every requester as it came.
@@ -799,38 +745,28 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		return
 	}
 	for idx, rec := range records {
-		f.deliverRecord(d, rec, idx == 0, now, sp, outTC)
+		dl := f.node.OnRecord(d, rec, idx == 0, now)
+		if dl.Minted {
+			f.m.nack(dl.Answer.Reason)
+			sp.Event("nack_aggregate", core.ReasonLabel(dl.Answer.Reason))
+		}
+		if dl.Cause != "" {
+			f.m.drop(dl.Cause)
+			sp.Event("edge_drop", core.ReasonLabel(dl.Answer.Reason))
+			if !dl.Tagged {
+				continue
+			}
+			// Tell the client so it can fail fast rather than time out.
+		}
+		f.send(rec.InFace, &ndn.Data{
+			Name: d.Name, Content: dl.Answer.Content, Tag: rec.Tag,
+			Flag: dl.Answer.Flag, Nack: dl.Answer.Nack, NackReason: dl.Answer.Reason,
+			Trace: outTC,
+		})
 	}
 	if d.Nack {
 		sp.End("relayed_nack:" + core.ReasonLabel(d.NackReason))
 	} else {
 		sp.End("delivered")
 	}
-}
-
-// deliverRecord answers one PIT record from the arriving Data as
-// enforce.OnDataRecord decides (Protocol 2 On-Content at an edge,
-// Protocol 4 lines 6-26 at a core). Aggregated records' tags are
-// verified inline, on the reader of the face the Data arrived on.
-func (f *Forwarder) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.Time, sp *obs.Span, outTC ndn.TraceContext) {
-	v := f.tactic.OnDataRecord(f.cfg.Role == RoleEdge, primary, rec.Tag, rec.Flag,
-		enforce.ArrivedData{Content: d.Content, Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason}, now)
-	if v.Minted {
-		f.m.nack(v.Reason)
-		sp.Event("nack_aggregate", core.ReasonLabel(v.Reason))
-	}
-	if v.Deliver == enforce.DeliverNothing {
-		f.m.drop(dropUndeliverable)
-		sp.Event("edge_drop", core.ReasonLabel(v.Reason))
-		if rec.Tag != nil {
-			// Tell the client so it can fail fast rather than time out.
-			f.send(rec.InFace, &ndn.Data{Name: d.Name, Tag: rec.Tag, Nack: true, NackReason: v.Reason, Trace: outTC})
-		}
-		return
-	}
-	f.send(rec.InFace, &ndn.Data{
-		Name: d.Name, Content: d.Content, Tag: rec.Tag,
-		Flag: v.Flag, Nack: v.Deliver.Nack(), NackReason: v.Reason,
-		Trace: outTC,
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/bloom"
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
@@ -78,26 +79,6 @@ const (
 	MetricClientFetches     = "tactic_client_fetches_total"
 	MetricClientRetransmits = "tactic_client_retransmits_total"
 )
-
-// Drop causes used as the MetricDrops "cause" label.
-const (
-	dropDupNonce      = "dup_nonce"
-	dropNoRoute       = "no_route"
-	dropNoFace        = "no_face"
-	dropUnsolicited   = "unsolicited"
-	dropUndeliverable = "undeliverable"
-	dropSendErr       = "send_error"
-)
-
-func (r Role) String() string {
-	switch r {
-	case RoleEdge:
-		return "edge"
-	case RoleCore:
-		return "core"
-	}
-	return "unknown"
-}
 
 // obsMetrics pre-resolves the forwarder's registry series so the packet
 // pipeline increments lock-free atomics only. These series are the
@@ -192,7 +173,7 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 		m.nacks[reason] = reg.Counter(MetricNACKs, m.role, obs.L("reason", reason))
 	}
 	m.drops = make(map[string]*obs.Counter)
-	for _, cause := range []string{dropDupNonce, dropNoRoute, dropNoFace, dropUnsolicited, dropUndeliverable, dropSendErr} {
+	for _, cause := range node.DropCauses {
 		m.drops[cause] = reg.Counter(MetricDrops, m.role, obs.L("cause", cause))
 	}
 	reg.Help(MetricControl, "Lifecycle control frames processed, by kind and outcome.")
@@ -246,7 +227,7 @@ func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
 	c.Inc()
 }
 
-// drop counts one drop under its cause label.
+// drop counts one drop under its cause label (node.DropCauses).
 func (m *obsMetrics) drop(cause string) { m.drops[cause].Inc() }
 
 // faceSeries is one registry series of a face: a scrape-time view of a

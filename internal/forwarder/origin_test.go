@@ -427,14 +427,15 @@ func (s *sinkFace) Receive() (transport.Packet, error) {
 	<-s.closed
 	return transport.Packet{}, io.EOF
 }
-func (s *sinkFace) SendFrame([]byte) error        { s.frames++; return nil }
-func (s *sinkFace) StartKeepalive(time.Duration)  {}
-func (s *sinkFace) SetWriteTimeout(time.Duration) {}
-func (s *sinkFace) SetIdleTimeout(time.Duration)  {}
-func (s *sinkFace) SetMetrics(*transport.Metrics) {}
-func (s *sinkFace) Stats() transport.Stats        { return transport.Stats{} }
-func (s *sinkFace) RemoteAddr() net.Addr          { return nil }
-func (s *sinkFace) Close() error                  { close(s.closed); return nil }
+func (s *sinkFace) SendFrame([]byte) error           { s.frames++; return nil }
+func (s *sinkFace) SendInterest(*ndn.Interest) error { s.frames++; return nil }
+func (s *sinkFace) StartKeepalive(time.Duration)     {}
+func (s *sinkFace) SetWriteTimeout(time.Duration)    {}
+func (s *sinkFace) SetIdleTimeout(time.Duration)     {}
+func (s *sinkFace) SetMetrics(*transport.Metrics)    {}
+func (s *sinkFace) Stats() transport.Stats           { return transport.Stats{} }
+func (s *sinkFace) RemoteAddr() net.Addr             { return nil }
+func (s *sinkFace) Close() error                     { close(s.closed); return nil }
 
 // TestOriginReplyAllocs: answering a published chunk allocates nothing
 // beyond the decoded Interest — the reply literal stays on the stack

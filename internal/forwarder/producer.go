@@ -6,11 +6,11 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/transport"
@@ -42,13 +42,14 @@ func NewProducer(provider *core.Provider, registry *pki.Registry, logf func(stri
 // scheme selected for the plane must reach it too.
 func NewProducerWithConfig(provider *core.Provider, registry *pki.Registry, logf func(string, ...any), cfg core.Config) (*Producer, error) {
 	// The catalogue is never evicted: the store is unbounded.
-	node, err := New(Config{ID: "producer:" + provider.Prefix().String(), Role: RoleCore,
+	fwd, err := New(Config{ID: "producer:" + provider.Prefix().String(), Role: RoleCore,
 		Registry: registry, CSCapacity: math.MaxInt, Tactic: cfg, Logf: logf})
 	if err != nil {
 		return nil, err
 	}
-	p := &Producer{node: node, provider: provider}
-	node.origin = p
+	p := &Producer{node: fwd, provider: provider}
+	fwd.origin = p
+	fwd.node = node.New(fwd.tactic, nil, nil, fwd.cs, node.RoleOrigin, 0)
 	return p, nil
 }
 
@@ -160,34 +161,28 @@ func (p *Producer) ServeFaces(l transport.FaceListener) error { return p.node.Se
 // the conformance harness wires producers to core routers this way.
 func (p *Producer) ServeConn(conn net.Conn) { p.node.AddFace(transport.New(conn), true) }
 
-// answerMiss is the origin's end of the Interest pipeline, reached when
-// the catalogue did not answer: a registration Interest is answered with
-// a fresh tag under the provider's lock; an unpublished name is silence
-// (the origin has nowhere to forward it).
-func (p *Producer) answerMiss(i *ndn.Interest, from *faceState, now time.Time, sp *obs.Span, inTC ndn.TraceContext) {
+// register is the origin's end of the Interest pipeline (node.Register):
+// a registration Interest is answered with a fresh tag under the
+// provider's lock, or — malformed or refused — with silence.
+func (p *Producer) register(a arrival) {
 	f := p.node
-	if i.Kind != ndn.KindRegistration {
-		f.m.drop(dropNoRoute)
-		sp.End("drop:" + dropNoRoute)
-		return
-	}
-	if i.Registration == nil {
+	if a.i.Registration == nil {
 		p.regFailed.Add(1)
-		sp.End("drop:bad_registration")
+		a.sp.End("drop:bad_registration")
 		return
 	}
 	p.mu.Lock()
-	resp, err := p.provider.Register(*i.Registration, now)
+	resp, err := p.provider.Register(*a.i.Registration, a.now)
 	p.mu.Unlock()
 	if err != nil {
 		p.regFailed.Add(1)
 		f.logf("registration rejected: %v", err)
-		sp.End("drop:registration_rejected")
+		a.sp.End("drop:registration_rejected")
 		return
 	}
 	p.registrations.Add(1)
-	f.send(from.id, &ndn.Data{Name: i.Name, Registration: resp, Trace: propagateTrace(inTC, sp)})
-	sp.End("registered")
+	f.send(a.from.id, &ndn.Data{Name: a.i.Name, Registration: resp, Trace: a.outTC})
+	a.sp.End("registered")
 }
 
 // Close stops the origin: every face is closed, peers still connected

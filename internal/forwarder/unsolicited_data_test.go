@@ -2,7 +2,9 @@ package forwarder
 
 import (
 	"crypto/rand"
+	"encoding/json"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -179,5 +181,77 @@ func TestDataFromWrongFaceIsIgnored(t *testing.T) {
 	}
 	if cached := edge.CSNames(); len(cached) != 1 {
 		t.Errorf("the solicited content was not cached: %v", cached)
+	}
+}
+
+// TestUnsolicitedDataTable runs the node core's table of cases
+// (internal/node/testdata/unsolicited_data.json, shared with the core's
+// own test and the simulator's) through the live forwarder's Data
+// pipeline: what the three socket-level tests above show an attacker, case
+// by case.
+func TestUnsolicitedDataTable(t *testing.T) {
+	raw, err := os.ReadFile("../node/testdata/unsolicited_data.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name         string `json:"name"`
+		Pending      bool   `json:"pending"`
+		Registration bool   `json:"registration"`
+		FromOutFace  bool   `json:"from_out_face"`
+		Accepted     bool   `json:"accepted"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("%d cases, %v", len(cases), err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.Name, func(t *testing.T) {
+			pe := startPlayedEdge(t)
+			edge := pe.edge
+			face := func(downstream bool) *faceState {
+				id := edge.AddFace(&sinkFace{closed: make(chan struct{})}, downstream)
+				edge.mu.RLock()
+				defer edge.mu.RUnlock()
+				return edge.faces[id]
+			}
+			client, out, other := face(true), face(false), face(false)
+			edge.AddRoute(names.MustParse("/prov0"), out.id)
+			name, kind := pe.name, ndn.KindContent
+			d := &ndn.Data{Name: name, Content: pe.genuine}
+			if tc.Registration {
+				rogue, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/prov0/KEY/1"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				forged, err := core.IssueTag(rogue, names.MustParse("/users/mallory/KEY/1"), 3, core.EmptyAccessPath, time.Now().Add(time.Hour))
+				if err != nil {
+					t.Fatal(err)
+				}
+				name, kind = names.MustParse("/prov0/register/mallory"), ndn.KindRegistration
+				d = &ndn.Data{Name: name, Registration: &core.RegistrationResponse{Tag: forged}}
+			}
+			if tc.Pending {
+				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, 0)
+			}
+			from := out
+			if !tc.FromOutFace {
+				from = other
+			}
+			edge.handleData(d, from, 0)
+			inserted := edge.Tactic().Bloom().Stats().Insertions == 1
+			cached := len(edge.CSNames()) == 1
+			if tc.Accepted {
+				if inserted != tc.Registration || cached == tc.Registration || edge.pit.Len() != 0 || edge.Stats().Drops != 0 {
+					t.Errorf("solicited: inserted %v, cached %v, %d pending, %d drops", inserted, cached, edge.pit.Len(), edge.Stats().Drops)
+				}
+				return
+			}
+			if inserted || cached || edge.Stats().Drops != 1 {
+				t.Errorf("unsolicited: inserted %v, cached %v, %d drops — want dropped, nothing changed", inserted, cached, edge.Stats().Drops)
+			}
+			if pending := edge.pit.Len() == 1; pending != tc.Pending {
+				t.Errorf("entry pending = %v, want %v", pending, tc.Pending)
+			}
+		})
 	}
 }

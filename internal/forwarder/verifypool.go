@@ -8,7 +8,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/ndn"
-	"github.com/tactic-icn/tactic/internal/obs"
+	"github.com/tactic-icn/tactic/internal/node"
 )
 
 // The bounded asynchronous verification subsystem. Signature
@@ -51,38 +51,13 @@ import (
 // for a verdict that can never come. A flushed leader hands its group
 // to its first surviving follower.
 
-// verifyKind says which enforcement decision a parked job completes.
-type verifyKind int
-
-const (
-	// verifyEdgeInterest: EdgeOnInterestFast reported NeedVerify (edge
-	// BF miss under EdgeValidateOnMiss). Completion is the OpEdgeInterest
-	// verdict, then the rest of the Interest pipeline.
-	verifyEdgeInterest verifyKind = iota
-	// verifyContentHit: ContentOnInterestFast reported NeedVerify for a
-	// content-store hit (F = 0 BF miss, or the F != 0 probabilistic
-	// re-check fired). Completion is the OpContent verdict, then the Data
-	// send.
-	verifyContentHit
-)
-
-// verifyJob is one parked Interest awaiting signature verification.
+// verifyJob is one parked Interest awaiting signature verification: the
+// arrival and the decision the node core left pending on it.
 type verifyJob struct {
-	kind verifyKind
-	i    *ndn.Interest
-	from *faceState
-	// content is the CS hit awaiting its verdict (verifyContentHit).
-	content *core.Content
-	// flag is the effective F for the content completion.
-	flag float64
-	// now is the pipeline-entry protocol time: expiry and PIT lifetimes
-	// are judged against the Interest's arrival, not its dequeue.
-	now time.Time
+	arrival
+	pending node.Pending
 	// parkedAt is the enqueue instant, for park-time observability.
 	parkedAt time.Time
-	sp       *obs.Span
-	inTC     ndn.TraceContext
-	sampled  bool
 
 	// The fields below belong to the pool and are guarded by its mutex.
 
@@ -90,15 +65,6 @@ type verifyJob struct {
 	key string
 	// followers are the same-tag jobs admitted while this job led.
 	followers []*verifyJob
-}
-
-// input rebuilds the job's fast-phase enforcement input, which the
-// verify completions take.
-func (j *verifyJob) input() enforce.InterestInput {
-	if j.kind == verifyContentHit {
-		return enforce.InterestInput{Op: enforce.OpContent, Tag: j.i.Tag, Meta: j.content.Meta, Flag: j.flag, Now: j.now}
-	}
-	return enforce.InterestInput{Op: enforce.OpEdgeInterest, Tag: j.i.Tag, RequestAP: j.i.AccessPath, Name: j.i.Name, Now: j.now}
 }
 
 // faceVerifyQueue is one face's admission state.
@@ -313,7 +279,7 @@ func (p *verifyPool) run(job *verifyJob) {
 	if job.sp != nil {
 		job.sp.EventDur("parked", parkDur, "")
 	}
-	dec := f.tactic.VerifyMiss(job.input())
+	dec := f.tactic.VerifyMiss(job.pending.Input(job.i, job.now))
 	if job.sp != nil {
 		job.sp.Event("verify", verifyDetail(dec.Denied()))
 	}
@@ -326,7 +292,7 @@ func (p *verifyPool) run(job *verifyJob) {
 	for _, fj := range followers {
 		wait := time.Since(fj.parkedAt)
 		f.m.parkSeconds.Observe(wait.Seconds())
-		fdec := f.tactic.VerifyShared(fj.input(), dec.Reason)
+		fdec := f.tactic.VerifyShared(fj.pending.Input(fj.i, fj.now), dec.Reason)
 		if fj.sp != nil {
 			fj.sp.EventDur("coalesced", wait, verifyDetail(fdec.Denied()))
 		}
@@ -336,27 +302,14 @@ func (p *verifyPool) run(job *verifyJob) {
 
 // complete resumes a job's pipeline with its enforcement verdict.
 func (p *verifyPool) complete(job *verifyJob, dec enforce.Verdict) {
-	f := p.f
-	switch job.kind {
-	case verifyEdgeInterest:
-		if dec.Denied() {
-			f.nackInterest(job.i, job.from, dec.Reason, job.sp, job.inTC)
-			return
-		}
-		job.i.Flag = dec.Flag
-		if job.sp != nil {
-			job.sp.Event("flag", formatFlag(dec.Flag))
-		}
-		f.continueInterest(job.i, job.from, job.now, job.sp, job.inTC, job.sampled)
-	case verifyContentHit:
-		f.finishContentHit(job.i, job.from, job.content, dec, job.sp, job.inTC, job.sampled)
-	}
+	p.f.act(job.arrival, p.f.node.ResumeInterest(job.i, job.from.id, job.pending, dec, job.now))
 }
 
 // flushWhere removes parked jobs matching match — queued leaders and
-// followers alike — and NACKs each with the given reason (best-effort:
-// the face may already be gone). An in-flight leader is not touched —
-// its verdict lands normally — but its followers are.
+// followers alike — and answers each with the scheduler's own bare NACK
+// (best-effort: on face death it goes into a closing connection). An
+// in-flight leader is not touched — its verdict lands normally — but its
+// followers are.
 func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 	var out []*verifyJob
 	p.mu.Lock()
@@ -382,15 +335,9 @@ func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 	p.mu.Unlock()
 	for _, job := range out {
 		p.flushed.Add(1)
-		p.f.nackInterest(job.i, job.from, reason, job.sp, job.inTC)
+		p.f.reply(job.arrival, node.Answer{Nack: true, Reason: reason}, time.Time{})
 	}
 	return len(out)
-}
-
-// flushFace flushes every job parked for one arrival face (face
-// death). The NACKs are best-effort sends into a closing connection.
-func (p *verifyPool) flushFace(id ndn.FaceID, reason error) int {
-	return p.flushWhere(func(j *verifyJob) bool { return j.from.id == id }, reason)
 }
 
 // shutdown stops the workers (in-flight verifies complete and deliver

@@ -429,7 +429,7 @@ func forEachLRU(t *testing.T, capacity int, body func(t *testing.T, cs csTable, 
 	t.Run("sharded", func(t *testing.T) {
 		var sameShard []names.Name
 		for n := 0; len(sameShard) < 8; n++ {
-			if nm := names.MustParse(fmt.Sprintf("/a/%d", n)); shardIndex(nm.Key()) == 0 {
+			if nm := names.MustParse(fmt.Sprintf("/a/%d", n)); shardIndex(nm.Key(), numShards) == 0 {
 				sameShard = append(sameShard, nm)
 			}
 		}

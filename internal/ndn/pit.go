@@ -86,10 +86,10 @@ type AdmitOutcome int
 
 // Admit outcomes.
 const (
-	// PITNew: a fresh entry was created; the caller must forward the
-	// Interest upstream (Protocol 4 lines 1-2). The live forwarder then
-	// records the route with SetOutFace, aborting the entry if it cannot
-	// forward.
+	// PITNew: a fresh entry was created; the caller resolves a route,
+	// records it with SetOutFace and forwards the Interest upstream
+	// (Protocol 4 lines 1-2) — the node core; a driver that then cannot
+	// send may consume the entry again.
 	PITNew AdmitOutcome = iota
 	// PITAggregated: the Interest joined an existing pending entry
 	// (Protocol 4 lines 3-5). The returned out-face (FaceNone while the

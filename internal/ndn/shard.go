@@ -8,30 +8,34 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 )
 
-// Concurrency-safe forwarding tables for the live plane. They hold no
-// table logic of their own: a ShardedPIT is numShards × {mutex, PIT}, a
-// ShardedCS numShards × {mutex, CS}, and a LockedFIB one RWMutex over a
-// FIB. Every method picks the shard by a hash of the content name, locks
-// it and delegates to the plain table in pit.go, cs.go or fib.go — the
-// same code the single-threaded simulator calls directly — so packets
-// for different names proceed in parallel while all operations on one
-// name serialise on its shard lock. Only internal/forwarder uses these
-// types.
+// Concurrency-safe PIT and CS: with the FIB (fib.go, which locks itself)
+// the concrete tables the node core (internal/node) sequences under both
+// drivers. They hold no table logic of their own: a ShardedPIT is n ×
+// {mutex, PIT}, a ShardedCS n × {mutex, CS}. Every method picks the shard
+// by a hash of the content name, locks it and delegates to the plain table
+// in pit.go or cs.go, so packets for different names proceed in parallel
+// while all operations on one name serialise on its shard lock. The driver
+// picks n: the live forwarder's face readers share numShards; the
+// single-threaded simulator takes one shard, which is the plain table
+// behind an uncontended lock — one LRU, one recency order.
 
-// numShards is the shard count for the PIT and CS. A small power of two:
-// enough to keep unrelated names off each other's locks, small enough
-// that whole-table walks (expiry, face death) stay cheap.
+// numShards is the live plane's shard count for the PIT and CS. A small
+// power of two: enough to keep unrelated names off each other's locks,
+// small enough that whole-table walks (expiry, face death) stay cheap.
 const numShards = 16
 
-// shardIndex hashes a canonical name key to a shard (inline FNV-1a, no
-// allocation).
-func shardIndex(key string) int {
+// shardIndex hashes a canonical name key to one of n shards, n a power of
+// two (inline FNV-1a, no allocation; a single shard is not hashed for).
+func shardIndex(key string, n int) int {
+	if n == 1 {
+		return 0
+	}
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return int(h & (numShards - 1))
+	return int(h & uint64(n-1))
 }
 
 // pitShard is one lock-striped slice of the PIT.
@@ -46,12 +50,15 @@ type pitShard struct {
 // caller owns them exclusively; ConsumeFrom returns the records and keeps
 // the entry.
 type ShardedPIT struct {
-	shards [numShards]pitShard
+	shards []pitShard
 }
 
 // NewShardedPIT creates an empty concurrent PIT.
-func NewShardedPIT() *ShardedPIT {
-	p := &ShardedPIT{}
+func NewShardedPIT() *ShardedPIT { return NewShardedPITOf(numShards) }
+
+// NewShardedPITOf creates an empty PIT of n shards, n a power of two.
+func NewShardedPITOf(n int) *ShardedPIT {
+	p := &ShardedPIT{shards: make([]pitShard, n)}
 	for i := range p.shards {
 		p.shards[i].pit = NewPIT()
 	}
@@ -60,22 +67,20 @@ func NewShardedPIT() *ShardedPIT {
 
 // lock returns name's shard, locked.
 func (p *ShardedPIT) lock(name names.Name) *pitShard {
-	s := &p.shards[shardIndex(name.Key())]
+	s := &p.shards[shardIndex(name.Key(), len(p.shards))]
 	s.mu.Lock()
 	return s
 }
 
-// Admit records one Interest (see PIT.Admit). On PITNew the caller must
-// resolve a route, record it with SetOutFace, and forward the Interest,
-// consuming the entry again if it cannot.
+// Admit records one Interest (see PIT.Admit).
 func (p *ShardedPIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID) {
 	s := p.lock(name)
 	defer s.mu.Unlock()
 	return s.pit.Admit(name, rec, now, expires)
 }
 
-// SetOutFace records the upstream face the primary Interest of name was
-// forwarded to, reporting whether the entry still exists.
+// SetOutFace records the face name's primary Interest is forwarded to,
+// reporting whether the entry still exists.
 func (p *ShardedPIT) SetOutFace(name names.Name, face FaceID) bool {
 	s := p.lock(name)
 	defer s.mu.Unlock()
@@ -98,54 +103,44 @@ func (p *ShardedPIT) ConsumeFrom(name names.Name, face FaceID, recs []PITRecord)
 	return s.pit.ConsumeFrom(name, face, recs)
 }
 
-// DropByOutFace removes and returns every entry whose primary Interest
-// was forwarded to face — called when that face dies.
-func (p *ShardedPIT) DropByOutFace(face FaceID) []*PITEntry {
-	var out []*PITEntry
+// each calls fn on every shard's table in turn, under its lock: the
+// whole-table walks (expiry, face death, gauges).
+func (p *ShardedPIT) each(fn func(*PIT)) {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		out = append(out, s.pit.DropByOutFace(face)...)
+		fn(s.pit)
 		s.mu.Unlock()
 	}
+}
+
+// DropByOutFace removes and returns every entry whose primary Interest
+// was forwarded to face — called when that face dies.
+func (p *ShardedPIT) DropByOutFace(face FaceID) (out []*PITEntry) {
+	p.each(func(t *PIT) { out = append(out, t.DropByOutFace(face)...) })
 	return out
 }
 
 // ExpireBefore removes entries whose lifetime ended at or before now and
 // returns them so callers can account for the timed-out requesters.
-func (p *ShardedPIT) ExpireBefore(now time.Time) []*PITEntry {
-	var out []*PITEntry
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		out = append(out, s.pit.ExpireBefore(now)...)
-		s.mu.Unlock()
-	}
+func (p *ShardedPIT) ExpireBefore(now time.Time) (out []*PITEntry) {
+	p.each(func(t *PIT) { out = append(out, t.ExpireBefore(now)...) })
 	return out
 }
 
 // Len returns the number of pending entries.
-func (p *ShardedPIT) Len() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += s.pit.Len()
-		s.mu.Unlock()
-	}
+func (p *ShardedPIT) Len() (n int) {
+	p.each(func(t *PIT) { n += t.Len() })
 	return n
 }
 
 // Stats returns entries created, Interests aggregated into existing
 // entries, and entries expired.
 func (p *ShardedPIT) Stats() (created, aggregated, expired uint64) {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		c, a, e := s.pit.Stats()
-		s.mu.Unlock()
+	p.each(func(t *PIT) {
+		c, a, e := t.Stats()
 		created, aggregated, expired = created+c, aggregated+a, expired+e
-	}
+	})
 	return created, aggregated, expired
 }
 
@@ -160,19 +155,23 @@ type csShard struct {
 // is tracked per shard, an approximation of global LRU that never takes
 // a global lock).
 type ShardedCS struct {
-	shards [numShards]csShard
+	shards []csShard
 }
 
 // NewShardedCS creates a concurrent content store holding at most
 // capacity chunks in total (at least one per shard when capacity is
 // positive). A zero or negative capacity disables caching (every Lookup
 // misses).
-func NewShardedCS(capacity int) *ShardedCS {
-	per := capacity / numShards
+func NewShardedCS(capacity int) *ShardedCS { return NewShardedCSOf(numShards, capacity) }
+
+// NewShardedCSOf is NewShardedCS over n shards, n a power of two; one
+// shard is an exact LRU of the whole capacity.
+func NewShardedCSOf(n, capacity int) *ShardedCS {
+	per := capacity / n
 	if per <= 0 && capacity > 0 {
 		per = 1
 	}
-	c := &ShardedCS{}
+	c := &ShardedCS{shards: make([]csShard, n)}
 	for i := range c.shards {
 		c.shards[i].cs = NewCS(per)
 	}
@@ -181,7 +180,7 @@ func NewShardedCS(capacity int) *ShardedCS {
 
 // lock returns name's shard, locked.
 func (c *ShardedCS) lock(name names.Name) *csShard {
-	s := &c.shards[shardIndex(name.Key())]
+	s := &c.shards[shardIndex(name.Key(), len(c.shards))]
 	s.mu.Lock()
 	return s
 }
@@ -210,15 +209,19 @@ func (c *ShardedCS) Contains(name names.Name) bool {
 	return s.cs.Contains(name)
 }
 
-// Len returns the number of cached chunks.
-func (c *ShardedCS) Len() int {
-	n := 0
+// each calls fn on every shard's store in turn, under its lock.
+func (c *ShardedCS) each(fn func(*CS)) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.cs.Len()
+		fn(s.cs)
 		s.mu.Unlock()
 	}
+}
+
+// Len returns the number of cached chunks.
+func (c *ShardedCS) Len() (n int) {
+	c.each(func(t *CS) { n += t.Len() })
 	return n
 }
 
@@ -227,72 +230,16 @@ func (c *ShardedCS) Len() int {
 // a time, so the result is a consistent view only on a quiescent store —
 // exactly the condition under which the conformance oracle compares
 // end-state cache contents across enforcement planes.
-func (c *ShardedCS) Names() []string {
-	var out []string
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out = append(out, s.cs.Names()...)
-		s.mu.Unlock()
-	}
+func (c *ShardedCS) Names() (out []string) {
+	c.each(func(t *CS) { out = append(out, t.Names()...) })
 	return out
 }
 
 // Stats returns hits, misses, and evictions.
 func (c *ShardedCS) Stats() (hits, misses, evicted uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		h, m, e := s.cs.Stats()
-		s.mu.Unlock()
+	c.each(func(t *CS) {
+		h, m, e := t.Stats()
 		hits, misses, evicted = hits+h, misses+m, evicted+e
-	}
+	})
 	return hits, misses, evicted
-}
-
-// LockedFIB is a FIB safe for concurrent use: route lookups (the per
-// packet operation) take a read lock, route updates (rare) a write lock.
-type LockedFIB struct {
-	mu  sync.RWMutex
-	fib *FIB
-}
-
-// NewLockedFIB creates an empty concurrent FIB.
-func NewLockedFIB() *LockedFIB { return &LockedFIB{fib: NewFIB()} }
-
-// Insert adds (or replaces) a route for prefix via face.
-func (f *LockedFIB) Insert(prefix names.Name, face FaceID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.fib.Insert(prefix, face)
-}
-
-// Remove deletes the route for an exact prefix, reporting whether it
-// existed.
-func (f *LockedFIB) Remove(prefix names.Name) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fib.Remove(prefix)
-}
-
-// RemoveFace deletes every route pointing at face and returns how many
-// were removed.
-func (f *LockedFIB) RemoveFace(face FaceID) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fib.RemoveFace(face)
-}
-
-// Lookup returns the face for the longest registered prefix of name.
-func (f *LockedFIB) Lookup(name names.Name) (FaceID, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.fib.Lookup(name)
-}
-
-// Len returns the number of routes.
-func (f *LockedFIB) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.fib.Len()
 }

@@ -59,7 +59,7 @@ func (n *Network) RotateEpochs(epoch uint64) int {
 func (n *Network) SyncEdgeBFs() (int, error) {
 	var edges []*RouterNode
 	n.routers(func(r *RouterNode) {
-		if r.isEdge {
+		if r.IsEdge() {
 			edges = append(edges, r)
 		}
 	})

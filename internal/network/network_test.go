@@ -9,6 +9,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/network"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
@@ -261,8 +262,8 @@ func TestForgedTagBlocked(t *testing.T) {
 	}
 	// The content router NACKed and the edge dropped the delivery.
 	st := h.edge.Stats()
-	if st.Drops["edge-nack-drop"] == 0 {
-		t.Errorf("edge drops = %v, want an edge-nack-drop", st.Drops)
+	if st.Drops[node.DropUndeliverable] == 0 {
+		t.Errorf("edge drops = %v, want an undeliverable drop", st.Drops)
 	}
 }
 

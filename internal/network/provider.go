@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -8,20 +9,23 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/pki"
 )
 
 // ProviderNode is a content provider's origin server: it answers
 // registration Interests with fresh tags (paper §4.A) and serves its
 // published content. As the origin it is always a content router for its
-// own namespace, so it runs Protocol 3 on content requests, with its own
-// Bloom filter caching tag validations.
+// own namespace — an origin-role node core over the catalogue, running
+// Protocol 3 with its own Bloom filter — but verifies without queueing:
+// the sampled cost delays that one reply, the CPU is not serialised.
 type ProviderNode struct {
 	net      *Network
 	index    int
 	provider *core.Provider
 	tactic   *enforce.Router
-	store    map[string]*core.Content
+	store    *ndn.ShardedCS // the catalogue: never evicted
+	core     *node.Core
 	rng      *rand.Rand
 	cfg      RouterConfig
 
@@ -40,28 +44,27 @@ func NewProviderNode(net *Network, index int, provider *core.Provider, verifier 
 	if err != nil {
 		return nil, err
 	}
-	id := net.Graph.Nodes[index].ID
-	return &ProviderNode{
+	p := &ProviderNode{
 		net:      net,
 		index:    index,
 		provider: provider,
-		tactic:   enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
-		store:    make(map[string]*core.Content),
+		tactic:   enforce.NewRouter(net.Graph.Nodes[index].ID, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
+		store:    ndn.NewShardedCSOf(1, math.MaxInt),
 		rng:      rng,
 		cfg:      cfg,
-	}, nil
+	}
+	p.core = node.New(p.tactic, nil, nil, p.store, node.RoleOrigin, 0)
+	return p, nil
 }
 
 // Provider exposes the underlying provider.
 func (p *ProviderNode) Provider() *core.Provider { return p.provider }
 
 // AddContent installs a published chunk into the origin store.
-func (p *ProviderNode) AddContent(c *core.Content) {
-	p.store[c.Meta.Name.Key()] = c
-}
+func (p *ProviderNode) AddContent(c *core.Content) { p.store.Insert(c) }
 
 // StoreSize returns the number of published chunks.
-func (p *ProviderNode) StoreSize() int { return len(p.store) }
+func (p *ProviderNode) StoreSize() int { return p.store.Len() }
 
 // RegistrationName returns the name clients use to register at this
 // provider. Registration Interests carry a unique suffix per request so
@@ -73,47 +76,39 @@ func (p *ProviderNode) RegistrationName() names.Name {
 // HandleInterest answers registration and content requests.
 func (p *ProviderNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	now := p.net.Engine.Now()
-	if i.Kind == ndn.KindRegistration {
-		p.handleRegistration(i, from, now)
-		return
-	}
 	inTC := i.Trace
-	sp := p.net.StartTraceSpan(inTC, p.net.Graph.Nodes[p.index].ID, "producer", "interest", i.Name.String())
-	content, ok := p.store[i.Name.Key()]
-	if !ok {
-		// Unknown content: drop; the requester times out.
-		sp.End("drop_no_content", 0)
-		return
+	var sp *SimSpan
+	if i.Kind != ndn.KindRegistration {
+		sp = p.net.StartTraceSpan(inTC, p.net.Graph.Nodes[p.index].ID, "producer", "interest", i.Name.String())
 	}
-	if p.cfg.DisableEnforcement {
-		p.served++
-		d := &ndn.Data{Name: i.Name, Content: content, Tag: i.Tag, Flag: i.Flag, Trace: NextHopTrace(inTC, sp)}
-		p.net.SendData(p.index, from, d, 0)
-		sp.End("served", 0)
-		return
+	var checks node.Checks
+	if !p.cfg.DisableEnforcement {
+		checks = node.Protocol3
 	}
-	var dec enforce.Verdict
+	var st node.Step
 	proc := p.net.chargeOps(p.tactic, p.rng, sp, func() {
-		dec = p.tactic.ContentOnInterest(i.Tag, content.Meta, i.Flag, now)
+		if st = p.core.OnInterest(i, from, checks, now); st.Action == node.Verify {
+			st = p.core.ResumeInterest(i, from, st.Pending, p.tactic.VerifyMiss(st.Pending.Input(i, now)), now)
+		}
 	})
-	outcome := "served"
-	if dec.Denied() {
-		p.nacked++
-		outcome = "nack"
-	} else {
-		p.served++
+	switch st.Action {
+	case node.Register:
+		p.handleRegistration(i, from, now)
+	case node.Drop:
+		// Unknown content: the requester times out.
+		sp.End("drop_"+st.Cause, 0)
+	case node.Reply:
+		outcome := "served"
+		if st.Reply.Nack {
+			p.nacked++
+			outcome = "nack"
+		} else {
+			p.served++
+		}
+		p.net.SendData(p.index, from, &ndn.Data{Name: i.Name, Content: st.Reply.Content, Tag: i.Tag,
+			Flag: st.Reply.Flag, Nack: st.Reply.Nack, NackReason: st.Reply.Reason, Trace: NextHopTrace(inTC, sp)}, proc)
+		sp.End(outcome, proc)
 	}
-	d := &ndn.Data{
-		Name:       i.Name,
-		Content:    content,
-		Tag:        i.Tag,
-		Flag:       dec.Flag,
-		Nack:       dec.Denied(),
-		NackReason: dec.Reason,
-		Trace:      NextHopTrace(inTC, sp),
-	}
-	p.net.SendData(p.index, from, d, proc)
-	sp.End(outcome, proc)
 }
 
 // handleRegistration processes a tag request: verify credentials and
@@ -127,15 +122,13 @@ func (p *ProviderNode) handleRegistration(i *ndn.Interest, from ndn.FaceID, now 
 	// The registration request's access path is whatever accumulated
 	// between the client and its edge router; the provider copies it
 	// into the tag.
-	req := *i.Registration
-	resp, err := p.provider.Register(req, now)
+	resp, err := p.provider.Register(*i.Registration, now)
 	if err != nil {
 		p.registrationsFailed++
 		return
 	}
 	p.registrations++
-	d := &ndn.Data{Name: i.Name, Registration: resp}
-	p.net.SendData(p.index, from, d, 0)
+	p.net.SendData(p.index, from, &ndn.Data{Name: i.Name, Registration: resp}, 0)
 }
 
 // HandleData is a no-op: providers are origins.

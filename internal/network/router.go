@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/bloom"
@@ -10,6 +11,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/metrics"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
@@ -68,20 +70,23 @@ type RouterConfig struct {
 	Tactic core.Config
 }
 
-// RouterNode is a TACTIC router in the simulated network: the NDN
-// forwarding pipeline (CS -> PIT -> FIB) with the paper's Protocols 1-4
-// spliced in. Edge routers additionally run Protocol 2 on their
-// client-side (access-point) faces.
+// RouterNode is a TACTIC router in the simulated network: the node core
+// (the NDN forwarding pipeline CS -> PIT -> FIB with the paper's
+// Protocols 1-4 spliced in) driven by the event engine. Edge routers
+// additionally run Protocol 2 on their client-side (access-point) faces.
 type RouterNode struct {
 	net    *Network
 	index  int
-	isEdge bool
+	role   node.Role
 	tactic *enforce.Router
-	fib    *ndn.FIB
-	pit    *ndn.PIT
-	cs     *ndn.CS
-	cfg    RouterConfig
-	rng    *rand.Rand
+	// The live plane's tables in one-shard form (one LRU: the engine is
+	// single-threaded) and the node core this type drives in virtual time.
+	fib  *ndn.FIB
+	pit  *ndn.ShardedPIT
+	cs   *ndn.ShardedCS
+	core *node.Core
+	cfg  RouterConfig
+	rng  *rand.Rand
 
 	interests uint64
 	dataSeen  uint64
@@ -93,7 +98,9 @@ type RouterNode struct {
 	// before "now" have retired and are pruned on the next admission
 	// check. Only populated when the admission budget is active.
 	verifyPending map[ndn.FaceID][]time.Time
-	opCount       uint64
+	// verifyBudget is cfg.VerifyBudget, 0 (admission off) when unconfigured
+	// or under the DisableAdmission ablation.
+	verifyBudget int
 	// cpuBusyUntil serialises computational delays: a router is a
 	// single processing pipeline, so a burst of signature verifications
 	// (e.g. after a Bloom-filter reset) delays subsequent packets — the
@@ -101,7 +108,7 @@ type RouterNode struct {
 	cpuBusyUntil time.Time
 }
 
-// pitGCStride amortises lazy PIT expiry.
+// pitGCStride amortises lazy PIT expiry: once every so many Interests.
 const pitGCStride = 2048
 
 // NewRouterNode creates a router for graph node index. isEdge selects
@@ -115,17 +122,24 @@ func NewRouterNode(net *Network, index int, isEdge bool, verifier pki.Verifier, 
 	r := &RouterNode{
 		net:    net,
 		index:  index,
-		isEdge: isEdge,
+		role:   node.RoleCore,
 		tactic: enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
 		fib:    ndn.NewFIB(),
-		pit:    ndn.NewPIT(),
-		cs:     ndn.NewCS(cfg.CSCapacity),
+		pit:    ndn.NewShardedPITOf(1),
+		cs:     ndn.NewShardedCSOf(1, cfg.CSCapacity),
 		cfg:    cfg,
 		rng:    rng,
 		drops:  make(map[string]uint64),
 
 		verifyPending: make(map[ndn.FaceID][]time.Time),
 	}
+	if isEdge {
+		r.role = node.RoleEdge
+	}
+	if !cfg.Tactic.DisableAdmission {
+		r.verifyBudget = cfg.VerifyBudget
+	}
+	r.core = node.New(r.tactic, r.fib, r.pit, r.cs, r.role, cfg.PITLifetime)
 	return r, nil
 }
 
@@ -150,7 +164,7 @@ func (r *RouterNode) Index() int { return r.index }
 func (r *RouterNode) Tactic() *enforce.Router { return r.tactic }
 
 // IsEdge reports the router's role.
-func (r *RouterNode) IsEdge() bool { return r.isEdge }
+func (r *RouterNode) IsEdge() bool { return r.role == node.RoleEdge }
 
 // CSNames returns the names currently held in the content store, in
 // unspecified order — the conformance oracle's end-state cache view.
@@ -159,25 +173,8 @@ func (r *RouterNode) CSNames() []string { return r.cs.Names() }
 // drop records a dropped packet by reason.
 func (r *RouterNode) drop(reason string) { r.drops[reason]++ }
 
-// charge runs fn, samples the computational delay for the Bloom-filter
-// and signature operations it performed (decomposed onto sp), and
-// serialises that work on the router's CPU. The returned duration is the
-// total wait from now until this packet's processing completes
-// (queueing behind earlier bursts included).
-func (r *RouterNode) charge(sp *SimSpan, fn func()) time.Duration {
-	return r.cpuWait(sp, r.net.chargeOps(r.tactic, r.rng, sp, fn))
-}
-
 // id returns the router's topology node identity.
 func (r *RouterNode) id() string { return r.net.Graph.Nodes[r.index].ID }
-
-// role names the router's role for span records.
-func (r *RouterNode) role() string {
-	if r.isEdge {
-		return "edge"
-	}
-	return "core"
-}
 
 // cpuWait books work on the router CPU and returns the delay from now
 // until it finishes, recording any time spent queued behind earlier work
@@ -196,278 +193,183 @@ func (r *RouterNode) cpuWait(sp *SimSpan, work time.Duration) time.Duration {
 	return end.Sub(now)
 }
 
-// verifyBudget returns the per-face verify admission budget; 0 means
-// admission is off (either unconfigured or the DisableAdmission
-// ablation).
-func (r *RouterNode) verifyBudget() int {
-	if r.cfg.Tactic.DisableAdmission {
-		return 0
-	}
-	return r.cfg.VerifyBudget
-}
-
 // admitVerify prunes the face's retired verifications and reports
 // whether one more fits under the budget. Always true when admission is
 // off.
 func (r *RouterNode) admitVerify(from ndn.FaceID, now time.Time) bool {
-	budget := r.verifyBudget()
-	if budget <= 0 {
+	if r.verifyBudget <= 0 {
 		return true
 	}
-	kept := r.verifyPending[from][:0]
-	for _, done := range r.verifyPending[from] {
-		if done.After(now) {
-			kept = append(kept, done)
-		}
-	}
-	r.verifyPending[from] = kept
-	return len(kept) < budget
+	pending := slices.DeleteFunc(r.verifyPending[from], func(done time.Time) bool { return !done.After(now) })
+	r.verifyPending[from] = pending
+	return len(pending) < r.verifyBudget
 }
 
-// noteVerify records an admitted verification's virtual completion
-// instant against its arrival face.
-func (r *RouterNode) noteVerify(from ndn.FaceID, done time.Time) {
-	if r.verifyBudget() <= 0 {
-		return
-	}
-	r.verifyPending[from] = append(r.verifyPending[from], done)
-}
-
-// maybeGCPIT lazily expires PIT entries every pitGCStride operations.
-func (r *RouterNode) maybeGCPIT() {
-	r.opCount++
-	if r.opCount%pitGCStride == 0 {
-		r.pit.ExpireBefore(r.net.Engine.Now())
-	}
-}
-
-// HandleInterest implements the router's Interest pipeline.
+// HandleInterest runs one Interest through the node core in virtual time
+// and acts on the step it returns.
 func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	r.interests++
-	r.maybeGCPIT()
 	now := r.net.Engine.Now()
+	if r.interests%pitGCStride == 0 {
+		r.pit.ExpireBefore(now) // lazy expiry: no background work in the event engine
+	}
 	inTC := i.Trace
-	sp := r.net.StartTraceSpan(inTC, r.id(), r.role(), "interest", i.Name.String())
-	var proc time.Duration
+	sp := r.net.StartTraceSpan(inTC, r.id(), r.role.String(), "interest", i.Name.String())
 
-	if i.Kind == ndn.KindContent && r.isEdge && !r.cfg.DisableEnforcement && !r.cfg.Colluding &&
-		r.net.PeerKind(r.index, from) == topology.KindAccessPoint {
-		// Protocol 2 (On Interest) at the edge for client-side arrivals,
-		// split fast/slow exactly like the live forwarder: the BF-backed
-		// fast decision runs first, and only a miss that needs a
-		// signature check passes through per-face admission. The split is
-		// RNG-neutral — chargeOps draws per operation in class order
-		// (lookups, inserts, verifies), which is the same sequence the
-		// combined charge produced.
-		var dec enforce.Verdict
-		proc += r.charge(sp, func() {
-			dec = r.tactic.EdgeOnInterestFast(i.Tag, i.AccessPath, i.Name, now)
-		})
-		if dec.NeedsVerify() {
-			if !r.admitVerify(from, now) {
-				dec = enforce.Shed(enforce.StageEdgeInterest)
-			} else {
-				proc += r.charge(sp, func() {
-					dec = r.tactic.VerifyMiss(enforce.InterestInput{
-						Op: enforce.OpEdgeInterest, Tag: i.Tag, RequestAP: i.AccessPath, Name: i.Name, Now: now,
-					})
-				})
-				r.noteVerify(from, now.Add(proc))
-			}
+	// None at a baseline router; Protocol 2 only on an honest edge's
+	// client-side (access-point) faces.
+	var checks node.Checks
+	if !r.cfg.DisableEnforcement {
+		checks = node.Protocol3
+		if r.IsEdge() && !r.cfg.Colluding && r.net.PeerKind(r.index, from) == topology.KindAccessPoint {
+			checks |= node.Protocol2
 		}
-		if dec.Denied() {
-			r.drop(core.ReasonLabel(dec.Reason))
+	}
+	// Each core call's Bloom-filter and signature operations are sampled
+	// (chargeOps) and booked on the router CPU once a checkpoint was
+	// consulted; a content decision awaiting its verification is booked
+	// together with it, as one job. Verification completes inline,
+	// Protocol 2's after per-face admission like the live forwarder's.
+	var st node.Step
+	var proc, work time.Duration
+	call := func(fn func()) {
+		work += r.net.chargeOps(r.tactic, r.rng, sp, fn)
+		if st.Stage != enforce.StageNone && (st.Action != node.Verify || st.Pending.Op != enforce.OpContent) {
+			proc += r.cpuWait(sp, work)
+			work = 0
+		}
+	}
+	call(func() { st = r.core.OnInterest(i, from, checks, now) })
+	for st.Action == node.Verify {
+		p := st.Pending
+		if p.Op == enforce.OpEdgeInterest && !r.admitVerify(from, now) {
+			st = r.core.ResumeInterest(i, from, p, enforce.Shed(st.Stage), now)
+			break
+		}
+		call(func() { st = r.core.ResumeInterest(i, from, p, r.tactic.VerifyMiss(p.Input(i, now)), now) })
+		if p.Op == enforce.OpEdgeInterest && r.verifyBudget > 0 {
+			// Admitted: outstanding until its virtual completion instant.
+			r.verifyPending[from] = append(r.verifyPending[from], now.Add(proc))
+		}
+	}
+
+	switch st.Action {
+	case node.Reply:
+		ans, outcome := st.Reply, "cs_hit"
+		switch {
+		case st.Stage == enforce.StageEdgeInterest: // Protocol 2 refused
+			label := core.ReasonLabel(ans.Reason)
+			r.drop(label)
 			r.nacksSent++
-			if r.cfg.Traitor != nil && errors.Is(dec.Reason, core.ErrAccessPathMismatch) {
+			if r.cfg.Traitor != nil && errors.Is(ans.Reason, core.ErrAccessPathMismatch) {
 				r.cfg.Traitor.Observe(i.Tag, i.AccessPath)
 			}
-			sp.Event("precheck", 0, core.ReasonLabel(dec.Reason))
-			nack := &ndn.Data{Name: i.Name, Tag: i.Tag, Nack: true, NackReason: dec.Reason,
-				Trace: NextHopTrace(inTC, sp)}
-			r.net.SendData(r.index, from, nack, proc)
-			sp.End("nack", proc)
-			return
+			sp.Event("precheck", 0, label)
+			outcome = "nack"
+		case ans.Nack:
+			r.nacksSent++
+			outcome = "cs_hit_nack"
+			if r.cfg.DropContentOnNACK {
+				ans.Content = nil
+			}
 		}
-		i.Flag = dec.Flag
-	}
-
-	if i.Kind == ndn.KindContent {
-		if content, ok := r.cs.Lookup(i.Name); ok && r.servableFromCache(content) {
-			if r.cfg.DisableEnforcement {
-				d := &ndn.Data{Name: i.Name, Content: content, Tag: i.Tag, Flag: i.Flag,
-					Trace: NextHopTrace(inTC, sp)}
-				r.net.SendData(r.index, from, d, proc)
-				sp.End("cs_hit", proc)
-				return
-			}
-			// Content-router role: Protocol 3.
-			var dec enforce.Verdict
-			proc += r.charge(sp, func() {
-				dec = r.tactic.ContentOnInterest(i.Tag, content.Meta, i.Flag, now)
-			})
-			outcome := "cs_hit"
-			if dec.Denied() {
-				r.nacksSent++
-				outcome = "cs_hit_nack"
-			}
-			d := &ndn.Data{
-				Name:       i.Name,
-				Content:    content,
-				Tag:        i.Tag,
-				Flag:       dec.Flag,
-				Nack:       dec.Denied(),
-				NackReason: dec.Reason,
-				Trace:      NextHopTrace(inTC, sp),
-			}
-			if d.Nack && r.cfg.DropContentOnNACK {
-				d.Content = nil
-			}
-			r.net.SendData(r.index, from, d, proc)
-			sp.End(outcome, proc)
-			return
-		}
-	}
-
-	// PIT: duplicate suppression, then aggregate-or-create.
-	switch outcome, _ := r.pit.Admit(i.Name, ndn.PITRecord{
-		Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now,
-	}, now, now.Add(r.cfg.PITLifetime)); outcome {
-	case ndn.PITDuplicate:
-		r.drop("duplicate-nonce")
-		sp.End("drop_duplicate_nonce", proc)
-		return
-	case ndn.PITAggregated:
+		r.net.SendData(r.index, from, &ndn.Data{Name: i.Name, Content: ans.Content, Tag: i.Tag,
+			Flag: ans.Flag, Nack: ans.Nack, NackReason: ans.Reason, Trace: NextHopTrace(inTC, sp)}, proc)
+		sp.End(outcome, proc)
+	case node.Forward:
+		i.Trace = NextHopTrace(inTC, sp)
+		r.net.SendInterest(r.index, st.Face, i, proc)
+		sp.End("forwarded", proc)
+	case node.Aggregate:
+		// Sim links lose only what a scenario tells them to: no re-send.
 		sp.End("pit_aggregated", proc)
-		return
+	case node.Drop:
+		// A routeless entry stays until it expires: sim FIBs are installed
+		// once.
+		r.drop(st.Cause)
+		sp.End("drop_"+st.Cause, proc)
 	}
-
-	face, ok := r.fib.Lookup(i.Name)
-	if !ok {
-		r.drop("no-route")
-		sp.End("drop_no_route", proc)
-		return
-	}
-	i.Trace = NextHopTrace(inTC, sp)
-	r.net.SendInterest(r.index, face, i, proc)
-	sp.End("forwarded", proc)
 }
 
-// HandleData implements the router's Data pipeline.
+// HandleData runs an arriving Data through the node core: admitted (or
+// dropped unsolicited) as one step, then decided per requester.
 func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 	r.dataSeen++
 	now := r.net.Engine.Now()
-
-	if d.Registration != nil {
-		r.handleRegistrationData(d)
+	// Pervasive caching (capacity 0 disables, as configured for edges),
+	// except that ProviderAuthAC keeps private content out of caches.
+	cache := !r.cfg.NoPrivateCache || (d.Content != nil && d.Content.Meta.Level == core.Public)
+	var recs []ndn.PITRecord
+	var cause string
+	// Only an edge's insertion of a registration response's tag draws on
+	// the delay model here.
+	work := r.net.chargeOps(r.tactic, r.rng, nil, func() { recs, cause = r.core.OnData(d, from, cache, nil) })
+	inTC := d.Trace
+	var sp *SimSpan // a registration response's relay is not narrated
+	if d.Registration == nil {
+		sp = r.net.StartTraceSpan(inTC, r.id(), r.role.String(), "data", d.Name.String())
+	}
+	if cause != "" {
+		r.drop(cause)
+		sp.End("drop_"+cause, 0)
 		return
 	}
-
-	inTC := d.Trace
-	sp := r.net.StartTraceSpan(inTC, r.id(), r.role(), "data", d.Name.String())
-
-	if d.Content != nil && r.servableFromCache(d.Content) {
-		// Pervasive caching: every router on the reverse path caches
-		// (capacity 0 disables, as configured for edge routers).
-		r.cs.Insert(d.Content)
-	}
-
-	entry, ok := r.pit.Consume(d.Name)
-	if !ok {
-		r.drop("unsolicited-data")
-		sp.End("drop_unsolicited", 0)
+	if d.Registration != nil {
+		var proc time.Duration
+		if r.IsEdge() && d.Registration.Tag != nil {
+			proc = r.cpuWait(nil, work)
+		}
+		for _, rec := range recs {
+			r.net.SendData(r.index, rec.InFace, d, proc)
+		}
 		return
 	}
 	outTC := NextHopTrace(inTC, sp)
-
-	if r.cfg.DisableEnforcement {
-		for _, rec := range entry.Records {
-			out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
-			r.net.SendData(r.index, rec.InFace, out, 0)
-		}
-		sp.End("delivered", 0)
-		return
-	}
 	// The hop span narrates the traced (primary) request's path and ends
 	// with it; aggregated deliveries still carry the onward context so
 	// their consumers see a complete hop count.
-	outcome, proc := r.deliverRecord(d, entry.Records[0], true, now, outTC, sp)
+	outcome, proc := r.deliverRecord(d, recs[0], true, now, outTC, sp)
 	sp.End(outcome, proc)
-	for _, rec := range entry.Records[1:] {
+	for _, rec := range recs[1:] {
 		r.deliverRecord(d, rec, false, now, outTC, nil)
 	}
 }
 
-// servableFromCache reports whether this router may cache/serve the
-// content (ProviderAuthAC forbids caching private content).
-func (r *RouterNode) servableFromCache(c *core.Content) bool {
-	if !r.cfg.NoPrivateCache {
-		return true
-	}
-	return c.Meta.Level == core.Public
-}
-
-// deliverRecord answers one PIT record from the arriving Data as
-// enforce.OnDataRecord decides (Protocol 2 On-Content at the edge,
-// Protocol 4 lines 6-26 elsewhere), stamping outTC on whatever it sends.
-// It returns the outcome and charged processing time for the caller's
-// hop span (sp decomposes the charge; nil for aggregated records, whose
-// work is not part of the traced request). Router CPU is charged only
-// when the decision consulted an enforcement checkpoint.
+// deliverRecord answers one PIT record from the arriving Data as the node
+// core decides, stamping outTC on whatever it sends. It returns the
+// outcome and charged processing time for the caller's hop span (sp
+// decomposes the charge; nil for aggregated records, whose work is not
+// part of the traced request). Router CPU is charged only when the
+// decision consulted an enforcement checkpoint.
 func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.Time, outTC ndn.TraceContext, sp *SimSpan) (string, time.Duration) {
-	if r.isEdge && r.cfg.Colluding && rec.Tag != nil && d.Content != nil {
-		// Threat (f): deliver regardless of the upstream verdict.
-		out := &ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}
-		r.net.SendData(r.index, rec.InFace, out, 0)
+	if r.cfg.DisableEnforcement || r.IsEdge() && r.cfg.Colluding && rec.Tag != nil && d.Content != nil {
+		// A baseline router decides nothing; a colluding edge (threat (f))
+		// delivers regardless of the upstream verdict.
+		r.net.SendData(r.index, rec.InFace,
+			&ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}, 0)
 		return "delivered", 0
 	}
-	var v enforce.RecordVerdict
-	work := r.net.chargeOps(r.tactic, r.rng, sp, func() {
-		v = r.tactic.OnDataRecord(r.isEdge, primary, rec.Tag, rec.Flag,
-			enforce.ArrivedData{Content: d.Content, Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason}, now)
-	})
+	var dl node.Delivery
+	work := r.net.chargeOps(r.tactic, r.rng, sp, func() { dl = r.core.OnRecord(d, rec, primary, now) })
 	var proc time.Duration
-	if v.Stage != enforce.StageNone {
+	if dl.Stage != enforce.StageNone {
 		proc = r.cpuWait(sp, work)
 	}
-	if v.Minted {
+	if dl.Minted {
 		r.nacksSent++
 	}
-	if v.Deliver == enforce.DeliverNothing {
-		if rec.Tag == nil {
-			r.drop("tagless-private")
-			return "drop_tagless_private", proc
-		}
-		r.drop("edge-nack-drop")
-		return "drop_edge_nack", proc
+	if dl.Cause != "" {
+		// Silent even toward a tagged client: its window slot frees at the
+		// 1 s request expiry, the paper's rate limit on attackers.
+		r.drop(dl.Cause)
+		return "drop_" + dl.Cause, proc
 	}
-	out := &ndn.Data{
-		Name: d.Name, Content: d.Content, Tag: rec.Tag,
-		Flag: v.Flag, Nack: v.Deliver.Nack(), NackReason: v.Reason,
-		Trace: outTC,
-	}
-	r.net.SendData(r.index, rec.InFace, out, proc)
-	if r.isEdge {
+	r.net.SendData(r.index, rec.InFace, &ndn.Data{Name: d.Name, Content: dl.Answer.Content, Tag: rec.Tag,
+		Flag: dl.Answer.Flag, Nack: dl.Answer.Nack, NackReason: dl.Answer.Reason, Trace: outTC}, proc)
+	if r.IsEdge() {
 		return "delivered", proc
 	}
 	return "forwarded", proc
-}
-
-// handleRegistrationData forwards a registration response along the
-// reverse path, inserting the fresh tag into the edge Bloom filter
-// (Protocol 2 lines 11-12).
-func (r *RouterNode) handleRegistrationData(d *ndn.Data) {
-	var proc time.Duration
-	if r.isEdge && d.Registration.Tag != nil {
-		proc = r.charge(nil, func() { r.tactic.EdgeOnTagResponse(d.Registration.Tag) })
-	}
-	entry, ok := r.pit.Consume(d.Name)
-	if !ok {
-		r.drop("unsolicited-registration")
-		return
-	}
-	for _, rec := range entry.Records {
-		r.net.SendData(r.index, rec.InFace, d, proc)
-	}
 }
 
 // Stats snapshots the router's counters.
