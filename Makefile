@@ -13,15 +13,19 @@ build:
 # (benchmarks belong in _test.go files and in bench/), the third when a
 # simulator-side package imports the live stack, the fourth when the
 # origin grows a receive loop or enforcement state of its own again (it
-# is a Forwarder; see internal/forwarder/producer.go), the fifth when a
-# driver walks the tables or consults a checkpoint itself instead of
-# through the node core (internal/node sequences CS -> PIT -> FIB and
-# Protocols 1-4 once): each grep must print nothing.
+# is a Forwarder; see internal/forwarder/producer.go), the fifth when the
+# forwarder's face readers leave the reader-owned receive path
+# (ReceiveInto: one decode target per reader, not a packet allocated per
+# frame), the sixth when a driver walks the tables or consults a
+# checkpoint itself instead of through the node core (internal/node
+# sequences CS -> PIT -> FIB and Protocols 1-4 once): each grep must
+# print nothing.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
 	! $(GO) list -deps ./internal/experiment ./internal/network ./internal/workload ./internal/sim | grep -E 'internal/(forwarder|transport)$$'
 	! grep -nE 'Receive\(\)|enforce\.NewRouter|bloom\.New' internal/forwarder/producer.go
+	! grep -n 'Receive()' internal/forwarder/forwarder.go
 	! grep -nE '\.pit\.Admit|\.fib\.Lookup|\.cs\.Lookup|OnDataRecord|EdgeOnInterestFast|ContentOnInterestFast' $$(ls internal/network/*.go internal/forwarder/*.go | grep -v _test.go)
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
@@ -53,9 +57,10 @@ test-repeat:
 
 # Allocation guards: the testing.AllocsPerRun tests (named Test...Allocs)
 # that hold each hot-path site to what it keeps — a datagram send, a
-# recvmmsg/sendmmsg round, an idle-timeout wait, a Content decode, a PIT
-# admit/consume cycle, a CS insert that evicts, an intern hit, an
-# unsampled span. -count=1 because a cached pass proves nothing
+# recvmmsg/sendmmsg round, an idle-timeout wait, a stream frame read, a
+# reader-owned receive, a Content or Data decode, a face reader's hit,
+# forward and cached Data, a PIT admit/consume cycle, a CS insert that
+# evicts, an intern hit, an unsampled span. -count=1 because a cached pass proves nothing
 # about the toolchain's escape analysis today.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...

@@ -46,57 +46,70 @@ func EncodeContent(c *Content) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeContent reverses EncodeContent. The decoded content keeps one
-// private copy of its encoding: Payload and Signature are views into it,
-// capped at their own length so an append through either reallocates
-// instead of running into the next field. The two names resolve through
-// the intern table behind names.ParseBytes, so a content seen before
-// costs the copy and the struct.
+// DecodeContent reverses EncodeContent into a new Content; it is
+// DecodeContentInto on a fresh target.
 func DecodeContent(b []byte) (*Content, error) {
+	c := new(Content)
+	if err := DecodeContentInto(c, b); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DecodeContentInto reverses EncodeContent into c, whose every field is
+// overwritten (on error c holds no usable content). The decoded content
+// keeps one private copy of its encoding: Payload and Signature are
+// views into it, capped at their own length so an append through either
+// reallocates instead of running into the next field. The two names
+// resolve through the intern table behind names.ParseBytes, so a content
+// seen before costs the copy alone.
+func DecodeContentInto(c *Content, b []byte) error {
+	*c = Content{}
 	d := decoder{buf: b}
 	version, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if version != contentEncodingVersion {
-		return nil, fmt.Errorf("%w: content version %d", ErrTagVersion, version)
+		return fmt.Errorf("%w: content version %d", ErrTagVersion, version)
 	}
 	nameRaw, err := d.lenPrefixed()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	level, err := d.uint16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	provRaw, err := d.lenPrefixed()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	payload, err := d.lenPrefixed()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	payloadEnd := d.off
 	sig, err := d.lenPrefixed()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	name, err := names.ParseBytes(nameRaw)
 	if err != nil {
-		return nil, fmt.Errorf("core: decode content name: %w", err)
+		return fmt.Errorf("core: decode content name: %w", err)
 	}
 	prov, err := names.ParseBytes(provRaw)
 	if err != nil {
-		return nil, fmt.Errorf("core: decode content provider key: %w", err)
+		return fmt.Errorf("core: decode content provider key: %w", err)
 	}
 	enc := append([]byte(nil), b[:d.off]...)
-	return &Content{
+	*c = Content{
 		Meta:      ContentMeta{Name: name, Level: AccessLevel(level), ProviderKey: prov},
 		Payload:   enc[payloadEnd-len(payload) : payloadEnd : payloadEnd],
 		Signature: enc[d.off-len(sig) : d.off : d.off],
 		enc:       enc,
-	}, nil
+	}
+	return nil
 }
 
 // EncodeRegistrationRequest serialises a registration request.

@@ -339,11 +339,15 @@ func faceAttr(conn transport.Face, downstream bool) string {
 	return attr
 }
 
-// readLoop pumps one face's packets through the pipeline.
+// readLoop pumps one face's packets through the pipeline. Each packet is
+// decoded into the loop's one scratch target and is valid until the next
+// read: what outlives its handling is copied (a parked Interest, into its
+// verify job) or was allocated to be kept (a Data's Content).
 func (f *Forwarder) readLoop(fs *faceState) {
 	defer f.wg.Done()
+	scratch := new(transport.Scratch)
 	for {
-		pkt, err := fs.conn.Receive()
+		pkt, err := fs.conn.ReceiveInto(scratch)
 		if err != nil {
 			f.removeFace(fs.id)
 			return
@@ -482,53 +486,51 @@ func (f *Forwarder) CSNames() []string { return f.cs.Names() }
 // errNoFace reports a send against a face that is no longer attached.
 var errNoFace = errors.New("forwarder: face detached")
 
-// send transmits a Data on a face. Failures are counted as drops; a
-// connection-level failure additionally detaches the face so the next
-// packet does not hit the same dead peer. The Data is encoded here, with
-// the concrete encoder, and handed to the face as a frame: passed through
-// the Face interface it would escape, and every reply literal the
-// pipeline builds would be a heap allocation.
+// send transmits a Data on a face. Failures are counted as drops.
 func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
-	f.mu.RLock()
-	fs, ok := f.faces[face]
-	f.mu.RUnlock()
-	if !ok {
+	switch err := f.sendPacket(face, nil, d); {
+	case err == nil:
+	case errors.Is(err, errNoFace):
 		f.m.drop(node.DropNoFace)
-		return
-	}
-	buf := ndn.AcquireBuffer()
-	defer ndn.ReleaseBuffer(buf)
-	frame, err := ndn.AppendData(*buf, d)
-	if err == nil {
-		*buf = frame[:0] // keep any growth for the pool
-		err = fs.conn.SendFrame(frame)
-	}
-	if err != nil {
-		f.logf("send data on face %d: %v", face, err)
+	default:
 		f.m.drop(node.DropSendErr)
-		if transport.IsFatal(err) {
-			f.removeFace(face)
-		}
 	}
 }
 
-// sendInterest forwards an Interest on a face, detaching the face on a
-// connection-level failure. The caller accounts the drop.
-func (f *Forwarder) sendInterest(face ndn.FaceID, i *ndn.Interest) error {
+// sendPacket sends an Interest (i non-nil) or a Data on a face. A
+// connection-level failure detaches the face, so the next packet does not
+// hit the same dead peer; the caller accounts the drop. The packet is
+// encoded here, with the concrete encoder, into a pooled buffer and
+// handed to the face as a frame: passed through the Face interface it
+// would escape, and every reply literal the pipeline builds would be a
+// heap allocation.
+func (f *Forwarder) sendPacket(face ndn.FaceID, i *ndn.Interest, d *ndn.Data) error {
 	f.mu.RLock()
 	fs, ok := f.faces[face]
 	f.mu.RUnlock()
 	if !ok {
 		return errNoFace
 	}
-	if err := fs.conn.SendInterest(i); err != nil {
-		f.logf("send interest on face %d: %v", face, err)
+	buf := ndn.AcquireBuffer()
+	defer ndn.ReleaseBuffer(buf)
+	var frame []byte
+	var err error
+	if i != nil {
+		frame, err = ndn.AppendInterest(*buf, i)
+	} else {
+		frame, err = ndn.AppendData(*buf, d)
+	}
+	if err == nil {
+		*buf = frame[:0] // keep any growth for the pool
+		err = fs.conn.SendFrame(frame)
+	}
+	if err != nil {
+		f.logf("send on face %d: %v", face, err)
 		if transport.IsFatal(err) {
 			f.removeFace(face)
 		}
-		return err
 	}
-	return nil
+	return err
 }
 
 // arrival is one Interest on its way through the pipeline, with what this
@@ -621,7 +623,10 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 	}
 	switch st.Action {
 	case node.Verify:
-		f.parkForVerify(&verifyJob{arrival: a, pending: st.Pending})
+		// The job outlives the reader's packet: it takes its own copy.
+		job := &verifyJob{arrival: a, pending: st.Pending, interest: *i}
+		job.i = &job.interest
+		f.parkForVerify(job)
 	case node.Reply:
 		f.reply(a, st.Reply, sendStart)
 	case node.Register:
@@ -634,12 +639,12 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 		// out-face is unset and there is nothing to recover yet.
 		if st.Face != ndn.FaceNone {
 			i.Trace = a.outTC
-			f.sendInterest(st.Face, i) //nolint:errcheck // best-effort recovery
+			f.sendPacket(st.Face, i, nil) //nolint:errcheck // best-effort recovery
 		}
 		sp.End("aggregated")
 	case node.Forward:
 		i.Trace = a.outTC
-		err := f.sendInterest(st.Face, i)
+		err := f.sendPacket(st.Face, i, nil)
 		if err == nil {
 			observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
 			sp.End("forwarded")

@@ -423,7 +423,7 @@ type sinkFace struct {
 	frames int
 }
 
-func (s *sinkFace) Receive() (transport.Packet, error) {
+func (s *sinkFace) ReceiveInto(*transport.Scratch) (transport.Packet, error) {
 	<-s.closed
 	return transport.Packet{}, io.EOF
 }

@@ -1,0 +1,306 @@
+package forwarder
+
+import (
+	"crypto/rand"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/tactic-icn/tactic/internal/core"
+	"github.com/tactic-icn/tactic/internal/names"
+	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
+	"github.com/tactic-icn/tactic/internal/pki"
+	"github.com/tactic-icn/tactic/internal/transport"
+)
+
+// feedFace is an in-memory face: ReceiveInto decodes the frames a test
+// feeds it into the reader's scratch target, as a transport face does,
+// and every frame the forwarder sends on it is signalled on sent.
+type feedFace struct {
+	sinkFace
+	in   chan []byte
+	sent chan struct{}
+}
+
+func newFeedFace() *feedFace {
+	return &feedFace{sinkFace: sinkFace{closed: make(chan struct{})},
+		in: make(chan []byte), sent: make(chan struct{}, 1)}
+}
+
+func (f *feedFace) ReceiveInto(s *transport.Scratch) (transport.Packet, error) {
+	select {
+	case frame := <-f.in:
+		if frame[0] == 0x05 { // the Interest TLV type
+			return transport.Packet{Interest: &s.Interest}, ndn.DecodeInterestInto(&s.Interest, frame)
+		}
+		return transport.Packet{Data: &s.Data}, ndn.DecodeDataInto(&s.Data, frame)
+	case <-f.closed:
+		return transport.Packet{}, io.EOF
+	}
+}
+
+func (f *feedFace) SendFrame([]byte) error { f.sent <- struct{}{}; return nil }
+
+// TestReadLoopAllocs drives a core forwarder's face readers over
+// in-memory faces and holds each path to what it keeps: a content-store
+// hit and a forward allocate nothing, a Data that is cached its Content
+// and the Content's copy of its encoding.
+func TestReadLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	provKey, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := pki.NewRegistry()
+	if err := reg.Register(provKey.Locator(), provKey.Public()); err != nil {
+		t.Fatal(err)
+	}
+	prov, err := core.NewProvider(names.MustParse("/prov0"), provKey, time.Minute, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := New(Config{ID: "core-0", Role: RoleCore, Registry: reg, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+	// One chunk of room in one shard: caching either name evicts the
+	// other, so both keep missing and every Data is a cache insert.
+	fwd.cs = ndn.NewShardedCSOf(1, 1)
+	fwd.node = node.New(fwd.tactic, fwd.fib, fwd.pit, fwd.cs, RoleCore, fwd.cfg.PITLifetime)
+	down, up := newFeedFace(), newFeedFace()
+	fwd.AddFace(down, true)
+	upID := fwd.AddFace(up, false)
+	fwd.AddRoute(names.MustParse("/prov0"), upID)
+
+	type object struct {
+		name             names.Name
+		interest, answer []byte
+	}
+	objects := make([]object, 2)
+	for k := range objects {
+		name := names.MustParse(fmt.Sprintf("/prov0/open/chunk%d", k))
+		content, err := prov.Publish(name, core.Public, make([]byte, 1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := object{name: name}
+		if o.interest, err = ndn.EncodeInterest(&ndn.Interest{Name: name, Kind: ndn.KindContent, Nonce: uint64(k + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if o.answer, err = ndn.EncodeData(&ndn.Data{Name: name, Content: content}); err != nil {
+			t.Fatal(err)
+		}
+		objects[k] = o
+	}
+	forward := func(o object) {
+		down.in <- o.interest
+		<-up.sent
+	}
+	fetch := func(o object) { // forward, then the cached answer
+		forward(o)
+		up.in <- o.answer
+		<-down.sent
+	}
+	fetch(objects[0])
+	fetch(objects[1]) // warm the intern tables and the PIT's recycled entries
+
+	hit := objects[1]
+	if a := testing.AllocsPerRun(500, func() {
+		down.in <- hit.interest
+		<-down.sent
+	}); a != 0 {
+		t.Errorf("a content-store hit allocates %.1f/op, want 0", a)
+	}
+	miss := objects[0]
+	var recs [4]ndn.PITRecord
+	if a := testing.AllocsPerRun(500, func() {
+		forward(miss)
+		if _, ok := fwd.pit.ConsumeFrom(miss.name, upID, recs[:0]); !ok {
+			t.Fatal("forwarded Interest left no pending entry")
+		}
+	}); a != 0 {
+		t.Errorf("a forward allocates %.1f/op, want 0", a)
+	}
+	next := 0
+	if a := testing.AllocsPerRun(500, func() {
+		fetch(objects[next])
+		next ^= 1
+	}); a != 2 {
+		t.Errorf("a forward and its cached Data allocate %.1f/op, want 2", a)
+	}
+	if st := fwd.Stats(); st.Drops != 0 || st.NACKs != 0 {
+		t.Errorf("stats %+v: want no drops or NACKs", st)
+	}
+}
+
+// TestReaderOwnedPacketsDoNotLeak: the edge reader decodes every packet
+// into one target, so anything that outlives a packet's handling must
+// hold a copy. One downstream face bursts Interests that park in the
+// verify pool (unseen tags) among content-store hits, forwards, and
+// aggregated Interests that are re-sent upstream, for other names and
+// tags. Every Interest the edge sends upstream must be the one the client
+// sent under its nonce — a parked job resumes with the Interest it
+// parked — and every reply must carry its own Interest's name and tag.
+func TestReaderOwnedPacketsDoNotLeak(t *testing.T) {
+	provKey, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := pki.NewRegistry()
+	if err := reg.Register(provKey.Locator(), provKey.Public()); err != nil {
+		t.Fatal(err)
+	}
+	prov, err := core.NewProvider(names.MustParse("/prov0"), provKey, time.Minute, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := New(Config{ID: "edge-0", Role: RoleEdge, Registry: reg, Seed: 1,
+		Tactic: core.Config{EdgeValidateOnMiss: true}, VerifyBudget: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	upCli, upFwd := net.Pipe()
+	up := transport.New(upCli)
+	defer up.Close()
+	edge.AddRoute(names.MustParse("/prov0"), edge.AddFace(transport.New(upFwd), false))
+	cSide, fSide := net.Pipe()
+	edge.AddFace(transport.New(fSide), true)
+	client := transport.New(cSide)
+	defer client.Close()
+
+	tag := func(user string) *core.Tag {
+		tg, err := core.IssueTag(provKey, names.MustNew("users", user, "KEY", "1"), 3,
+			core.EmptyAccessPath.Accumulate("edge-0"), time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	type sentKey struct{ name, tag string }
+	var mu sync.Mutex
+	sent := make(map[uint64]sentKey) // by nonce
+	want := make(map[sentKey]int)
+	nonce := uint64(0)
+	send := func(name names.Name, tg *core.Tag) {
+		nonce++
+		k := sentKey{name.String(), string(tg.CacheKey())}
+		mu.Lock()
+		sent[nonce], want[k] = k, want[k]+1
+		mu.Unlock()
+		if err := client.SendInterest(&ndn.Interest{Name: name, Kind: ndn.KindContent, Nonce: nonce, Tag: tg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The upstream answers every Interest it is sent, after checking it
+	// is the client's Interest under that nonce — except the first for an
+	// aggregated name, which it holds until the aggregate's re-send
+	// arrives: so the second Interest finds the entry pending and must be
+	// re-sent.
+	aggPrefix := names.MustParse("/prov0/agg")
+	go func() {
+		held := make(map[string]bool)
+		for {
+			pkt, err := up.Receive()
+			if err != nil {
+				return
+			}
+			i := pkt.Interest
+			if i == nil {
+				continue
+			}
+			mu.Lock()
+			k, ok := sent[i.Nonce]
+			mu.Unlock()
+			if got := (sentKey{i.Name.String(), string(i.Tag.CacheKey())}); !ok || got != k {
+				t.Errorf("upstream got nonce %d as %s, sent as %s", i.Nonce, got.name, k.name)
+			}
+			if i.Name.HasPrefix(aggPrefix) && !held[k.name] {
+				held[k.name] = true
+				continue
+			}
+			content, err := prov.Publish(i.Name, 1, []byte(i.Name.String()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := up.SendData(&ndn.Data{Name: i.Name, Content: content, Tag: i.Tag}); err != nil {
+				return
+			}
+		}
+	}()
+	// receive reads n replies, tallying each under its name and tag; it
+	// runs beside the sender, because the pipes hold nothing.
+	got := make(map[sentKey]int)
+	receive := func(n int) error {
+		client.SetIdleTimeout(10 * time.Second)
+		for k := 0; k < n; {
+			pkt, err := client.Receive()
+			if err != nil {
+				return fmt.Errorf("reply %d of %d: %w", k+1, n, err)
+			}
+			d := pkt.Data
+			if d == nil {
+				continue
+			}
+			k++
+			if d.Nack || d.Content == nil || d.Tag == nil || !d.Content.Meta.Name.Equal(d.Name) {
+				return fmt.Errorf("reply %+v: want content under its own name", d)
+			}
+			got[sentKey{d.Name.String(), string(d.Tag.CacheKey())}]++
+		}
+		return nil
+	}
+
+	// Warm: two verified tags and four cached names.
+	known := []*core.Tag{tag("alice"), tag("bob")}
+	hot := make([]names.Name, 4)
+	for k := range hot {
+		hot[k] = names.MustParse(fmt.Sprintf("/prov0/hot/chunk%d", k))
+		send(hot[k], known[k%2])
+		if err := receive(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const rounds = 24
+	unseen := make([]*core.Tag, rounds)
+	for r := range unseen {
+		unseen[r] = tag(fmt.Sprintf("u%d", r))
+	}
+	replies := make(chan error, 1)
+	go func() { replies <- receive(5 * rounds) }()
+	for r := 0; r < rounds; r++ {
+		send(names.MustParse(fmt.Sprintf("/prov0/miss/chunk%d", r)), unseen[r])     // parks
+		send(hot[r%len(hot)], known[r%2])                                           // content-store hit
+		send(names.MustParse(fmt.Sprintf("/prov0/fwd/chunk%d", r)), known[(r+1)%2]) // forward
+		agg := names.MustParse(fmt.Sprintf("/prov0/agg/chunk%d", r))
+		send(agg, known[0]) // forward
+		send(agg, known[1]) // aggregate, re-sent upstream
+	}
+	if err := <-replies; err != nil {
+		t.Fatal(err)
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s: %d replies with the Interest's tag, want %d", k.name, got[k], n)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d distinct (name, tag) replies, want %d", len(got), len(want))
+	}
+	if v := edge.tactic.Validator().Verifications(); v != uint64(len(known)+rounds) {
+		t.Errorf("%d verifications at the edge, want %d: an unseen tag did not park", v, len(known)+rounds)
+	}
+	if hits := edge.Stats().CSHits; hits < rounds {
+		t.Errorf("%d content-store hits, want at least %d", hits, rounds)
+	}
+}

@@ -56,6 +56,10 @@ import (
 type verifyJob struct {
 	arrival
 	pending node.Pending
+	// interest is the job's own copy of the Interest, which arrival.i
+	// points at: the face reader decodes its next packet into the one it
+	// parked.
+	interest ndn.Interest
 	// parkedAt is the enqueue instant, for park-time observability.
 	parkedAt time.Time
 

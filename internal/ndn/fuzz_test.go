@@ -44,7 +44,9 @@ var fuzzFixtures = sync.OnceValues(func() (*core.Provider, *core.Tag) {
 // FuzzTLVDecode drives both wire decoders with arbitrary bytes: they
 // must never panic, and any input they accept must survive a
 // re-encode/re-decode cycle byte-identically (the encoders are
-// canonical: unknown TLV elements are dropped on first decode).
+// canonical: unknown TLV elements are dropped on first decode). Their
+// Into forms, decoding into a target that last held a fully populated
+// packet, must report the same error and, on success, the same packet.
 func FuzzTLVDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x03, 0x07, 0x01, 'x'})
@@ -54,6 +56,8 @@ func FuzzTLVDecode(f *testing.F) {
 		f.Add(enc[:len(enc)/2])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireSameInterest(t, data)
+		requireSameData(t, data)
 		if i, err := DecodeInterest(data); err == nil {
 			enc, err := EncodeInterest(i)
 			if err != nil {
@@ -115,7 +119,8 @@ func fuzzName(raw string) names.Name {
 
 // FuzzPacketRoundTrip builds Interest and Data packets from fuzzed
 // primitives — composed with real signed tags and published content —
-// and requires a lossless encode/decode round trip.
+// and requires a lossless encode/decode round trip, into a fresh packet
+// and into a target that last held a fully populated one alike.
 func FuzzPacketRoundTrip(f *testing.F) {
 	f.Add(uint64(42), math.Float64bits(0.25), uint64(7), "obj/c0", []byte("payload"), uint8(2), false)
 	f.Add(uint64(0), uint64(0), uint64(0), "", []byte{}, uint8(0), true)
@@ -147,6 +152,7 @@ func FuzzPacketRoundTrip(f *testing.F) {
 		if got.Tag == nil || !bytes.Equal(got.Tag.CacheKey(), tag.CacheKey()) {
 			t.Fatalf("Interest round trip mutated tag")
 		}
+		requireSameInterest(t, enc)
 
 		content, err := prov.Publish(name, core.AccessLevel(level%3), payload)
 		if err != nil {
@@ -183,6 +189,7 @@ func FuzzPacketRoundTrip(f *testing.F) {
 		if dGot.Tag == nil || !bytes.Equal(dGot.Tag.CacheKey(), tag.CacheKey()) {
 			t.Fatalf("Data round trip mutated tag")
 		}
+		requireSameData(t, dEnc)
 	})
 }
 

@@ -5,10 +5,11 @@ import "sync"
 // Wire-buffer pooling for the live data path. Encoding a packet and
 // reading a frame both need a scratch byte slice whose lifetime ends as
 // soon as the bytes are flushed (send) or decoded (receive); pooling
-// them removes the dominant per-packet allocations on the forwarder hot
-// path. Decoded packets never alias their input buffer (every decoder
-// copies what it keeps), so returning a frame to the pool after decode
-// is safe.
+// them keeps the frame bytes off the per-packet allocation count. No
+// decoded packet aliases its input buffer — whether decoded into a
+// packet of its own (DecodeInterest, DecodeData) or into a reader's
+// target (DecodeInterestInto, DecodeDataInto), every decoder copies what
+// it keeps — so returning a frame to the pool after decode is safe.
 
 // pooledBufferCap is the initial capacity of pooled buffers: enough for
 // a typical Interest or 1-KiB Data frame without growth.

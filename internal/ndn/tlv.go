@@ -231,22 +231,35 @@ func AppendInterest(dst []byte, i *Interest) ([]byte, error) {
 	return closeOuter(dst, start), nil
 }
 
-// DecodeInterest reverses EncodeInterest.
+// DecodeInterest reverses EncodeInterest into a new Interest the caller
+// owns; it is DecodeInterestInto on a fresh target.
 func DecodeInterest(b []byte) (*Interest, error) {
+	i := new(Interest)
+	if err := DecodeInterestInto(i, b); err != nil {
+		return nil, err
+	}
+	return i, nil
+}
+
+// DecodeInterestInto reverses EncodeInterest into i, whose every field
+// is overwritten: a reader can decode each packet into one target it
+// owns, which then holds no state of the packet before (on error it
+// holds no usable packet). Nothing decoded aliases b.
+func DecodeInterestInto(i *Interest, b []byte) error {
+	*i = Interest{}
 	outer := tlvReader{buf: b}
 	typ, body, ok, err := outer.next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !ok || typ != tlvInterest {
-		return nil, fmt.Errorf("%w: want Interest, got %#x", ErrTLVType, typ)
+		return fmt.Errorf("%w: want Interest, got %#x", ErrTLVType, typ)
 	}
-	i := &Interest{}
 	r := tlvReader{buf: body}
 	for {
 		typ, v, ok, err := r.next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
@@ -254,39 +267,39 @@ func DecodeInterest(b []byte) (*Interest, error) {
 		switch typ {
 		case tlvName:
 			if i.Name, err = nameIntern.Resolve(v, decodeName); err != nil {
-				return nil, err
+				return err
 			}
 		case tlvKind:
 			if len(v) != 1 {
-				return nil, fmt.Errorf("ndn: bad Kind length %d", len(v))
+				return fmt.Errorf("ndn: bad Kind length %d", len(v))
 			}
 			i.Kind = InterestKind(v[0])
 		case tlvNonce:
 			if len(v) != 8 {
-				return nil, fmt.Errorf("ndn: bad Nonce length %d", len(v))
+				return fmt.Errorf("ndn: bad Nonce length %d", len(v))
 			}
 			i.Nonce = binary.BigEndian.Uint64(v)
 		case tlvTag:
 			if i.Tag, err = tagIntern.Resolve(v, core.DecodeTag); err != nil {
-				return nil, err
+				return err
 			}
 		case tlvFlag:
 			if len(v) != 8 {
-				return nil, fmt.Errorf("ndn: bad Flag length %d", len(v))
+				return fmt.Errorf("ndn: bad Flag length %d", len(v))
 			}
 			i.Flag = math.Float64frombits(binary.BigEndian.Uint64(v))
 		case tlvAccessPath:
 			if len(v) != 8 {
-				return nil, fmt.Errorf("ndn: bad AccessPath length %d", len(v))
+				return fmt.Errorf("ndn: bad AccessPath length %d", len(v))
 			}
 			i.AccessPath = core.AccessPath(binary.BigEndian.Uint64(v))
 		case tlvRegistration:
 			if i.Registration, err = core.DecodeRegistrationRequest(v); err != nil {
-				return nil, err
+				return err
 			}
 		case tlvTraceCtx:
 			if i.Trace, err = decodeTraceCtx(v); err != nil {
-				return nil, err
+				return err
 			}
 		default:
 			// Unknown non-critical elements are skipped, per NDN's
@@ -296,7 +309,7 @@ func DecodeInterest(b []byte) (*Interest, error) {
 	if i.Kind == 0 {
 		i.Kind = KindContent
 	}
-	return i, nil
+	return nil
 }
 
 // EncodeData serialises a Data packet to its TLV wire form. On a NACK,
@@ -348,22 +361,49 @@ func AppendData(dst []byte, d *Data) ([]byte, error) {
 	return closeOuter(dst, start), nil
 }
 
-// DecodeData reverses EncodeData.
+// ownedData is what DecodeData allocates: a Data and the Content it
+// points at, as one object.
+type ownedData struct {
+	Data
+	content core.Content
+}
+
+// DecodeData reverses EncodeData into a new Data the caller owns. The
+// Data and its Content are one allocation, so a Data with content costs
+// that object and the Content's copy of its encoding.
 func DecodeData(b []byte) (*Data, error) {
+	o := new(ownedData)
+	if err := decodeData(&o.Data, &o.content, b); err != nil {
+		return nil, err
+	}
+	return &o.Data, nil
+}
+
+// DecodeDataInto reverses EncodeData into d, whose every field is
+// overwritten (on error d holds no usable packet). The Content is still
+// a new object — a content store may keep it past the reader's next
+// decode — and nothing decoded aliases b.
+func DecodeDataInto(d *Data, b []byte) error {
+	return decodeData(d, nil, b)
+}
+
+// decodeData is the one Data decoder: a Content element decodes into
+// content when it is non-nil, into a new Content otherwise.
+func decodeData(d *Data, content *core.Content, b []byte) error {
+	*d = Data{}
 	outer := tlvReader{buf: b}
 	typ, body, ok, err := outer.next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !ok || typ != tlvData {
-		return nil, fmt.Errorf("%w: want Data, got %#x", ErrTLVType, typ)
+		return fmt.Errorf("%w: want Data, got %#x", ErrTLVType, typ)
 	}
-	d := &Data{}
 	r := tlvReader{buf: body}
 	for {
 		typ, v, ok, err := r.next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
@@ -371,39 +411,44 @@ func DecodeData(b []byte) (*Data, error) {
 		switch typ {
 		case tlvName:
 			if d.Name, err = nameIntern.Resolve(v, decodeName); err != nil {
-				return nil, err
+				return err
 			}
 		case tlvContent:
-			if d.Content, err = core.DecodeContent(v); err != nil {
-				return nil, err
+			c := content
+			if c == nil {
+				c = new(core.Content)
 			}
+			if err = core.DecodeContentInto(c, v); err != nil {
+				return err
+			}
+			d.Content = c
 		case tlvTag:
 			if d.Tag, err = tagIntern.Resolve(v, core.DecodeTag); err != nil {
-				return nil, err
+				return err
 			}
 		case tlvFlag:
 			if len(v) != 8 {
-				return nil, fmt.Errorf("ndn: bad Flag length %d", len(v))
+				return fmt.Errorf("ndn: bad Flag length %d", len(v))
 			}
 			d.Flag = math.Float64frombits(binary.BigEndian.Uint64(v))
 		case tlvNack:
 			d.Nack = true
 		case tlvNackReason:
 			if len(v) != 1 {
-				return nil, fmt.Errorf("ndn: bad NackReason length %d", len(v))
+				return fmt.Errorf("ndn: bad NackReason length %d", len(v))
 			}
 			d.NackReason = core.ReasonFromCode(v[0])
 		case tlvRegResponse:
 			if d.Registration, err = core.DecodeRegistrationResponse(v); err != nil {
-				return nil, err
+				return err
 			}
 		case tlvTraceCtx:
 			if d.Trace, err = decodeTraceCtx(v); err != nil {
-				return nil, err
+				return err
 			}
 		default:
 			// Skip unknown elements.
 		}
 	}
-	return d, nil
+	return nil
 }

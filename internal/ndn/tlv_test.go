@@ -2,7 +2,11 @@ package ndn
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,37 +18,200 @@ import (
 // tlvFixtures builds a signed tag, content, and registration pair.
 func tlvFixtures(t *testing.T) (*core.Tag, *core.Content, *core.RegistrationRequest, *core.RegistrationResponse) {
 	t.Helper()
+	tag, content, req, resp, err := newTLVFixtures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tag, content, req, resp
+}
+
+// newTLVFixtures is tlvFixtures reporting failure as an error.
+func newTLVFixtures() (*core.Tag, *core.Content, *core.RegistrationRequest, *core.RegistrationResponse, error) {
 	rng := rand.New(rand.NewSource(1))
 	signer, err := pki.GenerateFast(rng, names.MustParse("/prov0/KEY/1"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
 	prov, err := core.NewProvider(names.MustParse("/prov0"), signer, time.Minute, rng)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
 	content, err := prov.Publish(names.MustParse("/prov0/obj/c0"), 2, []byte("payload"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
 	cliSigner, err := pki.GenerateFast(rng, names.MustParse("/u/alice/KEY/1"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
 	cl, err := core.NewClient(cliSigner, rng)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
 	prov.Enroll(cl.KeyLocator(), cliSigner.Public(), 3)
 	req, err := cl.NewRegistrationRequest(core.AccessPathOf("ap0"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, nil, nil, err
 	}
 	resp, err := prov.Register(req, time.Unix(100, 0))
 	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return resp.Tag, content, &req, resp, nil
+}
+
+// fullPackets encodes an Interest and a Data with every field set — tag,
+// F, access path, registration request or response, trace context,
+// NACK and reason, content: what a reused decode target holds at its
+// dirtiest.
+var fullPackets = sync.OnceValues(func() (interest, data []byte) {
+	tag, content, req, resp, err := newTLVFixtures()
+	if err != nil {
+		panic(err)
+	}
+	name := names.MustParse("/prov0/obj/c0")
+	tc := TraceContext{TraceID: 0xDEADBEEF, ParentID: 0xCAFE, Sampled: true, Hops: 3}
+	if interest, err = EncodeInterest(&Interest{Name: name, Kind: KindRegistration, Nonce: 7,
+		Tag: tag, Flag: 0.5, AccessPath: 99, Registration: req, Trace: tc}); err != nil {
+		panic(err)
+	}
+	if data, err = EncodeData(&Data{Name: name, Content: content, Tag: tag, Flag: 0.25,
+		Nack: true, NackReason: core.ErrTagExpired, Registration: resp, Trace: tc}); err != nil {
+		panic(err)
+	}
+	return interest, data
+})
+
+// dirtyTargets returns decode targets that last held fullPackets.
+func dirtyTargets(t *testing.T) (*Interest, *Data) {
+	t.Helper()
+	iEnc, dEnc := fullPackets()
+	var i Interest
+	var d Data
+	if err := DecodeInterestInto(&i, iEnc); err != nil {
 		t.Fatal(err)
 	}
-	return resp.Tag, content, &req, resp
+	if err := DecodeDataInto(&d, dEnc); err != nil {
+		t.Fatal(err)
+	}
+	if i.Registration == nil || i.Tag == nil || !i.Trace.Valid() || d.Content == nil || d.Registration == nil || d.NackReason == nil {
+		t.Fatalf("full packets decoded partially: %+v / %+v", i, d)
+	}
+	return &i, &d
+}
+
+// requireSameInterest decodes enc into a dirty target and requires it to
+// equal a fresh DecodeInterest field for field, errors included.
+func requireSameInterest(t *testing.T, enc []byte) {
+	t.Helper()
+	dirty, _ := dirtyTargets(t)
+	fresh, freshErr := DecodeInterest(enc)
+	intoErr := DecodeInterestInto(dirty, enc)
+	if fmt.Sprint(freshErr) != fmt.Sprint(intoErr) {
+		t.Fatalf("DecodeInterestInto err %v, DecodeInterest err %v", intoErr, freshErr)
+	}
+	if freshErr == nil && !sameInterest(*dirty, *fresh) {
+		t.Fatalf("Interest decoded into a dirty target:\n%+v\nfresh:\n%+v", *dirty, *fresh)
+	}
+}
+
+// requireSameData is requireSameInterest for Data.
+func requireSameData(t *testing.T, enc []byte) {
+	t.Helper()
+	_, dirty := dirtyTargets(t)
+	fresh, freshErr := DecodeData(enc)
+	intoErr := DecodeDataInto(dirty, enc)
+	if fmt.Sprint(freshErr) != fmt.Sprint(intoErr) {
+		t.Fatalf("DecodeDataInto err %v, DecodeData err %v", intoErr, freshErr)
+	}
+	if freshErr == nil && !sameData(*dirty, *fresh) {
+		t.Fatalf("Data decoded into a dirty target:\n%+v\nfresh:\n%+v", *dirty, *fresh)
+	}
+}
+
+// sameInterest compares two decoded Interests field for field, the flag
+// bit for bit: a NaN flag crosses the wire and equals nothing under
+// reflect.DeepEqual.
+func sameInterest(a, b Interest) bool {
+	if math.Float64bits(a.Flag) != math.Float64bits(b.Flag) {
+		return false
+	}
+	a.Flag, b.Flag = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+// sameData is sameInterest for Data.
+func sameData(a, b Data) bool {
+	if math.Float64bits(a.Flag) != math.Float64bits(b.Flag) {
+		return false
+	}
+	a.Flag, b.Flag = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+// TestDecodeIntoDirtyTarget: a target that last held a fully populated
+// packet decodes every other packet exactly as a fresh decode does — no
+// field of the packet before survives.
+func TestDecodeIntoDirtyTarget(t *testing.T) {
+	tag, content, reg, resp := tlvFixtures(t)
+	name := names.MustParse("/prov0/obj/c1")
+	interests := []*Interest{
+		{Name: name, Nonce: 1}, // Kind defaults to content
+		{Name: name, Kind: KindContent, Nonce: 2, Tag: tag},
+		{Name: name, Kind: KindContent, Nonce: 3, Flag: 1e-4, AccessPath: 5},
+		{Name: name, Kind: KindRegistration, Nonce: 4, Registration: reg},
+		{Name: name, Kind: KindContent, Nonce: 5, Trace: TraceContext{TraceID: 1, ParentID: 2}},
+	}
+	for _, in := range interests {
+		enc, err := EncodeInterest(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameInterest(t, enc)
+	}
+	datas := []*Data{
+		{Name: name},
+		{Name: name, Content: content},
+		{Name: name, Tag: tag, Nack: true},
+		{Name: name, Tag: tag, Nack: true, NackReason: core.ErrOverload},
+		{Name: name, Registration: resp},
+		{Name: name, Content: content, Flag: 0.5, Trace: TraceContext{TraceID: 3, ParentID: 4, Hops: 1}},
+	}
+	for _, in := range datas {
+		enc, err := EncodeData(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameData(t, enc)
+	}
+	// A failed decode reports the owned form's error.
+	iEnc, dEnc := fullPackets()
+	for _, enc := range [][]byte{nil, iEnc[:len(iEnc)/2], dEnc[:len(dEnc)-1], dEnc, iEnc} {
+		requireSameInterest(t, enc)
+		requireSameData(t, enc)
+	}
+}
+
+// TestDecodeDataAllocs holds the owned Data decoder to what its caller
+// keeps: the Data and its Content as one object, and the Content's copy
+// of its encoding.
+func TestDecodeDataAllocs(t *testing.T) {
+	tag, content, _, _ := tlvFixtures(t)
+	enc, err := EncodeData(&Data{Name: content.Meta.Name, Content: content, Tag: tag, Flag: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeData(enc); err != nil { // warm the intern tables
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := DecodeData(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("DecodeData with content allocates %.1f/op on warm tables, want 2", allocs)
+	}
 }
 
 func TestInterestTLVRoundTrip(t *testing.T) {

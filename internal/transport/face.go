@@ -162,15 +162,15 @@ func (fc *faceCore) StartKeepalive(interval time.Duration) {
 // done; the carrier's Close then closes its socket and waits on kaWG.
 func (fc *faceCore) markDone() { fc.doneOnce.Do(func() { close(fc.done) }) }
 
-// received accounts one complete frame and decodes it. ok is false for
-// a keepalive — to the ledger a frame like any other, to Receive's
-// caller invisible.
-func (fc *faceCore) received(typ byte, frame []byte, wire int) (pkt Packet, ok bool, err error) {
+// received accounts one complete frame and decodes it (into s when it
+// is non-nil; see Scratch). ok is false for a keepalive — to the ledger
+// a frame like any other, to Receive's caller invisible.
+func (fc *faceCore) received(typ byte, frame []byte, wire int, s *Scratch) (pkt Packet, ok bool, err error) {
 	n := fc.countIn(typ, wire)
 	if typ == typeKeepalive {
 		return Packet{}, false, nil
 	}
-	pkt, err = fc.decode(typ, frame, n)
+	pkt, err = fc.decode(typ, frame, n, s)
 	return pkt, err == nil, err
 }
 
@@ -188,8 +188,10 @@ func (fc *faceCore) countIn(typ byte, wire int) uint64 {
 }
 
 // decode decodes the face's n-th frame, timing one in 64 for
-// Metrics.DecodeSeconds. A frame that does not decode counts an error.
-func (fc *faceCore) decode(typ byte, frame []byte, n uint64) (pkt Packet, err error) {
+// Metrics.DecodeSeconds: an Interest or a Data into s when it is
+// non-nil, into packets of their own otherwise. A frame that does not
+// decode counts an error.
+func (fc *faceCore) decode(typ byte, frame []byte, n uint64, s *Scratch) (pkt Packet, err error) {
 	var hist *obs.Histogram
 	var start time.Time
 	if n&decodeSampleMask == 0 {
@@ -198,12 +200,16 @@ func (fc *faceCore) decode(typ byte, frame []byte, n uint64) (pkt Packet, err er
 			start = time.Now()
 		}
 	}
-	switch typ {
-	case typeInterest:
+	switch {
+	case typ == typeInterest && s != nil:
+		pkt.Interest, err = &s.Interest, ndn.DecodeInterestInto(&s.Interest, frame)
+	case typ == typeInterest:
 		pkt.Interest, err = ndn.DecodeInterest(frame)
-	case typeData:
+	case typ == typeData && s != nil:
+		pkt.Data, err = &s.Data, ndn.DecodeDataInto(&s.Data, frame)
+	case typ == typeData:
 		pkt.Data, err = ndn.DecodeData(frame)
-	case typeControl:
+	case typ == typeControl:
 		pkt.Control, err = ndn.DecodeControl(frame)
 		hist = nil // the decode stage is the data plane's
 	default:

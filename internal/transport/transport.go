@@ -7,7 +7,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -85,8 +84,14 @@ func IsFatal(err error) bool {
 // late flush is reported by the next send as a fatal error.
 type Face interface {
 	// Receive blocks for the next packet; keepalives are consumed
-	// internally. io.EOF signals a clean close.
+	// internally. io.EOF signals a clean close. The packet is the
+	// caller's to keep.
 	Receive() (Packet, error)
+	// ReceiveInto is Receive with the reader owning the packet: an
+	// Interest or a Data is decoded into s, and the packet is valid
+	// until the reader's next call with s. What it must keep longer it
+	// copies; a Data's Content is its own object, safe to keep.
+	ReceiveInto(s *Scratch) (Packet, error)
 	// SendInterest, SendData, and SendControl encode and send one packet.
 	SendInterest(*ndn.Interest) error
 	SendData(*ndn.Data) error
@@ -123,6 +128,13 @@ type Packet struct {
 	// sample that feeds Metrics.DecodeSeconds (zero otherwise); the
 	// forwarder attaches it to trace spans when both samplers coincide.
 	DecodeDur time.Duration
+}
+
+// Scratch is a reader's decode target for ReceiveInto: one per reader,
+// reused for every packet it receives.
+type Scratch struct {
+	Interest ndn.Interest
+	Data     ndn.Data
 }
 
 // Stats is a snapshot of one face's ledger. The face counts each frame
@@ -397,18 +409,22 @@ func (c *Conn) timerFlush() {
 // deadline but are never surfaced. When it returns a packet with more
 // input already buffered, sends defer their flush to the reader (see
 // Conn) until it is back here and runs dry.
-func (c *Conn) Receive() (Packet, error) {
-	pkt, err := c.receive()
+func (c *Conn) Receive() (Packet, error) { return c.ReceiveInto(nil) }
+
+// ReceiveInto is Receive decoding into the reader-owned s (see Face);
+// a nil s is Receive.
+func (c *Conn) ReceiveInto(s *Scratch) (Packet, error) {
+	pkt, err := c.receive(s)
 	c.inputPending.Store(err == nil && c.r.Buffered() > 0)
 	return pkt, err
 }
 
 // receive reads, counts and decodes frames until one is a packet. The
 // frame bytes live in a pooled buffer released on return — safe because
-// the decoders copy everything they keep. The idle deadline is applied
-// beneath the bufio layer (progressReader), refreshed on any read
-// progress rather than once per frame.
-func (c *Conn) receive() (Packet, error) {
+// no decoded packet aliases the frame: the decoders copy what they keep.
+// The idle deadline is applied beneath the bufio layer (progressReader),
+// refreshed on any read progress rather than once per frame.
+func (c *Conn) receive(s *Scratch) (Packet, error) {
 	buf := ndn.AcquireBuffer()
 	defer ndn.ReleaseBuffer(buf)
 	for {
@@ -419,7 +435,7 @@ func (c *Conn) receive() (Packet, error) {
 			}
 			return Packet{}, err
 		}
-		if pkt, ok, err := c.received(typ, frame, len(frame)); ok || err != nil {
+		if pkt, ok, err := c.received(typ, frame, len(frame), s); ok || err != nil {
 			return pkt, err
 		}
 	}
@@ -428,7 +444,9 @@ func (c *Conn) receive() (Packet, error) {
 // readFrame reads one complete TLV frame from the stream into buf — the
 // outer type byte, the variable-length length, and the body — growing
 // buf when the frame exceeds its capacity. The returned frame aliases
-// *buf.
+// *buf. The header is read byte by byte from the concrete reader: a
+// header array handed to io.ReadFull would escape through its io.Reader
+// argument and cost an allocation per frame.
 func readFrame(r *bufio.Reader, buf *[]byte) (frame []byte, typ byte, err error) {
 	typ, err = r.ReadByte()
 	if err != nil {
@@ -438,27 +456,25 @@ func readFrame(r *bufio.Reader, buf *[]byte) (frame []byte, typ byte, err error)
 	if err != nil {
 		return nil, 0, eofToUnexpected(err)
 	}
-	var length uint64
 	var header [6]byte
 	header[0], header[1] = typ, first
 	headerLen := 2
+	var length uint64
 	switch {
 	case first < 253:
 		length = uint64(first)
 	case first == 253:
-		if _, err := io.ReadFull(r, header[2:4]); err != nil {
-			return nil, 0, eofToUnexpected(err)
-		}
-		length = uint64(binary.BigEndian.Uint16(header[2:4]))
 		headerLen = 4
 	case first == 254:
-		if _, err := io.ReadFull(r, header[2:6]); err != nil {
-			return nil, 0, eofToUnexpected(err)
-		}
-		length = uint64(binary.BigEndian.Uint32(header[2:6]))
 		headerLen = 6
 	default:
 		return nil, 0, fmt.Errorf("transport: unsupported length prefix %d", first)
+	}
+	for k := 2; k < headerLen; k++ { // the big-endian 16- or 32-bit length
+		if header[k], err = r.ReadByte(); err != nil {
+			return nil, 0, eofToUnexpected(err)
+		}
+		length = length<<8 | uint64(header[k])
 	}
 	if uint64(headerLen)+length > MaxPacketSize {
 		return nil, 0, ErrPacketTooLarge

@@ -633,7 +633,11 @@ func (f *DatagramFace) emit(dg []byte) error {
 // Receive blocks for the next packet. Corrupt datagrams are counted
 // and skipped (datagram framing self-heals); only endpoint teardown,
 // socket death, or an idle timeout surface as errors.
-func (f *DatagramFace) Receive() (Packet, error) {
+func (f *DatagramFace) Receive() (Packet, error) { return f.ReceiveInto(nil) }
+
+// ReceiveInto is Receive decoding into the reader-owned s (see Face);
+// a nil s is Receive.
+func (f *DatagramFace) ReceiveInto(s *Scratch) (Packet, error) {
 	for {
 		var pkt Packet
 		var ok bool
@@ -642,14 +646,14 @@ func (f *DatagramFace) Receive() (Packet, error) {
 			if err != nil {
 				return Packet{}, err
 			}
-			pkt, ok = f.process(*buf)
+			pkt, ok = f.process(*buf, s)
 			ndn.ReleaseBuffer(buf)
 		} else {
 			dg, err := f.readConn()
 			if err != nil {
 				return Packet{}, err
 			}
-			pkt, ok = f.process(dg)
+			pkt, ok = f.process(dg, s)
 		}
 		if ok {
 			return pkt, nil
@@ -736,14 +740,14 @@ func (f *DatagramFace) readConn() ([]byte, error) {
 // is a frame only once it completes one. ok reports whether pkt carries
 // a decoded packet; a datagram that does not parse, reassemble or decode
 // is counted as an error and skipped.
-func (f *DatagramFace) process(dg []byte) (pkt Packet, ok bool) {
+func (f *DatagramFace) process(dg []byte, s *Scratch) (pkt Packet, ok bool) {
 	typ, body, err := parseDatagram(dg)
 	if err != nil {
 		f.errs.Add(1)
 		return Packet{}, false
 	}
 	if typ != typeFrag {
-		pkt, ok, _ = f.received(typ, dg, len(dg))
+		pkt, ok, _ = f.received(typ, dg, len(dg), s)
 		return pkt, ok
 	}
 	f.bytesIn.Add(uint64(len(dg)))
@@ -763,7 +767,7 @@ func (f *DatagramFace) process(dg []byte) (pkt Packet, ok bool) {
 	if frame == nil {
 		return Packet{}, false
 	}
-	if pkt, ok, _ = f.received(frame[0], frame, 0); ok {
+	if pkt, ok, _ = f.received(frame[0], frame, 0, s); ok {
 		f.dg.reassembled.Add(1)
 	}
 	return pkt, ok
