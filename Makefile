@@ -69,7 +69,7 @@ allocs:
 # concurrently: the forwarder itself plus its lock-free/sharded layers
 # (bloom, core validator, ndn tables) and the transports.
 race:
-	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/... ./internal/intern/... ./internal/names/...
+	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/... ./internal/intern/... ./internal/names/... ./internal/node/...
 
 # Fault-injection suite: failover/chaos soaks and face churn, under the
 # race detector (see README "Failure handling & chaos testing").
@@ -96,8 +96,9 @@ conform:
 	$(GO) run -race ./cmd/tacticconform -seeds $(CONFORM_SEEDS)
 	$(GO) run -race ./cmd/tacticconform -seeds $(CONFORM_SEEDS) -scheme=ibac
 
-# 30 seconds of native fuzzing per wire-facing decoder on top of the
-# committed corpus under testdata/fuzz/.
+# 30 seconds of native fuzzing per wire-facing decoder, the decision
+# engine and the verify admission queue, on top of the committed corpus
+# under testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTLVDecode$$' -fuzztime $(FUZZTIME) ./internal/ndn/
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzControlSync$$' -fuzztime $(FUZZTIME) ./internal/ndn/
 	$(GO) test -run '^$$' -fuzz '^FuzzFragRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzEnforceDecision$$' -fuzztime $(FUZZTIME) ./internal/enforce/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyQueue$$' -fuzztime $(FUZZTIME) ./internal/node/
 
 # Metrics exposition lint: scrape a live registry and require valid
 # Prometheus text format plus the repo's naming conventions (counters
@@ -115,16 +117,17 @@ fuzz-smoke:
 metrics-lint:
 	$(GO) test -count=1 -run 'TestMetricsLint|TestWritePrometheus' ./internal/fleet/ ./internal/obs/
 
-# Statement-coverage floors: the scheme-agnostic decision engine is the
-# repo's most safety-critical package and is held to 90%; the live
-# forwarder (timing-heavy plumbing) to 70%; the tag primitives, wire
-# codec, and tag-lifecycle service to the default 80%.
+# Statement-coverage floors: the scheme-agnostic decision engine and the
+# node core with its verify admission (the forwarding loop both planes
+# drive) are the repo's most safety-critical packages and are held to
+# 90%; the live forwarder (timing-heavy plumbing) to 70%; the tag
+# primitives, wire codec, and tag-lifecycle service to the default 80%.
 COVER_FLOOR ?= 80
 COVER_FLOOR_ENFORCE ?= 90
 COVER_FLOOR_FORWARDER ?= 70
 cover:
-	@$(GO) test -cover ./internal/core/ ./internal/ndn/ ./internal/lifecycle/ ./internal/enforce/ ./internal/forwarder/ | tee /tmp/tactic-cover.txt
-	@awk -v floor=$(COVER_FLOOR) -v enf=$(COVER_FLOOR_ENFORCE) -v fwd=$(COVER_FLOOR_FORWARDER) '/coverage:/ { f = floor; if ($$2 ~ /internal\/enforce$$/) f = enf; if ($$2 ~ /internal\/forwarder$$/) f = fwd; gsub(/%/, "", $$5); if ($$5 + 0 < f) { print "FAIL: " $$2 " coverage " $$5 "% below " f "%"; bad = 1 } } END { exit bad }' /tmp/tactic-cover.txt
+	@$(GO) test -cover ./internal/core/ ./internal/ndn/ ./internal/lifecycle/ ./internal/enforce/ ./internal/node/ ./internal/forwarder/ | tee /tmp/tactic-cover.txt
+	@awk -v floor=$(COVER_FLOOR) -v enf=$(COVER_FLOOR_ENFORCE) -v fwd=$(COVER_FLOOR_FORWARDER) '/coverage:/ { f = floor; if ($$2 ~ /internal\/(enforce|node)$$/) f = enf; if ($$2 ~ /internal\/forwarder$$/) f = fwd; gsub(/%/, "", $$5); if ($$5 + 0 < f) { print "FAIL: " $$2 " coverage " $$5 "% below " f "%"; bad = 1 } } END { exit bad }' /tmp/tactic-cover.txt
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

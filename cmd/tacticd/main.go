@@ -37,7 +37,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/forwarder"
@@ -76,10 +75,9 @@ func run(args []string) error {
 	traceRing := fs.Int("trace-ring", 0, "in-memory flight recorder capacity in spans, served at /tracez on -admin (0 = disabled)")
 	traceFlush := fs.String("trace-flush", "", "on graceful shutdown, dump the -trace-ring flight recorder as JSONL to this file (empty = disabled)")
 	eventRing := fs.Int("events", 256, "typed event-log ring capacity, served at /eventz on -admin and bridged to stderr (0 = disabled)")
-	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "per-frame write deadline on every face (0 = none)")
+	writeTimeout := fs.Duration("write-timeout", forwarder.DefaultWriteTimeout, "per-frame write deadline on every face (0 = none)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "recycle a face after this long without a frame (0 = never)")
 	keepalive := fs.Duration("keepalive", 0, "send keepalive frames on every face at this interval (0 = none); set peers' -idle-timeout to ~3x this")
-	coalesce := fs.Duration("coalesce", 0, "hold every stream-face write for up to this window before flushing (0 = off). Stream faces already batch replies by themselves while their reader has a backlog, at no latency cost; a window adds batching only for frames sent toward a face whose own reader is idle (Data relayed to a quiet downstream), and delays every light-load reply by up to the window")
 	mtu := fs.Int("mtu", 0, "datagram face MTU in bytes: frames larger than this are fragmented on udp:// faces (0 = default 1400)")
 	chaosSpec := fs.String("chaos", "", "fault-inject upstream links, e.g. drop=0.05,delay=0.1,maxdelay=20ms,seed=1 (testing only)")
 	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification worker goroutines (0 = default)")
@@ -182,7 +180,6 @@ func run(args []string) error {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 		KeepaliveInterval: *keepalive,
-		CoalesceWrites:    *coalesce,
 		BFSyncInterval:    *bfSync,
 		VerifyWorkers:     *verifyWorkers,
 		VerifyBudget:      *verifyBudget,

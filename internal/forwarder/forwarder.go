@@ -83,7 +83,8 @@ type Config struct {
 	PITLifetime time.Duration
 	// WriteTimeout bounds each frame write on every face, so a wedged
 	// peer surfaces as a send error and the face is recycled instead of
-	// blocking the pipeline (0 = no deadline).
+	// blocking the pipeline (0 = no deadline; tacticd and the origin use
+	// DefaultWriteTimeout).
 	WriteTimeout time.Duration
 	// IdleTimeout recycles a face when no frame arrives for this long
 	// (0 = never). Set it at least ~3x the peers' keepalive interval.
@@ -92,13 +93,6 @@ type Config struct {
 	// period so peers' idle timeouts hold off on quiet-but-healthy
 	// links (0 = none).
 	KeepaliveInterval time.Duration
-	// CoalesceWrites adds a time window to the stream faces' own write
-	// batching (transport.Conn defers flushes while its reader has a
-	// backlog, unprompted): every frame buffers up to this window (or
-	// 32 KiB), which also batches frames sent toward a face whose reader
-	// is idle, at up to the window in latency on every light-load reply
-	// (0 = no window; datagram faces are unaffected).
-	CoalesceWrites time.Duration
 	// BFSyncInterval advertises validated-tag Bloom filter deltas to
 	// the registered sync peers at this period (0 = disabled; see
 	// AddSyncPeer).
@@ -122,6 +116,12 @@ type Config struct {
 	// enforcement pipeline.
 	Tracer *obs.Tracer
 }
+
+// DefaultWriteTimeout is the per-frame write deadline tacticd and the
+// origin run with: long enough for any healthy peer, short enough that a
+// client that stops reading frees the goroutine sending to it — a verify
+// worker, when the reply follows a verification.
+const DefaultWriteTimeout = 10 * time.Second
 
 // faceState is one attached face (stream conn or datagram face).
 type faceState struct {
@@ -254,11 +254,7 @@ func New(cfg Config) (*Forwarder, error) {
 		closed: make(chan struct{}),
 	}
 	f.node = node.New(f.tactic, f.fib, f.pit, f.cs, cfg.Role, cfg.PITLifetime)
-	budget := cfg.VerifyBudget
-	if cfg.Tactic.DisableAdmission {
-		budget = 0 // park without bound; the shed policy is ablated away
-	}
-	f.vp = newVerifyPool(f, cfg.VerifyWorkers, budget)
+	f.vp = newVerifyPool(f, cfg.VerifyWorkers, cfg.VerifyBudget)
 	f.registerSampled()
 	f.wg.Add(1)
 	go f.expireLoop()
@@ -308,11 +304,6 @@ func (f *Forwarder) addFace(conn transport.Face, downstream bool, onDown func())
 	conn.SetWriteTimeout(f.cfg.WriteTimeout)
 	conn.SetIdleTimeout(f.cfg.IdleTimeout)
 	conn.StartKeepalive(f.cfg.KeepaliveInterval)
-	if f.cfg.CoalesceWrites > 0 {
-		if sc, ok := conn.(*transport.Conn); ok {
-			sc.SetCoalesce(f.cfg.CoalesceWrites)
-		}
-	}
 	f.mu.Lock()
 	id := f.next
 	f.next++
@@ -626,7 +617,7 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 		// The job outlives the reader's packet: it takes its own copy.
 		job := &verifyJob{arrival: a, pending: st.Pending, interest: *i}
 		job.i = &job.interest
-		f.parkForVerify(job)
+		f.vp.park(job)
 	case node.Reply:
 		f.reply(a, st.Reply, sendStart)
 	case node.Register:
@@ -691,31 +682,6 @@ func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 	})
 	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, a.sp)
 	a.sp.End(outcome)
-}
-
-// parkForVerify hands an Interest whose enforcement decision needs a
-// signature check to the verification pool, shedding with an Overload
-// NACK when the arrival face is over budget. Called from face readers
-// (first park) and from pool workers (an edge-verified Interest whose
-// content decision then also needs a verify).
-func (f *Forwarder) parkForVerify(job *verifyJob) {
-	job.parkedAt = time.Now()
-	// Annotate before admitting: the moment admit succeeds the job
-	// belongs to a pool worker, and the span with it.
-	if job.sp != nil {
-		job.sp.Event("park", "verify")
-	}
-	if f.vp.admit(job) {
-		return
-	}
-	if f.ev != nil {
-		// Rate-limited to ~1 event/s: a shed storm logs as a burst count,
-		// not one event per dropped Interest.
-		if burst := f.shedGate.Add(1); burst > 0 {
-			f.ev.Emit(obs.EventShedBurst, int(job.from.id), "verify_overload", burst)
-		}
-	}
-	f.reply(job.arrival, node.Answer{Nack: true, Reason: core.ErrOverload}, time.Time{})
 }
 
 // handleData runs the Data pipeline, lock-free like handleInterest: the

@@ -468,7 +468,7 @@ func (f *Forwarder) Status() Status {
 		Counters:       f.Stats(),
 		VerifyPool: VerifyPoolStatus{
 			Workers:   f.cfg.VerifyWorkers,
-			Budget:    f.vp.budget,
+			Budget:    f.vp.q.Budget(),
 			Parked:    f.vp.Parked(),
 			Sheds:     f.vp.Sheds(),
 			Flushed:   f.vp.Flushed(),

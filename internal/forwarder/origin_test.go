@@ -458,3 +458,23 @@ func TestOriginReplyAllocs(t *testing.T) {
 		t.Errorf("%d replies sent, want 1001", sink.frames)
 	}
 }
+
+// deadlineFace is a sinkFace that records the write deadline it is given.
+type deadlineFace struct {
+	sinkFace
+	writeTimeout time.Duration
+}
+
+func (d *deadlineFace) SetWriteTimeout(t time.Duration) { d.writeTimeout = t }
+
+// TestOriginFacesHaveAWriteDeadline: the origin bounds every send on its
+// faces by DefaultWriteTimeout, so a client that stops reading cannot hold
+// the verify worker replying to it forever.
+func TestOriginFacesHaveAWriteDeadline(t *testing.T) {
+	e := startOrigin(t, "")
+	face := &deadlineFace{sinkFace: sinkFace{closed: make(chan struct{})}}
+	e.prod.node.AddFace(face, true)
+	if face.writeTimeout != DefaultWriteTimeout {
+		t.Fatalf("origin face write timeout = %v, want %v", face.writeTimeout, DefaultWriteTimeout)
+	}
+}

@@ -43,7 +43,7 @@ func NewProducer(provider *core.Provider, registry *pki.Registry, logf func(stri
 func NewProducerWithConfig(provider *core.Provider, registry *pki.Registry, logf func(string, ...any), cfg core.Config) (*Producer, error) {
 	// The catalogue is never evicted: the store is unbounded.
 	fwd, err := New(Config{ID: "producer:" + provider.Prefix().String(), Role: RoleCore,
-		Registry: registry, CSCapacity: math.MaxInt, Tactic: cfg, Logf: logf})
+		Registry: registry, CSCapacity: math.MaxInt, WriteTimeout: DefaultWriteTimeout, Tactic: cfg, Logf: logf})
 	if err != nil {
 		return nil, err
 	}

@@ -9,47 +9,26 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/node"
+	"github.com/tactic-icn/tactic/internal/obs"
 )
 
 // The bounded asynchronous verification subsystem. Signature
-// verification is the forwarder's 300x cost cliff (~100 µs per P-256
-// verify against ~300 ns per BF lookup), and before this pool it ran
-// inline on the per-face reader goroutines — so an attacker minting
-// unseen tags on one face could stall that reader for the full verify
-// latency per packet, and a shared-CPU box would see every face's
-// reader degrade.
+// verification is the 300x cost cliff (~100 µs per P-256 verify against
+// ~300 ns per BF lookup): inline, an attacker minting unseen tags could
+// stall a face reader per packet. Instead an Interest whose decision needs
+// a signature check is parked here, PIT-style (the job keeps its arrival
+// face and the Interest with its nonce), and a fixed pool of workers
+// drains them. Admission, order and sharing are node.VerifyQueue, the
+// simulator's admission too; what stays here is what is live: the lock,
+// the workers, the counters and the NACKs — a shed, or a flush on face
+// death, revocation or shutdown, is answered with a bare NACK.
 //
-// Instead, Interests whose enforcement decision requires a signature
-// check are *parked* here, PIT-style — the job keeps the arrival face
-// and the Interest (with its nonce) so the eventual verdict is sent
-// exactly where the request came from — and a fixed pool of workers
-// drains the queues. Admission is budgeted per face: parked + in-flight
-// jobs for one arrival face may not exceed the budget, and a face over
-// budget is shed explicitly with a NACK carrying core.ErrOverload (wire
-// reason code, counted under MetricVerifySheds) rather than silently
-// dropped. Workers pick faces round-robin, so a flooding face that
-// stays within its budget still cannot starve the other faces' parked
-// work.
-//
-// The pool is also where live-plane verification is deduplicated: each
-// tag is verified once. The first parked Interest carrying a tag (by
-// Tag.CacheKey()) is the tag's *leader* — the only one queued and the
-// only one a worker verifies. Every Interest admitted with the same tag
-// while the leader is parked or in flight attaches to it as a
-// *follower*: charged to its own face's budget, but holding neither a
-// queue slot nor a worker. When the leader's verification returns, its
-// outcome is folded into the engine first (so the Bloom-filter insert
-// is visible before the group closes) and each follower is then decided
-// as a subsequent request for that tag — enforce.Router.VerifyShared,
-// with the follower's own inputs, clock and gates — which is a cache
-// hit on success, so a run of Interests for one tag costs one
-// verification and one insertion.
-//
-// Parked jobs are flushed — with best-effort NACKs — when their face
-// dies, when their tag is revoked by a control push, and on forwarder
-// shutdown, so nothing leaks and no client waits out a PIT lifetime
-// for a verdict that can never come. A flushed leader hands its group
-// to its first surviving follower.
+// A worker verifies a leader, folds the outcome into the engine (the
+// Bloom-filter insert is visible first), closes the group and releases
+// its charges, then resumes the leader's pipeline. Each follower is
+// decided as a subsequent request for that tag (enforce.Router.
+// VerifyShared, with its own inputs, clock and gates): a cache hit on
+// success, so a tag costs one verification and one insertion.
 
 // verifyJob is one parked Interest awaiting signature verification: the
 // arrival and the decision the node core left pending on it.
@@ -62,43 +41,19 @@ type verifyJob struct {
 	interest ndn.Interest
 	// parkedAt is the enqueue instant, for park-time observability.
 	parkedAt time.Time
-
-	// The fields below belong to the pool and are guarded by its mutex.
-
-	// key is the tag's cache key while this job leads a group.
-	key string
-	// followers are the same-tag jobs admitted while this job led.
-	followers []*verifyJob
 }
 
-// faceVerifyQueue is one face's admission state.
-type faceVerifyQueue struct {
-	// jobs are the face's queued leaders, oldest first.
-	jobs []*verifyJob
-	// charged counts every admitted job of the face that has no verdict
-	// yet — queued, in flight, or following — against the budget.
-	charged int
-}
-
-// verifyPool is the bounded worker pool.
+// verifyPool is the bounded worker pool: the goroutines, the lock and
+// the counters around the node's verify queue.
 type verifyPool struct {
 	f *Forwarder
-	// budget caps the jobs charged to one arrival face; 0 disables
-	// admission (used by the DisableAdmission ablation — parking is
-	// still asynchronous, only the cap is gone).
-	budget int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[ndn.FaceID]*faceVerifyQueue
-	// order is the round-robin rotation over faces that currently have
-	// a queue; rr is the next index to scan from.
-	order []ndn.FaceID
-	rr    int
-	// leaders maps a tag's cache key to the parked or in-flight job
-	// whose verification will decide every job carrying that tag.
-	leaders map[string]*verifyJob
-	closed  bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// q is the admission policy — per-face budget, tag groups,
+	// round-robin — and closed stops admitting; both are guarded by mu.
+	q      *node.VerifyQueue[*verifyJob]
+	closed bool
 
 	parked    atomic.Int64
 	sheds     atomic.Uint64
@@ -109,8 +64,7 @@ type verifyPool struct {
 }
 
 func newVerifyPool(f *Forwarder, workers, budget int) *verifyPool {
-	p := &verifyPool{f: f, budget: budget,
-		queues: make(map[ndn.FaceID]*faceVerifyQueue), leaders: make(map[string]*verifyJob)}
+	p := &verifyPool{f: f, q: node.NewVerifyQueue[*verifyJob](budget, f.cfg.Tactic)}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -119,158 +73,59 @@ func newVerifyPool(f *Forwarder, workers, budget int) *verifyPool {
 	return p
 }
 
-// admit parks a job against its arrival face's budget: queued as its
-// tag's leader, or attached to the leader the tag already has. It
-// returns false — and the caller must shed with an Overload NACK — when
-// the face is over budget or the pool is shutting down.
-func (p *verifyPool) admit(job *verifyJob) bool {
-	id := job.from.id
+// park hands a job to the queue — queued as its tag's leader, or
+// attached to the leader the tag has — or, when the face is over budget
+// or the pool is shutting down, sheds it with an Overload NACK. Face
+// readers park first decisions, workers an edge-verified Interest whose
+// content decision needs a verification too.
+func (p *verifyPool) park(job *verifyJob) {
+	job.parkedAt = time.Now()
+	// Annotate before admitting: once admitted the job belongs to a
+	// worker, and the span with it.
+	if job.sp != nil {
+		job.sp.Event("park", "verify")
+	}
+	adm := node.Shed
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.sheds.Add(1)
-		return false
+	if !p.closed {
+		adm = p.q.Admit(job, job.from.id, job.i.Tag.CacheKey())
 	}
-	q := p.queues[id]
-	if q == nil {
-		q = &faceVerifyQueue{}
-		p.queues[id] = q
-		p.order = append(p.order, id)
+	if adm != node.Shed {
+		p.parked.Add(1)
 	}
-	if p.budget > 0 && q.charged >= p.budget {
-		p.mu.Unlock()
-		p.sheds.Add(1)
-		return false
-	}
-	q.charged++
-	p.parked.Add(1)
-	key := job.i.Tag.CacheKey()
-	if leader := p.leaders[string(key)]; leader != nil {
-		leader.followers = append(leader.followers, job)
-		p.mu.Unlock()
-		return true
-	}
-	job.key = string(key)
-	p.leaders[job.key] = job
-	q.jobs = append(q.jobs, job)
 	p.mu.Unlock()
-	p.cond.Signal()
-	return true
-}
-
-// next pops one leader round-robin across faces. It blocks until one is
-// queued or the pool closes (nil).
-func (p *verifyPool) next() *verifyJob {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed {
-			return nil
-		}
-		for scanned := 0; scanned < len(p.order); scanned++ {
-			idx := (p.rr + scanned) % len(p.order)
-			q := p.queues[p.order[idx]]
-			if len(q.jobs) == 0 {
-				continue
+	switch adm {
+	case node.Leader:
+		p.cond.Signal()
+	case node.Shed:
+		p.sheds.Add(1)
+		// Rate-limited to ~1 event/s: a shed storm logs as a burst count,
+		// not one event per dropped Interest.
+		if p.f.ev != nil {
+			if burst := p.f.shedGate.Add(1); burst > 0 {
+				p.f.ev.Emit(obs.EventShedBurst, int(job.from.id), "verify_overload", burst)
 			}
-			job := q.jobs[0]
-			q.jobs = q.jobs[1:]
-			p.parked.Add(-1)
-			p.rr = (idx + 1) % len(p.order)
-			return job
 		}
-		p.cond.Wait()
+		p.f.reply(job.arrival, node.Answer{Nack: true, Reason: core.ErrOverload}, time.Time{})
 	}
 }
 
-// uncharge returns one budget slot to a face and garbage-collects the
-// face's queue entry when nothing is charged to it. Caller holds p.mu.
-func (p *verifyPool) uncharge(id ndn.FaceID) {
-	q := p.queues[id]
-	q.charged--
-	if q.charged > 0 {
-		return
-	}
-	delete(p.queues, id)
-	for i, fid := range p.order {
-		if fid == id {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			if p.rr > i {
-				p.rr--
-			}
-			break
-		}
-	}
-	if len(p.order) > 0 {
-		p.rr %= len(p.order)
-	} else {
-		p.rr = 0
-	}
-}
-
-// unqueue takes a leader out of its face's queue, reporting false when
-// it is not there: a worker has it. Caller holds p.mu.
-func (p *verifyPool) unqueue(leader *verifyJob) bool {
-	q := p.queues[leader.from.id]
-	for i, job := range q.jobs {
-		if job == leader {
-			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// handoff ends a leader's lead without a verification outcome to share
-// (it was flushed, or its own pre-verify gate denied it): the first
-// follower takes over the group, queued on its own face, or the key
-// retires with the group empty. Caller holds p.mu.
-func (p *verifyPool) handoff(leader *verifyJob) {
-	followers := leader.followers
-	leader.followers = nil
-	if len(followers) == 0 {
-		delete(p.leaders, leader.key)
-		return
-	}
-	next := followers[0]
-	next.key, next.followers = leader.key, followers[1:]
-	p.leaders[next.key] = next
-	q := p.queues[next.from.id]
-	q.jobs = append(q.jobs, next)
-	p.cond.Signal()
-}
-
-// retire ends an in-flight leader's lead and frees its budget slot.
-// With a verification outcome to share the group closes and its
-// followers are returned, uncharged, for the caller to decide; without
-// one the group is handed off.
-func (p *verifyPool) retire(leader *verifyJob, verified bool) []*verifyJob {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.uncharge(leader.from.id)
-	if !verified {
-		p.handoff(leader)
-		return nil
-	}
-	followers := leader.followers
-	leader.followers = nil
-	delete(p.leaders, leader.key)
-	for _, fj := range followers {
-		p.uncharge(fj.from.id)
-	}
-	p.parked.Add(int64(-len(followers)))
-	return followers
-}
-
+// worker takes leaders, round-robin across faces, until the pool closes.
 func (p *verifyPool) worker() {
 	defer p.wg.Done()
-	for {
-		job := p.next()
-		if job == nil {
-			return
+	p.mu.Lock()
+	for !p.closed {
+		job, ok := p.q.Next()
+		if !ok {
+			p.cond.Wait()
+			continue
 		}
+		p.parked.Add(-1)
+		p.mu.Unlock()
 		p.run(job)
+		p.mu.Lock()
 	}
+	p.mu.Unlock()
 }
 
 // run verifies a leader's tag, decides the leader and then every
@@ -287,10 +142,23 @@ func (p *verifyPool) run(job *verifyJob) {
 	if job.sp != nil {
 		job.sp.Event("verify", verifyDetail(dec.Denied()))
 	}
-	// The group closes before the leader's pipeline resumes: an edge
-	// verdict can lead straight to a content decision that parks the
-	// same tag again, and that job must lead a group of its own.
-	followers := p.retire(job, dec.Verified)
+	// The group closes, and its charges are released, before the leader's
+	// pipeline resumes: an edge verdict can lead straight to a content
+	// decision that parks the same tag again, and that job must lead a
+	// group of its own. Without an outcome to share (the leader's own gate
+	// denied it) the group passes to a follower, which may lead now.
+	var buf [8]*verifyJob
+	p.mu.Lock()
+	followers := p.q.Close(job, dec.Verified, buf[:0])
+	p.q.Release(job.from.id)
+	for _, fj := range followers {
+		p.q.Release(fj.from.id)
+	}
+	p.parked.Add(int64(-len(followers)))
+	p.mu.Unlock()
+	if !dec.Verified {
+		p.cond.Signal()
+	}
 	p.coalesced.Add(uint64(len(followers)))
 	p.complete(job, dec)
 	for _, fj := range followers {
@@ -315,28 +183,16 @@ func (p *verifyPool) complete(job *verifyJob, dec enforce.Verdict) {
 // in-flight leader is not touched — its verdict lands normally — but its
 // followers are.
 func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
-	var out []*verifyJob
 	p.mu.Lock()
-	for _, leader := range p.leaders {
-		kept := leader.followers[:0]
-		for _, fj := range leader.followers {
-			if match(fj) {
-				out = append(out, fj)
-			} else {
-				kept = append(kept, fj)
-			}
-		}
-		leader.followers = kept
-		if match(leader) && p.unqueue(leader) {
-			out = append(out, leader)
-			p.handoff(leader)
-		}
-	}
+	out := p.q.Flush(match, nil)
 	for _, job := range out {
-		p.uncharge(job.from.id)
+		p.q.Release(job.from.id)
 	}
 	p.parked.Add(int64(-len(out)))
 	p.mu.Unlock()
+	if len(out) > 0 {
+		p.cond.Broadcast() // flushed leaders may have handed their groups on
+	}
 	for _, job := range out {
 		p.flushed.Add(1)
 		p.f.reply(job.arrival, node.Answer{Nack: true, Reason: reason}, time.Time{})

@@ -126,11 +126,11 @@ func newVPEnvCfg(t *testing.T, workers, budget int, mod func(cfg *Config)) *vpEn
 func poolResidue(p *verifyPool) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.leaders) == 0 && len(p.queues) == 0 && len(p.order) == 0 && p.parked.Load() == 0 {
+	groups, faces := p.q.Len()
+	if groups == 0 && faces == 0 && p.parked.Load() == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%d leaders, %d face queues, %d in rotation, parked=%d",
-		len(p.leaders), len(p.queues), len(p.order), p.parked.Load())
+	return fmt.Sprintf("%d leaders, %d charged faces, parked=%d", groups, faces, p.parked.Load())
 }
 
 // forgedTag mints a structurally valid tag signed by the rogue key:

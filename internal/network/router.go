@@ -3,7 +3,6 @@ package network
 import (
 	"errors"
 	"math/rand"
-	"slices"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/bloom"
@@ -49,11 +48,11 @@ type RouterConfig struct {
 	// edge observes (the paper's future-work traitor-tracing feature;
 	// typically one detector shared by all edge routers of an ISP).
 	Traitor *core.TraitorDetector
-	// VerifyBudget, when positive, mirrors the live forwarder's per-face
-	// verification admission control: an edge face may have at most this
-	// many signature verifications outstanding (completion instant still
-	// in the virtual future); requests beyond the budget are shed with an
-	// Overload NACK. Zero keeps the pre-admission behaviour, so existing
+	// VerifyBudget, when positive, caps the signature verifications
+	// outstanding per arrival face (completion instant still in the
+	// virtual future) through the same queue as the live forwarder's
+	// verify pool (node.VerifyQueue); requests beyond the budget are shed
+	// with an Overload NACK. Zero admits without bound, so existing
 	// experiment reproductions are untouched. Tactic.DisableAdmission
 	// forces it off regardless (the "forgot to cap" ablation).
 	VerifyBudget int
@@ -85,22 +84,15 @@ type RouterNode struct {
 	pit  *ndn.ShardedPIT
 	cs   *ndn.ShardedCS
 	core *node.Core
-	cfg  RouterConfig
-	rng  *rand.Rand
+	// vq admits every verification the core asks for (see VerifyBudget).
+	vq  *node.VerifyQueue[*ndn.Interest]
+	cfg RouterConfig
+	rng *rand.Rand
 
 	interests uint64
 	dataSeen  uint64
 	nacksSent uint64
 	drops     map[string]uint64
-	// verifyPending tracks, per arrival face, the virtual completion
-	// instants of outstanding signature verifications — the sim mirror of
-	// the live verify pool's parked+in-flight occupancy. Entries at or
-	// before "now" have retired and are pruned on the next admission
-	// check. Only populated when the admission budget is active.
-	verifyPending map[ndn.FaceID][]time.Time
-	// verifyBudget is cfg.VerifyBudget, 0 (admission off) when unconfigured
-	// or under the DisableAdmission ablation.
-	verifyBudget int
 	// cpuBusyUntil serialises computational delays: a router is a
 	// single processing pipeline, so a burst of signature verifications
 	// (e.g. after a Bloom-filter reset) delays subsequent packets — the
@@ -127,17 +119,13 @@ func NewRouterNode(net *Network, index int, isEdge bool, verifier pki.Verifier, 
 		fib:    ndn.NewFIB(),
 		pit:    ndn.NewShardedPITOf(1),
 		cs:     ndn.NewShardedCSOf(1, cfg.CSCapacity),
+		vq:     node.NewVerifyQueue[*ndn.Interest](cfg.VerifyBudget, cfg.Tactic),
 		cfg:    cfg,
 		rng:    rng,
 		drops:  make(map[string]uint64),
-
-		verifyPending: make(map[ndn.FaceID][]time.Time),
 	}
 	if isEdge {
 		r.role = node.RoleEdge
-	}
-	if !cfg.Tactic.DisableAdmission {
-		r.verifyBudget = cfg.VerifyBudget
 	}
 	r.core = node.New(r.tactic, r.fib, r.pit, r.cs, r.role, cfg.PITLifetime)
 	return r, nil
@@ -193,18 +181,6 @@ func (r *RouterNode) cpuWait(sp *SimSpan, work time.Duration) time.Duration {
 	return end.Sub(now)
 }
 
-// admitVerify prunes the face's retired verifications and reports
-// whether one more fits under the budget. Always true when admission is
-// off.
-func (r *RouterNode) admitVerify(from ndn.FaceID, now time.Time) bool {
-	if r.verifyBudget <= 0 {
-		return true
-	}
-	pending := slices.DeleteFunc(r.verifyPending[from], func(done time.Time) bool { return !done.After(now) })
-	r.verifyPending[from] = pending
-	return len(pending) < r.verifyBudget
-}
-
 // HandleInterest runs one Interest through the node core in virtual time
 // and acts on the step it returns.
 func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
@@ -228,8 +204,10 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	// Each core call's Bloom-filter and signature operations are sampled
 	// (chargeOps) and booked on the router CPU once a checkpoint was
 	// consulted; a content decision awaiting its verification is booked
-	// together with it, as one job. Verification completes inline,
-	// Protocol 2's after per-face admission like the live forwarder's.
+	// together with it, as one job. Verification is admitted through the
+	// live forwarder's queue and completes inline (no follower can join);
+	// the face's charge is released at the virtual completion instant, by
+	// an engine event only when a budget can refuse it meanwhile.
 	var st node.Step
 	var proc, work time.Duration
 	call := func(fn func()) {
@@ -242,14 +220,20 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	call(func() { st = r.core.OnInterest(i, from, checks, now) })
 	for st.Action == node.Verify {
 		p := st.Pending
-		if p.Op == enforce.OpEdgeInterest && !r.admitVerify(from, now) {
+		if r.vq.Admit(i, from, i.Tag.CacheKey()) == node.Shed {
 			st = r.core.ResumeInterest(i, from, p, enforce.Shed(st.Stage), now)
 			break
 		}
-		call(func() { st = r.core.ResumeInterest(i, from, p, r.tactic.VerifyMiss(p.Input(i, now)), now) })
-		if p.Op == enforce.OpEdgeInterest && r.verifyBudget > 0 {
-			// Admitted: outstanding until its virtual completion instant.
-			r.verifyPending[from] = append(r.verifyPending[from], now.Add(proc))
+		r.vq.Next() // i: nothing stays queued between handlers
+		call(func() {
+			dec := r.tactic.VerifyMiss(p.Input(i, now))
+			r.vq.Close(i, dec.Verified, nil) // before the pipeline resumes, as live
+			st = r.core.ResumeInterest(i, from, p, dec, now)
+		})
+		if r.vq.Budget() > 0 && proc > 0 {
+			r.net.Engine.Schedule(proc, func() { r.vq.Release(from) })
+		} else {
+			r.vq.Release(from)
 		}
 	}
 

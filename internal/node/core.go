@@ -11,13 +11,16 @@
 // the verdict). Two drivers run it: the discrete-event simulator
 // (internal/network) completes a verification inline and charges it to the
 // router's virtual CPU; the live forwarder (internal/forwarder) parks it
-// in its verify pool and resumes on a worker. A driver keeps what differs
-// between the planes: spans and counters, the verify scheduler and its
-// admission budget, loss recovery (re-send on Aggregate, consume again on
-// DropNoRoute or a failed send, tell a tagged requester of an
-// undeliverable answer), PIT expiry, and which checkpoints an arrival
-// meets (Checks). Every method is called on concrete types and returns by
-// value, so a packet that parks nothing allocates nothing here.
+// in its verify pool and resumes on a worker. Admission to verification is
+// not theirs: both pass every Verify step through one VerifyQueue — the
+// per-face budget, one verification per tag, round-robin across faces —
+// which is as sans-IO as the Core. A driver keeps what differs between
+// the planes: spans and counters, the verify scheduler (when a job runs,
+// and when its charge is released), loss recovery (re-send on Aggregate,
+// consume again on DropNoRoute or a failed send, tell a tagged requester
+// of an undeliverable answer), PIT expiry, and which checkpoints an
+// arrival meets (Checks). Every method is called on concrete types and
+// returns by value, so a packet that parks nothing allocates nothing here.
 package node
 
 import (
@@ -113,8 +116,8 @@ const (
 	Drop
 	// Verify: Pending needs the tag's signature checked. The driver gets the
 	// verdict as it schedules verification (enforce.Router.VerifyMiss or
-	// VerifyShared on Pending.Input; enforce.Shed when its admission budget
-	// refuses) and calls ResumeInterest.
+	// VerifyShared on Pending.Input; enforce.Shed when the VerifyQueue
+	// sheds it) and calls ResumeInterest.
 	Verify
 	// Register: a registration Interest reached its provider's origin, which
 	// answers it with a fresh tag or not at all.

@@ -145,8 +145,8 @@ func RunSim(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, er
 	}
 	if scn.Flood != nil {
 		// The flood burst needs verifications to *occupy* virtual time,
-		// or the per-face outstanding-verify mirror of the admission
-		// budget would drain between the burst's serialized arrivals.
+		// or the admission queue would release each face's charges
+		// between the burst's serialized arrivals.
 		// A fixed zero-σ verify delay far above the burst's total wire
 		// time plays the role the gated verifier plays on the live
 		// plane: every burst verification is still outstanding when the

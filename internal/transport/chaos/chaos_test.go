@@ -123,16 +123,27 @@ func TestChaosUnderTransport(t *testing.T) {
 
 // TestChaosDropLosesWholeFrames is the framing contract faults rely on:
 // a Write carries whole frames only, so a dropped Write loses packets and
-// never desynchronises the stream. Deferral is active (a window only the
-// byte threshold can end), and each round queues a frame that fits beside
-// what is buffered and then one that does not — the case bufio would
-// split across two Writes.
+// never desynchronises the stream. Deferral is active — the sender's
+// reader takes one of two buffered frames and never comes back, so only
+// the byte threshold (or the 1 ms backstop) ends a batch — and each round
+// queues a frame that fits beside what is buffered and then one that does
+// not: the case bufio would split across two Writes.
 func TestChaosDropLosesWholeFrames(t *testing.T) {
 	a, b := net.Pipe()
 	faulty := Wrap(a, Config{Seed: 11, Drop: 0.4})
 	sender := transport.New(faulty)
 	receiver := transport.New(b)
-	sender.SetCoalesce(time.Hour)
+	var pending []byte
+	for nonce := uint64(1); nonce <= 2; nonce++ {
+		var err error
+		if pending, err = ndn.AppendInterest(pending, &ndn.Interest{Name: names.MustParse("/x/y"), Kind: ndn.KindContent, Nonce: nonce}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go b.Write(pending) //nolint:errcheck // a lost write fails the Receive below
+	if _, err := sender.Receive(); err != nil {
+		t.Fatal(err)
+	}
 
 	received := make(chan int, 1)
 	recvErr := make(chan error, 1)

@@ -212,9 +212,6 @@ type Conn struct {
 	// frame deferred just as the reader looks is left to the armed timer.
 	deferred atomic.Bool
 
-	// coalesce holds the flush-aggregation window in nanoseconds; 0
-	// (the default) defers only on inputPending. See SetCoalesce.
-	coalesce   atomic.Int64
 	flushTimer *time.Timer
 	// wErr is the sticky write-path error: once the stream failed (or a
 	// deferred flush failed) every later send reports it as fatal.
@@ -259,22 +256,6 @@ func (p *progressReader) Read(b []byte) (int, error) {
 	return p.c.c.Read(b)
 }
 
-// SetCoalesce adds a time window to the deferral rule: every frame —
-// not only those sent while the reader has input pending — stays in
-// the write buffer until it holds deferFlushBytes or window elapses
-// since the first buffered frame. It batches what the reader cannot
-// promise to flush: a stream of frames toward a face whose own reader
-// is idle (Data relayed to a quiet downstream), at the cost of up to
-// window on every light-load reply. window <= 0 removes the window
-// (the default). A failed deferred flush is sticky: the next send
-// reports it as a fatal ConnError.
-func (c *Conn) SetCoalesce(window time.Duration) {
-	if window < 0 {
-		window = 0
-	}
-	c.coalesce.Store(int64(window))
-}
-
 const (
 	// deferFlushBytes flushes deferred frames early once this many bytes
 	// are buffered, bounding a batch (and its latency) under load. Half
@@ -307,31 +288,26 @@ func (c *Conn) Close() error {
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 
 // writeFrame queues one frame under the write lock and flushes, unless
-// a later flush is promised — by the reader (inputPending) or by the
-// SetCoalesce window — and the batch is still under deferFlushBytes. A
-// failure here (including a write-deadline expiry) may leave a partial
-// frame in the stream, so it is reported as a fatal ConnError.
+// the reader has promised a later flush (inputPending) and the batch is
+// still under deferFlushBytes. A failure here (including a write-deadline
+// expiry) may leave a partial frame in the stream, so it is reported as a
+// fatal ConnError.
 func (c *Conn) writeFrame(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.wErr != nil {
 		return &ConnError{Op: "write", Err: c.wErr}
 	}
-	window := time.Duration(c.coalesce.Load())
-	if (window > 0 || c.inputPending.Load()) && c.w.Buffered()+len(frame) < deferFlushBytes {
+	if c.inputPending.Load() && c.w.Buffered()+len(frame) < deferFlushBytes {
 		c.w.Write(frame) //nolint:errcheck // fits the buffer: never reaches the socket
-		// The first frame of a batch arms the timer: the window itself, or
-		// the backstop behind the reader's promise. deferred is stored
-		// after flushTimer exists, so the reader may use the timer without
-		// mu once it has seen deferred set.
+		// The first frame of a batch arms the backstop behind the reader's
+		// promise. deferred is stored after flushTimer exists, so the
+		// reader may use the timer without mu once it has seen deferred set.
 		if !c.deferred.Load() {
-			if window <= 0 {
-				window = flushBackstop
-			}
 			if c.flushTimer == nil {
-				c.flushTimer = time.AfterFunc(window, c.timerFlush)
+				c.flushTimer = time.AfterFunc(flushBackstop, c.timerFlush)
 			} else {
-				c.flushTimer.Reset(window)
+				c.flushTimer.Reset(flushBackstop)
 			}
 			c.deferred.Store(true)
 		}
@@ -391,9 +367,9 @@ func (c *Conn) flushLocked() error {
 }
 
 // timerFlush is the flush timer's func and keeps the promise made to
-// writeFrame: the reader ran dry and fired the timer, or the SetCoalesce
-// window or the backstop ran out. It flushes whatever writers left
-// buffered; errors are sticky and surface on the next send.
+// writeFrame: the reader ran dry and fired the timer, or the backstop
+// ran out. It flushes whatever writers left buffered; errors are sticky
+// and surface on the next send.
 func (c *Conn) timerFlush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

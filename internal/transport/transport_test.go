@@ -435,60 +435,53 @@ func TestIdleDeadlineRefreshesOnReadProgress(t *testing.T) {
 	}
 }
 
+// Frames sent while the reader has input pending share one flush: none
+// reaches the socket until the reader runs dry, and then all of them go
+// out in one write.
 func TestCoalescedWritesShareAFlush(t *testing.T) {
-	a, b := net.Pipe()
-	send := New(a)
-	recv := New(b)
-	defer send.Close()
-	defer recv.Close()
-	send.SetCoalesce(5 * time.Millisecond)
-
-	got := make(chan *ndn.Interest, 3)
-	go func() {
-		for {
-			pkt, err := recv.Receive()
-			if err != nil {
-				close(got)
-				return
-			}
-			got <- pkt.Interest
-		}
-	}()
-	// Three sends inside one window: none blocks on the synchronous
-	// pipe, proving no per-frame flush happened; the timer delivers all
-	// three in one write.
-	for i := 0; i < 3; i++ {
-		if err := send.SendInterest(&ndn.Interest{Name: names.MustParse("/p/x"), Kind: ndn.KindContent, Nonce: uint64(i)}); err != nil {
+	c, cc, raw := flushPair(t)
+	peer := New(raw)
+	holdBackstop(c)
+	rawWrite(raw, interestFrames(t, 0, 2))
+	wantNonce(t, c, 0) // nonce 1 is still buffered: input pending
+	// Nobody reads the synchronous pipe yet, so the sends return only if
+	// they deferred.
+	for n := uint64(100); n < 103; n++ {
+		if err := c.SendInterest(nonceInterest(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		select {
-		case in := <-got:
-			if in == nil || in.Nonce != uint64(i) {
-				t.Fatalf("frame %d: %+v", i, in)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("frame %d never flushed", i)
-		}
+	if w := cc.writes.Load(); w != 0 {
+		t.Fatalf("sends with input pending wrote to the socket (%d writes)", w)
 	}
-	if st := send.Stats(); st.FramesOut != 3 {
-		t.Fatalf("frames out: %d", st.FramesOut)
+	wantNonce(t, c, 1)
+	go c.Receive() //nolint:errcheck // runs dry: fires the flush, then blocks until the pipe closes
+	for n := uint64(100); n < 103; n++ {
+		wantNonce(t, peer, n)
+	}
+	if w := cc.writes.Load(); w != 1 {
+		t.Errorf("socket writes = %d, want the 3 frames in 1", w)
+	}
+	if st := c.Stats(); st.FramesOut != 3 || st.Flushes != 1 {
+		t.Errorf("frames out = %d, flushes = %d, want 3 and 1", st.FramesOut, st.Flushes)
 	}
 }
 
+// A deferred batch goes out with the frame that would take it past
+// deferFlushBytes, without waiting for the reader or the backstop.
 func TestCoalesceFlushesOnThreshold(t *testing.T) {
-	a, b := net.Pipe()
-	send := New(a)
-	recv := New(b)
-	defer send.Close()
-	defer recv.Close()
-	send.SetCoalesce(time.Hour) // only the byte threshold can flush
-
-	payload := make([]byte, 40<<10) // one frame past coalesceFlushBytes
+	c, _, raw := flushPair(t)
+	peer := New(raw)
+	holdBackstop(c) // only the byte threshold can flush
+	rawWrite(raw, interestFrames(t, 0, 2))
+	wantNonce(t, c, 0) // input pending, and the reader never runs dry
+	if err := c.SendInterest(nonceInterest(100)); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 40<<10) // one frame past deferFlushBytes
 	done := make(chan error, 1)
 	go func() {
-		done <- send.SendData(&ndn.Data{
+		done <- c.SendData(&ndn.Data{
 			Name: names.MustParse("/prov0/obj/big"),
 			Content: &core.Content{
 				Meta:      core.ContentMeta{Name: names.MustParse("/prov0/obj/big"), Level: 1, ProviderKey: names.MustParse("/prov0/KEY/1")},
@@ -497,7 +490,8 @@ func TestCoalesceFlushesOnThreshold(t *testing.T) {
 			},
 		})
 	}()
-	pkt, err := recv.Receive()
+	wantNonce(t, peer, 100)
+	pkt, err := peer.Receive()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,21 +503,22 @@ func TestCoalesceFlushesOnThreshold(t *testing.T) {
 	}
 }
 
+// A deferred flush that fails — the backstop's, toward a peer that is
+// gone — is sticky: the next send reports it as fatal.
 func TestCoalesceAsyncFlushErrorIsSticky(t *testing.T) {
-	a, b := net.Pipe()
-	send := New(a)
-	defer send.Close()
-	send.SetCoalesce(10 * time.Millisecond)
-	b.Close() // the peer is gone; the timed flush will fail
+	c, _, raw := flushPair(t)
+	rawWrite(raw, interestFrames(t, 0, 2))
+	wantNonce(t, c, 0) // input pending: the next send defers
+	raw.Close()        // the peer is gone; the backstop's flush will fail
 
-	if err := send.SendInterest(&ndn.Interest{Name: names.MustParse("/p/x"), Kind: ndn.KindContent, Nonce: 1}); err != nil {
-		t.Fatalf("buffered send should succeed: %v", err)
+	if err := c.SendInterest(nonceInterest(1)); err != nil {
+		t.Fatalf("deferred send should succeed: %v", err)
 	}
-	// After the window the flush has failed; the next send must surface
+	// After the backstop the flush has failed; the next send must surface
 	// it as fatal so the face is recycled.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		err := send.SendInterest(&ndn.Interest{Name: names.MustParse("/p/x"), Kind: ndn.KindContent, Nonce: 2})
+		err := c.SendInterest(nonceInterest(2))
 		if err != nil {
 			if !IsFatal(err) {
 				t.Fatalf("sticky flush error not fatal: %v", err)

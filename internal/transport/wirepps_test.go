@@ -25,10 +25,6 @@ const (
 	// latency instead of throughput.
 	wireWindow      = 1024
 	wireCreditEvery = 128
-	// wireCoalesceWindow is the sender-side aggregation window for the
-	// tcp-coalesced variant: small enough to stay far below the credit
-	// round trip, large enough to gather many frames per flush.
-	wireCoalesceWindow = 200 * time.Microsecond
 	// wireStallTimeout bounds how long either side waits without
 	// progress before the benchmark fails instead of hanging.
 	wireStallTimeout = 5 * time.Second
@@ -61,7 +57,7 @@ func encodeWithSentinel(b *testing.B, i *ndn.Interest) ([]byte, int) {
 func wirePair(b *testing.B, variant string) (sender, receiver Face) {
 	b.Helper()
 	switch variant {
-	case "tcp", "tcp-coalesced":
+	case "tcp":
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -85,11 +81,6 @@ func wirePair(b *testing.B, variant string) (sender, receiver Face) {
 			b.Fatal("accept failed")
 		}
 		sc := New(cs)
-		if variant == "tcp-coalesced" {
-			// Coalesce only the bulk direction: credits must flush
-			// immediately or the sender stalls on flow control.
-			sc.SetCoalesce(wireCoalesceWindow)
-		}
 		rc := New(ss)
 		b.Cleanup(func() { sc.Close(); rc.Close() })
 		return sc, rc
@@ -113,17 +104,16 @@ func wirePair(b *testing.B, variant string) (sender, receiver Face) {
 // across variants (batched UDP should clear stream TCP by a wide margin).
 // Variants:
 //
-//	tcp           stream framing, the default flush rule (frames sent while
-//	              the sender's reader has credits buffered share a flush)
-//	tcp-coalesced the same plus a sender-side time window (SetCoalesce)
-//	udp           datagram faces, one sendto/recvfrom per datagram
-//	udp-batched   datagram faces over recvmmsg/sendmmsg batches
+//	tcp          stream framing, the default flush rule (frames sent while
+//	             the sender's reader has credits buffered share a flush)
+//	udp          datagram faces, one sendto/recvfrom per datagram
+//	udp-batched  datagram faces over recvmmsg/sendmmsg batches
 //
 // Flow control is credit-based (cumulative count every wireCreditEvery
 // frames), so the measurement is syscall + framing cost, not kernel
 // buffer depth or retransmission luck.
 func BenchmarkWirePPS(b *testing.B) {
-	for _, variant := range []string{"tcp", "tcp-coalesced", "udp", "udp-batched"} {
+	for _, variant := range []string{"tcp", "udp", "udp-batched"} {
 		b.Run(variant, func(b *testing.B) { wirePPS(b, variant) })
 	}
 }
