@@ -20,15 +20,31 @@ var wallToken = regexp.MustCompile(`\([^ ]+ wall,`)
 // the sim regenerates it with `go test ./cmd/tacticsim -update` and
 // explains the diff.
 func TestRunShortSimulation(t *testing.T) {
+	checkGolden(t, "testdata/topo1_10s_seed1.golden", "-topo", "1", "-duration", "10s", "-seed", "1")
+}
+
+// TestRunTracedSimulation pins the traced sim the same way: every 4th
+// client request head-sampled, the hop spans assembled into traces, and
+// the per-hop latency decomposition appended to the report. Tracing is
+// observation only, so the lines above the decomposition match the
+// untraced golden's.
+func TestRunTracedSimulation(t *testing.T) {
+	checkGolden(t, "testdata/topo1_10s_seed1_trace4.golden",
+		"-topo", "1", "-duration", "10s", "-seed", "1", "-trace-every", "4")
+}
+
+// checkGolden runs tacticsim with args and compares its report, wall
+// time masked, with the golden file.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-topo", "1", "-duration", "10s", "-seed", "1"}, &out); err != nil {
+	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := wallToken.ReplaceAll(out.Bytes(), []byte("(<wall> wall,"))
-	const golden = "testdata/topo1_10s_seed1.golden"
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
