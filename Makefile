@@ -18,7 +18,9 @@ build:
 # (ReceiveInto: one decode target per reader, not a packet allocated per
 # frame), the sixth when a driver walks the tables or consults a
 # checkpoint itself instead of through the node core (internal/node
-# sequences CS -> PIT -> FIB and Protocols 1-4 once): each grep must
+# sequences CS -> PIT -> FIB and Protocols 1-4 once), the seventh when a
+# span is built outside internal/obs (the simulator and the live nodes
+# record hops with one obs.Span, on their own clocks): each grep must
 # print nothing.
 vet:
 	$(GO) vet ./...
@@ -27,6 +29,7 @@ vet:
 	! grep -nE 'Receive\(\)|enforce\.NewRouter|bloom\.New' internal/forwarder/producer.go
 	! grep -n 'Receive()' internal/forwarder/forwarder.go
 	! grep -nE '\.pit\.Admit|\.fib\.Lookup|\.cs\.Lookup|OnDataRecord|EdgeOnInterestFast|ContentOnInterestFast' $$(ls internal/network/*.go internal/forwarder/*.go | grep -v _test.go)
+	! grep -rnE --include='*.go' 'SimSpan|obs\.SpanRecord\{' . | grep -v '^\./internal/obs/'
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -82,9 +85,13 @@ soak:
 
 # End-to-end tracing gate: boot a live multi-hop topology, trace a
 # fetch, and assert the assembled trace crosses >= 2 hops with an edge
-# verify span (see README "Tracing a request end-to-end").
+# verify span (see README "Tracing a request end-to-end"); then the
+# simulator's traced runs: tracing changes no event, the decomposition
+# covers every role, and the traced tacticsim report matches its golden.
 trace-smoke:
 	$(GO) test -race -count=1 -run 'TestTraceSmoke|TestTraceEndToEnd' ./internal/forwarder/
+	$(GO) test -count=1 -run 'TestTracingIsDeterministic|TestTracingDecomposition' ./internal/experiment/
+	$(GO) test -count=1 -run 'TestRunTracedSimulation' ./cmd/tacticsim/
 
 # Conformance gate: replay seeded scenarios against the reference
 # oracle, the sim plane, and the live forwarder plane under the race

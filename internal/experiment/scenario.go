@@ -5,6 +5,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
@@ -352,9 +353,6 @@ type Deployment struct {
 	// Providers — the credential a lifecycle issuance service needs to
 	// mint out-of-band grants (e.g. roaming tags) for this deployment.
 	ProviderSigners []pki.Signer
-	// Traces collects the run's assembled traces (nil unless
-	// Scenario.TraceEvery was set).
-	Traces *obs.Collector
 
 	b *builder
 }
@@ -392,8 +390,8 @@ func Build(s Scenario) (*Deployment, error) {
 
 	b := &builder{scenario: s, graph: g, engine: engine, streams: streams, net: net}
 	if s.TraceEvery > 0 {
-		b.traces = obs.NewCollector()
-		net.SetTraceCollector(b.traces)
+		b.spans = new(bytes.Buffer)
+		net.Spans = b.spans
 		b.scenario.Consumer.TraceEvery = s.TraceEvery
 	}
 	if s.TraitorThreshold > 0 {
@@ -423,10 +421,13 @@ func Build(s Scenario) (*Deployment, error) {
 		ClientIdentities: b.clientCores,
 		ClientKeys:       b.clientKeys,
 		ProviderSigners:  b.provSigners,
-		Traces:           b.traces,
 		b:                b,
 	}, nil
 }
+
+// Traces assembles the spans recorded so far into traces (nil unless
+// Scenario.TraceEvery was set).
+func (d *Deployment) Traces() *obs.Collector { return d.b.traces() }
 
 // Start launches every consumer's request loop.
 func (d *Deployment) Start() {
@@ -462,7 +463,7 @@ type builder struct {
 	streams  *sim.Streams
 	net      *network.Network
 	traitor  *core.TraitorDetector
-	traces   *obs.Collector
+	spans    *bytes.Buffer // every node's spans as JSON lines; nil unless tracing
 
 	registry    *pki.Registry
 	provSigners []pki.Signer
@@ -833,11 +834,24 @@ func (b *builder) collect() *Result {
 	if b.traitor != nil {
 		res.TraitorSuspects = b.traitor.Suspects()
 	}
-	if b.traces != nil {
-		res.HopDecomp = ComputeHopDecomp(b.traces)
-		res.TracesAssembled = len(b.traces.Traces())
+	if traces := b.traces(); traces != nil {
+		res.HopDecomp = ComputeHopDecomp(traces)
+		res.TracesAssembled = len(traces.Traces())
 	}
 	return res
+}
+
+// traces reads the span stream back, the way cmd/tactictrace reads a
+// node's -trace file.
+func (b *builder) traces() *obs.Collector {
+	if b.spans == nil {
+		return nil
+	}
+	c := obs.NewCollector()
+	if _, err := c.ReadSpans(bytes.NewReader(b.spans.Bytes())); err != nil {
+		panic("experiment: " + err.Error()) // every line came from obs's own encoder
+	}
+	return c
 }
 
 // mergeDrops accumulates drop counters.

@@ -3,6 +3,8 @@ package experiment
 import (
 	"testing"
 	"time"
+
+	"github.com/tactic-icn/tactic/internal/node"
 )
 
 // traceScenario is a short multi-hop run, optionally traced.
@@ -88,5 +90,41 @@ func TestTracingDecomposition(t *testing.T) {
 	// 2), so the edge Interest hop must attribute time to verify.
 	if edgeVerify <= 0 {
 		t.Errorf("edge interest hop shows no verify time (%.1f us)", edgeVerify)
+	}
+}
+
+// TestTracingOutcomeVocabulary checks every router and producer span of
+// a traced run ends with an outcome from the node core's vocabulary,
+// the spellings the live forwarder writes for the same steps.
+func TestTracingOutcomeVocabulary(t *testing.T) {
+	d, err := Build(traceScenario(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	d.RunToEnd()
+	known := make(map[string]bool)
+	for _, o := range node.SpanOutcomes() {
+		known[o] = true
+	}
+	seen := make(map[string]int)
+	for _, tr := range d.Traces().Traces() {
+		for _, s := range tr.Spans {
+			if s.Role == "client" {
+				continue
+			}
+			seen[s.Outcome]++
+			if !known[s.Outcome] {
+				t.Errorf("%s %s span at hop %d ends %q, outside node.SpanOutcomes", s.Role, s.Kind, s.Hop, s.Outcome)
+			}
+		}
+	}
+	// The attackers make the run end spans in refusals too, not only on
+	// the happy path.
+	for _, want := range []string{node.OutcomeForwarded, node.OutcomeCSHit, node.OutcomeDelivered,
+		node.OutcomeNack + "forged", node.OutcomeDrop + node.DropUndeliverable} {
+		if seen[want] == 0 {
+			t.Errorf("no span ended %q (outcomes seen: %v)", want, seen)
+		}
 	}
 }

@@ -231,13 +231,13 @@ func endTrace(sp *obs.Span, err error) {
 	}
 	switch {
 	case err == nil:
-		sp.End("delivered")
+		sp.End("delivered", 0)
 	case errors.Is(err, ErrNACK):
-		sp.End("nack")
+		sp.End("nack", 0)
 	case errors.Is(err, ErrTimeout):
-		sp.End("timeout")
+		sp.End("timeout", 0)
 	default:
-		sp.End("error")
+		sp.End("error", 0)
 	}
 }
 
@@ -348,7 +348,7 @@ func (c *Client) Fetch(name names.Name, timeout time.Duration) (*core.Content, e
 			Kind:  ndn.KindContent,
 			Nonce: nonce,
 			Tag:   tag,
-			Trace: stampTrace(sp),
+			Trace: sp.Onward(ndn.TraceContext{}),
 		}
 	}, timeout)
 	if err != nil {

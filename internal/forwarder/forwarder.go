@@ -550,8 +550,8 @@ type arrival struct {
 func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
 	now := time.Now()
 	a := arrival{i: i, from: from, now: now}
-	a.sp = f.cfg.Tracer.StartCtx(traceCtx(i.Trace), "interest", i.Name.String())
-	a.outTC = propagateTrace(i.Trace, a.sp)
+	a.sp = f.cfg.Tracer.StartCtx(i.Trace, "interest", i.Name.String())
+	a.outTC = a.sp.Onward(i.Trace)
 	n := f.m.interest.Inc()
 	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
 	// 1-in-64 packets contribute pit_cs / encode_send stage timings
@@ -632,13 +632,13 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 			i.Trace = a.outTC
 			f.sendPacket(st.Face, i, nil) //nolint:errcheck // best-effort recovery
 		}
-		sp.End("aggregated")
+		sp.End(node.OutcomeAggregated, 0)
 	case node.Forward:
 		i.Trace = a.outTC
 		err := f.sendPacket(st.Face, i, nil)
 		if err == nil {
 			observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
-			sp.End("forwarded")
+			sp.End(node.OutcomeForwarded, 0)
 			return
 		}
 		st.Cause = node.DropSendErr
@@ -660,7 +660,7 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 			f.logf("no route for %s", i.Name)
 		}
 		f.m.drop(st.Cause)
-		sp.End("drop:" + st.Cause)
+		sp.End(node.OutcomeDrop+st.Cause, 0)
 	}
 }
 
@@ -668,10 +668,10 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 // NACK when the tag failed — the paper's §5.B trade-off), the content
 // alone, or a bare NACK. It counts the NACK or the hit and ends the span.
 func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
-	outcome := "cs_hit"
+	outcome := node.OutcomeCSHit
 	if ans.Nack {
 		f.m.nack(ans.Reason)
-		outcome = "nack:" + core.ReasonLabel(ans.Reason)
+		outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
 	} else {
 		f.m.csHits.Inc()
 	}
@@ -681,7 +681,7 @@ func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 		Trace: a.outTC,
 	})
 	observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, a.sp)
-	a.sp.End(outcome)
+	a.sp.End(outcome, 0)
 }
 
 // handleData runs the Data pipeline, lock-free like handleInterest: the
@@ -690,8 +690,8 @@ func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Duration) {
 	now := time.Now()
 	inTC := d.Trace
-	sp := f.cfg.Tracer.StartCtx(traceCtx(inTC), "data", d.Name.String())
-	outTC := propagateTrace(inTC, sp)
+	sp := f.cfg.Tracer.StartCtx(inTC, "data", d.Name.String())
+	outTC := sp.Onward(inTC)
 	f.m.data.Inc()
 	if sp != nil && decodeDur > 0 {
 		sp.EventDur("decode", decodeDur, "")
@@ -703,7 +703,7 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 	records, cause := f.node.OnData(d, from.id, true, scratch[:0])
 	if cause != "" {
 		f.m.drop(cause)
-		sp.End("drop:" + cause)
+		sp.End(node.OutcomeDrop+cause, 0)
 		return
 	}
 	if d.Registration != nil {
@@ -712,7 +712,7 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		for _, rec := range records {
 			f.send(rec.InFace, d)
 		}
-		sp.End("registration")
+		sp.End("registration", 0)
 		return
 	}
 	for idx, rec := range records {
@@ -736,8 +736,8 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		})
 	}
 	if d.Nack {
-		sp.End("relayed_nack:" + core.ReasonLabel(d.NackReason))
+		sp.End("relayed_nack:"+core.ReasonLabel(d.NackReason), 0)
 	} else {
-		sp.End("delivered")
+		sp.End(node.OutcomeDelivered, 0)
 	}
 }

@@ -168,7 +168,7 @@ func (p *Producer) register(a arrival) {
 	f := p.node
 	if a.i.Registration == nil {
 		p.regFailed.Add(1)
-		a.sp.End("drop:bad_registration")
+		a.sp.End("drop:bad_registration", 0)
 		return
 	}
 	p.mu.Lock()
@@ -177,12 +177,12 @@ func (p *Producer) register(a arrival) {
 	if err != nil {
 		p.regFailed.Add(1)
 		f.logf("registration rejected: %v", err)
-		a.sp.End("drop:registration_rejected")
+		a.sp.End("drop:registration_rejected", 0)
 		return
 	}
 	p.registrations.Add(1)
 	f.send(a.from.id, &ndn.Data{Name: a.i.Name, Registration: resp, Trace: a.outTC})
-	a.sp.End("registered")
+	a.sp.End("registered", 0)
 }
 
 // Close stops the origin: every face is closed, peers still connected

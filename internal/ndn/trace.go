@@ -3,35 +3,16 @@ package ndn
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/tactic-icn/tactic/internal/obs"
 )
 
-// TraceContext is the wire-level distributed-tracing context carried by
-// Interest, Data, and NACK packets as an optional TLV (tlvTraceCtx). The
-// head-sampling decision is made once, at the originating client; every
-// hop that handles a traced packet records a span under the same trace
-// ID, re-parents the context to its own span, and increments Hops, so an
-// offline collector can reassemble the packet's full path. Decoders that
-// predate the extension skip the element via the standard
-// unknown-TLV-skipping path, so traced and untraced nodes interoperate.
-type TraceContext struct {
-	// TraceID identifies the end-to-end request; zero means "not
-	// traced" and suppresses the TLV entirely (untraced packets carry
-	// zero wire overhead).
-	TraceID uint64
-	// ParentID is the span ID of the previous hop's span — the sender's
-	// span when the sender traced the packet, or inherited unchanged
-	// across hops that do not trace.
-	ParentID uint64
-	// Sampled is the head-sampling decision: when set, every hop with a
-	// tracer records a span regardless of its local sampling rate.
-	Sampled bool
-	// Hops counts the nodes the packet has traversed, the originator
-	// included (the originator's span is hop 0 and it sends Hops=1).
-	Hops uint8
-}
-
-// Valid reports whether the context marks a traced packet.
-func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
+// TraceContext is the distributed-tracing context carried by Interest,
+// Data, and NACK packets as an optional TLV (tlvTraceCtx): the context
+// obs spans read and stamp (obs.Span.Onward). Decoders that predate the
+// extension skip the element via the standard unknown-TLV-skipping path,
+// so traced and untraced nodes interoperate.
+type TraceContext = obs.TraceCtx
 
 // traceCtxWireLen is the fixed TraceContext value length: trace ID (8),
 // parent span ID (8), flags (1), hop count (1).

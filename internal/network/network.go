@@ -4,11 +4,13 @@
 // by links with bandwidth, latency, and loss, all driven by the
 // discrete-event engine. Computational delays for Bloom-filter and
 // signature operations are charged from a configurable delay model,
-// reproducing the paper's §8.B methodology.
+// reproducing the paper's §8.B methodology. Traced requests are recorded
+// hop by hop with the live stack's obs spans on the engine's clock.
 package network
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
@@ -39,6 +41,11 @@ type Network struct {
 	Delays sim.OpDelays
 	// ChargeDelays enables computational delay injection.
 	ChargeDelays bool
+	// Spans, when set before nodes are created, turns tracing on: every
+	// node records the head-sampled packets it handles as obs spans in
+	// virtual time, JSON lines written here (obs.Collector.ReadSpans
+	// assembles them).
+	Spans io.Writer
 
 	nodes []Node
 	// links[e][0] carries A->B traffic for graph edge e, links[e][1]
@@ -48,10 +55,6 @@ type Network struct {
 	// node n for n's face f.
 	reverseFace [][]ndn.FaceID
 	lossRNG     *rand.Rand
-	// trace receives virtual-time span records for head-sampled packets
-	// (see trace.go); traceIDs is the deterministic ID counter.
-	trace    *obs.Collector
-	traceIDs uint64
 }
 
 // New creates a network over the graph. Node slots start empty; install
@@ -91,6 +94,17 @@ func New(engine *sim.Engine, g *topology.Graph, streams *sim.Streams) *Network {
 // SetNode installs the node implementation for a graph index.
 func (n *Network) SetNode(index int, node Node) {
 	n.nodes[index] = node
+}
+
+// Tracer returns a node's tracer, nil unless Spans is set: its spans are
+// labelled with node and role, timed by the engine's clock, and recorded
+// only for wire-sampled packets (sample 0: consumers own the
+// head-sampling decision, and their root spans always record).
+func (n *Network) Tracer(node, role string) *obs.Tracer {
+	t := obs.NewTracerRecorder(node, 0, n.Spans, nil)
+	t.SetRole(role)
+	t.SetClock(n.Engine.Now)
+	return t
 }
 
 // NodeAt returns the node at a graph index.
@@ -237,7 +251,7 @@ func (n *Network) rebuildReverseFaces(idx int) {
 // sampled processing delay. Draws come per operation in class order
 // (lookups, then insertions, then verifications) whether or not a span
 // records them, so traced runs reproduce untraced ones event for event.
-func (n *Network) chargeOps(tactic *enforce.Router, rng *rand.Rand, sp *SimSpan, fn func()) time.Duration {
+func (n *Network) chargeOps(tactic *enforce.Router, rng *rand.Rand, sp *obs.Span, fn func()) time.Duration {
 	bfBefore := tactic.Bloom().Stats()
 	vBefore := tactic.Validator().Verifications()
 	fn()
@@ -260,7 +274,7 @@ func (n *Network) chargeOps(tactic *enforce.Router, rng *rand.Rand, sp *SimSpan,
 			d += op.delay.Sample(rng)
 		}
 		if d > 0 {
-			sp.Event(op.stage, d, "")
+			sp.EventDur(op.stage, d, "")
 		}
 		total += d
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/node"
+	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
 )
 
@@ -28,6 +29,7 @@ type ProviderNode struct {
 	core     *node.Core
 	rng      *rand.Rand
 	cfg      RouterConfig
+	tracer   *obs.Tracer
 
 	registrations       uint64
 	registrationsFailed uint64
@@ -44,14 +46,16 @@ func NewProviderNode(net *Network, index int, provider *core.Provider, verifier 
 	if err != nil {
 		return nil, err
 	}
+	id := net.Graph.Nodes[index].ID
 	p := &ProviderNode{
 		net:      net,
 		index:    index,
 		provider: provider,
-		tactic:   enforce.NewRouter(net.Graph.Nodes[index].ID, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
+		tactic:   enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
 		store:    ndn.NewShardedCSOf(1, math.MaxInt),
 		rng:      rng,
 		cfg:      cfg,
+		tracer:   net.Tracer(id, node.RoleOrigin.String()),
 	}
 	p.core = node.New(p.tactic, nil, nil, p.store, node.RoleOrigin, 0)
 	return p, nil
@@ -77,10 +81,7 @@ func (p *ProviderNode) RegistrationName() names.Name {
 func (p *ProviderNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	now := p.net.Engine.Now()
 	inTC := i.Trace
-	var sp *SimSpan
-	if i.Kind != ndn.KindRegistration {
-		sp = p.net.StartTraceSpan(inTC, p.net.Graph.Nodes[p.index].ID, "producer", "interest", i.Name.String())
-	}
+	sp := p.tracer.StartCtx(inTC, "interest", i.Name.String())
 	var checks node.Checks
 	if !p.cfg.DisableEnforcement {
 		checks = node.Protocol3
@@ -96,17 +97,17 @@ func (p *ProviderNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		p.handleRegistration(i, from, now)
 	case node.Drop:
 		// Unknown content: the requester times out.
-		sp.End("drop_"+st.Cause, 0)
+		sp.End(node.OutcomeDrop+st.Cause, 0)
 	case node.Reply:
-		outcome := "served"
+		outcome := node.OutcomeCSHit
 		if st.Reply.Nack {
 			p.nacked++
-			outcome = "nack"
+			outcome = node.OutcomeNack + core.ReasonLabel(st.Reply.Reason)
 		} else {
 			p.served++
 		}
 		p.net.SendData(p.index, from, &ndn.Data{Name: i.Name, Content: st.Reply.Content, Tag: i.Tag,
-			Flag: st.Reply.Flag, Nack: st.Reply.Nack, NackReason: st.Reply.Reason, Trace: NextHopTrace(inTC, sp)}, proc)
+			Flag: st.Reply.Flag, Nack: st.Reply.Nack, NackReason: st.Reply.Reason, Trace: sp.Onward(inTC)}, proc)
 		sp.End(outcome, proc)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/metrics"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/node"
+	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
@@ -85,9 +86,10 @@ type RouterNode struct {
 	cs   *ndn.ShardedCS
 	core *node.Core
 	// vq admits every verification the core asks for (see VerifyBudget).
-	vq  *node.VerifyQueue[*ndn.Interest]
-	cfg RouterConfig
-	rng *rand.Rand
+	vq     *node.VerifyQueue[*ndn.Interest]
+	cfg    RouterConfig
+	rng    *rand.Rand
+	tracer *obs.Tracer
 
 	interests uint64
 	dataSeen  uint64
@@ -128,6 +130,7 @@ func NewRouterNode(net *Network, index int, isEdge bool, verifier pki.Verifier, 
 		r.role = node.RoleEdge
 	}
 	r.core = node.New(r.tactic, r.fib, r.pit, r.cs, r.role, cfg.PITLifetime)
+	r.tracer = net.Tracer(id, r.role.String())
 	return r, nil
 }
 
@@ -167,7 +170,7 @@ func (r *RouterNode) id() string { return r.net.Graph.Nodes[r.index].ID }
 // cpuWait books work on the router CPU and returns the delay from now
 // until it finishes, recording any time spent queued behind earlier work
 // on sp.
-func (r *RouterNode) cpuWait(sp *SimSpan, work time.Duration) time.Duration {
+func (r *RouterNode) cpuWait(sp *obs.Span, work time.Duration) time.Duration {
 	now := r.net.Engine.Now()
 	start := now
 	if r.cpuBusyUntil.After(start) {
@@ -176,7 +179,7 @@ func (r *RouterNode) cpuWait(sp *SimSpan, work time.Duration) time.Duration {
 	end := start.Add(work)
 	r.cpuBusyUntil = end
 	if q := start.Sub(now); q > 0 {
-		sp.Event("queue", q, "")
+		sp.EventDur("queue", q, "")
 	}
 	return end.Sub(now)
 }
@@ -190,7 +193,7 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		r.pit.ExpireBefore(now) // lazy expiry: no background work in the event engine
 	}
 	inTC := i.Trace
-	sp := r.net.StartTraceSpan(inTC, r.id(), r.role.String(), "interest", i.Name.String())
+	sp := r.tracer.StartCtx(inTC, "interest", i.Name.String())
 
 	// None at a baseline router; Protocol 2 only on an honest edge's
 	// client-side (access-point) faces.
@@ -239,7 +242,7 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 
 	switch st.Action {
 	case node.Reply:
-		ans, outcome := st.Reply, "cs_hit"
+		ans, outcome := st.Reply, node.OutcomeCSHit
 		switch {
 		case st.Stage == enforce.StageEdgeInterest: // Protocol 2 refused
 			label := core.ReasonLabel(ans.Reason)
@@ -248,30 +251,30 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 			if r.cfg.Traitor != nil && errors.Is(ans.Reason, core.ErrAccessPathMismatch) {
 				r.cfg.Traitor.Observe(i.Tag, i.AccessPath)
 			}
-			sp.Event("precheck", 0, label)
-			outcome = "nack"
+			sp.Event("precheck", label)
+			outcome = node.OutcomeNack + label
 		case ans.Nack:
 			r.nacksSent++
-			outcome = "cs_hit_nack"
+			outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
 			if r.cfg.DropContentOnNACK {
 				ans.Content = nil
 			}
 		}
 		r.net.SendData(r.index, from, &ndn.Data{Name: i.Name, Content: ans.Content, Tag: i.Tag,
-			Flag: ans.Flag, Nack: ans.Nack, NackReason: ans.Reason, Trace: NextHopTrace(inTC, sp)}, proc)
+			Flag: ans.Flag, Nack: ans.Nack, NackReason: ans.Reason, Trace: sp.Onward(inTC)}, proc)
 		sp.End(outcome, proc)
 	case node.Forward:
-		i.Trace = NextHopTrace(inTC, sp)
+		i.Trace = sp.Onward(inTC)
 		r.net.SendInterest(r.index, st.Face, i, proc)
-		sp.End("forwarded", proc)
+		sp.End(node.OutcomeForwarded, proc)
 	case node.Aggregate:
 		// Sim links lose only what a scenario tells them to: no re-send.
-		sp.End("pit_aggregated", proc)
+		sp.End(node.OutcomeAggregated, proc)
 	case node.Drop:
 		// A routeless entry stays until it expires: sim FIBs are installed
 		// once.
 		r.drop(st.Cause)
-		sp.End("drop_"+st.Cause, proc)
+		sp.End(node.OutcomeDrop+st.Cause, proc)
 	}
 }
 
@@ -288,14 +291,13 @@ func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 	// Only an edge's insertion of a registration response's tag draws on
 	// the delay model here.
 	work := r.net.chargeOps(r.tactic, r.rng, nil, func() { recs, cause = r.core.OnData(d, from, cache, nil) })
+	// A registration response carries no trace context: its relay is not
+	// narrated.
 	inTC := d.Trace
-	var sp *SimSpan // a registration response's relay is not narrated
-	if d.Registration == nil {
-		sp = r.net.StartTraceSpan(inTC, r.id(), r.role.String(), "data", d.Name.String())
-	}
+	sp := r.tracer.StartCtx(inTC, "data", d.Name.String())
 	if cause != "" {
 		r.drop(cause)
-		sp.End("drop_"+cause, 0)
+		sp.End(node.OutcomeDrop+cause, 0)
 		return
 	}
 	if d.Registration != nil {
@@ -308,7 +310,7 @@ func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 		}
 		return
 	}
-	outTC := NextHopTrace(inTC, sp)
+	outTC := sp.Onward(inTC)
 	// The hop span narrates the traced (primary) request's path and ends
 	// with it; aggregated deliveries still carry the onward context so
 	// their consumers see a complete hop count.
@@ -325,13 +327,13 @@ func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 // decomposes the charge; nil for aggregated records, whose work is not
 // part of the traced request). Router CPU is charged only when the
 // decision consulted an enforcement checkpoint.
-func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.Time, outTC ndn.TraceContext, sp *SimSpan) (string, time.Duration) {
+func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.Time, outTC ndn.TraceContext, sp *obs.Span) (string, time.Duration) {
 	if r.cfg.DisableEnforcement || r.IsEdge() && r.cfg.Colluding && rec.Tag != nil && d.Content != nil {
 		// A baseline router decides nothing; a colluding edge (threat (f))
 		// delivers regardless of the upstream verdict.
 		r.net.SendData(r.index, rec.InFace,
 			&ndn.Data{Name: d.Name, Content: d.Content, Tag: rec.Tag, Flag: d.Flag, Trace: outTC}, 0)
-		return "delivered", 0
+		return node.OutcomeDelivered, 0
 	}
 	var dl node.Delivery
 	work := r.net.chargeOps(r.tactic, r.rng, sp, func() { dl = r.core.OnRecord(d, rec, primary, now) })
@@ -346,14 +348,11 @@ func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool,
 		// Silent even toward a tagged client: its window slot frees at the
 		// 1 s request expiry, the paper's rate limit on attackers.
 		r.drop(dl.Cause)
-		return "drop_" + dl.Cause, proc
+		return node.OutcomeDrop + dl.Cause, proc
 	}
 	r.net.SendData(r.index, rec.InFace, &ndn.Data{Name: d.Name, Content: dl.Answer.Content, Tag: rec.Tag,
 		Flag: dl.Answer.Flag, Nack: dl.Answer.Nack, NackReason: dl.Answer.Reason, Trace: outTC}, proc)
-	if r.IsEdge() {
-		return "delivered", proc
-	}
-	return "forwarded", proc
+	return node.OutcomeDelivered, proc
 }
 
 // Stats snapshots the router's counters.

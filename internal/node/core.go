@@ -79,6 +79,31 @@ const (
 // DropCauses lists every cause, for drivers that pre-create a series each.
 var DropCauses = []string{DropDupNonce, DropNoRoute, DropUnsolicited, DropUndeliverable, DropNoFace, DropSendErr}
 
+// Span outcomes: how a router or origin hop's span ends, one vocabulary
+// for the simulator's spans and the live forwarder's. A NACK answered
+// here is OutcomeNack plus its core.ReasonLabel, a drop OutcomeDrop plus
+// its cause.
+const (
+	OutcomeForwarded  = "forwarded"
+	OutcomeAggregated = "aggregated"
+	OutcomeCSHit      = "cs_hit"
+	OutcomeDelivered  = "delivered"
+	OutcomeNack       = "nack:"
+	OutcomeDrop       = "drop:"
+)
+
+// SpanOutcomes lists every outcome the node core's steps end a span with.
+func SpanOutcomes() []string {
+	out := []string{OutcomeForwarded, OutcomeAggregated, OutcomeCSHit, OutcomeDelivered}
+	for _, label := range core.ReasonLabels() {
+		out = append(out, OutcomeNack+label)
+	}
+	for _, cause := range DropCauses {
+		out = append(out, OutcomeDrop+cause)
+	}
+	return out
+}
+
 // Core is one node's forwarding state machine, as safe for concurrent use
 // as its tables and enforcement router are.
 type Core struct {

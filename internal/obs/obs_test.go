@@ -55,7 +55,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	}
 	var sp *Span
 	sp.Event("stage", "detail")
-	sp.End("ok")
+	sp.End("ok", 0)
 }
 
 func TestKindConflictPanics(t *testing.T) {

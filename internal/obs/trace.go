@@ -2,9 +2,10 @@
 // node's enforcement pipeline (pre-check → BF lookup → signature verify
 // → forward/NACK) and, when it ends, is emitted as one JSON line and/or
 // retained in the node's bounded flight recorder (recorder.go). Spans
-// carry the wire TraceContext (trace ID, parent span ID, hop count), so
+// carry the wire TraceCtx (trace ID, parent span ID, hop count), so
 // spans recorded by different nodes assemble into end-to-end path
-// timelines (collector.go).
+// timelines (collector.go). A tracer reads its driver's clock: the wall
+// clock for a live node, the event engine's for a simulated one.
 //
 // The hot-path contract: an unsampled packet costs one atomic add and a
 // branch-free fixed-point multiply — zero allocations. Sampled packets
@@ -19,20 +20,30 @@ import (
 	"time"
 )
 
-// TraceCtx mirrors the wire-level TraceContext (internal/ndn) without
-// importing it: the end-to-end trace ID, the span ID of the previous
-// hop, this node's hop index, and the head-sampling decision. obs stays
-// dependency-free so any layer can use it.
+// TraceCtx is the tracing context a packet carries on the wire
+// (ndn.TraceContext is this type). The originating client makes the
+// head-sampling decision; a hop that records a span re-parents the
+// context to it and every hop increments Hops (Span.Onward), so a
+// collector can reassemble the path. obs stays dependency-free.
 type TraceCtx struct {
-	// TraceID identifies the end-to-end request; zero means untraced.
+	// TraceID identifies the end-to-end request; zero means untraced,
+	// and an untraced packet carries no TLV.
 	TraceID uint64
-	// ParentID is the previous hop's span ID.
+	// ParentID is the span ID of the previous hop's span — the sender's
+	// span when the sender traced the packet, or inherited unchanged
+	// across hops that do not trace.
 	ParentID uint64
-	// Hop is this node's hop index (the originator is hop 0).
-	Hop uint8
-	// Sampled forces span recording regardless of the local sample rate.
+	// Sampled is the head-sampling decision: when set, every hop with a
+	// tracer records a span regardless of its local sampling rate.
 	Sampled bool
+	// Hops counts the nodes the packet has traversed, the originator
+	// included (the originator's span is hop 0 and it sends Hops=1); the
+	// receiving hop's span records it as its hop index.
+	Hops uint8
 }
+
+// Valid reports whether the context marks a traced packet.
+func (tc TraceCtx) Valid() bool { return tc.TraceID != 0 }
 
 // Tracer records sampled trace spans, writing JSON lines to w and/or
 // retaining them in a flight-recorder ring. A nil Tracer (or the nil
@@ -41,6 +52,7 @@ type TraceCtx struct {
 type Tracer struct {
 	node string
 	role string
+	now  func() time.Time
 	// thresh is the local sampling rate in 32.32 fixed point: span seq i
 	// is kept iff (i·thresh) mod 2³² < thresh, the integer form of
 	// stride sampling (exactly ⌊n·sample⌋ of n spans kept, evenly
@@ -78,7 +90,7 @@ func NewTracerRecorder(node string, sample float64, w io.Writer, rec *Recorder) 
 	if w == nil && rec == nil {
 		return nil
 	}
-	t := &Tracer{node: node, w: w, rec: rec, idBase: splitmix64(fnv1a(node))}
+	t := &Tracer{node: node, now: time.Now, w: w, rec: rec, idBase: splitmix64(fnv1a(node))}
 	if sample > 0 {
 		if sample > 1 {
 			sample = 1
@@ -98,6 +110,15 @@ func NewTracerRecorder(node string, sample float64, w io.Writer, rec *Recorder) 
 func (t *Tracer) SetRole(role string) {
 	if t != nil {
 		t.role = role
+	}
+}
+
+// SetClock makes the tracer take every timestamp from now instead of the
+// wall clock — how the simulator records spans in virtual time. Call
+// before the tracer is used, like SetRole.
+func (t *Tracer) SetClock(now func() time.Time) {
+	if t != nil {
+		t.now = now
 	}
 }
 
@@ -246,12 +267,12 @@ func (t *Tracer) StartCtx(ctx TraceCtx, kind, name string) *Span {
 	sp := t.pool.Get().(*Span)
 	*sp = Span{
 		tracer:  t,
-		start:   time.Now(),
+		start:   t.now(),
 		kind:    kind,
 		name:    name,
 		traceID: ctx.TraceID,
 		parent:  ctx.ParentID,
-		hop:     ctx.Hop,
+		hop:     ctx.Hops,
 		wire:    ctx.TraceID != 0,
 		sampled: ctx.Sampled,
 		seq:     seq,
@@ -273,7 +294,7 @@ func (t *Tracer) StartRoot(kind, name string) *Span {
 	sp := t.pool.Get().(*Span)
 	*sp = Span{
 		tracer:  t,
-		start:   time.Now(),
+		start:   t.now(),
 		kind:    kind,
 		name:    name,
 		traceID: t.newID(),
@@ -293,29 +314,28 @@ func (s *Span) TraceID() uint64 {
 	return s.traceID
 }
 
-// Context returns the trace context to stamp on packets this span's
-// node sends onward: same trace, this span as parent, next hop index,
-// and the originator's head-sampling decision carried through. The zero
-// TraceCtx for nil or node-local-only spans — callers must then fall
-// back to propagating any wire context unchanged.
-func (s *Span) Context() TraceCtx {
-	if s == nil || !s.wire {
-		return TraceCtx{}
+// Onward returns the trace context to stamp on packets sent while
+// handling one that arrived carrying tc (the zero TraceCtx when a packet
+// originates here). A span on the wire's trace — one StartCtx opened for
+// a traced packet, or a root span — re-parents it: same trace, this span
+// as parent, one hop deeper, the originator's head-sampling decision
+// carried through. Otherwise a traced packet passes through with its hop
+// count advanced, so assembled traces show the true path length even
+// past hops that record nothing; an untraced one stays untraced.
+func (s *Span) Onward(tc TraceCtx) TraceCtx {
+	switch {
+	case s != nil && s.wire:
+		return TraceCtx{TraceID: s.traceID, ParentID: s.spanID, Sampled: s.sampled, Hops: s.hop + 1}
+	case tc.Valid():
+		tc.Hops++
+		return tc
 	}
-	return TraceCtx{TraceID: s.traceID, ParentID: s.spanID, Hop: s.hop + 1, Sampled: s.sampled}
+	return TraceCtx{}
 }
 
 // Event annotates one pipeline stage.
 func (s *Span) Event(stage, detail string) {
-	if s == nil || s.nev >= maxSpanEvents {
-		return
-	}
-	s.events[s.nev] = SpanEvent{
-		Stage:    stage,
-		AtMicros: time.Since(s.start).Microseconds(),
-		Detail:   detail,
-	}
-	s.nev++
+	s.EventDur(stage, 0, detail)
 }
 
 // EventDur annotates one pipeline stage with a measured duration.
@@ -325,21 +345,29 @@ func (s *Span) EventDur(stage string, d time.Duration, detail string) {
 	}
 	s.events[s.nev] = SpanEvent{
 		Stage:     stage,
-		AtMicros:  time.Since(s.start).Microseconds(),
+		AtMicros:  s.tracer.now().Sub(s.start).Microseconds(),
 		DurMicros: d.Microseconds(),
 		Detail:    detail,
 	}
 	s.nev++
 }
 
-// End finishes the span with an outcome ("forwarded", "cs_hit",
-// "aggregated", "nack:expired", "drop:no_route", ...), records it, and
-// recycles the span — it must not be touched afterwards.
-func (s *Span) End(outcome string) {
+// End finishes the span with an outcome (node's Outcome vocabulary:
+// "forwarded", "cs_hit", "aggregated", "nack:expired",
+// "drop:no_route", ...), records it, and recycles the span — it must not
+// be touched afterwards. A positive proc is the hop's charged
+// processing time, the span's duration where the clock does not advance
+// while a hop works (a simulator handler runs in one virtual instant);
+// otherwise, as live callers pass 0, the duration is the time elapsed on
+// the tracer's clock since the span started.
+func (s *Span) End(outcome string, proc time.Duration) {
 	if s == nil {
 		return
 	}
 	t := s.tracer
+	if proc <= 0 {
+		proc = t.now().Sub(s.start)
+	}
 	rec := &SpanRecord{
 		Time:      s.start.UTC().Format(time.RFC3339Nano),
 		Node:      t.node,
@@ -350,7 +378,7 @@ func (s *Span) End(outcome string) {
 		Seq:       s.seq,
 		StartNano: s.start.UnixNano(),
 		Outcome:   outcome,
-		DurMicro:  time.Since(s.start).Microseconds(),
+		DurMicro:  proc.Microseconds(),
 	}
 	rec.Trace = HexID(s.traceID)
 	rec.Span = HexID(s.spanID)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestUnsampledSpanZeroAllocs pins the issue's hot-path contract: a
@@ -16,17 +17,23 @@ import (
 func TestUnsampledSpanZeroAllocs(t *testing.T) {
 	// Minimum stride threshold keeps ~1 in 2^32 spans; none of the runs
 	// below will be sampled.
-	tr := NewTracerRecorder("edge-0", 1e-12, io.Discard, NewRecorder(64))
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
-		if sp != nil {
-			t.Fatal("span unexpectedly sampled")
+	wall := NewTracerRecorder("edge-0", 1e-12, io.Discard, NewRecorder(64))
+	// A driver's clock (the simulator's virtual one) costs nothing either.
+	driven := NewTracerRecorder("edge-0", 1e-12, io.Discard, NewRecorder(64))
+	epoch := time.Unix(0, 0)
+	driven.SetClock(func() time.Time { return epoch })
+	for name, tr := range map[string]*Tracer{"wall clock": wall, "injected clock": driven} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
+			if sp != nil {
+				t.Fatal("span unexpectedly sampled")
+			}
+			sp.Event("bf_lookup", "hit")
+			sp.End("forwarded", 0)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: unsampled span path allocates %.1f/op, want 0", name, allocs)
 		}
-		sp.Event("bf_lookup", "hit")
-		sp.End("forwarded")
-	})
-	if allocs != 0 {
-		t.Errorf("unsampled span path allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -39,12 +46,12 @@ func TestSampledSpanPooledAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
 		sp.EventDur("bf_lookup", 1000, "hit")
-		sp.End("forwarded")
+		sp.End("forwarded", 0)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
 		sp.EventDur("bf_lookup", 1000, "hit")
-		sp.End("forwarded")
+		sp.End("forwarded", 0)
 	})
 	// Only the flight-recorder hand-off (one SpanRecord + events slice +
 	// strings per emitted span) remains; with no recorder and a discard
@@ -62,7 +69,7 @@ func BenchmarkSpanUnsampled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
 		if sp != nil {
-			sp.End("forwarded")
+			sp.End("forwarded", 0)
 		}
 	}
 }
@@ -76,7 +83,7 @@ func BenchmarkSpanSampled(b *testing.B) {
 		sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
 		sp.EventDur("bf_lookup", 1500, "hit")
 		sp.Event("flag", "F=0.0001")
-		sp.End("forwarded")
+		sp.End("forwarded", 0)
 	}
 }
 
@@ -88,7 +95,7 @@ func TestRecorderOverflow(t *testing.T) {
 	const total = 30
 	for i := 0; i < total; i++ {
 		sp := tr.StartCtx(TraceCtx{}, "interest", fmt.Sprintf("/x/%d", i))
-		sp.End("ok")
+		sp.End("ok", 0)
 	}
 	snap := rec.Snapshot()
 	if len(snap) != rec.Cap() {
@@ -113,11 +120,11 @@ func TestCollectorReadSpansRoundTrip(t *testing.T) {
 
 	root := tr.StartRoot("fetch", "/prov0/report")
 	rootID := root.TraceID()
-	ctx := root.Context()
+	ctx := root.Onward(TraceCtx{})
 	hop1 := tr.StartCtx(ctx, "interest", "/prov0/report")
 	hop1.EventDur("verify", 80_000, "ok")
-	hop1.End("forwarded")
-	root.End("delivered")
+	hop1.End("forwarded", 0)
+	root.End("delivered", 0)
 
 	c := NewCollector()
 	n, err := c.ReadSpans(bytes.NewReader(buf.Bytes()))
@@ -207,7 +214,7 @@ func TestTracezEmptyAndOverflow(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sp := tr.StartRoot("fetch", fmt.Sprintf("/x/%d", i))
 		lastID = sp.TraceID()
-		sp.End("delivered")
+		sp.End("delivered", 0)
 	}
 	code, body := get(mux, "/tracez")
 	if code != http.StatusOK || !strings.Contains(body, HexID(lastID)) {
@@ -250,7 +257,7 @@ func TestAdminEndpointsUnderLiveTraffic(t *testing.T) {
 			hist.Observe(float64(i%10) * 1e-5)
 			sp := tr.StartCtx(TraceCtx{}, "interest", "/prov0/report/chunk0")
 			sp.Event("bf_lookup", "hit")
-			sp.End("forwarded")
+			sp.End("forwarded", 0)
 		}
 	}()
 

@@ -10,6 +10,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/network"
+	"github.com/tactic-icn/tactic/internal/obs"
 )
 
 // ConsumerConfig parameterises the Zipf-window consumer of §8.A: "each
@@ -27,8 +28,8 @@ type ConsumerConfig struct {
 	// StartJitter randomises consumer start times in [0, StartJitter).
 	StartJitter time.Duration
 	// TraceEvery head-samples every Nth content request for end-to-end
-	// tracing (0 = off); effective only when the network has a trace
-	// collector installed.
+	// tracing (0 = off); effective only when the network traces
+	// (Network.Spans).
 	TraceEvery int
 }
 
@@ -52,7 +53,7 @@ type pending struct {
 	provider names.Name
 	token    uint64
 	// span is the request's hop-0 trace span (nil when untraced).
-	span *network.SimSpan
+	span *obs.Span
 }
 
 // Consumer is a simulated end device: a Zipf-window client or an
@@ -69,6 +70,7 @@ type Consumer struct {
 	zipf    *Zipf
 	rng     *rand.Rand
 	cfg     ConsumerConfig
+	tracer  *obs.Tracer
 	// providerKeyByPrefix resolves a chunk's provider prefix to its
 	// registration name.
 	regNameByPrefix map[string]names.Name
@@ -97,16 +99,18 @@ var _ network.Node = (*Consumer)(nil)
 // NewConsumer creates a consumer at graph index (which must have exactly
 // one face, to its access point).
 func NewConsumer(net *network.Network, index int, source TagSource, catalog *Catalog, zipf *Zipf, rng *rand.Rand, regNames map[string]names.Name, cfg ConsumerConfig) *Consumer {
+	id := net.Graph.Nodes[index].ID
 	return &Consumer{
 		net:             net,
 		index:           index,
-		id:              net.Graph.Nodes[index].ID,
+		id:              id,
 		face:            0,
 		source:          source,
 		catalog:         catalog,
 		zipf:            zipf,
 		rng:             rng,
 		cfg:             cfg,
+		tracer:          net.Tracer(id, "client"),
 		regNameByPrefix: regNames,
 		inFlight:        make(map[string]*pending),
 		regPending:      make(map[string]bool),
@@ -209,11 +213,11 @@ func (c *Consumer) tryIssue() {
 	}
 	// Head-sampling: the consumer decides which requests are traced and
 	// stamps the wire context every downstream hop links to.
-	var sp *network.SimSpan
-	if c.cfg.TraceEvery > 0 && c.net.Tracing() {
+	var sp *obs.Span
+	if c.cfg.TraceEvery > 0 && c.tracer != nil {
 		if c.traceSeq%uint64(c.cfg.TraceEvery) == 0 {
-			sp = c.net.StartTraceRoot(c.id, "client", "fetch", chunkName.String())
-			i.Trace = sp.WireContext()
+			sp = c.tracer.StartRoot("fetch", chunkName.String())
+			i.Trace = sp.Onward(ndn.TraceContext{})
 		}
 		c.traceSeq++
 	}
@@ -252,7 +256,7 @@ func (c *Consumer) sendRegistration(provPrefix names.Name, reg *core.Registratio
 }
 
 // track registers an outstanding request and schedules its timeout.
-func (c *Consumer) track(name names.Name, provider names.Name, isReg bool, now time.Time, sp *network.SimSpan) {
+func (c *Consumer) track(name names.Name, provider names.Name, isReg bool, now time.Time, sp *obs.Span) {
 	c.token++
 	p := &pending{name: name, sentAt: now, isReg: isReg, provider: provider, token: c.token, span: sp}
 	c.inFlight[name.Key()] = p
