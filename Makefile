@@ -20,8 +20,10 @@ build:
 # checkpoint itself instead of through the node core (internal/node
 # sequences CS -> PIT -> FIB and Protocols 1-4 once), the seventh when a
 # span is built outside internal/obs (the simulator and the live nodes
-# record hops with one obs.Span, on their own clocks): each grep must
-# print nothing.
+# record hops with one obs.Span, on their own clocks), the eighth when a
+# driver or the oracle applies a revocation, rotation or BF advert itself
+# instead of as a control frame through node.Core.OnControl: each grep
+# must print nothing.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -30,6 +32,7 @@ vet:
 	! grep -n 'Receive()' internal/forwarder/forwarder.go
 	! grep -nE '\.pit\.Admit|\.fib\.Lookup|\.cs\.Lookup|OnDataRecord|EdgeOnInterestFast|ContentOnInterestFast' $$(ls internal/network/*.go internal/forwarder/*.go | grep -v _test.go)
 	! grep -rnE --include='*.go' 'SimSpan|obs\.SpanRecord\{' . | grep -v '^\./internal/obs/'
+	! grep -nE 'tactic\.(ApplyRevocation|RotateEpoch)|Tactic\(\)\.(ApplyRevocation|RotateEpoch)|\.MergeWords\(' $$(ls internal/forwarder/*.go internal/network/*.go internal/oracle/*.go | grep -v _test.go)
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

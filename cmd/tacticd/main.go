@@ -82,11 +82,11 @@ func run(args []string) error {
 	chaosSpec := fs.String("chaos", "", "fault-inject upstream links, e.g. drop=0.05,delay=0.1,maxdelay=20ms,seed=1 (testing only)")
 	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification worker goroutines (0 = default)")
 	verifyBudget := fs.Int("verify-budget", 0, "per-face cap on parked+in-flight verifications; over-budget Interests are shed with Overload NACKs (0 = default)")
-	bfSync := fs.Duration("bf-sync-interval", 0, "advertise validated-tag BF deltas to -sync-peer neighbors at this period (0 = disabled)")
+	bfSync := fs.Duration("bf-sync-interval", 0, "advertise the validated-tag BF to -sync-peer neighbors at this period (0 = disabled)")
 	var trusts, routes, syncPeers multiFlag
 	fs.Var(&trusts, "trust", "provider public-key PEM file (repeatable)")
 	fs.Var(&routes, "route", "prefix=upstreamAddr (repeatable)")
-	fs.Var(&syncPeers, "sync-peer", "neighbor edge address to push BF deltas to (repeatable; needs -bf-sync-interval)")
+	fs.Var(&syncPeers, "sync-peer", "neighbor edge address to send BF adverts to (repeatable; needs -bf-sync-interval)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func run(args []string) error {
 	}
 
 	// Sync peers are routeless managed links to neighbor edges: the
-	// syncLoop pushes validated-tag BF deltas there so a client roaming
+	// syncLoop sends the validated-tag BF there so a client roaming
 	// to that neighbor hits a warm filter (see -bf-sync-interval).
 	if len(syncPeers) > 0 && *bfSync <= 0 {
 		return fmt.Errorf("-sync-peer requires -bf-sync-interval > 0")
@@ -267,7 +267,7 @@ func run(args []string) error {
 		}); err != nil {
 			return err
 		}
-		log.Printf("sync peer %s: BF deltas every %s", addr, *bfSync)
+		log.Printf("sync peer %s: BF adverts every %s", addr, *bfSync)
 	}
 
 	ln, err := transport.ListenFace(*listen, udpOpts)

@@ -117,7 +117,7 @@ func runRegime(roaming, sync bool) (*mobilityStats, error) {
 		// The lifecycle service (one per provider, sharing the provider's
 		// signing key) mints roaming grants for the mobile clients once
 		// their in-band registration has delivered content keys; edges
-		// advertise BF deltas to each other for the rest of the run.
+		// advertise their Bloom filters to each other for the rest of the run.
 		services := make([]*lifecycle.Service, len(dep.Providers))
 		for p := range dep.Providers {
 			svc, err := lifecycle.Open("", dep.ProviderSigners[p])

@@ -6,20 +6,18 @@ import (
 )
 
 // Neighbor-sync primitives. Edge routers advertise their validated-tag
-// filters to peers as word-level deltas: the sender keeps a snapshot of
-// the words it last advertised, diffs the live filter against it, and
-// ships only the changed words. Receivers OR the words in. Bits only
-// accumulate between resets (a reset starts a new sync generation), so
-// word-wise OR is exactly set union and the delta stream converges to
-// the sender's filter regardless of interleaving.
+// filters to peers whole: the filter's non-zero words plus its element
+// count. Receivers OR the words in and take the larger count. Bits only
+// accumulate between resets, so word-wise OR is exactly set union, and an
+// advert merged twice — or by a peer that missed every earlier one — ends
+// in the same state.
 
-// WordDelta is one changed 64-bit word of a filter's bit array.
+// WordDelta is one non-zero 64-bit word of a filter's bit array.
 type WordDelta struct {
 	// Index is the word's position in the bit array.
 	Index uint32
-	// Word is the word's full current value (not a mask of new bits:
-	// OR-ing the full value is idempotent, so replayed deltas are
-	// harmless).
+	// Word is the word's full value (OR-ing it is idempotent, so a
+	// replayed advert is harmless).
 	Word uint64
 }
 
@@ -45,60 +43,43 @@ func (f *Filter) Clone() *Filter {
 	return nf
 }
 
-// Words returns an atomic word-by-word snapshot of the bit array. The
-// snapshot is not a consistent cut under concurrent Adds (an Add's bits
-// may land in different words across two snapshots), which is fine for
-// sync: missed bits appear in a later delta.
-func (f *Filter) Words() []uint64 {
-	out := make([]uint64, len(f.bits))
-	for i := range f.bits {
-		out[i] = atomic.LoadUint64(&f.bits[i])
-	}
-	return out
-}
-
-// DiffWords returns the words of cur that differ from prev, as full
-// current values. prev may be nil or shorter than cur (treated as
-// zeros), so the first advertisement after a reset diffs against an
-// empty snapshot and carries the whole live filter.
-func DiffWords(prev, cur []uint64) []WordDelta {
+// Words returns the bit array's non-zero words, read atomically word by
+// word: what a sync advert carries, at most one per word of the array.
+// The read is not a consistent cut under concurrent Adds (an Add's bits
+// may land in a later read), which is fine for sync: the next advert
+// carries them.
+func (f *Filter) Words() []WordDelta {
 	var out []WordDelta
-	for i, w := range cur {
-		var p uint64
-		if i < len(prev) {
-			p = prev[i]
-		}
-		if w != p {
+	for i := range f.bits {
+		if w := atomic.LoadUint64(&f.bits[i]); w != 0 {
 			out = append(out, WordDelta{Index: uint32(i), Word: w})
 		}
 	}
 	return out
 }
 
-// MergeWords ORs a peer's delta words into the filter. added is the
-// number of elements the delta represents on the sender's side; it is
-// folded into the element count so the count-based FPP estimate (and
-// with it Saturated and the collaboration flag F) keeps tracking the
-// union. MeasuredFPP is bits-based and exact regardless. The sender's
-// shape must match; deltas indexing past the bit array are rejected.
-func (f *Filter) MergeWords(nbits uint64, hashes uint32, deltas []WordDelta, added uint64) error {
+// MergeWords ORs a peer's advertised words into the filter and raises the
+// element count to the peer's count if that is higher, so the count-based
+// FPP estimate (and with it Saturated and the collaboration flag F) tracks
+// the larger of the two sets. MeasuredFPP is bits-based and exact
+// regardless. The sender's shape must match; words indexing past the bit
+// array are rejected, and a rejected merge changes nothing.
+func (f *Filter) MergeWords(nbits uint64, hashes uint32, words []WordDelta, count uint64) error {
 	if nbits != f.nbits || hashes != f.hashes {
 		return fmt.Errorf("%w: got %d bits/%d hashes, have %d/%d", ErrShapeMismatch, nbits, hashes, f.nbits, f.hashes)
 	}
-	for _, d := range deltas {
-		if int(d.Index) >= len(f.bits) {
-			return fmt.Errorf("%w: word index %d past %d words", ErrShapeMismatch, d.Index, len(f.bits))
+	for _, w := range words {
+		if int(w.Index) >= len(f.bits) {
+			return fmt.Errorf("%w: word index %d past %d words", ErrShapeMismatch, w.Index, len(f.bits))
 		}
 	}
-	for _, d := range deltas {
-		word := &f.bits[d.Index]
-		for {
-			old := atomic.LoadUint64(word)
-			if old|d.Word == old || atomic.CompareAndSwapUint64(word, old, old|d.Word) {
-				break
-			}
+	for _, w := range words {
+		setBit(&f.bits[w.Index], w.Word)
+	}
+	for old := f.count.Load(); count > old; old = f.count.Load() {
+		if f.count.CompareAndSwap(old, count) {
+			break
 		}
 	}
-	f.count.Add(added)
 	return nil
 }

@@ -41,9 +41,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestDeltaSyncConverges drives the neighbor-sync cycle: snapshot,
-// fill, diff, merge — after each round the receiver answers positive
-// for everything the sender validated, with no false negatives.
+// TestDeltaSyncConverges drives the neighbor-sync cycle: fill, advertise
+// the whole filter, merge — after each round the receiver answers
+// positive for everything the sender validated, with no false negatives,
+// and holds the sender's count.
 func TestDeltaSyncConverges(t *testing.T) {
 	src, err := NewPaper(500, 1e-4)
 	if err != nil {
@@ -53,39 +54,64 @@ func TestDeltaSyncConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap []uint64 // nil: first advert carries the whole filter
+	if w := src.Words(); w != nil {
+		t.Fatalf("an empty filter advertises %v", w)
+	}
 	next := 0
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 40; i++ {
 			src.Add(syncItem(next))
 			next++
 		}
-		cur := src.Words()
-		deltas := DiffWords(snap, cur)
-		if len(deltas) == 0 {
-			t.Fatalf("round %d produced no deltas", round)
+		words := src.Words()
+		if len(words) == 0 || len(words) > int(src.Bits()+63)/64 {
+			t.Fatalf("round %d advertised %d words", round, len(words))
 		}
-		added := src.Count() - dst.Count()
-		if err := dst.MergeWords(src.Bits(), src.Hashes(), deltas, added); err != nil {
+		if err := dst.MergeWords(src.Bits(), src.Hashes(), words, src.Count()); err != nil {
 			t.Fatalf("round %d merge: %v", round, err)
 		}
-		snap = cur
 		for i := 0; i < next; i++ {
 			if !dst.Contains(syncItem(i)) {
 				t.Fatalf("round %d: receiver missing item %d", round, i)
 			}
 		}
+		if dst.Count() != src.Count() {
+			t.Fatalf("round %d: receiver count %d != sender %d", round, dst.Count(), src.Count())
+		}
 	}
-	if dst.Count() != src.Count() {
-		t.Fatalf("receiver count %d != sender %d", dst.Count(), src.Count())
-	}
-	// Replaying the last delta is idempotent (full word values, OR).
-	before := dst.FillRatio()
-	if err := dst.MergeWords(src.Bits(), src.Hashes(), DiffWords(nil, snap), 0); err != nil {
+}
+
+// TestMergeAdvertTwiceIsIdempotent: the same advert merged again changes
+// neither the bit array nor the count, and a smaller count never lowers
+// the receiver's.
+func TestMergeAdvertTwiceIsIdempotent(t *testing.T) {
+	src, err := NewPaper(500, 1e-4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dst.FillRatio() != before {
-		t.Fatal("replayed delta changed the bit array")
+	dst, err := NewPaper(500, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		src.Add(syncItem(i))
+	}
+	for i := 100; i < 130; i++ {
+		dst.Add(syncItem(i))
+	}
+	words, count := src.Words(), src.Count()
+	if err := dst.MergeWords(src.Bits(), src.Hashes(), words, count); err != nil {
+		t.Fatal(err)
+	}
+	fill, n := dst.FillRatio(), dst.Count()
+	if n != 30 {
+		t.Fatalf("count after merging 25 into 30 = %d, want the max, 30", n)
+	}
+	if err := dst.MergeWords(src.Bits(), src.Hashes(), words, count); err != nil {
+		t.Fatal(err)
+	}
+	if dst.FillRatio() != fill || dst.Count() != n {
+		t.Fatalf("second merge moved fill %v -> %v, count %d -> %d", fill, dst.FillRatio(), n, dst.Count())
 	}
 }
 
@@ -110,16 +136,5 @@ func TestMergeWordsRejectsBadShapes(t *testing.T) {
 	}
 	if dst.FillRatio() != 0 || dst.Count() != 0 {
 		t.Error("rejected merge partially applied")
-	}
-}
-
-func TestDiffWordsAgainstShortSnapshot(t *testing.T) {
-	cur := []uint64{1, 0, 4}
-	got := DiffWords([]uint64{1}, cur)
-	if len(got) != 1 || got[0].Index != 2 || got[0].Word != 4 {
-		t.Fatalf("DiffWords = %v", got)
-	}
-	if d := DiffWords(cur, cur); d != nil {
-		t.Fatalf("self-diff = %v", d)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/tactic-icn/tactic/internal/bloom"
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
@@ -20,56 +20,40 @@ const (
 	MetricRevokedEntries = "tactic_revoked_entries"
 	// MetricBFEpoch gauges the Bloom filter's current epoch.
 	MetricBFEpoch = "tactic_bf_epoch"
-	// MetricBFSyncWords counts neighbor-sync word deltas by direction.
+	// MetricBFSyncWords counts BF-sync advert words by direction.
 	MetricBFSyncWords = "tactic_bf_sync_words_total"
 )
 
-// Control-frame outcomes for the MetricControl "outcome" label.
-const (
-	ctrlApplied = "applied"
-	ctrlStale   = "stale"
-	ctrlInvalid = "invalid"
-)
-
-// handleControl applies one lifecycle control frame. Revocation and
-// rotation frames that advance this node's state are flooded to every
-// other face, so a push to any router reaches the whole deployment;
-// version checks make re-floods no-ops and terminate the flood. BF sync
-// adverts are hop-local (each node advertises its own filter on its own
-// schedule), so they are merged but never flooded.
-func (f *Forwarder) handleControl(m *ndn.Control, from *faceState) {
-	switch m.Kind {
-	case ndn.CtrlRevoke:
-		if !f.tactic.ApplyRevocation(m.Version, m.Full, m.Revoked) {
-			f.m.control(m.Kind, ctrlStale)
-			return
-		}
-		f.m.control(m.Kind, ctrlApplied)
-		f.ev.Emit(obs.EventRevocation, int(from.id), "v"+strconv.Itoa(int(m.Version))+" from "+m.Origin, uint64(len(m.Revoked)))
+// handleControl applies one lifecycle control frame through the node
+// core and acts on its step: count it, record an applied revocation or
+// rotation, flush parked verifications of newly revoked tags, and flood
+// what the step says to every face but the arrival face — so a push to
+// any router reaches the whole deployment, and version checks make
+// re-floods stale and terminate the flood. from is ndn.FaceNone for a
+// frame this node originates. It reports whether the frame was applied.
+func (f *Forwarder) handleControl(m *ndn.Control, from ndn.FaceID) bool {
+	st := f.node.OnControl(m)
+	f.m.control(m.Kind, st.Outcome)
+	switch {
+	case st.Err != nil:
+		f.logf("control: %v frame from %q rejected: %v", m.Kind, m.Origin, st.Err)
+	case st.Outcome == node.ControlStale: // nothing changed, nothing to record
+	case m.Kind == ndn.CtrlRevoke:
+		f.ev.Emit(obs.EventRevocation, int(from), "v"+strconv.Itoa(int(m.Version))+" from "+m.Origin, uint64(len(m.Revoked)))
 		f.logf("control: revocation set v%d (%d entries, full=%v) from %q", m.Version, len(m.Revoked), m.Full, m.Origin)
-		f.flushRevokedParked()
-		f.floodControl(m, from.id)
-	case ndn.CtrlRotate:
-		if !f.tactic.RotateEpoch(m.Version) {
-			f.m.control(m.Kind, ctrlStale)
-			return
-		}
-		f.m.control(m.Kind, ctrlApplied)
-		f.ev.Emit(obs.EventEpochRotate, int(from.id), "ordered by "+m.Origin, m.Version)
+	case m.Kind == ndn.CtrlRotate:
+		f.ev.Emit(obs.EventEpochRotate, int(from), "ordered by "+m.Origin, m.Version)
 		f.logf("control: rotated BF to epoch %d (ordered by %q)", m.Version, m.Origin)
-		f.floodControl(m, from.id)
-	case ndn.CtrlBFSync:
-		if err := f.tactic.Bloom().MergeWords(m.Bits, m.Hashes, m.Words, m.Added); err != nil {
-			f.m.control(m.Kind, ctrlInvalid)
-			f.logf("control: bf sync from %q rejected: %v", m.Origin, err)
-			return
-		}
-		f.m.control(m.Kind, ctrlApplied)
-		f.m.syncWordsIn.Add(uint64(len(m.Words)))
 	default:
-		f.m.control(m.Kind, ctrlInvalid)
-		f.logf("control: unknown kind %d from %q", m.Kind, m.Origin)
+		f.m.syncWordsIn.Add(uint64(len(m.Words)))
 	}
+	if st.FlushRevoked {
+		f.flushRevokedParked()
+	}
+	if st.Flood {
+		f.floodControl(m, from)
+	}
+	return st.Outcome == node.ControlApplied
 }
 
 // floodControl relays a control frame to every face except the one it
@@ -95,19 +79,12 @@ func (f *Forwarder) floodControl(m *ndn.Control, except ndn.FaceID) {
 	}
 }
 
-// ApplyRevocation applies a revocation-set update locally and, when it
-// advances the set, floods it to every attached face. It is the
-// programmatic equivalent of receiving a CtrlRevoke frame (used by
-// drivers that host the issuance service in-process).
+// ApplyRevocation applies a revocation-set update as a CtrlRevoke frame
+// originated here — flooded to every attached face when it advances the
+// set — and reports whether it did (used by drivers that host the
+// issuance service in-process).
 func (f *Forwarder) ApplyRevocation(version uint64, full bool, revoked []core.TagID) bool {
-	if !f.tactic.ApplyRevocation(version, full, revoked) {
-		return false
-	}
-	f.m.control(ndn.CtrlRevoke, ctrlApplied)
-	f.ev.Emit(obs.EventRevocation, -1, "v"+strconv.Itoa(int(version))+" local", uint64(len(revoked)))
-	f.flushRevokedParked()
-	f.floodControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Origin: f.cfg.ID, Full: full, Revoked: revoked}, ndn.FaceNone)
-	return true
+	return f.handleControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Origin: f.cfg.ID, Full: full, Revoked: revoked}, ndn.FaceNone)
 }
 
 // flushRevokedParked NACKs parked verify jobs whose tag fell into the
@@ -132,10 +109,9 @@ func (f *Forwarder) flushRevokedParked() {
 }
 
 // AddSyncPeer registers an attached face as a BF-sync peer: the
-// forwarder periodically advertises its validated-tag Bloom filter's
-// word deltas there (see Config.BFSyncInterval), so a client roaming to
-// that neighbor hits a warm filter instead of re-paying signature
-// verification.
+// forwarder periodically advertises its validated-tag Bloom filter there
+// (see Config.BFSyncInterval), so a client roaming to that neighbor hits
+// a warm filter instead of re-paying signature verification.
 func (f *Forwarder) AddSyncPeer(face ndn.FaceID) {
 	f.syncMu.Lock()
 	f.syncPeers = append(f.syncPeers, face)
@@ -156,8 +132,8 @@ func (f *Forwarder) RemoveSyncPeer(face ndn.FaceID) {
 	f.syncMu.Unlock()
 }
 
-// syncLoop periodically advertises BF deltas to the registered sync
-// peers.
+// syncLoop periodically advertises the Bloom filter to the registered
+// sync peers.
 func (f *Forwarder) syncLoop(interval time.Duration) {
 	defer f.wg.Done()
 	t := time.NewTicker(interval)
@@ -172,37 +148,19 @@ func (f *Forwarder) syncLoop(interval time.Duration) {
 	}
 }
 
-// SyncBF advertises the Bloom filter words changed since the previous
-// advertisement to every sync peer, as one CtrlBFSync frame. It is
+// SyncBF sends the node's BF-sync advert — the whole filter and its
+// element count (node.Core.BFAdvert) — to every live sync peer, so a
+// peer attached or redialed since the last call loses nothing. It is
 // called from the BFSyncInterval ticker and may be called directly to
-// force an advertisement (tests, handover hooks). A call with no
-// changed words or no live peers sends nothing.
+// force an advertisement (tests, handover hooks). Peers whose face died
+// are dropped.
 func (f *Forwarder) SyncBF() {
 	f.syncMu.Lock()
 	defer f.syncMu.Unlock()
 	if len(f.syncPeers) == 0 {
 		return
 	}
-	bf := f.tactic.Bloom()
-	cur := bf.Words()
-	count := bf.Count()
-	deltas := bloom.DiffWords(f.syncSnap, cur)
-	if len(deltas) == 0 {
-		return
-	}
-	var added uint64
-	if count > f.syncCount {
-		added = count - f.syncCount
-	}
-	m := &ndn.Control{
-		Kind:    ndn.CtrlBFSync,
-		Version: f.syncGen.Add(1),
-		Origin:  f.cfg.ID,
-		Bits:    bf.Bits(),
-		Hashes:  bf.Hashes(),
-		Words:   deltas,
-		Added:   added,
-	}
+	m := f.node.BFAdvert(f.cfg.ID)
 	live := f.syncPeers[:0]
 	for _, id := range f.syncPeers {
 		f.mu.RLock()
@@ -216,8 +174,7 @@ func (f *Forwarder) SyncBF() {
 			f.logf("bf sync to face %d: %v", id, err)
 			continue
 		}
-		f.m.syncWordsOut.Add(uint64(len(deltas)))
+		f.m.syncWordsOut.Add(uint64(len(m.Words)))
 	}
 	f.syncPeers = live
-	f.syncSnap, f.syncCount = cur, count
 }

@@ -1,7 +1,12 @@
 package forwarder
 
 import (
+	"encoding/json"
+	"math/bits"
 	"net"
+	"os"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +14,8 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
+	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
@@ -165,7 +172,7 @@ func TestLiveEpochRotation(t *testing.T) {
 }
 
 // TestLiveNeighborBFSync is the roaming acceptance check: edge-0
-// validates a roaming tag, advertises its BF delta to edge-1, and the
+// validates a roaming tag, advertises its filter to edge-1, and the
 // client's handover fetch at edge-1 is served from the synced filter
 // with zero signature verifications there.
 func TestLiveNeighborBFSync(t *testing.T) {
@@ -277,5 +284,198 @@ func TestLivePeriodicBFSync(t *testing.T) {
 			t.Fatal("periodic BF sync never delivered")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// bareEdge starts an edge forwarder with no faces and an empty filter.
+func bareEdge(t *testing.T, id string) *Forwarder {
+	t.Helper()
+	f, err := New(Config{ID: id, Role: RoleEdge, Registry: pki.NewRegistry(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// linkEdges joins two forwarders with a net.Pipe and returns each one's
+// face toward the other.
+func linkEdges(a, b *Forwarder) (ndn.FaceID, ndn.FaceID) {
+	pa, pb := net.Pipe()
+	return a.AddFace(transport.New(pa), false), b.AddFace(transport.New(pb), false)
+}
+
+// addTags inserts n never-seen tag keys into f's filter, numbered from
+// *next.
+func addTags(f *Forwarder, next *int, n int) {
+	for ; n > 0; n-- {
+		f.Tactic().Bloom().Add([]byte("tag-" + strconv.Itoa(*next)))
+		*next++
+	}
+}
+
+// syncTo forces one advert from src and waits until dst has merged it.
+func syncTo(t *testing.T, src, dst *Forwarder) {
+	t.Helper()
+	merged := dst.m.ctrls[ndn.CtrlBFSync.String()+"/"+node.ControlApplied]
+	n := merged.Value()
+	src.SyncBF()
+	waitFor(t, dst.cfg.ID+" to merge "+src.cfg.ID+"'s advert", func() bool { return merged.Value() > n })
+}
+
+// TestLiveBFSyncCountsDistinctTags: two edges syncing both ways, each
+// adding a tag and advertising in turn, count exactly the distinct tags
+// validated between them — a received count is never echoed back and
+// summed.
+func TestLiveBFSyncCountsDistinctTags(t *testing.T) {
+	a, b := bareEdge(t, "edge-a"), bareEdge(t, "edge-b")
+	fa, fb := linkEdges(a, b)
+	a.AddSyncPeer(fa)
+	b.AddSyncPeer(fb)
+	distinct := 0
+	addTags(a, &distinct, 10)
+	for round := 0; round < 6; round++ {
+		if round > 0 {
+			addTags(a, &distinct, 1)
+		}
+		syncTo(t, a, b)
+		if round > 0 {
+			addTags(b, &distinct, 1)
+		}
+		syncTo(t, b, a)
+		if ca, cb := a.Tactic().Bloom().Count(), b.Tactic().Bloom().Count(); ca != uint64(distinct) || cb != uint64(distinct) {
+			t.Fatalf("round %d: A counts %d, B %d; want both %d distinct tags", round, ca, cb, distinct)
+		}
+	}
+}
+
+// TestLiveBFSyncLateAndRedialedPeers: a sync peer attached after the
+// first advert — and a managed uplink's peer after it redials — holds the
+// sender's whole filter after the next SyncBF, though the filter has not
+// changed since.
+func TestLiveBFSyncLateAndRedialedPeers(t *testing.T) {
+	a := bareEdge(t, "edge-a")
+	next := 0
+	addTags(a, &next, 10)
+	holdsA := func(f *Forwarder) func() bool {
+		return func() bool {
+			return f.Tactic().Bloom().FillRatio() == a.Tactic().Bloom().FillRatio() && f.Tactic().Bloom().Count() == 10
+		}
+	}
+
+	first := bareEdge(t, "edge-b")
+	fb, _ := linkEdges(a, first)
+	a.AddSyncPeer(fb)
+	syncTo(t, a, first)
+	if !holdsA(first)() {
+		t.Fatal("the first peer does not hold A's filter")
+	}
+
+	// A managed uplink registered as a sync peer, dialing whichever
+	// forwarder peer holds.
+	var peer atomic.Pointer[Forwarder]
+	peer.Store(bareEdge(t, "edge-c"))
+	up, err := a.ManageUpstream(UplinkConfig{Addr: "pipe", SyncPeer: true, Dial: func(string) (net.Conn, error) {
+		mine, theirs := net.Pipe()
+		peer.Load().AddFace(transport.New(theirs), true)
+		return mine, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close() // before the peers close, so it never redials a closed one
+	if !up.WaitUp(liveTimeout) {
+		t.Fatal("uplink never attached")
+	}
+	late := peer.Load()
+	a.SyncBF()
+	waitFor(t, "the late peer to hold A's filter", holdsA(late))
+
+	// The peer restarts empty: the uplink's face dies and it redials.
+	restarted := bareEdge(t, "edge-c")
+	peer.Store(restarted)
+	late.Close()
+	waitFor(t, "the uplink to redial", func() bool { return up.connects.Value() == 2 })
+	a.SyncBF()
+	waitFor(t, "the redialed peer to hold A's filter", holdsA(restarted))
+}
+
+// TestControlTable runs the node core's table of control frames
+// (internal/node/testdata/control.json, shared with the core's own test
+// and the simulator's) through a live forwarder's face: each frame is
+// counted under the row's outcome and leaves the row's end state.
+func TestControlTable(t *testing.T) {
+	raw, err := os.ReadFile("../node/testdata/control.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name              string        `json:"name"`
+		Before            []ndn.Control `json:"before"`
+		Frame             ndn.Control   `json:"frame"`
+		Outcome           string        `json:"outcome"`
+		RevocationVersion uint64        `json:"revocation_version"`
+		Revoked           int           `json:"revoked"`
+		Epoch             uint64        `json:"epoch"`
+		BFCount           uint64        `json:"bf_count"`
+		BFBitsSet         int           `json:"bf_bits_set"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("%d cases, %v", len(cases), err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.Name, func(t *testing.T) {
+			f := bareEdge(t, "edge-0")
+			pusherSide, faceSide := net.Pipe()
+			f.AddFace(transport.New(faceSide), false)
+			pusher := transport.New(pusherSide)
+			t.Cleanup(func() { pusher.Close() })
+			// send pushes one frame and returns the series it was counted in.
+			send := func(m *ndn.Control) string {
+				t.Helper()
+				counted := make(map[string]uint64, len(f.m.ctrls))
+				for key, c := range f.m.ctrls {
+					counted[key] = c.Value()
+				}
+				if err := pusher.SendControl(m); err != nil {
+					t.Fatal(err)
+				}
+				var series string
+				waitFor(t, "the frame to be counted", func() bool {
+					for key, c := range f.m.ctrls {
+						if c.Value() != counted[key] {
+							series = key
+							return true
+						}
+					}
+					return false
+				})
+				return series
+			}
+			label := func(m *ndn.Control, outcome string) string {
+				if _, ok := f.m.ctrls[m.Kind.String()+"/"+outcome]; !ok {
+					return "other"
+				}
+				return m.Kind.String() + "/" + outcome
+			}
+			for i := range tc.Before {
+				if got := send(&tc.Before[i]); got != label(&tc.Before[i], node.ControlApplied) {
+					t.Fatalf("before[%d] counted as %s", i, got)
+				}
+			}
+			if got, want := send(&tc.Frame), label(&tc.Frame, tc.Outcome); got != want {
+				t.Errorf("counted as %s, want %s", got, want)
+			}
+			r := f.Tactic()
+			setBits := 0
+			for _, w := range r.Bloom().Words() {
+				setBits += bits.OnesCount64(w.Word)
+			}
+			if r.Revocations().Version() != tc.RevocationVersion || r.Revocations().Len() != tc.Revoked || r.Epoch() != tc.Epoch ||
+				r.Bloom().Count() != tc.BFCount || setBits != tc.BFBitsSet {
+				t.Errorf("end state: revocation v%d (%d), epoch %d, BF count %d, %d bits set; want %+v",
+					r.Revocations().Version(), r.Revocations().Len(), r.Epoch(), r.Bloom().Count(), setBits, tc)
+			}
+		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/bloom"
@@ -93,8 +92,8 @@ type Config struct {
 	// period so peers' idle timeouts hold off on quiet-but-healthy
 	// links (0 = none).
 	KeepaliveInterval time.Duration
-	// BFSyncInterval advertises validated-tag Bloom filter deltas to
-	// the registered sync peers at this period (0 = disabled; see
+	// BFSyncInterval advertises the validated-tag Bloom filter to the
+	// registered sync peers at this period (0 = disabled; see
 	// AddSyncPeer).
 	BFSyncInterval time.Duration
 	// Tactic selects protocol features.
@@ -133,7 +132,7 @@ type faceState struct {
 	// reconnection.
 	onDown func()
 	// series are the face's registry series (see exposeFace).
-	series []faceSeries
+	series []transport.Series
 }
 
 // Forwarder is a real-time TACTIC router.
@@ -172,13 +171,9 @@ type Forwarder struct {
 	next    ndn.FaceID
 	uplinks []*Uplink
 
-	// Neighbor BF sync state (see control.go). syncMu guards the peer
-	// list and the previous-advert snapshot.
+	// Neighbor BF sync peers (see control.go), guarded by syncMu.
 	syncMu    sync.Mutex
 	syncPeers []ndn.FaceID
-	syncSnap  []uint64
-	syncCount uint64
-	syncGen   atomic.Uint64
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -350,7 +345,7 @@ func (f *Forwarder) readLoop(fs *faceState) {
 		case pkt.Data != nil:
 			f.handleData(pkt.Data, fs, pkt.DecodeDur)
 		case pkt.Control != nil:
-			f.handleControl(pkt.Control, fs)
+			f.handleControl(pkt.Control, fs.id)
 		}
 	}
 }

@@ -110,8 +110,8 @@ type obsMetrics struct {
 	// registerSampled callbacks).
 	parkSeconds *obs.Histogram
 
-	// Lifecycle control plane: frames by kind and outcome, and BF sync
-	// word-delta volume by direction.
+	// Lifecycle control plane: frames by kind and outcome, and BF-sync
+	// advert words by direction.
 	ctrls        map[string]*obs.Counter // by kind + "/" + outcome
 	syncWordsIn  *obs.Counter
 	syncWordsOut *obs.Counter
@@ -177,15 +177,15 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 		m.drops[cause] = reg.Counter(MetricDrops, m.role, obs.L("cause", cause))
 	}
 	reg.Help(MetricControl, "Lifecycle control frames processed, by kind and outcome.")
-	reg.Help(MetricBFSyncWords, "Bloom-filter word deltas exchanged with sync peers, by direction.")
+	reg.Help(MetricBFSyncWords, "Bloom-filter words exchanged with sync peers, by direction.")
 	m.ctrls = make(map[string]*obs.Counter)
 	for _, kind := range []ndn.ControlKind{ndn.CtrlRevoke, ndn.CtrlRotate, ndn.CtrlBFSync} {
-		for _, outcome := range []string{ctrlApplied, ctrlStale, ctrlInvalid} {
+		for _, outcome := range []string{node.ControlApplied, node.ControlStale, node.ControlInvalid} {
 			m.ctrls[kind.String()+"/"+outcome] = reg.Counter(MetricControl, m.role,
 				obs.L("kind", kind.String()), obs.L("outcome", outcome))
 		}
 	}
-	m.ctrls["other"] = reg.Counter(MetricControl, m.role, obs.L("kind", "other"), obs.L("outcome", ctrlInvalid))
+	m.ctrls["other"] = reg.Counter(MetricControl, m.role, obs.L("kind", "other"), obs.L("outcome", node.ControlInvalid))
 	m.syncWordsIn = reg.Counter(MetricBFSyncWords, m.role, obs.L("dir", "in"))
 	m.syncWordsOut = reg.Counter(MetricBFSyncWords, m.role, obs.L("dir", "out"))
 	reg.Help(MetricStageSeconds, "Sampled pipeline-stage latency, by stage (decode, bf_lookup, verify, pit_cs, encode_send).")
@@ -230,38 +230,30 @@ func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
 // drop counts one drop under its cause label (node.DropCauses).
 func (m *obsMetrics) drop(cause string) { m.drops[cause].Inc() }
 
-// faceSeries is one registry series of a face: a scrape-time view of a
-// number the face (or its socket) counts itself.
-type faceSeries struct {
-	name   string
-	labels []obs.Label
-	read   func() float64
-}
-
 // faceStatSeries registers what transport.Stats counts under labels —
 // the forwarder's per-face labels or the client's node label — so the
 // series and Stats() are one ledger read twice. stats is the face's
 // Stats method; flushes adds the counter only stream faces move.
-func faceStatSeries(reg *obs.Registry, stats func() transport.Stats, flushes bool, labels ...obs.Label) []faceSeries {
+func faceStatSeries(reg *obs.Registry, stats func() transport.Stats, flushes bool, labels ...obs.Label) []transport.Series {
 	in, out := obs.L("dir", "in"), obs.L("dir", "out")
-	ss := []faceSeries{
-		{MetricFaceFrames, []obs.Label{in}, func() float64 { return float64(stats().FramesIn) }},
-		{MetricFaceFrames, []obs.Label{out}, func() float64 { return float64(stats().FramesOut) }},
-		{MetricFaceBytes, []obs.Label{in}, func() float64 { return float64(stats().BytesIn) }},
-		{MetricFaceBytes, []obs.Label{out}, func() float64 { return float64(stats().BytesOut) }},
-		{MetricFaceErrors, nil, func() float64 { return float64(stats().Errors) }},
+	ss := []transport.Series{
+		{Name: MetricFaceFrames, Labels: []obs.Label{in}, Read: func() float64 { return float64(stats().FramesIn) }},
+		{Name: MetricFaceFrames, Labels: []obs.Label{out}, Read: func() float64 { return float64(stats().FramesOut) }},
+		{Name: MetricFaceBytes, Labels: []obs.Label{in}, Read: func() float64 { return float64(stats().BytesIn) }},
+		{Name: MetricFaceBytes, Labels: []obs.Label{out}, Read: func() float64 { return float64(stats().BytesOut) }},
+		{Name: MetricFaceErrors, Read: func() float64 { return float64(stats().Errors) }},
 	}
 	if flushes {
-		ss = append(ss, faceSeries{MetricFaceFlushes, nil, func() float64 { return float64(stats().Flushes) }})
+		ss = append(ss, transport.Series{Name: MetricFaceFlushes, Read: func() float64 { return float64(stats().Flushes) }})
 	}
 	return registerSeries(reg, ss, labels)
 }
 
 // registerSeries registers each series under labels plus its own.
-func registerSeries(reg *obs.Registry, ss []faceSeries, labels []obs.Label) []faceSeries {
+func registerSeries(reg *obs.Registry, ss []transport.Series, labels []obs.Label) []transport.Series {
 	for i := range ss {
-		ss[i].labels = append(append([]obs.Label(nil), labels...), ss[i].labels...)
-		reg.CounterFunc(ss[i].name, ss[i].read, ss[i].labels...)
+		ss[i].Labels = append(append([]obs.Label(nil), labels...), ss[i].Labels...)
+		reg.CounterFunc(ss[i].Name, ss[i].Read, ss[i].Labels...)
 	}
 	return ss
 }
@@ -281,17 +273,7 @@ func (f *Forwarder) exposeFace(fs *faceState) {
 	df, datagram := fs.conn.(*transport.DatagramFace)
 	fs.series = faceStatSeries(m.reg, fs.conn.Stats, !datagram, labels...)
 	if datagram && !fs.downstream {
-		m.reg.Help(transport.MetricUDPFragments, "Fragment datagrams moved, by direction.")
-		m.reg.Help(transport.MetricUDPReassembled, "Frames completed from fragment reassembly.")
-		m.reg.Help(transport.MetricUDPReassemblyEvictions, "Partial packets evicted before reassembly completed (timeout or slot pressure).")
-		m.reg.Help(transport.MetricUDPRxOversize, "UDP datagrams truncated and dropped for exceeding the receive buffer (MTU mismatch).")
-		fs.series = append(fs.series, registerSeries(m.reg, []faceSeries{
-			{transport.MetricUDPFragments, []obs.Label{obs.L("dir", "in")}, func() float64 { in, _ := df.Fragments(); return float64(in) }},
-			{transport.MetricUDPFragments, []obs.Label{obs.L("dir", "out")}, func() float64 { _, out := df.Fragments(); return float64(out) }},
-			{transport.MetricUDPReassembled, nil, func() float64 { return float64(df.Reassembled()) }},
-			{transport.MetricUDPReassemblyEvictions, nil, func() float64 { return float64(df.ReassemblyEvictions()) }},
-			{transport.MetricUDPRxOversize, nil, func() float64 { return float64(df.Oversize()) }},
-		}, labels)...)
+		fs.series = append(fs.series, registerSeries(m.reg, df.Series(m.reg), labels)...)
 	}
 	fs.conn.SetMetrics(&transport.Metrics{DecodeSeconds: m.stageDecode, Events: f.ev, Face: int(fs.id)})
 }
@@ -302,8 +284,8 @@ func (f *Forwarder) exposeFace(fs *faceState) {
 func (f *Forwarder) release(fs *faceState) {
 	fs.conn.Close()
 	for _, s := range fs.series {
-		last := s.read()
-		f.m.reg.CounterFunc(s.name, func() float64 { return last }, s.labels...)
+		last := s.Read()
+		f.m.reg.CounterFunc(s.Name, func() float64 { return last }, s.Labels...)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -280,9 +281,9 @@ func TestOriginContract(t *testing.T) {
 			send(face.SendData(&ndn.Data{Name: names.MustParse("/prov0/register/hostile"),
 				Registration: &core.RegistrationResponse{Tag: hostile}}))
 			send(face.SendData(&ndn.Data{Name: e.unpublished.Meta.Name, Content: e.unpublished}))
-			ones := &ndn.Control{Kind: ndn.CtrlBFSync, Version: 1, Origin: "client",
-				Bits: router.Bloom().Bits(), Hashes: router.Bloom().Hashes(), Added: 1}
-			for i := range words {
+			ones := &ndn.Control{Kind: ndn.CtrlBFSync, Origin: "client",
+				Bits: router.Bloom().Bits(), Hashes: router.Bloom().Hashes(), Count: 1}
+			for i := uint64(0); i < (router.Bloom().Bits()+63)/64; i++ {
 				ones.Words = append(ones.Words, bloom.WordDelta{Index: uint32(i), Word: ^uint64(0)})
 			}
 			send(face.SendControl(ones))
@@ -292,11 +293,8 @@ func TestOriginContract(t *testing.T) {
 			if d := e.exchange(face, &ndn.Interest{Name: e.open, Kind: ndn.KindContent, Nonce: 10}); d == nil || d.Content == nil {
 				t.Fatalf("fence fetch got %+v", d)
 			}
-			after := router.Bloom().Words()
-			for i := range words {
-				if words[i] != after[i] {
-					t.Fatalf("Bloom filter word %d changed: %#x -> %#x", i, words[i], after[i])
-				}
+			if after := router.Bloom().Words(); !reflect.DeepEqual(words, after) {
+				t.Fatalf("Bloom filter words changed: %v -> %v", words, after)
 			}
 			if router.Bloom().Contains(hostile.CacheKey()) {
 				t.Error("a tag pushed in a Data reads as validated")

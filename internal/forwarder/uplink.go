@@ -41,7 +41,7 @@ type UplinkConfig struct {
 	UDP transport.UDPOptions
 	// SyncPeer registers the uplink's face as a BF-sync peer while it is
 	// attached (see Forwarder.AddSyncPeer): neighbor edge routers receive
-	// this forwarder's validated-tag Bloom filter deltas through it.
+	// this forwarder's validated-tag Bloom filter through it.
 	SyncPeer bool
 }
 

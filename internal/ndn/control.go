@@ -10,8 +10,8 @@ import (
 
 // Control frames are the lifecycle control plane's wire format: the
 // issuance service pushes revocation-set updates and epoch rotations to
-// routers, and edge routers advertise validated-tag BF deltas to their
-// peers. Control rides next to Interest/Data as its own outer TLV type
+// routers, and edge routers advertise their validated-tag filters to
+// their peers. Control rides next to Interest/Data as its own outer TLV type
 // (0x61, in the reserved range beside the transport keepalive), so
 // forwarders that predate it reject the frame cleanly instead of
 // misparsing it as traffic.
@@ -26,7 +26,7 @@ const (
 	CtrlRevoke ControlKind = 1
 	// CtrlRotate orders a BF epoch rotation to the carried epoch.
 	CtrlRotate ControlKind = 2
-	// CtrlBFSync advertises a neighbor's validated-tag BF word delta.
+	// CtrlBFSync advertises a neighbor's validated-tag filter.
 	CtrlBFSync ControlKind = 3
 )
 
@@ -48,12 +48,12 @@ type Control struct {
 	// Kind selects which fields below are meaningful.
 	Kind ControlKind
 	// Version orders messages from one origin: the revocation-set
-	// version for CtrlRevoke, the target epoch for CtrlRotate, the
-	// sender's sync generation for CtrlBFSync. Receivers apply a message
-	// only when it advances their state, which also terminates floods.
+	// version for CtrlRevoke, the target epoch for CtrlRotate (unused by
+	// CtrlBFSync). Receivers apply such a message only when it advances
+	// their state, which also terminates floods.
 	Version uint64
-	// Origin is the originating node's identity (dedup and diagnostics;
-	// for CtrlBFSync it names whose filter the delta describes).
+	// Origin is the originating node's identity (diagnostics; for
+	// CtrlBFSync it names whose filter the advert carries).
 	Origin string
 
 	// Full marks a CtrlRevoke carrying the complete revocation set
@@ -63,15 +63,16 @@ type Control struct {
 	Revoked []core.TagID
 
 	// Bits and Hashes are the advertised filter's shape (CtrlBFSync);
-	// receivers reject deltas from differently-shaped filters.
+	// receivers reject adverts from differently-shaped filters.
 	Bits   uint64
 	Hashes uint32
-	// Words are the changed bit-array words since the sender's previous
-	// advertisement (CtrlBFSync).
+	// Words are the sender's non-zero bit-array words (CtrlBFSync): the
+	// whole filter, at most 12 bytes per 64 bits of its shape.
 	Words []bloom.WordDelta
-	// Added is the element count the delta represents on the sender's
-	// side, folded into the receiver's count-based FPP estimate.
-	Added uint64
+	// Count is the sender's element count (CtrlBFSync); the receiver
+	// raises its own to it if that is higher, for its count-based FPP
+	// estimate.
+	Count uint64
 }
 
 // Control TLV types (outer frame type plus elements scoped to its body).
@@ -85,13 +86,13 @@ const (
 	ctrlRevoked = 0x05
 	ctrlShape   = 0x06
 	ctrlWords   = 0x07
-	ctrlAdded   = 0x08
+	ctrlCount   = 0x08
 )
 
 // tagIDSize is the wire size of one revoked-tag ID.
 const tagIDSize = 32
 
-// wordDeltaSize is the wire size of one BF word delta (index + word).
+// wordDeltaSize is the wire size of one advertised BF word (index + word).
 const wordDeltaSize = 4 + 8
 
 // EncodeControl serialises a control message to its TLV wire form.
@@ -135,9 +136,9 @@ func AppendControl(dst []byte, c *Control) ([]byte, error) {
 			dst = binary.BigEndian.AppendUint64(dst, w.Word)
 		}
 	}
-	if c.Added != 0 {
-		dst = append(dst, ctrlAdded, 8)
-		dst = binary.BigEndian.AppendUint64(dst, c.Added)
+	if c.Count != 0 {
+		dst = append(dst, ctrlCount, 8)
+		dst = binary.BigEndian.AppendUint64(dst, c.Count)
 	}
 	return closeOuter(dst, start), nil
 }
@@ -202,11 +203,11 @@ func DecodeControl(b []byte) (*Control, error) {
 				c.Words[i].Index = binary.BigEndian.Uint32(v[off:])
 				c.Words[i].Word = binary.BigEndian.Uint64(v[off+4:])
 			}
-		case ctrlAdded:
+		case ctrlCount:
 			if len(v) != 8 {
-				return nil, fmt.Errorf("ndn: bad Added length %d", len(v))
+				return nil, fmt.Errorf("ndn: bad Count length %d", len(v))
 			}
-			c.Added = binary.BigEndian.Uint64(v)
+			c.Count = binary.BigEndian.Uint64(v)
 		default:
 			// Skip unknown elements.
 		}

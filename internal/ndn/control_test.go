@@ -22,7 +22,7 @@ func TestControlRoundTrip(t *testing.T) {
 		{Kind: CtrlRevoke, Version: 1, Revoked: []core.TagID{tagIDOf(9)}},
 		{Kind: CtrlRotate, Version: 3, Origin: "e0"},
 		{Kind: CtrlBFSync, Version: 12, Origin: "e1", Bits: 4793, Hashes: 5,
-			Words: []bloom.WordDelta{{Index: 0, Word: 0xdeadbeef}, {Index: 74, Word: 1}}, Added: 17},
+			Words: []bloom.WordDelta{{Index: 0, Word: 0xdeadbeef}, {Index: 74, Word: 1}}, Count: 17},
 	}
 	for _, c := range cases {
 		enc, err := EncodeControl(c)
@@ -135,13 +135,13 @@ func FuzzRevocationTLV(f *testing.F) {
 }
 
 // FuzzControlSync round-trips BF-sync control messages built from
-// fuzzed shapes and word deltas, and requires that a decoded delta
-// merges into a matching filter without panicking.
+// fuzzed shapes and words, and requires that a decoded advert merges
+// into a matching filter without panicking.
 func FuzzControlSync(f *testing.F) {
 	f.Add(uint64(1), uint64(4793), uint32(5), []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff}, uint64(3))
 	f.Add(uint64(9), uint64(64), uint32(1), []byte{}, uint64(0))
 	f.Add(^uint64(0), uint64(0), uint32(0), bytes.Repeat([]byte{0xee}, 36), ^uint64(0))
-	f.Fuzz(func(t *testing.T, version, bits uint64, hashes uint32, wordBytes []byte, added uint64) {
+	f.Fuzz(func(t *testing.T, version, bits uint64, hashes uint32, wordBytes []byte, count uint64) {
 		var words []bloom.WordDelta
 		for len(wordBytes) >= wordDeltaSize && len(words) < 128 {
 			words = append(words, bloom.WordDelta{
@@ -150,7 +150,7 @@ func FuzzControlSync(f *testing.F) {
 			})
 			wordBytes = wordBytes[wordDeltaSize:]
 		}
-		in := &Control{Kind: CtrlBFSync, Version: version, Origin: "peer", Bits: bits, Hashes: hashes, Words: words, Added: added}
+		in := &Control{Kind: CtrlBFSync, Version: version, Origin: "peer", Bits: bits, Hashes: hashes, Words: words, Count: count}
 		enc, err := EncodeControl(in)
 		if err != nil {
 			t.Fatalf("EncodeControl: %v", err)
@@ -162,12 +162,12 @@ func FuzzControlSync(f *testing.F) {
 		if !reflect.DeepEqual(got, in) {
 			t.Fatalf("sync round trip mutated message:\n got %+v\nwant %+v", got, in)
 		}
-		// Merging an arbitrary decoded delta must never panic: either
+		// Merging an arbitrary decoded advert must never panic: either
 		// the shape mismatches (error) or the merge applies cleanly.
 		dst, err := bloom.NewWithShape(4793, 5, 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = dst.MergeWords(got.Bits, got.Hashes, got.Words, got.Added)
+		_ = dst.MergeWords(got.Bits, got.Hashes, got.Words, got.Count)
 	})
 }

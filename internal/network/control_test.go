@@ -1,14 +1,19 @@
 package network_test
 
 import (
+	"encoding/json"
+	"math/bits"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
+	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/network"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
@@ -39,7 +44,10 @@ func TestSimRevocationPush(t *testing.T) {
 		t.Fatalf("pre-revocation fetch failed: %+v", d)
 	}
 
-	if applied := h.net.PushRevocation(1, true, []core.TagID{tag.ID()}); applied != 2 {
+	revoke := func(version uint64, ids ...core.TagID) int {
+		return h.net.Control(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Full: true, Revoked: ids})
+	}
+	if applied := revoke(1, tag.ID()); applied != 2 {
 		t.Fatalf("revocation applied at %d routers, want 2", applied)
 	}
 	if d := fetch(3); !d.Nack {
@@ -51,10 +59,10 @@ func TestSimRevocationPush(t *testing.T) {
 	}
 
 	// A stale push is a no-op; an advancing empty full push lifts it.
-	if h.net.PushRevocation(1, true, nil) != 0 {
+	if revoke(1) != 0 {
 		t.Error("stale push applied")
 	}
-	if h.net.PushRevocation(2, true, nil) != 2 {
+	if revoke(2) != 2 {
 		t.Error("lifting push not applied everywhere")
 	}
 	if d := fetch(4); d.Nack {
@@ -167,6 +175,9 @@ func TestSimNeighborBFSync(t *testing.T) {
 	if !edgeB.Tactic().Bloom().Contains(tag.CacheKey()) {
 		t.Fatal("edge B cold after sync: the roaming client would re-pay verification")
 	}
+	if a, b := edgeA.Tactic().Bloom().Count(), edgeB.Tactic().Bloom().Count(); a != 1 || b != 1 {
+		t.Fatalf("counts after one round: A %d, B %d; want both 1", a, b)
+	}
 
 	// Scheduled rounds: a later registration propagates without an
 	// explicit call.
@@ -195,11 +206,11 @@ func providerSigner(t *testing.T, _ *core.Provider) *pki.FastKeyPair {
 	return signer
 }
 
-// TestSimRotateEpochs checks the network-wide rotation entry point:
+// TestSimEpochRotation checks a rotation frame delivered network-wide:
 // every router rotates once, stale epochs are ignored, and a
 // previously-validated tag stays vouched for via the previous-epoch
 // fallback.
-func TestSimRotateEpochs(t *testing.T) {
+func TestSimEpochRotation(t *testing.T) {
 	net, engine, edgeA, edgeB, provider, _ := twoEdgeNet(t)
 	tag, err := core.IssueTag(providerSigner(t, provider), names.MustParse("/u/alice/KEY/1"), 3,
 		core.EmptyAccessPath.Accumulate(net.Graph.Nodes[1].ID), engine.Now().Add(time.Hour))
@@ -208,10 +219,11 @@ func TestSimRotateEpochs(t *testing.T) {
 	}
 	edgeA.Tactic().EdgeOnTagResponse(tag)
 
-	if got := net.RotateEpochs(1); got != 3 {
+	rotate := &ndn.Control{Kind: ndn.CtrlRotate, Version: 1}
+	if got := net.Control(rotate); got != 3 {
 		t.Fatalf("rotated %d routers, want 3", got)
 	}
-	if net.RotateEpochs(1) != 0 {
+	if net.Control(rotate) != 0 {
 		t.Error("stale epoch re-applied")
 	}
 	if edgeA.Tactic().Epoch() != 1 || edgeB.Tactic().Epoch() != 1 {
@@ -229,5 +241,81 @@ func TestSimRotateEpochs(t *testing.T) {
 	}
 	if edgeA.Tactic().Validator().Verifications() != verifs {
 		t.Error("rotation forced a re-verification")
+	}
+}
+
+// controlState is the enforcement state a control frame can change (the
+// end-state columns of internal/node/testdata/control.json).
+type controlState struct {
+	RevocationVersion uint64 `json:"revocation_version"`
+	Revoked           int    `json:"revoked"`
+	Epoch             uint64 `json:"epoch"`
+	BFCount           uint64 `json:"bf_count"`
+	BFBitsSet         int    `json:"bf_bits_set"`
+}
+
+func controlStateOf(r *enforce.Router) controlState {
+	st := controlState{RevocationVersion: r.Revocations().Version(), Revoked: r.Revocations().Len(),
+		Epoch: r.Epoch(), BFCount: r.Bloom().Count()}
+	for _, w := range r.Bloom().Words() {
+		st.BFBitsSet += bits.OnesCount64(w.Word)
+	}
+	return st
+}
+
+// TestControlTable runs the node core's table of control frames
+// (internal/node/testdata/control.json, shared with the core's own test
+// and the live forwarder's) through one RouterNode and through
+// Network.Control, which delivers each frame to every router: outcomes and
+// end states match the core's.
+func TestControlTable(t *testing.T) {
+	raw, err := os.ReadFile("../node/testdata/control.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name    string        `json:"name"`
+		Before  []ndn.Control `json:"before"`
+		Frame   ndn.Control   `json:"frame"`
+		Outcome string        `json:"outcome"`
+		controlState
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("%d cases, %v", len(cases), err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.Name, func(t *testing.T) {
+			net, _, edgeA, edgeB, _, _ := twoEdgeNet(t)
+			for i := range tc.Before {
+				if st := edgeA.HandleControl(&tc.Before[i]); st.Outcome != node.ControlApplied {
+					t.Fatalf("before[%d]: %+v", i, st)
+				}
+			}
+			if st := edgeA.HandleControl(&tc.Frame); st.Outcome != tc.Outcome {
+				t.Errorf("RouterNode: %+v, want outcome %s", st, tc.Outcome)
+			}
+			if got := controlStateOf(edgeA.Tactic()); got != tc.controlState {
+				t.Errorf("RouterNode end state %+v, want %+v", got, tc.controlState)
+			}
+
+			net, _, edgeA, edgeB, _, _ = twoEdgeNet(t)
+			for i := range tc.Before {
+				if n := net.Control(&tc.Before[i]); n != 3 {
+					t.Fatalf("before[%d] applied at %d routers", i, n)
+				}
+			}
+			want := 0
+			if tc.Outcome == node.ControlApplied {
+				want = 3
+			}
+			if n := net.Control(&tc.Frame); n != want {
+				t.Errorf("Network.Control applied at %d routers, want %d", n, want)
+			}
+			for _, r := range []*network.RouterNode{edgeA, edgeB} {
+				if got := controlStateOf(r.Tactic()); got != tc.controlState {
+					t.Errorf("router %d end state %+v, want %+v", r.Index(), got, tc.controlState)
+				}
+			}
+		})
 	}
 }

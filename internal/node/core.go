@@ -3,7 +3,9 @@
 // Protocol 3, the PIT and the FIB, and in which an arriving Data consumes
 // its pending entry, is cached (or, a registration response at an edge,
 // vouched into the Bloom filter) and is decided per requester by
-// Protocols 2 and 4.
+// Protocols 2 and 4. What a control frame — a revocation push, an epoch
+// rotation, a neighbour's BF-sync advert — does to the node is decided
+// here too (OnControl).
 //
 // The Core is sans-IO: it reads no clock (now is an argument), sends
 // nothing (it returns what to do as a plain value) and verifies no
@@ -24,6 +26,7 @@
 package node
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
@@ -78,6 +81,14 @@ const (
 
 // DropCauses lists every cause, for drivers that pre-create a series each.
 var DropCauses = []string{DropDupNonce, DropNoRoute, DropUnsolicited, DropUndeliverable, DropNoFace, DropSendErr}
+
+// Control outcomes: what a control frame did to the node (OnControl), the
+// live tactic_control_total{outcome} label.
+const (
+	ControlApplied = "applied"
+	ControlStale   = "stale"
+	ControlInvalid = "invalid"
+)
 
 // Span outcomes: how a router or origin hop's span ends, one vocabulary
 // for the simulator's spans and the live forwarder's. A NACK answered
@@ -330,4 +341,49 @@ func (c *Core) OnRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.T
 	}
 	return Delivery{Stage: v.Stage, Minted: v.Minted,
 		Answer: Answer{Content: d.Content, Flag: v.Flag, Nack: v.Deliver.Nack(), Reason: v.Reason}}
+}
+
+// ControlStep is the core's answer to one control frame: its Outcome, and
+// what the driver does next. Flood relays an applied revocation or
+// rotation to the node's other neighbours (the simulator's delivery is
+// network-wide already); a BF-sync advert is hop-local. FlushRevoked
+// refuses parked verifications whose tag the frame revoked. Err says why
+// a frame is ControlInvalid.
+type ControlStep struct {
+	Outcome      string
+	Flood        bool
+	FlushRevoked bool
+	Err          error
+}
+
+// OnControl applies one control frame: a revocation-set update or an
+// epoch rotation when it advances the node's version (ControlStale
+// otherwise), a BF-sync advert merged by MergeWords' rule (the words ORed
+// in, the count raised to the sender's).
+func (c *Core) OnControl(m *ndn.Control) ControlStep {
+	switch m.Kind {
+	case ndn.CtrlRevoke:
+		if c.tactic.ApplyRevocation(m.Version, m.Full, m.Revoked) {
+			return ControlStep{Outcome: ControlApplied, Flood: true, FlushRevoked: true}
+		}
+	case ndn.CtrlRotate:
+		if c.tactic.RotateEpoch(m.Version) {
+			return ControlStep{Outcome: ControlApplied, Flood: true}
+		}
+	case ndn.CtrlBFSync:
+		if err := c.tactic.Bloom().MergeWords(m.Bits, m.Hashes, m.Words, m.Count); err != nil {
+			return ControlStep{Outcome: ControlInvalid, Err: err}
+		}
+		return ControlStep{Outcome: ControlApplied}
+	default:
+		return ControlStep{Outcome: ControlInvalid, Err: fmt.Errorf("node: unknown control kind %v", m.Kind)}
+	}
+	return ControlStep{Outcome: ControlStale}
+}
+
+// BFAdvert is the node's BF-sync advert from origin: its filter's shape,
+// non-zero words and element count.
+func (c *Core) BFAdvert(origin string) *ndn.Control {
+	bf := c.tactic.Bloom()
+	return &ndn.Control{Kind: ndn.CtrlBFSync, Origin: origin, Bits: bf.Bits(), Hashes: bf.Hashes(), Words: bf.Words(), Count: bf.Count()}
 }

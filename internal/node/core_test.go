@@ -3,6 +3,7 @@ package node
 import (
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"os"
 	"testing"
@@ -303,6 +304,111 @@ func TestUnsolicitedDataChangesNothing(t *testing.T) {
 				t.Errorf("entry pending = %v, want %v", pending, tc.Pending)
 			}
 		})
+	}
+}
+
+// controlCase is one row of testdata/control.json: the frames the node
+// has already applied (Before), the frame under test, its outcome and the
+// node's end state. This test, the simulator's (internal/network) and the
+// live forwarder's (internal/forwarder) all run the table.
+type controlCase struct {
+	Name    string        `json:"name"`
+	Before  []ndn.Control `json:"before"`
+	Frame   ndn.Control   `json:"frame"`
+	Outcome string        `json:"outcome"`
+	controlState
+}
+
+// controlState is the enforcement state a control frame can change.
+type controlState struct {
+	RevocationVersion uint64 `json:"revocation_version"`
+	Revoked           int    `json:"revoked"`
+	Epoch             uint64 `json:"epoch"`
+	BFCount           uint64 `json:"bf_count"`
+	BFBitsSet         int    `json:"bf_bits_set"`
+}
+
+func controlStateOf(r *enforce.Router) controlState {
+	st := controlState{RevocationVersion: r.Revocations().Version(), Revoked: r.Revocations().Len(),
+		Epoch: r.Epoch(), BFCount: r.Bloom().Count()}
+	for _, w := range r.Bloom().Words() {
+		st.BFBitsSet += bits.OnesCount64(w.Word)
+	}
+	return st
+}
+
+// TestControlTable: a revocation or rotation that advances the node is
+// applied, flooded (and a revocation flushes parked verifications), one
+// that does not is stale; a BF-sync advert ORs its words in and raises the
+// count to the sender's; a malformed advert or an unknown kind is invalid
+// and changes nothing.
+func TestControlTable(t *testing.T) {
+	raw, err := os.ReadFile("testdata/control.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []controlCase
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("control.json: %d cases, %v", len(cases), err)
+	}
+	forEachScheme(t, func(t *testing.T, scheme core.Scheme) {
+		for _, tc := range cases {
+			t.Run(tc.Name, func(t *testing.T) {
+				e := newEnv(t, RoleEdge, scheme)
+				for i := range tc.Before {
+					if st := e.OnControl(&tc.Before[i]); st.Outcome != ControlApplied {
+						t.Fatalf("before[%d]: %+v", i, st)
+					}
+				}
+				st := e.OnControl(&tc.Frame)
+				applied := st.Outcome == ControlApplied
+				if st.Outcome != tc.Outcome || st.Flood != (applied && tc.Frame.Kind != ndn.CtrlBFSync) ||
+					st.FlushRevoked != (applied && tc.Frame.Kind == ndn.CtrlRevoke) || (st.Err != nil) != (st.Outcome == ControlInvalid) {
+					t.Errorf("step %+v, want outcome %s", st, tc.Outcome)
+				}
+				if got := controlStateOf(e.tactic); got != tc.controlState {
+					t.Errorf("end state %+v, want %+v", got, tc.controlState)
+				}
+			})
+		}
+	})
+}
+
+// TestBFAdvertCarriesTheWholeFilter: a node that merges another's advert
+// holds its filter and count, whatever it missed before; the advert is
+// bounded by the filter's shape.
+func TestBFAdvertCarriesTheWholeFilter(t *testing.T) {
+	src, dst := newEnv(t, RoleEdge, core.SchemeTACTIC), newEnv(t, RoleEdge, core.SchemeTACTIC)
+	for _, user := range []string{"alice", "bob", "carol"} {
+		src.tactic.EdgeOnTagResponse(src.tag(t, src.prov, user))
+	}
+	m := src.BFAdvert("edge-1")
+	if m.Kind != ndn.CtrlBFSync || m.Origin != "edge-1" || m.Count != 3 || len(m.Words) == 0 {
+		t.Fatalf("advert %+v", m)
+	}
+	if st := dst.OnControl(m); st.Outcome != ControlApplied {
+		t.Fatalf("%+v", st)
+	}
+	if got, want := controlStateOf(dst.tactic), controlStateOf(src.tactic); got != want {
+		t.Errorf("receiver %+v, sender %+v", got, want)
+	}
+
+	// A saturated filter's advert is every word of the array.
+	bf := src.tactic.Bloom()
+	nwords := (bf.Bits() + 63) / 64
+	ones := make([]bloom.WordDelta, nwords)
+	for i := range ones {
+		ones[i] = bloom.WordDelta{Index: uint32(i), Word: ^uint64(0)}
+	}
+	if err := bf.MergeWords(bf.Bits(), bf.Hashes(), ones, 0); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ndn.EncodeControl(src.BFAdvert("edge-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := int(nwords)*12 + 64; len(enc) > max {
+		t.Errorf("a full advert of %d words encodes to %d bytes, want at most %d", nwords, len(enc), max)
 	}
 }
 

@@ -249,12 +249,13 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 	}
 
 	// Seed the scenario's revocation set at every forwarder before the
-	// first request (applied directly rather than flooded, so the seed
-	// is in place deterministically; the flood protocol itself is pinned
-	// by internal/forwarder's live control-plane tests).
+	// first request: each applies v1 before the call returns, so the seed
+	// is in place deterministically, and the copies its flood delivers are
+	// stale no-ops (the flood protocol itself is pinned by
+	// internal/forwarder's live control-plane tests).
 	if len(mat.revoked) > 0 {
 		for _, f := range fwds {
-			f.Tactic().ApplyRevocation(1, true, mat.revoked)
+			f.ApplyRevocation(1, true, mat.revoked)
 		}
 	}
 

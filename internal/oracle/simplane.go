@@ -205,7 +205,7 @@ func RunSim(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, er
 	// plane under test disables the revocation *check*: the injected bug
 	// is "forgot to consult the set", not "never received the push".
 	if len(mat.revoked) > 0 {
-		net.PushRevocation(1, true, mat.revoked)
+		net.Control(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1, Full: true, Revoked: mat.revoked})
 	}
 
 	h := &simHarness{

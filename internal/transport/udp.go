@@ -213,11 +213,6 @@ func (ep *UDPEndpoint) Faces() int {
 // or shed on a full accept backlog.
 func (ep *UDPEndpoint) RxDrops() uint64 { return ep.rxDrops.Load() }
 
-// RxOversize returns datagrams dropped because they exceeded the
-// receive buffer (a peer with a larger MTU), counted separately from
-// parse errors so an MTU mismatch is diagnosable.
-func (ep *UDPEndpoint) RxOversize() uint64 { return ep.dg.oversize.Load() }
-
 // Fragments returns fragment datagrams received and sent across every
 // face this endpoint ever demuxed (dead faces' counts persist).
 func (ep *UDPEndpoint) Fragments() (in, out uint64) {
@@ -526,22 +521,14 @@ func NewDatagramConn(c net.Conn, opts UDPOptions) *DatagramFace {
 	return f
 }
 
-// Fragments, Reassembled, ReassemblyEvictions and Oversize read the
-// datagram-plane ledger of the face's socket (see dgramCounters): this
-// face's traffic alone when it was dialed or wraps a conn, every face of
-// the endpoint when it was demuxed from a listener.
+// Fragments returns fragment datagrams received and sent, read from the
+// datagram-plane ledger of the face's socket (see dgramCounters; Series
+// lists every counter of it): this face's traffic alone when it was
+// dialed or wraps a conn, every face of the endpoint when it was demuxed
+// from a listener.
 func (f *DatagramFace) Fragments() (in, out uint64) {
 	return f.dg.fragsIn.Load(), f.dg.fragsOut.Load()
 }
-
-// Reassembled returns frames completed from fragments.
-func (f *DatagramFace) Reassembled() uint64 { return f.dg.reassembled.Load() }
-
-// ReassemblyEvictions returns partial packets evicted before completion.
-func (f *DatagramFace) ReassemblyEvictions() uint64 { return f.dg.reasmEvicted.Load() }
-
-// Oversize returns datagrams dropped for exceeding the receive buffer.
-func (f *DatagramFace) Oversize() uint64 { return f.dg.oversize.Load() }
 
 // noteEvictions publishes reassembler evictions accumulated since the
 // last call (the reassembler's counter is private to the receive loop)

@@ -420,7 +420,7 @@ func TestUDPOversizeDatagramCountedEndpoint(t *testing.T) {
 	// truncated. Resend until counted (loopback UDP may shed).
 	big := bytes.Repeat([]byte{0x5A}, 3000)
 	deadline := time.Now().Add(5 * time.Second)
-	for ep.RxOversize() == 0 {
+	for ep.dg.oversize.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("oversized datagram never counted")
 		}
@@ -462,7 +462,7 @@ func TestUDPOversizeDatagramCountedConnMode(t *testing.T) {
 	if err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 9 {
 		t.Fatalf("receive after oversized datagram: %+v err=%v", pkt, err)
 	}
-	if n := f.Oversize(); n != 1 {
+	if n := f.dg.oversize.Load(); n != 1 {
 		t.Fatalf("oversize=%d, want 1", n)
 	}
 	if st := f.Stats(); st.Errors != 0 {

@@ -1,12 +1,16 @@
-// Registry exposition for the UDP datagram plane: the endpoint-level
-// counters PR'd in as plain atomics (rx drops, oversize, fragment and
-// reassembly totals, GSO fallbacks) become tactic_udp_* families here.
+// Registry exposition for the UDP datagram plane: the socket's plain
+// atomic counters (rx drops, oversize, fragment and reassembly totals,
+// GSO fallbacks) become tactic_udp_* families here.
 // Endpoint-wide series carry scope="endpoint" so they stay disjoint
 // from the per-face series a Metrics factory attaches — summing a
 // family never double-counts.
 package transport
 
-import "github.com/tactic-icn/tactic/internal/obs"
+import (
+	"sync/atomic"
+
+	"github.com/tactic-icn/tactic/internal/obs"
+)
 
 // Metric family names for the UDP datagram plane.
 const (
@@ -44,6 +48,37 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
+// Series is one registry series: a family, the labels the series adds,
+// and a scrape-time read of a number the transport counts.
+type Series struct {
+	Name   string
+	Labels []obs.Label
+	Read   func() float64
+}
+
+// series registers the help text of the ledger's tactic_udp_* families
+// with reg and lists one series per counter — the one list behind an
+// endpoint's scope="endpoint" series (Instrument) and a dialed face's
+// per-face ones (DatagramFace.Series).
+func (dg *dgramCounters) series(reg *obs.Registry) []Series {
+	reg.Help(MetricUDPRxOversize, "UDP datagrams truncated and dropped for exceeding the receive buffer (MTU mismatch).")
+	reg.Help(MetricUDPFragments, "Fragment datagrams moved, by direction.")
+	reg.Help(MetricUDPReassembled, "Frames completed from fragment reassembly.")
+	reg.Help(MetricUDPReassemblyEvictions, "Partial packets evicted before reassembly completed (timeout or slot pressure).")
+	load := func(c *atomic.Uint64) func() float64 { return func() float64 { return float64(c.Load()) } }
+	return []Series{
+		{MetricUDPFragments, []obs.Label{obs.L("dir", "in")}, load(&dg.fragsIn)},
+		{MetricUDPFragments, []obs.Label{obs.L("dir", "out")}, load(&dg.fragsOut)},
+		{MetricUDPReassembled, nil, load(&dg.reassembled)},
+		{MetricUDPReassemblyEvictions, nil, load(&dg.reasmEvicted)},
+		{MetricUDPRxOversize, nil, load(&dg.oversize)},
+	}
+}
+
+// Series lists the datagram-plane series of the face's socket ledger (see
+// dgramCounters), registering their families' help text with reg.
+func (f *DatagramFace) Series(reg *obs.Registry) []Series { return f.dg.series(reg) }
+
 // Instrument registers the endpoint's datagram-plane counters with reg
 // under the tactic_udp_* families, labelled with labels plus
 // scope="endpoint" (per-face series from a metrics factory use face
@@ -54,10 +89,6 @@ func (ep *UDPEndpoint) Instrument(reg *obs.Registry, labels ...obs.Label) {
 		return
 	}
 	reg.Help(MetricUDPRxDrops, "UDP datagrams dropped on full receive queues or accept backlog.")
-	reg.Help(MetricUDPRxOversize, "UDP datagrams truncated and dropped for exceeding the receive buffer (MTU mismatch).")
-	reg.Help(MetricUDPFragments, "Fragment datagrams moved, by direction.")
-	reg.Help(MetricUDPReassembled, "Frames completed from fragment reassembly.")
-	reg.Help(MetricUDPReassemblyEvictions, "Partial packets evicted before reassembly completed (timeout or slot pressure).")
 	reg.Help(MetricUDPGSOFallbacks, "Runtime UDP GSO disable transitions after a kernel rejection.")
 	reg.Help(MetricUDPFaces, "Live demultiplexed faces on the UDP endpoint.")
 	reg.Help(MetricUDPBatchEnabled, "Whether batched UDP syscalls (recvmmsg/sendmmsg) are active (0/1).")
@@ -68,12 +99,10 @@ func (ep *UDPEndpoint) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	cf := func(name string, fn func() float64, extra ...obs.Label) {
 		reg.CounterFunc(name, fn, append(append([]obs.Label(nil), scoped...), extra...)...)
 	}
+	for _, s := range ep.dg.series(reg) {
+		cf(s.Name, s.Read, s.Labels...)
+	}
 	cf(MetricUDPRxDrops, func() float64 { return float64(ep.RxDrops()) })
-	cf(MetricUDPRxOversize, func() float64 { return float64(ep.RxOversize()) })
-	cf(MetricUDPFragments, func() float64 { return float64(ep.dg.fragsIn.Load()) }, obs.L("dir", "in"))
-	cf(MetricUDPFragments, func() float64 { return float64(ep.dg.fragsOut.Load()) }, obs.L("dir", "out"))
-	cf(MetricUDPReassembled, func() float64 { return float64(ep.dg.reassembled.Load()) })
-	cf(MetricUDPReassemblyEvictions, func() float64 { return float64(ep.dg.reasmEvicted.Load()) })
 	cf(MetricUDPGSOFallbacks, func() float64 {
 		_, _, fb := ep.bio.stats()
 		return float64(fb)

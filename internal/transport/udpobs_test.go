@@ -88,7 +88,7 @@ func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 9 {
 		t.Fatalf("post-evict marker: %+v err=%v", pkt, err)
 	}
-	if n := srv.(*DatagramFace).ReassemblyEvictions(); n != 1 {
+	if n := srv.(*DatagramFace).dg.reasmEvicted.Load(); n != 1 {
 		t.Fatalf("evictions = %d, want 1", n)
 	}
 	if got := reg.Snapshot()[MetricUDPReassemblyEvictions+`{scope="endpoint"}`]; got != 1 {
