@@ -22,8 +22,11 @@ build:
 # span is built outside internal/obs (the simulator and the live nodes
 # record hops with one obs.Span, on their own clocks), the eighth when a
 # driver or the oracle applies a revocation, rotation or BF advert itself
-# instead of as a control frame through node.Core.OnControl: each grep
-# must print nothing.
+# instead of as a control frame through node.Core.OnControl, the ninth
+# when the origin grows a metric vocabulary of its own again (it exports
+# the forwarder's families with role="producer") or an uplink a give-up
+# bound, each grep must print nothing; the tenth when the origin is a
+# second daemon again (it is tacticd -role producer).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -33,6 +36,8 @@ vet:
 	! grep -nE '\.pit\.Admit|\.fib\.Lookup|\.cs\.Lookup|OnDataRecord|EdgeOnInterestFast|ContentOnInterestFast' $$(ls internal/network/*.go internal/forwarder/*.go | grep -v _test.go)
 	! grep -rnE --include='*.go' 'SimSpan|obs\.SpanRecord\{' . | grep -v '^\./internal/obs/'
 	! grep -nE 'tactic\.(ApplyRevocation|RotateEpoch)|Tactic\(\)\.(ApplyRevocation|RotateEpoch)|\.MergeWords\(' $$(ls internal/forwarder/*.go internal/network/*.go internal/oracle/*.go | grep -v _test.go)
+	! grep -rnE 'tactic_producer_(served|nacks)|MaxAttempts|func \(p \*Producer\) Instrument' --include=*.go internal cmd examples
+	test ! -e cmd/tacticserve
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -73,9 +78,10 @@ allocs:
 
 # Race-detector pass over every package the live forwarding plane runs
 # concurrently: the forwarder itself plus its lock-free/sharded layers
-# (bloom, core validator, ndn tables) and the transports.
+# (bloom, core validator, ndn tables), the transports, and the daemon
+# running its three roles side by side.
 race:
-	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/... ./internal/intern/... ./internal/names/... ./internal/node/...
+	$(GO) test -race ./internal/enforce/... ./internal/forwarder/... ./internal/transport/... ./internal/obs/... ./internal/fleet/... ./internal/bloom/... ./internal/core/... ./internal/ndn/... ./internal/lifecycle/... ./internal/intern/... ./internal/names/... ./internal/node/... ./cmd/tacticd/
 
 # Fault-injection suite: failover/chaos soaks and face churn, under the
 # race detector (see README "Failure handling & chaos testing").

@@ -1,5 +1,5 @@
 // Command tactictrace assembles distributed traces offline from the
-// JSONL span files written by tacticd/tacticserve -trace and tacticget
+// JSONL span files written by tacticd -trace (any role) and tacticget
 // -trace: it merges spans from every node by trace ID and renders
 // per-trace hop-by-hop waterfalls.
 //
@@ -15,23 +15,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"github.com/tactic-icn/tactic/internal/obs"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tactictrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run lists or renders the traces in the span files args name on out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tactictrace", flag.ContinueOnError)
 	traceID := fs.String("trace", "", "render one trace's waterfall by hex ID")
 	slowest := fs.Int("slowest", 0, "list only the N slowest traces")
@@ -65,67 +65,30 @@ func run(args []string) error {
 			return fmt.Errorf("trace %s not found in the given span files", *traceID)
 		}
 		if *asJSON {
-			return emitJSON([]*obs.Trace{t})
+			return obs.WriteTracesJSON(out, []*obs.Trace{t})
 		}
-		t.Waterfall(os.Stdout)
+		t.Waterfall(out)
 		return nil
 	}
 
 	traces := c.Traces()
 	switch {
 	case *nacked:
-		kept := traces[:0]
-		for _, t := range traces {
-			if t.Nacked() {
-				kept = append(kept, t)
-			}
-		}
-		traces = kept
+		traces = obs.NackedOnly(traces)
 	case *slowest > 0:
-		for i := 1; i < len(traces); i++ {
-			for j := i; j > 0 && traces[j].Duration() > traces[j-1].Duration(); j-- {
-				traces[j], traces[j-1] = traces[j-1], traces[j]
-			}
-		}
-		if len(traces) > *slowest {
-			traces = traces[:*slowest]
-		}
+		obs.SlowestFirst(traces)
+		traces = traces[:min(*slowest, len(traces))]
 	}
 	if *asJSON {
-		return emitJSON(traces)
+		return obs.WriteTracesJSON(out, traces)
 	}
-	fmt.Printf("%d traces assembled\n", len(traces))
+	fmt.Fprintf(out, "%d traces assembled\n", len(traces))
 	for _, t := range traces {
-		fmt.Printf("trace=%-16s hops=%d spans=%d dur=%-10s outcome=%s\n",
-			obs.HexID(t.ID), t.Hops(), len(t.Spans), t.Duration().Round(time.Microsecond), t.Outcome())
+		obs.WriteTraceLines(out, t)
 		if *waterfalls {
-			t.Waterfall(os.Stdout)
-			fmt.Println()
+			t.Waterfall(out)
+			fmt.Fprintln(out)
 		}
 	}
 	return nil
-}
-
-// emitJSON renders assembled traces on stdout.
-func emitJSON(traces []*obs.Trace) error {
-	type jsonTrace struct {
-		ID      string            `json:"trace"`
-		Hops    int               `json:"hops"`
-		DurUs   int64             `json:"dur_us"`
-		Outcome string            `json:"outcome"`
-		Spans   []*obs.SpanRecord `json:"spans"`
-	}
-	out := make([]jsonTrace, 0, len(traces))
-	for _, t := range traces {
-		out = append(out, jsonTrace{
-			ID:      obs.HexID(t.ID),
-			Hops:    t.Hops(),
-			DurUs:   t.Duration().Microseconds(),
-			Outcome: t.Outcome(),
-			Spans:   t.Spans,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

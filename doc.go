@@ -26,8 +26,8 @@
 //     internal/baseline — the comparator access-control schemes.
 //   - internal/transport, internal/forwarder — the deployable stack:
 //     TLV frames over TCP and a concurrent real-time forwarder,
-//     producer, and client (cmd/tacticd, cmd/tacticserve, cmd/tacticget,
-//     cmd/tactickey).
+//     producer, and client (cmd/tacticd in its edge, core and producer
+//     roles, cmd/tacticget, cmd/tactickey).
 //   - cmd/tacticbench, cmd/tacticsim, cmd/topogen — evaluation tools.
 //   - examples/ — runnable end-to-end scenarios.
 //

@@ -129,12 +129,11 @@ func TestMetricsLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := forwarder.NewProducer(provider, preg, t.Logf)
+	prod, err := forwarder.NewProducerWithConfig(provider, forwarder.Config{Registry: preg, Logf: t.Logf, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer prod.Close()
-	prod.Instrument(reg)
 	// A histogram with observations exercises bucket/count consistency.
 	reg.Help("tactic_lint_seconds", "Lint fixture histogram.")
 	h := reg.Histogram("tactic_lint_seconds", nil, obs.L("role", "edge"))

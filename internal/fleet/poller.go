@@ -15,8 +15,8 @@ import (
 	"github.com/tactic-icn/tactic/internal/obs"
 )
 
-// Node identifies one scrape target (a tacticd/tacticserve admin
-// endpoint).
+// Node identifies one scrape target (a tacticd admin endpoint, in any
+// role).
 type Node struct {
 	// Name is the display / snapshot key; Addr is host:port of the
 	// node's admin listener.

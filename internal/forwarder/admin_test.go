@@ -58,14 +58,13 @@ func httpGet(t *testing.T, url string) string {
 func TestAdminEndpointsOnLiveNetwork(t *testing.T) {
 	edgeReg := obs.NewRegistry()
 	coreReg := obs.NewRegistry()
-	n := startLiveNetworkObs(t, time.Minute, edgeReg, coreReg)
-	defer n.Close()
 	prodReg := obs.NewRegistry()
-	n.producer.Instrument(prodReg)
+	n := startLiveNetworkObs(t, time.Minute, edgeReg, coreReg, prodReg)
+	defer n.Close()
 
 	edgeSrv := httptest.NewServer(obs.NewAdminMux(edgeReg, func() any { return n.edgeFwd.Status() }))
 	defer edgeSrv.Close()
-	prodSrv := httptest.NewServer(obs.NewAdminMux(prodReg, func() any { return n.producer.Stats() }))
+	prodSrv := httptest.NewServer(obs.NewAdminMux(prodReg, func() any { return n.producer.Status() }))
 	defer prodSrv.Close()
 
 	// Authorized traffic: alice (level 3) fetches a level-2 object.
@@ -130,10 +129,10 @@ func TestAdminEndpointsOnLiveNetwork(t *testing.T) {
 
 	// The producer served alice's misses and issued both tags.
 	prodExposition := httpGet(t, prodSrv.URL+"/metrics")
-	if got := metricValue(t, prodExposition, MetricProducerServed); got < 4 {
+	if got := metricValue(t, prodExposition, MetricCSHits+`{role="producer"}`); got < 4 {
 		t.Errorf("producer served = %v, want >= 4", got)
 	}
-	if got := metricValue(t, prodExposition, MetricRegistrations+`{provider="/prov0",result="issued",role="producer"}`); got < 2 {
+	if got := metricValue(t, prodExposition, MetricRegistrations+`{result="issued",role="producer"}`); got < 2 {
 		t.Errorf("registrations issued = %v, want >= 2", got)
 	}
 

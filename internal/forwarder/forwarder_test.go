@@ -41,18 +41,18 @@ func (n *liveNetwork) Close() {
 
 // startLiveNetwork boots the three-node deployment.
 func startLiveNetwork(t testing.TB, tagTTL time.Duration) *liveNetwork {
-	return startLiveNetworkObs(t, tagTTL, nil, nil)
+	return startLiveNetworkObs(t, tagTTL, nil, nil, nil)
 }
 
 // startLiveNetworkObs is startLiveNetwork with observability registries
-// attached to the edge and core routers (either may be nil).
-func startLiveNetworkObs(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *obs.Registry) *liveNetwork {
-	return startLiveNetworkCfg(t, tagTTL, edgeObs, coreObs, nil)
+// attached to the edge, the core and the producer (any may be nil).
+func startLiveNetworkObs(t testing.TB, tagTTL time.Duration, edgeObs, coreObs, prodObs *obs.Registry) *liveNetwork {
+	return startLiveNetworkCfg(t, tagTTL, edgeObs, coreObs, prodObs, nil)
 }
 
-// startLiveNetworkCfg additionally lets the caller mutate each
-// forwarder's Config before New (mod may be nil).
-func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *obs.Registry, mod func(cfg *Config)) *liveNetwork {
+// startLiveNetworkCfg additionally lets the caller mutate each router's
+// Config before New (mod may be nil).
+func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs, prodObs *obs.Registry, mod func(cfg *Config)) *liveNetwork {
 	t.Helper()
 	n := &liveNetwork{prefix: names.MustParse("/prov0")}
 
@@ -70,7 +70,7 @@ func startLiveNetworkCfg(t testing.TB, tagTTL time.Duration, edgeObs, coreObs *o
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.producer, err = NewProducer(provider, n.registry, t.Logf)
+	n.producer, err = NewProducerWithConfig(provider, Config{Registry: n.registry, WriteTimeout: DefaultWriteTimeout, Logf: t.Logf, Obs: prodObs})
 	if err != nil {
 		t.Fatal(err)
 	}

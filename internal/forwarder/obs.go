@@ -13,8 +13,9 @@ import (
 )
 
 // Metric names exported by the live stack (see README "Operating &
-// monitoring"). Shared between the forwarder, the producer, and the
-// client so a dashboard reads one vocabulary regardless of the source.
+// monitoring"). Shared between the forwarder, the producer (a forwarder
+// labelled role="producer", plus MetricRegistrations), and the client so
+// a dashboard reads one vocabulary regardless of the source.
 const (
 	MetricInterests     = "tactic_interests_total"
 	MetricData          = "tactic_data_total"
@@ -73,8 +74,6 @@ const (
 	MetricVerifyFlushed     = "tactic_verify_flushed_total"
 	MetricVerifyParkSeconds = "tactic_verify_park_seconds"
 
-	MetricProducerServed    = "tactic_producer_served_total"
-	MetricProducerNACKs     = "tactic_producer_nacks_total"
 	MetricRegistrations     = "tactic_registrations_total"
 	MetricClientFetches     = "tactic_client_fetches_total"
 	MetricClientRetransmits = "tactic_client_retransmits_total"

@@ -15,6 +15,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/transport"
 )
@@ -475,4 +476,22 @@ func TestOriginFacesHaveAWriteDeadline(t *testing.T) {
 	if face.writeTimeout != DefaultWriteTimeout {
 		t.Fatalf("origin face write timeout = %v, want %v", face.writeTimeout, DefaultWriteTimeout)
 	}
+}
+
+// TestOriginCountsWhatItRefuses: a Data or a control frame sent to an
+// origin is refused by its node core and counted, as an unsolicited drop
+// and an invalid control frame.
+func TestOriginCountsWhatItRefuses(t *testing.T) {
+	e := startOrigin(t, "")
+	face := e.dial()
+	if err := face.SendData(&ndn.Data{Name: e.unpublished.Meta.Name, Content: e.unpublished}); err != nil {
+		t.Fatal(err)
+	}
+	if err := face.SendControl(&ndn.Control{Kind: ndn.CtrlRotate, Version: 1, Origin: "client"}); err != nil {
+		t.Fatal(err)
+	}
+	m := e.prod.node.m
+	waitFor(t, "the refusals to be counted", func() bool {
+		return m.drops[node.DropUnsolicited].Value() == 1 && m.ctrls[ndn.CtrlRotate.String()+"/"+node.ControlInvalid].Value() == 1
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
@@ -16,47 +15,47 @@ import (
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
-// Producer is a provider origin for the real-time stack: a core-role
-// Forwarder whose content store is the published catalogue, so content
-// Interests run Protocol 3 on the one content-router path (verify pool,
-// per-face budget and shedding included), plus the provider state that
-// answers registration Interests with fresh tags.
+// Producer is a provider origin for the real-time stack: a Forwarder
+// with the origin role whose content store is the published catalogue,
+// so content Interests run Protocol 3 on the one content-router path
+// (verify pool, per-face budget and shedding included), plus the provider
+// state that answers registration Interests with fresh tags.
 type Producer struct {
 	node *Forwarder
 
 	mu       sync.Mutex // guards provider
 	provider *core.Provider
 
-	registrations atomic.Uint64
-	regFailed     atomic.Uint64
+	registrations, regFailed *obs.Counter
 }
 
 // NewProducer creates an origin server around a provider identity,
 // enforcing with the default (TACTIC) scheme.
 func NewProducer(provider *core.Provider, registry *pki.Registry, logf func(string, ...any)) (*Producer, error) {
-	return NewProducerWithConfig(provider, registry, logf, core.Config{})
+	return NewProducerWithConfig(provider, Config{Registry: registry, WriteTimeout: DefaultWriteTimeout, Logf: logf})
 }
 
-// NewProducerWithConfig creates an origin server running the given
-// enforcement configuration — the origin is a content router, so a
-// scheme selected for the plane must reach it too.
-func NewProducerWithConfig(provider *core.Provider, registry *pki.Registry, logf func(string, ...any), cfg core.Config) (*Producer, error) {
-	// The catalogue is never evicted: the store is unbounded.
-	fwd, err := New(Config{ID: "producer:" + provider.Prefix().String(), Role: RoleCore,
-		Registry: registry, CSCapacity: math.MaxInt, WriteTimeout: DefaultWriteTimeout, Tactic: cfg, Logf: logf})
-	if err != nil {
+// NewProducerWithConfig creates an origin server from a node Config: what
+// configures any node — the scheme, telemetry, events, tracing, time-outs,
+// the verify pool — configures the origin the same way. The origin role
+// and the catalogue's unbounded store are set here; an empty ID names the
+// origin after its prefix.
+func NewProducerWithConfig(provider *core.Provider, cfg Config) (*Producer, error) {
+	cfg.Role, cfg.CSCapacity = node.RoleOrigin, math.MaxInt
+	if cfg.ID == "" {
+		cfg.ID = "producer:" + provider.Prefix().String()
+	}
+	p := &Producer{provider: provider}
+	var err error
+	if p.node, err = newForwarder(cfg, p); err != nil {
 		return nil, err
 	}
-	p := &Producer{node: fwd, provider: provider}
-	fwd.origin = p
-	fwd.node = node.New(fwd.tactic, nil, nil, fwd.cs, node.RoleOrigin, 0)
+	m := p.node.m
+	m.reg.Help(MetricRegistrations, "Tag registrations handled by the origin, by result.")
+	p.registrations = m.reg.Counter(MetricRegistrations, m.role, obs.L("result", "issued"))
+	p.regFailed = m.reg.Counter(MetricRegistrations, m.role, obs.L("result", "failed"))
 	return p, nil
 }
-
-// Provider exposes the underlying provider, for set-up before the
-// producer serves: the provider is not safe for concurrent use, and once
-// faces are attached every access goes through the producer's lock.
-func (p *Producer) Provider() *core.Provider { return p.provider }
 
 // Enroll creates (or updates) a client account; safe while serving.
 func (p *Producer) Enroll(clientKey names.Name, key pki.PublicKey, level core.AccessLevel) {
@@ -75,29 +74,6 @@ func (p *Producer) Revoke(clientKey names.Name) {
 // SetTracer records a per-Interest span at the origin for traced
 // requests. Call before Serve.
 func (p *Producer) SetTracer(t *obs.Tracer) { p.node.cfg.Tracer = t }
-
-// Instrument exposes the producer's counters on reg as scrape-time
-// callbacks, labelled with the provider prefix. Safe on a nil registry.
-func (p *Producer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	role := obs.L("role", "producer")
-	prefix := obs.L("provider", p.provider.Prefix().String())
-	sampled := func(get func(ProducerStats) uint64) func() float64 {
-		return func() float64 { return float64(get(p.Stats())) }
-	}
-	reg.Help(MetricProducerServed, "Content responses served by the origin.")
-	reg.Help(MetricProducerNACKs, "Requests NACKed by the origin (unknown content, registration refusals).")
-	reg.Help(MetricRegistrations, "Tag registrations handled by the origin, by result.")
-	reg.CounterFunc(MetricProducerServed, sampled(func(s ProducerStats) uint64 { return s.Served }), role, prefix)
-	reg.CounterFunc(MetricProducerNACKs, sampled(func(s ProducerStats) uint64 { return s.NACKed }), role, prefix)
-	reg.CounterFunc(MetricRegistrations, sampled(func(s ProducerStats) uint64 { return s.Registrations }), role, prefix, obs.L("result", "issued"))
-	reg.CounterFunc(MetricRegistrations, sampled(func(s ProducerStats) uint64 { return s.RegistrationsFailed }), role, prefix, obs.L("result", "failed"))
-	reg.CounterFunc(MetricVerifications, func() float64 {
-		return float64(p.node.tactic.Validator().Verifications())
-	}, role, prefix)
-}
 
 // AddContent installs a published chunk.
 func (p *Producer) AddContent(c *core.Content) { p.node.cs.Insert(c) }
@@ -167,7 +143,7 @@ func (p *Producer) ServeConn(conn net.Conn) { p.node.AddFace(transport.New(conn)
 func (p *Producer) register(a arrival) {
 	f := p.node
 	if a.i.Registration == nil {
-		p.regFailed.Add(1)
+		p.regFailed.Inc()
 		a.sp.End("drop:bad_registration", 0)
 		return
 	}
@@ -175,15 +151,18 @@ func (p *Producer) register(a arrival) {
 	resp, err := p.provider.Register(*a.i.Registration, a.now)
 	p.mu.Unlock()
 	if err != nil {
-		p.regFailed.Add(1)
+		p.regFailed.Inc()
 		f.logf("registration rejected: %v", err)
 		a.sp.End("drop:registration_rejected", 0)
 		return
 	}
-	p.registrations.Add(1)
+	p.registrations.Inc()
 	f.send(a.from.id, &ndn.Data{Name: a.i.Name, Registration: resp, Trace: a.outTC})
 	a.sp.End("registered", 0)
 }
+
+// Status snapshots the origin for /statusz, as any node's.
+func (p *Producer) Status() Status { return p.node.Status() }
 
 // Close stops the origin: every face is closed, peers still connected
 // or not, and its goroutines have exited on return.
@@ -203,6 +182,6 @@ func (p *Producer) Stats() ProducerStats {
 	st := p.node.Stats()
 	return ProducerStats{
 		Served: st.CSHits, NACKed: st.NACKs,
-		Registrations: p.registrations.Load(), RegistrationsFailed: p.regFailed.Load(),
+		Registrations: p.registrations.Value(), RegistrationsFailed: p.regFailed.Value(),
 	}
 }

@@ -30,7 +30,7 @@ func TestStatsAreTheMetrics(t *testing.T) {
 		reg  *obs.Registry
 	}{{"private registry", nil}, {"configured registry", obs.NewRegistry()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := startLiveNetworkObs(t, time.Minute, tc.reg, nil)
+			n := startLiveNetworkObs(t, time.Minute, tc.reg, nil, nil)
 			defer n.Close()
 			edge := n.edgeFwd
 			if tc.reg != nil && edge.m.reg != tc.reg {

@@ -81,7 +81,7 @@ func TestTraceSmoke(t *testing.T) {
 		"edge-0": newTracer("edge-0", "edge"),
 		"core-0": newTracer("core-0", "core"),
 	}
-	n := startLiveNetworkCfg(t, time.Minute, nil, nil, func(cfg *Config) {
+	n := startLiveNetworkCfg(t, time.Minute, nil, nil, nil, func(cfg *Config) {
 		cfg.Tracer = tracers[cfg.ID]
 		if cfg.Role == RoleEdge {
 			// Make the edge verify signatures itself on Bloom-filter

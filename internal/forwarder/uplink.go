@@ -23,12 +23,9 @@ type UplinkConfig struct {
 	// automatically when the face dies.
 	Routes []names.Name
 	// Retry shapes the reconnect backoff (Base/Cap/Logf; zero value =
-	// package defaults). Its Attempts field is ignored — use MaxAttempts.
+	// package defaults). Its Attempts field is ignored: an uplink retries
+	// until it is closed.
 	Retry RetryConfig
-	// MaxAttempts bounds consecutive failed dials before the uplink gives
-	// up permanently; <= 0 retries forever. One successful connection
-	// resets the count.
-	MaxAttempts int
 	// Dial overrides the dialer — tests inject fault-injecting
 	// transports (internal/transport/chaos). It receives the full Addr
 	// including any scheme prefix; a "udp://" Addr has the returned conn
@@ -117,10 +114,6 @@ func (u *Uplink) run() {
 		face, err := u.dialFace()
 		if err != nil {
 			failures++
-			if u.cfg.MaxAttempts > 0 && failures >= u.cfg.MaxAttempts {
-				u.f.logf("uplink %s: giving up after %d failed attempts: %v", u.cfg.Addr, failures, err)
-				return
-			}
 			d := retryDelay(failures, u.cfg.Retry.Base, u.cfg.Retry.Cap, rand.Int63n)
 			u.f.logf("uplink %s: dial attempt %d failed: %v (retrying in %s)",
 				u.cfg.Addr, failures, err, d.Round(time.Millisecond))

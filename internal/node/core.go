@@ -26,6 +26,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -44,7 +45,8 @@ const (
 	RoleCore
 	// RoleOrigin is a provider's origin: its content store is the published
 	// catalogue and nothing is upstream, so an Interest the store does not
-	// answer never reaches a PIT or FIB (it has neither).
+	// answer never reaches a PIT or FIB (it has neither), no Data is
+	// solicited and no control frame is heard.
 	RoleOrigin
 )
 
@@ -298,7 +300,11 @@ func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, now tim
 // and a registration response's fresh tag inserted into an edge's filter
 // (Protocol 2 lines 11-12). A registration response then goes to every
 // requester as it came; any other Data is decided per requester, OnRecord.
+// An origin forwards nothing, so every Data it hears is unsolicited.
 func (c *Core) OnData(d *ndn.Data, from ndn.FaceID, cache bool, recs []ndn.PITRecord) ([]ndn.PITRecord, string) {
+	if c.role == RoleOrigin {
+		return recs, DropUnsolicited
+	}
 	recs, ok := c.pit.ConsumeFrom(d.Name, from, recs)
 	if !ok {
 		return recs, DropUnsolicited
@@ -343,6 +349,9 @@ func (c *Core) OnRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.T
 		Answer: Answer{Content: d.Content, Flag: v.Flag, Nack: v.Deliver.Nack(), Reason: v.Reason}}
 }
 
+// errOriginControl is why an origin refuses every control frame.
+var errOriginControl = errors.New("node: an origin takes no control frames")
+
 // ControlStep is the core's answer to one control frame: its Outcome, and
 // what the driver does next. Flood relays an applied revocation or
 // rotation to the node's other neighbours (the simulator's delivery is
@@ -359,8 +368,12 @@ type ControlStep struct {
 // OnControl applies one control frame: a revocation-set update or an
 // epoch rotation when it advances the node's version (ControlStale
 // otherwise), a BF-sync advert merged by MergeWords' rule (the words ORed
-// in, the count raised to the sender's).
+// in, the count raised to the sender's). An origin has no upstream to
+// hear a push from and no peer to sync with: every frame is invalid there.
 func (c *Core) OnControl(m *ndn.Control) ControlStep {
+	if c.role == RoleOrigin {
+		return ControlStep{Outcome: ControlInvalid, Err: errOriginControl}
+	}
 	switch m.Kind {
 	case ndn.CtrlRevoke:
 		if c.tactic.ApplyRevocation(m.Version, m.Full, m.Revoked) {

@@ -307,10 +307,32 @@ func TestUnsolicitedDataChangesNothing(t *testing.T) {
 	}
 }
 
+// TestOriginHearsNoData: an origin forwards nothing, so every Data it
+// hears — content or a registration response — is unsolicited, and its
+// core (no PIT, as the simulator's origin is built) caches nothing and
+// vouches for no tag.
+func TestOriginHearsNoData(t *testing.T) {
+	e := newEnv(t, RoleEdge, core.SchemeTACTIC)
+	origin := New(e.tactic, nil, nil, e.cs, RoleOrigin, 0)
+	for _, d := range []*ndn.Data{
+		{Name: private, Content: e.content(private, core.Public)},
+		{Name: prefix.MustAppend("register", "alice"), Registration: &core.RegistrationResponse{Tag: e.tag(t, e.rogue, "mallory")}},
+	} {
+		if recs, cause := origin.OnData(d, upFace, true, nil); cause != DropUnsolicited || len(recs) != 0 {
+			t.Errorf("%s: cause %q, %d records; want %q", d.Name, cause, len(recs), DropUnsolicited)
+		}
+	}
+	if n := e.cs.Len(); n != 0 || e.tactic.Bloom().Stats().Insertions != 0 {
+		t.Errorf("origin cached %d chunks, inserted %d tags; want nothing", n, e.tactic.Bloom().Stats().Insertions)
+	}
+}
+
 // controlCase is one row of testdata/control.json: the frames the node
 // has already applied (Before), the frame under test, its outcome and the
 // node's end state. This test, the simulator's (internal/network) and the
-// live forwarder's (internal/forwarder) all run the table.
+// live forwarder's (internal/forwarder) all run the table; this test and
+// the live forwarder's also run testdata/control_origin.json, where an
+// origin refuses every frame.
 type controlCase struct {
 	Name    string        `json:"name"`
 	Before  []ndn.Control `json:"before"`
@@ -341,37 +363,39 @@ func controlStateOf(r *enforce.Router) controlState {
 // applied, flooded (and a revocation flushes parked verifications), one
 // that does not is stale; a BF-sync advert ORs its words in and raises the
 // count to the sender's; a malformed advert or an unknown kind is invalid
-// and changes nothing.
+// and changes nothing. At an origin every frame is invalid.
 func TestControlTable(t *testing.T) {
-	raw, err := os.ReadFile("testdata/control.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cases []controlCase
-	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
-		t.Fatalf("control.json: %d cases, %v", len(cases), err)
-	}
-	forEachScheme(t, func(t *testing.T, scheme core.Scheme) {
-		for _, tc := range cases {
-			t.Run(tc.Name, func(t *testing.T) {
-				e := newEnv(t, RoleEdge, scheme)
-				for i := range tc.Before {
-					if st := e.OnControl(&tc.Before[i]); st.Outcome != ControlApplied {
-						t.Fatalf("before[%d]: %+v", i, st)
-					}
-				}
-				st := e.OnControl(&tc.Frame)
-				applied := st.Outcome == ControlApplied
-				if st.Outcome != tc.Outcome || st.Flood != (applied && tc.Frame.Kind != ndn.CtrlBFSync) ||
-					st.FlushRevoked != (applied && tc.Frame.Kind == ndn.CtrlRevoke) || (st.Err != nil) != (st.Outcome == ControlInvalid) {
-					t.Errorf("step %+v, want outcome %s", st, tc.Outcome)
-				}
-				if got := controlStateOf(e.tactic); got != tc.controlState {
-					t.Errorf("end state %+v, want %+v", got, tc.controlState)
-				}
-			})
+	for file, role := range map[string]Role{"control.json": RoleEdge, "control_origin.json": RoleOrigin} {
+		raw, err := os.ReadFile("testdata/" + file)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		var cases []controlCase
+		if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+			t.Fatalf("%s: %d cases, %v", file, len(cases), err)
+		}
+		forEachScheme(t, func(t *testing.T, scheme core.Scheme) {
+			for _, tc := range cases {
+				t.Run(tc.Name, func(t *testing.T) {
+					e := newEnv(t, role, scheme)
+					for i := range tc.Before {
+						if st := e.OnControl(&tc.Before[i]); st.Outcome != ControlApplied {
+							t.Fatalf("before[%d]: %+v", i, st)
+						}
+					}
+					st := e.OnControl(&tc.Frame)
+					applied := st.Outcome == ControlApplied
+					if st.Outcome != tc.Outcome || st.Flood != (applied && tc.Frame.Kind != ndn.CtrlBFSync) ||
+						st.FlushRevoked != (applied && tc.Frame.Kind == ndn.CtrlRevoke) || (st.Err != nil) != (st.Outcome == ControlInvalid) {
+						t.Errorf("step %+v, want outcome %s", st, tc.Outcome)
+					}
+					if got := controlStateOf(e.tactic); got != tc.controlState {
+						t.Errorf("end state %+v, want %+v", got, tc.controlState)
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestBFAdvertCarriesTheWholeFilter: a node that merges another's advert

@@ -172,6 +172,51 @@ func (c *Collector) Traces() []*Trace {
 	return out
 }
 
+// SlowestFirst orders traces by duration, slowest first; traces of equal
+// duration keep their order.
+func SlowestFirst(traces []*Trace) {
+	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Duration() > traces[j].Duration() })
+}
+
+// NackedOnly returns the traces that ended a span in a NACK or a drop, in
+// their order.
+func NackedOnly(traces []*Trace) []*Trace {
+	var kept []*Trace
+	for _, t := range traces {
+		if t.Nacked() {
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}
+
+// WriteTraceLines prints each trace's index row: the line tactictrace and
+// /tracez list a trace with.
+func WriteTraceLines(w io.Writer, traces ...*Trace) {
+	for _, t := range traces {
+		fmt.Fprintf(w, "trace=%-16s hops=%d spans=%d dur=%-10s outcome=%s\n",
+			HexID(t.ID), t.Hops(), len(t.Spans), t.Duration().Round(time.Microsecond), t.Outcome())
+	}
+}
+
+// WriteTracesJSON renders assembled traces as one indented JSON array.
+func WriteTracesJSON(w io.Writer, traces []*Trace) error {
+	type jsonTrace struct {
+		ID      string        `json:"trace"`
+		Hops    int           `json:"hops"`
+		DurUs   int64         `json:"dur_us"`
+		Outcome string        `json:"outcome"`
+		Spans   []*SpanRecord `json:"spans"`
+	}
+	out := make([]jsonTrace, 0, len(traces))
+	for _, t := range traces {
+		out = append(out, jsonTrace{ID: HexID(t.ID), Hops: t.Hops(), DurUs: t.Duration().Microseconds(), Outcome: t.Outcome(), Spans: t.Spans})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
 // waterfallWidth is the timeline bar width in characters.
 const waterfallWidth = 40
 

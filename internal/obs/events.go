@@ -5,7 +5,7 @@
 // flight-recorder idiom (recorder.go): writers never block and the
 // newest N events survive, exposed over /eventz (eventz.go) and
 // optionally bridged to a log/slog logger for stderr visibility on
-// tacticd/tacticserve.
+// tacticd.
 package obs
 
 import (

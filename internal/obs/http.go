@@ -1,6 +1,6 @@
 // HTTP exposition: /metrics (Prometheus text format), /statusz (JSON
 // snapshot), and net/http/pprof, mounted together on one admin mux —
-// the handler behind tacticd/tacticserve's -admin flag.
+// the handler behind tacticd's -admin flag, in every role.
 package obs
 
 import (

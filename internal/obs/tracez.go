@@ -4,10 +4,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // tracezList caps for each section of the index page.
@@ -35,97 +33,43 @@ func AttachTracez(mux *http.ServeMux, tr *Tracer) {
 		c := NewCollector()
 		c.AddSnapshot(rec.Snapshot())
 
-		if q := r.URL.Query().Get("trace"); q != "" {
+		traces := c.Traces()
+		q := r.URL.Query().Get("trace")
+		if q != "" {
 			trace := c.Get(ParseHexID(q))
 			if trace == nil {
 				http.Error(w, fmt.Sprintf("trace %s not in flight recorder (ring holds last %d spans)", q, rec.Cap()), http.StatusNotFound)
 				return
 			}
-			if r.URL.Query().Get("format") == "json" {
-				writeTraceJSON(w, []*Trace{trace})
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			trace.Waterfall(w)
-			return
+			traces = []*Trace{trace}
 		}
-
-		traces := c.Traces()
 		if r.URL.Query().Get("format") == "json" {
-			writeTraceJSON(w, traces)
+			w.Header().Set("Content-Type", "application/json")
+			WriteTracesJSON(w, traces) //nolint:errcheck // client gone mid-write
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if q != "" {
+			traces[0].Waterfall(w)
+			return
+		}
 		fmt.Fprintf(w, "tracez node=%s  spans recorded=%d  ring=%d/%d spans  traces=%d\n",
 			tr.Node(), tr.Spans(), len(rec.Snapshot()), rec.Cap(), len(traces))
 		fmt.Fprintln(w, "open one with /tracez?trace=<id>")
 
 		fmt.Fprintf(w, "\n== recent (%d of %d) ==\n", min(tracezRecent, len(traces)), len(traces))
-		for i, t := range traces {
-			if i >= tracezRecent {
-				break
-			}
-			writeTraceLine(w, t)
-		}
+		WriteTraceLines(w, traces[:min(tracezRecent, len(traces))]...)
 
 		slow := append([]*Trace(nil), traces...)
-		for i := 1; i < len(slow); i++ {
-			for j := i; j > 0 && slow[j].Duration() > slow[j-1].Duration(); j-- {
-				slow[j], slow[j-1] = slow[j-1], slow[j]
-			}
-		}
+		SlowestFirst(slow)
 		fmt.Fprintf(w, "\n== slowest ==\n")
-		for i, t := range slow {
-			if i >= tracezSlowest {
-				break
-			}
-			writeTraceLine(w, t)
-		}
+		WriteTraceLines(w, slow[:min(tracezSlowest, len(slow))]...)
 
 		fmt.Fprintf(w, "\n== nacked/dropped ==\n")
-		n := 0
-		for _, t := range traces {
-			if !t.Nacked() {
-				continue
-			}
-			writeTraceLine(w, t)
-			if n++; n >= tracezNacked {
-				break
-			}
-		}
-		if n == 0 {
+		nacked := NackedOnly(traces)
+		WriteTraceLines(w, nacked[:min(tracezNacked, len(nacked))]...)
+		if len(nacked) == 0 {
 			fmt.Fprintln(w, "(none)")
 		}
 	})
-}
-
-// writeTraceLine prints one index row.
-func writeTraceLine(w http.ResponseWriter, t *Trace) {
-	fmt.Fprintf(w, "trace=%-16s hops=%d spans=%d dur=%-10s outcome=%s\n",
-		HexID(t.ID), t.Hops(), len(t.Spans), t.Duration().Round(time.Microsecond), t.Outcome())
-}
-
-// writeTraceJSON renders assembled traces as JSON.
-func writeTraceJSON(w http.ResponseWriter, traces []*Trace) {
-	type jsonTrace struct {
-		ID      string        `json:"trace"`
-		Hops    int           `json:"hops"`
-		DurUs   int64         `json:"dur_us"`
-		Outcome string        `json:"outcome"`
-		Spans   []*SpanRecord `json:"spans"`
-	}
-	out := make([]jsonTrace, 0, len(traces))
-	for _, t := range traces {
-		out = append(out, jsonTrace{
-			ID:      HexID(t.ID),
-			Hops:    t.Hops(),
-			DurUs:   t.Duration().Microseconds(),
-			Outcome: t.Outcome(),
-			Spans:   t.Spans,
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out) //nolint:errcheck // client gone mid-write
 }

@@ -205,7 +205,8 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 	}
 	// Producers, attached to their single neighbouring router.
 	for p, idx := range info.providers {
-		prod, err := forwarder.NewProducerWithConfig(mat.providers[p], mat.registry, nil, tactic)
+		prod, err := forwarder.NewProducerWithConfig(mat.providers[p],
+			forwarder.Config{Registry: mat.registry, Tactic: tactic, WriteTimeout: forwarder.DefaultWriteTimeout})
 		if err != nil {
 			return nil, err
 		}
