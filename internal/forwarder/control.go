@@ -36,7 +36,9 @@ func (f *Forwarder) handleControl(m *ndn.Control, from ndn.FaceID) bool {
 	f.m.control(m.Kind, st.Outcome)
 	switch {
 	case st.Err != nil:
-		f.logf("control: %v frame from %q rejected: %v", m.Kind, m.Origin, st.Err)
+		if n := f.rejectGate.Add(1); n > 0 { // a bad-frame stream (any frame, at an origin) logs once a second
+			f.logf("control: %v frame from %q rejected: %v (%d rejected since the last report)", m.Kind, m.Origin, st.Err, n)
+		}
 	case st.Outcome == node.ControlStale: // nothing changed, nothing to record
 	case m.Kind == ndn.CtrlRevoke:
 		f.ev.Emit(obs.EventRevocation, int(from), "v"+strconv.Itoa(int(m.Version))+" from "+m.Origin, uint64(len(m.Revoked)))
