@@ -11,10 +11,12 @@ import (
 // cache is the epoch-rotating validation cache shared by both backends:
 // a Bloom filter plus the previous-epoch fallback, the paper's
 // saturation auto-reset, and the request-driven reset cadence of the
-// fidelity mode. TACTIC keys it by tag; IBAC keys it by (token, name).
+// fidelity mode, gated by the revocation set. TACTIC keys it by tag;
+// IBAC keys it by (token, name).
 type cache struct {
 	bf  *bloom.Filter
 	cfg core.Config
+	rev *core.RevocationSet
 
 	// prev holds the previous epoch's filter after a rotation: lookups
 	// that miss the (freshly cleared) current filter fall back to it, so
@@ -42,6 +44,17 @@ func (c *cache) init(bf *bloom.Filter, cfg core.Config) {
 			c.requestResetThreshold = 1
 		}
 	}
+}
+
+// revoked is the revocation check both backends run before any cache
+// lookup, so a revoked tag is denied even while its bits are still set
+// in the filter (the filter caches "signature verified", which stays
+// true after revocation; epoch rotation ages those bits out).
+func (c *cache) revoked(t *core.Tag) bool {
+	if c.cfg.DisableRevocationCheck {
+		return false
+	}
+	return c.rev.Contains(t.ID())
 }
 
 // contains performs the cache lookup honouring the DisableBloomFilter
@@ -90,7 +103,7 @@ func (c *cache) insert(key []byte) {
 	c.bf.Add(key)
 }
 
-// rotate advances the cache to a new epoch: the current filter's
+// OnEpochRotate advances the cache to a new epoch: the current filter's
 // contents become the previous-epoch fallback and the current filter is
 // cleared, so bits accumulated before the rotation — notably the stale
 // positives a revocation storm leaves behind, which the count-based
@@ -98,7 +111,7 @@ func (c *cache) insert(key []byte) {
 // accumulating forever. Epochs must advance; a stale or duplicate epoch
 // is ignored (reported false), which also terminates control-plane
 // rotation floods.
-func (c *cache) rotate(epoch uint64) bool {
+func (c *cache) OnEpochRotate(epoch uint64) bool {
 	if c.cfg.DisableBloomFilter {
 		return false
 	}
@@ -112,3 +125,9 @@ func (c *cache) rotate(epoch uint64) bool {
 	c.epoch.Store(epoch)
 	return true
 }
+
+// Epoch returns the current cache epoch.
+func (c *cache) Epoch() uint64 { return c.epoch.Load() }
+
+// Bloom exposes the cache's current filter.
+func (c *cache) Bloom() *bloom.Filter { return c.bf }

@@ -9,15 +9,16 @@
 // verification, no network access, and no blocking work. Its inputs are
 // explicit — tag, content name, clock, the Bloom-filter view and
 // revocation set it was constructed over — and its outputs are typed
-// Verdicts (deliver/deny + stage + reason + NACK code). The one
-// expensive operation in any scheme, signature verification, is driven
-// by the caller through a three-phase exchange: a PhaseFast call may
-// return ActionVerify, the caller runs its validator however it likes
-// (inline, or parked in a bounded pool), and a PhasePostVerify call
-// carrying the validator's error folds the outcome back into the
-// engine's state and final verdict. PhasePreVerify re-runs the cheap
-// gates (revocation) for packets that sat parked while control-plane
-// pushes landed.
+// Verdicts (deliver/deny + stage + reason + NACK code). An engine holds
+// only what differs between schemes: its cheap checks (Check, which may
+// answer ActionVerify on a cache miss) and what a successful signature
+// verification teaches its cache (Verified). The verification exchange
+// itself — §4.B's "verify a received tag's signature and insert the tag
+// to its BF if the signature is valid" — is written once, in Router: it
+// runs the validator (inline, or for a request parked in the live verify
+// pool, after re-checking the revocation set a control-plane push may
+// have changed meanwhile), turns a failure into a denial, and hands a
+// success to Verified.
 //
 // Two backends exist: the paper's tag-based scheme (core.SchemeTACTIC)
 // and Interest-based access control (core.SchemeIBAC). The Router type
@@ -56,87 +57,64 @@ const (
 	OpAggregate
 )
 
-// Phase sequences the engine <-> caller verification exchange.
-type Phase uint8
-
-const (
-	// PhaseFast runs every cheap check; it may return ActionVerify.
-	PhaseFast Phase = iota
-	// PhasePreVerify re-runs the cheap gates that may have changed while
-	// the packet was parked (a revocation push can land between the fast
-	// decision and the worker picking the job up). Verdict is either a
-	// denial or ActionVerify ("go ahead").
-	PhasePreVerify
-	// PhasePostVerify folds the caller's verification outcome
-	// (VerifyErr) into engine state and returns the final verdict.
-	PhasePostVerify
-)
-
-// InterestInput carries the explicit inputs of an Interest-path
-// decision (OpEdgeInterest, OpContent). The pre- and post-verify phases
-// take the fast call's inputs unchanged apart from Phase, Flag and
-// VerifyErr: what a backend caches after a verification is keyed by
-// them (IBAC binds the name).
-type InterestInput struct {
-	Op    Op
-	Phase Phase
-	// Tag is the request's tag; nil for tagless requests.
-	Tag *core.Tag
-	// Name is the requested content name (edge path).
-	Name names.Name
-	// RequestAP is the access path the request arrived over (edge path).
-	RequestAP core.AccessPath
-	// Meta is the stored content's access metadata (content path).
-	Meta core.ContentMeta
-	// Flag is the incoming F value (content path); on PhasePostVerify it
-	// must be the effective F the fast verdict reported.
-	Flag float64
-	// Now is the decision clock.
-	Now time.Time
-	// VerifyErr is the validator's outcome (PhasePostVerify only; nil
-	// means the signature checked out).
-	VerifyErr error
+// stage is the checkpoint an Op decides.
+func (op Op) stage() Stage {
+	switch op {
+	case OpEdgeInterest:
+		return StageEdgeInterest
+	case OpContent:
+		return StageContent
+	case OpEdgeData:
+		return StageEdgeData
+	case OpEdgeAggregate, OpAggregate:
+		return StageAggregate
+	}
+	return StageNone
 }
 
-// ContentInput carries the explicit inputs of a Data-path decision
-// (OpEdgeData, OpEdgeAggregate, OpAggregate).
-type ContentInput struct {
-	Op    Op
-	Phase Phase
-	// Tag is the PIT record's tag; nil for tagless records.
+// Input carries the explicit inputs of one checkpoint's decision. A
+// verification completes the decision on the inputs of the Check that
+// asked for it, with Flag replaced by that verdict's Flag: what a
+// backend caches after a verification is keyed by them (IBAC binds the
+// name).
+type Input struct {
+	Op Op
+	// Tag is the request's (or the PIT record's) tag; nil for tagless
+	// requests.
 	Tag *core.Tag
-	// Meta is the arriving content's access metadata.
+	// Name is the requested content name (OpEdgeInterest).
+	Name names.Name
+	// RequestAP is the access path the request arrived over
+	// (OpEdgeInterest).
+	RequestAP core.AccessPath
+	// Meta is the stored or arriving content's access metadata (OpContent
+	// and the aggregates).
 	Meta core.ContentMeta
-	// Flag is the F value: the arriving Data's F for OpEdgeData, the
-	// aggregated record's stored F otherwise.
+	// Flag is the F value: the request's incoming F (OpContent), the
+	// arriving Data's F (OpEdgeData) or the aggregated record's stored F
+	// (OpAggregate). After ActionVerify it must be the effective F the
+	// verdict reported.
 	Flag float64
 	// Nack reports the arriving Data carried a NACK (OpEdgeData).
 	Nack bool
 	// Now is the decision clock.
 	Now time.Time
-	// VerifyErr is the validator's outcome (PhasePostVerify only).
-	VerifyErr error
 }
 
 // Engine is one enforcement scheme's decision core. Implementations are
 // safe for concurrent use and I/O-free; see the package comment for the
-// phase protocol.
+// verification exchange Router drives.
 type Engine interface {
-	// Scheme identifies the backend.
-	Scheme() core.Scheme
-	// CheckInterest decides an Interest-path checkpoint.
-	CheckInterest(in InterestInput) Verdict
-	// CheckContent decides a Data-path checkpoint.
-	CheckContent(in ContentInput) Verdict
+	// Check runs a checkpoint's cheap checks. ActionVerify means the
+	// cache did not vouch for the tag: the caller verifies its signature
+	// and, if it holds, finishes with Verified.
+	Check(in Input) Verdict
+	// Verified folds a successful verification of in.Tag into the cache
+	// and returns the checkpoint's final verdict.
+	Verified(in Input) Verdict
 	// OnTagIssued observes a registration response carrying a freshly
 	// issued tag passing through this router (Protocol 2 lines 11-12).
 	OnTagIssued(t *core.Tag)
-	// OnRevocation observes one tag entering the revocation set the
-	// engine was constructed over. The set itself is shared state
-	// updated by the control plane; this hook lets a backend invalidate
-	// derived caches. Both current backends check the set before any
-	// cache lookup, so neither needs to act.
-	OnRevocation(id core.TagID)
 	// OnEpochRotate advances the validation cache to a new epoch,
 	// demoting the current filter to the previous-epoch fallback. Stale
 	// or duplicate epochs are ignored (reported false).
@@ -146,6 +124,9 @@ type Engine interface {
 	// Bloom exposes the validation cache for metric collection (the
 	// IBAC backend uses it as its (token, name) authorization cache).
 	Bloom() *bloom.Filter
+	// revoked is the revocation gate every backend shares (cache.revoked),
+	// which Router re-runs for a request that sat parked.
+	revoked(t *core.Tag) bool
 }
 
 // New constructs the Engine selected by cfg.Scheme over the given

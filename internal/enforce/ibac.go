@@ -36,22 +36,12 @@ import (
 // in TACTIC.
 type ibacEngine struct {
 	cache
-	rev *core.RevocationSet
 }
 
 func newIBAC(bf *bloom.Filter, rev *core.RevocationSet, cfg core.Config) *ibacEngine {
-	e := &ibacEngine{rev: rev}
-	e.cache.init(bf, cfg)
+	e := &ibacEngine{cache: cache{rev: rev}}
+	e.init(bf, cfg)
 	return e
-}
-
-func (e *ibacEngine) Scheme() core.Scheme { return core.SchemeIBAC }
-
-func (e *ibacEngine) revoked(t *core.Tag) bool {
-	if e.cfg.DisableRevocationCheck {
-		return false
-	}
-	return e.rev.Contains(t.ID())
 }
 
 // tokenKey is the authorization-cache key binding token and name.
@@ -65,50 +55,44 @@ func tokenKey(t *core.Tag, name names.Name) []byte {
 	return key
 }
 
-func (e *ibacEngine) CheckInterest(in InterestInput) Verdict {
+func (e *ibacEngine) Check(in Input) Verdict {
 	switch in.Op {
 	case OpEdgeInterest:
-		switch in.Phase {
-		case PhasePreVerify:
-			if e.revoked(in.Tag) {
-				return Verdict{Action: ActionDeny, Stage: StageEdgeInterest, Reason: core.ErrTagRevoked}
-			}
-			return Verdict{Action: ActionVerify, Stage: StageEdgeInterest}
-		case PhasePostVerify:
-			if in.VerifyErr != nil {
-				return Verdict{Action: ActionDeny, Stage: StageEdgeInterest, Reason: in.VerifyErr, Verified: true}
-			}
-			e.insert(tokenKey(in.Tag, in.Name))
-			return Verdict{Stage: StageEdgeInterest, Verified: true}
-		default:
-			return e.edgeInterestFast(in)
-		}
+		return e.edgeInterest(in)
 	case OpContent:
-		switch in.Phase {
-		case PhasePreVerify:
-			if e.revoked(in.Tag) {
-				return Verdict{Action: ActionDeny, Stage: StageContent, Reason: core.ErrTagRevoked}
-			}
-			return Verdict{Action: ActionVerify, Stage: StageContent}
-		case PhasePostVerify:
-			if in.VerifyErr != nil {
-				return Verdict{Action: ActionDeny, Stage: StageContent, Reason: in.VerifyErr, Verified: true}
-			}
-			e.insert(tokenKey(in.Tag, in.Meta.Name))
-			return Verdict{Stage: StageContent, Verified: true}
-		default:
-			return e.contentFast(in)
+		return e.content(in)
+	case OpEdgeData:
+		// No data-path learning: the edge authorized this (token, name)
+		// at Interest time, so the only question is whether the upstream
+		// NACKed.
+		if in.Nack {
+			return Verdict{Action: ActionDeny, Stage: StageEdgeData, Reason: core.ErrDenied}
 		}
+		return Verdict{Stage: StageEdgeData}
+	case OpEdgeAggregate, OpAggregate:
+		return e.aggregate(in)
 	}
 	return Verdict{Action: ActionDeny, Stage: StageNone, Reason: core.ErrDenied}
 }
 
-// edgeInterestFast authorizes an Interest at the edge: prefix/expiry
+// Verified authorizes the verified token for the name it was checked
+// against: the requested name at the edge, the content's everywhere
+// else. F is 0 — IBAC does no vouching.
+func (e *ibacEngine) Verified(in Input) Verdict {
+	name := in.Meta.Name
+	if in.Op == OpEdgeInterest {
+		name = in.Name
+	}
+	e.insert(tokenKey(in.Tag, name))
+	return Verdict{Stage: in.Op.stage(), Verified: true}
+}
+
+// edgeInterest authorizes an Interest at the edge: prefix/expiry
 // pre-check, revocation, then the (token, name) cache — a miss always
 // escalates to signature verification, the defining IBAC behaviour. A
 // nil token is forwarded (the edge cannot know whether the content is
 // Public); the content router settles it.
-func (e *ibacEngine) edgeInterestFast(in InterestInput) Verdict {
+func (e *ibacEngine) edgeInterest(in Input) Verdict {
 	if in.Tag == nil {
 		return Verdict{Stage: StageEdgeInterest, Flag: 0}
 	}
@@ -126,11 +110,11 @@ func (e *ibacEngine) edgeInterestFast(in InterestInput) Verdict {
 	return Verdict{Action: ActionVerify, Stage: StageEdgeInterest}
 }
 
-// contentFast authorizes a content hit: Public bypass, token presence,
+// content authorizes a content hit: Public bypass, token presence,
 // level/provider pre-check, revocation, then this router's own
 // (token, name) cache. The incoming F is ignored — IBAC routers do not
 // accept downstream vouching.
-func (e *ibacEngine) contentFast(in InterestInput) Verdict {
+func (e *ibacEngine) content(in Input) Verdict {
 	if in.Meta.Level == core.Public {
 		return Verdict{Stage: StageContent}
 	}
@@ -151,36 +135,11 @@ func (e *ibacEngine) contentFast(in InterestInput) Verdict {
 	return Verdict{Action: ActionVerify, Stage: StageContent}
 }
 
-func (e *ibacEngine) CheckContent(in ContentInput) Verdict {
-	switch in.Op {
-	case OpEdgeData:
-		// No data-path learning: the edge authorized this (token, name)
-		// at Interest time, so the only question is whether the upstream
-		// NACKed.
-		if in.Nack {
-			return Verdict{Action: ActionDeny, Stage: StageEdgeData, Reason: core.ErrDenied}
-		}
-		return Verdict{Stage: StageEdgeData}
-	case OpEdgeAggregate, OpAggregate:
-		switch in.Phase {
-		case PhasePostVerify:
-			if in.VerifyErr != nil {
-				return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: in.VerifyErr, Verified: true}
-			}
-			e.insert(tokenKey(in.Tag, in.Meta.Name))
-			return Verdict{Stage: StageAggregate, Verified: true}
-		default:
-			return e.aggregateFast(in)
-		}
-	}
-	return Verdict{Action: ActionDeny, Stage: StageNone, Reason: core.ErrDenied}
-}
-
-// aggregateFast authorizes one aggregated PIT record on content
+// aggregate authorizes one aggregated PIT record on content
 // arrival. Per-name authorization always has the content's metadata at
 // this point, so the level/provider pre-check runs unconditionally
 // (closing TACTIC's aggregate access-level gap by construction).
-func (e *ibacEngine) aggregateFast(in ContentInput) Verdict {
+func (e *ibacEngine) aggregate(in Input) Verdict {
 	if in.Tag == nil {
 		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrNoTag}
 	}
@@ -202,14 +161,3 @@ func (e *ibacEngine) OnTagIssued(*core.Tag) {
 	// A freshly issued token has authorized no names yet; there is
 	// nothing to cache.
 }
-
-func (e *ibacEngine) OnRevocation(core.TagID) {
-	// The revocation set gates every cache lookup, so stale (token,
-	// name) bits are unreachable; rotation ages them out.
-}
-
-func (e *ibacEngine) OnEpochRotate(epoch uint64) bool { return e.rotate(epoch) }
-
-func (e *ibacEngine) Epoch() uint64 { return e.epoch.Load() }
-
-func (e *ibacEngine) Bloom() *bloom.Filter { return e.bf }

@@ -12,8 +12,11 @@ import (
 // Router pairs an Engine with the one piece of I/O every scheme needs —
 // the signature validator — and exposes the protocol-shaped entry
 // points the planes call. It owns the revocation set the engine reads,
-// so control-plane pushes flow through ApplyRevocation and reach the
-// engine's OnRevocation hook.
+// which control-plane pushes update through ApplyRevocation, and it
+// drives the verification exchange for both schemes: the engine's Check
+// asks for a verification, the Router runs the validator and settles the
+// decision (a failure is a denial; a success goes to the engine's
+// Verified).
 //
 // Router is safe for concurrent use: the Bloom filter is internally
 // atomic, the validator keeps only atomic counters (duplicate
@@ -51,21 +54,14 @@ func (r *Router) Bloom() *bloom.Filter { return r.engine.Bloom() }
 func (r *Router) Validator() *core.TagValidator { return r.validator }
 
 // Revocations exposes the router's revocation set for metric reads;
-// control-plane updates should go through ApplyRevocation so the
-// engine observes them.
+// control-plane updates go through ApplyRevocation.
 func (r *Router) Revocations() *core.RevocationSet { return r.rev }
 
 // ApplyRevocation applies one pushed revocation-set update (full
-// snapshot or delta) and notifies the engine of every tag it names.
-// It reports whether the update advanced the set's version.
+// snapshot or delta). It reports whether the update advanced the set's
+// version.
 func (r *Router) ApplyRevocation(version uint64, full bool, ids []core.TagID) bool {
-	if !r.rev.Apply(version, full, ids) {
-		return false
-	}
-	for _, id := range ids {
-		r.engine.OnRevocation(id)
-	}
-	return true
+	return r.rev.Apply(version, full, ids)
 }
 
 // Epoch returns the router's current validation-cache epoch.
@@ -75,22 +71,44 @@ func (r *Router) Epoch() uint64 { return r.engine.Epoch() }
 // Engine.OnEpochRotate).
 func (r *Router) RotateEpoch(epoch uint64) bool { return r.engine.OnEpochRotate(epoch) }
 
-// --- Protocol 2: edge router ------------------------------------------------
+// --- The verification exchange -----------------------------------------------
 
-// inline decides an Interest-path checkpoint to completion, verifying
-// inline when the engine asks for it.
-func (r *Router) inline(in InterestInput) Verdict {
-	dec := r.engine.CheckInterest(in)
-	if dec.NeedsVerify() {
-		in.Flag = dec.Flag
-		return r.VerifyMiss(in)
+// complete decides a checkpoint to completion, verifying inline when the
+// engine asks for it.
+func (r *Router) complete(in Input) Verdict {
+	dec := r.engine.Check(in)
+	if !dec.NeedsVerify() {
+		return dec
 	}
-	return dec
+	in.Flag = dec.Flag
+	return r.settle(in, r.validator.Validate(in.Tag, in.Now))
 }
+
+// settle finishes a decision with a verification's outcome: a failure is
+// a denial carrying the validator's error, a success goes to the
+// engine's Verified.
+func (r *Router) settle(in Input, err error) Verdict {
+	if err != nil {
+		return Verdict{Action: ActionDeny, Stage: in.Op.stage(), Reason: err, Flag: in.Flag, Verified: true}
+	}
+	return r.engine.Verified(in)
+}
+
+// revokedWhileParked re-runs the revocation gate for a request that sat
+// parked: a revocation push can land between the fast decision and the
+// verify worker picking the request up.
+func (r *Router) revokedWhileParked(in Input) (Verdict, bool) {
+	if !r.engine.revoked(in.Tag) {
+		return Verdict{}, false
+	}
+	return Verdict{Action: ActionDeny, Stage: in.Op.stage(), Reason: core.ErrTagRevoked, Flag: in.Flag}, true
+}
+
+// --- Protocol 2: edge router ------------------------------------------------
 
 // EdgeOnInterest runs the edge On-Interest checkpoint to completion.
 func (r *Router) EdgeOnInterest(t *core.Tag, requestAP core.AccessPath, contentName names.Name, now time.Time) Verdict {
-	return r.inline(InterestInput{Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now})
+	return r.complete(Input{Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now})
 }
 
 // EdgeOnInterestFast is the cheap half of EdgeOnInterest — everything
@@ -99,9 +117,7 @@ func (r *Router) EdgeOnInterest(t *core.Tag, requestAP core.AccessPath, contentN
 // inline or, on the live plane, after parking the Interest in the
 // verification pool.
 func (r *Router) EdgeOnInterestFast(t *core.Tag, requestAP core.AccessPath, contentName names.Name, now time.Time) Verdict {
-	return r.engine.CheckInterest(InterestInput{
-		Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now,
-	})
+	return r.engine.Check(Input{Op: OpEdgeInterest, Tag: t, RequestAP: requestAP, Name: contentName, Now: now})
 }
 
 // EdgeOnTagResponse handles a registration response (a fresh tag T_u^new
@@ -113,9 +129,7 @@ func (r *Router) EdgeOnTagResponse(t *core.Tag) { r.engine.OnTagIssued(t) }
 // primary tag; a denial means the (NACKed) response is dropped rather
 // than delivered to the client.
 func (r *Router) EdgeOnData(t *core.Tag, dataFlag float64, nack bool) Verdict {
-	return r.engine.CheckContent(ContentInput{
-		Op: OpEdgeData, Tag: t, Flag: dataFlag, Nack: nack,
-	})
+	return r.engine.Check(Input{Op: OpEdgeData, Tag: t, Flag: dataFlag, Nack: nack})
 }
 
 // --- Protocol 3: content router ---------------------------------------------
@@ -125,37 +139,32 @@ func (r *Router) EdgeOnData(t *core.Tag, dataFlag float64, nack bool) Verdict {
 // aggregated in downstream PITs can still be satisfied — the paper's
 // deliberate bandwidth/abuse trade-off (§5.B).
 func (r *Router) ContentOnInterest(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	return r.inline(InterestInput{Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now})
+	return r.complete(Input{Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now})
 }
 
 // ContentOnInterestFast is the cheap half of ContentOnInterest. When
 // the verdict is ActionVerify the caller must finish with VerifyMiss on
 // the same inputs, with Flag replaced by the verdict's Flag.
 func (r *Router) ContentOnInterestFast(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	return r.engine.CheckInterest(InterestInput{
-		Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now,
-	})
+	return r.engine.Check(Input{Op: OpContent, Tag: t, Meta: meta, Flag: flag, Now: now})
 }
 
-// --- Completing an ActionVerify verdict ----------------------------------------
+// --- Completing a parked ActionVerify verdict ---------------------------------
 
 // VerifyMiss completes an Interest-path decision (OpEdgeInterest or
-// OpContent) whose fast phase reported ActionVerify. in is the fast
-// call's input, with Flag set to the fast verdict's Flag (the effective
-// F after the DisableCollaboration ablation). It re-checks the cheap
-// gates (a revocation push may have landed while the Interest was
-// parked), verifies the tag's signature, and folds the outcome into the
-// engine. The verdict's Verified field reports whether the validator
-// ran: when it did, Reason is the validator's outcome (nil on success),
-// which the live verify pool hands to VerifyShared for every request
-// that waited on this one.
-func (r *Router) VerifyMiss(in InterestInput) Verdict {
-	in.Phase = PhasePreVerify
-	if pre := r.engine.CheckInterest(in); pre.Denied() {
-		return pre
+// OpContent) whose fast verdict was ActionVerify. in is the fast call's
+// input, with Flag set to the fast verdict's Flag (the effective F after
+// the DisableCollaboration ablation). It re-checks the revocation set (a
+// push may have landed while the Interest was parked), verifies the
+// tag's signature, and settles the decision. The verdict's Verified
+// field reports whether the validator ran: when it did, Reason is the
+// validator's outcome (nil on success), which the live verify pool hands
+// to VerifyShared for every request that waited on this one.
+func (r *Router) VerifyMiss(in Input) Verdict {
+	if dec, revoked := r.revokedWhileParked(in); revoked {
+		return dec
 	}
-	in.Phase, in.VerifyErr = PhasePostVerify, r.validator.Validate(in.Tag, in.Now)
-	return r.engine.CheckInterest(in)
+	return r.settle(in, r.validator.Validate(in.Tag, in.Now))
 }
 
 // VerifyShared completes the same kind of decision for a request whose
@@ -164,27 +173,24 @@ func (r *Router) VerifyMiss(in InterestInput) Verdict {
 // subsequent request for a verified tag. Its own gates run first
 // (revocation, and expiry at its own clock, which replaces the shared
 // outcome exactly as its own Validate call would have); on success the
-// fast phase runs again, normally a cache hit, so nothing is inserted
-// twice; if the fast phase still asks for a verification (the filter
-// was reset in between, or IBAC's per-name key is new) or the shared
-// outcome is a failure, the post-verify phase folds verifyErr in. No
-// path yields a more permissive verdict than VerifyMiss would.
-func (r *Router) VerifyShared(in InterestInput, verifyErr error) Verdict {
-	in.Phase = PhasePreVerify
-	if pre := r.engine.CheckInterest(in); pre.Denied() {
-		return pre
+// cheap checks run again, normally a cache hit, so nothing is inserted
+// twice; if they still ask for a verification (the filter was reset in
+// between, or IBAC's per-name key is new) or the shared outcome is a
+// failure, verifyErr settles the decision. No path yields a more
+// permissive verdict than VerifyMiss would.
+func (r *Router) VerifyShared(in Input, verifyErr error) Verdict {
+	if dec, revoked := r.revokedWhileParked(in); revoked {
+		return dec
 	}
 	if err := r.validator.CheckFresh(in.Tag, in.Now); err != nil {
 		verifyErr = err
 	}
 	if verifyErr == nil {
-		in.Phase = PhaseFast
-		if dec := r.engine.CheckInterest(in); !dec.NeedsVerify() {
+		if dec := r.engine.Check(in); !dec.NeedsVerify() {
 			return dec
 		}
 	}
-	in.Phase, in.VerifyErr = PhasePostVerify, verifyErr
-	return r.engine.CheckInterest(in)
+	return r.settle(in, verifyErr)
 }
 
 // --- Aggregated PIT records (Protocol 2 lines 22-23, Protocol 4 lines 11-26) ---
@@ -194,13 +200,7 @@ func (r *Router) VerifyShared(in InterestInput, verifyErr error) Verdict {
 // OpEdgeAggregate at an edge (flag unused) and OpAggregate, with the
 // record's stored F, at an intermediate router (<T_w, F, InFace_w>).
 func (r *Router) aggregated(op Op, t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	in := ContentInput{Op: op, Tag: t, Meta: meta, Flag: flag, Now: now}
-	dec := r.engine.CheckContent(in)
-	if !dec.NeedsVerify() {
-		return dec
-	}
-	in.Phase, in.Flag, in.VerifyErr = PhasePostVerify, dec.Flag, r.validator.Validate(t, now)
-	return r.engine.CheckContent(in)
+	return r.complete(Input{Op: op, Tag: t, Meta: meta, Flag: flag, Now: now})
 }
 
 // --- One PIT record on Data arrival (Protocol 2 On-Content, Protocol 4 lines 6-26) ---

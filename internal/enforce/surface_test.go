@@ -9,8 +9,8 @@ import (
 )
 
 // Surface and parked-packet coverage for both backends: accessors, the
-// stable string vocabularies, the PhasePreVerify re-checks, and the
-// unknown-op guards.
+// stable string vocabularies, the revocation re-check of a parked
+// request, and the unknown-op guards.
 
 func TestRouterSurfaceBothSchemes(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeTACTIC, core.SchemeIBAC} {
@@ -19,8 +19,8 @@ func TestRouterSurfaceBothSchemes(t *testing.T) {
 			if r.ID() != "r1" {
 				t.Errorf("ID = %q", r.ID())
 			}
-			if r.engine.Scheme() != scheme {
-				t.Errorf("scheme = %v, want %v", r.engine.Scheme(), scheme)
+			if _, ibac := r.engine.(*ibacEngine); ibac != (scheme == core.SchemeIBAC) {
+				t.Errorf("engine %T for scheme %v", r.engine, scheme)
 			}
 			if r.Bloom() == nil || r.Validator() == nil || r.Revocations() == nil {
 				t.Fatal("nil accessor")
@@ -73,8 +73,8 @@ func TestVerdictStrings(t *testing.T) {
 }
 
 // TestVerifyMissRevokedWhileParked: a revocation push lands while an
-// Interest sits in the verification pool; the PhasePreVerify re-check
-// must deny it before the signature work runs.
+// Interest sits in the verification pool; VerifyMiss's revocation
+// re-check must deny it before the signature work runs.
 func TestVerifyMissRevokedWhileParked(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeTACTIC, core.SchemeIBAC} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -90,7 +90,7 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 			if !r.ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
-			edgeIn := InterestInput{Op: OpEdgeInterest, Tag: tag, Name: testContentName, Now: now}
+			edgeIn := Input{Op: OpEdgeInterest, Tag: tag, Name: testContentName, Now: now}
 			if d = r.VerifyMiss(edgeIn); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) || d.Verified {
 				t.Fatalf("parked edge Interest not denied as revoked: %+v", d)
 			}
@@ -111,7 +111,7 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 			if !r2.ApplyRevocation(1, false, []core.TagID{tag2.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
-			contentIn := InterestInput{Op: OpContent, Tag: tag2, Meta: meta, Flag: d.Flag, Now: now}
+			contentIn := Input{Op: OpContent, Tag: tag2, Meta: meta, Flag: d.Flag, Now: now}
 			if d = r2.VerifyMiss(contentIn); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) || d.Verified {
 				t.Fatalf("parked content Interest not denied as revoked: %+v", d)
 			}
@@ -122,17 +122,17 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 	}
 }
 
-// TestEngineUnknownOp: a malformed input (zero or mismatched Op) is
-// denied at StageNone rather than silently delivered.
+// TestEngineUnknownOp: a malformed input (zero or unknown Op) is denied
+// at StageNone rather than silently delivered.
 func TestEngineUnknownOp(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeTACTIC, core.SchemeIBAC} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			r, _ := testRouter(t, 1, core.Config{Scheme: scheme})
-			if v := r.engine.CheckInterest(InterestInput{}); !v.Denied() || v.Stage != StageNone {
-				t.Errorf("zero-op CheckInterest: %+v", v)
+			if v := r.engine.Check(Input{}); !v.Denied() || v.Stage != StageNone {
+				t.Errorf("zero-op Check: %+v", v)
 			}
-			if v := r.engine.CheckContent(ContentInput{Op: OpEdgeInterest}); !v.Denied() || v.Stage != StageNone {
-				t.Errorf("mismatched-op CheckContent: %+v", v)
+			if v := r.engine.Check(Input{Op: OpAggregate + 1}); !v.Denied() || v.Stage != StageNone {
+				t.Errorf("unknown-op Check: %+v", v)
 			}
 		})
 	}

@@ -11,11 +11,11 @@ const (
 	// ActionDeny drops the packet and returns a NACK carrying the
 	// verdict's reason (where the protocol path NACKs at all).
 	ActionDeny
-	// ActionVerify reports the decision is incomplete: a signature
-	// verification is required before the verdict can be final. The
-	// caller runs the validator (inline, or after parking the packet in
-	// a verification pool) and finishes the exchange with a
-	// PhasePostVerify call carrying the validator's outcome.
+	// ActionVerify reports the decision is incomplete: the cache did not
+	// vouch for the tag, so its signature must be verified before the
+	// verdict can be final. Router does so inline, or, for a packet
+	// parked in a verification pool, in VerifyMiss; it never returns
+	// ActionVerify from a method that decides to completion.
 	ActionVerify
 )
 
@@ -83,7 +83,7 @@ type Verdict struct {
 	Stage Stage
 	// Reason records why a packet was denied; nil on deliver. On
 	// ActionVerify it is nil — the reason, if any, arrives with the
-	// post-verify verdict.
+	// verdict that settles the verification.
 	Reason error
 	// Flag is the F value to carry in the forwarded packet: 0 when this
 	// router did not find the tag in its filter, the filter's FPP on a

@@ -11,9 +11,10 @@ import (
 // TestVerifiedRequestIsCachedUnderItsOwnKey: a request verified on a
 // miss must be a cache hit when it repeats — one verification, however
 // many identical requests. Under IBAC the cache key binds the name, so
-// the post-verify input has to carry it (it did not: every IBAC request
-// used to re-verify). Both the inline wrappers and the caller-driven
-// three-phase exchange are held to it, at both checkpoints.
+// the input a verification completes on has to carry it (it did not:
+// every IBAC request used to re-verify). Both the inline wrappers and
+// the caller-driven exchange (Check, then VerifyMiss) are held to it, at
+// both checkpoints.
 func TestVerifiedRequestIsCachedUnderItsOwnKey(t *testing.T) {
 	opNames := map[Op]string{OpEdgeInterest: "edge", OpContent: "content"}
 	driveNames := map[bool]string{false: "wrapper", true: "exchange"}
@@ -24,7 +25,7 @@ func TestVerifiedRequestIsCachedUnderItsOwnKey(t *testing.T) {
 					r, prov := testRouter(t, 1, core.Config{Scheme: scheme, EdgeValidateOnMiss: true})
 					now := testTime(10)
 					tag := issueTestTag(t, prov, 1, 0, testTime(100))
-					in := InterestInput{Op: op, Tag: tag, Name: testContentName, Meta: aggMeta(prov), Now: now}
+					in := Input{Op: op, Tag: tag, Name: testContentName, Meta: aggMeta(prov), Now: now}
 					decide := func() Verdict {
 						if !exchange {
 							if op == OpEdgeInterest {
@@ -32,7 +33,7 @@ func TestVerifiedRequestIsCachedUnderItsOwnKey(t *testing.T) {
 							}
 							return r.ContentOnInterest(tag, in.Meta, 0, now)
 						}
-						dec := r.engine.CheckInterest(in)
+						dec := r.engine.Check(in)
 						if dec.NeedsVerify() {
 							dec = r.VerifyMiss(in)
 						}
@@ -64,7 +65,7 @@ func TestVerifySharedIsASubsequentRequest(t *testing.T) {
 			r, prov := testRouter(t, 1, core.Config{Scheme: scheme, EdgeValidateOnMiss: true})
 			now := testTime(10)
 			tag := issueTestTag(t, prov, 1, 0, testTime(100))
-			in := InterestInput{Op: OpEdgeInterest, Tag: tag, Name: testContentName, Now: now}
+			in := Input{Op: OpEdgeInterest, Tag: tag, Name: testContentName, Now: now}
 
 			lead := r.VerifyMiss(in)
 			if lead.Denied() || !lead.Verified {
@@ -84,7 +85,7 @@ func TestVerifySharedIsASubsequentRequest(t *testing.T) {
 			if d := r.VerifyShared(in, nil); d.Denied() || !d.Verified {
 				t.Fatalf("follower after a reset: %+v, want a verified delivery", d)
 			}
-			if d := r.engine.CheckInterest(in); !d.BFHit {
+			if d := r.engine.Check(in); !d.BFHit {
 				t.Fatalf("follower's folded success was not cached: %+v", d)
 			}
 
@@ -95,7 +96,7 @@ func TestVerifySharedIsASubsequentRequest(t *testing.T) {
 			if d := r.VerifyShared(other, nil); d.Denied() {
 				t.Fatalf("follower with another name: %+v", d)
 			}
-			if d := r.engine.CheckInterest(other); !d.BFHit {
+			if d := r.engine.Check(other); !d.BFHit {
 				t.Fatalf("follower's own (token, name) not cached: %+v", d)
 			}
 
@@ -118,7 +119,7 @@ func TestVerifySharedRunsItsOwnExpiryGate(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			r, prov := testRouter(t, 1, core.Config{Scheme: scheme})
 			tag := issueTestTag(t, prov, 1, 0, testTime(100))
-			in := InterestInput{Op: OpContent, Tag: tag, Meta: aggMeta(prov), Now: testTime(99)}
+			in := Input{Op: OpContent, Tag: tag, Meta: aggMeta(prov), Now: testTime(99)}
 			lead := r.VerifyMiss(in)
 			if lead.Denied() {
 				t.Fatalf("leader: %+v", lead)

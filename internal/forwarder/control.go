@@ -94,7 +94,7 @@ func (f *Forwarder) ApplyRevocation(version uint64, full bool, revoked []core.Ta
 // known, so burning a worker slot (and making the client wait) on its
 // signature would be wasted work. A job the flush does not reach (its
 // verification is running, or it parks a moment later) re-checks
-// revocation in its own pre-verify gate, leader or follower, so nothing
+// revocation in VerifyMiss or VerifyShared, leader or follower, so nothing
 // slips through. No-op when the router skips revocation checks
 // (ablation).
 func (f *Forwarder) flushRevokedParked() {

@@ -174,7 +174,7 @@ type Answer struct {
 
 // Pending is an Interest-path decision that awaits a signature verdict:
 // the checkpoint (enforce.OpEdgeInterest or enforce.OpContent) and, for
-// OpContent, the content-store hit and the fast phase's effective F.
+// OpContent, the content-store hit and the fast verdict's effective F.
 type Pending struct {
 	Op      enforce.Op
 	Content *core.Content
@@ -183,12 +183,12 @@ type Pending struct {
 }
 
 // Input is the enforcement input that completes the decision for i: the
-// fast phase's, as VerifyMiss and VerifyShared take it.
-func (p Pending) Input(i *ndn.Interest, now time.Time) enforce.InterestInput {
+// fast check's, as VerifyMiss and VerifyShared take it.
+func (p Pending) Input(i *ndn.Interest, now time.Time) enforce.Input {
 	if p.Op == enforce.OpContent {
-		return enforce.InterestInput{Op: p.Op, Tag: i.Tag, Meta: p.Content.Meta, Flag: p.Flag, Now: now}
+		return enforce.Input{Op: p.Op, Tag: i.Tag, Meta: p.Content.Meta, Flag: p.Flag, Now: now}
 	}
-	return enforce.InterestInput{Op: p.Op, Tag: i.Tag, RequestAP: i.AccessPath, Name: i.Name, Now: now}
+	return enforce.Input{Op: p.Op, Tag: i.Tag, RequestAP: i.AccessPath, Name: i.Name, Now: now}
 }
 
 // Step is the core's answer to one Interest: the Action and its operand —
