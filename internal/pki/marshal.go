@@ -2,7 +2,6 @@ package pki
 
 import (
 	"crypto/ecdsa"
-	"crypto/ed25519"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/hex"
@@ -20,10 +19,9 @@ import (
 
 // PEM block types.
 const (
-	pemECDSAPrivate  = "TACTIC ECDSA PRIVATE KEY"
-	pemECDSAPublic   = "TACTIC ECDSA PUBLIC KEY"
-	pemFastPrivate   = "TACTIC SIM PRIVATE KEY"
-	pemEd25519Public = "TACTIC ED25519 PUBLIC KEY"
+	pemECDSAPrivate = "TACTIC ECDSA PRIVATE KEY"
+	pemECDSAPublic  = "TACTIC ECDSA PUBLIC KEY"
+	pemFastPrivate  = "TACTIC SIM PRIVATE KEY"
 )
 
 // pemLocatorHeader carries the key-locator name.
@@ -84,12 +82,6 @@ func MarshalPublic(locator names.Name, key PublicKey) ([]byte, error) {
 			Headers: map[string]string{pemLocatorHeader: locator.String()},
 			Bytes:   der,
 		}), nil
-	case ed25519PublicKey:
-		return pem.EncodeToMemory(&pem.Block{
-			Type:    pemEd25519Public,
-			Headers: map[string]string{pemLocatorHeader: locator.String()},
-			Bytes:   k.pub,
-		}), nil
 	case fastPublicKey:
 		return pem.EncodeToMemory(&pem.Block{
 			Type:    pemFastPrivate,
@@ -123,11 +115,6 @@ func UnmarshalPublic(data []byte) (names.Name, PublicKey, error) {
 			return names.Name{}, nil, fmt.Errorf("pki: not an ECDSA key: %T", pub)
 		}
 		return locator, ecdsaPublicKey{pub: ecPub}, nil
-	case pemEd25519Public:
-		if len(block.Bytes) != ed25519.PublicKeySize {
-			return names.Name{}, nil, fmt.Errorf("pki: bad ed25519 public key length %d", len(block.Bytes))
-		}
-		return locator, ed25519PublicKey{pub: ed25519.PublicKey(append([]byte(nil), block.Bytes...))}, nil
 	case pemFastPrivate:
 		if len(block.Bytes) != 32 {
 			return names.Name{}, nil, fmt.Errorf("pki: bad sim key length %d", len(block.Bytes))

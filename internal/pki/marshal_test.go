@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"encoding/pem"
 	"math/rand"
 	"testing"
 
@@ -111,5 +112,15 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := UnmarshalECDSAPrivate(pubPEM, rng); err == nil {
 		t.Error("public block parsed as private")
+	}
+	// Ed25519 keys are not a supported scheme: a router must not trust a
+	// key no signer here can match.
+	edPEM := pem.EncodeToMemory(&pem.Block{
+		Type:    "TACTIC ED25519 PUBLIC KEY",
+		Headers: map[string]string{"Locator": "/p/KEY/1"},
+		Bytes:   make([]byte, 32),
+	})
+	if _, _, err := UnmarshalPublic(edPEM); err == nil {
+		t.Error("Ed25519 public key accepted")
 	}
 }
