@@ -627,7 +627,7 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 		{"no-precheck", func(sc *Scenario) { sc.Ablations.DisablePrecheck = true }},
 		{"no-auto-reset", func(sc *Scenario) { sc.Ablations.DisableAutoReset = true }},
 		{"drop-on-nack", func(sc *Scenario) { sc.DropContentOnNACK = true }},
-		{"harden-aggregates", func(sc *Scenario) { sc.HardenAggregates = true }},
+		{"harden-aggregates", func(sc *Scenario) { sc.Ablations.EnforceALOnAggregates = true }},
 	}
 	out := &AblationResult{}
 	for _, cfg := range configs {

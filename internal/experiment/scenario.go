@@ -110,7 +110,8 @@ type Scenario struct {
 	LinkLoss float64
 	// AttackerMix cycles attacker kinds; default covers all threats.
 	AttackerMix []AttackerKind
-	// Ablations disables TACTIC features on all routers.
+	// Ablations disables TACTIC features on all routers (or, with
+	// EnforceALOnAggregates, hardens the aggregate path).
 	Ablations core.Config
 	// Delays is the computational delay model (default PaperDelays).
 	Delays sim.OpDelays
@@ -149,10 +150,6 @@ type Scenario struct {
 	ShortTTLProviders int
 	// ShortTTL is the malicious providers' tag validity (default 1 s).
 	ShortTTL time.Duration
-	// HardenAggregates enables the EnforceALOnAggregates fix for the
-	// aggregation-path access-level bypass this reproduction found
-	// (see core.Config.EnforceALOnAggregates).
-	HardenAggregates bool
 	// TraitorThreshold, when positive, enables the traitor-tracing
 	// extension (the paper's §9 future work): a detector shared by all
 	// edge routers flags clients whose tags surface at foreign
@@ -219,9 +216,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if len(s.AttackerMix) == 0 {
 		s.AttackerMix = DefaultAttackerMix()
-	}
-	if s.HardenAggregates {
-		s.Ablations.EnforceALOnAggregates = true
 	}
 	if s.ShortTTLProviders > 0 && s.ShortTTL <= 0 {
 		s.ShortTTL = time.Second
