@@ -26,7 +26,11 @@ build:
 # when the origin grows a metric vocabulary of its own again (it exports
 # the forwarder's families with role="producer") or an uplink a give-up
 # bound, each grep must print nothing; the tenth when the origin is a
-# second daemon again (it is tacticd -role producer).
+# second daemon again (it is tacticd -role producer); the eleventh when
+# a scheme backend grows its own verification exchange again (the
+# engines answer Check and Verified over one enforce.Input; Router runs
+# the validator once for both schemes) and the twelfth when the deleted
+# Ed25519 scheme or certificate chain comes back.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -38,6 +42,8 @@ vet:
 	! grep -nE 'tactic\.(ApplyRevocation|RotateEpoch)|Tactic\(\)\.(ApplyRevocation|RotateEpoch)|\.MergeWords\(' $$(ls internal/forwarder/*.go internal/network/*.go internal/oracle/*.go | grep -v _test.go)
 	! grep -rnE 'tactic_producer_(served|nacks)|MaxAttempts|func \(p \*Producer\) Instrument' --include=*.go internal cmd examples
 	test ! -e cmd/tacticserve
+	! grep -rnE '\b(Phase(Fast|PreVerify|PostVerify)|VerifyErr|OnRevocation|CheckContent|InterestInput|ContentInput)\b' --include=*.go internal cmd examples
+	test ! -e internal/pki/ed25519.go -a ! -e internal/pki/cert.go
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
