@@ -128,4 +128,53 @@ func TestSimVerifyAdmission(t *testing.T) {
 	if shed := edge.Stats().Drops["overload"]; shed != 2 {
 		t.Errorf("overload drops = %d, want 2", shed)
 	}
+
+	// The origin admits its verifications through the same queue, as the
+	// live origin's verify pool does: three misses on one face within
+	// microseconds are two verifications, each outstanding for its 100 ms
+	// (the origin's CPU is not serialised), and one shed.
+	//
+	//	downstream(0) — origin(1)
+	t.Run("origin", func(t *testing.T) {
+		g := buildGraph([]topology.Kind{topology.KindCoreRouter, topology.KindProvider}, [][2]int{{0, 1}})
+		engine := sim.NewEngine()
+		onet := network.New(engine, g, sim.NewStreams(1))
+		onet.ChargeDelays, onet.Delays = true, net.Delays
+		provider, err := core.NewProvider(names.MustParse("/prov0"), prov, time.Minute, rand.New(rand.NewSource(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		content, err := provider.Publish(names.MustParse("/prov0/obj/chunk0"), 2, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		origin, err := network.NewOriginNode(onet, 1, provider, registry, rand.New(rand.NewSource(3)),
+			network.RouterConfig{BFCapacity: 500, BFMaxFPP: 1e-4, VerifyBudget: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		origin.AddContent(content)
+		down := &stub{}
+		onet.SetNode(0, down)
+		onet.SetNode(1, origin)
+		for k := 0; k < 3; k++ {
+			tag, err := core.IssueTag(rogue, names.MustNew("users", "u"+string(rune('a'+k)), "KEY", "1"), 3,
+				core.AccessPathOf("ap-0"), engine.Now().Add(time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			onet.SendInterest(0, 0, &ndn.Interest{Name: content.Meta.Name, Kind: ndn.KindContent, Nonce: uint64(k + 1), Tag: tag}, 0)
+		}
+		engine.Run()
+		got := map[string]int{}
+		for _, d := range down.data {
+			got[core.ReasonLabel(d.NackReason)]++
+		}
+		if got["forged"] != 2 || got["overload"] != 1 || len(got) != 2 {
+			t.Fatalf("origin answers %v, want 2 forged and 1 overload", got)
+		}
+		if v := origin.Tactic().Validator().Verifications(); v != 2 {
+			t.Errorf("origin verifications = %d, want 2", v)
+		}
+	})
 }

@@ -95,7 +95,7 @@ func twoEdgeNet(t *testing.T) (*network.Network, *sim.Engine, *network.RouterNod
 	if err != nil {
 		t.Fatal(err)
 	}
-	provNode, err := network.NewProviderNode(net, 4, provider, registry, rand.New(rand.NewSource(3)), cfg)
+	provNode, err := network.NewOriginNode(net, 4, provider, registry, rand.New(rand.NewSource(3)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

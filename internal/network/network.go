@@ -1,6 +1,7 @@
 // Package network assembles a simulated TACTIC deployment: topology
-// nodes become packet-processing state machines (TACTIC routers,
-// providers, wireless access points, and consumer endpoints), connected
+// nodes become packet-processing state machines (TACTIC routers — edge,
+// core, and each provider's origin, one driver of the node core in three
+// roles — wireless access points, and consumer endpoints), connected
 // by links with bandwidth, latency, and loss, all driven by the
 // discrete-event engine. Computational delays for Bloom-filter and
 // signature operations are charged from a configurable delay model,

@@ -9,6 +9,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/network"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/pki"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
@@ -158,14 +159,17 @@ func TestProviderNodeAccessors(t *testing.T) {
 	if h.provNode.Provider() != h.provider {
 		t.Error("Provider() accessor broken")
 	}
-	if h.provNode.StoreSize() != 1 {
-		t.Errorf("StoreSize = %d", h.provNode.StoreSize())
+	if n := len(h.provNode.CSNames()); n != 1 {
+		t.Errorf("catalogue holds %d chunks, want 1", n)
 	}
 	if got := h.provNode.RegistrationName().String(); got != "/prov0/register" {
 		t.Errorf("RegistrationName = %q", got)
 	}
-	// HandleData on a provider is a no-op.
+	// A Data at an origin is refused as unsolicited.
 	h.provNode.HandleData(&ndn.Data{Name: names.MustParse("/x")}, 0)
+	if n := h.provNode.Stats().Drops[node.DropUnsolicited]; n != 1 {
+		t.Errorf("unsolicited drops = %d, want 1", n)
+	}
 	// Unknown content interests are dropped silently.
 	h.net.SendInterest(0, 0, &ndn.Interest{Name: names.MustParse("/prov0/ghost/chunk0"), Kind: ndn.KindContent, Nonce: 9}, 0)
 	h.engine.Run()

@@ -49,7 +49,7 @@ type harness struct {
 	net      *network.Network
 	registry *pki.Registry
 	provider *core.Provider
-	provNode *network.ProviderNode
+	provNode *network.RouterNode
 	edge     *network.RouterNode
 	core     *network.RouterNode
 	ap       *network.APNode
@@ -93,7 +93,7 @@ func newHarness(t *testing.T, cfg network.RouterConfig) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	provNode, err := network.NewProviderNode(net, 4, provider, registry, rand.New(rand.NewSource(3)), cfg)
+	provNode, err := network.NewOriginNode(net, 4, provider, registry, rand.New(rand.NewSource(3)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +215,12 @@ func TestContentFetchAndCaching(t *testing.T) {
 	}
 	// The core router cached the chunk on the reverse path; the second
 	// fetch is a cache hit that never reaches the provider.
-	servedBefore := h.provNode.Stats().Served
+	servedBefore := served(h.provNode)
 	send(3)
 	if len(h.client.data) != 2 {
 		t.Fatalf("second fetch not delivered")
 	}
-	if h.provNode.Stats().Served != servedBefore {
+	if served(h.provNode) != servedBefore {
 		t.Error("second fetch should be served from an in-network cache")
 	}
 	// The harness gives every router a CS, so the hit lands at the
@@ -230,6 +230,13 @@ func TestContentFetchAndCaching(t *testing.T) {
 	if edgeHits+coreHits == 0 {
 		t.Error("no cache hit recorded at any router")
 	}
+}
+
+// served counts an origin's content answers without a NACK: every reply
+// there is a content-store hit, and a refused one is a NACK.
+func served(origin *network.RouterNode) uint64 {
+	st := origin.Stats()
+	return st.CSHits - st.NACKsSent
 }
 
 // statsCS extracts content-store stats from a router.
@@ -378,7 +385,7 @@ func TestNoPrivateCacheBaseline(t *testing.T) {
 		h.engine.Run()
 	}
 	// Every private fetch hits the origin: no cache hits anywhere.
-	if got := h.provNode.Stats().Served; got != 3 {
+	if got := served(h.provNode); got != 3 {
 		t.Errorf("origin served %d, want 3 (no private caching)", got)
 	}
 	hits, _, _ := statsCS(h.core)
@@ -447,7 +454,7 @@ func TestInterestAggregationAtCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	provNode, err := network.NewProviderNode(net, 7, provider, registry, rand.New(rand.NewSource(3)), cfg)
+	provNode, err := network.NewOriginNode(net, 7, provider, registry, rand.New(rand.NewSource(3)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +517,7 @@ func TestInterestAggregationAtCore(t *testing.T) {
 		t.Errorf("core PIT aggregated = %d, want 1", st.PITAggregated)
 	}
 	// The provider answered exactly once.
-	if got := provNode.Stats().Served; got != 1 {
+	if got := served(provNode); got != 1 {
 		t.Errorf("provider served %d, want 1 (aggregation)", got)
 	}
 }

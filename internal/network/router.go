@@ -2,6 +2,7 @@ package network
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/metrics"
+	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/obs"
@@ -73,12 +75,15 @@ type RouterConfig struct {
 // RouterNode is a TACTIC router in the simulated network: the node core
 // (the NDN forwarding pipeline CS -> PIT -> FIB with the paper's
 // Protocols 1-4 spliced in) driven by the event engine. Edge routers
-// additionally run Protocol 2 on their client-side (access-point) faces.
+// additionally run Protocol 2 on their client-side (access-point) faces;
+// a provider's origin is a router in the origin role (NewOriginNode).
 type RouterNode struct {
 	net    *Network
 	index  int
 	role   node.Role
 	tactic *enforce.Router
+	// provider issues the origin's tags; nil at any other role.
+	provider *core.Provider
 	// The live plane's tables in one-shard form (one LRU: the engine is
 	// single-threaded) and the node core this type drives in virtual time.
 	fib  *ndn.FIB
@@ -91,14 +96,17 @@ type RouterNode struct {
 	rng    *rand.Rand
 	tracer *obs.Tracer
 
-	interests uint64
-	dataSeen  uint64
-	nacksSent uint64
-	drops     map[string]uint64
+	interests           uint64
+	dataSeen            uint64
+	nacksSent           uint64
+	registrations       uint64
+	registrationsFailed uint64
+	drops               map[string]uint64
 	// cpuBusyUntil serialises computational delays: a router is a
 	// single processing pipeline, so a burst of signature verifications
 	// (e.g. after a Bloom-filter reset) delays subsequent packets — the
-	// mechanism behind the paper's Fig. 5 latency spikes.
+	// mechanism behind the paper's Fig. 5 latency spikes. The origin's is
+	// not (cpuWait).
 	cpuBusyUntil time.Time
 }
 
@@ -108,29 +116,47 @@ const pitGCStride = 2048
 // NewRouterNode creates a router for graph node index. isEdge selects
 // the Protocol 2 role; verifier is the shared trust registry.
 func NewRouterNode(net *Network, index int, isEdge bool, verifier pki.Verifier, rng *rand.Rand, cfg RouterConfig) (*RouterNode, error) {
+	role := node.RoleCore
+	if isEdge {
+		role = node.RoleEdge
+	}
+	return newRouterNode(net, index, role, nil, verifier, rng, cfg)
+}
+
+// NewOriginNode creates provider's origin at graph node index: a router
+// in the origin role whose unbounded content store is the published
+// catalogue (AddContent) and which answers registration Interests with
+// fresh tags (§4.A). DropContentOnNACK, an ablation of relaying content
+// routers, does not apply to it.
+func NewOriginNode(net *Network, index int, provider *core.Provider, verifier pki.Verifier, rng *rand.Rand, cfg RouterConfig) (*RouterNode, error) {
+	cfg.CSCapacity, cfg.DropContentOnNACK = math.MaxInt, false
+	return newRouterNode(net, index, node.RoleOrigin, provider, verifier, rng, cfg)
+}
+
+// newRouterNode builds a router in role; provider is the origin's, nil
+// at an edge or core.
+func newRouterNode(net *Network, index int, role node.Role, provider *core.Provider, verifier pki.Verifier, rng *rand.Rand, cfg RouterConfig) (*RouterNode, error) {
 	bf, err := newRouterFilter(cfg)
 	if err != nil {
 		return nil, err
 	}
 	id := net.Graph.Nodes[index].ID
 	r := &RouterNode{
-		net:    net,
-		index:  index,
-		role:   node.RoleCore,
-		tactic: enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
-		fib:    ndn.NewFIB(),
-		pit:    ndn.NewShardedPITOf(1),
-		cs:     ndn.NewShardedCSOf(1, cfg.CSCapacity),
-		vq:     node.NewVerifyQueue[*ndn.Interest](cfg.VerifyBudget, cfg.Tactic),
-		cfg:    cfg,
-		rng:    rng,
-		drops:  make(map[string]uint64),
+		net:      net,
+		index:    index,
+		role:     role,
+		tactic:   enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
+		provider: provider,
+		fib:      ndn.NewFIB(),
+		pit:      ndn.NewShardedPITOf(1),
+		cs:       ndn.NewShardedCSOf(1, cfg.CSCapacity),
+		vq:       node.NewVerifyQueue[*ndn.Interest](cfg.VerifyBudget, cfg.Tactic),
+		cfg:      cfg,
+		rng:      rng,
+		tracer:   net.Tracer(id, role.String()),
+		drops:    make(map[string]uint64),
 	}
-	if isEdge {
-		r.role = node.RoleEdge
-	}
-	r.core = node.New(r.tactic, r.fib, r.pit, r.cs, r.role, cfg.PITLifetime)
-	r.tracer = net.Tracer(id, r.role.String())
+	r.core = node.New(r.tactic, r.fib, r.pit, r.cs, role, cfg.PITLifetime)
 	return r, nil
 }
 
@@ -161,6 +187,19 @@ func (r *RouterNode) IsEdge() bool { return r.role == node.RoleEdge }
 // unspecified order — the conformance oracle's end-state cache view.
 func (r *RouterNode) CSNames() []string { return r.cs.Names() }
 
+// Provider exposes an origin's provider (nil at any other role).
+func (r *RouterNode) Provider() *core.Provider { return r.provider }
+
+// AddContent installs a published chunk into an origin's catalogue.
+func (r *RouterNode) AddContent(c *core.Content) { r.cs.Insert(c) }
+
+// RegistrationName returns the name clients use to register at an
+// origin. Registration Interests carry a unique suffix per request so
+// they are never aggregated or cached.
+func (r *RouterNode) RegistrationName() names.Name {
+	return r.provider.Prefix().MustAppend("register")
+}
+
 // drop records a dropped packet by reason.
 func (r *RouterNode) drop(reason string) { r.drops[reason]++ }
 
@@ -169,8 +208,12 @@ func (r *RouterNode) id() string { return r.net.Graph.Nodes[r.index].ID }
 
 // cpuWait books work on the router CPU and returns the delay from now
 // until it finishes, recording any time spent queued behind earlier work
-// on sp.
+// on sp. The origin's CPU is not serialised: work delays only the reply
+// it is for.
 func (r *RouterNode) cpuWait(sp *obs.Span, work time.Duration) time.Duration {
+	if r.role == node.RoleOrigin {
+		return work
+	}
 	now := r.net.Engine.Now()
 	start := now
 	if r.cpuBusyUntil.After(start) {
@@ -267,6 +310,8 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		i.Trace = sp.Onward(inTC)
 		r.net.SendInterest(r.index, st.Face, i, proc)
 		sp.End(node.OutcomeForwarded, proc)
+	case node.Register:
+		r.handleRegistration(i, from, now)
 	case node.Aggregate:
 		// Sim links lose only what a scenario tells them to: no re-send.
 		sp.End(node.OutcomeAggregated, proc)
@@ -276,6 +321,26 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		r.drop(st.Cause)
 		sp.End(node.OutcomeDrop+st.Cause, proc)
 	}
+}
+
+// handleRegistration processes a tag request at an origin: verify
+// credentials and return a fresh tag, or drop ("provides her a fresh tag
+// if she is authorized or drops the request otherwise", §4.A).
+func (r *RouterNode) handleRegistration(i *ndn.Interest, from ndn.FaceID, now time.Time) {
+	if i.Registration == nil {
+		r.registrationsFailed++
+		return
+	}
+	// The registration request's access path is whatever accumulated
+	// between the client and its edge router; the provider copies it
+	// into the tag.
+	resp, err := r.provider.Register(*i.Registration, now)
+	if err != nil {
+		r.registrationsFailed++
+		return
+	}
+	r.registrations++
+	r.net.SendData(r.index, from, &ndn.Data{Name: i.Name, Registration: resp}, 0)
 }
 
 // HandleData runs an arriving Data through the node core: admitted (or
@@ -363,6 +428,9 @@ type RouterNodeStats struct {
 	Interests, Data uint64
 	// NACKsSent counts invalidity signals emitted.
 	NACKsSent uint64
+	// Registrations and RegistrationsFailed count an origin's tag
+	// issuances and dropped registration attempts.
+	Registrations, RegistrationsFailed uint64
 	// Drops tallies dropped packets by reason.
 	Drops map[string]uint64
 	// CSHits/CSMisses are content-store statistics.
@@ -388,12 +456,14 @@ func (r *RouterNode) Stats() RouterNodeStats {
 			Resets:          bf.Resets,
 			ResetThresholds: r.tactic.Bloom().ResetThresholds(),
 		},
-		Interests:  r.interests,
-		Data:       r.dataSeen,
-		NACKsSent:  r.nacksSent,
-		Drops:      drops,
-		CSHits:     hits,
-		CSMisses:   misses,
-		PITCreated: created, PITAggregated: aggregated, PITExpired: expired,
+		Interests:           r.interests,
+		Data:                r.dataSeen,
+		NACKsSent:           r.nacksSent,
+		Registrations:       r.registrations,
+		RegistrationsFailed: r.registrationsFailed,
+		Drops:               drops,
+		CSHits:              hits,
+		CSMisses:            misses,
+		PITCreated:          created, PITAggregated: aggregated, PITExpired: expired,
 	}
 }

@@ -173,7 +173,7 @@ func RunSim(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, er
 		routers[idx] = r
 	}
 	for p, idx := range info.providers {
-		node, err := network.NewProviderNode(net, idx, mat.providers[p], mat.registry, streams.Stream(info.nodeID(idx)), rcfg)
+		node, err := network.NewOriginNode(net, idx, mat.providers[p], mat.registry, streams.Stream(info.nodeID(idx)), rcfg)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ type consumerHarness struct {
 	engine   *sim.Engine
 	net      *network.Network
 	provider *core.Provider
-	provNode *network.ProviderNode
+	provNode *network.RouterNode
 	edge     *network.RouterNode
 	catalog  *workload.Catalog
 	zipf     *workload.Zipf
@@ -68,7 +68,7 @@ func newConsumerHarness(t *testing.T) *consumerHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	provNode, err := network.NewProviderNode(net, 3, provider, registry, rand.New(rand.NewSource(3)), cfg)
+	provNode, err := network.NewOriginNode(net, 3, provider, registry, rand.New(rand.NewSource(3)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
