@@ -792,7 +792,10 @@ func TestFlushReaderKeepsDrainingBehindBlockedSender(t *testing.T) {
 	}
 	defer ln.Close()
 	small := func(c net.Conn) net.Conn { // reach the blocked state quickly
-		c.(*net.TCPConn).SetReadBuffer(64 << 10)  //nolint:errcheck // only sizes the test
+		// Only the send side is shrunk. A 64 KiB receive buffer on
+		// loopback (64 KiB MTU) lets the kernel prune a whole queued
+		// segment, and the retransmission backoff that follows can
+		// outlast the 5 s no-progress bound below.
 		c.(*net.TCPConn).SetWriteBuffer(64 << 10) //nolint:errcheck // only sizes the test
 		return c
 	}
