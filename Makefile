@@ -29,8 +29,10 @@ build:
 # second daemon again (it is tacticd -role producer); the eleventh when
 # a scheme backend grows its own verification exchange again (the
 # engines answer Check and Verified over one enforce.Input; Router runs
-# the validator once for both schemes) and the twelfth when the deleted
-# Ed25519 scheme or certificate chain comes back.
+# the validator once for both schemes), the twelfth when the deleted
+# Ed25519 scheme or certificate chain comes back, and the thirteenth
+# (two lines) when the simulator's origin becomes a node type of its own
+# again (it is a network.RouterNode in the origin role, NewOriginNode).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -44,6 +46,8 @@ vet:
 	test ! -e cmd/tacticserve
 	! grep -rnE '\b(Phase(Fast|PreVerify|PostVerify)|VerifyErr|OnRevocation|CheckContent|InterestInput|ContentInput)\b' --include=*.go internal cmd examples
 	test ! -e internal/pki/ed25519.go -a ! -e internal/pki/cert.go
+	test ! -e internal/network/provider.go
+	! grep -rnE '\b(ProviderNode|NewProviderNode|ProviderNodeStats)\b' --include=*.go internal cmd examples
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
