@@ -323,3 +323,31 @@ func TestLiveUDPFailover(t *testing.T) {
 		t.Errorf("uplink never observed the outage (downs = %d)", un.uplink.downs.Value())
 	}
 }
+
+// TestLiveUDPChaosResetRedials runs the fetch workload while the edge
+// uplink's datagram conn is reset now and then: a reset closes the conn,
+// so the uplink face must end at once and the uplink redial, rather than
+// sit on a dead conn until some timeout.
+func TestLiveUDPChaosResetRedials(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live UDP soak in -short mode")
+	}
+	dial := chaos.Dialer(chaos.Config{Seed: 7, Reset: 0.05})
+	un := startUDPNet(t, dial, 0)
+	defer un.Close()
+
+	alice := un.enrolledClient("alice")
+	defer alice.Close()
+
+	preConnects := un.uplink.connects.Value()
+	const total = 60
+	ok := fetchRange(alice, un.prefix, 0, total, 2*time.Second)
+	connects := un.uplink.connects.Value()
+	t.Logf("udp reset delivery %d/%d; uplink connects %d -> %d", ok, total, preConnects, connects)
+	if connects <= 1 {
+		t.Errorf("uplink connects = %d, want > 1: a reset conn was never redialed", connects)
+	}
+	if ok < 54 {
+		t.Errorf("delivery under udp resets = %d/%d, want >= 54", ok, total)
+	}
+}

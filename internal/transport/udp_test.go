@@ -470,6 +470,36 @@ func TestUDPOversizeDatagramCountedConnMode(t *testing.T) {
 	}
 }
 
+// TestDatagramConnReadErrorEndsFace wraps a connected conn toward a
+// closed port: the peer's ICMP port-unreachable surfaces as a read error,
+// which must end the face at once rather than wait out the idle timeout.
+func TestDatagramConnReadErrorEndsFace(t *testing.T) {
+	dead, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := dead.LocalAddr().String()
+	dead.Close()
+	c, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewDatagramConn(c, UDPOptions{})
+	defer f.Close()
+	f.SetIdleTimeout(3 * time.Second)
+	if err := f.SendKeepalive(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = f.Receive()
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Receive took %v to fail (err %v), want < 1s", took, err)
+	}
+	if err == nil || errors.Is(err, ErrIdleTimeout) {
+		t.Fatalf("Receive err = %v, want a non-timeout error", err)
+	}
+}
+
 func TestUDPDialClosesWholeEndpoint(t *testing.T) {
 	ep, cl := udpPair(t, UDPOptions{})
 	_ = ep
