@@ -30,9 +30,13 @@ build:
 # a scheme backend grows its own verification exchange again (the
 # engines answer Check and Verified over one enforce.Input; Router runs
 # the validator once for both schemes), the twelfth when the deleted
-# Ed25519 scheme or certificate chain comes back, and the thirteenth
-# (two lines) when the simulator's origin becomes a node type of its own
-# again (it is a network.RouterNode in the origin role, NewOriginNode).
+# Ed25519 scheme or certificate chain comes back, the thirteenth (two
+# lines) when the simulator's origin becomes a node type of its own
+# again (it is a network.RouterNode in the origin role, NewOriginNode),
+# and the fourteenth when the datagram face grows a second read path of
+# its own or UDPOptions a knob beyond the MTU again (a wrapped conn is a
+# single-peer UDPEndpoint; the reassembly bounds are constants and
+# single-datagram syscalls an unexported test hook).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -48,6 +52,7 @@ vet:
 	test ! -e internal/pki/ed25519.go -a ! -e internal/pki/cert.go
 	test ! -e internal/network/provider.go
 	! grep -rnE '\b(ProviderNode|NewProviderNode|ProviderNodeStats)\b' --include=*.go internal cmd examples
+	! grep -rnE '\b(readConn|DisableBatch|ReassemblyTimeout|ReassemblyEntries)\b' --include=*.go internal cmd examples
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

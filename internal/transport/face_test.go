@@ -31,8 +31,7 @@ type contractCarrier struct {
 	// next datagram being a fresh start. Both count it.
 	badFrameSurfaces bool
 	// idleErr: a stream face's idle timeout is its socket's read
-	// deadline; a datagram face times out waiting on its own queue or
-	// maps the socket's deadline to ErrIdleTimeout.
+	// deadline; a datagram face times out waiting on its own queue.
 	idleErr error
 	// closedSendFatal: a closed stream face learns it from the socket, as
 	// a connection failure; a closed datagram face knows before touching
@@ -67,6 +66,7 @@ var contractCarriers = []contractCarrier{
 		badFrameSurfaces: true, idleErr: os.ErrDeadlineExceeded, closedSendFatal: true},
 	{name: "udp-endpoint", open: listenAndDial("udp://127.0.0.1:0"),
 		idleErr: transport.ErrIdleTimeout},
+	// A wrapped conn pair, each served through a single-peer endpoint.
 	{name: "udp-conn", idleErr: transport.ErrIdleTimeout,
 		open: func(t *testing.T) (transport.Face, func() transport.Face) {
 			ca, cb := udpConnPair(t)

@@ -38,7 +38,9 @@ const DefaultMTU = 1400
 // MinMTU is the smallest accepted MTU.
 const MinMTU = 256
 
-// Reassembly defaults (UDPOptions.ReassemblyTimeout / ReassemblyEntries).
+// Reassembly bounds of every datagram face: a partial packet is evicted
+// this long after its first fragment, and at most this many reassemble
+// at once.
 const (
 	DefaultReassemblyTimeout = time.Second
 	DefaultReassemblyEntries = 64

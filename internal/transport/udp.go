@@ -20,15 +20,10 @@ type UDPOptions struct {
 	// fragmented (see frag.go). Both ends of a link should agree; default
 	// DefaultMTU, minimum MinMTU.
 	MTU int
-	// DisableBatch forces single-datagram syscalls even where recvmmsg/
-	// sendmmsg are available — the un-batched baseline for benchmarks.
-	DisableBatch bool
-	// ReassemblyTimeout evicts a partial packet this long after its first
-	// fragment (default DefaultReassemblyTimeout).
-	ReassemblyTimeout time.Duration
-	// ReassemblyEntries bounds concurrent reassemblies per face (default
-	// DefaultReassemblyEntries).
-	ReassemblyEntries int
+	// noBatch forces single-datagram syscalls even where recvmmsg/
+	// sendmmsg are available, so tests and benchmarks reach the path every
+	// other platform runs.
+	noBatch bool
 }
 
 // withDefaults resolves zero fields.
@@ -38,12 +33,6 @@ func (o UDPOptions) withDefaults() UDPOptions {
 	}
 	if o.MTU < MinMTU {
 		o.MTU = MinMTU
-	}
-	if o.ReassemblyTimeout <= 0 {
-		o.ReassemblyTimeout = DefaultReassemblyTimeout
-	}
-	if o.ReassemblyEntries <= 0 {
-		o.ReassemblyEntries = DefaultReassemblyEntries
 	}
 	return o
 }
@@ -74,6 +63,11 @@ type outDatagram struct {
 // Reads and writes go through recvmmsg/sendmmsg batches where the
 // platform supports them, amortising syscall cost across datagrams.
 type UDPEndpoint struct {
+	// conn is the socket. pc is the same socket when this package opened
+	// it (ListenUDP, DialUDP), read and written with addresses; it is nil
+	// when conn is a wrapped datagram conn (NewDatagramConn), read and
+	// written as it stands.
+	conn net.Conn
 	pc   *net.UDPConn
 	opts UDPOptions
 	bio  *batchIO // nil: single-datagram syscalls
@@ -87,10 +81,10 @@ type UDPEndpoint struct {
 	acceptQ chan *DatagramFace
 	sendQ   chan outDatagram
 
-	// dialPeer, when valid, pins the endpoint to one remote (DialUDP):
-	// datagrams from anyone else are dropped and closing the single face
-	// closes the endpoint.
-	dialPeer netip.AddrPort
+	// peer, when non-nil, is the one face of a single-peer endpoint
+	// (DialUDP, NewDatagramConn): datagrams from anyone else are dropped
+	// and closing the face closes the endpoint.
+	peer *DatagramFace
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -105,8 +99,9 @@ type UDPEndpoint struct {
 }
 
 // dgramCounters is the datagram plane's ledger. It has one owner, the
-// socket: a UDPEndpoint's faces count into the endpoint's (which
-// UDPEndpoint.Instrument exposes), a NewDatagramConn face into its own.
+// socket: every face counts into its endpoint's, which
+// UDPEndpoint.Instrument exposes and the face of a single-peer endpoint
+// exposes as its own (DatagramFace.Series).
 type dgramCounters struct {
 	// fragsIn and fragsOut count fragment datagrams moved; reassembled,
 	// frames completed from fragments; reasmEvicted, partial packets
@@ -130,7 +125,9 @@ func ListenUDP(addr string, opts UDPOptions) (*UDPEndpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEndpoint(pc, opts, netip.AddrPort{}), nil
+	ep := newEndpoint(pc, pc, opts)
+	ep.start()
+	return ep, nil
 }
 
 // DialUDP opens a datagram face to addr over a fresh ephemeral-port
@@ -151,30 +148,49 @@ func DialUDP(addr string, opts UDPOptions) (*DatagramFace, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := newEndpoint(pc, opts, peer)
-	return ep.newFace(peer), nil
+	return newEndpoint(pc, pc, opts).single(peer), nil
 }
 
-// newEndpoint wires up the socket, loops, and (where available) batch I/O.
-func newEndpoint(pc *net.UDPConn, opts UDPOptions, dialPeer netip.AddrPort) *UDPEndpoint {
+// NewDatagramConn wraps a datagram-semantics net.Conn (each Write is
+// one datagram, each Read returns one whole datagram) as the face of a
+// single-peer endpoint: the interposition point for fault injection
+// (chaos.Wrap) and custom dialers, at single-datagram syscall cost. The
+// conn talks to its one peer only, so any read error but a deadline (a
+// reset's closed conn, a dead peer's ECONNREFUSED) ends the face at
+// once, where a listener skips it.
+func NewDatagramConn(c net.Conn, opts UDPOptions) *DatagramFace {
+	ua, _ := c.RemoteAddr().(*net.UDPAddr)
+	return newEndpoint(c, nil, opts).single(canonAddr(ua.AddrPort()))
+}
+
+// newEndpoint wires up the socket conn (pc is conn as this package's
+// UDP socket, or nil; see UDPEndpoint) and, where available, batch I/O.
+// start runs its loops.
+func newEndpoint(conn net.Conn, pc *net.UDPConn, opts UDPOptions) *UDPEndpoint {
 	opts = opts.withDefaults()
-	// Deep socket buffers ride out batch-sized bursts; best-effort.
-	pc.SetReadBuffer(4 << 20)  //nolint:errcheck
-	pc.SetWriteBuffer(4 << 20) //nolint:errcheck
+	// Deep socket buffers ride out bursts: a single MaxPacketSize frame
+	// fans out into ~750 datagrams at the default MTU, far beyond the
+	// kernel's default receive buffer. Best-effort; capped by rmem_max.
+	if bc, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
+		bc.SetReadBuffer(4 << 20) //nolint:errcheck
+	}
+	if bc, ok := conn.(interface{ SetWriteBuffer(int) error }); ok {
+		bc.SetWriteBuffer(4 << 20) //nolint:errcheck
+	}
 	bufSize := opts.MTU + 128
 	if bufSize < 2048 {
 		bufSize = 2048
 	}
 	ep := &UDPEndpoint{
-		pc:       pc,
-		opts:     opts,
-		faces:    make(map[netip.AddrPort]*DatagramFace),
-		acceptQ:  make(chan *DatagramFace, 64),
-		sendQ:    make(chan outDatagram, sendQueueLen),
-		dialPeer: dialPeer,
-		closed:   make(chan struct{}),
+		conn:    conn,
+		pc:      pc,
+		opts:    opts,
+		faces:   make(map[netip.AddrPort]*DatagramFace),
+		acceptQ: make(chan *DatagramFace, 64),
+		sendQ:   make(chan outDatagram, sendQueueLen),
+		closed:  make(chan struct{}),
 	}
-	if !opts.DisableBatch {
+	if pc != nil && !opts.noBatch {
 		ep.bio = newBatchIO(pc, bufSize)
 	}
 	if ep.bio == nil {
@@ -182,10 +198,21 @@ func newEndpoint(pc *net.UDPConn, opts UDPOptions, dialPeer netip.AddrPort) *UDP
 		// buffer means the kernel truncated an oversized datagram.
 		ep.rbuf = make([]byte, bufSize+1)
 	}
+	return ep
+}
+
+// start runs the endpoint's read and write loops.
+func (ep *UDPEndpoint) start() {
 	ep.wg.Add(2)
 	go ep.readLoop()
 	go ep.writeLoop()
-	return ep
+}
+
+// single pins the endpoint to remote, starts it and returns its one face.
+func (ep *UDPEndpoint) single(remote netip.AddrPort) *DatagramFace {
+	ep.peer = ep.newFace(remote)
+	ep.start()
+	return ep.peer
 }
 
 // Accept blocks for the next auto-created face (first datagram from an
@@ -200,7 +227,7 @@ func (ep *UDPEndpoint) Accept() (Face, error) {
 }
 
 // Addr returns the bound local address.
-func (ep *UDPEndpoint) Addr() net.Addr { return ep.pc.LocalAddr() }
+func (ep *UDPEndpoint) Addr() net.Addr { return ep.conn.LocalAddr() }
 
 // Faces returns the number of live faces.
 func (ep *UDPEndpoint) Faces() int {
@@ -219,22 +246,13 @@ func (ep *UDPEndpoint) Fragments() (in, out uint64) {
 	return ep.dg.fragsIn.Load(), ep.dg.fragsOut.Load()
 }
 
-// Close stops the endpoint: the socket closes, every face's Receive
-// unblocks with an error, and the loops drain.
+// Close stops the endpoint: the socket closes, the read loop ends and
+// every face's Receive with it (with an error), and the loops drain.
 func (ep *UDPEndpoint) Close() error {
 	var err error
 	ep.closeOnce.Do(func() {
 		close(ep.closed)
-		err = ep.pc.Close()
-		ep.mu.Lock()
-		faces := make([]*DatagramFace, 0, len(ep.faces))
-		for _, f := range ep.faces {
-			faces = append(faces, f)
-		}
-		ep.mu.Unlock()
-		for _, f := range faces {
-			f.markDone()
-		}
+		err = ep.conn.Close()
 		ep.wg.Wait()
 	})
 	return err
@@ -247,9 +265,7 @@ func (ep *UDPEndpoint) newFace(remote netip.AddrPort) *DatagramFace {
 		ep:    ep,
 		raddr: remote,
 		rq:    make(chan *[]byte, recvQueueLen),
-		opts:  ep.opts,
-		asm:   newReassembler(ep.opts.ReassemblyEntries, ep.opts.ReassemblyTimeout),
-		dg:    &ep.dg,
+		asm:   newReassembler(DefaultReassemblyEntries, DefaultReassemblyTimeout),
 	}
 	f.done = make(chan struct{})
 	f.write = f.sendFrame
@@ -276,8 +292,16 @@ func canonAddr(ap netip.AddrPort) netip.AddrPort {
 
 // readLoop pulls datagram batches off the socket and demultiplexes
 // them into per-face receive queues, creating faces for new remotes.
+// Every face it fed ends when it does.
 func (ep *UDPEndpoint) readLoop() {
 	defer ep.wg.Done()
+	defer func() {
+		ep.mu.Lock()
+		for _, f := range ep.faces {
+			f.markDone()
+		}
+		ep.mu.Unlock()
+	}()
 	for {
 		if ep.bio != nil {
 			n, err := ep.bio.readBatch()
@@ -312,7 +336,16 @@ func (ep *UDPEndpoint) readLoop() {
 			}
 			continue
 		}
-		n, addr, err := ep.pc.ReadFromUDPAddrPort(ep.rbuf)
+		var n int
+		var addr netip.AddrPort
+		var err error
+		if ep.pc != nil {
+			n, addr, err = ep.pc.ReadFromUDPAddrPort(ep.rbuf)
+			addr = canonAddr(addr)
+		} else {
+			n, err = ep.conn.Read(ep.rbuf)
+			addr = ep.peer.raddr
+		}
 		if err != nil {
 			if ep.readDead(err) {
 				return
@@ -324,16 +357,22 @@ func (ep *UDPEndpoint) readLoop() {
 			ep.dg.oversize.Add(1)
 			continue
 		}
-		ep.deliver(ep.rbuf[:n], canonAddr(addr))
+		ep.deliver(ep.rbuf[:n], addr)
 	}
 }
 
-// readDead reports whether a read error means the endpoint is done.
+// readDead reports whether a read error means the endpoint is done: on
+// a wrapped conn any error but a deadline, on a socket this package
+// opened only its closing.
 func (ep *UDPEndpoint) readDead(err error) bool {
 	select {
 	case <-ep.closed:
 		return true
 	default:
+	}
+	var nerr net.Error
+	if ep.pc == nil && !(errors.As(err, &nerr) && nerr.Timeout()) {
+		return true
 	}
 	return errors.Is(err, net.ErrClosed)
 }
@@ -342,12 +381,15 @@ func (ep *UDPEndpoint) readDead(err error) bool {
 // remote is new. The datagram bytes are copied into a pooled buffer
 // owned by the face until its receive loop releases it.
 func (ep *UDPEndpoint) deliver(data []byte, addr netip.AddrPort) {
-	if ep.dialPeer.IsValid() && addr != ep.dialPeer {
-		return // dialed endpoints talk to exactly one remote
+	f := ep.peer
+	if f != nil && addr != f.raddr {
+		return // a single-peer endpoint talks to its one remote only
 	}
-	ep.mu.Lock()
-	f := ep.faces[addr]
-	ep.mu.Unlock()
+	if f == nil {
+		ep.mu.Lock()
+		f = ep.faces[addr]
+		ep.mu.Unlock()
+	}
 	if f == nil {
 		f = ep.newFace(addr)
 		select {
@@ -399,8 +441,14 @@ func (ep *UDPEndpoint) writeLoop() {
 		if ep.bio != nil {
 			ep.bio.writeBatch(pend)
 		} else {
+			// Datagram sends are fire-and-forget; a wrapped conn's failure
+			// surfaces on its read side.
 			for _, d := range pend {
-				ep.pc.WriteToUDPAddrPort(*d.buf, d.addr) //nolint:errcheck // datagram sends are fire-and-forget
+				if ep.pc != nil {
+					ep.pc.WriteToUDPAddrPort(*d.buf, d.addr) //nolint:errcheck
+				} else {
+					ep.conn.Write(*d.buf) //nolint:errcheck
+				}
 			}
 		}
 		for i := range pend {
@@ -452,33 +500,22 @@ var ErrIdleTimeout = errors.New("transport: idle timeout")
 // DatagramFace carries NDN packets over UDP: one remote 5-tuple,
 // fragmentation past the MTU, per-datagram (not per-stream) error
 // recovery — a corrupt datagram is counted and skipped, because the
-// next datagram re-synchronises framing for free. Faces come from a
-// UDPEndpoint (listener- or dial-side, batched I/O) or from
-// NewDatagramConn (any datagram-semantics net.Conn, e.g. chaos-wrapped).
+// next datagram re-synchronises framing for free. Every face is fed by
+// the loops of a UDPEndpoint: a listener's demux, or a single-peer
+// endpoint of its own (DialUDP, NewDatagramConn).
 // Reads are single-reader; sends are safe for concurrent use.
 type DatagramFace struct {
 	faceCore
 
-	// Endpoint mode: ep+raddr+rq carry datagrams demultiplexed by the
-	// endpoint's batch loops.
 	ep    *UDPEndpoint
 	raddr netip.AddrPort
-	rq    chan *[]byte
+	rq    chan *[]byte // datagrams the endpoint demuxed to this face
 
-	// Conn mode: a connected datagram net.Conn read/written directly.
-	c    net.Conn
-	rbuf []byte
-	wmu  sync.Mutex
-
-	opts  UDPOptions
 	asm   *reassembler
 	pktID atomic.Uint64
-	// dg is the socket's datagram-plane ledger: the endpoint's, shared
-	// with every face demuxed from it, or in conn mode the face's own.
-	dg *dgramCounters
 	// evictSeen tracks how much of asm.evicted has been published into
-	// dg.reasmEvicted; plain (non-atomic) because only the single receive
-	// loop that owns asm touches it.
+	// the endpoint's ledger; plain (non-atomic) because only the single
+	// receive loop that owns asm touches it.
 	evictSeen uint64
 	// evictGate rate-limits reassembly-eviction events to one per second.
 	evictGate obs.BurstGate
@@ -488,47 +525,12 @@ type DatagramFace struct {
 	idleTimer *time.Timer
 }
 
-// NewDatagramConn wraps a datagram-semantics net.Conn (each Write is
-// one datagram, each Read returns one whole datagram) as a face: the
-// interposition point for fault injection (chaos.Wrap) and custom
-// dialers, at single-datagram syscall cost.
-func NewDatagramConn(c net.Conn, opts UDPOptions) *DatagramFace {
-	opts = opts.withDefaults()
-	bufSize := opts.MTU + 128
-	if bufSize < 2048 {
-		bufSize = 2048
-	}
-	// Deep socket buffers absorb fragment bursts: a single MaxPacketSize
-	// frame fans out into ~750 datagrams at the default MTU, far beyond
-	// the kernel's default receive buffer.
-	if bc, ok := c.(interface{ SetReadBuffer(int) error }); ok {
-		bc.SetReadBuffer(4 << 20) //nolint:errcheck // best-effort; capped by rmem_max
-	}
-	if bc, ok := c.(interface{ SetWriteBuffer(int) error }); ok {
-		bc.SetWriteBuffer(4 << 20) //nolint:errcheck
-	}
-	f := &DatagramFace{
-		c: c,
-		// One byte of headroom so a read filling the buffer is detectable
-		// as a truncated oversized datagram (see readConn).
-		rbuf: make([]byte, bufSize+1),
-		opts: opts,
-		asm:  newReassembler(opts.ReassemblyEntries, opts.ReassemblyTimeout),
-		dg:   new(dgramCounters),
-	}
-	f.done = make(chan struct{})
-	f.write = f.sendFrame
-	return f
-}
-
 // Fragments returns fragment datagrams received and sent, read from the
-// datagram-plane ledger of the face's socket (see dgramCounters; Series
-// lists every counter of it): this face's traffic alone when it was
-// dialed or wraps a conn, every face of the endpoint when it was demuxed
-// from a listener.
-func (f *DatagramFace) Fragments() (in, out uint64) {
-	return f.dg.fragsIn.Load(), f.dg.fragsOut.Load()
-}
+// datagram-plane ledger of the face's endpoint (see dgramCounters;
+// Series lists every counter of it): this face's traffic alone when it
+// was dialed or wraps a conn, every face of the endpoint when it was
+// demuxed from a listener.
+func (f *DatagramFace) Fragments() (in, out uint64) { return f.ep.Fragments() }
 
 // noteEvictions publishes reassembler evictions accumulated since the
 // last call (the reassembler's counter is private to the receive loop)
@@ -540,7 +542,7 @@ func (f *DatagramFace) noteEvictions() {
 		return
 	}
 	f.evictSeen = f.asm.evicted
-	f.dg.reasmEvicted.Add(d)
+	f.ep.dg.reasmEvicted.Add(d)
 	if m := f.metrics.Load(); m != nil && m.Events != nil {
 		if burst := f.evictGate.Add(d); burst > 0 {
 			m.Events.Emit(obs.EventReassemblyEvict, m.Face, f.RemoteAddr().String(), burst)
@@ -549,22 +551,15 @@ func (f *DatagramFace) noteEvictions() {
 }
 
 // RemoteAddr returns the peer address.
-func (f *DatagramFace) RemoteAddr() net.Addr {
-	if f.c != nil {
-		return f.c.RemoteAddr()
-	}
-	return net.UDPAddrFromAddrPort(f.raddr)
-}
+func (f *DatagramFace) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(f.raddr) }
 
-// Close releases the face. On a dialed endpoint the whole endpoint
+// Close releases the face. On a single-peer endpoint the whole endpoint
 // closes with it; on a listener endpoint only this remote's slot frees
 // (a later datagram from the same remote makes a fresh face).
 func (f *DatagramFace) Close() error {
 	f.markDone()
 	var err error
-	if f.c != nil {
-		err = f.c.Close()
-	} else if f.ep.dialPeer.IsValid() {
+	if f.ep.peer == f {
 		err = f.ep.Close()
 	} else {
 		f.ep.dropFace(f)
@@ -582,7 +577,7 @@ func (f *DatagramFace) sendFrame(frame []byte) error {
 	}
 	var id uint64
 	var nfrags int
-	mtu := f.opts.MTU
+	mtu := f.ep.opts.MTU
 	if len(frame) > mtu {
 		id = f.pktID.Add(1)
 		chunk := mtu - fragOverhead
@@ -595,26 +590,14 @@ func (f *DatagramFace) sendFrame(frame []byte) error {
 		return err
 	}
 	if nfrags > 0 {
-		f.dg.fragsOut.Add(uint64(nfrags))
+		f.ep.dg.fragsOut.Add(uint64(nfrags))
 	}
 	return nil
 }
 
-// emit transmits one datagram.
+// emit queues one datagram on the endpoint.
 func (f *DatagramFace) emit(dg []byte) error {
-	timeout := time.Duration(f.writeTimeout.Load())
-	if f.ep != nil {
-		return f.ep.enqueue(f.raddr, dg, timeout)
-	}
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	if timeout > 0 {
-		f.c.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck // best-effort; the write reports failures
-	}
-	if _, err := f.c.Write(dg); err != nil {
-		return &ConnError{Op: "write", Err: err}
-	}
-	return nil
+	return f.ep.enqueue(f.raddr, dg, time.Duration(f.writeTimeout.Load()))
 }
 
 // Receive blocks for the next packet. Corrupt datagrams are counted
@@ -626,22 +609,12 @@ func (f *DatagramFace) Receive() (Packet, error) { return f.ReceiveInto(nil) }
 // a nil s is Receive.
 func (f *DatagramFace) ReceiveInto(s *Scratch) (Packet, error) {
 	for {
-		var pkt Packet
-		var ok bool
-		if f.ep != nil {
-			buf, err := f.nextQueued()
-			if err != nil {
-				return Packet{}, err
-			}
-			pkt, ok = f.process(*buf, s)
-			ndn.ReleaseBuffer(buf)
-		} else {
-			dg, err := f.readConn()
-			if err != nil {
-				return Packet{}, err
-			}
-			pkt, ok = f.process(dg, s)
+		buf, err := f.nextQueued()
+		if err != nil {
+			return Packet{}, err
 		}
+		pkt, ok := f.process(*buf, s)
+		ndn.ReleaseBuffer(buf)
 		if ok {
 			return pkt, nil
 		}
@@ -694,34 +667,6 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// readConn reads one datagram off the wrapped net.Conn, honouring the
-// idle timeout via read deadlines. Oversized datagrams (truncated by
-// the socket to the buffer) are counted and skipped here, before the
-// parse layer would misreport them as generic length-mismatch errors.
-func (f *DatagramFace) readConn() ([]byte, error) {
-	for {
-		if d := time.Duration(f.idleTimeout.Load()); d > 0 {
-			f.c.SetReadDeadline(time.Now().Add(d)) //nolint:errcheck // best-effort; the read reports failures
-		} else {
-			f.c.SetReadDeadline(time.Time{}) //nolint:errcheck
-		}
-		n, err := f.c.Read(f.rbuf)
-		if err != nil {
-			if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
-				return nil, ErrIdleTimeout
-			}
-			return nil, err
-		}
-		if n == len(f.rbuf) {
-			// The headroom byte was consumed: a bigger-MTU peer's datagram
-			// was truncated by the socket.
-			f.dg.oversize.Add(1)
-			continue
-		}
-		return f.rbuf[:n], nil
-	}
-}
-
 // process ingests one datagram: a whole frame (a keepalive is one) is
 // counted and decoded as it stands, a fragment feeds the reassembler and
 // is a frame only once it completes one. ok reports whether pkt carries
@@ -738,7 +683,7 @@ func (f *DatagramFace) process(dg []byte, s *Scratch) (pkt Packet, ok bool) {
 		return pkt, ok
 	}
 	f.bytesIn.Add(uint64(len(dg)))
-	f.dg.fragsIn.Add(1)
+	f.ep.dg.fragsIn.Add(1)
 	frame, err := f.asm.add(time.Now(), body)
 	f.noteEvictions()
 	if err == nil && frame != nil && len(frame) == 0 {
@@ -755,7 +700,7 @@ func (f *DatagramFace) process(dg []byte, s *Scratch) (pkt Packet, ok bool) {
 		return Packet{}, false
 	}
 	if pkt, ok, _ = f.received(frame[0], frame, 0, s); ok {
-		f.dg.reassembled.Add(1)
+		f.ep.dg.reassembled.Add(1)
 	}
 	return pkt, ok
 }

@@ -70,7 +70,7 @@ func TestUDPRoundTripBothDirections(t *testing.T) {
 		opts UDPOptions
 	}{
 		{"batched", UDPOptions{}},
-		{"single", UDPOptions{DisableBatch: true}},
+		{"single", UDPOptions{noBatch: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ep, cl := udpPair(t, tc.opts)
@@ -251,7 +251,7 @@ func TestUDPKeepaliveOverDatagrams(t *testing.T) {
 }
 
 func TestUDPReassemblyTimeoutEvictionOnFace(t *testing.T) {
-	ep, cl := udpPair(t, UDPOptions{ReassemblyTimeout: 60 * time.Millisecond})
+	ep, cl := udpPair(t, UDPOptions{})
 	// Hand-feed fragment datagrams through the raw socket path by using
 	// SendFrame on crafted frag TLVs: first half of packet 1, then after
 	// the timeout the other half — which must NOT complete it — then a
@@ -277,6 +277,7 @@ func TestUDPReassemblyTimeoutEvictionOnFace(t *testing.T) {
 	}
 	cl.SendFrame(full(8)) //nolint:errcheck
 	srv := acceptOne(t, ep)
+	srv.(*DatagramFace).asm.timeout = 60 * time.Millisecond // before the face's first fragment
 	srv.SetIdleTimeout(2 * time.Second)
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 8 {
 		t.Fatalf("marker interest: %+v err=%v", pkt, err)
@@ -406,7 +407,7 @@ func TestUDPOversizeDatagramCountedEndpoint(t *testing.T) {
 	// A peer with a larger MTU sends datagrams past our buffer: the
 	// kernel truncates them, and they must be counted as oversize drops
 	// — not parsed as garbage and misreported as framing errors.
-	ep, err := ListenUDP("127.0.0.1:0", UDPOptions{DisableBatch: true})
+	ep, err := ListenUDP("127.0.0.1:0", UDPOptions{noBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func TestUDPOversizeDatagramCountedConnMode(t *testing.T) {
 	if err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 9 {
 		t.Fatalf("receive after oversized datagram: %+v err=%v", pkt, err)
 	}
-	if n := f.dg.oversize.Load(); n != 1 {
+	if n := f.ep.dg.oversize.Load(); n != 1 {
 		t.Fatalf("oversize=%d, want 1", n)
 	}
 	if st := f.Stats(); st.Errors != 0 {

@@ -75,9 +75,9 @@ func (dg *dgramCounters) series(reg *obs.Registry) []Series {
 	}
 }
 
-// Series lists the datagram-plane series of the face's socket ledger (see
-// dgramCounters), registering their families' help text with reg.
-func (f *DatagramFace) Series(reg *obs.Registry) []Series { return f.dg.series(reg) }
+// Series lists the datagram-plane series of the face's endpoint ledger
+// (see dgramCounters), registering their families' help text with reg.
+func (f *DatagramFace) Series(reg *obs.Registry) []Series { return f.ep.dg.series(reg) }
 
 // Instrument registers the endpoint's datagram-plane counters with reg
 // under the tactic_udp_* families, labelled with labels plus

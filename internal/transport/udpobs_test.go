@@ -57,7 +57,7 @@ func TestUDPDemuxedFaceCountsBeforeAccept(t *testing.T) {
 func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	reg := obs.NewRegistry()
 	ev := obs.NewEvents("n0", 32)
-	ep, cl := udpPair(t, UDPOptions{ReassemblyTimeout: 60 * time.Millisecond})
+	ep, cl := udpPair(t, UDPOptions{})
 	ep.Instrument(reg)
 	frag := func(id uint64, idx, cnt uint16, payload []byte) []byte {
 		body := mkFragBody(id, idx, cnt, payload)
@@ -77,6 +77,7 @@ func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	cl.SendFrame(frag(1, 0, 2, []byte("half"))) //nolint:errcheck
 	cl.SendFrame(whole(8))                      //nolint:errcheck
 	srv := acceptOne(t, ep)
+	srv.(*DatagramFace).asm.timeout = 60 * time.Millisecond // before the face's first fragment
 	srv.SetMetrics(&Metrics{Events: ev, Face: 1})
 	srv.SetIdleTimeout(2 * time.Second)
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 8 {
@@ -88,7 +89,7 @@ func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	if pkt, err := srv.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != 9 {
 		t.Fatalf("post-evict marker: %+v err=%v", pkt, err)
 	}
-	if n := srv.(*DatagramFace).dg.reasmEvicted.Load(); n != 1 {
+	if n := srv.(*DatagramFace).ep.dg.reasmEvicted.Load(); n != 1 {
 		t.Fatalf("evictions = %d, want 1", n)
 	}
 	if got := reg.Snapshot()[MetricUDPReassemblyEvictions+`{scope="endpoint"}`]; got != 1 {

@@ -85,7 +85,7 @@ func wirePair(b *testing.B, variant string) (sender, receiver Face) {
 		b.Cleanup(func() { sc.Close(); rc.Close() })
 		return sc, rc
 	case "udp", "udp-batched":
-		ep, cl := udpPair(b, UDPOptions{DisableBatch: variant == "udp"})
+		ep, cl := udpPair(b, UDPOptions{noBatch: variant == "udp"})
 		// The listener face materialises on the first datagram: kick it
 		// with a keepalive and accept.
 		if err := cl.SendKeepalive(); err != nil {
