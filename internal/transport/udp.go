@@ -370,9 +370,9 @@ func (ep *UDPEndpoint) readDead(err error) bool {
 		return true
 	default:
 	}
-	var nerr net.Error
-	if ep.pc == nil && !(errors.As(err, &nerr) && nerr.Timeout()) {
-		return true
+	if ep.pc == nil {
+		var nerr net.Error
+		return !errors.As(err, &nerr) || !nerr.Timeout()
 	}
 	return errors.Is(err, net.ErrClosed)
 }
@@ -382,13 +382,12 @@ func (ep *UDPEndpoint) readDead(err error) bool {
 // owned by the face until its receive loop releases it.
 func (ep *UDPEndpoint) deliver(data []byte, addr netip.AddrPort) {
 	f := ep.peer
-	if f != nil && addr != f.raddr {
-		return // a single-peer endpoint talks to its one remote only
-	}
 	if f == nil {
 		ep.mu.Lock()
 		f = ep.faces[addr]
 		ep.mu.Unlock()
+	} else if addr != f.raddr {
+		return // a single-peer endpoint talks to its one remote only
 	}
 	if f == nil {
 		f = ep.newFace(addr)
