@@ -36,7 +36,11 @@ build:
 # and the fourteenth when the datagram face grows a second read path of
 # its own or UDPOptions a knob beyond the MTU again (a wrapped conn is a
 # single-peer UDPEndpoint; the reassembly bounds are constants and
-# single-datagram syscalls an unexported test hook).
+# single-datagram syscalls an unexported test hook), and the fifteenth
+# (two lines) when a metric family is named outside the catalogue again
+# (a "tactic_ string literal in a non-test file other than
+# internal/obs/catalogue.go) or help text is attached by a .Help( call
+# instead of declared there.
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -53,6 +57,8 @@ vet:
 	test ! -e internal/network/provider.go
 	! grep -rnE '\b(ProviderNode|NewProviderNode|ProviderNodeStats)\b' --include=*.go internal cmd examples
 	! grep -rnE '\b(readConn|DisableBatch|ReassemblyTimeout|ReassemblyEntries)\b' --include=*.go internal cmd examples
+	! grep -rn --include='*.go' '"tactic_' internal cmd examples | grep -v '_test\.go:' | grep -v '^internal/obs/catalogue\.go:'
+	! grep -rn --include='*.go' '\.Help(' internal cmd examples | grep -v '_test\.go:'
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -142,11 +148,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEnforceDecision$$' -fuzztime $(FUZZTIME) ./internal/enforce/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyQueue$$' -fuzztime $(FUZZTIME) ./internal/node/
 
-# Metrics exposition lint: scrape a live registry and require valid
-# Prometheus text format plus the repo's naming conventions (counters
-# end in _total, HELP on every family, consistent histograms).
+# Metric vocabulary gate: the obs catalogue follows the naming
+# conventions (valid names, counters end in _total, valid label keys,
+# help on every family); a live scrape of an edge, a core behind a
+# udp:// uplink, a producer and a UDP endpoint exports exactly the
+# catalogue's families, types and label keys; README names exactly the
+# catalogue's families; and the exposition writer's format tests
+# (escaping, NaN/Inf, histogram consistency, no duplicate series).
 metrics-lint:
-	$(GO) test -count=1 -run 'TestMetricsLint|TestWritePrometheus' ./internal/fleet/ ./internal/obs/
+	$(GO) test -count=1 -run 'TestMetricsLint|TestCatalogueWellFormed|TestREADMEListsCatalogue|TestWritePrometheus' ./internal/fleet/ ./internal/obs/
 
 # Statement-coverage floors: the scheme-agnostic decision engine and the
 # node core with its verify admission (the forwarding loop both planes

@@ -130,18 +130,7 @@ func NewWithShape(nbits uint64, hashes uint32, maxFPP float64) (*Filter, error) 
 // capacity items to index, exactly 5 hash functions, bits sized for the
 // given maximum FPP at that capacity.
 func NewPaper(capacity int, maxFPP float64) (*Filter, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
-	}
-	if maxFPP <= 0 || maxFPP >= 1 {
-		return nil, fmt.Errorf("%w: %g", ErrBadFPP, maxFPP)
-	}
-	const paperHashes = 5
-	// Solve (1 - e^(-k·n/m))^k = p for m with k fixed:
-	// m = -k·n / ln(1 - p^(1/k)).
-	p := math.Pow(maxFPP, 1.0/paperHashes)
-	nbits := uint64(math.Ceil(-paperHashes * float64(capacity) / math.Log(1-p)))
-	return NewWithShape(nbits, paperHashes, maxFPP)
+	return NewPaperWithDesign(capacity, maxFPP, maxFPP)
 }
 
 // NewPaperWithDesign creates a filter whose bit array is sized for
@@ -160,6 +149,8 @@ func NewPaperWithDesign(capacity int, designFPP, maxFPP float64) (*Filter, error
 		return nil, fmt.Errorf("%w: design %g max %g", ErrBadFPP, designFPP, maxFPP)
 	}
 	const paperHashes = 5
+	// Solve (1 - e^(-k·n/m))^k = p for m with k fixed:
+	// m = -k·n / ln(1 - p^(1/k)).
 	p := math.Pow(designFPP, 1.0/paperHashes)
 	nbits := uint64(math.Ceil(-paperHashes * float64(capacity) / math.Log(1-p)))
 	return NewWithShape(nbits, paperHashes, maxFPP)

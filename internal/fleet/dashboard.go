@@ -55,11 +55,11 @@ func (p *Poller) WriteDashboard(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-12s %-10s %10.1f %10.1f %10.1f %8.0f %6.0f\n",
 			ns.Node, nodeStatus(ns),
-			ns.Rates["tactic_interests_total"],
-			ns.Rates[obs.FamilyVerifySheds],
-			ns.Rates["tactic_tag_verifications_total"],
-			familyValue(ns.Series, "tactic_bf_epoch"),
-			familyValue(ns.Series, "tactic_faces"))
+			ns.Rates[obs.MetricInterests],
+			ns.Rates[obs.MetricVerifySheds],
+			ns.Rates[obs.MetricVerifications],
+			familyValue(ns.Series, obs.MetricBFEpoch),
+			familyValue(ns.Series, obs.MetricFaces))
 	}
 	if len(snap.Alerts) > 0 {
 		fmt.Fprintf(w, "\nALERTS\n")

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/pki"
+	"github.com/tactic-icn/tactic/internal/transport"
 )
 
 func TestParsePromText(t *testing.T) {
@@ -66,62 +69,55 @@ plain 7
 	}
 }
 
-func TestLintCatchesViolations(t *testing.T) {
-	cases := []struct {
-		name string
-		text string
-		want string // substring of one expected problem
-	}{
-		{"missing help", "# TYPE x_total counter\nx_total 1\n", "no # HELP"},
-		{"missing type", "x_total 1\n", "no # TYPE"},
-		{"counter suffix", "# HELP x x.\n# TYPE x counter\nx 1\n", "does not end in _total"},
-		{"gauge suffix", "# HELP g_total g.\n# TYPE g_total gauge\ng_total 1\n", "must not end in _total"},
-		{"duplicate series", "# HELP x_total x.\n# TYPE x_total counter\nx_total{a=\"1\"} 1\nx_total{a=\"1\"} 2\n", "duplicate series"},
-		{"negative counter", "# HELP x_total x.\n# TYPE x_total counter\nx_total -1\n", "negative value"},
-		{"reserved label", "# HELP x_total x.\n# TYPE x_total counter\nx_total{__n=\"1\"} 1\n", "reserved label"},
-		{"stray le", "# HELP x_total x.\n# TYPE x_total counter\nx_total{le=\"5\"} 1\n", `label "le" outside`},
-		{"histogram count mismatch", "# HELP h h.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 5\n", "+Inf bucket 4 != _count 5"},
-		{"histogram missing inf", "# HELP h h.\n# TYPE h histogram\nh_bucket{le=\"1\"} 4\nh_sum 1\nh_count 4\n", `missing le="+Inf"`},
-	}
-	for _, tc := range cases {
-		exp, err := ParsePromText(strings.NewReader(tc.text))
-		if err != nil {
-			t.Fatalf("%s: parse: %v", tc.name, err)
-		}
-		problems := Lint(exp)
-		found := false
-		for _, p := range problems {
-			if strings.Contains(p, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: problems %q lack %q", tc.name, problems, tc.want)
-		}
-	}
-}
-
-// TestMetricsLint is the `make metrics-lint` gate: scrape a live
-// forwarder registry and require a clean exposition — valid names,
-// HELP on every family, consistent histograms, no duplicate series.
+// TestMetricsLint is the `make metrics-lint` gate over a live scrape:
+// one registry holds an edge with a stream face attached, a core it
+// reaches through a managed udp:// uplink and serves on an instrumented
+// UDP endpoint, and a producer. Every exported family, TYPE and label
+// key must be declared in obs's catalogue, each with the catalogue's
+// HELP text, and every catalogue family must be exported by one of them.
 func TestMetricsLint(t *testing.T) {
 	reg := obs.NewRegistry()
-	fwd, err := forwarder.New(forwarder.Config{
-		ID: "lint-0", Role: forwarder.RoleEdge,
-		Registry: pki.NewRegistry(), Seed: 1, Obs: reg,
-		Events: obs.NewEvents("lint-0", 64),
+	preg := pki.NewRegistry()
+	newFwd := func(id string, role forwarder.Role) *forwarder.Forwarder {
+		fwd, err := forwarder.New(forwarder.Config{
+			ID: id, Role: role, Registry: preg, Seed: 1, Obs: reg,
+			Events: obs.NewEvents(id, 64), Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fwd.Close() })
+		return fwd
+	}
+
+	coreFwd := newFwd("core-0", forwarder.RoleCore)
+	ep, err := transport.ListenUDP("127.0.0.1:0", transport.UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ep.Close() })
+	ep.Instrument(reg, obs.L("role", "core"))
+	go coreFwd.ServeFaces(ep) //nolint:errcheck // exits on close
+
+	edge := newFwd("edge-0", forwarder.RoleEdge)
+	a, b := net.Pipe()
+	t.Cleanup(func() { b.Close() })
+	edge.AddFace(transport.New(a), true)
+	uplink, err := edge.ManageUpstream(forwarder.UplinkConfig{
+		Addr:   "udp://" + ep.Addr().String(),
+		Routes: []names.Name{names.MustParse("/lintprov")},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fwd.Close()
+	if !uplink.WaitUp(5 * time.Second) {
+		t.Fatal("edge uplink never attached")
+	}
 
-	// A producer widens the exposition with the origin-side families.
 	provKey, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/lintprov/KEY/1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	preg := pki.NewRegistry()
 	if err := preg.Register(provKey.Locator(), provKey.Public()); err != nil {
 		t.Fatal(err)
 	}
@@ -133,27 +129,53 @@ func TestMetricsLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer prod.Close()
-	// A histogram with observations exercises bucket/count consistency.
-	reg.Help("tactic_lint_seconds", "Lint fixture histogram.")
-	h := reg.Histogram("tactic_lint_seconds", nil, obs.L("role", "edge"))
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) / 100)
-	}
+	t.Cleanup(func() { prod.Close() })
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ParsePromText(bytes.NewReader(buf.Bytes()))
+	exp, err := ParsePromText(&buf)
 	if err != nil {
 		t.Fatalf("live exposition does not parse: %v", err)
 	}
-	if len(exp.Samples) == 0 {
-		t.Fatal("live registry produced no samples")
+	specs := map[string]obs.FamilySpec{}
+	for _, spec := range obs.Catalogue() {
+		specs[spec.Name] = spec
 	}
-	if problems := Lint(exp); len(problems) > 0 {
-		t.Fatalf("metrics lint failed:\n  %s", strings.Join(problems, "\n  "))
+	for fam, typ := range exp.Types {
+		spec, ok := specs[fam]
+		switch {
+		case !ok:
+			t.Errorf("exported family %s is not in the catalogue", fam)
+		case typ != spec.Type:
+			t.Errorf("%s exported as %s, declared %s", fam, typ, spec.Type)
+		case exp.Help[fam] != spec.Help:
+			t.Errorf("%s HELP %q, declared %q", fam, exp.Help[fam], spec.Help)
+		}
+	}
+	for _, s := range exp.Samples {
+		fam := s.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(s.Name, suffix); ok && specs[base].Type == "histogram" {
+				fam = base
+			}
+		}
+		spec, ok := specs[fam]
+		if !ok {
+			t.Errorf("exported series %s is not in a catalogue family", s.Key())
+			continue
+		}
+		for key := range s.Labels {
+			if !slices.Contains(spec.Labels, key) && (key != "le" || s.Name != fam+"_bucket") {
+				t.Errorf("%s: label key %q is not declared for %s", s.Key(), key, fam)
+			}
+		}
+	}
+	for name := range specs {
+		if _, ok := exp.Types[name]; !ok {
+			t.Errorf("catalogue family %s is exported by no part of the live stack", name)
+		}
 	}
 }
 

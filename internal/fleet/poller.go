@@ -98,11 +98,11 @@ type FleetSnapshot struct {
 // sheds (brute-force pressure), verifications (re-check rate F), and
 // reassembly evictions (fragment floods).
 var rateFamilies = []string{
-	"tactic_interests_total",
-	obs.FamilyVerifySheds,
-	"tactic_tag_verifications_total",
-	obs.FamilyReassemblyEvictions,
-	obs.FamilyUplinkConnects,
+	obs.MetricInterests,
+	obs.MetricVerifySheds,
+	obs.MetricVerifications,
+	obs.MetricUDPReassemblyEvictions,
+	obs.MetricUplinkConnects,
 }
 
 // Poller periodically scrapes every node and publishes merged
@@ -259,7 +259,7 @@ func (p *Poller) get(ctx context.Context, url string) ([]byte, error) {
 func faceTable(exp *Exposition) []FaceRow {
 	rows := map[string]*FaceRow{}
 	for _, s := range exp.Samples {
-		if s.Name != "tactic_face_frames_total" {
+		if s.Name != obs.MetricFaceFrames {
 			continue
 		}
 		face := s.Labels["face"]
@@ -320,7 +320,7 @@ func (p *Poller) finish(snap *FleetSnapshot) {
 					sums[want] += v
 				}
 			}
-			if fam == "tactic_bf_epoch" {
+			if fam == obs.MetricBFEpoch {
 				epochs = append(epochs, struct {
 					node string
 					v    float64
@@ -356,7 +356,7 @@ func (p *Poller) finish(snap *FleetSnapshot) {
 	}
 	p.mu.Unlock()
 
-	if rate := snap.Rates[obs.FamilyVerifySheds]; rate > p.cfg.ShedRatePerSec {
+	if rate := snap.Rates[obs.MetricVerifySheds]; rate > p.cfg.ShedRatePerSec {
 		snap.Alerts = append(snap.Alerts, Alert{
 			Rule:   "fleet-shed-rate",
 			Detail: fmt.Sprintf("fleet shedding %.1f Interests/s (limit %.1f) — distributed brute-force pressure", rate, p.cfg.ShedRatePerSec),

@@ -1,8 +1,9 @@
 // Package fleet is the aggregation side of TACTIC observability: it
 // scrapes a set of nodes' /metrics, /healthz, and /eventz endpoints,
 // merges them into one fleet snapshot with network-wide rates and
-// alerts, and serves a dashboard (cmd/tacticmon). The package also
-// carries the exposition-format linter behind `make metrics-lint`.
+// alerts, and serves a dashboard (cmd/tacticmon). Its parser also reads
+// the live scrape that `make metrics-lint` checks against obs's metric
+// catalogue.
 //
 // The paper's detection story runs on exactly this telemetry: shed
 // rates are the brute-force signal, and a measured re-check rate that
@@ -186,17 +187,4 @@ func parseLabels(in string) (map[string]string, string, error) {
 		}
 		labels[key] = val.String()
 	}
-}
-
-// baseFamily strips the histogram sample suffixes so _bucket/_sum/
-// _count series group under their declared family.
-func baseFamily(name string, types map[string]string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, suf); ok {
-			if types[base] == "histogram" || types[base] == "summary" {
-				return base
-			}
-		}
-	}
-	return name
 }

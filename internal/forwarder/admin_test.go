@@ -70,7 +70,6 @@ func TestAdminEndpointsOnLiveNetwork(t *testing.T) {
 	// Authorized traffic: alice (level 3) fetches a level-2 object.
 	alice := n.newLiveClient(t, "alice", 3)
 	defer alice.Close()
-	alice.Instrument(edgeReg)
 	if _, _, err := alice.FetchObject(n.prefix.MustAppend("report"), liveTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -100,39 +99,39 @@ func TestAdminEndpointsOnLiveNetwork(t *testing.T) {
 	// insufficient access level.
 	exposition := httpGet(t, edgeSrv.URL+"/metrics")
 	for metric, min := range map[string]float64{
-		MetricInterests:     4, // manifest + 3 chunks, at minimum
-		MetricData:          4,
-		MetricBFLookups:     1,
-		MetricBFResets:      1,
-		MetricVerifications: 1,
-		MetricCSHits:        1,
-		MetricFaceFrames:    8,
-		MetricFaceFlushes:   1,
-		MetricPITEntries:    0,
+		obs.MetricInterests:     4, // manifest + 3 chunks, at minimum
+		obs.MetricData:          4,
+		obs.MetricBFLookups:     1,
+		obs.MetricBFResets:      1,
+		obs.MetricVerifications: 1,
+		obs.MetricCSHits:        1,
+		obs.MetricFaceFrames:    8,
+		obs.MetricFaceFlushes:   1,
+		obs.MetricPITEntries:    0,
 	} {
 		if got := metricValue(t, exposition, metric); got < min {
 			t.Errorf("%s = %v, want >= %v", metric, got, min)
 		}
 	}
-	if got := metricValue(t, exposition, MetricNACKs+`{reason="level",role="edge"}`); got < 1 {
+	if got := metricValue(t, exposition, obs.MetricNACKs+`{reason="level",role="edge"}`); got < 1 {
 		t.Errorf("level NACKs = %v, want >= 1", got)
 	}
-	if !strings.Contains(exposition, "# TYPE "+MetricHopSeconds+" histogram") {
+	if !strings.Contains(exposition, "# TYPE "+obs.MetricHopSeconds+" histogram") {
 		t.Error("hop latency histogram missing TYPE line")
 	}
-	if got := metricValue(t, exposition, MetricHopSeconds+"_count"); got < 4 {
+	if got := metricValue(t, exposition, obs.MetricHopSeconds+"_count"); got < 4 {
 		t.Errorf("hop histogram count = %v, want >= 4", got)
 	}
-	if got := metricValue(t, exposition, MetricClientFetches+`{node="alice",result="ok",role="client"}`); got < 4 {
+	if got := alice.Stats().FetchOK; got < 4 {
 		t.Errorf("alice ok fetches = %v, want >= 4", got)
 	}
 
 	// The producer served alice's misses and issued both tags.
 	prodExposition := httpGet(t, prodSrv.URL+"/metrics")
-	if got := metricValue(t, prodExposition, MetricCSHits+`{role="producer"}`); got < 4 {
+	if got := metricValue(t, prodExposition, obs.MetricCSHits+`{role="producer"}`); got < 4 {
 		t.Errorf("producer served = %v, want >= 4", got)
 	}
-	if got := metricValue(t, prodExposition, MetricRegistrations+`{result="issued",role="producer"}`); got < 2 {
+	if got := metricValue(t, prodExposition, obs.MetricRegistrations+`{result="issued",role="producer"}`); got < 2 {
 		t.Errorf("registrations issued = %v, want >= 2", got)
 	}
 

@@ -400,31 +400,6 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// Instrument exposes the client's outcome counters on reg, labelled
-// with the client's node ID, and its connection's frame counters.
-// Safe on a nil registry.
-func (c *Client) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	role := obs.L("role", "client")
-	node := obs.L("node", c.nodeID)
-	sampled := func(v *atomic.Uint64) func() float64 {
-		return func() float64 { return float64(v.Load()) }
-	}
-	reg.Help(MetricClientFetches, "Client content fetches, by outcome.")
-	for result, v := range map[string]*atomic.Uint64{
-		"ok": &c.fetchOK, "nack": &c.fetchNACK, "timeout": &c.fetchTimeout, "error": &c.fetchErr,
-	} {
-		reg.CounterFunc(MetricClientFetches, sampled(v), role, node, obs.L("result", result))
-	}
-	reg.CounterFunc(MetricRegistrations, sampled(&c.regOK), role, node, obs.L("result", "issued"))
-	reg.CounterFunc(MetricRegistrations, sampled(&c.regFailed), role, node, obs.L("result", "failed"))
-	reg.Help(MetricClientRetransmits, "Interests resent after a per-attempt timeout.")
-	reg.CounterFunc(MetricClientRetransmits, sampled(&c.retransmits), role, node)
-	faceStatSeries(reg, c.conn.Stats, true, role, node)
-}
-
 // DefaultWindow is FetchObject's outstanding-request window — the
 // paper's Zipf-window clients keep 5 Interests in flight.
 const DefaultWindow = 5

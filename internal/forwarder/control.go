@@ -11,19 +11,6 @@ import (
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
-// Lifecycle control-plane metrics (see README "Tag lifecycle").
-const (
-	// MetricControl counts control frames by kind and outcome (applied,
-	// stale, invalid).
-	MetricControl = "tactic_control_total"
-	// MetricRevokedEntries gauges the router's exact revocation set.
-	MetricRevokedEntries = "tactic_revoked_entries"
-	// MetricBFEpoch gauges the Bloom filter's current epoch.
-	MetricBFEpoch = "tactic_bf_epoch"
-	// MetricBFSyncWords counts BF-sync advert words by direction.
-	MetricBFSyncWords = "tactic_bf_sync_words_total"
-)
-
 // handleControl applies one lifecycle control frame through the node
 // core and acts on its step: count it, record an applied revocation or
 // rotation, flush parked verifications of newly revoked tags, and flood

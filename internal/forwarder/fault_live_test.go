@@ -253,7 +253,6 @@ func TestLiveFailoverSoak(t *testing.T) {
 
 	alice := fn.enrolledClient("alice")
 	defer alice.Close()
-	alice.Instrument(fn.edgeObs)
 
 	const batch = 30
 	preOK := fetchRange(alice, fn.prefix, 0, batch, 2*time.Second)
@@ -279,20 +278,20 @@ func TestLiveFailoverSoak(t *testing.T) {
 		t.Errorf("delivery did not recover: post %d/%d vs pre %d/%d", postOK, batch, preOK, batch)
 	}
 
-	if v := scrapeMetric(t, metrics, MetricUplinkConnects); v < 2 {
-		t.Errorf("%s = %v, want >= 2 (initial attach + reattach)", MetricUplinkConnects, v)
+	if v := scrapeMetric(t, metrics, obs.MetricUplinkConnects); v < 2 {
+		t.Errorf("%s = %v, want >= 2 (initial attach + reattach)", obs.MetricUplinkConnects, v)
 	}
-	if v := scrapeMetric(t, metrics, MetricUplinkDown); v < 1 {
-		t.Errorf("%s = %v, want >= 1", MetricUplinkDown, v)
+	if v := scrapeMetric(t, metrics, obs.MetricUplinkDown); v < 1 {
+		t.Errorf("%s = %v, want >= 1", obs.MetricUplinkDown, v)
 	}
-	if v := scrapeMetric(t, metrics, MetricUplinkUp); v != 1 {
-		t.Errorf("%s = %v, want 1 after recovery", MetricUplinkUp, v)
+	if v := scrapeMetric(t, metrics, obs.MetricUplinkUp); v != 1 {
+		t.Errorf("%s = %v, want 1 after recovery", obs.MetricUplinkUp, v)
 	}
-	if v := scrapeMetric(t, metrics, MetricRoutesDetached); v < 1 {
-		t.Errorf("%s = %v, want >= 1", MetricRoutesDetached, v)
+	if v := scrapeMetric(t, metrics, obs.MetricRoutesDetached); v < 1 {
+		t.Errorf("%s = %v, want >= 1", obs.MetricRoutesDetached, v)
 	}
-	if v := scrapeMetric(t, metrics, MetricClientRetransmits); v < 1 {
-		t.Errorf("%s = %v, want >= 1 (outage fetches retransmit)", MetricClientRetransmits, v)
+	if v := alice.Stats().Retransmits; v < 1 {
+		t.Errorf("client retransmits = %v, want >= 1 (outage fetches retransmit)", v)
 	}
 }
 

@@ -12,71 +12,11 @@ import (
 	"github.com/tactic-icn/tactic/internal/transport"
 )
 
-// Metric names exported by the live stack (see README "Operating &
-// monitoring"). Shared between the forwarder, the producer (a forwarder
-// labelled role="producer", plus MetricRegistrations), and the client so
-// a dashboard reads one vocabulary regardless of the source.
+// The forwarder's families are declared in obs's catalogue; these two
+// aliases are the names the live-path benchmark module reads.
 const (
-	MetricInterests     = "tactic_interests_total"
-	MetricData          = "tactic_data_total"
-	MetricCSHits        = "tactic_cs_hits_total"
-	MetricNACKs         = "tactic_nacks_total"
-	MetricDrops         = "tactic_drops_total"
-	MetricHopSeconds    = "tactic_interest_hop_seconds"
-	MetricBFLookups     = "tactic_bf_lookups_total"
-	MetricBFInsertions  = "tactic_bf_insertions_total"
-	MetricBFResets      = "tactic_bf_resets_total"
-	MetricVerifications = "tactic_tag_verifications_total"
-	MetricVerifyFailed  = "tactic_tag_verify_failures_total"
-	MetricBFFillRatio   = "tactic_bf_fill_ratio"
-	MetricBFFPP         = "tactic_bf_fpp"
-	// MetricBFMeasuredFPP / MetricBFTargetFPP feed the health engine's
-	// BF-saturation watchdog (aliased from obs so the rule inputs and
-	// the emitters cannot drift): the bits-exact measured FPP versus the
-	// configured target the filter was shaped for.
-	MetricBFMeasuredFPP = obs.FamilyBFMeasuredFPP
-	MetricBFTargetFPP   = obs.FamilyBFTargetFPP
-	MetricBFEntries     = "tactic_bf_entries"
-	MetricPITEntries    = "tactic_pit_entries"
-	MetricCSEntries     = "tactic_cs_entries"
-	MetricFIBEntries    = "tactic_fib_entries"
-	MetricFaces         = "tactic_faces"
-	MetricFaceFrames    = "tactic_face_frames_total"
-	MetricFaceBytes     = "tactic_face_bytes_total"
-	MetricFaceErrors    = "tactic_face_errors_total"
-	MetricFaceFlushes   = "tactic_face_flushes_total"
-
-	// Failure-handling metrics: PIT expiries/flushes, route detachment,
-	// managed-uplink lifecycle, and client retransmissions (see README
-	// "Failure handling & chaos testing").
-	MetricPITExpired     = "tactic_pit_expired_total"
-	MetricPITFlushed     = "tactic_pit_flushed_total"
-	MetricRoutesDetached = "tactic_routes_detached_total"
-	MetricUplinkConnects = obs.FamilyUplinkConnects
-	MetricUplinkDown     = "tactic_uplink_down_total"
-	MetricUplinkUp       = "tactic_uplink_up"
-
-	// Pipeline-stage observability: sampled per-stage latency (label
-	// "stage" is one of decode, bf_lookup, verify, pit_cs, encode_send)
-	// and the number of signature verifications currently executing.
-	MetricStageSeconds   = "tactic_stage_seconds"
-	MetricVerifyInFlight = "tactic_tag_verifications_in_flight"
-
-	// Bounded async verification pool: Interests shed over a face's
-	// admission budget, Interests currently parked awaiting a verdict
-	// (queued for a worker, or following another Interest's verification
-	// of the same tag), Interests answered from another Interest's
-	// verification, parked Interests flushed on face
-	// death/revocation/shutdown, and the time each Interest spent parked.
-	MetricVerifySheds       = obs.FamilyVerifySheds
-	MetricVerifyParked      = "tactic_verify_parked"
-	MetricVerifyCoalesced   = "tactic_verify_coalesced_total"
-	MetricVerifyFlushed     = "tactic_verify_flushed_total"
-	MetricVerifyParkSeconds = "tactic_verify_park_seconds"
-
-	MetricRegistrations     = "tactic_registrations_total"
-	MetricClientFetches     = "tactic_client_fetches_total"
-	MetricClientRetransmits = "tactic_client_retransmits_total"
+	MetricStageSeconds      = obs.MetricStageSeconds
+	MetricVerifyParkSeconds = obs.MetricVerifyParkSeconds
 )
 
 // obsMetrics pre-resolves the forwarder's registry series so the packet
@@ -97,7 +37,7 @@ type obsMetrics struct {
 	nacks          map[string]*obs.Counter // by reason label
 	drops          map[string]*obs.Counter // by cause
 
-	// Sampled stage latencies (MetricStageSeconds). stagePITCS and
+	// Sampled stage latencies (obs.MetricStageSeconds). stagePITCS and
 	// stageEncodeSend are observed by the pipeline; stageDecode is fed to
 	// every face's transport metrics. bf_lookup and verify live inside
 	// the bloom filter and validator respectively (see registerSampled).
@@ -147,52 +87,35 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 		reg = obs.NewRegistry()
 	}
 	m := &obsMetrics{reg: reg, role: obs.L("role", role.String())}
-	reg.Help(MetricInterests, "Interests entering the pipeline.")
-	reg.Help(MetricData, "Data packets entering the pipeline.")
-	reg.Help(MetricCSHits, "Interests answered from the content store.")
-	reg.Help(MetricNACKs, "Invalidity signals sent, by validation failure reason.")
-	reg.Help(MetricDrops, "Packets dropped, by cause.")
-	reg.Help(MetricHopSeconds, "Per-hop Interest pipeline latency.")
-	reg.Help(MetricFaceFrames, "Frames moved per face, by link kind and direction.")
-	reg.Help(MetricFaceBytes, "Frame bytes moved per face, by link kind and direction.")
-	reg.Help(MetricFaceErrors, "Framing and I/O failures per face.")
-	reg.Help(MetricFaceFlushes, "Write-buffer flushes per stream face; frames out per flush is the send-side batch size.")
-	reg.Help(MetricPITExpired, "PIT entries expired unanswered (the paper's silent request expiry).")
-	reg.Help(MetricPITFlushed, "PIT entries flushed because their upstream face died.")
-	reg.Help(MetricRoutesDetached, "FIB routes detached because their face died.")
-	m.interest = reg.Counter(MetricInterests, m.role)
-	m.data = reg.Counter(MetricData, m.role)
-	m.csHits = reg.Counter(MetricCSHits, m.role)
-	m.hop = reg.Histogram(MetricHopSeconds, nil, m.role)
-	m.pitExpired = reg.Counter(MetricPITExpired, m.role)
-	m.pitFlushed = reg.Counter(MetricPITFlushed, m.role)
-	m.routesDetached = reg.Counter(MetricRoutesDetached, m.role)
+	m.interest = reg.Counter(obs.MetricInterests, m.role)
+	m.data = reg.Counter(obs.MetricData, m.role)
+	m.csHits = reg.Counter(obs.MetricCSHits, m.role)
+	m.hop = reg.Histogram(obs.MetricHopSeconds, nil, m.role)
+	m.pitExpired = reg.Counter(obs.MetricPITExpired, m.role)
+	m.pitFlushed = reg.Counter(obs.MetricPITFlushed, m.role)
+	m.routesDetached = reg.Counter(obs.MetricRoutesDetached, m.role)
 	m.nacks = make(map[string]*obs.Counter)
 	for _, reason := range core.ReasonLabels() {
-		m.nacks[reason] = reg.Counter(MetricNACKs, m.role, obs.L("reason", reason))
+		m.nacks[reason] = reg.Counter(obs.MetricNACKs, m.role, obs.L("reason", reason))
 	}
 	m.drops = make(map[string]*obs.Counter)
 	for _, cause := range node.DropCauses {
-		m.drops[cause] = reg.Counter(MetricDrops, m.role, obs.L("cause", cause))
+		m.drops[cause] = reg.Counter(obs.MetricDrops, m.role, obs.L("cause", cause))
 	}
-	reg.Help(MetricControl, "Lifecycle control frames processed, by kind and outcome.")
-	reg.Help(MetricBFSyncWords, "Bloom-filter words exchanged with sync peers, by direction.")
 	m.ctrls = make(map[string]*obs.Counter)
 	for _, kind := range []ndn.ControlKind{ndn.CtrlRevoke, ndn.CtrlRotate, ndn.CtrlBFSync} {
 		for _, outcome := range []string{node.ControlApplied, node.ControlStale, node.ControlInvalid} {
-			m.ctrls[kind.String()+"/"+outcome] = reg.Counter(MetricControl, m.role,
+			m.ctrls[kind.String()+"/"+outcome] = reg.Counter(obs.MetricControl, m.role,
 				obs.L("kind", kind.String()), obs.L("outcome", outcome))
 		}
 	}
-	m.ctrls["other"] = reg.Counter(MetricControl, m.role, obs.L("kind", "other"), obs.L("outcome", node.ControlInvalid))
-	m.syncWordsIn = reg.Counter(MetricBFSyncWords, m.role, obs.L("dir", "in"))
-	m.syncWordsOut = reg.Counter(MetricBFSyncWords, m.role, obs.L("dir", "out"))
-	reg.Help(MetricStageSeconds, "Sampled pipeline-stage latency, by stage (decode, bf_lookup, verify, pit_cs, encode_send).")
-	m.stagePITCS = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "pit_cs"))
-	m.stageEncodeSend = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "encode_send"))
-	m.stageDecode = reg.Histogram(MetricStageSeconds, nil, m.role, obs.L("stage", "decode"))
-	reg.Help(MetricVerifyParkSeconds, "Time Interests spent parked awaiting a verification verdict.")
-	m.parkSeconds = reg.Histogram(MetricVerifyParkSeconds, nil, m.role)
+	m.ctrls["other"] = reg.Counter(obs.MetricControl, m.role, obs.L("kind", "other"), obs.L("outcome", node.ControlInvalid))
+	m.syncWordsIn = reg.Counter(obs.MetricBFSyncWords, m.role, obs.L("dir", "in"))
+	m.syncWordsOut = reg.Counter(obs.MetricBFSyncWords, m.role, obs.L("dir", "out"))
+	m.stagePITCS = reg.Histogram(obs.MetricStageSeconds, nil, m.role, obs.L("stage", "pit_cs"))
+	m.stageEncodeSend = reg.Histogram(obs.MetricStageSeconds, nil, m.role, obs.L("stage", "encode_send"))
+	m.stageDecode = reg.Histogram(obs.MetricStageSeconds, nil, m.role, obs.L("stage", "decode"))
+	m.parkSeconds = reg.Histogram(obs.MetricVerifyParkSeconds, nil, m.role)
 	return m
 }
 
@@ -229,23 +152,22 @@ func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
 // drop counts one drop under its cause label (node.DropCauses).
 func (m *obsMetrics) drop(cause string) { m.drops[cause].Inc() }
 
-// faceStatSeries registers what transport.Stats counts under labels —
-// the forwarder's per-face labels or the client's node label — so the
-// series and Stats() are one ledger read twice. stats is the face's
+// faceStatSeries lists what transport.Stats counts as face series, so
+// the series and Stats() are one ledger read twice. stats is the face's
 // Stats method; flushes adds the counter only stream faces move.
-func faceStatSeries(reg *obs.Registry, stats func() transport.Stats, flushes bool, labels ...obs.Label) []transport.Series {
+func faceStatSeries(stats func() transport.Stats, flushes bool) []transport.Series {
 	in, out := obs.L("dir", "in"), obs.L("dir", "out")
 	ss := []transport.Series{
-		{Name: MetricFaceFrames, Labels: []obs.Label{in}, Read: func() float64 { return float64(stats().FramesIn) }},
-		{Name: MetricFaceFrames, Labels: []obs.Label{out}, Read: func() float64 { return float64(stats().FramesOut) }},
-		{Name: MetricFaceBytes, Labels: []obs.Label{in}, Read: func() float64 { return float64(stats().BytesIn) }},
-		{Name: MetricFaceBytes, Labels: []obs.Label{out}, Read: func() float64 { return float64(stats().BytesOut) }},
-		{Name: MetricFaceErrors, Read: func() float64 { return float64(stats().Errors) }},
+		{Name: obs.MetricFaceFrames, Labels: []obs.Label{in}, Read: func() float64 { return float64(stats().FramesIn) }},
+		{Name: obs.MetricFaceFrames, Labels: []obs.Label{out}, Read: func() float64 { return float64(stats().FramesOut) }},
+		{Name: obs.MetricFaceBytes, Labels: []obs.Label{in}, Read: func() float64 { return float64(stats().BytesIn) }},
+		{Name: obs.MetricFaceBytes, Labels: []obs.Label{out}, Read: func() float64 { return float64(stats().BytesOut) }},
+		{Name: obs.MetricFaceErrors, Read: func() float64 { return float64(stats().Errors) }},
 	}
 	if flushes {
-		ss = append(ss, transport.Series{Name: MetricFaceFlushes, Read: func() float64 { return float64(stats().Flushes) }})
+		ss = append(ss, transport.Series{Name: obs.MetricFaceFlushes, Read: func() float64 { return float64(stats().Flushes) }})
 	}
-	return registerSeries(reg, ss, labels)
+	return ss
 }
 
 // registerSeries registers each series under labels plus its own.
@@ -270,10 +192,11 @@ func (f *Forwarder) exposeFace(fs *faceState) {
 	}
 	labels := []obs.Label{m.role, obs.L("face", strconv.Itoa(int(fs.id))), obs.L("link", link)}
 	df, datagram := fs.conn.(*transport.DatagramFace)
-	fs.series = faceStatSeries(m.reg, fs.conn.Stats, !datagram, labels...)
+	ss := faceStatSeries(fs.conn.Stats, !datagram)
 	if datagram && !fs.downstream {
-		fs.series = append(fs.series, registerSeries(m.reg, df.Series(m.reg), labels)...)
+		ss = append(ss, df.Series()...)
 	}
+	fs.series = registerSeries(m.reg, ss, labels)
 	fs.conn.SetMetrics(&transport.Metrics{DecodeSeconds: m.stageDecode, Events: f.ev, Face: int(fs.id)})
 }
 
@@ -297,59 +220,38 @@ func (f *Forwarder) release(fs *faceState) {
 // lock order is imposed).
 func (f *Forwarder) registerSampled() {
 	reg, role := f.m.reg, f.m.role
-	f.tactic.Bloom().SetLookupHistogram(reg.Histogram(MetricStageSeconds, nil, role, obs.L("stage", "bf_lookup")))
-	f.tactic.Validator().SetVerifyHistogram(reg.Histogram(MetricStageSeconds, nil, role, obs.L("stage", "verify")))
-	reg.Help(MetricVerifyInFlight, "Tag signature verifications currently executing.")
-	reg.GaugeFunc(MetricVerifyInFlight, func() float64 { return float64(f.tactic.Validator().InFlight()) }, role)
-	reg.Help(MetricVerifySheds, "Interests shed with Overload NACKs because their face exceeded its verification budget.")
-	reg.CounterFunc(MetricVerifySheds, func() float64 { return float64(f.vp.Sheds()) }, role)
-	reg.Help(MetricVerifyParked, "Interests currently parked in the verification pool awaiting a verdict.")
-	reg.Help(MetricVerifyCoalesced, "Interests answered from another Interest's verification of the same tag.")
-	reg.CounterFunc(MetricVerifyCoalesced, func() float64 { return float64(f.vp.Coalesced()) }, role)
-	reg.Help(MetricVerifyFlushed, "Parked Interests flushed with NACKs (face death, revocation, shutdown).")
-	reg.GaugeFunc(MetricVerifyParked, func() float64 { return float64(f.vp.Parked()) }, role)
-	reg.CounterFunc(MetricVerifyFlushed, func() float64 { return float64(f.vp.Flushed()) }, role)
-	reg.CounterFunc(MetricBFLookups, func() float64 { return float64(f.tactic.Bloom().Stats().Lookups) }, role)
-	reg.CounterFunc(MetricBFInsertions, func() float64 { return float64(f.tactic.Bloom().Stats().Insertions) }, role)
-	reg.CounterFunc(MetricBFResets, func() float64 { return float64(f.tactic.Bloom().Stats().Resets) }, role)
-	reg.CounterFunc(MetricVerifications, func() float64 { return float64(f.tactic.Validator().Verifications()) }, role)
+	f.tactic.Bloom().SetLookupHistogram(reg.Histogram(obs.MetricStageSeconds, nil, role, obs.L("stage", "bf_lookup")))
+	f.tactic.Validator().SetVerifyHistogram(reg.Histogram(obs.MetricStageSeconds, nil, role, obs.L("stage", "verify")))
+	reg.GaugeFunc(obs.MetricVerifyInFlight, func() float64 { return float64(f.tactic.Validator().InFlight()) }, role)
+	reg.CounterFunc(obs.MetricVerifySheds, func() float64 { return float64(f.vp.Sheds()) }, role)
+	reg.CounterFunc(obs.MetricVerifyCoalesced, func() float64 { return float64(f.vp.Coalesced()) }, role)
+	reg.GaugeFunc(obs.MetricVerifyParked, func() float64 { return float64(f.vp.Parked()) }, role)
+	reg.CounterFunc(obs.MetricVerifyFlushed, func() float64 { return float64(f.vp.Flushed()) }, role)
+	reg.CounterFunc(obs.MetricBFLookups, func() float64 { return float64(f.tactic.Bloom().Stats().Lookups) }, role)
+	reg.CounterFunc(obs.MetricBFInsertions, func() float64 { return float64(f.tactic.Bloom().Stats().Insertions) }, role)
+	reg.CounterFunc(obs.MetricBFResets, func() float64 { return float64(f.tactic.Bloom().Stats().Resets) }, role)
+	reg.CounterFunc(obs.MetricVerifications, func() float64 { return float64(f.tactic.Validator().Verifications()) }, role)
 	for reason, get := range map[string]func(core.ValidatorStats) uint64{
 		"no_tag":  func(s core.ValidatorStats) uint64 { return s.Missing },
 		"expired": func(s core.ValidatorStats) uint64 { return s.Expired },
 		"forged":  func(s core.ValidatorStats) uint64 { return s.Forged },
 	} {
 		get := get
-		reg.CounterFunc(MetricVerifyFailed,
+		reg.CounterFunc(obs.MetricVerifyFailed,
 			func() float64 { return float64(get(f.tactic.Validator().Stats())) },
 			role, obs.L("reason", reason))
 	}
-	reg.Help(MetricRevokedEntries, "Tag IDs in the router's exact revocation set (consulted before the BF).")
-	reg.Help(MetricBFEpoch, "Current Bloom-filter epoch (bumped by CtrlRotate).")
-	reg.Help(MetricBFLookups, "Bloom-filter membership lookups.")
-	reg.Help(MetricBFInsertions, "Bloom-filter insertions.")
-	reg.Help(MetricBFResets, "Bloom-filter resets (FPP threshold or epoch rotation).")
-	reg.Help(MetricVerifications, "Tag signature verifications executed.")
-	reg.Help(MetricVerifyFailed, "Tag verification failures, by reason.")
-	reg.Help(MetricBFFillRatio, "Fraction of Bloom-filter bits set.")
-	reg.Help(MetricBFFPP, "Live Bloom-filter false-positive probability estimate (from insert count).")
-	reg.Help(MetricBFMeasuredFPP, "Bits-exact measured Bloom-filter false-positive probability (fill ratio ^ k).")
-	reg.Help(MetricBFTargetFPP, "Configured Bloom-filter false-positive probability target.")
-	reg.Help(MetricBFEntries, "Elements inserted into the Bloom filter since its last reset.")
-	reg.Help(MetricPITEntries, "Pending Interest table entries.")
-	reg.Help(MetricCSEntries, "Content-store entries.")
-	reg.Help(MetricFIBEntries, "FIB routes installed.")
-	reg.Help(MetricFaces, "Faces currently attached.")
-	reg.GaugeFunc(MetricRevokedEntries, func() float64 { return float64(f.tactic.Revocations().Len()) }, role)
-	reg.GaugeFunc(MetricBFEpoch, func() float64 { return float64(f.tactic.Epoch()) }, role)
-	reg.GaugeFunc(MetricBFFillRatio, func() float64 { return f.tactic.Bloom().FillRatio() }, role)
-	reg.GaugeFunc(MetricBFFPP, func() float64 { return f.tactic.Bloom().FPP() }, role)
-	reg.GaugeFunc(MetricBFMeasuredFPP, func() float64 { return f.tactic.Bloom().MeasuredFPP() }, role)
-	reg.GaugeFunc(MetricBFTargetFPP, func() float64 { return f.tactic.Bloom().MaxFPP() }, role)
-	reg.GaugeFunc(MetricBFEntries, func() float64 { return float64(f.tactic.Bloom().Count()) }, role)
-	reg.GaugeFunc(MetricPITEntries, func() float64 { return float64(f.pit.Len()) }, role)
-	reg.GaugeFunc(MetricCSEntries, func() float64 { return float64(f.cs.Len()) }, role)
-	reg.GaugeFunc(MetricFIBEntries, func() float64 { return float64(f.fib.Len()) }, role)
-	reg.GaugeFunc(MetricFaces, func() float64 {
+	reg.GaugeFunc(obs.MetricRevokedEntries, func() float64 { return float64(f.tactic.Revocations().Len()) }, role)
+	reg.GaugeFunc(obs.MetricBFEpoch, func() float64 { return float64(f.tactic.Epoch()) }, role)
+	reg.GaugeFunc(obs.MetricBFFillRatio, func() float64 { return f.tactic.Bloom().FillRatio() }, role)
+	reg.GaugeFunc(obs.MetricBFFPP, func() float64 { return f.tactic.Bloom().FPP() }, role)
+	reg.GaugeFunc(obs.MetricBFMeasuredFPP, func() float64 { return f.tactic.Bloom().MeasuredFPP() }, role)
+	reg.GaugeFunc(obs.MetricBFTargetFPP, func() float64 { return f.tactic.Bloom().MaxFPP() }, role)
+	reg.GaugeFunc(obs.MetricBFEntries, func() float64 { return float64(f.tactic.Bloom().Count()) }, role)
+	reg.GaugeFunc(obs.MetricPITEntries, func() float64 { return float64(f.pit.Len()) }, role)
+	reg.GaugeFunc(obs.MetricCSEntries, func() float64 { return float64(f.cs.Len()) }, role)
+	reg.GaugeFunc(obs.MetricFIBEntries, func() float64 { return float64(f.fib.Len()) }, role)
+	reg.GaugeFunc(obs.MetricFaces, func() float64 {
 		f.mu.RLock()
 		defer f.mu.RUnlock()
 		return float64(len(f.faces))

@@ -51,9 +51,8 @@ func NewProducerWithConfig(provider *core.Provider, cfg Config) (*Producer, erro
 		return nil, err
 	}
 	m := p.node.m
-	m.reg.Help(MetricRegistrations, "Tag registrations handled by the origin, by result.")
-	p.registrations = m.reg.Counter(MetricRegistrations, m.role, obs.L("result", "issued"))
-	p.regFailed = m.reg.Counter(MetricRegistrations, m.role, obs.L("result", "failed"))
+	p.registrations = m.reg.Counter(obs.MetricRegistrations, m.role, obs.L("result", "issued"))
+	p.regFailed = m.reg.Counter(obs.MetricRegistrations, m.role, obs.L("result", "failed"))
 	return p, nil
 }
 

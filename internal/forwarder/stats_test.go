@@ -108,9 +108,9 @@ func TestStatsAreTheMetrics(t *testing.T) {
 				sums[family] += uint64(v)
 			}
 			for family, want := range map[string]uint64{
-				MetricInterests: st.Interests, MetricData: st.Data, MetricCSHits: st.CSHits,
-				MetricNACKs: st.NACKs, MetricDrops: st.Drops,
-				MetricVerifySheds: st.VerifySheds, MetricVerifyFlushed: st.VerifyFlushed,
+				obs.MetricInterests: st.Interests, obs.MetricData: st.Data, obs.MetricCSHits: st.CSHits,
+				obs.MetricNACKs: st.NACKs, obs.MetricDrops: st.Drops,
+				obs.MetricVerifySheds: st.VerifySheds, obs.MetricVerifyFlushed: st.VerifyFlushed,
 			} {
 				if sums[family] != want {
 					t.Errorf("%s sums to %d on /metrics, Stats() says %d", family, sums[family], want)
@@ -132,11 +132,11 @@ func TestStatsAreTheMetrics(t *testing.T) {
 						return fmt.Sprintf(`{%sface="%d",link="downstream",role="edge"}`, dir, f.ID)
 					}
 					for series, want := range map[string]uint64{
-						MetricFaceFrames + labels(`dir="in",`):  f.Stats.FramesIn,
-						MetricFaceFrames + labels(`dir="out",`): f.Stats.FramesOut,
-						MetricFaceBytes + labels(`dir="in",`):   f.Stats.BytesIn,
-						MetricFaceBytes + labels(`dir="out",`):  f.Stats.BytesOut,
-						MetricFaceErrors + labels(""):           f.Stats.Errors,
+						obs.MetricFaceFrames + labels(`dir="in",`):  f.Stats.FramesIn,
+						obs.MetricFaceFrames + labels(`dir="out",`): f.Stats.FramesOut,
+						obs.MetricFaceBytes + labels(`dir="in",`):   f.Stats.BytesIn,
+						obs.MetricFaceBytes + labels(`dir="out",`):  f.Stats.BytesOut,
+						obs.MetricFaceErrors + labels(""):           f.Stats.Errors,
 					} {
 						if got, ok := snap[series]; !ok || got != float64(want) {
 							diff += fmt.Sprintf("%s = %v (present %v), Status() says %d\n", series, got, ok, want)
@@ -167,7 +167,7 @@ func TestStatsAreTheMetrics(t *testing.T) {
 			var last transport.Stats
 			for _, f := range edge.Status().Faces {
 				if f.Remote == raw.LocalAddr().String() {
-					series = fmt.Sprintf(`%s{dir="in",face="%d",link="downstream",role="edge"}`, MetricFaceFrames, f.ID)
+					series = fmt.Sprintf(`%s{dir="in",face="%d",link="downstream",role="edge"}`, obs.MetricFaceFrames, f.ID)
 					last = f.Stats
 				}
 			}

@@ -75,13 +75,10 @@ func (f *Forwarder) ManageUpstream(cfg UplinkConfig) (*Uplink, error) {
 	cfg.Retry = cfg.Retry.withDefaults()
 	u := &Uplink{f: f, cfg: cfg, closed: make(chan struct{}), face: ndn.FaceNone}
 	reg := f.m.reg
-	reg.Help(MetricUplinkConnects, "Managed-uplink attaches, including reconnects.")
-	reg.Help(MetricUplinkDown, "Managed-uplink detaches (the face died).")
-	reg.Help(MetricUplinkUp, "1 while the managed uplink has a live face, else 0.")
 	addr := obs.L("addr", cfg.Addr)
-	u.connects = reg.Counter(MetricUplinkConnects, f.m.role, addr)
-	u.downs = reg.Counter(MetricUplinkDown, f.m.role, addr)
-	reg.GaugeFunc(MetricUplinkUp, func() float64 {
+	u.connects = reg.Counter(obs.MetricUplinkConnects, f.m.role, addr)
+	u.downs = reg.Counter(obs.MetricUplinkDown, f.m.role, addr)
+	reg.GaugeFunc(obs.MetricUplinkUp, func() float64 {
 		if u.up.Load() {
 			return 1
 		}

@@ -350,8 +350,8 @@ func TestVerifyPoolCoalescedIsObservable(t *testing.T) {
 	e.leadOn(a, tag, 1)
 	e.sendTag(b, tag, 100, 2)
 	waitFor(t, "followers to attach", func() bool { return e.fwd.vp.Parked() == 2 })
-	if got := reg.Snapshot()[MetricVerifyParked+`{role="edge"}`]; got != 2 {
-		t.Errorf("%s = %v with two followers waiting, want 2", MetricVerifyParked, got)
+	if got := reg.Snapshot()[obs.MetricVerifyParked+`{role="edge"}`]; got != 2 {
+		t.Errorf("%s = %v with two followers waiting, want 2", obs.MetricVerifyParked, got)
 	}
 	e.gate.release()
 	e.collectNACKs(a, 1)
@@ -359,11 +359,11 @@ func TestVerifyPoolCoalescedIsObservable(t *testing.T) {
 	waitFor(t, "spans to end", func() bool { return len(rec.Snapshot()) == 3 })
 
 	snap := reg.Snapshot()
-	if got := snap[MetricVerifyCoalesced+`{role="edge"}`]; got != 2 {
-		t.Errorf("%s = %v, want 2", MetricVerifyCoalesced, got)
+	if got := snap[obs.MetricVerifyCoalesced+`{role="edge"}`]; got != 2 {
+		t.Errorf("%s = %v, want 2", obs.MetricVerifyCoalesced, got)
 	}
-	if got := snap[MetricVerifyParkSeconds+`_count{role="edge"}`]; got != 3 {
-		t.Errorf("%s observations = %v, want 3 (leader and both followers)", MetricVerifyParkSeconds, got)
+	if got := snap[obs.MetricVerifyParkSeconds+`_count{role="edge"}`]; got != 3 {
+		t.Errorf("%s observations = %v, want 3 (leader and both followers)", obs.MetricVerifyParkSeconds, got)
 	}
 	if got := e.fwd.Status().VerifyPool.Coalesced; got != 2 {
 		t.Errorf("/statusz verify_pool.coalesced = %d, want 2", got)

@@ -136,7 +136,11 @@ func NewOriginNode(net *Network, index int, provider *core.Provider, verifier pk
 // newRouterNode builds a router in role; provider is the origin's, nil
 // at an edge or core.
 func newRouterNode(net *Network, index int, role node.Role, provider *core.Provider, verifier pki.Verifier, rng *rand.Rand, cfg RouterConfig) (*RouterNode, error) {
-	bf, err := newRouterFilter(cfg)
+	design := cfg.BFMaxFPP
+	if cfg.BFDesignFPP > 0 {
+		design = cfg.BFDesignFPP
+	}
+	bf, err := bloom.NewPaperWithDesign(cfg.BFCapacity, design, cfg.BFMaxFPP)
 	if err != nil {
 		return nil, err
 	}
@@ -161,15 +165,6 @@ func newRouterNode(net *Network, index int, role node.Role, provider *core.Provi
 }
 
 var _ Node = (*RouterNode)(nil)
-
-// newRouterFilter builds a router's Bloom filter per the configured
-// sizing mode.
-func newRouterFilter(cfg RouterConfig) (*bloom.Filter, error) {
-	if cfg.BFDesignFPP > 0 {
-		return bloom.NewPaperWithDesign(cfg.BFCapacity, cfg.BFDesignFPP, cfg.BFMaxFPP)
-	}
-	return bloom.NewPaper(cfg.BFCapacity, cfg.BFMaxFPP)
-}
 
 // FIB exposes the router's FIB for route installation.
 func (r *RouterNode) FIB() *ndn.FIB { return r.fib }

@@ -16,24 +16,6 @@ import (
 	"time"
 )
 
-// Metric family names the health rules read. Producers (forwarder,
-// transport) alias these constants so the rule inputs and the emitters
-// cannot drift apart.
-const (
-	// FamilyVerifySheds counts Interests shed by verify-pool admission.
-	FamilyVerifySheds = "tactic_verify_sheds_total"
-	// FamilyUplinkConnects counts managed-uplink (re)connects.
-	FamilyUplinkConnects = "tactic_uplink_connects_total"
-	// FamilyReassemblyEvictions counts fragment reassembly slots evicted
-	// before completing (timeout or pressure).
-	FamilyReassemblyEvictions = "tactic_udp_reassembly_evictions_total"
-	// FamilyBFMeasuredFPP is the bits-exact measured false-positive
-	// probability of the live revocation Bloom filter.
-	FamilyBFMeasuredFPP = "tactic_bf_measured_fpp"
-	// FamilyBFTargetFPP is the filter's configured FPP target.
-	FamilyBFTargetFPP = "tactic_bf_target_fpp"
-)
-
 // HealthStatus is a node's overall condition.
 type HealthStatus int
 
@@ -189,13 +171,13 @@ func (h *Health) Eval() HealthReport {
 	var measuredFPP, targetFPP float64
 	for series, v := range snap {
 		switch fam := familyOf(series); fam {
-		case FamilyVerifySheds, FamilyUplinkConnects, FamilyReassemblyEvictions:
+		case MetricVerifySheds, MetricUplinkConnects, MetricUDPReassemblyEvictions:
 			totals[fam] += v
-		case FamilyBFMeasuredFPP:
+		case MetricBFMeasuredFPP:
 			if v > measuredFPP {
 				measuredFPP = v
 			}
-		case FamilyBFTargetFPP:
+		case MetricBFTargetFPP:
 			if v > targetFPP {
 				targetFPP = v
 			}
@@ -250,11 +232,11 @@ func (h *Health) Eval() HealthReport {
 	}
 
 	if rates != nil {
-		addRule("shed-burn", rates[FamilyVerifySheds],
+		addRule("shed-burn", rates[MetricVerifySheds],
 			cfg.ShedRatePerSec, cfg.ShedRatePerSec*cfg.UnhealthyFactor, "sheds/s")
-		addRule("reconnect-churn", rates[FamilyUplinkConnects]*60,
+		addRule("reconnect-churn", rates[MetricUplinkConnects]*60,
 			cfg.ReconnectsPerMin, cfg.ReconnectsPerMin*cfg.UnhealthyFactor, "reconnects/min")
-		addRule("reassembly-evictions", rates[FamilyReassemblyEvictions],
+		addRule("reassembly-evictions", rates[MetricUDPReassemblyEvictions],
 			cfg.ReassemblyEvictsPerSec, cfg.ReassemblyEvictsPerSec*cfg.UnhealthyFactor, "evictions/s")
 	}
 	// BF saturation is level-based: the paper's invariant is that the

@@ -26,7 +26,7 @@ func findReason(r HealthReport, rule string) *HealthReason {
 
 func TestHealthShedBurn(t *testing.T) {
 	reg := NewRegistry()
-	sheds := reg.Counter(FamilyVerifySheds, L("role", "edge"))
+	sheds := reg.Counter(MetricVerifySheds, L("role", "edge"))
 	clk := newFakeClock()
 	h := NewHealth(reg, "edge-0", healthCfg(clk), nil)
 
@@ -65,7 +65,7 @@ func TestHealthShedBurn(t *testing.T) {
 
 func TestHealthMinWindowReusesRates(t *testing.T) {
 	reg := NewRegistry()
-	sheds := reg.Counter(FamilyVerifySheds)
+	sheds := reg.Counter(MetricVerifySheds)
 	clk := newFakeClock()
 	h := NewHealth(reg, "n", healthCfg(clk), nil)
 	h.Eval()
@@ -81,15 +81,15 @@ func TestHealthMinWindowReusesRates(t *testing.T) {
 	if rep.Status != "degraded" {
 		t.Fatalf("sub-window eval status = %s, want degraded (reused rates)", rep.Status)
 	}
-	if rep.Rates[FamilyVerifySheds] != 30 {
-		t.Fatalf("reused rate = %v, want 30", rep.Rates[FamilyVerifySheds])
+	if rep.Rates[MetricVerifySheds] != 30 {
+		t.Fatalf("reused rate = %v, want 30", rep.Rates[MetricVerifySheds])
 	}
 }
 
 func TestHealthReconnectChurnAndEvictions(t *testing.T) {
 	reg := NewRegistry()
-	conns := reg.Counter(FamilyUplinkConnects, L("uplink", "0"))
-	evicts := reg.Counter(FamilyReassemblyEvictions, L("face", "3"))
+	conns := reg.Counter(MetricUplinkConnects, L("uplink", "0"))
+	evicts := reg.Counter(MetricUDPReassemblyEvictions, L("face", "3"))
 	clk := newFakeClock()
 	h := NewHealth(reg, "n", healthCfg(clk), nil)
 	h.Eval()
@@ -113,8 +113,8 @@ func TestHealthReconnectChurnAndEvictions(t *testing.T) {
 func TestHealthBFSaturationWatchdog(t *testing.T) {
 	reg := NewRegistry()
 	measured := 0.0005
-	reg.GaugeFunc(FamilyBFMeasuredFPP, func() float64 { return measured })
-	reg.GaugeFunc(FamilyBFTargetFPP, func() float64 { return 0.001 })
+	reg.GaugeFunc(MetricBFMeasuredFPP, func() float64 { return measured })
+	reg.GaugeFunc(MetricBFTargetFPP, func() float64 { return 0.001 })
 	clk := newFakeClock()
 	ev := NewEvents("n", 8)
 	h := NewHealth(reg, "n", healthCfg(clk), ev)
@@ -169,7 +169,7 @@ func TestHealthBFSaturationWatchdog(t *testing.T) {
 
 func TestHealthzHandler(t *testing.T) {
 	reg := NewRegistry()
-	sheds := reg.Counter(FamilyVerifySheds)
+	sheds := reg.Counter(MetricVerifySheds)
 	clk := newFakeClock()
 	h := NewHealth(reg, "edge-0", HealthConfig{Now: clk.now, ShedRatePerSec: 10, UnhealthyFactor: 2}, nil)
 	mux := http.NewServeMux()

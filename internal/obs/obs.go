@@ -217,7 +217,6 @@ type series struct {
 type family struct {
 	name   string
 	kind   kind
-	help   string
 	series map[string]*series
 }
 
@@ -272,20 +271,22 @@ func renderLabels(labels []Label) string {
 // only ever read an already-populated series. Kinds that render to the
 // same Prometheus type are compatible — a family may mix direct
 // counters and CounterFunc-sampled counters (under distinct labels), as
-// the live forwarder does. get panics when
-// a name is reused with an incompatible type, or when one exact
-// (name, labels) series is requested both direct and func-backed —
-// programming errors that would corrupt the exposition.
+// the live forwarder does. get panics when a name is reused with an
+// incompatible type, when a catalogue family is registered under a type
+// other than its declared one, or when one exact (name, labels) series
+// is requested both direct and func-backed — programming errors that
+// would corrupt the exposition.
 func (r *Registry) get(name string, k kind, bounds []float64, fn func() float64, labels []Label) *series {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fam, ok := r.families[name]
 	if !ok {
+		if spec, ok := declared[name]; ok && spec.Type != k.promType() {
+			panic(fmt.Sprintf("obs: metric %s declared as %s, registered as %s", name, spec.Type, k.promType()))
+		}
 		fam = &family{name: name, kind: k, series: make(map[string]*series)}
 		r.families[name] = fam
-	} else if fam.kind == 0 {
-		fam.kind = k // family pre-created by Help
 	} else if fam.kind.promType() != k.promType() {
 		panic(fmt.Sprintf("obs: metric %s registered as %s and %s", name, fam.kind.promType(), k.promType()))
 	}
@@ -321,20 +322,6 @@ func (r *Registry) get(name string, k kind, bounds []float64, fn func() float64,
 		s.fn.Store(&fn) // re-registration replaces the callback
 	}
 	return s
-}
-
-// Help attaches a description emitted as the family's # HELP line.
-func (r *Registry) Help(name, text string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if fam, ok := r.families[name]; ok {
-		fam.help = text
-	} else {
-		r.families[name] = &family{name: name, help: text, series: make(map[string]*series)}
-	}
 }
 
 // Counter returns (creating if needed) the counter for name+labels.
@@ -394,7 +381,7 @@ func (r *Registry) snapshotFamilies() []*family {
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))
 	for _, fam := range r.families {
-		cp := &family{name: fam.name, kind: fam.kind, help: fam.help, series: make(map[string]*series, len(fam.series))}
+		cp := &family{name: fam.name, kind: fam.kind, series: make(map[string]*series, len(fam.series))}
 		for k, s := range fam.series {
 			cp.series[k] = s
 		}
@@ -438,14 +425,15 @@ func (fam *family) sortedSeries() []*series {
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
-// format (version 0.0.4).
+// format (version 0.0.4). A family's # HELP line is its catalogue help
+// text; a family the catalogue does not declare gets none.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	for _, fam := range r.snapshotFamilies() {
-		if fam.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.name, fam.help); err != nil {
+		if spec, ok := declared[fam.name]; ok {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.name, spec.Help); err != nil {
 				return err
 			}
 		}

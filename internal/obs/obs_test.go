@@ -59,14 +59,19 @@ func TestNilRegistryNoOps(t *testing.T) {
 }
 
 func TestKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m")
-	defer func() {
-		if recover() == nil {
-			t.Error("gauge reuse of a counter name did not panic")
-		}
-	}()
-	r.Gauge("m")
+	for what, register := range map[string]func(r *Registry){
+		"gauge reuse of a counter name":          func(r *Registry) { r.Counter("m"); r.Gauge("m") },
+		"a declared counter registered as gauge": func(r *Registry) { r.GaugeFunc(MetricInterests, func() float64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", what)
+				}
+			}()
+			register(NewRegistry())
+		}()
+	}
 }
 
 func TestHistogramBucketsAndRendering(t *testing.T) {
@@ -101,8 +106,7 @@ func TestHistogramBucketsAndRendering(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Help("frames_total", "Frames per face.")
-	r.Counter("frames_total", L("face", "0"), L("dir", "in")).Add(7)
+	r.Counter(MetricFaceFrames, L("face", "0"), L("dir", "in")).Add(7)
 	r.GaugeFunc("pit_entries", func() float64 { return 42 })
 	r.CounterFunc("verify_total", func() float64 { return 9 })
 	var b strings.Builder
@@ -111,9 +115,9 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP frames_total Frames per face.",
-		"# TYPE frames_total counter",
-		`frames_total{dir="in",face="0"} 7`,
+		"# HELP tactic_face_frames_total Frames moved per face, by link kind and direction.",
+		"# TYPE tactic_face_frames_total counter",
+		`tactic_face_frames_total{dir="in",face="0"} 7`,
 		"# TYPE pit_entries gauge",
 		"pit_entries 42",
 		"# TYPE verify_total counter",
@@ -122,6 +126,9 @@ func TestPrometheusExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "# HELP pit_entries") {
+		t.Errorf("a family the catalogue does not declare got a HELP line:\n%s", out)
 	}
 }
 

@@ -693,9 +693,15 @@ func TestFlushBatchFollowsBacklog(t *testing.T) {
 func TestFlushDeferredFrameFromAnotherGoroutine(t *testing.T) {
 	c, cc, raw := flushPair(t)
 	peer := New(raw)
-	holdBackstop(c)
 	rawWrite(raw, interestFrames(t, 0, 2))
-	wantNonce(t, c, 0) // nonce 1 is still buffered: input pending
+	wantNonce(t, c, 0)
+	if !c.inputPending.Load() || c.r.Buffered() == 0 {
+		t.Fatalf("nonce 1 not buffered after nonce 0 (%d bytes buffered)", c.r.Buffered())
+	}
+	// Held only now: held before the first Receive, the backstop is what
+	// that Receive's socket read fires, and a timer goroutine scheduled
+	// late flushes the frame sent below.
+	holdBackstop(c)
 	sent := make(chan error, 1)
 	go func() { sent <- c.SendInterest(nonceInterest(100)) }()
 	// Nobody reads the pipe yet, so the send returns only if it deferred.

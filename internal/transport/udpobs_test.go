@@ -92,7 +92,7 @@ func TestUDPReassemblyEvictionMetricsAndEvent(t *testing.T) {
 	if n := srv.(*DatagramFace).ep.dg.reasmEvicted.Load(); n != 1 {
 		t.Fatalf("evictions = %d, want 1", n)
 	}
-	if got := reg.Snapshot()[MetricUDPReassemblyEvictions+`{scope="endpoint"}`]; got != 1 {
+	if got := reg.Snapshot()[obs.MetricUDPReassemblyEvictions+`{scope="endpoint"}`]; got != 1 {
 		t.Fatalf("registry eviction counter = %v, want 1", got)
 	}
 	var found *obs.Event
@@ -123,21 +123,21 @@ func TestUDPEndpointInstrument(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	in, _ := ep.Fragments()
-	fragKey := MetricUDPFragments + `{dir="in",role="edge",scope="endpoint"}`
+	fragKey := obs.MetricUDPFragments + `{dir="in",role="edge",scope="endpoint"}`
 	if got := snap[fragKey]; got != float64(in) || in < 2 {
 		t.Fatalf("%s = %v, want %d (snap %v)", fragKey, got, in, snap)
 	}
-	facesKey := MetricUDPFaces + `{role="edge",scope="endpoint"}`
+	facesKey := obs.MetricUDPFaces + `{role="edge",scope="endpoint"}`
 	if got := snap[facesKey]; got != 1 {
 		t.Fatalf("%s = %v, want 1", facesKey, got)
 	}
 	batch := ep.bio != nil
 	gso, _, fb := ep.bio.stats()
-	batchKey := MetricUDPBatchEnabled + `{role="edge",scope="endpoint"}`
+	batchKey := obs.MetricUDPBatchEnabled + `{role="edge",scope="endpoint"}`
 	if got := snap[batchKey]; got != boolGauge(batch) {
 		t.Fatalf("%s = %v, want %v", batchKey, got, boolGauge(batch))
 	}
-	gsoKey := MetricUDPGSOEnabled + `{role="edge",scope="endpoint"}`
+	gsoKey := obs.MetricUDPGSOEnabled + `{role="edge",scope="endpoint"}`
 	if got := snap[gsoKey]; got != boolGauge(gso && fb == 0) {
 		t.Fatalf("%s = %v", gsoKey, got)
 	}
