@@ -40,7 +40,12 @@ build:
 # (two lines) when a metric family is named outside the catalogue again
 # (a "tactic_ string literal in a non-test file other than
 # internal/obs/catalogue.go) or help text is attached by a .Help( call
-# instead of declared there.
+# instead of declared there, the sixteenth when a parked verify job is
+# built outside the verify pool's free list (a verifyJob literal or
+# new(verifyJob) anywhere but its get and put), and the seventeenth when
+# DecodeTag parses a key locator through a string copy again (it
+# resolves both through names.ParseBytes and accepts only their
+# canonical spelling).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -59,6 +64,8 @@ vet:
 	! grep -rnE '\b(readConn|DisableBatch|ReassemblyTimeout|ReassemblyEntries)\b' --include=*.go internal cmd examples
 	! grep -rn --include='*.go' '"tactic_' internal cmd examples | grep -v '_test\.go:' | grep -v '^internal/obs/catalogue\.go:'
 	! grep -rn --include='*.go' '\.Help(' internal cmd examples | grep -v '_test\.go:'
+	! grep -nE 'verifyJob\{|new\(verifyJob\)' $$(ls internal/forwarder/*.go | grep -v _test.go) | grep -vE '^internal/forwarder/verifypool\.go:[0-9]+:	+(return new\(verifyJob\)|\*job = verifyJob\{\})$$'
+	! grep -n 'names\.Parse(string(' internal/core/tag.go
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -92,7 +99,10 @@ test-repeat:
 # recvmmsg/sendmmsg round, an idle-timeout wait, a stream frame read, a
 # reader-owned receive, a Content or Data decode, a face reader's hit,
 # forward and cached Data, a PIT admit/consume cycle, a CS insert that
-# evicts, an intern hit, an unsampled span. -count=1 because a cached pass proves nothing
+# evicts, an intern hit, an unsampled span, and the Bloom-filter miss —
+# a decoded tag's signing bytes, a forged tag's validation (the scheme's
+# own allocations only), a cheap denial, a verify-queue admission, an
+# edge reader's park, verify and NACK. -count=1 because a cached pass proves nothing
 # about the toolchain's escape analysis today.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...

@@ -10,10 +10,14 @@ import (
 )
 
 // FuzzTagEncoding exercises the tag codec from both directions:
-// DecodeTag must never panic on arbitrary bytes and anything it accepts
-// must survive a canonical re-encode, while a tag built from fuzzed
-// field values must round-trip losslessly — including Expiry, which
-// travels as raw UnixNano.
+// DecodeTag must never panic on arbitrary bytes, and anything it accepts
+// must be the canonical encoding of its fields byte for byte — the
+// cached encoding is the accepted prefix of the input, rebuilding the tag
+// from its fields reproduces it, and SigningBytes (a view of the bytes
+// that arrived) is the fields' own encoding — so one signed tuple has one
+// accepted spelling. A tag built from fuzzed field values must
+// round-trip losslessly, including Expiry, which travels as raw
+// UnixNano.
 func FuzzTagEncoding(f *testing.F) {
 	valid := &Tag{
 		ProviderKey: names.MustParse("/prov0/KEY"),
@@ -26,11 +30,14 @@ func FuzzTagEncoding(f *testing.F) {
 	f.Add(valid.Encode(), uint16(2), uint64(7), int64(1e18), []byte("sig"))
 	f.Add([]byte{}, uint16(0), uint64(0), int64(0), []byte{})
 	f.Add([]byte{tagEncodingVersion}, uint16(9), ^uint64(0), int64(-1), bytes.Repeat([]byte{0xAB}, 64))
+	f.Add(spellTag(valid, "//prov0/KEY", "/u/alice/KEY/"), uint16(2), uint64(7), int64(0), []byte("sig"))
 	f.Fuzz(func(t *testing.T, data []byte, level uint16, ap uint64, nano int64, sig []byte) {
-		// Decoder robustness + canonical re-encode: rebuild the tag from
-		// its decoded fields (bypassing the populated encoding cache) and
-		// require the same wire form back.
 		if dec, err := DecodeTag(data); err == nil {
+			enc := dec.Encode()
+			if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+				t.Fatal("cached encoding is not the accepted input")
+			}
+			// Rebuilt from its fields the tag has no cached encoding.
 			rebuilt := &Tag{
 				ProviderKey: dec.ProviderKey,
 				Level:       dec.Level,
@@ -39,14 +46,15 @@ func FuzzTagEncoding(f *testing.F) {
 				Expiry:      dec.Expiry,
 				Signature:   dec.Signature,
 			}
-			re, err := DecodeTag(rebuilt.Encode())
-			if err != nil {
-				t.Fatalf("re-decode of accepted tag failed: %v", err)
+			if !bytes.Equal(rebuilt.Encode(), enc) {
+				t.Fatalf("accepted %x, its fields encode as %x", enc, rebuilt.Encode())
 			}
-			if !re.ProviderKey.Equal(dec.ProviderKey) || re.Level != dec.Level ||
-				!re.ClientKey.Equal(dec.ClientKey) || re.AccessPath != dec.AccessPath ||
-				re.Expiry.UnixNano() != dec.Expiry.UnixNano() || !bytes.Equal(re.Signature, dec.Signature) {
-				t.Fatalf("tag re-encode mutated fields: %+v != %+v", re, dec)
+			signed := dec.SigningBytes()
+			if !bytes.Equal(signed, rebuilt.SigningBytes()) || dec.ID() != rebuilt.ID() {
+				t.Fatal("SigningBytes of the accepted bytes differ from the fields' encoding")
+			}
+			if cap(signed) != len(signed) || cap(dec.Signature) != len(dec.Signature) {
+				t.Fatal("decoded views are not capped")
 			}
 		}
 

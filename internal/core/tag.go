@@ -64,10 +64,16 @@ type Tag struct {
 	// Signature is the provider's signature over SigningBytes.
 	Signature []byte
 
-	// enc caches the wire encoding; see Encode.
-	enc []byte
-	// id caches the lifecycle identity; see ID.
-	id *TagID
+	// enc caches the wire encoding; see Encode. A decoded tag's enc is
+	// the bytes that arrived, its first signed bytes the signed fields
+	// and Signature a view of the rest.
+	enc    []byte
+	signed int
+	// id and digest cache ID and Digest once set.
+	id        TagID
+	digest    Digest
+	hasID     bool
+	hasDigest bool
 }
 
 // TagID is a tag's lifecycle identity: the SHA-256 digest of its
@@ -104,11 +110,28 @@ func ParseTagID(s string) (TagID, error) {
 // with the cache already populated, so sharing those across goroutines
 // is safe; hand-built Tag literals must call ID once before sharing.
 func (t *Tag) ID() TagID {
-	if t.id == nil {
-		id := TagID(sha256.Sum256(t.SigningBytes()))
-		t.id = &id
+	if !t.hasID {
+		t.id, t.hasID = sha256.Sum256(t.SigningBytes()), true
 	}
-	return *t.id
+	return t.id
+}
+
+// Digest is the SHA-256 digest of a tag's CacheKey: like the key it
+// covers every byte of the tag, signature included, so two tags that
+// differ anywhere — a forged signature over a genuine tuple too — have
+// different digests, where they may share a TagID. Its fixed size makes
+// it a map key that costs no allocation.
+type Digest [sha256.Size]byte
+
+// Digest returns the digest of the tag's CacheKey, computed and cached
+// on first use. Like Encode, the lazy first call is not synchronised:
+// tags decoded from the wire arrive with it cached, any other tag must
+// call it once before sharing.
+func (t *Tag) Digest() Digest {
+	if !t.hasDigest {
+		t.digest, t.hasDigest = sha256.Sum256(t.CacheKey()), true
+	}
+	return t.digest
 }
 
 // Tag encoding/decoding errors.
@@ -117,13 +140,24 @@ var (
 	ErrTagTruncated = errors.New("core: truncated tag encoding")
 	// ErrTagVersion is returned for unknown encoding versions.
 	ErrTagVersion = errors.New("core: unsupported tag encoding version")
+	// ErrTagSpelling is returned for a key locator that is not in the
+	// canonical spelling (Name.String) — "//p/KEY" or "/p/KEY/" for
+	// "/p/KEY". One tuple has one accepted encoding, so a respelled
+	// locator cannot buy a second cache key under the same signature.
+	ErrTagSpelling = errors.New("core: tag key locator not in canonical spelling")
 )
 
 const tagEncodingVersion = 1
 
 // SigningBytes returns the canonical bytes the provider signs: every tag
-// field except the signature.
+// field except the signature. For a decoded tag they are the signed
+// prefix of the bytes that arrived (DecodeTag accepts only the canonical
+// encoding), capped so an append cannot reach the signature; callers
+// must not mutate them.
 func (t *Tag) SigningBytes() []byte {
+	if t.signed > 0 {
+		return t.enc[:t.signed:t.signed]
+	}
 	return t.encodeFields(nil)
 }
 
@@ -169,10 +203,14 @@ func (t *Tag) Size() int { return len(t.Encode()) }
 // different keys.
 func (t *Tag) CacheKey() []byte { return t.Encode() }
 
-// DecodeTag parses a wire-encoded tag. The input bytes are copied into
-// the decoded tag's encoding cache, so CacheKey/Encode on the hot path
-// never re-serialise a tag that arrived off the wire (and the caller may
-// reuse b).
+// DecodeTag parses a wire-encoded tag. The accepted bytes are copied
+// once into the decoded tag's encoding cache — CacheKey, Encode,
+// SigningBytes and Signature are views of that copy, so the hot path
+// never re-serialises a tag that arrived off the wire (and the caller
+// may reuse b). A key locator must be spelled as Name.String spells it
+// (ErrTagSpelling otherwise), so what DecodeTag accepts is exactly the
+// canonical encoding of its fields: a tag's signature and TagID cover
+// the bytes that arrived, and one signed tuple has one CacheKey.
 func DecodeTag(b []byte) (*Tag, error) {
 	d := decoder{buf: b}
 	version, err := d.byte()
@@ -202,28 +240,35 @@ func DecodeTag(b []byte) (*Tag, error) {
 	if err != nil {
 		return nil, err
 	}
-	sig, err := d.lenPrefixed()
-	if err != nil {
+	signed := d.off
+	if _, err := d.lenPrefixed(); err != nil {
 		return nil, err
 	}
-	prov, err := names.Parse(string(provRaw))
+	prov, err := names.ParseBytes(provRaw)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode tag provider key: %w", err)
 	}
-	cli, err := names.Parse(string(cliRaw))
+	cli, err := names.ParseBytes(cliRaw)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode tag client key: %w", err)
 	}
+	if prov.String() != string(provRaw) || cli.String() != string(cliRaw) {
+		return nil, ErrTagSpelling
+	}
+	enc := append([]byte(nil), b[:d.off]...)
 	t := &Tag{
 		ProviderKey: prov,
 		Level:       AccessLevel(level),
 		ClientKey:   cli,
 		AccessPath:  AccessPath(ap),
 		Expiry:      time.Unix(0, int64(expiry)),
-		Signature:   append([]byte(nil), sig...),
-		enc:         append([]byte(nil), b[:d.off]...),
+		Signature:   enc[signed+2 : d.off : d.off],
+		enc:         enc,
+		signed:      signed,
 	}
-	t.ID() // populate the identity cache before the tag is shared
+	// Populate the caches before the tag is shared.
+	t.ID()
+	t.Digest()
 	return t, nil
 }
 

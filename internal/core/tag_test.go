@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -275,4 +278,122 @@ func itoa(v uint64) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// respellings returns n distinct non-canonical spellings of a name —
+// extra leading and trailing slashes — each of which names.Parse reads
+// as the same name.
+func respellings(canon string, n int) []string {
+	out := make([]string, 0, n)
+	for k := 1; len(out) < n; k++ { // k = 0 is the canonical spelling
+		out = append(out, strings.Repeat("/", k%10)+canon+strings.Repeat("/", k/10))
+	}
+	return out
+}
+
+// spellTag is t's wire encoding with its key locators spelled prov and
+// cli, under t's own signature.
+func spellTag(t *Tag, prov, cli string) []byte {
+	b := []byte{tagEncodingVersion}
+	b = appendLenPrefixed(b, []byte(prov))
+	b = binary.BigEndian.AppendUint16(b, uint16(t.Level))
+	b = appendLenPrefixed(b, []byte(cli))
+	b = binary.BigEndian.AppendUint64(b, uint64(t.AccessPath))
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Expiry.UnixNano()))
+	return appendLenPrefixed(b, t.Signature)
+}
+
+// TestRespelledLocatorsBuyNoCacheKey: names.Parse reads "//p/KEY/1" and
+// "/p/KEY/1/" as "/p/KEY/1", so a tag's locators have many spellings. A
+// respelled genuine tag must be refused at decode or fail validation as
+// forged: one signature never verifies under a second CacheKey (each of
+// which would cost a verification and a Bloom-filter insertion).
+func TestRespelledLocatorsBuyNoCacheKey(t *testing.T) {
+	prov := newTestSigner(t, 11, "/prov0/KEY/1")
+	v := NewTagValidator(newTestRegistry(t, prov))
+	tag, err := IssueTag(prov, names.MustParse("/users/alice/KEY/1"), 3, AccessPathOf("ap"), testTime(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(spellTag(tag, tag.ProviderKey.String(), tag.ClientKey.String()), tag.Encode()) {
+		t.Fatal("spellTag does not reproduce the canonical encoding")
+	}
+	verifiable := map[string]bool{string(tag.CacheKey()): true}
+	try := func(enc []byte) {
+		t.Helper()
+		dec, err := DecodeTag(enc)
+		if err != nil {
+			if !errors.Is(err, ErrTagSpelling) {
+				t.Errorf("respelled tag refused with %v, want ErrTagSpelling", err)
+			}
+			return
+		}
+		if err := v.Validate(dec, testTime(50)); err == nil {
+			verifiable[string(dec.CacheKey())] = true
+		} else if !errors.Is(err, ErrTagForged) {
+			t.Errorf("respelled tag fails validation with %v, want ErrTagForged", err)
+		}
+	}
+	for _, s := range respellings(tag.ProviderKey.String(), 50) {
+		try(spellTag(tag, s, tag.ClientKey.String()))
+	}
+	for _, s := range respellings(tag.ClientKey.String(), 50) {
+		try(spellTag(tag, tag.ProviderKey.String(), s))
+	}
+	if len(verifiable) != 1 {
+		t.Errorf("one signed tuple verifies under %d cache keys, want 1", len(verifiable))
+	}
+}
+
+// TestDecodedTagViews pins what verifying the arrived bytes must keep: a
+// decoded tag's SigningBytes are the canonical encoding of its fields and
+// its ID their digest, and neither SigningBytes nor Signature can be
+// appended to in place.
+func TestDecodedTagViews(t *testing.T) {
+	prov := newTestSigner(t, 12, "/prov0/KEY/1")
+	tag, err := IssueTag(prov, names.MustParse("/users/bob/KEY/1"), 2, AccessPathOf("ap"), testTime(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := append(append([]byte(nil), tag.Encode()...), 0xEE) // trailing bytes are not the tag's
+	dec, err := DecodeTag(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dec.SigningBytes(), tag.SigningBytes()) || dec.ID() != tag.ID() {
+		t.Error("a decoded tag signs, or is identified by, other bytes than its fields' encoding")
+	}
+	if !bytes.Equal(dec.Encode(), tag.Encode()) || dec.Digest() != tag.Digest() {
+		t.Error("a decoded tag's encoding is not the accepted input")
+	}
+	sb := dec.SigningBytes()
+	if cap(sb) != len(sb) || cap(dec.Signature) != len(dec.Signature) {
+		t.Error("decoded views are not capped")
+	}
+	in[len(in)-2] ^= 0xFF // the caller may reuse its buffer
+	if !bytes.Equal(dec.Signature, tag.Signature) {
+		t.Error("a decoded tag aliases its input")
+	}
+}
+
+// TestSigningBytesAllocs: a decoded tag's SigningBytes and ID are views
+// and caches of the bytes that arrived, so the verification behind every
+// Bloom-filter miss re-encodes nothing.
+func TestSigningBytesAllocs(t *testing.T) {
+	prov := newTestSigner(t, 13, "/prov0/KEY/1")
+	tag, err := IssueTag(prov, names.MustParse("/users/carol/KEY/1"), 2, 0, testTime(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeTag(tag.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		dec.SigningBytes()
+		dec.ID()
+		dec.Digest()
+	}); allocs != 0 {
+		t.Errorf("a decoded tag's SigningBytes, ID and Digest allocate %.1f/op, want 0", allocs)
+	}
 }

@@ -205,10 +205,18 @@ func (v *TagValidator) Validate(t *Tag, now time.Time) error {
 	v.inflight.Add(-1)
 	if err != nil {
 		v.forged.Add(1)
+		if errors.Is(err, pki.ErrBadSignature) {
+			return errBadSignature
+		}
 		return fmt.Errorf("%w: %w", ErrTagForged, err)
 	}
 	return nil
 }
+
+// errBadSignature is Validate's outcome for a signature that does not
+// verify, the one an attacker minting tags reaches at will: wrapped once,
+// not per forged tag.
+var errBadSignature = fmt.Errorf("%w: %w", ErrTagForged, pki.ErrBadSignature)
 
 // CheckFresh is the cheap half of Validate — presence and expiry,
 // counted as Validate counts them — for a caller that takes the
@@ -221,7 +229,7 @@ func (v *TagValidator) CheckFresh(t *Tag, now time.Time) error {
 	}
 	if t.Expired(now) {
 		v.expired.Add(1)
-		return fmt.Errorf("%w: at %s", ErrTagExpired, t.Expiry)
+		return ErrTagExpired
 	}
 	return nil
 }
@@ -247,16 +255,19 @@ func (v *TagValidator) Stats() ValidatorStats {
 // applied before any Bloom-filter or signature work. It rejects tags
 // whose provider prefix does not cover the requested content and tags
 // that are already expired.
+//
+// The cheap denials (CheckFresh's too) return the bare sentinel: a peer
+// can trigger them at line rate, and a NACK carries only the reason's
+// 1-byte code, never the detail a formatted error would allocate for.
 func PreCheckEdge(t *Tag, contentName names.Name, now time.Time) error {
 	if t == nil {
 		return ErrNoTag
 	}
 	if !t.ProviderKey.ProviderPrefix().Equal(contentName.ProviderPrefix()) {
-		return fmt.Errorf("%w: tag %s vs content %s",
-			ErrPrefixMismatch, t.ProviderKey.ProviderPrefix(), contentName.ProviderPrefix())
+		return ErrPrefixMismatch
 	}
 	if t.Expired(now) {
-		return fmt.Errorf("%w: at %s", ErrTagExpired, t.Expiry)
+		return ErrTagExpired
 	}
 	return nil
 }
@@ -269,10 +280,10 @@ func PreCheckContent(t *Tag, meta ContentMeta) error {
 		return ErrNoTag
 	}
 	if !t.Level.Satisfies(meta.Level) {
-		return fmt.Errorf("%w: content %d > tag %d", ErrInsufficientLevel, meta.Level, t.Level)
+		return ErrInsufficientLevel
 	}
 	if !t.ProviderKey.Equal(meta.ProviderKey) {
-		return fmt.Errorf("%w: content %s vs tag %s", ErrProviderKeyMismatch, meta.ProviderKey, t.ProviderKey)
+		return ErrProviderKeyMismatch
 	}
 	return nil
 }

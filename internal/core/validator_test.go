@@ -1,6 +1,7 @@
 package core
 
 import (
+	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/names"
+	"github.com/tactic-icn/tactic/internal/pki"
 )
 
 // countVerifier is a pki.Verifier that counts its calls and answers err.
@@ -125,5 +127,78 @@ func TestReasonVocabulary(t *testing.T) {
 	}
 	if ReasonFromCode(200) != ErrDenied {
 		t.Error("an unknown wire code must decode to ErrDenied")
+	}
+}
+
+// TestValidateForgedAllocs: a forged tag, the verification an attacker
+// reaches at will, allocates what the signature scheme allocates and
+// nothing besides — the signed bytes are the decoded tag's own, the
+// outcome one preallocated error — and still reads as forged (and as a
+// bad signature).
+func TestValidateForgedAllocs(t *testing.T) {
+	prov, err := pki.GenerateECDSA(crand.Reader, names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue, err := pki.GenerateECDSA(crand.Reader, prov.Locator()) // claims the genuine locator
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := pki.NewRegistry()
+	if err := reg.Register(prov.Locator(), prov.Public()); err != nil {
+		t.Fatal(err)
+	}
+	issued, err := IssueTag(rogue, names.MustParse("/users/mallory/KEY/1"), 2, 0, time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := DecodeTag(issued.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewTagValidator(reg)
+	now := time.Now()
+	if err := v.Validate(forged, now); !errors.Is(err, ErrTagForged) || !errors.Is(err, pki.ErrBadSignature) {
+		t.Fatalf("forged tag: err = %v, want ErrTagForged wrapping pki.ErrBadSignature", err)
+	}
+	scheme := testing.AllocsPerRun(200, func() {
+		reg.Verify(forged.ProviderKey, forged.SigningBytes(), forged.Signature) //nolint:errcheck // forged
+	})
+	if allocs := testing.AllocsPerRun(200, func() {
+		v.Validate(forged, now) //nolint:errcheck // forged
+	}); allocs > scheme {
+		t.Errorf("validating a forged tag allocates %.1f/op, the scheme alone %.1f", allocs, scheme)
+	}
+}
+
+// TestCheapDenialsAllocs: the cheap checks a peer can fail at line rate
+// — expiry, prefix, level, key locator — deny with the bare sentinel and
+// allocate nothing.
+func TestCheapDenialsAllocs(t *testing.T) {
+	v := NewTagValidator(&countVerifier{})
+	tag := testTag("eve")
+	late := tag.Expiry.Add(time.Second)
+	other := names.MustNew("prov1", "obj")
+	meta := ContentMeta{Name: names.MustNew("prov0", "obj"), Level: 3, ProviderKey: tag.ProviderKey}
+	checks := []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"CheckFresh", func() error { return v.CheckFresh(tag, late) }, ErrTagExpired},
+		{"PreCheckEdge prefix", func() error { return PreCheckEdge(tag, other, time.Time{}) }, ErrPrefixMismatch},
+		{"PreCheckEdge expiry", func() error { return PreCheckEdge(tag, meta.Name, late) }, ErrTagExpired},
+		{"PreCheckContent level", func() error { return PreCheckContent(tag, meta) }, ErrInsufficientLevel},
+		{"PreCheckContent key", func() error {
+			return PreCheckContent(tag, ContentMeta{Name: meta.Name, Level: 1, ProviderKey: other})
+		}, ErrProviderKeyMismatch},
+	}
+	for _, c := range checks {
+		if err := c.run(); err != c.want {
+			t.Errorf("%s: err = %v, want the bare %v", c.name, err, c.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.run() }); allocs != 0 { //nolint:errcheck // denied
+			t.Errorf("%s: a denial allocates %.1f/op, want 0", c.name, allocs)
+		}
 	}
 }

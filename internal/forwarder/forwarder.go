@@ -616,10 +616,7 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 	}
 	switch st.Action {
 	case node.Verify:
-		// The job outlives the reader's packet: it takes its own copy.
-		job := &verifyJob{arrival: a, pending: st.Pending, interest: *i}
-		job.i = &job.interest
-		f.vp.park(job)
+		f.vp.park(a, st.Pending)
 	case node.Reply:
 		f.reply(a, st.Reply, sendStart)
 	case node.Register:
@@ -673,7 +670,9 @@ func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 	outcome := node.OutcomeCSHit
 	if ans.Nack {
 		f.m.nack(ans.Reason)
-		outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
+		if a.sp != nil { // joining allocates; only a span reads it
+			outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
+		}
 	} else {
 		f.m.csHits.Inc()
 	}

@@ -3,9 +3,11 @@ package forwarder
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -275,6 +277,112 @@ func TestLiveForgedTagNACKed(t *testing.T) {
 	}
 	if pkt.Data.Content != nil {
 		t.Error("forged tag received content at the edge")
+	}
+}
+
+// respelledTag is tag's wire encoding with its key locators spelled prov
+// and cli (names.Parse reads "//p/KEY/1" and "/p/KEY/1/" as "/p/KEY/1"),
+// under tag's own signature: version, provider locator, level, client
+// locator, access path, expiry, signature.
+func respelledTag(tag *core.Tag, prov, cli string) []byte {
+	lp := func(b []byte, s []byte) []byte { return append(binary.BigEndian.AppendUint16(b, uint16(len(s))), s...) }
+	b := lp([]byte{1}, []byte(prov))
+	b = binary.BigEndian.AppendUint16(b, uint16(tag.Level))
+	b = lp(b, []byte(cli))
+	b = binary.BigEndian.AppendUint64(b, uint64(tag.AccessPath))
+	b = binary.BigEndian.AppendUint64(b, uint64(tag.Expiry.UnixNano()))
+	return lp(b, tag.Signature)
+}
+
+// TestLiveRespelledTagBuysNothing sends an enrolled client's tag to a
+// live edge under 50 respellings of its key locators. Each would be a
+// second cache key under one signature — a verification and a
+// Bloom-filter insertion apiece, and served content — if the edge
+// accepted it. None adds an insertion or gets a chunk: each is refused
+// at decode (the face closes on the frame, counting an error) or NACKed
+// as forged.
+func TestLiveRespelledTagBuysNothing(t *testing.T) {
+	n := startLiveNetwork(t, time.Minute)
+	defer n.Close()
+	tag, err := core.IssueTag(n.provKey, names.MustParse("/users/alice/KEY/1"), 3,
+		core.EmptyAccessPath.Accumulate("edge-0"), time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := n.prefix.MustAppend("report", "chunk0")
+	if !bytes.Equal(respelledTag(tag, tag.ProviderKey.String(), tag.ClientKey.String()), tag.Encode()) {
+		t.Fatal("respelledTag does not reproduce the canonical encoding")
+	}
+	// ask sends an Interest carrying the tag encoded as enc on a face of
+	// its own and returns the reply, or nil when the edge closed the face.
+	ask := func(nonce uint64, enc []byte) *ndn.Data {
+		t.Helper()
+		// An Interest under a stand-in tag whose encoding is as long as
+		// enc, which then overwrites it in place: the lengths framing it
+		// stay right.
+		stand := &core.Tag{ProviderKey: tag.ProviderKey, Level: tag.Level, ClientKey: tag.ClientKey,
+			AccessPath: tag.AccessPath, Expiry: tag.Expiry,
+			Signature: make([]byte, len(tag.Signature)+len(enc)-len(tag.Encode()))}
+		frame, err := ndn.EncodeInterest(&ndn.Interest{Name: name, Kind: ndn.KindContent, Nonce: nonce, Tag: stand})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(frame, stand.Encode())
+		copy(frame[at:], enc)
+		cSide, fSide := net.Pipe()
+		face := transport.New(fSide)
+		n.edgeFwd.AddFace(face, true)
+		client := transport.New(cSide)
+		defer client.Close()
+		client.SetIdleTimeout(liveTimeout)
+		if err := client.SendFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+		pkt, err := client.Receive()
+		if err != nil {
+			if face.Stats().Errors == 0 {
+				t.Fatalf("nonce %d: no reply (%v) and no decode error on the edge's face", nonce, err)
+			}
+			return nil
+		}
+		if pkt.Data == nil {
+			t.Fatalf("nonce %d: reply %+v is not a Data", nonce, pkt)
+		}
+		return pkt.Data
+	}
+	// The genuine tag is verified and inserted once.
+	if d := ask(1, tag.Encode()); d == nil || d.Nack || d.Content == nil {
+		t.Fatalf("the genuine tag was not served: %+v", d)
+	}
+	bf := n.edgeFwd.tactic.Bloom()
+	inserted := bf.Stats().Insertions
+	var refused, forged, served int
+	for k := 0; k < 50; k++ {
+		// The j-th respelling of one locator or the other: j%10 extra
+		// leading slashes, j/10 trailing ones.
+		j := 1 + k/2
+		respell := func(s string) string { return strings.Repeat("/", j%10) + s + strings.Repeat("/", j/10) }
+		prov, cli := tag.ProviderKey.String(), tag.ClientKey.String()
+		if k%2 == 0 {
+			prov = respell(prov)
+		} else {
+			cli = respell(cli)
+		}
+		switch d := ask(uint64(2+k), respelledTag(tag, prov, cli)); {
+		case d == nil:
+			refused++
+		case d.Nack && errors.Is(d.NackReason, core.ErrTagForged):
+			forged++
+		default:
+			served++
+		}
+	}
+	t.Logf("50 respellings: %d refused at decode, %d NACKed as forged", refused, forged)
+	if served != 0 || refused+forged != 50 {
+		t.Errorf("50 respellings: %d refused at decode, %d NACKed as forged, %d otherwise answered", refused, forged, served)
+	}
+	if got := bf.Stats().Insertions - inserted; got != 0 {
+		t.Errorf("respellings added %d Bloom-filter insertions, want 0", got)
 	}
 }
 

@@ -138,6 +138,74 @@ func TestReadLoopAllocs(t *testing.T) {
 	if st := fwd.Stats(); st.Drops != 0 || st.NACKs != 0 {
 		t.Errorf("stats %+v: want no drops or NACKs", st)
 	}
+
+	// An edge Bloom-filter miss: a forged tag — signed by a key that
+	// claims the provider's locator — asks for a chunk the edge caches, so
+	// the content decision parks it, a worker verifies it and the NACK
+	// goes back. The repository's share of that is nothing: what it
+	// allocates is the signature scheme's own.
+	edge, err := New(Config{ID: "edge-0", Role: RoleEdge, Registry: reg, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	eDown, eUp := newFeedFace(), newFeedFace()
+	edge.AddFace(eDown, true)
+	edge.AddRoute(names.MustParse("/prov0"), edge.AddFace(eUp, false))
+	ap := core.EmptyAccessPath.Accumulate("edge-0")
+	genuine, err := core.IssueTag(provKey, names.MustParse("/users/alice/KEY/1"), 3, ap, time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue, err := pki.GenerateECDSA(rand.Reader, provKey.Locator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued, err := core.IssueTag(rogue, names.MustParse("/users/mallory/KEY/1"), 3, ap, time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := core.DecodeTag(issued.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	private := names.MustParse("/prov0/private/chunk0")
+	content, err := prov.Publish(private, 2, make([]byte, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(tag *core.Tag) []byte {
+		frame, err := ndn.EncodeInterest(&ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 9, Tag: tag})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	answer, err := ndn.EncodeData(&ndn.Data{Name: private, Content: content, Tag: genuine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eDown.in <- ask(genuine) // the genuine tag brings the chunk into the edge's store
+	<-eUp.sent
+	eUp.in <- answer
+	<-eDown.sent
+	probe := ask(forged)
+	bfMiss := func() {
+		eDown.in <- probe
+		<-eDown.sent
+	}
+	for k := 0; k < 4; k++ { // warm the free lists and the worker's buffer
+		bfMiss()
+	}
+	scheme := testing.AllocsPerRun(500, func() {
+		reg.Verify(forged.ProviderKey, forged.SigningBytes(), forged.Signature) //nolint:errcheck // forged
+	})
+	if a := testing.AllocsPerRun(500, bfMiss); a > scheme {
+		t.Errorf("an edge BF miss (park, verify, NACK) allocates %.1f/op, the signature scheme alone %.1f", a, scheme)
+	}
+	if st := edge.Stats(); st.NACKs == 0 || edge.tactic.Validator().Stats().Forged != st.NACKs {
+		t.Errorf("edge stats %+v: want every miss verified and NACKed as forged", st)
+	}
 }
 
 // TestReaderOwnedPacketsDoNotLeak: the edge reader decodes every packet

@@ -31,7 +31,9 @@ import (
 // success, so a tag costs one verification and one insertion.
 
 // verifyJob is one parked Interest awaiting signature verification: the
-// arrival and the decision the node core left pending on it.
+// arrival and the decision the node core left pending on it. Jobs come
+// from the pool's free list (get) and go back to it (put) once answered:
+// completed, shed or flushed.
 type verifyJob struct {
 	arrival
 	pending node.Pending
@@ -43,6 +45,10 @@ type verifyJob struct {
 	parkedAt time.Time
 }
 
+// maxFreeJobs bounds the free list: a flood's worth of jobs is not kept
+// once it has drained.
+const maxFreeJobs = 1024
+
 // verifyPool is the bounded worker pool: the goroutines, the lock and
 // the counters around the node's verify queue.
 type verifyPool struct {
@@ -51,9 +57,11 @@ type verifyPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// q is the admission policy — per-face budget, tag groups,
-	// round-robin — and closed stops admitting; both are guarded by mu.
+	// round-robin — closed stops admitting and free holds answered jobs
+	// for reuse; all are guarded by mu.
 	q      *node.VerifyQueue[*verifyJob]
 	closed bool
+	free   []*verifyJob
 
 	parked    atomic.Int64
 	sheds     atomic.Uint64
@@ -73,25 +81,51 @@ func newVerifyPool(f *Forwarder, workers, budget int) *verifyPool {
 	return p
 }
 
-// park hands a job to the queue — queued as its tag's leader, or
-// attached to the leader the tag has — or, when the face is over budget
-// or the pool is shutting down, sheds it with an Overload NACK. Face
-// readers park first decisions, workers an edge-verified Interest whose
-// content decision needs a verification too.
-func (p *verifyPool) park(job *verifyJob) {
-	job.parkedAt = time.Now()
+// get takes a job off the free list, or allocates one; put clears an
+// answered job and returns it. The caller holds mu.
+func (p *verifyPool) get() *verifyJob {
+	n := len(p.free)
+	if n == 0 {
+		return new(verifyJob)
+	}
+	job := p.free[n-1]
+	p.free = p.free[:n-1]
+	return job
+}
+
+func (p *verifyPool) put(job *verifyJob) {
+	if len(p.free) < maxFreeJobs {
+		*job = verifyJob{}
+		p.free = append(p.free, job)
+	}
+}
+
+// park hands an Interest the node core left pending on a verification to
+// the queue as a job — queued as its tag's leader, or attached to the
+// leader the tag has — or, when the face is over budget or the pool is
+// shutting down, sheds it with an Overload NACK. Face readers park first
+// decisions, workers an edge-verified Interest whose content decision
+// needs a verification too.
+func (p *verifyPool) park(a arrival, pending node.Pending) {
+	parkedAt := time.Now()
 	// Annotate before admitting: once admitted the job belongs to a
 	// worker, and the span with it.
-	if job.sp != nil {
-		job.sp.Event("park", "verify")
+	if a.sp != nil {
+		a.sp.Event("park", "verify")
 	}
 	adm := node.Shed
 	p.mu.Lock()
 	if !p.closed {
-		adm = p.q.Admit(job, job.from.id, job.i.Tag.CacheKey())
-	}
-	if adm != node.Shed {
-		p.parked.Add(1)
+		// The job outlives the arrival's packet, which the face reader
+		// decodes its next one into: it takes its own copy.
+		job := p.get()
+		job.arrival, job.pending, job.interest, job.parkedAt = a, pending, *a.i, parkedAt
+		job.i = &job.interest
+		if adm = p.q.Admit(job, a.from.id, a.i.Tag.Digest()); adm == node.Shed {
+			p.put(job)
+		} else {
+			p.parked.Add(1)
+		}
 	}
 	p.mu.Unlock()
 	switch adm {
@@ -103,16 +137,19 @@ func (p *verifyPool) park(job *verifyJob) {
 		// not one event per dropped Interest.
 		if p.f.ev != nil {
 			if burst := p.f.shedGate.Add(1); burst > 0 {
-				p.f.ev.Emit(obs.EventShedBurst, int(job.from.id), "verify_overload", burst)
+				p.f.ev.Emit(obs.EventShedBurst, int(a.from.id), "verify_overload", burst)
 			}
 		}
-		p.f.reply(job.arrival, node.Answer{Nack: true, Reason: core.ErrOverload}, time.Time{})
+		p.f.reply(a, node.Answer{Nack: true, Reason: core.ErrOverload}, time.Time{})
 	}
 }
 
 // worker takes leaders, round-robin across faces, until the pool closes.
+// It answers them with one follower buffer of its own and returns each
+// answered job to the free list when it next holds the lock.
 func (p *verifyPool) worker() {
 	defer p.wg.Done()
+	var followers []*verifyJob
 	p.mu.Lock()
 	for !p.closed {
 		job, ok := p.q.Next()
@@ -122,16 +159,21 @@ func (p *verifyPool) worker() {
 		}
 		p.parked.Add(-1)
 		p.mu.Unlock()
-		p.run(job)
+		followers = p.run(job, followers[:0])
 		p.mu.Lock()
+		p.put(job)
+		for _, fj := range followers {
+			p.put(fj)
+		}
 	}
 	p.mu.Unlock()
 }
 
 // run verifies a leader's tag, decides the leader and then every
-// follower from that one outcome, and resumes their pipelines. It
-// executes on a worker goroutine — never on a face reader.
-func (p *verifyPool) run(job *verifyJob) {
+// follower from that one outcome, resumes their pipelines and returns
+// the followers, appended to buf. It executes on a worker goroutine —
+// never on a face reader.
+func (p *verifyPool) run(job *verifyJob, buf []*verifyJob) []*verifyJob {
 	f := p.f
 	parkDur := time.Since(job.parkedAt)
 	f.m.parkSeconds.Observe(parkDur.Seconds())
@@ -147,9 +189,8 @@ func (p *verifyPool) run(job *verifyJob) {
 	// decision that parks the same tag again, and that job must lead a
 	// group of its own. Without an outcome to share (the leader's own gate
 	// denied it) the group passes to a follower, which may lead now.
-	var buf [8]*verifyJob
 	p.mu.Lock()
-	followers := p.q.Close(job, dec.Verified, buf[:0])
+	followers := p.q.Close(job, dec.Verified, buf)
 	p.q.Release(job.from.id)
 	for _, fj := range followers {
 		p.q.Release(fj.from.id)
@@ -170,6 +211,7 @@ func (p *verifyPool) run(job *verifyJob) {
 		}
 		p.complete(fj, fdec)
 	}
+	return followers
 }
 
 // complete resumes a job's pipeline with its enforcement verdict.
@@ -197,6 +239,11 @@ func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 		p.flushed.Add(1)
 		p.f.reply(job.arrival, node.Answer{Nack: true, Reason: reason}, time.Time{})
 	}
+	p.mu.Lock()
+	for _, job := range out {
+		p.put(job)
+	}
+	p.mu.Unlock()
 	return len(out)
 }
 

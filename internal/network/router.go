@@ -261,7 +261,7 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	call(func() { st = r.core.OnInterest(i, from, checks, now) })
 	for st.Action == node.Verify {
 		p := st.Pending
-		if r.vq.Admit(i, from, i.Tag.CacheKey()) == node.Shed {
+		if r.vq.Admit(i, from, i.Tag.Digest()) == node.Shed {
 			st = r.core.ResumeInterest(i, from, p, enforce.Shed(st.Stage), now)
 			break
 		}

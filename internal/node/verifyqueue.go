@@ -11,7 +11,9 @@ import (
 // cost cliff, for both drivers. The jobs charged to an arrival face —
 // queued, running or following — may not exceed the budget; one over it
 // is shed (enforce.Shed). The first job admitted with a tag (by
-// Tag.CacheKey()) leads the tag's group and is the only one verified; a
+// Tag.Digest(), the digest of its whole CacheKey: never by TagID, which
+// omits the signature and would let a forged signature follow a genuine
+// one) leads the tag's group and is the only one verified; a
 // job admitted while the group is open follows, charged to its own face,
 // and leaves with the leader's outcome. Leaders are taken round-robin
 // across faces, so one face's backlog cannot starve another's.
@@ -26,13 +28,15 @@ type VerifyQueue[J comparable] struct {
 	budget int
 	faces  map[ndn.FaceID]*faceQueue[J]
 	// order is the round-robin rotation over charged faces, rr the next
-	// index to scan; groups maps cache keys to open groups, running are
-	// those Next handed out, free are closed ones kept for reuse.
+	// index to scan; groups maps tag digests to open groups, running are
+	// those Next handed out, free are closed ones kept for reuse, and
+	// idle are the queues of faces whose charge ran out, likewise.
 	order   []ndn.FaceID
 	rr      int
-	groups  map[string]*group[J]
+	groups  map[core.Digest]*group[J]
 	running []*group[J]
 	free    []*group[J]
+	idle    []*faceQueue[J]
 }
 
 // faceQueue is one face's groups waiting for Next, oldest first, and its
@@ -50,7 +54,7 @@ type member[J comparable] struct {
 
 // group is a tag's open verification.
 type group[J comparable] struct {
-	key       string
+	key       core.Digest
 	leader    member[J]
 	followers []member[J]
 }
@@ -73,7 +77,7 @@ func NewVerifyQueue[J comparable](budget int, tactic core.Config) *VerifyQueue[J
 		budget = 0
 	}
 	return &VerifyQueue[J]{budget: budget,
-		faces: make(map[ndn.FaceID]*faceQueue[J]), groups: make(map[string]*group[J])}
+		faces: make(map[ndn.FaceID]*faceQueue[J]), groups: make(map[core.Digest]*group[J])}
 }
 
 // Budget is the per-face cap, 0 when admission is unbounded.
@@ -82,12 +86,16 @@ func (q *VerifyQueue[J]) Budget() int { return q.budget }
 // Len reports the open groups and the charged faces.
 func (q *VerifyQueue[J]) Len() (groups, faces int) { return len(q.groups), len(q.faces) }
 
-// Admit charges job, arriving on face with a tag of cache key key, to the
+// Admit charges job, arriving on face with a tag of digest key, to the
 // face — unless it is at its budget — as the tag's leader or follower.
-func (q *VerifyQueue[J]) Admit(job J, face ndn.FaceID, key []byte) Admission {
+func (q *VerifyQueue[J]) Admit(job J, face ndn.FaceID, key core.Digest) Admission {
 	fq := q.faces[face]
 	if fq == nil {
-		fq = &faceQueue[J]{}
+		if n := len(q.idle); n > 0 {
+			fq, q.idle = q.idle[n-1], q.idle[:n-1]
+		} else {
+			fq = new(faceQueue[J])
+		}
 		q.faces[face] = fq
 		q.order = append(q.order, face)
 	} else if q.budget > 0 && fq.charged >= q.budget {
@@ -95,7 +103,7 @@ func (q *VerifyQueue[J]) Admit(job J, face ndn.FaceID, key []byte) Admission {
 	}
 	fq.charged++
 	m := member[J]{job: job, face: face}
-	if g := q.groups[string(key)]; g != nil {
+	if g := q.groups[key]; g != nil {
 		g.followers = append(g.followers, m)
 		return Follower
 	}
@@ -105,7 +113,7 @@ func (q *VerifyQueue[J]) Admit(job J, face ndn.FaceID, key []byte) Admission {
 	} else {
 		g = new(group[J])
 	}
-	g.key, g.leader = string(key), m
+	g.key, g.leader = key, m
 	q.groups[g.key] = g
 	fq.queued = append(fq.queued, g)
 	return Leader
@@ -161,6 +169,7 @@ func (q *VerifyQueue[J]) Release(face ndn.FaceID) {
 		return
 	}
 	delete(q.faces, face)
+	q.idle = append(q.idle, fq) // uncharged, so nothing queued
 	i := slices.Index(q.order, face)
 	q.order = slices.Delete(q.order, i, i+1)
 	if q.rr > i {
@@ -211,6 +220,6 @@ func (q *VerifyQueue[J]) handoff(g *group[J]) {
 func (q *VerifyQueue[J]) retire(g *group[J]) {
 	delete(q.groups, g.key)
 	clear(g.followers)
-	g.key, g.leader, g.followers = "", member[J]{}, g.followers[:0]
+	g.key, g.leader, g.followers = core.Digest{}, member[J]{}, g.followers[:0]
 	q.free = append(q.free, g)
 }

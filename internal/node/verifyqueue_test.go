@@ -20,7 +20,7 @@ const (
 func admitAll(t *testing.T, q *VerifyQueue[string], face ndn.FaceID, want Admission, jobs ...string) {
 	t.Helper()
 	for _, job := range jobs {
-		if got := q.Admit(job, face, []byte(job)); got != want {
+		if got := q.Admit(job, face, digestOf(job)); got != want {
 			t.Fatalf("Admit(%s on face %d) = %d, want %d", job, face, got, want)
 		}
 	}
@@ -43,7 +43,7 @@ func charged[J comparable](q *VerifyQueue[J], face ndn.FaceID) int {
 }
 
 func TestVerifyQueueRows(t *testing.T) {
-	tag := []byte("shared-tag")
+	tag := digestOf("shared-tag")
 	for _, tc := range []struct {
 		name   string
 		budget int
@@ -226,7 +226,7 @@ func FuzzVerifyQueue(f *testing.F) {
 				seen[job] = true
 			}
 			for key, g := range q.groups {
-				if g.key != key || key != string([]byte{jobs[g.leader.job].tag}) {
+				if g.key != key || key != digestOf(string([]byte{jobs[g.leader.job].tag})) {
 					t.Fatalf("after %s: group %q led by job %d of tag %d", op, key, g.leader.job, jobs[g.leader.job].tag)
 				}
 				place(g.leader.job)
@@ -262,7 +262,7 @@ func FuzzVerifyQueue(f *testing.F) {
 				face, tag := ndn.FaceID(arg%3), arg/3%3
 				atBudget := budget > 0 && want[face] >= budget
 				job := len(jobs)
-				switch adm := q.Admit(job, face, []byte{tag}); {
+				switch adm := q.Admit(job, face, digestOf(string([]byte{tag}))); {
 				case adm == Shed && !atBudget, adm != Shed && atBudget:
 					t.Fatalf("Admit on face %d charged %d/%d = %d", face, want[face], budget, adm)
 				case adm != Shed:
@@ -351,16 +351,25 @@ func btoi(b bool) int {
 	return 0
 }
 
-// TestVerifyQueueAllocs: on a warm queue a job that leads allocates its
-// tag's key and nothing else (groups and slices are reused), a follower
-// nothing; a face that was idle adds its own queue.
+// digestOf stands in for a tag's digest in these tests: the queue only
+// compares keys.
+func digestOf(s string) core.Digest {
+	var d core.Digest
+	copy(d[:], s)
+	return d
+}
+
+// TestVerifyQueueAllocs: on a warm queue a job that leads allocates
+// nothing (the key is the tag's fixed-size digest; groups and slices are
+// reused), a follower nothing, and neither does a face that comes back
+// after idling (its queue is kept for reuse).
 func TestVerifyQueueAllocs(t *testing.T) {
 	q := NewVerifyQueue[int](0, core.Config{})
 	// Keep faces A and B charged: a running leader on A, its follower on B.
-	q.Admit(-1, faceA, []byte("pin"))
+	q.Admit(-1, faceA, digestOf("pin"))
 	q.Next()
-	q.Admit(-2, faceB, []byte("pin"))
-	key := []byte("tag")
+	q.Admit(-2, faceB, digestOf("pin"))
+	key := digestOf("tag")
 	var buf [4]int
 	cycle := func() {
 		q.Admit(1, faceA, key)
@@ -371,7 +380,22 @@ func TestVerifyQueueAllocs(t *testing.T) {
 		q.Release(faceB)
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
-		t.Errorf("a leader and its follower allocate %.1f/cycle, want 1 (the key)", allocs)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a leader and its follower allocate %.1f/cycle, want 0", allocs)
+	}
+	// Face C is charged only while its job runs: each cycle it goes idle
+	// and comes back.
+	idle := func() {
+		q.Admit(3, faceC, key)
+		q.Next()
+		q.Close(3, true, buf[:0])
+		q.Release(faceC)
+	}
+	idle()
+	if _, faces := q.Len(); faces != 2 {
+		t.Fatalf("%d charged faces after face C went idle, want 2", faces)
+	}
+	if allocs := testing.AllocsPerRun(100, idle); allocs != 0 {
+		t.Errorf("a face back from idle allocates %.1f/cycle, want 0", allocs)
 	}
 }
