@@ -70,9 +70,9 @@ func TestReadLoopAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fwd.Close()
-	// One chunk of room in one shard: caching either name evicts the
-	// other, so both keep missing and every Data is a cache insert.
-	fwd.cs = ndn.NewShardedCSOf(1, 1)
+	// One chunk of room: caching either name evicts the other, so both
+	// keep missing and every Data is a cache insert.
+	fwd.cs = ndn.NewCS(1)
 	fwd.node = node.New(fwd.tactic, fwd.fib, fwd.pit, fwd.cs, RoleCore, fwd.cfg.PITLifetime)
 	down, up := newFeedFace(), newFeedFace()
 	fwd.AddFace(down, true)

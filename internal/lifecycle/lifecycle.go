@@ -95,8 +95,8 @@ var (
 	ErrLedgerCorrupt = errors.New("lifecycle: corrupt ledger")
 )
 
-// numShards divides the grant index; must be a power of two.
-const numShards = 256
+// grantShards divides the grant index; must be a power of two.
+const grantShards = 256
 
 type shard struct {
 	mu sync.RWMutex
@@ -109,7 +109,7 @@ type Service struct {
 	signer pki.Signer
 	rev    *core.RevocationSet
 
-	shards [numShards]shard
+	shards [grantShards]shard
 	active atomic.Int64
 
 	ledgerMu sync.Mutex

@@ -1,6 +1,8 @@
 package ndn
 
 import (
+	"sync"
+
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
 )
@@ -10,9 +12,11 @@ import (
 // publisher, can be cached at every node in the network allowing
 // subsequent requests for the content to be fulfilled from these
 // in-network caches" (§1). A router whose CS holds the requested content
-// acts as a content router (R_C^c) and runs Protocol 3. A CS is not safe
-// for concurrent use; the live plane's ShardedCS locks around 16 of them.
+// acts as a content router (R_C^c) and runs Protocol 3. A CS is safe for
+// concurrent use: every method holds the store's one lock, as the FIB's
+// do, so the whole capacity is one exact LRU under both drivers.
 type CS struct {
+	mu       sync.Mutex
 	capacity int
 	// root is the sentinel of the recency ring: root.next is the most
 	// recently used item, root.prev the least.
@@ -40,6 +44,10 @@ func NewCS(capacity int) *CS {
 	return c
 }
 
+// NewShardedCS is NewCS, under the name it had while the live plane
+// split the store into per-shard LRUs.
+func NewShardedCS(capacity int) *CS { return NewCS(capacity) }
+
 // unlink takes it out of the recency ring.
 func (c *CS) unlink(it *csItem) {
 	it.prev.next, it.next.prev = it.next, it.prev
@@ -58,6 +66,8 @@ func (c *CS) Insert(content *core.Content) {
 		return
 	}
 	k := content.Meta.Name.Key()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	it, ok := c.index[k]
 	switch {
 	case ok:
@@ -79,6 +89,8 @@ func (c *CS) Insert(content *core.Content) {
 
 // Lookup returns the cached chunk for name, refreshing its recency.
 func (c *CS) Lookup(name names.Name) (*core.Content, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	it, ok := c.index[name.Key()]
 	if !ok {
 		c.misses++
@@ -93,17 +105,25 @@ func (c *CS) Lookup(name names.Name) (*core.Content, bool) {
 // Contains reports whether name is cached without touching recency or
 // hit/miss statistics.
 func (c *CS) Contains(name names.Name) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, ok := c.index[name.Key()]
 	return ok
 }
 
 // Len returns the number of cached chunks.
-func (c *CS) Len() int { return len(c.index) }
+func (c *CS) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.index)
+}
 
 // Names returns the cached content names in unspecified order, without
 // touching recency or hit/miss statistics. The conformance oracle uses
 // it to compare end-state cache contents across enforcement planes.
 func (c *CS) Names() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.index))
 	for k := range c.index {
 		out = append(out, k)
@@ -113,5 +133,7 @@ func (c *CS) Names() []string {
 
 // Stats returns hits, misses, and evictions.
 func (c *CS) Stats() (hits, misses, evicted uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evicted
 }

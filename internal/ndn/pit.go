@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"sync"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
@@ -62,9 +63,14 @@ func (e *PITEntry) HasNonce(nonce uint64) bool {
 	return false
 }
 
-// PIT is a Pending Interest Table. It is not safe for concurrent use;
-// the live plane's ShardedPIT locks around 16 of them.
+// PIT is a Pending Interest Table. It is safe for concurrent use: every
+// method holds the table's one lock, as the FIB's do, so all operations
+// serialise. Entries returned by Consume, ExpireBefore and DropByOutFace
+// are removed from the table before being returned, so the caller owns
+// them exclusively; ConsumeFrom copies the records out and keeps the
+// entry.
 type PIT struct {
+	mu      sync.Mutex
 	entries map[string]*PITEntry
 	// free holds the entries ConsumeFrom emptied, for the next Admit: they
 	// never left the table, so nobody else holds one. Entries handed to a
@@ -80,6 +86,10 @@ type PIT struct {
 func NewPIT() *PIT {
 	return &PIT{entries: make(map[string]*PITEntry)}
 }
+
+// NewShardedPIT is NewPIT, under the name it had while the live plane
+// split the table into locked shards.
+func NewShardedPIT() *PIT { return NewPIT() }
 
 // AdmitOutcome classifies what a PIT did with one Interest.
 type AdmitOutcome int
@@ -111,6 +121,8 @@ const pitFreeMax = 256
 // a duplicate nonce, or — replacing any expired leftover — creates a
 // fresh entry.
 func (p *PIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (AdmitOutcome, FaceID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	k := name.Key()
 	if e, ok := p.entries[k]; ok && e.Expires.After(now) {
 		if e.HasNonce(rec.Nonce) {
@@ -140,6 +152,8 @@ func (p *PIT) Admit(name names.Name, rec PITRecord, now, expires time.Time) (Adm
 // SetOutFace records the upstream face the primary Interest of name was
 // forwarded to, reporting whether the entry still exists.
 func (p *PIT) SetOutFace(name names.Name, face FaceID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	e, ok := p.entries[name.Key()]
 	if ok {
 		e.OutFace = face
@@ -152,6 +166,8 @@ func (p *PIT) SetOutFace(name names.Name, face FaceID) bool {
 // requests can be accounted (and, on retransmission, re-forwarded via a
 // fresh entry).
 func (p *PIT) DropByOutFace(face FaceID) []*PITEntry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out []*PITEntry
 	for k, e := range p.entries {
 		if e.OutFace == face {
@@ -165,6 +181,8 @@ func (p *PIT) DropByOutFace(face FaceID) []*PITEntry {
 // Consume removes and returns the entry for name — the router is about
 // to satisfy it with arriving Data.
 func (p *PIT) Consume(name names.Name) (*PITEntry, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	k := name.Key()
 	e, ok := p.entries[k]
 	if ok {
@@ -180,6 +198,8 @@ func (p *PIT) Consume(name names.Name) (*PITEntry, bool) {
 // stays inside the table for the next Admit, so the Data path has nothing
 // to hand back and no way to read an entry that is in use again.
 func (p *PIT) ConsumeFrom(name names.Name, face FaceID, recs []PITRecord) ([]PITRecord, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	k := name.Key()
 	e, ok := p.entries[k]
 	if !ok || e.OutFace != face {
@@ -197,6 +217,8 @@ func (p *PIT) ConsumeFrom(name names.Name, face FaceID, recs []PITRecord) ([]PIT
 // ExpireBefore removes entries whose lifetime ended at or before now and
 // returns them so callers can account for the timed-out requesters.
 func (p *PIT) ExpireBefore(now time.Time) []*PITEntry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out []*PITEntry
 	for k, e := range p.entries {
 		if !e.Expires.After(now) {
@@ -209,10 +231,16 @@ func (p *PIT) ExpireBefore(now time.Time) []*PITEntry {
 }
 
 // Len returns the number of pending entries.
-func (p *PIT) Len() int { return len(p.entries) }
+func (p *PIT) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.entries)
+}
 
 // Stats returns entries created, Interests aggregated into existing
 // entries, and entries expired.
 func (p *PIT) Stats() (created, aggregated, expired uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.created, p.aggregated, p.expired
 }

@@ -84,11 +84,11 @@ type RouterNode struct {
 	tactic *enforce.Router
 	// provider issues the origin's tags; nil at any other role.
 	provider *core.Provider
-	// The live plane's tables in one-shard form (one LRU: the engine is
+	// The live plane's tables (their locks are uncontended: the engine is
 	// single-threaded) and the node core this type drives in virtual time.
 	fib  *ndn.FIB
-	pit  *ndn.ShardedPIT
-	cs   *ndn.ShardedCS
+	pit  *ndn.PIT
+	cs   *ndn.CS
 	core *node.Core
 	// vq admits every verification the core asks for (see VerifyBudget).
 	vq     *node.VerifyQueue[*ndn.Interest]
@@ -152,8 +152,8 @@ func newRouterNode(net *Network, index int, role node.Role, provider *core.Provi
 		tactic:   enforce.NewRouter(id, bf, core.NewTagValidator(verifier), rng, cfg.Tactic),
 		provider: provider,
 		fib:      ndn.NewFIB(),
-		pit:      ndn.NewShardedPITOf(1),
-		cs:       ndn.NewShardedCSOf(1, cfg.CSCapacity),
+		pit:      ndn.NewPIT(),
+		cs:       ndn.NewCS(cfg.CSCapacity),
 		vq:       node.NewVerifyQueue[*ndn.Interest](cfg.VerifyBudget, cfg.Tactic),
 		cfg:      cfg,
 		rng:      rng,

@@ -122,17 +122,16 @@ func SpanOutcomes() []string {
 type Core struct {
 	tactic      *enforce.Router
 	fib         *ndn.FIB
-	pit         *ndn.ShardedPIT
-	cs          *ndn.ShardedCS
+	pit         *ndn.PIT
+	cs          *ndn.CS
 	role        Role
 	pitLifetime time.Duration
 }
 
 // New creates a node core over the driver's enforcement state and tables.
-// The driver creates the tables — it picks the shard count — and keeps
-// using them for what is not a packet's walk: routes, expiry, face death,
-// gauges.
-func New(tactic *enforce.Router, fib *ndn.FIB, pit *ndn.ShardedPIT, cs *ndn.ShardedCS, role Role, pitLifetime time.Duration) *Core {
+// The driver creates the tables and keeps using them for what is not a
+// packet's walk: routes, expiry, face death, gauges.
+func New(tactic *enforce.Router, fib *ndn.FIB, pit *ndn.PIT, cs *ndn.CS, role Role, pitLifetime time.Duration) *Core {
 	return &Core{tactic: tactic, fib: fib, pit: pit, cs: cs, role: role, pitLifetime: pitLifetime}
 }
 

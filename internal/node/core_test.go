@@ -36,8 +36,8 @@ var (
 type env struct {
 	*Core
 	tactic *enforce.Router
-	pit    *ndn.ShardedPIT
-	cs     *ndn.ShardedCS
+	pit    *ndn.PIT
+	cs     *ndn.CS
 	prov   *pki.FastKeyPair
 	rogue  *pki.FastKeyPair
 }
@@ -63,8 +63,8 @@ func newEnv(t testing.TB, role Role, scheme core.Scheme) *env {
 	e := &env{
 		tactic: enforce.NewRouter("edge-0", bf, core.NewTagValidator(reg), rand.New(rand.NewSource(3)),
 			core.Config{Scheme: scheme, EdgeValidateOnMiss: true}), // the edge verifies, as in fidelity mode
-		pit:   ndn.NewShardedPITOf(1),
-		cs:    ndn.NewShardedCSOf(1, 64),
+		pit:   ndn.NewPIT(),
+		cs:    ndn.NewCS(64),
 		prov:  prov,
 		rogue: rogue,
 	}
@@ -479,11 +479,11 @@ func TestOnInterestAllocs(t *testing.T) {
 			}
 		}
 	}
-	cycle(false)() // warm the shard's free list
+	cycle(false)() // warm the PIT's free list
 	if allocs := testing.AllocsPerRun(1000, cycle(false)); allocs != 0 {
 		t.Errorf("a forward and its Data allocate %.1f/op, want 0", allocs)
 	}
-	bare := ndn.NewShardedPITOf(1)
+	bare := ndn.NewPIT()
 	allowance := testing.AllocsPerRun(1000, func() {
 		bare.Admit(private, ndn.PITRecord{Nonce: 1}, now, now.Add(time.Second))
 		bare.SetOutFace(private, upFace)

@@ -12,7 +12,7 @@ import (
 
 // Recorder retains the last N finished SpanRecords. Add is lock-free
 // (one atomic fetch-add for the slot index plus one atomic pointer
-// store), so it is safe on the forwarder's sharded hot path. A nil
+// store), so it is safe on the forwarder's concurrent hot path. A nil
 // Recorder ignores adds and snapshots empty.
 type Recorder struct {
 	slots []atomic.Pointer[SpanRecord]
