@@ -45,7 +45,10 @@ build:
 # new(verifyJob) anywhere but its get and put), and the seventeenth when
 # DecodeTag parses a key locator through a string copy again (it
 # resolves both through names.ParseBytes and accepts only their
-# canonical spelling).
+# canonical spelling), and the eighteenth when the PIT or the CS grows a
+# second, sharded form again (each is one table that locks itself, as
+# the FIB does; NewShardedPIT and NewShardedCS are one-line
+# constructors of it, kept for bench/).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -66,6 +69,7 @@ vet:
 	! grep -rn --include='*.go' '\.Help(' internal cmd examples | grep -v '_test\.go:'
 	! grep -nE 'verifyJob\{|new\(verifyJob\)' $$(ls internal/forwarder/*.go | grep -v _test.go) | grep -vE '^internal/forwarder/verifypool\.go:[0-9]+:	+(return new\(verifyJob\)|\*job = verifyJob\{\})$$'
 	! grep -n 'names\.Parse(string(' internal/core/tag.go
+	! grep -rnE --include='*.go' 'NewSharded(PIT|CS)Of|shardIndex|numShards|type Sharded(PIT|CS)\b' internal cmd examples
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -101,7 +105,7 @@ test-repeat:
 # forward and cached Data, a PIT admit/consume cycle, a CS insert that
 # evicts, an intern hit, an unsampled span, and the Bloom-filter miss —
 # a decoded tag's signing bytes, a forged tag's validation (the scheme's
-# own allocations only), a cheap denial, a verify-queue admission, an
+# own allocations only), the ECDSA low-s check, a cheap denial, a verify-queue admission, an
 # edge reader's park, verify and NACK. -count=1 because a cached pass proves nothing
 # about the toolchain's escape analysis today.
 allocs:

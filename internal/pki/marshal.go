@@ -2,6 +2,7 @@ package pki
 
 import (
 	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/hex"
@@ -54,6 +55,9 @@ func UnmarshalECDSAPrivate(data []byte, rng io.Reader) (*ECDSAKeyPair, error) {
 	priv, err := x509.ParseECPrivateKey(block.Bytes)
 	if err != nil {
 		return nil, fmt.Errorf("pki: parse ecdsa private: %w", err)
+	}
+	if priv.Curve != elliptic.P256() {
+		return nil, fmt.Errorf("pki: ecdsa private key on %s, want P-256", priv.Curve.Params().Name)
 	}
 	var salt [32]byte
 	if _, err := io.ReadFull(rng, salt[:]); err != nil {
@@ -113,6 +117,9 @@ func UnmarshalPublic(data []byte) (names.Name, PublicKey, error) {
 		ecPub, ok := pub.(*ecdsa.PublicKey)
 		if !ok {
 			return names.Name{}, nil, fmt.Errorf("pki: not an ECDSA key: %T", pub)
+		}
+		if ecPub.Curve != elliptic.P256() {
+			return names.Name{}, nil, fmt.Errorf("pki: ecdsa public key on %s, want P-256", ecPub.Curve.Params().Name)
 		}
 		return locator, ecdsaPublicKey{pub: ecPub}, nil
 	case pemFastPrivate:

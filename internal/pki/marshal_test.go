@@ -1,6 +1,9 @@
 package pki
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/x509"
 	"encoding/pem"
 	"math/rand"
 	"testing"
@@ -122,5 +125,26 @@ func TestUnmarshalErrors(t *testing.T) {
 	})
 	if _, _, err := UnmarshalPublic(edPEM); err == nil {
 		t.Error("Ed25519 public key accepted")
+	}
+	// ECDSA keys on another curve than P-256: Verify's low-s check knows
+	// only P-256's order.
+	p384, err := ecdsa.GenerateKey(elliptic.P384(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubDER, err := x509.MarshalPKIXPublicKey(&p384.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	privDER, err := x509.MarshalECPrivateKey(p384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := map[string]string{"Locator": "/p/KEY/1"}
+	if _, _, err := UnmarshalPublic(pem.EncodeToMemory(&pem.Block{Type: pemECDSAPublic, Headers: hdr, Bytes: pubDER})); err == nil {
+		t.Error("P-384 public key accepted")
+	}
+	if _, err := UnmarshalECDSAPrivate(pem.EncodeToMemory(&pem.Block{Type: pemECDSAPrivate, Headers: hdr, Bytes: privDER}), rng); err == nil {
+		t.Error("P-384 private key accepted")
 	}
 }
