@@ -143,6 +143,9 @@ func (h *goldenHarness) tagFor(t testing.TB, threat string) (*core.Tag, core.Con
 		return nil, h.meta
 	case "tagless-public":
 		return nil, h.metaPublic
+	case "forged-public":
+		tag, _ := h.tagFor(t, "forged")
+		return tag, h.metaPublic
 	default:
 		t.Fatalf("unknown threat %q", threat)
 		return nil, h.meta
@@ -178,10 +181,17 @@ func (h *goldenHarness) replay(t testing.TB, tc GoldenCase) (bool, string, strin
 	case "content":
 		return finish(h.core.ContentOnInterest(tag, meta, 0, h.now))
 	case "aggregate":
-		ev := h.edge.aggregated(OpEdgeAggregate, tag, meta, 0, h.now)
-		cv := h.core.aggregated(OpAggregate, tag, meta, 0, h.now)
-		ed, es, er := finish(ev)
-		cd, cs, cr := finish(cv)
+		// The record aggregated behind an authorized primary whose content
+		// arrived un-NACKed, at an edge and at an intermediate router.
+		arrived := ArrivedData{Content: &core.Content{Meta: meta}}
+		record := func(v RecordVerdict) (bool, string, string) {
+			if v.Deliver == DeliverContent {
+				return true, "", ""
+			}
+			return false, v.Stage.String(), core.ReasonLabel(v.Reason)
+		}
+		ed, es, er := record(h.edge.OnDataRecord(true, false, tag, 0, arrived, h.now))
+		cd, cs, cr := record(h.core.OnDataRecord(false, false, tag, 0, arrived, h.now))
 		if ed != cd || es != cs || er != cr {
 			t.Fatalf("edge/intermediate aggregate verdicts disagree: edge=(%t,%s,%s) core=(%t,%s,%s)",
 				ed, es, er, cd, cs, cr)
@@ -226,12 +236,12 @@ func TestGoldenMatrixCoversThreatClasses(t *testing.T) {
 		}
 		seen[tc.Threat][tc.Path] = true
 	}
-	for _, threat := range []string{"valid", "forged", "expired", "wrong-level", "wrong-provider", "borrowed", "revoked", "roaming", "flood-shed", "tagless-private", "tagless-public"} {
+	for _, threat := range []string{"valid", "forged", "expired", "wrong-level", "wrong-provider", "borrowed", "revoked", "roaming", "flood-shed", "tagless-private", "tagless-public", "forged-public"} {
 		if len(seen[threat]) == 0 {
 			t.Errorf("threat class %q missing from matrix", threat)
 		}
 	}
-	for _, threat := range []string{"valid", "forged", "expired", "wrong-level", "wrong-provider", "borrowed", "revoked", "roaming"} {
+	for _, threat := range []string{"valid", "forged", "expired", "wrong-level", "wrong-provider", "borrowed", "revoked", "roaming", "forged-public"} {
 		for _, path := range []string{"interest", "content", "aggregate"} {
 			if !seen[threat][path] {
 				t.Errorf("threat %q missing path %q", threat, path)

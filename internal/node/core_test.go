@@ -36,6 +36,7 @@ var (
 type env struct {
 	*Core
 	tactic *enforce.Router
+	reg    *pki.Registry
 	pit    *ndn.PIT
 	cs     *ndn.CS
 	prov   *pki.FastKeyPair
@@ -43,6 +44,12 @@ type env struct {
 }
 
 func newEnv(t testing.TB, role Role, scheme core.Scheme) *env {
+	t.Helper()
+	return newEnvCfg(t, role, core.Config{Scheme: scheme, EdgeValidateOnMiss: true}) // the edge verifies, as in fidelity mode
+}
+
+// newEnvCfg is newEnv with the node's enforcement configuration.
+func newEnvCfg(t testing.TB, role Role, cfg core.Config) *env {
 	t.Helper()
 	prov, err := pki.GenerateFast(rand.New(rand.NewSource(1)), names.MustParse("/prov0/KEY/1"))
 	if err != nil {
@@ -61,12 +68,12 @@ func newEnv(t testing.TB, role Role, scheme core.Scheme) *env {
 		t.Fatal(err)
 	}
 	e := &env{
-		tactic: enforce.NewRouter("edge-0", bf, core.NewTagValidator(reg), rand.New(rand.NewSource(3)),
-			core.Config{Scheme: scheme, EdgeValidateOnMiss: true}), // the edge verifies, as in fidelity mode
-		pit:   ndn.NewPIT(),
-		cs:    ndn.NewCS(64),
-		prov:  prov,
-		rogue: rogue,
+		tactic: enforce.NewRouter("edge-0", bf, core.NewTagValidator(reg), rand.New(rand.NewSource(3)), cfg),
+		reg:    reg,
+		pit:    ndn.NewPIT(),
+		cs:     ndn.NewCS(64),
+		prov:   prov,
+		rogue:  rogue,
 	}
 	fib := ndn.NewFIB()
 	fib.Insert(prefix, upFace)

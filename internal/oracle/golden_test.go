@@ -111,6 +111,8 @@ func goldenScenario(t testing.TB, cases []goldenCase) (*Scenario, []goldenCase) 
 			tagged = false
 		case "tagless-public":
 			tagged, content = false, 1
+		case "forged-public":
+			spec.Kind, content = TagForged, 1
 		default:
 			t.Fatalf("golden case %s: no scenario mapping for threat %q", tc.Name, tc.Threat)
 		}
