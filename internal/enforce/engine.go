@@ -49,11 +49,10 @@ const (
 	OpContent
 	// OpEdgeData is Protocol 2's On-Content for the primary PIT record.
 	OpEdgeData
-	// OpEdgeAggregate is Protocol 2 lines 22-23: one aggregated PIT tag
-	// at the edge on content arrival.
-	OpEdgeAggregate
-	// OpAggregate is Protocol 4 lines 11-26: one aggregated PIT tag at
-	// an intermediate router on content arrival.
+	// OpAggregate is one aggregated PIT tag on content arrival: Protocol
+	// 2 lines 22-23 at an edge (with F = 0: nothing upstream vouched for
+	// the record), Protocol 4 lines 11-26 at an intermediate router (with
+	// the record's stored F).
 	OpAggregate
 )
 
@@ -66,7 +65,7 @@ func (op Op) stage() Stage {
 		return StageContent
 	case OpEdgeData:
 		return StageEdgeData
-	case OpEdgeAggregate, OpAggregate:
+	case OpAggregate:
 		return StageAggregate
 	}
 	return StageNone

@@ -86,44 +86,50 @@ func TestRequestDrivenResetCadence(t *testing.T) {
 	}
 }
 
-// TestAggregateALBypassAndHardening pins the access-control gap this
-// reproduction found: aggregated PIT tags are validated by signature
-// only (Protocol 2 lines 22-23, Protocol 4 lines 11-26), so a valid tag
-// with insufficient access level slips through on the aggregation path —
-// and the EnforceALOnAggregates hardening closes it.
-func TestAggregateALBypassAndHardening(t *testing.T) {
+// TestAggregateALRecheckAndPaperMode pins the access-control gap this
+// reproduction found and its default closure: the paper validates
+// aggregated PIT tags by signature only (Protocol 2 lines 22-23,
+// Protocol 4 lines 11-26), so a valid tag with insufficient access level
+// slips through on the aggregation path under PaperAggregates; by
+// default both aggregate paths re-check the level and reject it.
+func TestAggregateALRecheckAndPaperMode(t *testing.T) {
 	now := testTime(10)
 	highMeta := func(prov pki.Signer) core.ContentMeta {
 		return core.ContentMeta{Name: testContentName, Level: 3, ProviderKey: prov.Locator()}
 	}
 
 	// Paper-faithful router: the low-level tag is delivered.
-	r, prov := testRouter(t, 54, core.Config{})
+	r, prov := testRouter(t, 54, core.Config{PaperAggregates: true})
 	low := issueTestTag(t, prov, 1, 0, testTime(100)) // AL_u=1 < AL_D=3
 	if d := r.ContentOnInterest(low, highMeta(prov), 0, now); !d.Denied() {
 		t.Fatal("content router should reject the low-level tag (Protocol 1)")
 	}
-	if r.aggregated(OpEdgeAggregate, low, highMeta(prov), 0, now).Denied() {
+	if r.aggregated(low, highMeta(prov), 0, now).Denied() {
 		t.Error("paper-faithful aggregate path should (incorrectly) deliver — the documented flaw")
 	}
-	if d := r.aggregated(OpAggregate, low, highMeta(prov), 0, now); d.Denied() {
+	if d := r.aggregated(low, highMeta(prov), 0, now); d.Denied() {
 		t.Error("paper-faithful intermediate aggregate path should (incorrectly) forward")
 	}
 
-	// Hardened router: both aggregate paths reject it.
-	hr, hprov := testRouter(t, 55, core.Config{EnforceALOnAggregates: true})
+	// Default router: both aggregate paths reject it.
+	hr, hprov := testRouter(t, 55, core.Config{})
 	hlow := issueTestTag(t, hprov, 1, 0, testTime(100))
-	if !hr.aggregated(OpEdgeAggregate, hlow, highMeta(hprov), 0, now).Denied() {
-		t.Error("hardened edge aggregate path delivered a low-level tag")
+	if !hr.aggregated(hlow, highMeta(hprov), 0, now).Denied() {
+		t.Error("edge aggregate path delivered a low-level tag")
 	}
-	if d := hr.aggregated(OpAggregate, hlow, highMeta(hprov), 0, now); !d.Denied() ||
+	if d := hr.aggregated(hlow, highMeta(hprov), 0, now); !d.Denied() ||
 		!errors.Is(d.Reason, core.ErrInsufficientLevel) {
-		t.Errorf("hardened intermediate aggregate path: %+v", d)
+		t.Errorf("intermediate aggregate path: %+v", d)
 	}
-	// Valid high-level tags still pass under hardening.
+	// Valid high-level tags still pass.
 	high := issueTestTag(t, hprov, 3, 0, testTime(100))
-	if hr.aggregated(OpEdgeAggregate, high, highMeta(hprov), 0, now).Denied() {
-		t.Error("hardening broke legitimate aggregate delivery")
+	if hr.aggregated(high, highMeta(hprov), 0, now).Denied() {
+		t.Error("the re-check broke legitimate aggregate delivery")
+	}
+	// IBAC re-checks whatever PaperAggregates says.
+	ir, iprov := testRouter(t, 56, core.Config{Scheme: core.SchemeIBAC, PaperAggregates: true})
+	if !ir.aggregated(issueTestTag(t, iprov, 1, 0, testTime(100)), highMeta(iprov), 0, now).Denied() {
+		t.Error("IBAC aggregate path delivered a low-level tag under PaperAggregates")
 	}
 }
 

@@ -94,7 +94,13 @@ func FuzzEnforceDecision(f *testing.F) {
 			case 1:
 				return mid.ContentOnInterest(tag, meta, flag, now)
 			case 2:
-				return mid.aggregated(OpAggregate, tag, meta, flag, now)
+				// An aggregated record at an intermediate router, as a
+				// verdict: delivered only when the content goes alone.
+				rv := mid.OnDataRecord(false, false, tag, flag, ArrivedData{Content: &core.Content{Meta: meta}}, now)
+				if rv.Deliver == DeliverContent {
+					return Verdict{Stage: rv.Stage, Flag: rv.Flag}
+				}
+				return Verdict{Action: ActionDeny, Stage: rv.Stage, Reason: rv.Reason, Flag: rv.Flag}
 			default:
 				return edge.EdgeOnData(tag, flag, nack)
 			}
@@ -106,10 +112,10 @@ func FuzzEnforceDecision(f *testing.F) {
 		}
 
 		// Safety: expired tags stop at the edge; revoked tags stop
-		// everywhere a tag is (re)checked. The content checkpoint's
-		// Public bypass ("AL_D = NULL", §5) legitimately skips every tag
-		// check, so it is excluded.
-		publicBypass := op%4 == 1 && meta.Level == core.Public
+		// everywhere a tag is (re)checked. Public content ("AL_D = NULL",
+		// §5) legitimately skips every tag check at the content
+		// checkpoint and on aggregated records, so it is excluded.
+		publicBypass := (op%4 == 1 || op%4 == 2) && meta.Level == core.Public
 		if tag != nil && op%4 == 0 && tag.Expired(now) && !v.Denied() {
 			t.Fatalf("expired tag delivered at edge Interest checkpoint: %+v", v)
 		}

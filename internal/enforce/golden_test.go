@@ -76,7 +76,7 @@ type goldenHarness struct {
 	now         time.Time
 }
 
-func newGoldenHarness(t testing.TB, scheme core.Scheme, hardened bool) *goldenHarness {
+func newGoldenHarness(t testing.TB, scheme core.Scheme, paper bool) *goldenHarness {
 	t.Helper()
 	h := &goldenHarness{
 		homeAP: core.AccessPathOf("edge-0"),
@@ -85,7 +85,7 @@ func newGoldenHarness(t testing.TB, scheme core.Scheme, hardened bool) *goldenHa
 	h.prov = newTestSigner(t, 1, "/prov0/KEY/1")
 	h.prov2 = newTestSigner(t, 2, "/prov1/KEY/1")
 	reg := newTestRegistry(t, h.prov, h.prov2)
-	cfg := core.Config{Scheme: scheme, EnforceALOnAggregates: hardened}
+	cfg := core.Config{Scheme: scheme, PaperAggregates: paper}
 	mk := func(id string, seed int64) *Router {
 		bf, err := bloom.NewPaper(500, 1e-4)
 		if err != nil {
@@ -212,7 +212,7 @@ func TestGoldenVerdictMatrix(t *testing.T) {
 		for _, tc := range cases {
 			tc := tc
 			t.Run(fmt.Sprintf("%s/%s", scheme, tc.Name), func(t *testing.T) {
-				h := newGoldenHarness(t, scheme, tc.Config == "harden-aggregates")
+				h := newGoldenHarness(t, scheme, tc.Config == "paper-aggregates")
 				delivered, stage, reason := h.replay(t, tc)
 				want := tc.Expect(scheme)
 				if delivered != want.Delivered || stage != want.Stage || reason != want.Reason {

@@ -25,11 +25,10 @@ import (
 //     no probabilistic re-validation. The edge always verifies a cache
 //     miss (EdgeValidateOnMiss is implied) and upstream routers always
 //     run their own (token, name) check; forwarded packets carry F = 0.
-//   - Aggregated records re-check the content half of Protocol 1
-//     (level/provider) unconditionally: per-name authorization has the
-//     arriving content's metadata at hand, so IBAC does not exhibit the
-//     aggregate access-level leak EnforceALOnAggregates patches in
-//     TACTIC.
+//   - Aggregated records always meet the content half of Protocol 1
+//     (level/provider), as under TACTIC by default (Router.aggregated);
+//     core.Config.PaperAggregates, the paper's aggregate pseudocode, is
+//     TACTIC's alone.
 //
 // Pre-checks (prefix/expiry at the edge, level/provider at content),
 // the revocation set, the Public bypass, and epoch rotation behave as
@@ -69,7 +68,7 @@ func (e *ibacEngine) Check(in Input) Verdict {
 			return Verdict{Action: ActionDeny, Stage: StageEdgeData, Reason: core.ErrDenied}
 		}
 		return Verdict{Stage: StageEdgeData}
-	case OpEdgeAggregate, OpAggregate:
+	case OpAggregate:
 		return e.aggregate(in)
 	}
 	return Verdict{Action: ActionDeny, Stage: StageNone, Reason: core.ErrDenied}
@@ -135,19 +134,10 @@ func (e *ibacEngine) content(in Input) Verdict {
 	return Verdict{Action: ActionVerify, Stage: StageContent}
 }
 
-// aggregate authorizes one aggregated PIT record on content
-// arrival. Per-name authorization always has the content's metadata at
-// this point, so the level/provider pre-check runs unconditionally
-// (closing TACTIC's aggregate access-level gap by construction).
+// aggregate authorizes one aggregated PIT record on content arrival,
+// after Router's content pre-check: revocation, then this router's own
+// (token, name) cache.
 func (e *ibacEngine) aggregate(in Input) Verdict {
-	if in.Tag == nil {
-		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrNoTag}
-	}
-	if !e.cfg.DisablePrecheck {
-		if err := core.PreCheckContent(in.Tag, in.Meta); err != nil {
-			return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: err}
-		}
-	}
 	if e.revoked(in.Tag) {
 		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrTagRevoked}
 	}

@@ -37,10 +37,10 @@ func TestRevokedTagDeniedBeforeBF(t *testing.T) {
 	if d := r.ContentOnInterest(tag, meta, 0.5, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
 		t.Fatalf("content router honoured revoked tag behind F != 0: %+v", d)
 	}
-	if !r.aggregated(OpEdgeAggregate, tag, meta, 0, now).Denied() {
+	if !r.aggregated(tag, meta, 0, now).Denied() {
 		t.Fatal("aggregated edge path delivered to revoked tag")
 	}
-	if d := r.aggregated(OpAggregate, tag, meta, 0, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
+	if d := r.aggregated(tag, meta, 0, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
 		t.Fatalf("intermediate router honoured revoked tag: %+v", d)
 	}
 	if got := core.ReasonLabel(core.ErrTagRevoked); got != "revoked" {

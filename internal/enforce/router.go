@@ -30,6 +30,10 @@ type Router struct {
 	engine    Engine
 	validator *core.TagValidator
 	rev       *core.RevocationSet
+	// recheck runs the content half of Protocol 1 on every aggregated
+	// record (aggregated), unless pre-checks are off or TACTIC runs the
+	// paper's pseudocode (core.Config.PaperAggregates).
+	recheck bool
 }
 
 // NewRouter creates a router-side enforcement driver running the scheme
@@ -41,6 +45,7 @@ func NewRouter(id string, bf *bloom.Filter, validator *core.TagValidator, rng *r
 		engine:    New(bf, rev, rng, cfg),
 		validator: validator,
 		rev:       rev,
+		recheck:   !cfg.DisablePrecheck && !(cfg.PaperAggregates && cfg.Scheme == core.SchemeTACTIC),
 	}
 }
 
@@ -195,12 +200,20 @@ func (r *Router) VerifyShared(in Input, verifyErr error) Verdict {
 
 // --- Aggregated PIT records (Protocol 2 lines 22-23, Protocol 4 lines 11-26) ---
 
-// aggregated validates one aggregated PIT record's tag when the content
-// arrives, verifying inline when the engine asks for it: op is
-// OpEdgeAggregate at an edge (flag unused) and OpAggregate, with the
-// record's stored F, at an intermediate router (<T_w, F, InFace_w>).
-func (r *Router) aggregated(op Op, t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
-	return r.complete(Input{Op: op, Tag: t, Meta: meta, Flag: flag, Now: now})
+// aggregated validates one aggregated PIT record's tag (never nil) when
+// the content arrives, verifying inline when the engine asks for it:
+// flag is 0 at an edge and the record's stored F at an intermediate
+// router (<T_w, F, InFace_w>). Whatever the scheme, the record first
+// meets the content half of Protocol 1 against the arriving content —
+// the level and provider checks its Interest would have met as a
+// primary at the content router — so aggregation changes no verdict.
+func (r *Router) aggregated(t *core.Tag, meta core.ContentMeta, flag float64, now time.Time) Verdict {
+	if r.recheck {
+		if err := core.PreCheckContent(t, meta); err != nil {
+			return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: err, Flag: flag}
+		}
+	}
+	return r.complete(Input{Op: OpAggregate, Tag: t, Meta: meta, Flag: flag, Now: now})
 }
 
 // --- One PIT record on Data arrival (Protocol 2 On-Content, Protocol 4 lines 6-26) ---
@@ -259,43 +272,45 @@ type RecordVerdict struct {
 // from an arriving Data. It is the single sequencing of the content-side
 // checkpoints; the node core (internal/node) calls it once per record.
 //
+// Un-NACKed Public content goes to every record — tagged or tagless,
+// primary or aggregate, at an edge or not — and no checkpoint runs, so
+// nothing is learnt from it: an upstream's Public bypass validated no
+// tag.
+//
 // At an edge router (Protocol 2 On-Content) the client gets the content
-// or nothing: a tagless record only Public, un-NACKed content; the
-// primary record whatever EdgeOnData allows (a NACKed response is
-// dropped); an aggregated record is judged on its own tag
-// (OpEdgeAggregate), independently of the primary's NACK — the
-// content rides along with NACKs precisely for its sake — and gets
-// nothing from a bare NACK.
+// or nothing: a tagless record nothing; the primary record whatever
+// EdgeOnData allows (a NACKed response is dropped); an aggregated record
+// is judged on its own tag (aggregated, F = 0), independently of the
+// primary's NACK — the content rides along with NACKs precisely for its
+// sake — and gets nothing from a bare NACK.
 //
 // At any other router (Protocol 4) the primary record is relayed as it
 // arrived, NACK included (lines 6-10). An aggregated record is relayed
 // a bare NACK as such, and otherwise always receives the content: alone
-// if it is Public or OpAggregate accepts the record's tag and stored F
-// (lines 11-26), alongside a NACK if not.
+// if aggregated accepts the record's tag and stored F (lines 11-26),
+// alongside a NACK if not or if it has no tag.
 func (r *Router) OnDataRecord(edge, primary bool, tag *core.Tag, recFlag float64, d ArrivedData, now time.Time) RecordVerdict {
+	if d.Content != nil && !d.Nack && d.Content.Meta.Level == core.Public {
+		return RecordVerdict{Deliver: DeliverContent, Flag: d.Flag}
+	}
 	if edge {
-		stage := StageEdgeData
 		switch {
 		case tag == nil:
-			if d.Content != nil && d.Content.Meta.Level == core.Public && !d.Nack {
-				return RecordVerdict{Deliver: DeliverContent, Flag: d.Flag}
-			}
 			return RecordVerdict{Reason: core.ErrNoTag}
 		case primary:
 			if r.EdgeOnData(tag, d.Flag, d.Nack).Denied() {
 				// The checkpoint only observes the upstream's NACK; the
 				// reason worth reporting is the upstream's.
-				return RecordVerdict{Stage: stage, Reason: d.NackReason}
+				return RecordVerdict{Stage: StageEdgeData, Reason: d.NackReason}
 			}
+			return RecordVerdict{Deliver: DeliverContent, Stage: StageEdgeData, Flag: d.Flag}
 		case d.Content == nil:
 			return RecordVerdict{Reason: d.NackReason}
-		default:
-			stage = StageAggregate
-			if dec := r.aggregated(OpEdgeAggregate, tag, d.Content.Meta, 0, now); dec.Denied() {
-				return RecordVerdict{Stage: stage, Reason: dec.Reason}
-			}
 		}
-		return RecordVerdict{Deliver: DeliverContent, Stage: stage, Flag: d.Flag}
+		if dec := r.aggregated(tag, d.Content.Meta, 0, now); dec.Denied() {
+			return RecordVerdict{Stage: StageAggregate, Reason: dec.Reason}
+		}
+		return RecordVerdict{Deliver: DeliverContent, Stage: StageAggregate, Flag: d.Flag}
 	}
 	switch {
 	case primary:
@@ -310,12 +325,9 @@ func (r *Router) OnDataRecord(edge, primary bool, tag *core.Tag, recFlag float64
 	case d.Content == nil:
 		return RecordVerdict{Deliver: DeliverNACK, Reason: d.NackReason}
 	case tag == nil:
-		if d.Content.Meta.Level == core.Public {
-			return RecordVerdict{Deliver: DeliverContent, Flag: d.Flag}
-		}
 		return RecordVerdict{Deliver: DeliverContentNACK, Reason: core.ErrNoTag, Minted: true}
 	}
-	dec := r.aggregated(OpAggregate, tag, d.Content.Meta, recFlag, now)
+	dec := r.aggregated(tag, d.Content.Meta, recFlag, now)
 	if dec.Denied() {
 		return RecordVerdict{Deliver: DeliverContentNACK, Stage: StageAggregate, Flag: dec.Flag, Reason: dec.Reason, Minted: true}
 	}

@@ -63,8 +63,6 @@ func (e *tacticEngine) Check(in Input) Verdict {
 			e.insert(in.Tag.CacheKey())
 		}
 		return Verdict{Stage: StageEdgeData}
-	case OpEdgeAggregate:
-		return e.edgeAggregate(in)
 	case OpAggregate:
 		return e.aggregate(in)
 	}
@@ -160,44 +158,15 @@ func (e *tacticEngine) content(in Input) Verdict {
 	return Verdict{Stage: StageContent, Flag: flag}
 }
 
-// edgeAggregate validates one aggregated PIT tag on content arrival
-// at the edge (Protocol 2 lines 22-23): deliver if the tag is in the
-// Bloom filter; otherwise require a signature verification. Meta is
-// consulted only under the EnforceALOnAggregates hardening (the paper's
-// pseudocode never re-checks AL on this path).
-func (e *tacticEngine) edgeAggregate(in Input) Verdict {
-	if in.Tag == nil {
-		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrNoTag}
-	}
-	if e.cfg.EnforceALOnAggregates {
-		if err := core.PreCheckContent(in.Tag, in.Meta); err != nil {
-			return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: err}
-		}
-	}
-	if e.revoked(in.Tag) {
-		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrTagRevoked}
-	}
-	if e.contains(in.Tag.CacheKey()) {
-		return Verdict{Stage: StageAggregate, BFHit: true}
-	}
-	return Verdict{Action: ActionVerify, Stage: StageAggregate}
-}
-
-// aggregate validates one aggregated PIT tuple <T_w, F, InFace_w>
-// at an intermediate router when the content arrives (Protocol 4 lines
-// 11-26). A Bloom-filter hit short-circuits signature verification on
-// the F = 0 path, per §4.B's router procedure ("cheaper BF lookup
-// operations for the majority of the subsequent requests").
+// aggregate validates one aggregated PIT tuple <T_w, F, InFace_w> when
+// the content arrives, after Router's content pre-check (Router.aggregated):
+// Protocol 4 lines 11-26 at an intermediate router, and Protocol 2 lines
+// 22-23 at an edge, where F is 0 — deliver on a Bloom-filter hit,
+// otherwise verify. A hit short-circuits signature verification on the
+// F = 0 path, per §4.B's router procedure ("cheaper BF lookup operations
+// for the majority of the subsequent requests").
 func (e *tacticEngine) aggregate(in Input) Verdict {
-	if in.Tag == nil {
-		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrNoTag, Flag: in.Flag}
-	}
 	flag := in.Flag
-	if e.cfg.EnforceALOnAggregates {
-		if err := core.PreCheckContent(in.Tag, in.Meta); err != nil {
-			return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: err, Flag: flag}
-		}
-	}
 	if e.revoked(in.Tag) {
 		return Verdict{Action: ActionDeny, Stage: StageAggregate, Reason: core.ErrTagRevoked, Flag: flag}
 	}
@@ -208,7 +177,7 @@ func (e *tacticEngine) aggregate(in Input) Verdict {
 		return Verdict{Stage: StageAggregate, Flag: flag}
 	}
 	if flag == 0 && e.contains(in.Tag.CacheKey()) {
-		return Verdict{Stage: StageAggregate, Flag: 0}
+		return Verdict{Stage: StageAggregate, Flag: 0, BFHit: true}
 	}
 	return Verdict{Action: ActionVerify, Stage: StageAggregate, Flag: flag}
 }

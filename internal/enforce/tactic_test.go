@@ -116,14 +116,14 @@ func TestEdgeOnAggregatedData(t *testing.T) {
 	valid := issueTestTag(t, prov, 1, 0, testTime(100))
 
 	// Not in BF: signature verified, inserted, delivered.
-	if r.aggregated(OpEdgeAggregate, valid, aggMeta(prov), 0, now).Denied() {
+	if r.aggregated(valid, aggMeta(prov), 0, now).Denied() {
 		t.Error("valid aggregated tag should be delivered")
 	}
 	if r.Validator().Verifications() != 1 {
 		t.Errorf("verifications = %d, want 1", r.Validator().Verifications())
 	}
 	// Second time: BF hit, no extra verification.
-	if r.aggregated(OpEdgeAggregate, valid, aggMeta(prov), 0, now).Denied() {
+	if r.aggregated(valid, aggMeta(prov), 0, now).Denied() {
 		t.Error("BF-cached aggregated tag should be delivered")
 	}
 	if r.Validator().Verifications() != 1 {
@@ -133,10 +133,10 @@ func TestEdgeOnAggregatedData(t *testing.T) {
 	forged := issueTestTag(t, prov, 1, 0, testTime(100))
 	forged.Signature = append([]byte(nil), forged.Signature...)
 	forged.Signature[0] ^= 0xff
-	if !r.aggregated(OpEdgeAggregate, forged, aggMeta(prov), 0, now).Denied() {
+	if !r.aggregated(forged, aggMeta(prov), 0, now).Denied() {
 		t.Error("forged aggregated tag delivered")
 	}
-	if !r.aggregated(OpEdgeAggregate, nil, aggMeta(prov), 0, now).Denied() {
+	if !r.aggregated(nil, aggMeta(prov), 0, now).Denied() {
 		t.Error("nil aggregated tag delivered")
 	}
 }
@@ -270,7 +270,7 @@ func TestIntermediateAggregatedValidation(t *testing.T) {
 	tag := issueTestTag(t, prov, 1, 0, testTime(100))
 
 	// F = 0, BF miss: verify + insert + forward.
-	d := r.aggregated(OpAggregate, tag, aggMeta(prov), 0, now)
+	d := r.aggregated(tag, aggMeta(prov), 0, now)
 	if d.Denied() || d.Flag != 0 {
 		t.Fatalf("F=0 aggregated: %+v", d)
 	}
@@ -278,7 +278,7 @@ func TestIntermediateAggregatedValidation(t *testing.T) {
 		t.Errorf("verifications = %d", r.Validator().Verifications())
 	}
 	// F = 0, BF hit: forward without verification.
-	d = r.aggregated(OpAggregate, tag, aggMeta(prov), 0, now)
+	d = r.aggregated(tag, aggMeta(prov), 0, now)
 	if d.Denied() {
 		t.Fatalf("BF hit NACKed: %v", d.Reason)
 	}
@@ -289,12 +289,12 @@ func TestIntermediateAggregatedValidation(t *testing.T) {
 	forged := issueTestTag(t, prov, 1, 0, testTime(100))
 	forged.Signature = append([]byte(nil), forged.Signature...)
 	forged.Signature[1] ^= 2
-	d = r.aggregated(OpAggregate, forged, aggMeta(prov), 0, now)
+	d = r.aggregated(forged, aggMeta(prov), 0, now)
 	if !d.Denied() {
 		t.Error("forged aggregated tag forwarded without NACK")
 	}
 	// nil tag NACKs.
-	if d := r.aggregated(OpAggregate, nil, aggMeta(prov), 0, now); !d.Denied() {
+	if d := r.aggregated(nil, aggMeta(prov), 0, now); !d.Denied() {
 		t.Error("nil aggregated tag forwarded without NACK")
 	}
 }
@@ -303,7 +303,7 @@ func TestIntermediateTrustsEdgeFlag(t *testing.T) {
 	r, prov := testRouter(t, 40, core.Config{})
 	tag := issueTestTag(t, prov, 1, 0, testTime(100))
 	const tiny = 1e-12
-	d := r.aggregated(OpAggregate, tag, aggMeta(prov), tiny, testTime(10))
+	d := r.aggregated(tag, aggMeta(prov), tiny, testTime(10))
 	if d.Denied() || d.Flag != tiny {
 		t.Errorf("trusted aggregated tag: %+v", d)
 	}

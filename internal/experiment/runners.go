@@ -172,18 +172,22 @@ func NewSuite(opts Options) *Suite {
 func (s *Suite) Options() Options { return s.opts }
 
 // run executes one configuration across all seeds, cached.
-func (s *Suite) run(key string, sc Scenario) (*Averaged, error) {
+func (s *Suite) run(key string, sc Scenario, after ...func(*Scenario)) (*Averaged, error) {
 	if got, ok := s.cache[key]; ok {
 		return got, nil
 	}
 	sc.Duration = s.opts.Duration
 	sc.PaperFidelity = s.opts.Fidelity
+	sc = sc.withDefaults()
+	for _, mut := range after {
+		mut(&sc)
+	}
 	avg := &Averaged{}
 	for _, seed := range s.opts.Seeds {
 		sc.Seed = seed
 		sc.Name = key
 		start := time.Now()
-		res, err := Run(sc)
+		res, err := runDefaulted(sc)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s seed %d: %w", key, seed, err)
 		}
@@ -627,18 +631,19 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 		{"no-precheck", func(sc *Scenario) { sc.Ablations.DisablePrecheck = true }},
 		{"no-auto-reset", func(sc *Scenario) { sc.Ablations.DisableAutoReset = true }},
 		{"drop-on-nack", func(sc *Scenario) { sc.DropContentOnNACK = true }},
-		{"harden-aggregates", func(sc *Scenario) { sc.Ablations.EnforceALOnAggregates = true }},
+		// Fidelity mode runs the paper's aggregate pseudocode; this row
+		// re-checks aggregates as every other configuration does.
+		{"harden-aggregates", func(sc *Scenario) { sc.Ablations.PaperAggregates = false }},
 	}
 	out := &AblationResult{}
 	for _, cfg := range configs {
-		sc := Scenario{PaperTopology: 1}
-		cfg.mut(&sc)
 		var avg *Averaged
 		var err error
 		if cfg.name == "tactic-full" {
 			avg, err = s.base(1)
 		} else {
-			avg, err = s.run("ablation/"+cfg.name, sc)
+			// Each row's mutation applies after the defaults are filled.
+			avg, err = s.run("ablation/"+cfg.name, Scenario{PaperTopology: 1}, cfg.mut)
 		}
 		if err != nil {
 			return nil, err

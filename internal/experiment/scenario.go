@@ -110,8 +110,7 @@ type Scenario struct {
 	LinkLoss float64
 	// AttackerMix cycles attacker kinds; default covers all threats.
 	AttackerMix []AttackerKind
-	// Ablations disables TACTIC features on all routers (or, with
-	// EnforceALOnAggregates, hardens the aggregate path).
+	// Ablations disables TACTIC features on all routers.
 	Ablations core.Config
 	// Delays is the computational delay model (default PaperDelays).
 	Delays sim.OpDelays
@@ -223,6 +222,7 @@ func (s Scenario) withDefaults() Scenario {
 	if s.PaperFidelity {
 		s.Ablations.RequestDrivenReset = true
 		s.Ablations.EdgeValidateOnMiss = true
+		s.Ablations.PaperAggregates = true
 		if s.BFDesignFPP <= 0 {
 			s.BFDesignFPP = 1e-2
 		}
@@ -311,8 +311,11 @@ func ratePerSec(perSec []float64, d time.Duration) float64 {
 }
 
 // Run executes one scenario to completion and collects its results.
-func Run(s Scenario) (*Result, error) {
-	d, err := Build(s)
+func Run(s Scenario) (*Result, error) { return runDefaulted(s.withDefaults()) }
+
+// runDefaulted is Run on a scenario whose defaults are already filled.
+func runDefaulted(s Scenario) (*Result, error) {
+	d, err := build(s)
 	if err != nil {
 		return nil, err
 	}
@@ -352,9 +355,10 @@ type Deployment struct {
 }
 
 // Build assembles a scenario without running it.
-func Build(s Scenario) (*Deployment, error) {
-	s = s.withDefaults()
+func Build(s Scenario) (*Deployment, error) { return build(s.withDefaults()) }
 
+// build is Build on a scenario whose defaults are already filled.
+func build(s Scenario) (*Deployment, error) {
 	topoCfg := s.Topology
 	if s.PaperTopology > 0 {
 		var err error

@@ -665,8 +665,9 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 }
 
 // reply answers an Interest on its arrival face: the content (alongside a
-// NACK when the tag failed — the paper's §5.B trade-off), the content
-// alone, or a bare NACK. It counts the NACK or the hit and ends the span.
+// NACK when the tag failed at a router — the paper's §5.B trade-off), the
+// content alone, or a bare NACK. It counts the NACK or the hit and ends
+// the span.
 func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 	outcome := node.OutcomeCSHit
 	if ans.Nack {
@@ -724,12 +725,9 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 			sp.Event("nack_aggregate", core.ReasonLabel(dl.Answer.Reason))
 		}
 		if dl.Cause != "" {
+			// Tell the client so it can fail fast rather than time out.
 			f.m.drop(dl.Cause)
 			sp.Event("edge_drop", core.ReasonLabel(dl.Answer.Reason))
-			if !dl.Tagged {
-				continue
-			}
-			// Tell the client so it can fail fast rather than time out.
 		}
 		f.send(rec.InFace, &ndn.Data{
 			Name: d.Name, Content: dl.Answer.Content, Tag: rec.Tag,

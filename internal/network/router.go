@@ -405,8 +405,9 @@ func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool,
 		r.nacksSent++
 	}
 	if dl.Cause != "" {
-		// Silent even toward a tagged client: its window slot frees at the
-		// 1 s request expiry, the paper's rate limit on attackers.
+		// Silent, tagged or not (the live edge sends the bare NACK): the
+		// client's window slot frees at the 1 s request expiry, the
+		// paper's rate limit on attackers.
 		r.drop(dl.Cause)
 		return node.OutcomeDrop + dl.Cause, proc
 	}

@@ -19,8 +19,8 @@
 // which is as sans-IO as the Core. A driver keeps what differs between
 // the planes: spans and counters, the verify scheduler (when a job runs,
 // and when its charge is released), loss recovery (re-send on Aggregate,
-// consume again on DropNoRoute or a failed send, tell a tagged requester
-// of an undeliverable answer), PIT expiry, and which checkpoints an
+// consume again on DropNoRoute or a failed send, tell a requester of an
+// undeliverable answer or stay silent), PIT expiry, and which checkpoints an
 // arrival meets (Checks). Every method is called on concrete types and
 // returns by value, so a packet that parks nothing allocates nothing here.
 package node
@@ -209,8 +209,9 @@ type Step struct {
 
 // OnInterest walks an Interest arriving on face from through the
 // pipeline: Protocol 2 (which stamps i.Flag), then the content store (a
-// hit is answered as Protocol 3 decides, content alongside a NACK when the
-// tag fails — the paper's §5.B trade-off), then PIT admission and the FIB.
+// hit is answered as Protocol 3 decides: when the tag fails, a bare NACK
+// to a client, the content alongside the NACK to a router — the paper's
+// §5.B trade-off), then PIT admission and the FIB.
 func (c *Core) OnInterest(i *ndn.Interest, from ndn.FaceID, checks Checks, now time.Time) Step {
 	if checks&Protocol2 == 0 || i.Kind != ndn.KindContent {
 		return c.pipeline(i, from, checks, now)
@@ -227,7 +228,7 @@ func (c *Core) OnInterest(i *ndn.Interest, from ndn.FaceID, checks Checks, now t
 // (which may stop at a second Verify), a content verdict answers it.
 func (c *Core) ResumeInterest(i *ndn.Interest, from ndn.FaceID, p Pending, dec enforce.Verdict, now time.Time) Step {
 	if p.Op == enforce.OpContent {
-		return contentDecided(p.Content, dec)
+		return contentDecided(p.Content, p.checks, dec)
 	}
 	return c.edgeDecided(i, from, p.checks, dec, now)
 }
@@ -246,7 +247,14 @@ func (c *Core) edgeDecided(i *ndn.Interest, from ndn.FaceID, checks Checks, dec 
 }
 
 // contentDecided answers a content-store hit with Protocol 3's verdict.
-func contentDecided(content *core.Content, dec enforce.Verdict) Step {
+// A denial carries the content alongside the NACK (§5.B) only toward a
+// router, for the valid requests aggregated there; an arrival that met
+// Protocol 2 is a client's, and a client denied gets a bare NACK, as on
+// the Data path.
+func contentDecided(content *core.Content, checks Checks, dec enforce.Verdict) Step {
+	if dec.Denied() && checks&Protocol2 != 0 {
+		content = nil
+	}
 	return Step{Action: Reply, Stage: dec.Stage, BFHit: dec.BFHit,
 		Reply: Answer{Content: content, Flag: dec.Flag, Nack: dec.Denied(), Reason: dec.Reason}}
 }
@@ -263,7 +271,7 @@ func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, now tim
 				return Step{Action: Verify, Stage: dec.Stage,
 					Pending: Pending{Op: enforce.OpContent, Content: content, Flag: dec.Flag, checks: checks}}
 			}
-			return contentDecided(content, dec)
+			return contentDecided(content, checks, dec)
 		}
 	}
 	if c.role == RoleOrigin {
@@ -322,13 +330,12 @@ func (c *Core) OnData(d *ndn.Data, from ndn.FaceID, cache bool, recs []ndn.PITRe
 // Delivery is what one requester of an arrived Data gets: Answer, sent
 // toward the record's face under its tag. When an edge delivers nothing
 // (Protocol 2 On-Content) Cause is DropUndeliverable and Answer the bare
-// NACK a driver may send a Tagged requester so it fails fast instead of
-// timing out; a tagless one is never answered. Stage is the checkpoint
-// consulted (see Step.Stage); Minted reports the NACK originates at this
-// node rather than being relayed.
+// NACK a driver may send the requester, tagged or not, so it fails fast
+// instead of timing out. Stage is the checkpoint consulted (see
+// Step.Stage); Minted reports the NACK originates at this node rather
+// than being relayed.
 type Delivery struct {
 	Cause  string
-	Tagged bool
 	Answer Answer
 	Stage  enforce.Stage
 	Minted bool
@@ -341,8 +348,7 @@ func (c *Core) OnRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.T
 	v := c.tactic.OnDataRecord(c.role == RoleEdge, primary, rec.Tag, rec.Flag,
 		enforce.ArrivedData{Content: d.Content, Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason}, now)
 	if v.Deliver == enforce.DeliverNothing {
-		return Delivery{Cause: DropUndeliverable, Tagged: rec.Tag != nil, Stage: v.Stage,
-			Answer: Answer{Nack: true, Reason: v.Reason}}
+		return Delivery{Cause: DropUndeliverable, Stage: v.Stage, Answer: Answer{Nack: true, Reason: v.Reason}}
 	}
 	return Delivery{Stage: v.Stage, Minted: v.Minted,
 		Answer: Answer{Content: d.Content, Flag: v.Flag, Nack: v.Deliver.Nack(), Reason: v.Reason}}

@@ -192,7 +192,7 @@ func TestCoreRows(t *testing.T) {
 				t.Errorf("not a client-side arrival: %+v, want it aggregated unchecked", st)
 			}
 		})
-		t.Run("edge DeliverNothing reports tagged vs tagless", func(t *testing.T) {
+		t.Run("edge DeliverNothing answers tagged and tagless with a bare NACK", func(t *testing.T) {
 			e := newEnv(t, RoleEdge, scheme)
 			tagged := &ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 1, Tag: e.tag(t, e.prov, "alice"), AccessPath: apHome}
 			if st := e.interest(tagged, 1, Protocol2|Protocol3); st.Action != Forward {
@@ -207,12 +207,13 @@ func TestCoreRows(t *testing.T) {
 				t.Fatalf("OnData = %d records, %q", len(recs), cause)
 			}
 			primary := e.OnRecord(d, recs[0], true, now)
-			if primary.Cause != DropUndeliverable || !primary.Tagged || !primary.Answer.Nack ||
+			if primary.Cause != DropUndeliverable || !primary.Answer.Nack ||
 				primary.Answer.Content != nil || !errors.Is(primary.Answer.Reason, core.ErrTagExpired) {
-				t.Errorf("NACKed primary: %+v, want undeliverable, tagged, a bare expired NACK to fail fast with", primary)
+				t.Errorf("NACKed primary: %+v, want undeliverable, a bare expired NACK to fail fast with", primary)
 			}
-			if tagless := e.OnRecord(d, recs[1], false, now); tagless.Cause != DropUndeliverable || tagless.Tagged {
-				t.Errorf("tagless requester of private content: %+v, want undeliverable, tagless", tagless)
+			if tagless := e.OnRecord(d, recs[1], false, now); tagless.Cause != DropUndeliverable || !tagless.Answer.Nack ||
+				tagless.Answer.Content != nil || !errors.Is(tagless.Answer.Reason, core.ErrNoTag) {
+				t.Errorf("tagless requester of private content: %+v, want undeliverable, a bare no-tag NACK", tagless)
 			}
 		})
 		t.Run("an intermediate relays the primary's NACK with the content", func(t *testing.T) {

@@ -128,8 +128,6 @@ type RefOutcome struct {
 	// Reason is the core.ReasonLabel-style label for a denial ("" when
 	// delivered).
 	Reason string
-	// Tagless marks a request sent without a tag.
-	Tagless bool
 	// ResolvedAtEdge reports the content was served (or denied) from the
 	// edge router's own content store rather than upstream.
 	ResolvedAtEdge bool
@@ -144,12 +142,9 @@ func (o RefOutcome) SimNacked() bool {
 }
 
 // LiveNacked predicts whether the live-plane client observes an
-// explicit NACK. The live edge converts every denial of a tagged
-// request into an explicit NACK ("fail fast"); only tagless denials
-// settled upstream stay silent.
-func (o RefOutcome) LiveNacked() bool {
-	return !o.Delivered && !(o.Tagless && !o.ResolvedAtEdge)
-}
+// explicit NACK. The live edge converts every denial, of a tagged
+// request or a tagless one, into an explicit NACK ("fail fast").
+func (o RefOutcome) LiveNacked() bool { return !o.Delivered }
 
 // RefResult is the oracle's full prediction for a scenario: per-request
 // verdicts plus the end-of-run content-store contents of every router.
@@ -177,14 +172,16 @@ type RefResult struct {
 //   - Content — even alongside a NACK, the paper's §5.B trade-off —
 //     caches at every router from the resolution point down to the edge.
 //   - Protocol 2 on Data at the edge: NACKs are not delivered; a
-//     delivery with flag 0 inserts the tag into the edge set, including
-//     for Public content where nothing ever validated the tag (a real
-//     TACTIC hole the conformance suite pins down).
+//     delivery of private content with flag 0 inserts the tag into the
+//     edge set. Public content teaches the edge nothing: the content
+//     router's Public bypass validated no tag.
 //
-// Per-request modeling is exact because the scenario generator never
-// schedules requests whose *verdicts* could interact within a step:
-// aggregation-variant combinations get exclusive (step, name) slots and
-// each tag appears at most once per step. CS end state is
+// Per-request modeling is exact because a request's verdict does not
+// depend on whether it was answered as the primary of a PIT entry or as
+// an aggregate, and the scenario generator never schedules requests
+// whose *verdicts* could interact within a step: the combinations whose
+// answer races a primary's get exclusive (step, name) slots
+// (aggregationVariant) and each tag appears at most once per step. CS end state is
 // order-independent by construction (see the package comment).
 func RunReference(scn *Scenario, info *topoInfo, knobs Knobs) (*RefResult, error) {
 	ibac := knobs.Scheme == core.SchemeIBAC
@@ -231,7 +228,7 @@ func RunReference(scn *Scenario, info *topoInfo, knobs Knobs) (*RefResult, error
 				csPrev[router] = cp
 			}
 		}
-		out := RefOutcome{Request: r, Tagless: r.Tag < 0}
+		out := RefOutcome{Request: r}
 		cSpec := scn.Contents[r.Content]
 		edgePos := info.userEdge[r.User]
 		name := info.contentName(scn, r.Content).Key()
@@ -377,12 +374,11 @@ func RunReference(scn *Scenario, info *topoInfo, knobs Knobs) (*RefResult, error
 		// --- Protocol 2 (edge, on Data) ------------------------------------
 		if out.Stage == StageDelivered {
 			out.Delivered = true
-			if r.Tag >= 0 && !vouched && !out.ResolvedAtEdge && !ibac {
-				// Data arrived with flag 0: the edge learns the tag —
-				// validated upstream for private content, or *unvalidated*
-				// for Public content (TACTIC's unvalidated-insert hole).
-				// IBAC has no data-path learning: authorization happened
-				// at Interest time or not at all.
+			if r.Tag >= 0 && !vouched && !out.ResolvedAtEdge && !ibac && cSpec.Level != core.Public {
+				// Private content arrived with flag 0: the edge learns the
+				// tag the content router validated. IBAC has no data-path
+				// learning: authorization happened at Interest time or not
+				// at all.
 				edgeSet.Add(tk)
 			}
 		}

@@ -200,40 +200,27 @@ func (s *Scenario) String() string {
 	return b.String()
 }
 
-// maxTaglessPrivate bounds the silent-denial requests per scenario:
-// they are the only outcomes the live plane resolves by timeout, so
-// each one costs the harness a full client deadline.
-const maxTaglessPrivate = 2
-
-// aggregationVariant reports whether a request's verdict would depend
-// on PIT aggregation timing — the cases the generator must isolate in
-// an exclusive (step, name) slot:
-//
-//   - an insufficient-level tag: Protocol 1's AL check runs only at
-//     content routers, which aggregated requests never reach, so the
-//     same request is denied as a primary but served as an aggregate
-//     (the paper's threat-(d) gap, see core.Config.EnforceALOnAggregates);
-//   - a forged tag: for Public content the router's Public bypass
-//     skips validation for the primary while aggregated tags are always
-//     signature-checked on content arrival; for private content a
-//     forged member's NACK answer (live routers re-send aggregated
-//     Interests upstream) races the primary's clean answer for the
-//     shared PIT entry, making the primary's verdict timing-dependent;
-//   - a tagless private request: resolved silently when aggregated but
-//     with an explicit NACK when it reaches a content store directly.
+// aggregationVariant reports whether a request would make a verdict
+// depend on PIT aggregation timing — the cases the generator must
+// isolate in an exclusive (step, name) slot. What a requester receives
+// is one rule whether it is answered as a primary or as an aggregate,
+// but a live router re-sends an aggregated Interest upstream (loss
+// recovery), and the NACK answering it can consume the pending entry
+// before the primary's own answer arrives, denying a legitimate primary.
+// So every request that passes its edge and is NACKed upstream is
+// isolated: a request for private content with a forged tag, a tag of
+// insufficient level, or no tag. (Every other denial is the edge's, at
+// Interest time, before the PIT.)
 func aggregationVariant(tags []TagSpec, contents []ContentSpec, tagIdx, contentIdx int) bool {
 	c := contents[contentIdx]
+	if c.Level == core.Public {
+		return false
+	}
 	if tagIdx < 0 {
-		return c.Level != core.Public
+		return true
 	}
 	t := tags[tagIdx]
-	if !t.Level.Satisfies(c.Level) {
-		return true
-	}
-	if t.Kind == TagForged {
-		return true
-	}
-	return false
+	return t.Kind == TagForged || !t.Level.Satisfies(c.Level)
 }
 
 // scheduler enforces the generator's determinism constraints while
@@ -242,7 +229,6 @@ type scheduler struct {
 	used      map[[2]int]int  // (step, content) -> request count
 	exclusive map[[2]int]bool // (step, content) slots owned by a variant request
 	tagStep   map[[2]int]bool // (tag, step) already used
-	tagless   int             // tagless-private requests placed
 }
 
 func newScheduler() *scheduler {
@@ -263,10 +249,6 @@ func (sc *scheduler) place(scn *Scenario, r RequestSpec) bool {
 	if variant && sc.used[sn] > 0 {
 		return false
 	}
-	taglessPrivate := r.Tag < 0 && scn.Contents[r.Content].Level != core.Public
-	if taglessPrivate && sc.tagless >= maxTaglessPrivate {
-		return false
-	}
 	if r.Tag >= 0 {
 		ts := [2]int{r.Tag, r.Step}
 		if sc.tagStep[ts] {
@@ -277,9 +259,6 @@ func (sc *scheduler) place(scn *Scenario, r RequestSpec) bool {
 	sc.used[sn]++
 	if variant {
 		sc.exclusive[sn] = true
-	}
-	if taglessPrivate {
-		sc.tagless++
 	}
 	scn.Requests = append(scn.Requests, r)
 	return true
@@ -436,8 +415,8 @@ func GenerateScenario(seed int64) (*Scenario, error) {
 		for m := 0; m < members; m++ {
 			u := rng.Intn(users)
 			tag := userTag[u][scn.Contents[ci].Provider]
-			if tag < 0 && scn.Contents[ci].Level != core.Public {
-				continue // tagless-private would claim the slot exclusively
+			if aggregationVariant(scn.Tags, scn.Contents, tag, ci) {
+				continue // it would claim the slot exclusively
 			}
 			sched.place(scn, RequestSpec{Step: step, User: u, Content: ci, Tag: tag})
 		}

@@ -13,14 +13,15 @@ import (
 
 // PlaneOutcome is what one plane's client observed for one request.
 type PlaneOutcome struct {
-	// Delivered reports content reached the client.
+	// Delivered reports content reached the client, alone or alongside
+	// a NACK: either way the client holds it.
 	Delivered bool
 	// Nacked reports an explicit NACK reached the client; Delivered and
 	// Nacked both false means the request timed out silently.
 	Nacked bool
-	// Reason is the denial label when the plane preserves it (the sim
-	// plane passes errors in-process; the live TLV codec does not carry
-	// them, so live reasons are always "").
+	// Reason is the NACK's denial label. The sim plane passes the error
+	// in-process; the live plane decodes the one-byte reason code a NACK
+	// carries on the wire (TLV 0xF8) back to the same label.
 	Reason string
 }
 
@@ -107,13 +108,7 @@ func (h *simHarness) onClientData(user int, d *ndn.Data) {
 			continue
 		}
 		h.open[user] = append(h.open[user][:i], h.open[user][i+1:]...)
-		out := &h.outcomes[o.req]
-		if d.Nack {
-			out.Nacked = true
-			out.Reason = core.ReasonLabel(d.NackReason)
-		} else if d.Content != nil {
-			out.Delivered = true
-		}
+		h.outcomes[o.req] = PlaneOutcome{Delivered: d.Content != nil, Nacked: d.Nack, Reason: core.ReasonLabel(d.NackReason)}
 		return
 	}
 	// Unmatched data (e.g. a duplicate delivery): ignore.
