@@ -45,10 +45,15 @@ build:
 # new(verifyJob) anywhere but its get and put), and the seventeenth when
 # DecodeTag parses a key locator through a string copy again (it
 # resolves both through names.ParseBytes and accepts only their
-# canonical spelling), and the eighteenth when the PIT or the CS grows a
+# canonical spelling), the eighteenth when the PIT or the CS grows a
 # second, sharded form again (each is one table that locks itself, as
 # the FIB does; NewShardedPIT and NewShardedCS are one-line
-# constructors of it, kept for bench/).
+# constructors of it, kept for bench/), and the nineteenth when a second
+# delivery rule comes back: an opt-in aggregate hardening
+# (EnforceALOnAggregates; aggregates are re-checked by default and
+# PaperAggregates is the paper-fidelity exception), the oracle's cap on
+# silently denied requests (maxTaglessPrivate) or a Tagged field on
+# node.Delivery (every denied requester gets the same answer).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -70,6 +75,7 @@ vet:
 	! grep -nE 'verifyJob\{|new\(verifyJob\)' $$(ls internal/forwarder/*.go | grep -v _test.go) | grep -vE '^internal/forwarder/verifypool\.go:[0-9]+:	+(return new\(verifyJob\)|\*job = verifyJob\{\})$$'
 	! grep -n 'names\.Parse(string(' internal/core/tag.go
 	! grep -rnE --include='*.go' 'NewSharded(PIT|CS)Of|shardIndex|numShards|type Sharded(PIT|CS)\b' internal cmd examples
+	! grep -rnE --include='*.go' '\b(EnforceALOnAggregates|maxTaglessPrivate)\b|^[[:space:]]+Tagged[[:space:]]+bool' internal cmd examples
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

@@ -103,7 +103,7 @@ func run(args []string, listening func(transport.FaceListener)) error {
 	id := fs.String("id", "", "node identity (edge IDs bind client access paths)")
 	bfSize := fs.Int("bf", 500, "Bloom-filter capacity")
 	bfFPP := fs.Float64("fpp", 1e-4, "Bloom-filter max FPP")
-	csSize := fs.Int("cs", 4096, "content-store capacity (chunks)")
+	csSize := fs.Int("cs", 4096, "content-store capacity (chunks, at least 1)")
 	admin := fs.String("admin", "", "admin HTTP address for /metrics, /statusz, /debug/pprof (empty = disabled)")
 	traceOut := fs.String("trace", "", "per-Interest trace output: file path or - for stderr (empty = disabled)")
 	traceSample := fs.Float64("trace-sample", 1.0, "fraction of local packets traced, 0..1 (wire-sampled packets are always traced)")
@@ -166,6 +166,9 @@ func run(args []string, listening func(transport.FaceListener)) error {
 	}
 	if len(syncPeers) > 0 && *bfSync <= 0 {
 		return fmt.Errorf("-sync-peer requires -bf-sync-interval > 0")
+	}
+	if *csSize < 1 {
+		return fmt.Errorf("-cs %d: the live content store cannot be disabled (want at least 1 chunk)", *csSize)
 	}
 
 	registry := pki.NewRegistry()

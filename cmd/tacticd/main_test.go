@@ -176,6 +176,10 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-id", "edge-0", "-role", "edge", "-prefix", "/prov0"}, "-prefix"},
 		{[]string{"-id", "core-0", "-enroll", "alice.pub=3"}, "-enroll"},
 		{[]string{"-id", "edge-0", "-role", "edge", "-sync-peer", "127.0.0.1:1"}, "-bf-sync-interval"},
+		// The forwarder would read either as "use the default" and run a
+		// 4096-chunk store.
+		{[]string{"-id", "core-0", "-cs", "0"}, "-cs 0: the live content store cannot be disabled"},
+		{[]string{"-id", "edge-0", "-role", "edge", "-cs", "-3"}, "-cs -3: the live content store cannot be disabled"},
 	} {
 		if err := run(tc.args, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)

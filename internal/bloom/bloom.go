@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -316,18 +317,9 @@ func (f *Filter) RequestsSinceReset() uint64 { return f.requestsSinceReset.Load(
 func (f *Filter) FillRatio() float64 {
 	set := 0
 	for i := range f.bits {
-		set += popcount(atomic.LoadUint64(&f.bits[i]))
+		set += bits.OnesCount64(atomic.LoadUint64(&f.bits[i]))
 	}
 	return float64(set) / float64(f.nbits)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // TheoreticalFPP computes the textbook FPP for a filter with m bits and
