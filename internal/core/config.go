@@ -46,8 +46,10 @@ func ParseScheme(s string) (Scheme, error) {
 }
 
 // Config selects the enforcement scheme and TACTIC features on a
-// router. The zero value is the paper's full design; each flag disables
-// one mechanism for the ablation studies catalogued in DESIGN.md §5.
+// router. The zero value is the paper's full design, with aggregated
+// requests held to the level check (see PaperAggregates); each flag
+// disables one mechanism for the ablation studies catalogued in
+// DESIGN.md §5.
 type Config struct {
 	// Scheme selects the enforcement backend (TACTIC by default). The
 	// ablation flags below apply to the TACTIC backend; under other
@@ -62,9 +64,9 @@ type Config struct {
 	// downstream routers, treating every request as unvalidated
 	// (ablation "NoCollaboration").
 	DisableCollaboration bool
-	// DisablePrecheck skips Protocol 1, letting expired or mismatched
-	// tags reach the Bloom-filter/signature stage (ablation
-	// "NoPrecheck").
+	// DisablePrecheck skips Protocol 1, at the checkpoints and on
+	// aggregated records, letting expired or mismatched tags reach the
+	// Bloom-filter/signature stage (ablation "NoPrecheck").
 	DisablePrecheck bool
 	// DisableAutoReset stops the router from resetting a saturated Bloom
 	// filter, letting its FPP grow without bound (ablation "NoReset").
