@@ -53,7 +53,11 @@ build:
 # (EnforceALOnAggregates; aggregates are re-checked by default and
 # PaperAggregates is the paper-fidelity exception), the oracle's cap on
 # silently denied requests (maxTaglessPrivate) or a Tagged field on
-# node.Delivery (every denied requester gets the same answer).
+# node.Delivery (every denied requester gets the same answer), and the
+# twentieth when the live path allocates a Content per packet again
+# (new(core.Content) in a non-test file of internal/ndn, transport or
+# forwarder: a reader decodes into its scratch Content, the content store
+# copies a chunk in and a hit out into a buffer its caller owns).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -76,6 +80,7 @@ vet:
 	! grep -n 'names\.Parse(string(' internal/core/tag.go
 	! grep -rnE --include='*.go' 'NewSharded(PIT|CS)Of|shardIndex|numShards|type Sharded(PIT|CS)\b' internal cmd examples
 	! grep -rnE --include='*.go' '\b(EnforceALOnAggregates|maxTaglessPrivate)\b|^[[:space:]]+Tagged[[:space:]]+bool' internal cmd examples
+	! grep -n 'new(core\.Content)' $$(ls internal/ndn/*.go internal/transport/*.go internal/forwarder/*.go | grep -v _test.go)
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -108,9 +113,9 @@ test-repeat:
 # that hold each hot-path site to what it keeps — a datagram send, a
 # recvmmsg/sendmmsg round, an idle-timeout wait, a stream frame read, a
 # reader-owned receive, a Content or Data decode, a face reader's hit,
-# forward and cached Data, a PIT admit/consume cycle, a CS insert that
-# evicts, an intern hit, an unsampled span, and the Bloom-filter miss —
-# a decoded tag's signing bytes, a forged tag's validation (the scheme's
+# forward and its relayed, cached Data at a core, a PIT admit/consume
+# cycle, a CS insert that evicts and a hit copied out, an intern hit, an
+# unsampled span, and the Bloom-filter miss — a decoded tag's signing bytes, a forged tag's validation (the scheme's
 # own allocations only), the ECDSA low-s check, a cheap denial, a verify-queue admission, an
 # edge reader's park, verify and NACK. -count=1 because a cached pass proves nothing
 # about the toolchain's escape analysis today.

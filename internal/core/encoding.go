@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/tactic-icn/tactic/internal/names"
 )
@@ -24,26 +26,35 @@ const (
 	maxEncodedPayloadFields = 1 << 16
 )
 
-// EncodeContent serialises a content object. Contents decoded from the
-// wire return their cached encoding; callers must not mutate the result.
+// EncodeContent serialises a content object. A content that holds its
+// encoding (decoded off the wire, or copied by CopyContent) returns it;
+// callers must not mutate the result.
 func EncodeContent(c *Content) ([]byte, error) {
-	if c.enc != nil {
+	if len(c.enc) > 0 {
 		return c.enc, nil
 	}
+	return appendContent(nil, c)
+}
+
+// appendContent appends c's encoding, built from its fields, to dst,
+// growing it at most once.
+func appendContent(dst []byte, c *Content) ([]byte, error) {
 	name := c.Meta.Name.String()
 	prov := c.Meta.ProviderKey.String()
 	if len(name) >= maxEncodedFieldSize || len(prov) >= maxEncodedFieldSize ||
 		len(c.Payload) >= maxEncodedPayloadFields || len(c.Signature) >= maxEncodedFieldSize {
 		return nil, fmt.Errorf("core: content %s field exceeds encoding limit", c.Meta.Name)
 	}
-	buf := make([]byte, 0, 16+len(name)+len(prov)+len(c.Payload)+len(c.Signature))
-	buf = append(buf, contentEncodingVersion)
-	buf = appendLenPrefixed(buf, []byte(name))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(c.Meta.Level))
-	buf = appendLenPrefixed(buf, []byte(prov))
-	buf = appendLenPrefixed(buf, c.Payload)
-	buf = appendLenPrefixed(buf, c.Signature)
-	return buf, nil
+	dst = slices.Grow(dst, 11+len(name)+len(prov)+len(c.Payload)+len(c.Signature))
+	dst = append(dst, contentEncodingVersion)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(c.Meta.Level))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(prov)))
+	dst = append(dst, prov...)
+	dst = appendLenPrefixed(dst, c.Payload)
+	dst = appendLenPrefixed(dst, c.Signature)
+	return dst, nil
 }
 
 // DecodeContent reverses EncodeContent into a new Content; it is
@@ -58,13 +69,24 @@ func DecodeContent(b []byte) (*Content, error) {
 
 // DecodeContentInto reverses EncodeContent into c, whose every field is
 // overwritten (on error c holds no usable content). The decoded content
-// keeps one private copy of its encoding: Payload and Signature are
-// views into it, capped at their own length so an append through either
-// reallocates instead of running into the next field. The two names
-// resolve through the intern table behind names.ParseBytes, so a content
-// seen before costs the copy alone.
+// holds one private copy of its encoding, written into the buffer c
+// already owns when it is large enough: Payload and Signature are views
+// into it, capped at their own length so an append through either
+// reallocates instead of running into the next field. Whatever c held
+// before — its payload included — is gone, so nothing may still point
+// into it. The two names resolve through the intern table behind
+// names.ParseBytes, so a content seen before costs the copy alone, and
+// none at all into a target that held one as large.
 func DecodeContentInto(c *Content, b []byte) error {
-	*c = Content{}
+	if err := decodeContent(c, b); err != nil {
+		c.Reset()
+		return err
+	}
+	return nil
+}
+
+// decodeContent is DecodeContentInto, writing c only once b has parsed.
+func decodeContent(c *Content, b []byte) error {
 	d := decoder{buf: b}
 	version, err := d.byte()
 	if err != nil {
@@ -89,7 +111,6 @@ func DecodeContentInto(c *Content, b []byte) error {
 	if err != nil {
 		return err
 	}
-	payloadEnd := d.off
 	sig, err := d.lenPrefixed()
 	if err != nil {
 		return err
@@ -102,14 +123,58 @@ func DecodeContentInto(c *Content, b []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: decode content provider key: %w", err)
 	}
-	enc := append([]byte(nil), b[:d.off]...)
-	*c = Content{
-		Meta:      ContentMeta{Name: name, Level: AccessLevel(level), ProviderKey: prov},
-		Payload:   enc[payloadEnd-len(payload) : payloadEnd : payloadEnd],
-		Signature: enc[d.off-len(sig) : d.off : d.off],
-		enc:       enc,
-	}
+	c.enc = append(c.enc[:0], b[:d.off]...)
+	c.Meta.Name, c.Meta.Level, c.Meta.ProviderKey = name, AccessLevel(level), prov
+	c.setViews(len(payload), len(sig))
 	return nil
+}
+
+// setViews points Payload and Signature into c.enc, the encoding of a
+// content whose payload and signature are that long: the signature is
+// the encoding's last field and the payload ends at its length prefix.
+func (c *Content) setViews(payload, sig int) {
+	end := len(c.enc)
+	sigStart := end - sig
+	payEnd := sigStart - 2
+	c.Payload = c.enc[payEnd-payload : payEnd : payEnd]
+	c.Signature = c.enc[sigStart:end:end]
+}
+
+// CopyContent overwrites dst with src, sharing no bytes with it: dst
+// ends up holding src's encoding in the buffer dst already owns (grown
+// only when too small), with Payload and Signature as views into it, as
+// a decoded content has. A content built locally is encoded on the way
+// in; one whose fields exceed the wire's limits gets private copies of
+// its payload and signature instead. Whatever dst held before is gone,
+// so nothing may still point into it. It is how a content store keeps a
+// chunk and hands out a hit.
+func CopyContent(dst, src *Content) {
+	if len(src.enc) > 0 {
+		dst.enc = append(dst.enc[:0], src.enc...)
+	} else if enc, err := appendContent(dst.enc[:0], src); err == nil {
+		dst.enc = enc
+	} else {
+		dst.enc = dst.enc[:0]
+		dst.Meta = src.Meta
+		dst.Payload = bytes.Clone(src.Payload)
+		dst.Signature = bytes.Clone(src.Signature)
+		return
+	}
+	dst.Meta = src.Meta
+	dst.setViews(len(src.Payload), len(src.Signature))
+}
+
+// Clone returns a new Content holding a copy of c (CopyContent).
+func (c *Content) Clone() *Content {
+	dst := new(Content)
+	CopyContent(dst, c)
+	return dst
+}
+
+// Reset empties c but keeps the buffer its encoding lived in, for the
+// next DecodeContentInto or CopyContent into c.
+func (c *Content) Reset() {
+	*c = Content{enc: c.enc[:0]}
 }
 
 // EncodeRegistrationRequest serialises a registration request.

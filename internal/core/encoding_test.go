@@ -259,6 +259,56 @@ func TestDecodeContentAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("DecodeContent allocates %.1f/op on a warm table, want <= 2", allocs)
 	}
+	var into Content
+	allocs = testing.AllocsPerRun(1000, func() {
+		if err := DecodeContentInto(&into, enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeContentInto a target that held the content allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestCopyContent: a copy holds the source's encoding in a buffer of its
+// own — a content built locally is encoded on the way in — with capped
+// views into it, shares no byte with the source, and reuses its buffer.
+func TestCopyContent(t *testing.T) {
+	enc := publishedChunk(t)
+	decoded, err := DecodeContent(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := &Content{Meta: decoded.Meta, Payload: bytes.Clone(decoded.Payload), Signature: bytes.Clone(decoded.Signature)}
+	for _, src := range []*Content{decoded, local} {
+		var dst Content
+		CopyContent(&dst, src)
+		got, err := EncodeContent(&dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, enc) || !dst.Meta.Name.Equal(src.Meta.Name) || dst.Meta.Level != src.Meta.Level ||
+			!bytes.Equal(dst.Payload, src.Payload) || !bytes.Equal(dst.Signature, src.Signature) {
+			t.Fatalf("copy of %s differs from its source", src.Meta.Name)
+		}
+		if cap(dst.Payload) != len(dst.Payload) || cap(dst.Signature) != len(dst.Signature) {
+			t.Fatal("copied views are not capped")
+		}
+		src.Payload[0] ^= 0xFF
+		if dst.Payload[0] == src.Payload[0] {
+			t.Fatal("copy shares its payload with the source")
+		}
+		src.Payload[0] ^= 0xFF
+		if a := testing.AllocsPerRun(100, func() { CopyContent(&dst, src) }); a != 0 {
+			t.Errorf("a copy into a Content that held one as large allocates %.1f/op, want 0", a)
+		}
+	}
+	var reset Content
+	CopyContent(&reset, decoded)
+	reset.Reset()
+	if got, err := EncodeContent(&reset); err != nil || len(got) == len(enc) {
+		t.Errorf("a reset Content still encodes as its old chunk: %d bytes, %v", len(got), err)
+	}
 }
 
 // TestDecodeContentViews pins what sharing one copy must not change: the

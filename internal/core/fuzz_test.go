@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -95,9 +96,20 @@ func FuzzTagEncoding(f *testing.F) {
 // decoder reads its names through the intern table, so a fuzzed name is
 // also spliced into a well-formed content and decoded twice — the second
 // time from the table — and must be judged exactly as names.Parse judges
-// it, errors included.
+// it, errors included. Decoded into a target that last held a larger
+// content, whose buffer it reuses, the input must read exactly as a fresh
+// decode reads it, its views capped as theirs are.
 func FuzzContentEncoding(f *testing.F) {
 	chunk := publishedChunk(f)
+	large, err := DecodeContent(chunk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	large.Payload = bytes.Repeat([]byte{0xAB}, 8192)
+	largeEnc, err := EncodeContent(&Content{Meta: large.Meta, Payload: large.Payload, Signature: large.Signature})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(chunk, []byte("/prov0/obj/chunk7"))
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{contentEncodingVersion}, []byte("/"))
@@ -105,6 +117,32 @@ func FuzzContentEncoding(f *testing.F) {
 	f.Add(append(append([]byte(nil), chunk...), 0xEE), []byte("/a/b/"))
 	f.Add(chunk, []byte("no-slash"))
 	f.Fuzz(func(t *testing.T, data, name []byte) {
+		var into Content
+		if err := DecodeContentInto(&into, largeEnc); err != nil {
+			t.Fatal(err)
+		}
+		fresh, freshErr := DecodeContent(data)
+		intoErr := DecodeContentInto(&into, data)
+		if fmt.Sprint(freshErr) != fmt.Sprint(intoErr) {
+			t.Fatalf("DecodeContentInto err %v, DecodeContent err %v", intoErr, freshErr)
+		}
+		if freshErr != nil && (into.Meta.Name.Len() != 0 || into.Payload != nil || into.Signature != nil || len(into.enc) != 0) {
+			t.Fatalf("a failed decode left a usable content: %+v", into)
+		}
+		if freshErr == nil {
+			freshEnc, _ := EncodeContent(fresh)
+			intoEnc, _ := EncodeContent(&into)
+			if !bytes.Equal(intoEnc, freshEnc) || !into.Meta.Name.Equal(fresh.Meta.Name) ||
+				into.Meta.Name.String() != fresh.Meta.Name.String() || into.Meta.Level != fresh.Meta.Level ||
+				!into.Meta.ProviderKey.Equal(fresh.Meta.ProviderKey) ||
+				!bytes.Equal(into.Payload, fresh.Payload) || !bytes.Equal(into.Signature, fresh.Signature) {
+				t.Fatalf("decoded into a reused target: %+v, fresh: %+v", into, fresh)
+			}
+			if cap(into.Payload) != len(into.Payload) || cap(into.Signature) != len(into.Signature) {
+				t.Fatal("views decoded into a reused target are not capped")
+			}
+		}
+
 		if dec, err := DecodeContent(data); err == nil {
 			enc, err := EncodeContent(dec)
 			if err != nil {

@@ -183,10 +183,12 @@ type Content struct {
 	// letting clients detect poisoned content (§6.B).
 	Signature []byte
 
-	// enc caches the wire encoding for contents decoded off the wire
-	// (DecodeContent sets it), so a content-store hit re-sends the cached
-	// bytes instead of re-serialising the payload per request. Immutable
-	// once set; nil for locally constructed contents.
+	// enc holds the wire encoding of a content decoded off the wire
+	// (DecodeContentInto) or copied (CopyContent), and Payload and
+	// Signature are views into it, so a content-store hit re-sends these
+	// bytes instead of re-serialising the payload per request. Empty for
+	// a content built locally; its capacity is the buffer the next
+	// decode or copy into the same Content reuses.
 	enc []byte
 }
 

@@ -335,11 +335,13 @@ func faceAttr(conn transport.Face, downstream bool) string {
 
 // readLoop pumps one face's packets through the pipeline. Each packet is
 // decoded into the loop's one scratch target and is valid until the next
-// read: what outlives its handling is copied (a parked Interest, into its
-// verify job) or was allocated to be kept (a Data's Content).
+// read, as is a content-store hit, copied into the loop's hit buffer:
+// what outlives its handling is copied (a parked Interest and its hit,
+// into its verify job; a Data's Content, into the content store).
 func (f *Forwarder) readLoop(fs *faceState) {
 	defer f.wg.Done()
 	scratch := new(transport.Scratch)
+	var hit core.Content
 	for {
 		pkt, err := fs.conn.ReceiveInto(scratch)
 		if err != nil {
@@ -348,7 +350,7 @@ func (f *Forwarder) readLoop(fs *faceState) {
 		}
 		switch {
 		case pkt.Interest != nil:
-			f.handleInterest(pkt.Interest, fs, pkt.DecodeDur)
+			f.handleInterest(pkt.Interest, fs, &hit, pkt.DecodeDur)
 		case pkt.Data != nil:
 			f.handleData(pkt.Data, fs, pkt.DecodeDur)
 		case pkt.Control != nil:
@@ -549,8 +551,8 @@ type arrival struct {
 // one parks the Interest in the verify pool and the reader moves on, so
 // the hop histogram and the pit_cs stage measure the reader's hot path
 // only. (Aggregated PIT records are still verified inline, on the Data
-// path.)
-func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur time.Duration) {
+// path.) A content-store hit is copied into hit, the reader's buffer.
+func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, hit *core.Content, decodeDur time.Duration) {
 	now := time.Now()
 	a := arrival{i: i, from: from, now: now}
 	a.sp = f.cfg.Tracer.StartCtx(i.Trace, "interest", i.Name.String())
@@ -575,7 +577,7 @@ func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, decodeDur t
 	if a.sampled {
 		walk = time.Now()
 	}
-	st := f.node.OnInterest(i, from.id, checks, now)
+	st := f.node.OnInterest(i, from.id, checks, hit, now)
 	if st.Action != node.Verify || st.Pending.Op != enforce.OpEdgeInterest {
 		observeStageSpan(f.m.stagePITCS, "pit_cs", walk, a.sp) // the call reached the tables
 	}

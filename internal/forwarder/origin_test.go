@@ -436,8 +436,9 @@ func (s *sinkFace) Stats() transport.Stats           { return transport.Stats{} 
 func (s *sinkFace) RemoteAddr() net.Addr             { return nil }
 func (s *sinkFace) Close() error                     { close(s.closed); return nil }
 
-// TestOriginReplyAllocs: answering a published chunk allocates nothing
-// beyond the decoded Interest — the reply literal stays on the stack
+// TestOriginReplyAllocs: answering a published chunk, copied out of the
+// store into the reader's reused hit buffer, allocates nothing beyond
+// the decoded Interest — the reply literal stays on the stack
 // because the origin encodes it itself (Forwarder.send) instead of
 // passing it through the Face interface.
 func TestOriginReplyAllocs(t *testing.T) {
@@ -449,7 +450,8 @@ func TestOriginReplyAllocs(t *testing.T) {
 	fs := node.faces[id]
 	node.mu.RUnlock()
 	i := &ndn.Interest{Name: e.open, Kind: ndn.KindContent, Nonce: 1}
-	allocs := testing.AllocsPerRun(1000, func() { node.handleInterest(i, fs, 0) })
+	var hit core.Content // the reader's hit buffer
+	allocs := testing.AllocsPerRun(1000, func() { node.handleInterest(i, fs, &hit, 0) })
 	if allocs != 0 {
 		t.Errorf("answering a published chunk allocates %.1f/op, want 0", allocs)
 	}

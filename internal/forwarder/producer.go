@@ -74,7 +74,7 @@ func (p *Producer) Revoke(clientKey names.Name) {
 // requests. Call before Serve.
 func (p *Producer) SetTracer(t *obs.Tracer) { p.node.cfg.Tracer = t }
 
-// AddContent installs a published chunk.
+// AddContent installs a copy of a published chunk.
 func (p *Producer) AddContent(c *core.Content) { p.node.cs.Insert(c) }
 
 // PublishObject chunks and publishes a payload as
@@ -106,19 +106,12 @@ func (p *Producer) PublishObject(object string, level core.AccessLevel, payload 
 	return chunks, nil
 }
 
-// publish signs one chunk and installs it in its wire form: the copy
-// DecodeContent hands back carries its encoding, so answering with it
+// publish signs one chunk and installs it. The store keeps it in its
+// wire form (ndn.CS.Insert encodes a chunk built locally), so answering
 // appends those bytes instead of serialising the payload per Interest.
 func (p *Producer) publish(name names.Name, level core.AccessLevel, plaintext []byte) error {
 	content, err := p.provider.Publish(name, level, plaintext)
 	if err != nil {
-		return err
-	}
-	enc, err := core.EncodeContent(content)
-	if err != nil {
-		return err
-	}
-	if content, err = core.DecodeContent(enc); err != nil {
 		return err
 	}
 	p.AddContent(content)

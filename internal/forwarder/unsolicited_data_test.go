@@ -231,7 +231,7 @@ func TestUnsolicitedDataTable(t *testing.T) {
 				d = &ndn.Data{Name: name, Registration: &core.RegistrationResponse{Tag: forged}}
 			}
 			if tc.Pending {
-				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, 0)
+				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, new(core.Content), 0)
 			}
 			from := out
 			if !tc.FromOutFace {

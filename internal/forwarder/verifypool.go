@@ -41,6 +41,11 @@ type verifyJob struct {
 	// points at: the face reader decodes its next packet into the one it
 	// parked.
 	interest ndn.Interest
+	// content is the job's own copy of a content check's hit, which
+	// pending.Content then points at (the reader copies its next hit into
+	// the one it parked), and the destination of a hit its resumed
+	// pipeline meets. Its buffer stays with the job on the free list.
+	content core.Content
 	// parkedAt is the enqueue instant, for park-time observability.
 	parkedAt time.Time
 }
@@ -95,7 +100,10 @@ func (p *verifyPool) get() *verifyJob {
 
 func (p *verifyPool) put(job *verifyJob) {
 	if len(p.free) < maxFreeJobs {
+		job.content.Reset()
+		content := job.content
 		*job = verifyJob{}
+		job.content = content
 		p.free = append(p.free, job)
 	}
 }
@@ -116,11 +124,16 @@ func (p *verifyPool) park(a arrival, pending node.Pending) {
 	adm := node.Shed
 	p.mu.Lock()
 	if !p.closed {
-		// The job outlives the arrival's packet, which the face reader
-		// decodes its next one into: it takes its own copy.
+		// The job outlives the arrival's packet and hit, which the face
+		// reader decodes and copies its next ones into: it takes its own
+		// copies.
 		job := p.get()
 		job.arrival, job.pending, job.interest, job.parkedAt = a, pending, *a.i, parkedAt
 		job.i = &job.interest
+		if pending.Content != nil {
+			core.CopyContent(&job.content, pending.Content)
+			job.pending.Content = &job.content
+		}
 		if adm = p.q.Admit(job, a.from.id, a.i.Tag.Digest()); adm == node.Shed {
 			p.put(job)
 		} else {
@@ -216,7 +229,7 @@ func (p *verifyPool) run(job *verifyJob, buf []*verifyJob) []*verifyJob {
 
 // complete resumes a job's pipeline with its enforcement verdict.
 func (p *verifyPool) complete(job *verifyJob, dec enforce.Verdict) {
-	p.f.act(job.arrival, p.f.node.ResumeInterest(job.i, job.from.id, job.pending, dec, job.now))
+	p.f.act(job.arrival, p.f.node.ResumeInterest(job.i, job.from.id, job.pending, dec, &job.content, job.now))
 }
 
 // flushWhere removes parked jobs matching match — queued leaders and

@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -277,6 +278,54 @@ func TestCSConcurrentInsertEvict(t *testing.T) {
 	hits, misses, _ := cs.Stats()
 	if hits+misses != workers*perWorker {
 		t.Fatalf("hits %d + misses %d != lookups %d", hits, misses, workers*perWorker)
+	}
+}
+
+// TestCSConcurrentCopyOut races inserts that evict and rewrite slots
+// against hits copied into each reader's reused Content. Every chunk's
+// payload and signature are one fill byte, its own under its name and
+// generation, so a copy torn by a concurrent rewrite shows as mixed
+// bytes; under the race detector an unlocked read of a slot is reported.
+func TestCSConcurrentCopyOut(t *testing.T) {
+	const capacity, universe, rounds = 8, 24, 300
+	cs := NewCS(capacity)
+	nm := make([]names.Name, universe)
+	for i := range nm {
+		nm[i] = names.MustParse(fmt.Sprintf("/prov0/obj/chunk%d", i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (r*7 + w) % universe
+				fill := byte(i*16 + r%16)
+				cs.Insert(&core.Content{Meta: core.ContentMeta{Name: nm[i], Level: 1},
+					Payload: bytes.Repeat([]byte{fill}, 512+i), Signature: []byte{fill, fill}})
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			var dst core.Content
+			for r := 0; r < rounds; r++ {
+				i := (r*5 + w) % universe
+				c, ok := cs.LookupInto(nm[i], &dst)
+				if !ok {
+					continue
+				}
+				fill := c.Signature[0]
+				if !c.Meta.Name.Equal(nm[i]) || int(fill)/16 != i%16 || len(c.Payload) != 512+i ||
+					!bytes.Equal(c.Payload, bytes.Repeat([]byte{fill}, len(c.Payload))) || c.Signature[1] != fill {
+					t.Errorf("hit for %s is torn: %s, %d bytes, signature %x", nm[i], c.Meta.Name, len(c.Payload), c.Signature)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if cs.Len() > capacity {
+		t.Fatalf("CS over capacity: %d > %d", cs.Len(), capacity)
 	}
 }
 

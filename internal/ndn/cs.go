@@ -15,6 +15,13 @@ import (
 // acts as a content router (R_C^c) and runs Protocol 3. A CS is safe for
 // concurrent use: every method holds the store's one lock, as the FIB's
 // do, so the whole capacity is one exact LRU under both drivers.
+//
+// The store owns its bytes, and nothing outside it holds a pointer into
+// them: Insert copies a chunk in, and a hit is copied out (LookupInto)
+// under the lock. Each item keeps its chunk by value in an encoding
+// buffer of its own, which a full store reuses when it rewrites its least
+// recently used item, so caching a chunk allocates only while the store
+// grows — and a hit copied into a caller's reused Content not at all.
 type CS struct {
 	mu       sync.Mutex
 	capacity int
@@ -33,7 +40,7 @@ type CS struct {
 type csItem struct {
 	prev, next *csItem
 	key        string
-	content    *core.Content
+	content    core.Content
 }
 
 // NewCS creates a content store holding at most capacity chunks. A zero
@@ -59,8 +66,9 @@ func (c *CS) pushFront(it *csItem) {
 	it.prev.next, it.next.prev = it, it
 }
 
-// Insert caches a chunk, evicting the least recently used entry when
-// full. Re-inserting an existing name refreshes its recency.
+// Insert caches a copy of a chunk, evicting the least recently used
+// entry when full; the caller keeps content. Re-inserting an existing
+// name refreshes its recency and its bytes.
 func (c *CS) Insert(content *core.Content) {
 	if c.capacity <= 0 {
 		return
@@ -83,12 +91,23 @@ func (c *CS) Insert(content *core.Content) {
 		it = &csItem{key: k}
 		c.index[k] = it
 	}
-	it.content = content
+	core.CopyContent(&it.content, content)
 	c.pushFront(it)
 }
 
-// Lookup returns the cached chunk for name, refreshing its recency.
+// Lookup returns a copy of the cached chunk for name, refreshing its
+// recency: LookupInto with a fresh Content, the simulator's call, whose
+// hits travel as events after the call returns.
 func (c *CS) Lookup(name names.Name) (*core.Content, bool) {
+	return c.LookupInto(name, nil)
+}
+
+// LookupInto copies the cached chunk for name into dst, whose buffer is
+// reused, and refreshes its recency; a nil dst gets a fresh Content. It
+// returns the copy. The copy is made under the store's lock and shares
+// nothing with the store, so it stays intact when the chunk is evicted or
+// rewritten; dst's previous contents are gone.
+func (c *CS) LookupInto(name names.Name, dst *core.Content) (*core.Content, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	it, ok := c.index[name.Key()]
@@ -99,7 +118,11 @@ func (c *CS) Lookup(name names.Name) (*core.Content, bool) {
 	c.unlink(it)
 	c.pushFront(it)
 	c.hits++
-	return it.content, true
+	if dst == nil {
+		return it.content.Clone(), true
+	}
+	core.CopyContent(dst, &it.content)
+	return dst, true
 }
 
 // Contains reports whether name is cached without touching recency or

@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"math/rand"
@@ -590,7 +591,9 @@ func (m *listCS) lookup(name names.Name) (*core.Content, bool) {
 
 // TestCSMatchesListModel drives the store and the reference through
 // 20 000 seeded random steps and compares everything observable after
-// each: the outcome, Len, Stats and the whole recency order.
+// each: the outcome, Len, Stats and the whole recency order. The store
+// keeps copies, so chunks compare by their bytes, and each insert
+// carries a payload of its own.
 func TestCSMatchesListModel(t *testing.T) {
 	const capacity, universe, steps = 16, 48, 20000
 	cs := NewCS(capacity)
@@ -605,13 +608,14 @@ func TestCSMatchesListModel(t *testing.T) {
 		switch op := r.Intn(10); {
 		case op < 5:
 			c := chunk(n)
+			c.Payload = []byte(fmt.Sprint(step))
 			cs.Insert(c)
 			model.insert(c)
 		case op < 9:
 			got, ok := cs.Lookup(n)
 			want, wantOK := model.lookup(n)
-			if ok != wantOK || got != want {
-				t.Fatalf("step %d: Lookup(%s) = %p, %v; model %p, %v", step, n, got, ok, want, wantOK)
+			if ok != wantOK || ok && !sameChunk(got, want) {
+				t.Fatalf("step %d: Lookup(%s) = %+v, %v; model %+v, %v", step, n, got, ok, want, wantOK)
 			}
 		default:
 			_, want := model.index[n.Key()]
@@ -629,7 +633,7 @@ func TestCSMatchesListModel(t *testing.T) {
 			t.Fatalf("step %d: %d items in recency order, model holds %d", step, len(order), model.ll.Len())
 		}
 		for el, i := model.ll.Front(), 0; el != nil; el, i = el.Next(), i+1 {
-			if want := el.Value.(*core.Content); order[i] != want {
+			if want := el.Value.(*core.Content); !sameChunk(order[i], want) {
 				t.Fatalf("step %d: recency order diverges from the model at place %d (%s)", step, i, want.Meta.Name)
 			}
 		}
@@ -642,9 +646,16 @@ func TestCSMatchesListModel(t *testing.T) {
 func csOrder(c *CS) []*core.Content {
 	var out []*core.Content
 	for it := c.root.next; it != &c.root; it = it.next {
-		out = append(out, it.content)
+		out = append(out, &it.content)
 	}
 	return out
+}
+
+// sameChunk reports whether two contents hold the same chunk.
+func sameChunk(a, b *core.Content) bool {
+	return a.Meta.Name.Equal(b.Meta.Name) && a.Meta.Level == b.Meta.Level &&
+		a.Meta.ProviderKey.Equal(b.Meta.ProviderKey) &&
+		bytes.Equal(a.Payload, b.Payload) && bytes.Equal(a.Signature, b.Signature)
 }
 
 // TestCSInsertAtCapacityAllocs: a full store rewrites its least recently
@@ -667,6 +678,106 @@ func TestCSInsertAtCapacityAllocs(t *testing.T) {
 		}
 		if _, _, evicted := cs.Stats(); evicted-before != 1001 {
 			t.Errorf("%d of 1001 inserts evicted, want all", evicted-before)
+		}
+	})
+}
+
+// wireChunk is a chunk as a reader decodes it off the wire: holding its
+// encoding, with a 1 KiB payload of fill bytes.
+func wireChunk(t testing.TB, name names.Name, fill byte) *core.Content {
+	t.Helper()
+	enc, err := core.EncodeContent(&core.Content{
+		Meta:      core.ContentMeta{Name: name, Level: 2, ProviderKey: names.MustParse("/prov0/KEY/1")},
+		Payload:   bytes.Repeat([]byte{fill}, 1024),
+		Signature: bytes.Repeat([]byte{fill}, 64),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.DecodeContent(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestCSInsertLookupAllocs is TestCSInsertAtCapacityAllocs for chunks
+// as a reader decodes them, 1 KiB each with their encoding, which the
+// store copies into the buffer of the item it rewrites; and a hit copied
+// into a reused destination allocates nothing either.
+func TestCSInsertLookupAllocs(t *testing.T) {
+	forEachCS(t, 4, func(t *testing.T, cs *CS) {
+		var chunks [8]*core.Content
+		for i := range chunks {
+			chunks[i] = wireChunk(t, csName(i), byte(i))
+			cs.Insert(chunks[i])
+		}
+		_, _, before := cs.Stats()
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			cs.Insert(chunks[i%len(chunks)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("an insert into a full store allocates %.1f/op, want 0", allocs)
+		}
+		if _, _, evicted := cs.Stats(); evicted-before != 1001 {
+			t.Errorf("%d of 1001 inserts evicted, want all", evicted-before)
+		}
+
+		for _, c := range chunks[:4] {
+			cs.Insert(c)
+		}
+		var dst core.Content
+		allocs = testing.AllocsPerRun(1000, func() {
+			if _, ok := cs.LookupInto(chunks[i%4].Meta.Name, &dst); !ok {
+				t.Fatalf("chunk %d not cached", i%4)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("a hit copied into a reused Content allocates %.1f/op, want 0", allocs)
+		}
+	})
+}
+
+// TestCSCopyOutSurvivesEviction: the store owns its bytes. A copied-out
+// hit stays byte-identical after its slot is evicted and rewritten with
+// another chunk's bytes, and a chunk's source changed after Insert leaves
+// the stored copy as it was.
+func TestCSCopyOutSurvivesEviction(t *testing.T) {
+	forEachCS(t, 1, func(t *testing.T, cs *CS) {
+		src := wireChunk(t, csName(1), 0xAA)
+		want, err := core.EncodeContent(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = bytes.Clone(want)
+		cs.Insert(src)
+		src.Payload[0] ^= 0xFF // the caller's copy, not the store's
+		var dst core.Content
+		got, ok := cs.LookupInto(csName(1), &dst)
+		if !ok || got != &dst {
+			t.Fatalf("LookupInto = %p, %v; want the destination %p", got, ok, &dst)
+		}
+		fresh, ok := cs.Lookup(csName(1))
+		if !ok || fresh == &dst {
+			t.Fatalf("Lookup = %p, %v; want a Content of its own", fresh, ok)
+		}
+		cs.Insert(wireChunk(t, csName(2), 0x55)) // evicts 1, rewriting its slot
+		if cs.Contains(csName(1)) {
+			t.Fatal("chunk 1 still cached in a one-chunk store")
+		}
+		for _, c := range []*core.Content{&dst, fresh} {
+			enc, err := core.EncodeContent(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, want) || !c.Meta.Name.Equal(csName(1)) ||
+				!bytes.Equal(c.Payload, bytes.Repeat([]byte{0xAA}, 1024)) ||
+				!bytes.Equal(c.Signature, bytes.Repeat([]byte{0xAA}, 64)) {
+				t.Fatalf("copied-out hit changed after its slot was rewritten: %s, payload[0] %#x", c.Meta.Name, c.Payload[0])
+			}
 		}
 	})
 }

@@ -10,6 +10,13 @@ import "sync"
 // packet of its own (DecodeInterest, DecodeData) or into a reader's
 // target (DecodeInterestInto, DecodeDataInto), every decoder copies what
 // it keeps — so returning a frame to the pool after decode is safe.
+//
+// Who owns a Content's bytes: DecodeData's Content is the caller's; a
+// reader's target (DecodeDataInto) reuses its buffer on the next decode,
+// so its Content is valid until then; a content store copies a chunk in
+// (CS.Insert) and a hit out (CS.LookupInto), so nothing outside the store
+// points into what it keeps. A send encodes synchronously, so a reply
+// built from any of them may go out before its source is reused.
 
 // pooledBufferCap is the initial capacity of pooled buffers: enough for
 // a typical Interest or 1-KiB Data frame without growth.

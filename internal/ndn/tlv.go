@@ -380,15 +380,18 @@ func DecodeData(b []byte) (*Data, error) {
 }
 
 // DecodeDataInto reverses EncodeData into d, whose every field is
-// overwritten (on error d holds no usable packet). The Content is still
-// a new object — a content store may keep it past the reader's next
-// decode — and nothing decoded aliases b.
-func DecodeDataInto(d *Data, b []byte) error {
-	return decodeData(d, nil, b)
+// overwritten (on error d holds no usable packet). A Content element
+// decodes into content, which must not be nil and whose encoding buffer
+// is reused (core.DecodeContentInto), so d and its Content are the
+// caller's targets: valid until the next decode into them, with nothing
+// decoded aliasing b. What must outlive that — a content store's chunk —
+// is copied.
+func DecodeDataInto(d *Data, content *core.Content, b []byte) error {
+	return decodeData(d, content, b)
 }
 
 // decodeData is the one Data decoder: a Content element decodes into
-// content when it is non-nil, into a new Content otherwise.
+// content.
 func decodeData(d *Data, content *core.Content, b []byte) error {
 	*d = Data{}
 	outer := tlvReader{buf: b}
@@ -414,14 +417,10 @@ func decodeData(d *Data, content *core.Content, b []byte) error {
 				return err
 			}
 		case tlvContent:
-			c := content
-			if c == nil {
-				c = new(core.Content)
-			}
-			if err = core.DecodeContentInto(c, v); err != nil {
+			if err = core.DecodeContentInto(content, v); err != nil {
 				return err
 			}
-			d.Content = c
+			d.Content = content
 		case tlvTag:
 			if d.Tag, err = tagIntern.Resolve(v, core.DecodeTag); err != nil {
 				return err

@@ -82,7 +82,8 @@ var fullPackets = sync.OnceValues(func() (interest, data []byte) {
 	return interest, data
 })
 
-// dirtyTargets returns decode targets that last held fullPackets.
+// dirtyTargets returns decode targets that last held fullPackets; the
+// Data's Content is its content target.
 func dirtyTargets(t *testing.T) (*Interest, *Data) {
 	t.Helper()
 	iEnc, dEnc := fullPackets()
@@ -91,7 +92,7 @@ func dirtyTargets(t *testing.T) (*Interest, *Data) {
 	if err := DecodeInterestInto(&i, iEnc); err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeDataInto(&d, dEnc); err != nil {
+	if err := DecodeDataInto(&d, new(core.Content), dEnc); err != nil {
 		t.Fatal(err)
 	}
 	if i.Registration == nil || i.Tag == nil || !i.Trace.Valid() || d.Content == nil || d.Registration == nil || d.NackReason == nil {
@@ -120,7 +121,7 @@ func requireSameData(t *testing.T, enc []byte) {
 	t.Helper()
 	_, dirty := dirtyTargets(t)
 	fresh, freshErr := DecodeData(enc)
-	intoErr := DecodeDataInto(dirty, enc)
+	intoErr := DecodeDataInto(dirty, dirty.Content, enc)
 	if fmt.Sprint(freshErr) != fmt.Sprint(intoErr) {
 		t.Fatalf("DecodeDataInto err %v, DecodeData err %v", intoErr, freshErr)
 	}

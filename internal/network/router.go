@@ -248,7 +248,9 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	// together with it, as one job. Verification is admitted through the
 	// live forwarder's queue and completes inline (no follower can join);
 	// the face's charge is released at the virtual completion instant, by
-	// an engine event only when a budget can refuse it meanwhile.
+	// an engine event only when a budget can refuse it meanwhile. A hit is
+	// a fresh copy of the stored chunk (a nil destination): it travels on
+	// as an event after this handler returns.
 	var st node.Step
 	var proc, work time.Duration
 	call := func(fn func()) {
@@ -258,18 +260,18 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 			work = 0
 		}
 	}
-	call(func() { st = r.core.OnInterest(i, from, checks, now) })
+	call(func() { st = r.core.OnInterest(i, from, checks, nil, now) })
 	for st.Action == node.Verify {
 		p := st.Pending
 		if r.vq.Admit(i, from, i.Tag.Digest()) == node.Shed {
-			st = r.core.ResumeInterest(i, from, p, enforce.Shed(st.Stage), now)
+			st = r.core.ResumeInterest(i, from, p, enforce.Shed(st.Stage), nil, now)
 			break
 		}
 		r.vq.Next() // i: nothing stays queued between handlers
 		call(func() {
 			dec := r.tactic.VerifyMiss(p.Input(i, now))
 			r.vq.Close(i, dec.Verified, nil) // before the pipeline resumes, as live
-			st = r.core.ResumeInterest(i, from, p, dec, now)
+			st = r.core.ResumeInterest(i, from, p, dec, nil, now)
 		})
 		if r.vq.Budget() > 0 && proc > 0 {
 			r.net.Engine.Schedule(proc, func() { r.vq.Release(from) })

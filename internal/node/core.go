@@ -211,35 +211,39 @@ type Step struct {
 // pipeline: Protocol 2 (which stamps i.Flag), then the content store (a
 // hit is answered as Protocol 3 decides: when the tag fails, a bare NACK
 // to a client, the content alongside the NACK to a router — the paper's
-// §5.B trade-off), then PIT admission and the FIB.
-func (c *Core) OnInterest(i *ndn.Interest, from ndn.FaceID, checks Checks, now time.Time) Step {
+// §5.B trade-off), then PIT admission and the FIB. A hit is copied out
+// of the store into hit, the caller's destination (ndn.CS.LookupInto; a
+// nil hit gets a fresh Content), which the step's Reply or Pending
+// Content points at.
+func (c *Core) OnInterest(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *core.Content, now time.Time) Step {
 	if checks&Protocol2 == 0 || i.Kind != ndn.KindContent {
-		return c.pipeline(i, from, checks, now)
+		return c.pipeline(i, from, checks, hit, now)
 	}
 	dec := c.tactic.EdgeOnInterestFast(i.Tag, i.AccessPath, i.Name, now)
 	if dec.NeedsVerify() {
 		return Step{Action: Verify, Stage: dec.Stage, Pending: Pending{Op: enforce.OpEdgeInterest, checks: checks}}
 	}
-	return c.edgeDecided(i, from, checks, dec, now)
+	return c.edgeDecided(i, from, checks, dec, hit, now)
 }
 
 // ResumeInterest continues from a Verify step with the verdict: an edge
 // verdict refuses the Interest or lets it into the rest of the pipeline
-// (which may stop at a second Verify), a content verdict answers it.
-func (c *Core) ResumeInterest(i *ndn.Interest, from ndn.FaceID, p Pending, dec enforce.Verdict, now time.Time) Step {
+// (which may stop at a second Verify; a hit is copied into hit, as in
+// OnInterest), a content verdict answers it.
+func (c *Core) ResumeInterest(i *ndn.Interest, from ndn.FaceID, p Pending, dec enforce.Verdict, hit *core.Content, now time.Time) Step {
 	if p.Op == enforce.OpContent {
 		return contentDecided(p.Content, p.checks, dec)
 	}
-	return c.edgeDecided(i, from, p.checks, dec, now)
+	return c.edgeDecided(i, from, p.checks, dec, hit, now)
 }
 
 // edgeDecided acts on Protocol 2's final verdict.
-func (c *Core) edgeDecided(i *ndn.Interest, from ndn.FaceID, checks Checks, dec enforce.Verdict, now time.Time) Step {
+func (c *Core) edgeDecided(i *ndn.Interest, from ndn.FaceID, checks Checks, dec enforce.Verdict, hit *core.Content, now time.Time) Step {
 	if dec.Denied() {
 		return Step{Action: Reply, Stage: dec.Stage, Reply: Answer{Nack: true, Reason: dec.Reason}}
 	}
 	i.Flag = dec.Flag
-	st := c.pipeline(i, from, checks, now)
+	st := c.pipeline(i, from, checks, hit, now)
 	if st.Stage == enforce.StageNone {
 		st.Stage, st.BFHit = dec.Stage, dec.BFHit
 	}
@@ -260,9 +264,9 @@ func contentDecided(content *core.Content, checks Checks, dec enforce.Verdict) S
 }
 
 // pipeline is the walk after edge enforcement: CS, PIT, FIB.
-func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, now time.Time) Step {
+func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *core.Content, now time.Time) Step {
 	if i.Kind == ndn.KindContent {
-		if content, ok := c.cs.Lookup(i.Name); ok {
+		if content, ok := c.cs.LookupInto(i.Name, hit); ok {
 			if checks&Protocol3 == 0 {
 				return Step{Action: Reply, Reply: Answer{Content: content, Flag: i.Flag}}
 			}
@@ -303,10 +307,11 @@ func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, now tim
 // at its edge — is DropUnsolicited before the content store and the Bloom
 // filter, its entry left pending. Otherwise the entry is consumed, its
 // requesters appended to recs (primary first; a caller's stack array keeps
-// the common case off the heap), the content cached if the driver allows,
-// and a registration response's fresh tag inserted into an edge's filter
-// (Protocol 2 lines 11-12). A registration response then goes to every
-// requester as it came; any other Data is decided per requester, OnRecord.
+// the common case off the heap), a copy of the content cached if the
+// driver allows, and a registration response's fresh tag inserted into an
+// edge's filter (Protocol 2 lines 11-12). A registration response then
+// goes to every requester as it came; any other Data is decided per
+// requester, OnRecord.
 // An origin forwards nothing, so every Data it hears is unsolicited.
 func (c *Core) OnData(d *ndn.Data, from ndn.FaceID, cache bool, recs []ndn.PITRecord) ([]ndn.PITRecord, string) {
 	if c.role == RoleOrigin {

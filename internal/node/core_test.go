@@ -96,9 +96,9 @@ func (e *env) content(name names.Name, level core.AccessLevel) *core.Content {
 
 // interest runs one Interest to a final step, verifying inline.
 func (e *env) interest(i *ndn.Interest, from ndn.FaceID, checks Checks) Step {
-	st := e.OnInterest(i, from, checks, now)
+	st := e.OnInterest(i, from, checks, nil, now)
 	for st.Action == Verify {
-		st = e.ResumeInterest(i, from, st.Pending, e.tactic.VerifyMiss(st.Pending.Input(i, now)), now)
+		st = e.ResumeInterest(i, from, st.Pending, e.tactic.VerifyMiss(st.Pending.Input(i, now)), nil, now)
 	}
 	return st
 }
@@ -141,11 +141,11 @@ func TestCoreRows(t *testing.T) {
 			e := newEnv(t, RoleCore, scheme)
 			e.cs.Insert(e.content(private, 2))
 			i := &ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 1, Tag: e.tag(t, e.rogue, "mallory")}
-			st := e.OnInterest(i, 1, Protocol3, now)
+			st := e.OnInterest(i, 1, Protocol3, nil, now)
 			if st.Action != Verify || st.Pending.Op != enforce.OpContent || st.Stage != enforce.StageContent {
 				t.Fatalf("unseen tag at F = 0: %+v, want Verify on the content checkpoint", st)
 			}
-			st = e.ResumeInterest(i, 1, st.Pending, e.tactic.VerifyMiss(st.Pending.Input(i, now)), now)
+			st = e.ResumeInterest(i, 1, st.Pending, e.tactic.VerifyMiss(st.Pending.Input(i, now)), nil, now)
 			if st.Action != Reply || st.Reply.Content == nil || !st.Reply.Nack || !errors.Is(st.Reply.Reason, core.ErrTagForged) {
 				t.Errorf("forged tag on a hit: %+v, want the content alongside a forged NACK", st.Reply)
 			}
@@ -157,7 +157,7 @@ func TestCoreRows(t *testing.T) {
 			e := newEnv(t, RoleCore, scheme)
 			e.cs.Insert(e.content(private, 2))
 			i := &ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 1, Flag: 0.5}
-			st := e.OnInterest(i, 1, 0, now)
+			st := e.OnInterest(i, 1, 0, nil, now)
 			if st.Action != Reply || st.Reply.Content == nil || st.Reply.Nack || st.Reply.Flag != 0.5 || st.Stage != enforce.StageNone {
 				t.Errorf("plain NDN hit: %+v, want the content, F passed through, no checkpoint", st)
 			}
@@ -169,11 +169,11 @@ func TestCoreRows(t *testing.T) {
 			e := newEnv(t, RoleEdge, scheme)
 			checks := Protocol2 | Protocol3
 			i := &ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 1, Tag: e.tag(t, e.prov, "alice"), AccessPath: apHome}
-			st := e.OnInterest(i, 1, checks, now)
+			st := e.OnInterest(i, 1, checks, nil, now)
 			if st.Action != Verify || st.Pending.Op != enforce.OpEdgeInterest {
 				t.Fatalf("unseen tag at the edge: %+v, want Verify on the edge checkpoint", st)
 			}
-			if shed := e.ResumeInterest(i, 1, st.Pending, enforce.Shed(st.Stage), now); shed.Action != Reply ||
+			if shed := e.ResumeInterest(i, 1, st.Pending, enforce.Shed(st.Stage), nil, now); shed.Action != Reply ||
 				!shed.Reply.Nack || shed.Reply.Content != nil || !errors.Is(shed.Reply.Reason, core.ErrOverload) {
 				t.Errorf("shed: %+v, want a bare overload NACK", shed)
 			}
@@ -448,8 +448,9 @@ func TestBFAdvertCarriesTheWholeFilter(t *testing.T) {
 // same traffic applied to bare tables is the allowance (zero, but for the
 // records slice a second requester grows).
 
-// TestOnInterestAllocs: a content-store hit through both checkpoints, a
-// forward and an aggregate.
+// TestOnInterestAllocs: a content-store hit through both checkpoints,
+// copied into the caller's reused destination, a forward and an
+// aggregate.
 func TestOnInterestAllocs(t *testing.T) {
 	e := newEnv(t, RoleEdge, core.SchemeTACTIC)
 	checks := Protocol2 | Protocol3
@@ -460,8 +461,9 @@ func TestOnInterestAllocs(t *testing.T) {
 	if st := e.interest(hit, 1, checks); st.Action != Reply || st.Reply.Nack {
 		t.Fatalf("warm: %+v", st)
 	}
+	var dst core.Content
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if st := e.OnInterest(hit, 1, checks, now); st.Action != Reply || st.Reply.Nack {
+		if st := e.OnInterest(hit, 1, checks, &dst, now); st.Action != Reply || st.Reply.Nack || st.Reply.Content != &dst {
 			t.Fatalf("%+v", st)
 		}
 	}); allocs != 0 {
@@ -474,11 +476,11 @@ func TestOnInterestAllocs(t *testing.T) {
 	var scratch [4]ndn.PITRecord
 	cycle := func(aggregate bool) func() {
 		return func() {
-			if st := e.OnInterest(first, 1, checks, now); st.Action != Forward {
+			if st := e.OnInterest(first, 1, checks, nil, now); st.Action != Forward {
 				t.Fatalf("%+v", st)
 			}
 			if aggregate {
-				if st := e.OnInterest(second, 2, checks, now); st.Action != Aggregate || st.Face != upFace {
+				if st := e.OnInterest(second, 2, checks, nil, now); st.Action != Aggregate || st.Face != upFace {
 					t.Fatalf("%+v", st)
 				}
 			}

@@ -361,17 +361,26 @@ func liveRequest(info *topoInfo, mat *material, fwds map[int]*forwarder.Forwarde
 // liveFlood replays the burst step of a flood scenario: every request
 // in [lo, hi) is sent back-to-back on ONE client connection — the
 // admission budget is per arrival face, so the burst must share one —
-// while the verify gate is held. Once the edge has read the whole
-// burst (its Interest counter has advanced by the burst size, which
-// holds whether or not admission is enforced — the property that lets
-// the harness catch an uncapped plane rather than hang on it), the
-// gate opens and the burst's verdicts are collected: admitted forged
-// tags NACK "forged", over-budget ones were already shed "overload".
+// while the verify gate is held. Once the edge has decided admission for
+// the whole burst — parked, in flight (held at the gate) and shed have
+// together advanced by the burst size, which holds whether or not
+// admission is enforced, the property that lets the harness catch an
+// uncapped plane rather than hang on it — the gate opens and the burst's
+// verdicts are collected: admitted forged tags NACK "forged", over-budget
+// ones were already shed "overload". (The edge's Interest counter is no
+// such signal: it counts an Interest before admission, so a verdict let
+// through on it could free a slot the burst's last Interest then takes.)
 func liveFlood(scn *Scenario, info *topoInfo, mat *material, fwds map[int]*forwarder.Forwarder,
 	gate *gatedVerifier, outcomes []PlaneOutcome, lo, hi int, nonce *uint64) error {
 	edge := fwds[info.edges[info.userEdge[scn.Flood.User]]]
-	before := edge.Stats().Interests
-	burst := uint64(hi - lo)
+	// decided counts the burst Interests admission has settled: parked,
+	// in a worker's verification, or shed.
+	decided := func() int64 {
+		st := edge.Status()
+		return st.VerifyPool.Parked + edge.Tactic().Validator().InFlight() + int64(st.VerifyPool.Sheds)
+	}
+	before := decided()
+	burst := int64(hi - lo)
 
 	// TCP, not net.Pipe: the shed NACKs are written by the edge's reader
 	// goroutine before the client starts reading, and the socket buffers
@@ -402,10 +411,10 @@ func liveFlood(scn *Scenario, info *topoInfo, mat *material, fwds map[int]*forwa
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for edge.Stats().Interests-before < burst {
+	for decided()-before < burst {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("oracle: edge read %d of %d burst Interests before deadline",
-				edge.Stats().Interests-before, burst)
+			return fmt.Errorf("oracle: edge decided admission for %d of %d burst Interests before deadline",
+				decided()-before, burst)
 		}
 		time.Sleep(time.Millisecond)
 	}

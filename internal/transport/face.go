@@ -206,7 +206,7 @@ func (fc *faceCore) decode(typ byte, frame []byte, n uint64, s *Scratch) (pkt Pa
 	case typ == typeInterest:
 		pkt.Interest, err = ndn.DecodeInterest(frame)
 	case typ == typeData && s != nil:
-		pkt.Data, err = &s.Data, ndn.DecodeDataInto(&s.Data, frame)
+		pkt.Data, err = &s.Data, ndn.DecodeDataInto(&s.Data, &s.Content, frame)
 	case typ == typeData:
 		pkt.Data, err = ndn.DecodeData(frame)
 	case typ == typeControl:

@@ -65,9 +65,9 @@ func tcpPair(t *testing.T) (*Conn, *Conn) {
 }
 
 // TestReceiveIntoAllocs holds a reader-owned receive to what its caller
-// keeps, over a stream pair and over a datagram pair: an Interest costs
-// nothing, a Data with content its Content and the Content's copy of
-// its encoding.
+// keeps, over a stream pair and over a datagram pair: nothing. An
+// Interest and a Data decode into the scratch targets, a Data's Content
+// into the scratch's Content, whose encoding buffer carries over.
 func TestReceiveIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
@@ -106,7 +106,7 @@ func TestReceiveIntoAllocs(t *testing.T) {
 			want  float64
 		}{
 			{"Interest", interest, 0},
-			{"Data", data, 2},
+			{"Data", data, 0},
 		} {
 			roundTrip := func() {
 				if err := p.from.SendFrame(pkt.frame); err != nil {
@@ -116,7 +116,8 @@ func TestReceiveIntoAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (got.Interest != &s.Interest) == (got.Data != &s.Data) {
+				if (got.Interest != &s.Interest) == (got.Data != &s.Data) ||
+					got.Data != nil && got.Data.Content != &s.Content {
 					t.Fatalf("%s: packet not decoded into the scratch target: %+v", p.name, got)
 				}
 			}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/obs"
 )
@@ -88,9 +89,9 @@ type Face interface {
 	// caller's to keep.
 	Receive() (Packet, error)
 	// ReceiveInto is Receive with the reader owning the packet: an
-	// Interest or a Data is decoded into s, and the packet is valid
-	// until the reader's next call with s. What it must keep longer it
-	// copies; a Data's Content is its own object, safe to keep.
+	// Interest or a Data — its Content included — is decoded into s, and
+	// the packet is valid until the reader's next call with s. What it
+	// must keep longer it copies: a content store copies the Content in.
 	ReceiveInto(s *Scratch) (Packet, error)
 	// SendInterest, SendData, and SendControl encode and send one packet.
 	SendInterest(*ndn.Interest) error
@@ -131,10 +132,12 @@ type Packet struct {
 }
 
 // Scratch is a reader's decode target for ReceiveInto: one per reader,
-// reused for every packet it receives.
+// reused for every packet it receives. A Data's Content decodes into
+// Content, whose encoding buffer carries over from packet to packet.
 type Scratch struct {
 	Interest ndn.Interest
 	Data     ndn.Data
+	Content  core.Content
 }
 
 // Stats is a snapshot of one face's ledger. The face counts each frame
