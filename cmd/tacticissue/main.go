@@ -1,7 +1,10 @@
-// Command tacticissue operates the tag lifecycle control plane: it
-// mints, renews, and revokes TACTIC tags against a persisted ledger and
-// pushes revocation-set and epoch-rotation control frames to running
-// forwarders.
+// Command tacticissue is the operator's side of a provider's grant
+// ledger: it replays the ledger into a core.Provider (OpenLedger), the
+// one issuer that also answers registrations, mints, renews and revokes
+// tags through it, and pushes revocation-set and epoch-rotation control
+// frames to running forwarders. Each run appends to the ledger and
+// exits; a running origin (tacticd -role producer) keeps its grants in
+// memory, so its registration tags are not in this file.
 //
 //	tacticissue issue  -ledger prov0.ledger -key prov0.key \
 //	                   -client /users/alice/KEY/1 -level 2 -ap e0 -ttl 30s -out alice.tag
@@ -24,7 +27,6 @@ import (
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
-	"github.com/tactic-icn/tactic/internal/lifecycle"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/pki"
@@ -64,11 +66,12 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// openService opens the ledger with the provider signing key at
-// keyPath. Subcommands that never mint a tag (revoke, list, push) pass
+// openProvider replays the ledger into a provider signing with the key
+// at keyPath. Subcommands that never mint a tag (revoke, list, push) pass
 // keyPath == "" and get a throwaway signer: the ledger records grants,
-// not signatures, so replay does not need the real key.
-func openService(ledger, keyPath string) (*lifecycle.Service, error) {
+// not signatures, so replay does not need the real key. The provider's
+// registration TTL goes unused: Issue and Renew take each tag's expiry.
+func openProvider(ledger, keyPath string) (*core.Provider, error) {
 	if ledger == "" {
 		return nil, fmt.Errorf("-ledger is required")
 	}
@@ -89,7 +92,14 @@ func openService(ledger, keyPath string) (*lifecycle.Service, error) {
 			return nil, err
 		}
 	}
-	return lifecycle.Open(ledger, signer)
+	p, err := core.NewProvider(signer.Locator().ProviderPrefix(), signer, time.Hour, rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.OpenLedger(ledger); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func runIssue(args []string) error {
@@ -121,12 +131,12 @@ func runIssue(args []string) error {
 	case *apList != "":
 		ap = core.AccessPathOf(strings.Split(*apList, ",")...)
 	}
-	s, err := openService(*ledger, *keyPath)
+	p, err := openProvider(*ledger, *keyPath)
 	if err != nil {
 		return err
 	}
-	defer s.Close()
-	tag, err := s.Issue(clientKey, core.AccessLevel(*level), ap, time.Now().Add(*ttl))
+	defer p.Close()
+	tag, err := p.Issue(clientKey, core.AccessLevel(*level), ap, time.Now().Add(*ttl))
 	if err != nil {
 		return err
 	}
@@ -157,12 +167,12 @@ func runRenew(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := openService(*ledger, *keyPath)
+	p, err := openProvider(*ledger, *keyPath)
 	if err != nil {
 		return err
 	}
-	defer s.Close()
-	tag, err := s.Renew(tagID, time.Now().Add(*ttl))
+	defer p.Close()
+	tag, err := p.Renew(tagID, time.Now().Add(*ttl))
 	if err != nil {
 		return err
 	}
@@ -186,24 +196,24 @@ func runRevoke(args []string) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("at least one -id is required")
 	}
-	s, err := openService(*ledger, "")
+	p, err := openProvider(*ledger, "")
 	if err != nil {
 		return err
 	}
-	defer s.Close()
+	defer p.Close()
 	var version uint64
 	for _, raw := range ids {
 		id, err := core.ParseTagID(raw)
 		if err != nil {
 			return err
 		}
-		if version, err = s.Revoke(id); err != nil {
+		if version, err = p.Revoke(id); err != nil {
 			return err
 		}
 		fmt.Printf("revoked %s\n", id)
 	}
 	fmt.Printf("revocation set: version %d, %d entries (push with: tacticissue push)\n",
-		version, s.Revocations().Len())
+		version, p.Revocations().Len())
 	return nil
 }
 
@@ -213,13 +223,12 @@ func runList(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, err := openService(*ledger, "")
+	p, err := openProvider(*ledger, "")
 	if err != nil {
 		return err
 	}
-	defer s.Close()
-	var recs []lifecycle.Record
-	s.Records(func(r lifecycle.Record) bool { recs = append(recs, r); return true })
+	defer p.Close()
+	recs := p.Records()
 	sort.Slice(recs, func(i, j int) bool {
 		if !recs[i].Expiry.Equal(recs[j].Expiry) {
 			return recs[i].Expiry.Before(recs[j].Expiry)
@@ -230,9 +239,9 @@ func runList(args []string) error {
 		fmt.Printf("%s %-7s %s level %d ap %016x expiry %s\n",
 			r.ID, r.Status, r.ClientKey, r.Level, uint64(r.AccessPath), r.Expiry.Format(time.RFC3339))
 	}
-	v, revoked := s.Revocations().Snapshot()
+	v, revoked := p.Revocations().Snapshot()
 	fmt.Printf("%d grants, %d outstanding; revocation set version %d (%d entries)\n",
-		len(recs), s.Outstanding(), v, len(revoked))
+		len(recs), p.Outstanding(), v, len(revoked))
 	return nil
 }
 
@@ -250,12 +259,12 @@ func runPush(args []string) error {
 	if len(to) == 0 {
 		return fmt.Errorf("at least one -to address is required")
 	}
-	s, err := openService(*ledger, "")
+	p, err := openProvider(*ledger, "")
 	if err != nil {
 		return err
 	}
-	defer s.Close()
-	version, revoked := s.Revocations().Snapshot()
+	defer p.Close()
+	version, revoked := p.Revocations().Snapshot()
 	frames := []*ndn.Control{{
 		Kind:    ndn.CtrlRevoke,
 		Version: version,

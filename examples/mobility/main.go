@@ -12,8 +12,8 @@
 //     the client's tags — their recorded access path no longer matches
 //     the new location — so the client re-registers at every hop and
 //     the new edge re-validates from scratch.
-//   - Roaming grants (the lifecycle extension): the issuance service
-//     mints tags carrying the AccessPathAny wildcard, so the tag
+//   - Roaming grants (the lifecycle extension): each provider mints
+//     tags carrying the AccessPathAny wildcard, so the tag
 //     survives the move — but each new edge's Bloom filter is cold, so
 //     the client re-pays signature verification at every hop.
 //   - Roaming grants + neighbor BF sync: edges also advertise their
@@ -29,7 +29,6 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/experiment"
-	"github.com/tactic-icn/tactic/internal/lifecycle"
 	"github.com/tactic-icn/tactic/internal/sim"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
@@ -39,7 +38,7 @@ const (
 	handoverGap  = 15 * time.Second
 	mobileCount  = 4
 	firstHandoff = 20 * time.Second
-	// grantAt is when the lifecycle service upgrades the mobile clients
+	// grantAt is when the providers upgrade the mobile clients
 	// to roaming tags — after their first in-band registration (which
 	// also delivers their content keys).
 	grantAt = 10 * time.Second
@@ -114,24 +113,14 @@ func runRegime(roaming, sync bool) (*mobilityStats, error) {
 	}
 
 	if roaming {
-		// The lifecycle service (one per provider, sharing the provider's
-		// signing key) mints roaming grants for the mobile clients once
+		// Each provider mints roaming grants for the mobile clients once
 		// their in-band registration has delivered content keys; edges
 		// advertise their Bloom filters to each other for the rest of the run.
-		services := make([]*lifecycle.Service, len(dep.Providers))
-		for p := range dep.Providers {
-			svc, err := lifecycle.Open("", dep.ProviderSigners[p])
-			if err != nil {
-				return nil, err
-			}
-			defer svc.Close()
-			services[p] = svc
-		}
 		dep.Engine.Schedule(grantAt, func() {
 			for m := 0; m < mobileCount && m < len(dep.ClientIdentities); m++ {
 				cl := dep.ClientIdentities[m]
-				for p, node := range dep.Providers {
-					roam, err := services[p].Issue(cl.KeyLocator(), 3, core.AccessPathAny,
+				for _, node := range dep.Providers {
+					roam, err := node.Provider().Issue(cl.KeyLocator(), 3, core.AccessPathAny,
 						sim.Epoch.Add(duration+time.Hour))
 					if err != nil {
 						log.Printf("roaming grant failed: %v", err)

@@ -152,7 +152,7 @@ func run() error {
 		fmt.Printf("expired tag: dropped at edge pre-check (%v)\n", d.Reason)
 	}
 	// Revocation = not issuing fresh tags (paper §7).
-	provider.Revoke(client.KeyLocator())
+	provider.Unenroll(client.KeyLocator())
 	regReq2, err := client.NewRegistrationRequest(homeAP)
 	if err != nil {
 		return err

@@ -2,9 +2,10 @@
 // on the live forwarding stack. TACTIC's only native revocation is
 // expiry: "a revoked client simply never receives a fresh tag", which
 // leaves a window of up to a full tag lifetime in which a compromised
-// client keeps being served. The lifecycle service closes that window:
+// client keeps being served. The provider's grant ledger closes that
+// window:
 //
-//  1. the issuance service mints a tag against its persisted ledger,
+//  1. the provider mints a tag and records the grant in its ledger,
 //  2. the client fetches content through edge and core routers,
 //  3. the grant is revoked and the new revocation set is pushed to ONE
 //     router over a control TLV — the flood carries it to the rest,
@@ -12,7 +13,7 @@
 //     even though the tag is still validly signed and its bits are
 //     still set in every Bloom filter.
 //
-// The run finishes by reopening the service from its ledger, showing
+// The run finishes by reopening the provider from its ledger, showing
 // the revocation survives a restart, and by timing the push-to-denial
 // revocation latency.
 package main
@@ -28,7 +29,6 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/forwarder"
-	"github.com/tactic-icn/tactic/internal/lifecycle"
 	"github.com/tactic-icn/tactic/internal/names"
 	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/pki"
@@ -44,9 +44,8 @@ func main() {
 func run() error {
 	prefix := names.MustParse("/prov0")
 
-	// Provider identity, trust registry, and the issuance service. The
-	// service signs with the provider's key and records every grant in
-	// an append-only ledger.
+	// Provider identity and trust registry. The provider records every
+	// grant it mints in an append-only ledger.
 	provKey, err := pki.GenerateECDSA(rand.Reader, prefix.MustAppend("KEY", "1"))
 	if err != nil {
 		return err
@@ -57,17 +56,16 @@ func run() error {
 	}
 	ledger := filepath.Join(os.TempDir(), fmt.Sprintf("tactic-revocation-%d.ledger", os.Getpid()))
 	defer os.Remove(ledger)
-	svc, err := lifecycle.Open(ledger, provKey)
+	provider, err := core.NewProvider(prefix, provKey, time.Hour, rand.Reader)
 	if err != nil {
+		return err
+	}
+	if err := provider.OpenLedger(ledger); err != nil {
 		return err
 	}
 
 	// A three-node live deployment on loopback TCP:
 	// client —— edge-0 —— core-0 —— producer.
-	provider, err := core.NewProvider(prefix, provKey, time.Hour, rand.Reader)
-	if err != nil {
-		return err
-	}
 	producer, err := forwarder.NewProducer(provider, registry, nil)
 	if err != nil {
 		return err
@@ -117,14 +115,14 @@ func run() error {
 	// 1. Issue. The grant's T_e is an hour away: under expiry-only
 	// TACTIC the client would stay authorized that whole time.
 	expiry := time.Now().Add(time.Hour)
-	tag, err := svc.Issue(names.MustParse("/users/mallory/KEY/1"), 3,
+	tag, err := provider.Issue(names.MustParse("/users/mallory/KEY/1"), 3,
 		core.EmptyAccessPath.Accumulate("edge-0"), expiry)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("issued  grant %s (AL 3, T_e in %s), ledger %s\n",
 		tag.ID().Short(), time.Until(expiry).Round(time.Minute), filepath.Base(ledger))
-	fmt.Printf("        outstanding grants: %d\n\n", svc.Outstanding())
+	fmt.Printf("        outstanding grants: %d\n\n", provider.Outstanding())
 
 	// 2. Fetch: validated once at the edge, served end to end.
 	client, err := dialClient(edgeAddr)
@@ -142,10 +140,10 @@ func run() error {
 
 	// 3. Revoke and push to the edge only; the control flood carries the
 	// set to the core router too.
-	if _, err := svc.Revoke(tag.ID()); err != nil {
+	if _, err := provider.Revoke(tag.ID()); err != nil {
 		return err
 	}
-	version, ids := svc.Revocations().Snapshot()
+	version, ids := provider.Revocations().Snapshot()
 	pushed := time.Now()
 	pusher, err := dialClient(edgeAddr)
 	if err != nil {
@@ -177,22 +175,25 @@ func run() error {
 		time.Until(expiry).Round(time.Minute))
 	fmt.Printf("        (expiry-only TACTIC serves this tag until T_e; the explicit set closes the window)\n\n")
 
-	// 5. The ledger is durable: a restarted service still refuses the
+	// 5. The ledger is durable: a restarted provider still refuses the
 	// grant and still carries the revocation set.
-	if err := svc.Close(); err != nil {
+	if err := provider.Close(); err != nil {
 		return err
 	}
-	svc2, err := lifecycle.Open(ledger, provKey)
+	restarted, err := core.NewProvider(prefix, provKey, time.Hour, rand.Reader)
 	if err != nil {
 		return err
 	}
-	defer svc2.Close()
-	rec, ok := svc2.Lookup(tag.ID())
+	if err := restarted.OpenLedger(ledger); err != nil {
+		return err
+	}
+	defer restarted.Close()
+	rec, ok := restarted.Lookup(tag.ID())
 	if !ok {
 		return fmt.Errorf("grant lost across restart")
 	}
 	fmt.Printf("restart service reopened from ledger: grant %s status=%s, set v%d with %d entry\n",
-		tag.ID().Short(), rec.Status, svc2.Revocations().Version(), svc2.Revocations().Len())
+		tag.ID().Short(), rec.Status, restarted.Revocations().Version(), restarted.Revocations().Len())
 	fmt.Println("\nrevocation cost: one control frame per push, one exact-set lookup per request —")
 	fmt.Println("no re-encryption, no key redistribution, no waiting out the tag TTL.")
 	return nil

@@ -64,7 +64,7 @@ func run() error {
 	identity := dep.ClientIdentities[0]
 	before := compromised.Stats().Delivery
 	for _, p := range dep.Providers {
-		p.Provider().Revoke(identity.KeyLocator())
+		p.Provider().Unenroll(identity.KeyLocator())
 	}
 	fmt.Printf("t=%s: meter %s revoked (delivered so far: %d chunks)\n",
 		revokeAt, compromised.ID(), before.Received)

@@ -30,10 +30,10 @@ const EmptyAccessPath AccessPath = 0
 // scenario). The value is signed like any AP_u, so it cannot be forged
 // onto an existing tag; the trade-off is that AP-based location binding
 // (threat (e): shared or replayed tags) is disabled for the tag, which
-// is why roaming tags are a deliberate lifecycle-service grant rather
-// than the default. All-ones cannot collide with an accumulated path in
-// practice: accumulation XORs 64-bit FNV hashes, and no realistic
-// entity set XORs to 2^64-1.
+// is why roaming tags are a deliberate operator grant (Provider.Issue)
+// rather than the default. All-ones cannot collide with an accumulated
+// path in practice: accumulation XORs 64-bit FNV hashes, and no
+// realistic entity set XORs to 2^64-1.
 const AccessPathAny AccessPath = ^AccessPath(0)
 
 // HashEntityID hashes a network entity identity for access-path

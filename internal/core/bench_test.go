@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,4 +62,92 @@ func BenchmarkAccessPathAccumulate(b *testing.B) {
 		ap = ap.Accumulate("ap-7")
 	}
 	_ = ap
+}
+
+// benchProvider is a provider whose signer and content key come from a
+// fixed seed.
+func benchProvider(b *testing.B) *Provider {
+	b.Helper()
+	rng := rand.New(rand.NewSource(3))
+	signer, err := pki.GenerateFast(rng, names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProvider(names.MustParse("/prov0"), signer, time.Hour, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkIssue measures minting and recording a grant from parallel
+// callers.
+func BenchmarkIssue(b *testing.B) {
+	p := benchProvider(b)
+	client := names.MustParse("/u/alice/KEY/1")
+	var i atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			n := i.Add(1)
+			if _, err := p.Issue(client, AccessLevel(n%7), AccessPath(n), time.Unix(int64(1<<31+n), 0)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkRevoke measures revocation at a realistic storm size: the
+// revocation set is copy-on-write (reads on the router hot path are
+// lock-free), so cost grows with set size; this benchmark bounds it at
+// 4096 live revocations.
+func BenchmarkRevoke(b *testing.B) {
+	const pool = 4096
+	client := names.MustParse("/u/alice/KEY/1")
+	var p *Provider
+	var ids []TagID
+	rebuild := func() {
+		p = benchProvider(b)
+		ids = ids[:0]
+		for i := 0; i < pool; i++ {
+			tag, err := p.Issue(client, 1, AccessPath(uint64(i)), time.Unix(int64(1<<31+i), 0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, tag.ID())
+		}
+	}
+	rebuild()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%pool == 0 && i > 0 {
+			b.StopTimer()
+			rebuild()
+			b.StartTimer()
+		}
+		if _, err := p.Revoke(ids[i%pool]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLedgerIssue measures minting with the ledger on the write
+// path.
+func BenchmarkLedgerIssue(b *testing.B) {
+	p := benchProvider(b)
+	if err := p.OpenLedger(b.TempDir() + "/ledger"); err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	client := names.MustParse("/u/alice/KEY/1")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Issue(client, 1, AccessPath(uint64(i)), time.Unix(int64(1<<31+i), 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

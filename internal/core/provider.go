@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"crypto/ecdh"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"sync"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/names"
@@ -34,7 +37,9 @@ type RegistrationRequest struct {
 	// AccessPath is the path accumulated en route and frozen by the edge
 	// router.
 	AccessPath AccessPath
-	// Nonce prevents replay of old registration requests.
+	// Nonce is covered by the credential, but Register does not check
+	// it for freshness: a captured request can be replayed (replay marks
+	// are open, ROADMAP.md item 11).
 	Nonce uint64
 	// Credential is the client's signature over SigningBytes.
 	Credential []byte
@@ -79,16 +84,26 @@ type enrollment struct {
 }
 
 // Provider is a TACTIC content provider: it enrolls clients out of band,
-// answers registration requests with signed tags, and publishes
-// encrypted, access-levelled content.
+// answers registration requests with signed tags, publishes encrypted,
+// access-levelled content, and is the one issuer of its tags: every tag
+// it mints is recorded as a grant that can be renewed or revoked by ID
+// (see grants.go). Safe for concurrent use.
 type Provider struct {
 	prefix     names.Name
 	signer     pki.Signer
 	tagTTL     time.Duration
-	enrolled   map[string]enrollment
 	contentKey [pki.ContentKeySize]byte
-	rng        io.Reader
-	issued     uint64
+	rev        *RevocationSet
+
+	mu       sync.Mutex // guards everything below and the use of rng
+	rng      io.Reader
+	enrolled map[string]enrollment
+	issued   uint64
+	grants   map[TagID]*Grant
+	active   int // grants in GrantActive
+	sweepAt  int // grant count at which Register next sweeps
+	ledger   *os.File
+	ledgerW  *bufio.Writer
 }
 
 // NewProvider creates a provider owning the given name prefix. tagTTL is
@@ -102,8 +117,10 @@ func NewProvider(prefix names.Name, signer pki.Signer, tagTTL time.Duration, rng
 		prefix:   prefix,
 		signer:   signer,
 		tagTTL:   tagTTL,
-		enrolled: make(map[string]enrollment),
+		rev:      NewRevocationSet(),
 		rng:      rng,
+		enrolled: make(map[string]enrollment),
+		grants:   make(map[TagID]*Grant),
 	}
 	if _, err := io.ReadFull(rng, p.contentKey[:]); err != nil {
 		return nil, fmt.Errorf("core: provider content key: %w", err)
@@ -124,26 +141,34 @@ func (p *Provider) TagTTL() time.Duration { return p.tagTTL }
 // level. Enrollment models the out-of-band account setup that precedes
 // TACTIC's in-band registration.
 func (p *Provider) Enroll(clientKey names.Name, key pki.PublicKey, level AccessLevel) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.enrolled[clientKey.Key()] = enrollment{key: key, level: level}
 }
 
-// Revoke removes a client's account. The client keeps any tag it already
-// holds until T_e — time-based revocation is TACTIC's mechanism; a
-// shorter TTL tightens the revocation window.
-func (p *Provider) Revoke(clientKey names.Name) {
+// Unenroll removes a client's account. The client keeps any tag it
+// already holds until T_e — time-based revocation is TACTIC's mechanism;
+// a shorter TTL tightens the window, and Revoke closes it for one grant.
+func (p *Provider) Unenroll(clientKey names.Name) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	delete(p.enrolled, clientKey.Key())
 }
 
 // Enrolled reports whether a client currently has an account.
 func (p *Provider) Enrolled(clientKey names.Name) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	_, ok := p.enrolled[clientKey.Key()]
 	return ok
 }
 
 // Register processes a registration request at virtual time now: it
 // verifies the credential against the enrolled key and returns a fresh
-// signed tag with expiry now + TTL (paper §4.A).
+// signed tag with expiry now + TTL (paper §4.A), recorded as a grant.
 func (p *Provider) Register(req RegistrationRequest, now time.Time) (*RegistrationResponse, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	acct, ok := p.enrolled[req.ClientKey.Key()]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotEnrolled, req.ClientKey)
@@ -151,7 +176,10 @@ func (p *Provider) Register(req RegistrationRequest, now time.Time) (*Registrati
 	if err := acct.key.Verify(req.SigningBytes(), req.Credential); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadCredential, err)
 	}
-	tag, err := IssueTag(p.signer, req.ClientKey, acct.level, req.AccessPath, now.Add(p.tagTTL))
+	if len(p.grants) >= p.sweepAt {
+		p.sweep(now)
+	}
+	tag, err := p.mint(req.ClientKey, acct.level, req.AccessPath, now.Add(p.tagTTL), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +195,13 @@ func (p *Provider) Register(req RegistrationRequest, now time.Time) (*Registrati
 	return resp, nil
 }
 
-// TagsIssued returns the number of tags issued (Fig. 6's R series at the
-// provider side).
-func (p *Provider) TagsIssued() uint64 { return p.issued }
+// TagsIssued returns the number of tags issued at registration (Fig. 6's
+// R series at the provider side).
+func (p *Provider) TagsIssued() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.issued
+}
 
 // Content is one published chunk: ciphertext plus the signed
 // access-control metadata TACTIC routers act on.
@@ -209,6 +241,8 @@ func (p *Provider) Publish(name names.Name, level AccessLevel, plaintext []byte)
 	if !name.HasPrefix(p.prefix) {
 		return nil, fmt.Errorf("core: publish %s outside provider prefix %s", name, p.prefix)
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	payload := plaintext
 	if level != Public {
 		ct, err := pki.EncryptContent(p.rng, p.contentKey, name.String(), plaintext)

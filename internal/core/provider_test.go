@@ -171,7 +171,7 @@ func TestRevocationStopsFreshTags(t *testing.T) {
 	if _, err := p.Register(req, testTime(1)); err != nil {
 		t.Fatal(err)
 	}
-	p.Revoke(client.KeyLocator())
+	p.Unenroll(client.KeyLocator())
 	if p.Enrolled(client.KeyLocator()) {
 		t.Error("revoked client still enrolled")
 	}

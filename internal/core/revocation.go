@@ -8,9 +8,9 @@ import (
 // RevocationSet is the router-side half of explicit revocation: a small
 // exact set of revoked TagIDs, consulted before the Bloom filter on
 // every enforcement path so a revoked tag is denied without waiting for
-// its T_e. TACTIC's only native revocation mechanism is expiry; the
-// lifecycle control plane (internal/lifecycle) closes that gap by
-// pushing this set to routers over control TLVs.
+// its T_e. TACTIC's only native revocation mechanism is expiry; a
+// provider's grant store closes that gap (Provider.Revoke) and its set is
+// pushed to routers over control TLVs.
 //
 // The set is versioned: every update advances a monotonic version, and
 // pushed updates carry the issuer's version so routers (and the

@@ -35,7 +35,7 @@ var (
 	// malicious provider, paper §6.B).
 	ErrProviderKeyMismatch = errors.New("core: provider key locator mismatch")
 	// ErrTagRevoked: the tag's ID is in the router's pushed revocation
-	// set — explicitly revoked by the issuance control plane before its
+	// set — explicitly revoked by its provider (Provider.Revoke) before its
 	// T_e (the lifecycle extension; TACTIC's native revocation is expiry
 	// only).
 	ErrTagRevoked = errors.New("core: tag revoked")

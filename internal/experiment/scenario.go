@@ -346,10 +346,6 @@ type Deployment struct {
 	// ClientKeys are the clients' verifying keys, aligned with Clients
 	// (for custom enrollment levels).
 	ClientKeys []pki.PublicKey
-	// ProviderSigners are the providers' signing keys, aligned with
-	// Providers — the credential a lifecycle issuance service needs to
-	// mint out-of-band grants (e.g. roaming tags) for this deployment.
-	ProviderSigners []pki.Signer
 
 	b *builder
 }
@@ -418,7 +414,6 @@ func build(s Scenario) (*Deployment, error) {
 		Attackers:        b.attackers,
 		ClientIdentities: b.clientCores,
 		ClientKeys:       b.clientKeys,
-		ProviderSigners:  b.provSigners,
 		b:                b,
 	}, nil
 }
@@ -463,11 +458,10 @@ type builder struct {
 	traitor  *core.TraitorDetector
 	spans    *bytes.Buffer // every node's spans as JSON lines; nil unless tracing
 
-	registry    *pki.Registry
-	provSigners []pki.Signer
-	providers   []*network.RouterNode
-	provPrefix  []names.Name
-	regNames    map[string]names.Name
+	registry   *pki.Registry
+	providers  []*network.RouterNode
+	provPrefix []names.Name
+	regNames   map[string]names.Name
 
 	routers      []*network.RouterNode
 	edgeRouters  []*network.RouterNode
@@ -525,7 +519,6 @@ func (b *builder) setupPKIAndProviders() error {
 			return err
 		}
 		b.net.SetNode(idx, node)
-		b.provSigners = append(b.provSigners, signer)
 		b.providers = append(b.providers, node)
 		b.provPrefix = append(b.provPrefix, prefix)
 		b.regNames[prefix.Key()] = node.RegistrationName()
@@ -739,8 +732,8 @@ func (b *builder) attackerSource(kind AttackerKind, id string, ap core.AccessPat
 		// The attacker is a revoked client: it holds tags that expired
 		// at the simulation epoch and is no longer enrolled anywhere.
 		src := workload.NewExpiredTagSource(cl, ap)
-		for i, p := range b.providers {
-			tag, err := core.IssueTag(b.provSigners[i], cl.KeyLocator(), s.ClientLevel, ap, sim.Epoch.Add(-time.Second))
+		for _, p := range b.providers {
+			tag, err := p.Provider().Issue(cl.KeyLocator(), s.ClientLevel, ap, sim.Epoch.Add(-time.Second))
 			if err != nil {
 				return nil, err
 			}

@@ -70,8 +70,8 @@ func (f *Forwarder) floodControl(m *ndn.Control, except ndn.FaceID) {
 
 // ApplyRevocation applies a revocation-set update as a CtrlRevoke frame
 // originated here — flooded to every attached face when it advances the
-// set — and reports whether it did (used by drivers that host the
-// issuance service in-process).
+// set — and reports whether it did (used by drivers that hold the
+// provider in-process).
 func (f *Forwarder) ApplyRevocation(version uint64, full bool, revoked []core.TagID) bool {
 	return f.handleControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Origin: f.cfg.ID, Full: full, Revoked: revoked}, ndn.FaceNone)
 }

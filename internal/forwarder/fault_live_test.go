@@ -180,7 +180,7 @@ func (fn *faultNet) enrolledClient(name string) *Client {
 	if err != nil {
 		fn.t.Fatal(err)
 	}
-	fn.producer.Enroll(identity.KeyLocator(), key.Public(), 3)
+	fn.producer.Provider().Enroll(identity.KeyLocator(), key.Public(), 3)
 	cl, err := Dial(fn.edgeAddr, identity, name, "edge-0")
 	if err != nil {
 		fn.t.Fatal(err)

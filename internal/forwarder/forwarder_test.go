@@ -147,7 +147,7 @@ func (n *liveNetwork) newLiveClient(t testing.TB, name string, level core.Access
 		t.Fatal(err)
 	}
 	if level > 0 {
-		n.producer.Enroll(identity.KeyLocator(), key.Public(), level)
+		n.producer.Provider().Enroll(identity.KeyLocator(), key.Public(), level)
 	}
 	cl, err := Dial(n.edgeAddr, identity, name, "edge-0")
 	if err != nil {
@@ -469,7 +469,7 @@ func TestLiveExpiredTagRejectedAfterTTL(t *testing.T) {
 	// the stale tag is rejected and re-registration is refused. Polling
 	// (instead of sleeping past the 700 ms TTL) keeps the test synced to
 	// the expiry event on a loaded machine.
-	n.producer.Revoke(mustClientKey(t, alice))
+	n.producer.Provider().Unenroll(mustClientKey(t, alice))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := alice.Fetch(n.prefix.MustAppend("report", "chunk1"), liveTimeout); err != nil {
@@ -479,6 +479,36 @@ func TestLiveExpiredTagRejectedAfterTTL(t *testing.T) {
 			t.Fatal("revoked client still fetching long after tag expiry")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestLiveRevokeRegisteredTagByID: a client registers through the origin,
+// the operator revokes that tag by ID on the origin's provider and pushes
+// the provider's revocation set to the edge, and the edge NACKs the next
+// request under the tag as revoked, long before its T_e.
+func TestLiveRevokeRegisteredTagByID(t *testing.T) {
+	n := startLiveNetwork(t, time.Hour)
+	defer n.Close()
+	alice := n.newLiveClient(t, "alice", 3)
+	defer alice.Close()
+	if _, err := alice.Fetch(n.prefix.MustAppend("report", "chunk0"), liveTimeout); err != nil {
+		t.Fatal(err)
+	}
+	tag := alice.identity.TagFor(n.prefix, alice.ap, time.Now())
+	if tag == nil {
+		t.Fatal("no tag held after registering")
+	}
+	provider := n.producer.Provider()
+	if _, err := provider.Revoke(tag.ID()); err != nil {
+		t.Fatalf("revoking the registered tag by ID: %v", err)
+	}
+	version, ids := provider.Revocations().Snapshot()
+	if !n.edgeFwd.ApplyRevocation(version, true, ids) {
+		t.Fatal("the edge did not take the pushed revocation set")
+	}
+	d := n.askTag(t, n.prefix.MustAppend("report", "chunk1"), tag, 1, tag.Encode())
+	if d == nil || !d.Nack || d.Content != nil || !errors.Is(d.NackReason, core.ErrTagRevoked) {
+		t.Fatalf("request under the revoked tag answered %+v, want a NACK for a revoked tag", d)
 	}
 }
 

@@ -168,7 +168,7 @@ func (e *originEnv) registration(user string, enrolled bool, nonce uint64) *ndn.
 		e.t.Fatal(err)
 	}
 	if enrolled {
-		e.prod.Enroll(client.KeyLocator(), key.Public(), 3)
+		e.prod.Provider().Enroll(client.KeyLocator(), key.Public(), 3)
 	}
 	req, err := client.NewRegistrationRequest(core.EmptyAccessPath.Accumulate("edge-0"))
 	if err != nil {

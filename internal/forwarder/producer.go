@@ -4,7 +4,6 @@ import (
 	"math"
 	"net"
 	"strconv"
-	"sync"
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/names"
@@ -21,10 +20,8 @@ import (
 // (verify pool, per-face budget and shedding included), plus the provider
 // state that answers registration Interests with fresh tags.
 type Producer struct {
-	node *Forwarder
-
-	mu       sync.Mutex // guards provider
-	provider *core.Provider
+	node     *Forwarder
+	provider *core.Provider // locks itself
 
 	registrations, regFailed *obs.Counter
 }
@@ -56,19 +53,9 @@ func NewProducerWithConfig(provider *core.Provider, cfg Config) (*Producer, erro
 	return p, nil
 }
 
-// Enroll creates (or updates) a client account; safe while serving.
-func (p *Producer) Enroll(clientKey names.Name, key pki.PublicKey, level core.AccessLevel) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.provider.Enroll(clientKey, key, level)
-}
-
-// Revoke removes a client's account; safe while serving.
-func (p *Producer) Revoke(clientKey names.Name) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.provider.Revoke(clientKey)
-}
+// Provider returns the origin's provider: enrol, issue and revoke through
+// it while serving.
+func (p *Producer) Provider() *core.Provider { return p.provider }
 
 // SetTracer records a per-Interest span at the origin for traced
 // requests. Call before Serve.
@@ -130,8 +117,8 @@ func (p *Producer) ServeFaces(l transport.FaceListener) error { return p.node.Se
 func (p *Producer) ServeConn(conn net.Conn) { p.node.AddFace(transport.New(conn), true) }
 
 // register is the origin's end of the Interest pipeline (node.Register):
-// a registration Interest is answered with a fresh tag under the
-// provider's lock, or — malformed or refused — with silence.
+// a registration Interest is answered with a fresh tag, or — malformed or
+// refused — with silence.
 func (p *Producer) register(a arrival) {
 	f := p.node
 	if a.i.Registration == nil {
@@ -139,9 +126,7 @@ func (p *Producer) register(a arrival) {
 		a.sp.End("drop:bad_registration", 0)
 		return
 	}
-	p.mu.Lock()
 	resp, err := p.provider.Register(*a.i.Registration, a.now)
-	p.mu.Unlock()
 	if err != nil {
 		p.regFailed.Inc()
 		f.logf("registration rejected: %v", err)

@@ -180,7 +180,7 @@ func (un *udpNet) enrolledClient(name string) *Client {
 	if err != nil {
 		un.t.Fatal(err)
 	}
-	un.producer.Enroll(identity.KeyLocator(), key.Public(), 3)
+	un.producer.Provider().Enroll(identity.KeyLocator(), key.Public(), 3)
 	cl, err := Dial("udp://"+un.edgeAddr, identity, name, "edge-0")
 	if err != nil {
 		un.t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 	"github.com/tactic-icn/tactic/internal/core"
 )
 
-// Control frames are the lifecycle control plane's wire format: the
-// issuance service pushes revocation-set updates and epoch rotations to
+// Control frames are the lifecycle control plane's wire format: a
+// provider's operator pushes revocation-set updates and epoch rotations to
 // routers, and edge routers advertise their validated-tag filters to
 // their peers. Control rides next to Interest/Data as its own outer TLV type
 // (0x61, in the reserved range beside the transport keepalive), so

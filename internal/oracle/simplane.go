@@ -195,7 +195,7 @@ func RunSim(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, er
 	}
 
 	// Seed the scenario's revocation set everywhere before any request —
-	// the simulated equivalent of the issuance service's CtrlRevoke push
+	// the simulated equivalent of the provider's CtrlRevoke push
 	// having flooded the deployment. The set is populated even when the
 	// plane under test disables the revocation *check*: the injected bug
 	// is "forgot to consult the set", not "never received the push".
