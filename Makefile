@@ -66,7 +66,10 @@ build:
 # grant store (Provider.mint) and at the sites that mint on purpose
 # without one — the forgers in internal/workload/sources.go and
 # examples/quickstart and the oracle's fixtures in
-# internal/oracle/material.go.
+# internal/oracle/material.go, and the twenty-fourth when the conformance
+# generator isolates requests in (step, name) slots of their own again
+# (aggregationVariant: a live router re-sends the primary's Interest for
+# an aggregate, so aggregation cannot change a verdict).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -93,6 +96,7 @@ vet:
 	test ! -e internal/lifecycle
 	! grep -rn --include='*.go' 'grantShards' internal cmd examples
 	! grep -rnE --include='*.go' '\bIssueTag\(' internal cmd examples | grep -v '_test\.go:' | grep -vE '^internal/core/tag\.go:[0-9]+:func IssueTag\(|^internal/core/grants\.go:|^(internal/workload/sources|internal/oracle/material|examples/quickstart/main)\.go:'
+	! grep -rn --include='*.go' 'aggregationVariant' internal cmd examples
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

@@ -83,6 +83,9 @@ var (
 	// renewed or revoked. Revoke takes an active or a renewed grant, and
 	// revoking a revoked one is a no-op.
 	ErrNotActive = errors.New("core: grant is not active")
+	// ErrRevokedGrant is returned when minting a tuple whose ID is
+	// already revoked: the grant stays revoked.
+	ErrRevokedGrant = errors.New("core: grant is revoked")
 	// ErrLedgerCorrupt is returned when replay hits a malformed line
 	// that is not a torn final append.
 	ErrLedgerCorrupt = errors.New("core: corrupt grant ledger")
@@ -138,7 +141,13 @@ func (p *Provider) Revoke(id TagID) (uint64, error) {
 
 // mint signs a tag and records its grant, superseding renewed when it is
 // not nil; p.mu is held, so a grant's check, mint and mark are one step.
+// A revoked ID stays revoked: re-minting its tuple is refused before
+// anything is signed or written.
 func (p *Provider) mint(clientKey names.Name, level AccessLevel, ap AccessPath, expiry time.Time, renewed *Grant) (*Tag, error) {
+	tuple := Tag{ProviderKey: p.signer.Locator(), Level: level, ClientKey: clientKey, AccessPath: ap, Expiry: expiry}
+	if id := tuple.ID(); p.rev.Contains(id) {
+		return nil, fmt.Errorf("%w: %s", ErrRevokedGrant, id)
+	}
 	tag, err := IssueTag(p.signer, clientKey, level, ap, expiry)
 	if err != nil {
 		return nil, err
@@ -157,9 +166,13 @@ func (p *Provider) mint(clientKey names.Name, level AccessLevel, ap AccessPath, 
 
 // install records g, superseding renewed when it is active. Re-minting
 // an identical tuple (same ID, as a renewal to the same expiry is)
-// replaces the previous record: the grant is one logical thing.
+// replaces the previous record: the grant is one logical thing. An ID
+// in the revocation set is recorded revoked: mint refuses one, so only
+// replaying a ledger that re-issued a revoked tuple gets here with it.
 func (p *Provider) install(g *Grant, renewed *Grant) {
-	if prev, ok := p.grants[g.ID]; !ok || prev.Status != GrantActive {
+	if p.rev.Contains(g.ID) {
+		g.Status = GrantRevoked
+	} else if prev, ok := p.grants[g.ID]; !ok || prev.Status != GrantActive {
 		p.active++
 	}
 	p.grants[g.ID] = g

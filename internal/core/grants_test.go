@@ -161,6 +161,61 @@ func TestLedgerReplay(t *testing.T) {
 	}
 }
 
+// TestReissueRevokedStaysRevoked: issuing a revoked tuple again (the
+// same TagID) is refused before anything is signed or written, and a
+// ledger that re-issued one after its revocation replays it revoked.
+func TestReissueRevokedStaysRevoked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger")
+	s, _ := newTestProvider(t, 3, time.Hour)
+	if err := s.OpenLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	client, expiry := names.MustParse("/u/mallory/KEY/1"), time.Unix(5000, 0)
+	tag, err := s.Issue(client, 2, 7, expiry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Revoke(tag.ID()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := s.Issue(client, 2, 7, expiry); !errors.Is(err, ErrRevokedGrant) || again != nil {
+		t.Fatalf("re-issuing a revoked tuple = %v, %v; want ErrRevokedGrant", again, err)
+	}
+	rec, _ := s.Lookup(tag.ID())
+	if rec.Status != GrantRevoked || s.Outstanding() != 0 || !s.Revocations().Contains(tag.ID()) {
+		t.Fatalf("after a refused re-issue: status=%s outstanding=%d revokedInSet=%v",
+			rec.Status, s.Outstanding(), s.Revocations().Contains(tag.ID()))
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Errorf("the refused re-issue wrote %q to the ledger", after[len(before):])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A ledger that re-issued the tuple after revoking it replays revoked.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(rec.line("issue") + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s2, _ := newTestProvider(t, 3, time.Hour)
+	if err := s2.OpenLedger(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec, _ := s2.Lookup(tag.ID()); rec.Status != GrantRevoked || s2.Outstanding() != 0 {
+		t.Fatalf("replayed re-issue: status=%s outstanding=%d", rec.Status, s2.Outstanding())
+	}
+}
+
 func TestLedgerTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger")

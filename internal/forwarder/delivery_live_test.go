@@ -88,10 +88,11 @@ func TestLiveEdgeCSHitNacksWithoutContent(t *testing.T) {
 	}
 }
 
-// heldEdge is a live edge in tacticd's default configuration whose only
-// route is a face the test holds: the test reads what the edge forwards
-// and answers it, so which request is the primary of a PIT entry and
-// which aggregates behind it is decided by the test, not by a race.
+// heldEdge is a live edge in tacticd's default configuration, under a
+// scheme, whose only route is a face the test holds: the test reads what
+// the edge forwards and answers it, so which request is the primary of a
+// PIT entry and which aggregates behind it is decided by the test, not
+// by a race.
 type heldEdge struct {
 	edge    *Forwarder
 	up      *transport.Conn
@@ -99,9 +100,11 @@ type heldEdge struct {
 	prov    *pki.FastKeyPair
 	ap      core.AccessPath
 	expires time.Time
+	// forwarded is the last Interest the edge sent upstream.
+	forwarded *ndn.Interest
 }
 
-func newHeldEdge(t *testing.T) *heldEdge {
+func newHeldEdge(t *testing.T, scheme core.Scheme) *heldEdge {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	prov, err := pki.GenerateFast(rng, names.MustParse("/prov0/KEY/1"))
@@ -112,7 +115,8 @@ func newHeldEdge(t *testing.T) *heldEdge {
 	if err := reg.Register(prov.Locator(), prov.Public()); err != nil {
 		t.Fatal(err)
 	}
-	edge, err := New(Config{ID: "edge-held", Role: RoleEdge, Registry: reg, Seed: 11, Logf: func(string, ...any) {}})
+	edge, err := New(Config{ID: "edge-held", Role: RoleEdge, Registry: reg, Seed: 11,
+		Tactic: core.Config{Scheme: scheme}, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +158,9 @@ func (h *heldEdge) content(t *testing.T, name names.Name, level core.AccessLevel
 // ask sends an Interest for name under tag (nil for none) on a client
 // face of its own and waits until the edge has forwarded it upstream —
 // the first request opens the PIT entry, a later one aggregates and is
-// re-sent (loss recovery), so reading it proves the entry holds it. It
-// returns a channel that yields the client's answer, or nil at the
-// deadline.
+// re-sent (loss recovery), so reading it proves the entry holds it; what
+// was read is h.forwarded. It returns a channel that yields the client's
+// answer, or nil at the deadline.
 func (h *heldEdge) ask(t *testing.T, name names.Name, tag *core.Tag, nonce uint64) <-chan *ndn.Data {
 	t.Helper()
 	cSide, fSide := net.Pipe()
@@ -167,9 +171,11 @@ func (h *heldEdge) ask(t *testing.T, name names.Name, tag *core.Tag, nonce uint6
 		t.Fatal(err)
 	}
 	h.upRaw.SetReadDeadline(time.Now().Add(liveTimeout)) //nolint:errcheck // pipes support deadlines
-	if pkt, err := h.up.Receive(); err != nil || pkt.Interest == nil || pkt.Interest.Nonce != nonce {
+	pkt, err := h.up.Receive()
+	if err != nil || pkt.Interest == nil || pkt.Interest.Nonce != nonce {
 		t.Fatalf("nonce %d was not forwarded upstream: pkt=%+v err=%v", nonce, pkt, err)
 	}
+	h.forwarded = pkt.Interest
 	ch := make(chan *ndn.Data, 1)
 	go func() {
 		cSide.SetReadDeadline(time.Now().Add(liveTimeout)) //nolint:errcheck // pipes support deadlines
@@ -201,7 +207,7 @@ func (h *heldEdge) answer(t *testing.T, d *ndn.Data) {
 // NACK for its level, as it would have as the primary; the primary is
 // served.
 func TestLiveAggregatedLowLevelTagNacked(t *testing.T) {
-	h := newHeldEdge(t)
+	h := newHeldEdge(t, core.SchemeTACTIC)
 	name := names.MustParse("/prov0/secret/chunk0")
 	high := h.tag(t, "dora", 4)
 	primary := h.ask(t, name, high, 1)
@@ -222,7 +228,7 @@ func TestLiveAggregatedLowLevelTagNacked(t *testing.T) {
 func TestLiveTaglessPrivateNacked(t *testing.T) {
 	name := names.MustParse("/prov0/report/chunk0")
 	t.Run("primary", func(t *testing.T) {
-		h := newHeldEdge(t)
+		h := newHeldEdge(t, core.SchemeTACTIC)
 		tagless := h.ask(t, name, nil, 1)
 		h.answer(t, &ndn.Data{Name: name, Content: h.content(t, name, 2), Nack: true, NackReason: core.ErrNoTag})
 		if d := <-tagless; d == nil || !d.Nack || d.Content != nil || !errors.Is(d.NackReason, core.ErrNoTag) {
@@ -230,7 +236,7 @@ func TestLiveTaglessPrivateNacked(t *testing.T) {
 		}
 	})
 	t.Run("aggregate", func(t *testing.T) {
-		h := newHeldEdge(t)
+		h := newHeldEdge(t, core.SchemeTACTIC)
 		valid := h.tag(t, "alice", 3)
 		primary := h.ask(t, name, valid, 1)
 		tagless := h.ask(t, name, nil, 2)

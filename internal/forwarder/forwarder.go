@@ -628,11 +628,16 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 		// A fresh nonce for a pending name is a retransmission: re-send
 		// upstream as well as aggregating, so an Interest lost on the uplink
 		// is recovered instead of black-holing every requester until the
-		// entry expires. While the primary forward is still in flight the
-		// out-face is unset and there is nothing to recover yet.
+		// entry expires. The re-send asks the primary's question (its tag
+		// and F), so every answer for the name answers one question and the
+		// aggregate is judged at the Data, as in the simulator. While the
+		// primary forward is still in flight the out-face is unset and there
+		// is nothing to recover yet.
 		if st.Face != ndn.FaceNone {
-			i.Trace = a.outTC
-			f.sendPacket(st.Face, i, nil) //nolint:errcheck // best-effort recovery
+			if primary, ok := f.pit.Primary(i.Name); ok {
+				i.Tag, i.Flag, i.Trace = primary.Tag, primary.Flag, a.outTC
+				f.sendPacket(st.Face, i, nil) //nolint:errcheck // best-effort recovery
+			}
 		}
 		sp.End(node.OutcomeAggregated, 0)
 	case node.Forward:

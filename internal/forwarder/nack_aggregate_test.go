@@ -1,6 +1,7 @@
 package forwarder
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -17,11 +18,10 @@ import (
 // forwarder: when an upstream answer NACKs the primary (invalid) tag
 // but carries the content alongside, valid requesters aggregated in the
 // same PIT entry still get the Data — each aggregated tag is judged on
-// its own by EdgeOnAggregatedData, not by the primary's verdict. The
-// test plays the upstream itself so the answer ordering is
-// deterministic (a real producer's answers race PIT-aggregation
-// re-sends). The sim-plane twin is internal/oracle's
-// TestNACKAlongsideDataSim.
+// its own by enforce.Router.OnDataRecord, not by the primary's verdict.
+// The test plays the upstream itself and sends the one answer for the
+// entry, so which Data consumes it is decided by the test. The
+// sim-plane twin is internal/oracle's TestNACKAlongsideDataSim.
 func TestNACKAlongsideDataLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	provKey, err := pki.GenerateFast(rng, names.MustParse("/prov0/KEY/1"))
@@ -94,9 +94,10 @@ func TestNACKAlongsideDataLive(t *testing.T) {
 	if err != nil || pkt.Interest == nil {
 		t.Fatalf("upstream did not see the primary Interest: pkt=%+v err=%v", pkt, err)
 	}
-	// Alice aggregates onto the pending entry; the edge re-sends her
-	// fresh nonce upstream (loss recovery), which doubles as the proof
-	// that aggregation — not a second PIT entry — happened.
+	// Alice aggregates onto the pending entry; the edge re-sends the
+	// primary's Interest under her fresh nonce upstream (loss recovery),
+	// which doubles as the proof that aggregation — not a second PIT
+	// entry — happened.
 	if err := alice.SendInterest(&ndn.Interest{Name: name, Kind: ndn.KindContent, Nonce: 2, Tag: valid}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +157,89 @@ func TestNACKAlongsideDataLive(t *testing.T) {
 	}
 	if got, want := string(ar.d.Content.Payload), string(content.Payload); got != want {
 		t.Errorf("delivered payload mismatch")
+	}
+}
+
+// TestLiveResendAsksThePrimarysQuestion: a fresh nonce for a pending
+// name is re-sent upstream under the primary's tag and F, so both
+// answers for the entry answer one question and whichever arrives first
+// decides each requester as its own tag deserves. The test plays the
+// upstream, answers every Interest as its tag deserves (a denial is a
+// NACK with the content alongside, a valid tag gets the content under
+// the Interest's F) and answers the re-send before the primary. Were the
+// re-send to carry the aggregate's tag, a denied aggregate's NACK would
+// deny a valid primary, and a valid aggregate's answer would serve a
+// denied primary (and teach the edge's Bloom filter a forged tag).
+func TestLiveResendAsksThePrimarysQuestion(t *testing.T) {
+	name := names.MustParse("/prov0/report/chunk0")
+	rogue, err := pki.GenerateFast(rand.New(rand.NewSource(13)), names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deserves := map[string]error{"valid": nil, "forged": core.ErrTagForged,
+		"low": core.ErrInsufficientLevel, "tagless": core.ErrNoTag}
+	rows := []struct{ primary, aggregate string }{
+		{"valid", "forged"}, {"forged", "valid"},
+		{"valid", "low"}, {"low", "valid"},
+		{"valid", "tagless"}, {"tagless", "valid"},
+	}
+	for _, scheme := range []core.Scheme{core.SchemeTACTIC, core.SchemeIBAC} {
+		for _, row := range rows {
+			if scheme == core.SchemeIBAC && (row.primary == "forged" || row.aggregate == "forged") {
+				continue // an IBAC edge verifies an unseen tag itself: a forged one never reaches the PIT
+			}
+			t.Run(scheme.String()+"/"+row.primary+"_then_"+row.aggregate, func(t *testing.T) {
+				h := newHeldEdge(t, scheme)
+				forged, err := core.IssueTag(rogue, names.MustParse("/users/mallory/KEY/1"), 3, h.ap, h.expires)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tags := map[string]*core.Tag{"valid": h.tag(t, "alice", 3), "low": h.tag(t, "lee", 1),
+					"forged": forged, "tagless": nil}
+				content := h.content(t, name, 2)
+				key := func(tg *core.Tag) string {
+					if tg == nil {
+						return ""
+					}
+					return string(tg.CacheKey())
+				}
+				answer := func(i *ndn.Interest) {
+					d := &ndn.Data{Name: i.Name, Content: content, Tag: i.Tag, Flag: i.Flag}
+					for kind, tg := range tags {
+						if key(tg) == key(i.Tag) {
+							d.Nack, d.NackReason = deserves[kind] != nil, deserves[kind]
+						}
+					}
+					h.answer(t, d)
+				}
+
+				primary := h.ask(t, name, tags[row.primary], 1)
+				held := h.forwarded
+				aggregate := h.ask(t, name, tags[row.aggregate], 2)
+				if key(h.forwarded.Tag) != key(tags[row.primary]) {
+					t.Errorf("the re-send carried another tag than the primary's")
+				}
+				answer(h.forwarded) // the re-send's answer consumes the entry
+				answer(held)        // unsolicited by now
+
+				for _, got := range []struct {
+					kind string
+					ch   <-chan *ndn.Data
+				}{{row.primary, primary}, {row.aggregate, aggregate}} {
+					d, want := <-got.ch, deserves[got.kind]
+					switch {
+					case d == nil:
+						t.Errorf("%s requester got no answer", got.kind)
+					case want == nil && (d.Nack || d.Content == nil):
+						t.Errorf("%s requester: %+v, want the content", got.kind, d)
+					case want != nil && (!d.Nack || d.Content != nil || !errors.Is(d.NackReason, want)):
+						t.Errorf("%s requester: %+v, want a bare NACK for %v", got.kind, d, want)
+					}
+				}
+				if h.edge.Tactic().Bloom().Contains(forged.CacheKey()) {
+					t.Error("the edge's Bloom filter holds the forged tag")
+				}
+			})
+		}
 	}
 }

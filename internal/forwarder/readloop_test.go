@@ -260,7 +260,9 @@ func TestReadLoopAllocs(t *testing.T) {
 // aggregated Interests that are re-sent upstream, for other names and
 // tags. Every Interest the edge sends upstream must be the one the client
 // sent under its nonce — a parked job resumes with the Interest it
-// parked — and every reply must carry its own Interest's name and tag.
+// parked — except that an aggregate's re-send carries the tag of its
+// name's primary; and every reply must carry its own Interest's name and
+// tag.
 func TestReaderOwnedPacketsDoNotLeak(t *testing.T) {
 	provKey, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/prov0/KEY/1"))
 	if err != nil {
@@ -299,19 +301,22 @@ func TestReaderOwnedPacketsDoNotLeak(t *testing.T) {
 	}
 	type sentKey struct{ name, tag string }
 	var mu sync.Mutex
-	sent := make(map[uint64]sentKey) // by nonce
+	sent := make(map[uint64]sentKey) // what the upstream must see, by nonce
 	want := make(map[sentKey]int)
 	nonce := uint64(0)
-	send := func(name names.Name, tg *core.Tag) {
+	// sendAs sends an Interest under tg that the upstream must see under
+	// upstream: tg itself, or an aggregate's primary's tag.
+	sendAs := func(name names.Name, tg, upstream *core.Tag) {
 		nonce++
 		k := sentKey{name.String(), string(tg.CacheKey())}
 		mu.Lock()
-		sent[nonce], want[k] = k, want[k]+1
+		sent[nonce], want[k] = sentKey{k.name, string(upstream.CacheKey())}, want[k]+1
 		mu.Unlock()
 		if err := client.SendInterest(&ndn.Interest{Name: name, Kind: ndn.KindContent, Nonce: nonce, Tag: tg}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	send := func(name names.Name, tg *core.Tag) { sendAs(name, tg, tg) }
 
 	// The upstream answers every Interest it is sent, after checking it
 	// is the client's Interest under that nonce — except the first for an
@@ -334,7 +339,7 @@ func TestReaderOwnedPacketsDoNotLeak(t *testing.T) {
 			k, ok := sent[i.Nonce]
 			mu.Unlock()
 			if got := (sentKey{i.Name.String(), string(i.Tag.CacheKey())}); !ok || got != k {
-				t.Errorf("upstream got nonce %d as %s, sent as %s", i.Nonce, got.name, k.name)
+				t.Errorf("upstream got nonce %d for %s, want %s under the tag due", i.Nonce, got.name, k.name)
 			}
 			if i.Name.HasPrefix(aggPrefix) && !held[k.name] {
 				held[k.name] = true
@@ -396,8 +401,8 @@ func TestReaderOwnedPacketsDoNotLeak(t *testing.T) {
 		send(hot[r%len(hot)], known[r%2])                                           // content-store hit
 		send(names.MustParse(fmt.Sprintf("/prov0/fwd/chunk%d", r)), known[(r+1)%2]) // forward
 		agg := names.MustParse(fmt.Sprintf("/prov0/agg/chunk%d", r))
-		send(agg, known[0]) // forward
-		send(agg, known[1]) // aggregate, re-sent upstream
+		send(agg, known[0])             // forward
+		sendAs(agg, known[1], known[0]) // aggregate, re-sent upstream as the primary
 	}
 	if err := <-replies; err != nil {
 		t.Fatal(err)

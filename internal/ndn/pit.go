@@ -104,7 +104,8 @@ const (
 	// PITAggregated: the Interest joined an existing pending entry
 	// (Protocol 4 lines 3-5). The returned out-face (FaceNone while the
 	// primary forward is still in flight, or never recorded) lets the
-	// caller re-send retransmissions upstream.
+	// caller re-send retransmissions upstream, as the primary's Interest
+	// (Primary).
 	PITAggregated
 	// PITDuplicate: the entry already holds this nonce; drop.
 	PITDuplicate
@@ -159,6 +160,18 @@ func (p *PIT) SetOutFace(name names.Name, face FaceID) bool {
 		e.OutFace = face
 	}
 	return ok
+}
+
+// Primary returns the primary record of name's pending entry: the
+// question its forward asked upstream.
+func (p *PIT) Primary(name names.Name) (PITRecord, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.entries[name.Key()]
+	if !ok {
+		return PITRecord{}, false
+	}
+	return e.Records[0], true
 }
 
 // DropByOutFace removes and returns every entry whose primary Interest

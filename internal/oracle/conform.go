@@ -155,12 +155,9 @@ func RunScenario(scn *Scenario, opts Options) (*Report, error) {
 		if o.LiveNacked() != l.Nacked {
 			diverge(ri, "nacked(live)", boolStr(o.LiveNacked()), boolStr(l.Nacked))
 		}
-		if o.Stage == StageEdgeInterest && o.LiveNacked() && l.Nacked && o.Reason != l.Reason {
-			// Edge-Interest denials carry their reason code on the wire
-			// and are settled per-request before any PIT interaction, so
-			// the live reason is comparable. Denials settled upstream are
-			// not: an aggregated record inherits the primary answer's
-			// (possibly absent) reason.
+		if o.LiveNacked() && l.Nacked && o.Reason != l.Reason {
+			// Every live denial carries its reason code on the wire: the
+			// edge decides each PIT record on its own (OnDataRecord).
 			diverge(ri, "reason(live)", o.Reason, l.Reason)
 		}
 	}

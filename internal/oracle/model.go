@@ -178,11 +178,11 @@ type RefResult struct {
 //
 // Per-request modeling is exact because a request's verdict does not
 // depend on whether it was answered as the primary of a PIT entry or as
-// an aggregate, and the scenario generator never schedules requests
-// whose *verdicts* could interact within a step: the combinations whose
-// answer races a primary's get exclusive (step, name) slots
-// (aggregationVariant) and each tag appears at most once per step. CS end state is
-// order-independent by construction (see the package comment).
+// an aggregate: every upstream answer for a pending name answers the
+// primary's question (a live router re-sends the primary's Interest for
+// an aggregate), each record is judged by its own tag, and each tag
+// appears at most once per step. CS end state is order-independent by
+// construction (see the package comment).
 func RunReference(scn *Scenario, info *topoInfo, knobs Knobs) (*RefResult, error) {
 	ibac := knobs.Scheme == core.SchemeIBAC
 	// IBAC edges always settle a validated-set miss themselves — the

@@ -20,11 +20,12 @@
 // is independent of scheduling races the live plane legitimately has
 // (PIT aggregation timing, content-store fill order within a step):
 // tag expiries sit far from decision instants except at one explicit
-// boundary the harness sleeps across, and request combinations whose
-// outcome depends on whether PIT aggregation happened (the paper's
-// aggregated-tag validation skips the access-level pre-check, and
-// skips nothing a forged tag needs for Public content) are given
-// exclusive (step, name) slots. See GenerateScenario.
+// boundary the harness sleeps across, and each tag appears at most once
+// per step. Aggregation needs no such care: any requests may share a
+// (step, name) slot, because every upstream answer for a pending name
+// answers the primary's question (a live router re-sends the primary's
+// Interest for an aggregate) and each requester is judged by its own tag
+// when the Data arrives. See GenerateScenario.
 package oracle
 
 import (
@@ -200,70 +201,6 @@ func (s *Scenario) String() string {
 	return b.String()
 }
 
-// aggregationVariant reports whether a request would make a verdict
-// depend on PIT aggregation timing — the cases the generator must
-// isolate in an exclusive (step, name) slot. What a requester receives
-// is one rule whether it is answered as a primary or as an aggregate,
-// but a live router re-sends an aggregated Interest upstream (loss
-// recovery), and the NACK answering it can consume the pending entry
-// before the primary's own answer arrives, denying a legitimate primary.
-// So every request that passes its edge and is NACKed upstream is
-// isolated: a request for private content with a forged tag, a tag of
-// insufficient level, or no tag. (Every other denial is the edge's, at
-// Interest time, before the PIT.)
-func aggregationVariant(tags []TagSpec, contents []ContentSpec, tagIdx, contentIdx int) bool {
-	c := contents[contentIdx]
-	if c.Level == core.Public {
-		return false
-	}
-	if tagIdx < 0 {
-		return true
-	}
-	t := tags[tagIdx]
-	return t.Kind == TagForged || !t.Level.Satisfies(c.Level)
-}
-
-// scheduler enforces the generator's determinism constraints while
-// requests are placed.
-type scheduler struct {
-	used      map[[2]int]int  // (step, content) -> request count
-	exclusive map[[2]int]bool // (step, content) slots owned by a variant request
-	tagStep   map[[2]int]bool // (tag, step) already used
-}
-
-func newScheduler() *scheduler {
-	return &scheduler{
-		used:      make(map[[2]int]int),
-		exclusive: make(map[[2]int]bool),
-		tagStep:   make(map[[2]int]bool),
-	}
-}
-
-// place admits a request if it violates no constraint, recording it.
-func (sc *scheduler) place(scn *Scenario, r RequestSpec) bool {
-	sn := [2]int{r.Step, r.Content}
-	if sc.exclusive[sn] {
-		return false
-	}
-	variant := aggregationVariant(scn.Tags, scn.Contents, r.Tag, r.Content)
-	if variant && sc.used[sn] > 0 {
-		return false
-	}
-	if r.Tag >= 0 {
-		ts := [2]int{r.Tag, r.Step}
-		if sc.tagStep[ts] {
-			return false
-		}
-		sc.tagStep[ts] = true
-	}
-	sc.used[sn]++
-	if variant {
-		sc.exclusive[sn] = true
-	}
-	scn.Requests = append(scn.Requests, r)
-	return true
-}
-
 // GenerateScenario derives a scenario deterministically from seed:
 // a small randomized topology, 1-2 providers each publishing a few
 // levelled contents, a population of users holding tags across the
@@ -357,7 +294,20 @@ func GenerateScenario(seed int64) (*Scenario, error) {
 		}
 	}
 
-	sched := newScheduler()
+	// place admits a request unless its tag is already used in its step
+	// (the one constraint the generator keeps), recording it.
+	tagStep := make(map[[2]int]bool)
+	place := func(r RequestSpec) bool {
+		if r.Tag >= 0 {
+			ts := [2]int{r.Tag, r.Step}
+			if tagStep[ts] {
+				return false
+			}
+			tagStep[ts] = true
+		}
+		scn.Requests = append(scn.Requests, r)
+		return true
+	}
 	contentsOf := func(p int) []int {
 		var out []int
 		for i, c := range scn.Contents {
@@ -377,13 +327,13 @@ func GenerateScenario(seed int64) (*Scenario, error) {
 		cands := contentsOf(t.Provider)
 		for attempt := 0; attempt < 8; attempt++ {
 			r := RequestSpec{Step: rng.Intn(scn.Boundary), User: t.User, Content: cands[rng.Intn(len(cands))], Tag: ti}
-			if sched.place(scn, r) {
+			if place(r) {
 				break
 			}
 		}
 		for attempt := 0; attempt < 8; attempt++ {
 			r := RequestSpec{Step: scn.Boundary + rng.Intn(scn.Steps-scn.Boundary), User: t.User, Content: cands[rng.Intn(len(cands))], Tag: ti}
-			if sched.place(scn, r) {
+			if place(r) {
 				break
 			}
 		}
@@ -399,7 +349,7 @@ func GenerateScenario(seed int64) (*Scenario, error) {
 		cands := contentsOf(t.Provider)
 		for attempt := 0; attempt < 8; attempt++ {
 			r := RequestSpec{Step: rng.Intn(scn.Steps), User: t.User, Content: cands[rng.Intn(len(cands))], Tag: ti}
-			if sched.place(scn, r) {
+			if place(r) {
 				break
 			}
 		}
@@ -415,10 +365,7 @@ func GenerateScenario(seed int64) (*Scenario, error) {
 		for m := 0; m < members; m++ {
 			u := rng.Intn(users)
 			tag := userTag[u][scn.Contents[ci].Provider]
-			if aggregationVariant(scn.Tags, scn.Contents, tag, ci) {
-				continue // it would claim the slot exclusively
-			}
-			sched.place(scn, RequestSpec{Step: step, User: u, Content: ci, Tag: tag})
+			place(RequestSpec{Step: step, User: u, Content: ci, Tag: tag})
 		}
 	}
 
@@ -436,7 +383,7 @@ func GenerateScenario(seed int64) (*Scenario, error) {
 			// Wrong-provider or borrowed tag: any tag in the scenario.
 			tag = rng.Intn(len(scn.Tags))
 		}
-		sched.place(scn, RequestSpec{Step: rng.Intn(scn.Steps), User: u, Content: ci, Tag: tag})
+		place(RequestSpec{Step: rng.Intn(scn.Steps), User: u, Content: ci, Tag: tag})
 	}
 
 	// Stable step order; within a step, placement order is preserved so
