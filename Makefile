@@ -69,7 +69,10 @@ build:
 # internal/oracle/material.go, and the twenty-fourth when the conformance
 # generator isolates requests in (step, name) slots of their own again
 # (aggregationVariant: a live router re-sends the primary's Interest for
-# an aggregate, so aggregation cannot change a verdict).
+# an aggregate, so aggregation cannot change a verdict), and the
+# twenty-fifth when the forwarder sends a frame other than through
+# sendPacket's out.SendFrame (a face reader's sends join its own batch,
+# written when its input runs dry, instead of the socket's write queue).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -97,6 +100,7 @@ vet:
 	! grep -rn --include='*.go' 'grantShards' internal cmd examples
 	! grep -rnE --include='*.go' '\bIssueTag\(' internal cmd examples | grep -v '_test\.go:' | grep -vE '^internal/core/tag\.go:[0-9]+:func IssueTag\(|^internal/core/grants\.go:|^(internal/workload/sources|internal/oracle/material|examples/quickstart/main)\.go:'
 	! grep -rn --include='*.go' 'aggregationVariant' internal cmd examples
+	! awk '/^func /{fn=$$0} /\.SendFrame\(/ && (fn !~ /\) sendPacket\(/ || $$0 !~ /out\.SendFrame\(fs\.conn, /)' internal/forwarder/forwarder.go | grep .
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

@@ -337,7 +337,10 @@ func faceAttr(conn transport.Face, downstream bool) string {
 // decoded into the loop's one scratch target and is valid until the next
 // read, as is a content-store hit, copied into the loop's hit buffer:
 // what outlives its handling is copied (a parked Interest and its hit,
-// into its verify job; a Data's Content, into the content store).
+// into its verify job; a Data's Content, into the content store). What
+// the loop sends goes through the same scratch (sendPacket), so a
+// datagram face's reader writes its own sends as one batch when its
+// input runs dry; the batch is written before the loop exits.
 func (f *Forwarder) readLoop(fs *faceState) {
 	defer f.wg.Done()
 	scratch := new(transport.Scratch)
@@ -345,14 +348,15 @@ func (f *Forwarder) readLoop(fs *faceState) {
 	for {
 		pkt, err := fs.conn.ReceiveInto(scratch)
 		if err != nil {
+			scratch.Flush()
 			f.removeFace(fs.id)
 			return
 		}
 		switch {
 		case pkt.Interest != nil:
-			f.handleInterest(pkt.Interest, fs, &hit, pkt.DecodeDur)
+			f.handleInterest(pkt.Interest, fs, scratch, &hit, pkt.DecodeDur)
 		case pkt.Data != nil:
-			f.handleData(pkt.Data, fs, pkt.DecodeDur)
+			f.handleData(pkt.Data, fs, scratch, pkt.DecodeDur)
 		case pkt.Control != nil:
 			f.handleControl(pkt.Control, fs.id)
 		}
@@ -481,9 +485,10 @@ func (f *Forwarder) CSNames() []string { return f.cs.Names() }
 // errNoFace reports a send against a face that is no longer attached.
 var errNoFace = errors.New("forwarder: face detached")
 
-// send transmits a Data on a face. Failures are counted as drops.
-func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
-	switch err := f.sendPacket(face, nil, d); {
+// send transmits a Data on a face, through out when a face reader sends
+// (see sendPacket). Failures are counted as drops.
+func (f *Forwarder) send(out *transport.Scratch, face ndn.FaceID, d *ndn.Data) {
+	switch err := f.sendPacket(out, face, nil, d); {
 	case err == nil:
 	case errors.Is(err, errNoFace):
 		f.m.drop(node.DropNoFace)
@@ -498,8 +503,10 @@ func (f *Forwarder) send(face ndn.FaceID, d *ndn.Data) {
 // encoded here, with the concrete encoder, into a pooled buffer and
 // handed to the face as a frame: passed through the Face interface it
 // would escape, and every reply literal the pipeline builds would be a
-// heap allocation.
-func (f *Forwarder) sendPacket(face ndn.FaceID, i *ndn.Interest, d *ndn.Data) error {
+// heap allocation. out is the sending face reader's scratch, nil on any
+// other goroutine: a reader's datagrams join its batch
+// (transport.Scratch.SendFrame) instead of the socket's write queue.
+func (f *Forwarder) sendPacket(out *transport.Scratch, face ndn.FaceID, i *ndn.Interest, d *ndn.Data) error {
 	f.mu.RLock()
 	fs, ok := f.faces[face]
 	f.mu.RUnlock()
@@ -517,7 +524,7 @@ func (f *Forwarder) sendPacket(face ndn.FaceID, i *ndn.Interest, d *ndn.Data) er
 	}
 	if err == nil {
 		*buf = frame[:0] // keep any growth for the pool
-		err = fs.conn.SendFrame(frame)
+		err = out.SendFrame(fs.conn, frame)
 	}
 	if err != nil {
 		f.logf("send on face %d: %v", face, err)
@@ -532,10 +539,13 @@ func (f *Forwarder) sendPacket(face ndn.FaceID, i *ndn.Interest, d *ndn.Data) er
 // driver keeps beside it: the face to answer, the protocol time it arrived
 // at (expiry and PIT lifetimes are judged against the arrival, not a
 // dequeue), its span, the trace context to stamp on whatever is sent for
-// it, and whether its stages are timed.
+// it, and whether its stages are timed. out is the scratch of the face
+// reader handling it, which its sends go through; nil once a verify-pool
+// worker has it.
 type arrival struct {
 	i       *ndn.Interest
 	from    *faceState
+	out     *transport.Scratch
 	now     time.Time
 	sp      *obs.Span
 	outTC   ndn.TraceContext
@@ -552,9 +562,9 @@ type arrival struct {
 // the hop histogram and the pit_cs stage measure the reader's hot path
 // only. (Aggregated PIT records are still verified inline, on the Data
 // path.) A content-store hit is copied into hit, the reader's buffer.
-func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, hit *core.Content, decodeDur time.Duration) {
+func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, out *transport.Scratch, hit *core.Content, decodeDur time.Duration) {
 	now := time.Now()
-	a := arrival{i: i, from: from, now: now}
+	a := arrival{i: i, from: from, out: out, now: now}
 	a.sp = f.cfg.Tracer.StartCtx(i.Trace, "interest", i.Name.String())
 	a.outTC = a.sp.Onward(i.Trace)
 	n := f.m.interest.Inc()
@@ -636,13 +646,13 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 		if st.Face != ndn.FaceNone {
 			if primary, ok := f.pit.Primary(i.Name); ok {
 				i.Tag, i.Flag, i.Trace = primary.Tag, primary.Flag, a.outTC
-				f.sendPacket(st.Face, i, nil) //nolint:errcheck // best-effort recovery
+				f.sendPacket(a.out, st.Face, i, nil) //nolint:errcheck // best-effort recovery
 			}
 		}
 		sp.End(node.OutcomeAggregated, 0)
 	case node.Forward:
 		i.Trace = a.outTC
-		err := f.sendPacket(st.Face, i, nil)
+		err := f.sendPacket(a.out, st.Face, i, nil)
 		if err == nil {
 			observeStageSpan(f.m.stageEncodeSend, "encode_send", sendStart, sp)
 			sp.End(node.OutcomeForwarded, 0)
@@ -685,7 +695,7 @@ func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 	} else {
 		f.m.csHits.Inc()
 	}
-	f.send(a.from.id, &ndn.Data{
+	f.send(a.out, a.from.id, &ndn.Data{
 		Name: a.i.Name, Content: ans.Content, Tag: a.i.Tag,
 		Flag: ans.Flag, Nack: ans.Nack, NackReason: ans.Reason,
 		Trace: a.outTC,
@@ -696,8 +706,8 @@ func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 
 // handleData runs the Data pipeline, lock-free like handleInterest: the
 // node core admits the Data (or reports it unsolicited) and decides each
-// requester; this driver sends.
-func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Duration) {
+// requester; this driver sends, through the reader's out.
+func (f *Forwarder) handleData(d *ndn.Data, from *faceState, out *transport.Scratch, decodeDur time.Duration) {
 	now := time.Now()
 	inTC := d.Trace
 	sp := f.cfg.Tracer.StartCtx(inTC, "data", d.Name.String())
@@ -720,7 +730,7 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 		// A registration response goes to every requester as it came.
 		d.Trace = outTC
 		for _, rec := range records {
-			f.send(rec.InFace, d)
+			f.send(out, rec.InFace, d)
 		}
 		sp.End("registration", 0)
 		return
@@ -736,7 +746,7 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, decodeDur time.Dura
 			f.m.drop(dl.Cause)
 			sp.Event("edge_drop", core.ReasonLabel(dl.Answer.Reason))
 		}
-		f.send(rec.InFace, &ndn.Data{
+		f.send(out, rec.InFace, &ndn.Data{
 			Name: d.Name, Content: dl.Answer.Content, Tag: rec.Tag,
 			Flag: dl.Answer.Flag, Nack: dl.Answer.Nack, NackReason: dl.Answer.Reason,
 			Trace: outTC,

@@ -451,7 +451,7 @@ func TestOriginReplyAllocs(t *testing.T) {
 	node.mu.RUnlock()
 	i := &ndn.Interest{Name: e.open, Kind: ndn.KindContent, Nonce: 1}
 	var hit core.Content // the reader's hit buffer
-	allocs := testing.AllocsPerRun(1000, func() { node.handleInterest(i, fs, &hit, 0) })
+	allocs := testing.AllocsPerRun(1000, func() { node.handleInterest(i, fs, nil, &hit, 0) })
 	if allocs != 0 {
 		t.Errorf("answering a published chunk allocates %.1f/op, want 0", allocs)
 	}

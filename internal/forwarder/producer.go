@@ -134,7 +134,7 @@ func (p *Producer) register(a arrival) {
 		return
 	}
 	p.registrations.Inc()
-	f.send(a.from.id, &ndn.Data{Name: a.i.Name, Registration: resp, Trace: a.outTC})
+	f.send(a.out, a.from.id, &ndn.Data{Name: a.i.Name, Registration: resp, Trace: a.outTC})
 	a.sp.End("registered", 0)
 }
 

@@ -231,13 +231,13 @@ func TestUnsolicitedDataTable(t *testing.T) {
 				d = &ndn.Data{Name: name, Registration: &core.RegistrationResponse{Tag: forged}}
 			}
 			if tc.Pending {
-				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, new(core.Content), 0)
+				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, nil, new(core.Content), 0)
 			}
 			from := out
 			if !tc.FromOutFace {
 				from = other
 			}
-			edge.handleData(d, from, 0)
+			edge.handleData(d, from, nil, 0)
 			inserted := edge.Tactic().Bloom().Stats().Insertions == 1
 			cached := len(edge.CSNames()) == 1
 			if tc.Accepted {

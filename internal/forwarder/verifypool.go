@@ -130,6 +130,7 @@ func (p *verifyPool) park(a arrival, pending node.Pending) {
 		job := p.get()
 		job.arrival, job.pending, job.interest, job.parkedAt = a, pending, *a.i, parkedAt
 		job.i = &job.interest
+		job.out = nil // a worker's sends go to the write queue, not the reader's batch
 		if pending.Content != nil {
 			core.CopyContent(&job.content, pending.Content)
 			job.pending.Content = &job.content

@@ -74,6 +74,7 @@ const (
 	MetricUDPReassembled         = "tactic_udp_reassembled_total"
 	MetricUDPReassemblyEvictions = "tactic_udp_reassembly_evictions_total"
 	MetricUDPGSOFallbacks        = "tactic_udp_gso_fallbacks_total"
+	MetricUDPSocketWrites        = "tactic_udp_socket_writes_total"
 	MetricUDPFaces               = "tactic_udp_faces"
 	MetricUDPBatchEnabled        = "tactic_udp_batch_enabled"
 	MetricUDPGSOEnabled          = "tactic_udp_gso_enabled"
@@ -168,6 +169,7 @@ var catalogue = []FamilySpec{
 	counter(MetricUDPFragments, "Fragment datagrams moved, by direction.", "role", "scope", "face", "link", "dir"),
 	counter(MetricUDPReassembled, "Frames completed from fragment reassembly.", udpKeys...),
 	counter(MetricUDPReassemblyEvictions, "Partial packets evicted before reassembly completed (timeout or slot pressure).", udpKeys...),
+	counter(MetricUDPSocketWrites, "Socket writes (sendmmsg or sendto calls); datagrams sent per write is the send-side batch size.", udpKeys...),
 	counter(MetricUDPGSOFallbacks, "Runtime UDP GSO disable transitions after a kernel rejection.", scopedKeys...),
 	gauge(MetricUDPFaces, "Live demultiplexed faces on the UDP endpoint.", scopedKeys...),
 	gauge(MetricUDPBatchEnabled, "Whether batched UDP syscalls (recvmmsg/sendmmsg) are active (0/1).", scopedKeys...),

@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"net"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -69,13 +70,20 @@ type batchIO struct {
 	// sent as v4-mapped v6 sockaddrs.
 	v6 bool
 	// gso / gro record offload support probed at socket setup. gso may
-	// flip off at runtime (writeBatch's fallback) and is only touched by
-	// the write loop; gsoProbed keeps the immutable probe result for
-	// observers, and fallbacks counts the runtime disable transitions so
-	// scrapers never race the write loop's plain bool.
+	// flip off at runtime (writeBatch's fallback) and is guarded by smu;
+	// gsoProbed keeps the immutable probe result for observers, and
+	// fallbacks counts the runtime disable transitions so scrapers never
+	// race writeBatch's plain bool.
 	gso, gro  bool
 	gsoProbed bool
 	fallbacks atomic.Uint64
+	// writes counts sendmmsg calls into the endpoint's ledger.
+	writes *atomic.Uint64
+
+	// smu is the send lock: writeBatch holds it over the send state below
+	// (shdrs, siovs, snames, sctrls, gso and the send results), which the
+	// endpoint's write loop and its faces' readers share.
+	smu sync.Mutex
 
 	rhdrs  [batchMax]mmsghdr
 	riovs  [batchMax]syscall.Iovec
@@ -93,7 +101,7 @@ type batchIO struct {
 	// allocation (plus its captured results) every syscall round. They
 	// exchange arguments and results with readBatch and writeBatch through
 	// the fields below — rn/rerr owned by the read loop, sfrom/sto/sn/serr
-	// by the write loop.
+	// guarded by smu.
 	recv, send func(fd uintptr) bool
 	rn         int
 	rerr       error
@@ -103,13 +111,13 @@ type batchIO struct {
 }
 
 // newBatchIO prepares batch state for pc, or nil when the socket does
-// not expose a raw descriptor.
-func newBatchIO(pc *net.UDPConn, bufSize int) *batchIO {
+// not expose a raw descriptor. Every sendmmsg call is counted in writes.
+func newBatchIO(pc *net.UDPConn, bufSize int, writes *atomic.Uint64) *batchIO {
 	raw, err := pc.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	b := &batchIO{raw: raw}
+	b := &batchIO{raw: raw, writes: writes}
 	if la, ok := pc.LocalAddr().(*net.UDPAddr); ok && la.IP.To4() == nil {
 		b.v6 = true
 	}
@@ -234,16 +242,25 @@ func putGSOCmsg(ctrl *[cmsgSpace16]byte, seg uint16) {
 	*(*uint16)(unsafe.Pointer(&ctrl[syscall.SizeofCmsghdr])) = seg
 }
 
-// writeBatch sends every datagram in msgs. Consecutive datagrams to
-// the same peer with the same size are packed into one GSO
-// super-datagram (one kernel traversal for up to gsoMaxSegs of them);
-// up to batchMax such messages go out per sendmmsg. Send errors skip
-// the offending message — UDP is lossy by contract, and stalling the
+// writeBatch sends the datagrams in msgs under the send lock.
+// Consecutive datagrams to the same peer with the same size are packed
+// into one GSO super-datagram (one kernel traversal for up to gsoMaxSegs
+// of them); up to batchMax such messages go out per sendmmsg. Send errors
+// skip the offending message — UDP is lossy by contract, and stalling the
 // whole queue on one bad destination would be worse — except that an
-// error on a GSO message disables the offload and retries its
-// datagrams individually, so a path that rejects GSO degrades instead
-// of dropping bursts.
-func (b *batchIO) writeBatch(msgs []outDatagram) {
+// error on a GSO message disables the offload and retries its datagrams
+// individually, so a path that rejects GSO degrades instead of dropping
+// bursts.
+//
+// When the socket has no room (EAGAIN), a caller that may wait (the write
+// loop) waits for room with the send lock released, so a face reader's
+// write is never held behind a full socket, and carries on. A caller that
+// may not (a face reader) gets back the unsent rest of msgs, a suffix of
+// it; unsent is nil once everything went out or was dropped with a closed
+// socket.
+func (b *batchIO) writeBatch(msgs []outDatagram, wait bool) (unsent []outDatagram) {
+	b.smu.Lock()
+	defer b.smu.Unlock()
 	for len(msgs) > 0 {
 		nb := 0       // mmsghdr slots filled
 		consumed := 0 // datagrams packed into those slots
@@ -279,39 +296,55 @@ func (b *batchIO) writeBatch(msgs []outDatagram) {
 			nb++
 			consumed += run
 		}
-		sent := 0
-		regroup := false
+		// repack is set when the slots from sent on must be filled again:
+		// GSO was switched off, or another writer used them while this one
+		// waited for room.
+		sent, repack := 0, false
+	send:
 		for sent < nb {
 			b.sfrom, b.sto, b.sn, b.serr = sent, nb, 0, 0
 			if err := b.raw.Write(b.send); err != nil {
-				return // socket closed; drop the rest
+				return nil // socket closed; drop the rest
 			}
-			if b.serr != 0 {
-				if runs[sent] > 1 {
-					// The kernel rejected a GSO message: turn the offload
-					// off and replay its datagrams one per message.
-					b.gso = false
-					b.fallbacks.Add(1)
-					msgs = msgs[starts[sent]:]
-					regroup = true
-					break
+			switch {
+			case b.serr == 0:
+				sent += b.sn
+			case b.serr == syscall.EAGAIN:
+				msgs, repack = msgs[starts[sent]:], true
+				if !wait {
+					return msgs
 				}
+				b.smu.Unlock()
+				err := b.raw.Write(pollOut)
+				b.smu.Lock()
+				if err != nil {
+					return nil
+				}
+				break send
+			case runs[sent] > 1:
+				// The kernel rejected a GSO message: turn the offload off
+				// and replay its datagrams one per message.
+				b.gso = false
+				b.fallbacks.Add(1)
+				msgs, repack = msgs[starts[sent]:], true
+				break send
+			default:
 				sent++ // skip the single datagram the kernel rejected
-				continue
 			}
-			sent += b.sn
 		}
-		if regroup {
-			continue
+		if !repack {
+			msgs = msgs[consumed:]
 		}
-		msgs = msgs[consumed:]
 	}
+	return nil
 }
 
 // sendmmsg is the raw.Write callback: one non-blocking sendmmsg over
-// shdrs[sfrom:sto], its outcome left in sn/serr.
+// shdrs[sfrom:sto], its outcome left in sn/serr. It never parks: an
+// EAGAIN is left in serr for writeBatch to wait on or hand back.
 func (b *batchIO) sendmmsg(fd uintptr) bool {
 	for {
+		b.writes.Add(1)
 		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
 			uintptr(unsafe.Pointer(&b.shdrs[b.sfrom])), uintptr(b.sto-b.sfrom),
 			syscall.MSG_DONTWAIT, 0, 0)
@@ -321,8 +354,6 @@ func (b *batchIO) sendmmsg(fd uintptr) bool {
 			return true
 		case syscall.EINTR:
 			continue
-		case syscall.EAGAIN:
-			return false // netpoller parks until writable
 		default:
 			b.serr = e
 			return true
@@ -330,9 +361,33 @@ func (b *batchIO) sendmmsg(fd uintptr) bool {
 	}
 }
 
+// pollOut is the raw.Write callback writeBatch waits for room on: a
+// zero-timeout ppoll for POLLOUT. On false the netpoller parks until the
+// socket turns writable and asks again.
+func pollOut(fd uintptr) bool {
+	const pollOutMask = 0x4 // POLLOUT
+	pfd := struct {
+		fd              int32
+		events, revents int16
+	}{fd: int32(fd), events: pollOutMask}
+	var zero syscall.Timespec
+	for {
+		n, _, e := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&pfd)), 1,
+			uintptr(unsafe.Pointer(&zero)), 0, 0, 0)
+		switch e {
+		case 0:
+			return n > 0 // ready, or an error the next sendmmsg reports
+		case syscall.EINTR:
+			continue
+		default:
+			return true
+		}
+	}
+}
+
 // stats reports the probed offload support and how many times the GSO
 // fallback fired. It reads only immutable and atomic state, so it is
-// safe to call from a metrics scraper while the write loop runs; GSO is
+// safe to call from a metrics scraper while writers run; GSO is
 // effectively active when gsoProbed && fallbacks == 0.
 func (b *batchIO) stats() (gso, gro bool, fallbacks uint64) {
 	if b == nil {

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestBatchIOAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	b := newBatchIO(pc, 2048)
+	b := newBatchIO(pc, 2048, new(atomic.Uint64))
 	if b == nil {
 		t.Skip("no raw descriptor")
 	}
@@ -25,7 +26,7 @@ func TestBatchIOAllocs(t *testing.T) {
 	// The socket sends to itself: loopback delivery is synchronous, so the
 	// datagram is readable by the time writeBatch returns.
 	allocs := testing.AllocsPerRun(1000, func() {
-		b.writeBatch(msgs)
+		b.writeBatch(msgs, true)
 		n, err := b.readBatch()
 		if err != nil || n < 1 {
 			t.Fatalf("readBatch = %d, %v", n, err)

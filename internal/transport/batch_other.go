@@ -5,6 +5,7 @@ package transport
 import (
 	"net"
 	"net/netip"
+	"sync/atomic"
 )
 
 // batchMax still sizes the write-side drain on platforms without
@@ -15,13 +16,15 @@ const batchMax = 32
 // single-datagram ReadFromUDPAddrPort/WriteToUDPAddrPort.
 type batchIO struct{}
 
-func newBatchIO(pc *net.UDPConn, bufSize int) *batchIO { return nil }
+func newBatchIO(*net.UDPConn, int, *atomic.Uint64) *batchIO { return nil }
 
 func (b *batchIO) readBatch() (int, error) { panic("transport: batch I/O unavailable") }
 func (b *batchIO) msg(int) ([]byte, netip.AddrPort, int, bool) {
 	panic("transport: batch I/O unavailable")
 }
-func (b *batchIO) writeBatch([]outDatagram) { panic("transport: batch I/O unavailable") }
+func (b *batchIO) writeBatch([]outDatagram, bool) []outDatagram {
+	panic("transport: batch I/O unavailable")
+}
 
 // stats is callable (unlike the I/O methods, which never run here):
 // metric closures scrape it unconditionally on every platform.

@@ -82,7 +82,13 @@ func IsFatal(err error) bool {
 // when that reader runs dry, so a reply can wait for the face's reader
 // to drain — bounded by 32 KiB of held frames and by a sub-millisecond
 // backstop for a reader that does not come back (see Conn). A failed
-// late flush is reported by the next send as a fatal error.
+// late flush is reported by the next send as a fatal error. A datagram
+// face queues a send for its socket's write loop, except one its own
+// kind of reader makes through its Scratch (Scratch.SendFrame): that
+// joins the reader's batch, written by the reader when its queue runs
+// dry or the batch holds 32 datagrams; a datagram the socket will not
+// take then goes to the write loop, and is dropped as a face error when
+// that queue is full too.
 type Face interface {
 	// Receive blocks for the next packet; keepalives are consumed
 	// internally. io.EOF signals a clean close. The packet is the
@@ -134,10 +140,42 @@ type Packet struct {
 // Scratch is a reader's decode target for ReceiveInto: one per reader,
 // reused for every packet it receives. A Data's Content decodes into
 // Content, whose encoding buffer carries over from packet to packet.
+//
+// A datagram face's reader also sends through its Scratch (SendFrame):
+// what it sends onto batch-I/O datagram faces while it works through its
+// queue is written by the reader itself, as one batch per socket, when
+// the queue runs dry.
 type Scratch struct {
 	Interest ndn.Interest
 	Data     ndn.Data
 	Content  core.Content
+
+	out sendBatch
+}
+
+// SendFrame sends frame on f on behalf of the reader that owns s, which
+// must be the goroutine calling it. Once a datagram face's ReceiveInto
+// has armed s, a frame that fits one datagram, bound for a datagram face
+// with batch I/O, joins the reader's batch and counts as sent; the reader
+// writes it when ReceiveInto next finds its queue empty, when the batch
+// holds batchMax datagrams, or on Flush. Any other frame, and every frame
+// when s is nil, is f.SendFrame.
+func (s *Scratch) SendFrame(f Face, frame []byte) error {
+	if s != nil && s.out.armed {
+		if df, ok := f.(*DatagramFace); ok && df.ep.bio != nil && len(frame) <= df.ep.opts.MTU {
+			return s.out.add(df, frame)
+		}
+	}
+	return f.SendFrame(frame)
+}
+
+// Flush writes what the reader's batch holds (see SendFrame). A reader
+// that stops calling ReceiveInto flushes before it goes. A nil s has
+// nothing to write.
+func (s *Scratch) Flush() {
+	if s != nil {
+		s.out.flush()
+	}
 }
 
 // Stats is a snapshot of one face's ledger. The face counts each frame

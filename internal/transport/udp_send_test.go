@@ -67,7 +67,7 @@ func TestDatagramFaceIdleWaitAllocs(t *testing.T) {
 	}()
 	allocs := testing.AllocsPerRun(200, func() {
 		kick <- struct{}{}
-		if buf, err := f.nextQueued(); err != nil || buf != &dgram {
+		if buf, err := f.nextQueued(nil); err != nil || buf != &dgram {
 			t.Fatalf("nextQueued = %v, %v", buf, err)
 		}
 	})

@@ -1,6 +1,6 @@
 // Registry exposition for the UDP datagram plane: the socket's plain
 // atomic counters (rx drops, oversize, fragment and reassembly totals,
-// GSO fallbacks) become tactic_udp_* families here.
+// socket writes, GSO fallbacks) become tactic_udp_* families here.
 // Endpoint-wide series carry scope="endpoint" so they stay disjoint
 // from the per-face series a Metrics factory attaches — summing a
 // family never double-counts.
@@ -39,6 +39,7 @@ func (dg *dgramCounters) series() []Series {
 		{obs.MetricUDPReassembled, nil, load(&dg.reassembled)},
 		{obs.MetricUDPReassemblyEvictions, nil, load(&dg.reasmEvicted)},
 		{obs.MetricUDPRxOversize, nil, load(&dg.oversize)},
+		{obs.MetricUDPSocketWrites, nil, load(&dg.writes)},
 	}
 }
 
