@@ -72,7 +72,12 @@ build:
 # an aggregate, so aggregation cannot change a verdict), and the
 # twenty-fifth when the forwarder sends a frame other than through
 # sendPacket's out.SendFrame (a face reader's sends join its own batch,
-# written when its input runs dry, instead of the socket's write queue).
+# written when its input runs dry, instead of the socket's write queue),
+# and the twenty-sixth (two lines) when a revocation is recorded twice
+# again: core.Provider holds a RevocationSet beside its grants (a revoked
+# grant's status is the one record, and Provider.Revocations lists the
+# live ones), ndn.Control regains a Full marker or RevocationSet a Revoke
+# (every push is the whole set, which Apply installs).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -101,6 +106,8 @@ vet:
 	! grep -rnE --include='*.go' '\bIssueTag\(' internal cmd examples | grep -v '_test\.go:' | grep -vE '^internal/core/tag\.go:[0-9]+:func IssueTag\(|^internal/core/grants\.go:|^(internal/workload/sources|internal/oracle/material|examples/quickstart/main)\.go:'
 	! grep -rn --include='*.go' 'aggregationVariant' internal cmd examples
 	! awk '/^func /{fn=$$0} /\.SendFrame\(/ && (fn !~ /\) sendPacket\(/ || $$0 !~ /out\.SendFrame\(fs\.conn, /)' internal/forwarder/forwarder.go | grep .
+	! grep -n 'RevocationSet' internal/core/provider.go internal/core/grants.go
+	! grep -nE '^[[:space:]]+Full[[:space:]]+bool|^func \([a-z]+ \*RevocationSet\) Revoke\(' internal/ndn/control.go internal/core/revocation.go
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -137,7 +144,8 @@ test-repeat:
 # cycle, a CS insert that evicts and a hit copied out, an intern hit, an
 # unsampled span, and the Bloom-filter miss — a decoded tag's signing bytes, a forged tag's validation (the scheme's
 # own allocations only), the ECDSA low-s check, a cheap denial, a verify-queue admission, an
-# edge reader's park, verify and NACK. -count=1 because a cached pass proves nothing
+# edge reader's park, verify and NACK — plus the provider's Revoke, which
+# allocates the same with 64 grants revoked as with 4096. -count=1 because a cached pass proves nothing
 # about the toolchain's escape analysis today.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...

@@ -2,9 +2,11 @@
 // ledger: it replays the ledger into a core.Provider (OpenLedger), the
 // one issuer that also answers registrations, mints, renews and revokes
 // tags through it, and pushes revocation-set and epoch-rotation control
-// frames to running forwarders. Each run appends to the ledger and
-// exits; a running origin (tacticd -role producer) keeps its grants in
-// memory, so its registration tags are not in this file.
+// frames to running forwarders. A push carries the revoked grants whose
+// T_e has not passed: past it a tag is denied by its expiry. Each run
+// appends to the ledger and exits; a running origin (tacticd -role
+// producer) keeps its grants in memory, so its registration tags are not
+// in this file.
 //
 //	tacticissue issue  -ledger prov0.ledger -key prov0.key \
 //	                   -client /users/alice/KEY/1 -level 2 -ap e0 -ttl 30s -out alice.tag
@@ -212,8 +214,9 @@ func runRevoke(args []string) error {
 		}
 		fmt.Printf("revoked %s\n", id)
 	}
+	_, live := p.Revocations(time.Now())
 	fmt.Printf("revocation set: version %d, %d entries (push with: tacticissue push)\n",
-		version, p.Revocations().Len())
+		version, len(live))
 	return nil
 }
 
@@ -239,7 +242,7 @@ func runList(args []string) error {
 		fmt.Printf("%s %-7s %s level %d ap %016x expiry %s\n",
 			r.ID, r.Status, r.ClientKey, r.Level, uint64(r.AccessPath), r.Expiry.Format(time.RFC3339))
 	}
-	v, revoked := p.Revocations().Snapshot()
+	v, revoked := p.Revocations(time.Now())
 	fmt.Printf("%d grants, %d outstanding; revocation set version %d (%d entries)\n",
 		len(recs), p.Outstanding(), v, len(revoked))
 	return nil
@@ -264,12 +267,11 @@ func runPush(args []string) error {
 		return err
 	}
 	defer p.Close()
-	version, revoked := p.Revocations().Snapshot()
+	version, revoked := p.Revocations(time.Now())
 	frames := []*ndn.Control{{
 		Kind:    ndn.CtrlRevoke,
 		Version: version,
 		Origin:  *origin,
-		Full:    true,
 		Revoked: revoked,
 	}}
 	if *epoch != 0 {

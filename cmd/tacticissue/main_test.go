@@ -166,6 +166,52 @@ func TestIssueRenewRevokeListPush(t *testing.T) {
 	}
 }
 
+// TestPushDropsExpiredRevocations: a revoked grant is in the pushed set
+// until its T_e and not after — past T_e the tag is denied by its expiry,
+// so the push forgets it while the version stays where it was.
+func TestPushDropsExpiredRevocations(t *testing.T) {
+	dir := t.TempDir()
+	ledger := filepath.Join(dir, "prov0.ledger")
+	keyPath := filepath.Join(dir, "prov0.key")
+	key, err := pki.GenerateECDSA(rand.Reader, names.MustParse("/prov0/KEY/1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pemKey, err := pki.MarshalECDSAPrivate(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keyPath, pemKey, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	const ttl = 2 * time.Second
+	out := runOut(t, "issue", "-ledger", ledger, "-key", keyPath, "-client", "/users/mallory/KEY/1",
+		"-level", "2", "-ap", "e0", "-ttl", ttl.String())
+	expired := time.Now().Add(ttl) // no earlier than the grant's T_e
+	runOut(t, "revoke", "-ledger", ledger, "-id", field(t, out, "issued ", 1))
+
+	edge, err := forwarder.New(forwarder.Config{ID: "edge-0", Role: forwarder.RoleEdge, Registry: pki.NewRegistry(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	ln, err := transport.ListenFace("127.0.0.1:0", transport.UDPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go edge.ServeFaces(ln) //nolint:errcheck // exits on close
+	addr := ln.Addr().String()
+
+	if out := runOut(t, "push", "-ledger", ledger, "-to", addr); !strings.Contains(out, "pushed revocation set v1 (1 entries)") {
+		t.Errorf("push before T_e: %q, want the revoked grant in it", out)
+	}
+	time.Sleep(time.Until(expired) + 10*time.Millisecond)
+	if out := runOut(t, "push", "-ledger", ledger, "-to", addr); !strings.Contains(out, "pushed revocation set v1 (0 entries)") {
+		t.Errorf("push after T_e: %q, want the expired grant left out", out)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	ledger := filepath.Join(dir, "l")

@@ -143,7 +143,7 @@ func run() error {
 	if _, err := provider.Revoke(tag.ID()); err != nil {
 		return err
 	}
-	version, ids := provider.Revocations().Snapshot()
+	version, ids := provider.Revocations(time.Now())
 	pushed := time.Now()
 	pusher, err := dialClient(edgeAddr)
 	if err != nil {
@@ -152,7 +152,7 @@ func run() error {
 	defer pusher.Close()
 	if err := pusher.SendControl(&ndn.Control{
 		Kind: ndn.CtrlRevoke, Version: version, Origin: "lifecycle-svc",
-		Full: true, Revoked: ids,
+		Revoked: ids,
 	}); err != nil {
 		return err
 	}
@@ -192,8 +192,9 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("grant lost across restart")
 	}
+	version, ids = restarted.Revocations(time.Now())
 	fmt.Printf("restart service reopened from ledger: grant %s status=%s, set v%d with %d entry\n",
-		tag.ID().Short(), rec.Status, restarted.Revocations().Version(), restarted.Revocations().Len())
+		tag.ID().Short(), rec.Status, version, len(ids))
 	fmt.Println("\nrevocation cost: one control frame per push, one exact-set lookup per request —")
 	fmt.Println("no re-encryption, no key redistribution, no waiting out the tag TTL.")
 	return nil

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,10 +101,10 @@ func BenchmarkIssue(b *testing.B) {
 	})
 }
 
-// BenchmarkRevoke measures revocation at a realistic storm size: the
-// revocation set is copy-on-write (reads on the router hot path are
-// lock-free), so cost grows with set size; this benchmark bounds it at
-// 4096 live revocations.
+// BenchmarkRevoke measures revocation across a storm of 4096: Revoke
+// marks one grant record, so its cost does not grow with the number of
+// grants already revoked (TestRevokeAllocs holds the allocations to
+// that).
 func BenchmarkRevoke(b *testing.B) {
 	const pool = 4096
 	client := names.MustParse("/u/alice/KEY/1")
@@ -149,5 +151,50 @@ func BenchmarkLedgerIssue(b *testing.B) {
 		if _, err := p.Issue(client, 1, AccessPath(uint64(i)), time.Unix(int64(1<<31+i), 0)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLedgerReplay measures OpenLedger over a ledger of n issue
+// lines followed by a revoke line for each: one replay is a pass over
+// the lines, so its cost is linear in the ledger's length.
+func BenchmarkLedgerReplay(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("revokes=%d", n), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "ledger")
+			p := benchProvider(b)
+			if err := p.OpenLedger(path); err != nil {
+				b.Fatal(err)
+			}
+			client := names.MustParse("/u/alice/KEY/1")
+			ids := make([]TagID, 0, n)
+			for i := 0; i < n; i++ {
+				tag, err := p.Issue(client, 1, AccessPath(uint64(i)), time.Unix(int64(1<<31+i), 0))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ids = append(ids, tag.ID())
+			}
+			for _, id := range ids {
+				if _, err := p.Revoke(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := p.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := benchProvider(b)
+				b.StartTimer()
+				if err := r.OpenLedger(path); err != nil {
+					b.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -15,19 +15,21 @@ import (
 
 // A provider records every tag it mints as a grant, keyed by the tag's
 // lifecycle identity (TagID): at registration (Register) and on the
-// operator's side (Issue, Renew). Revoke moves a grant's ID into the
-// provider's revocation set, which routers consult before their Bloom
-// filters once it is pushed to them over control frames (ndn.Control,
-// cmd/tacticissue push). That closes the window expiry alone leaves
-// open: TACTIC's native revocation is "a revoked client simply never
-// receives a fresh tag", so a de-authorised client keeps being served
-// until its tag's T_e.
+// operator's side (Issue, Renew). Revoke marks a grant revoked, and that
+// status is the one record of the revocation: Revocations lists the
+// revoked grants whose T_e has not passed, the whole set routers consult
+// before their Bloom filters once it is pushed to them over control
+// frames (ndn.Control, cmd/tacticissue push). That closes the window
+// expiry alone leaves open: TACTIC's native revocation is "a revoked
+// client simply never receives a fresh tag", so a de-authorised client
+// keeps being served until its tag's T_e. Past T_e the tag is denied
+// by its expiry, so an expired revoked grant needs no entry.
 //
 // Grants live in one map under the provider's lock. Registration can be
 // triggered from a remote face, so Register forgets grants that expired
-// before its now in an amortised sweep, and an origin's memory stays
-// bounded by the grants still live. An optional append-only ledger
-// (OpenLedger) keeps every line, swept or not.
+// before its now in an amortised sweep, revoked ones included, and an
+// origin's memory stays bounded by the grants still live. An optional
+// append-only ledger (OpenLedger) keeps every line, swept or not.
 
 // GrantStatus is a grant's lifecycle state.
 type GrantStatus uint8
@@ -40,8 +42,8 @@ const (
 	// GrantRenewed: a successor grant supersedes this one; the old tag
 	// stays honoured until its T_e.
 	GrantRenewed
-	// GrantRevoked: explicitly revoked; the ID is in the revocation set
-	// and routers deny it ahead of T_e.
+	// GrantRevoked: explicitly revoked; until T_e the ID is in every
+	// revocation push, and routers deny it ahead of T_e.
 	GrantRevoked
 )
 
@@ -119,9 +121,9 @@ func (p *Provider) Renew(id TagID, newExpiry time.Time) (*Tag, error) {
 	return p.mint(g.ClientKey, g.Level, g.AccessPath, newExpiry, g)
 }
 
-// Revoke moves grant id into the revocation set; routers deny the tag as
-// soon as the set reaches them, without waiting for T_e. It returns the
-// set's new version.
+// Revoke marks grant id revoked; routers deny the tag as soon as a push
+// of Revocations reaches them, without waiting for T_e. It returns the
+// revocation version, which advances once per grant newly revoked.
 func (p *Provider) Revoke(id TagID) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -130,13 +132,14 @@ func (p *Provider) Revoke(id TagID) (uint64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownTag, id)
 	}
 	if g.Status == GrantRevoked {
-		return p.rev.Version(), nil
+		return p.revVersion, nil
 	}
 	if err := p.append("revoke " + id.String()); err != nil {
 		return 0, err
 	}
 	p.setStatus(g, GrantRevoked)
-	return p.rev.Revoke(id), nil
+	p.revVersion++
+	return p.revVersion, nil
 }
 
 // mint signs a tag and records its grant, superseding renewed when it is
@@ -145,7 +148,7 @@ func (p *Provider) Revoke(id TagID) (uint64, error) {
 // anything is signed or written.
 func (p *Provider) mint(clientKey names.Name, level AccessLevel, ap AccessPath, expiry time.Time, renewed *Grant) (*Tag, error) {
 	tuple := Tag{ProviderKey: p.signer.Locator(), Level: level, ClientKey: clientKey, AccessPath: ap, Expiry: expiry}
-	if id := tuple.ID(); p.rev.Contains(id) {
+	if id := tuple.ID(); p.revoked(id) {
 		return nil, fmt.Errorf("%w: %s", ErrRevokedGrant, id)
 	}
 	tag, err := IssueTag(p.signer, clientKey, level, ap, expiry)
@@ -166,11 +169,11 @@ func (p *Provider) mint(clientKey names.Name, level AccessLevel, ap AccessPath, 
 
 // install records g, superseding renewed when it is active. Re-minting
 // an identical tuple (same ID, as a renewal to the same expiry is)
-// replaces the previous record: the grant is one logical thing. An ID
-// in the revocation set is recorded revoked: mint refuses one, so only
-// replaying a ledger that re-issued a revoked tuple gets here with it.
+// replaces the previous record: the grant is one logical thing. A
+// revoked ID stays revoked: mint refuses one, so only replaying a ledger
+// that re-issued a revoked tuple gets here with it.
 func (p *Provider) install(g *Grant, renewed *Grant) {
-	if p.rev.Contains(g.ID) {
+	if p.revoked(g.ID) {
 		g.Status = GrantRevoked
 	} else if prev, ok := p.grants[g.ID]; !ok || prev.Status != GrantActive {
 		p.active++
@@ -180,6 +183,12 @@ func (p *Provider) install(g *Grant, renewed *Grant) {
 		p.setStatus(renewed, GrantRenewed)
 		renewed.Successor = g.ID
 	}
+}
+
+// revoked reports whether the provider holds id as a revoked grant.
+func (p *Provider) revoked(id TagID) bool {
+	g, ok := p.grants[id]
+	return ok && g.Status == GrantRevoked
 }
 
 // setStatus moves an unrevoked grant to status, keeping the active count.
@@ -236,9 +245,20 @@ func (p *Provider) Outstanding() int {
 	return p.active
 }
 
-// Revocations exposes the provider's authoritative revocation set; its
-// Snapshot is the payload of a full push to routers.
-func (p *Provider) Revocations() *RevocationSet { return p.rev }
+// Revocations returns the revocation version and the IDs of the revoked
+// grants whose T_e is not before now, in unspecified order: the payload
+// of a push, which replaces a router's whole set.
+func (p *Provider) Revocations(now time.Time) (uint64, []TagID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var ids []TagID
+	for id, g := range p.grants {
+		if g.Status == GrantRevoked && !g.Expiry.Before(now) {
+			ids = append(ids, id)
+		}
+	}
+	return p.revVersion, ids
+}
 
 // --- Ledger ------------------------------------------------------------------
 
@@ -251,7 +271,8 @@ func (p *Provider) Revocations() *RevocationSet { return p.rev }
 // IDs and access paths are hex. The ledger records grants, not
 // signatures: tags are delivered to clients at issue time and the
 // provider never needs to reproduce one, so replay rebuilds exactly the
-// grants and the revocation set.
+// grants and the revocation version: every revoke line advances it once,
+// as the Revoke that wrote the line did.
 
 // OpenLedger replays the ledger at path into the provider and appends
 // every later grant and revocation to it. A torn final line (a crash
@@ -353,7 +374,7 @@ func (p *Provider) applyLine(line string) error {
 		if g, ok := p.grants[id]; ok {
 			p.setStatus(g, GrantRevoked)
 		}
-		p.rev.Revoke(id)
+		p.revVersion++
 		return nil
 	}
 	want := map[string]int{"issue": 6, "renew": 7}[fields[0]]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,6 +13,13 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/names"
 )
+
+// pushed reports whether id is in p's revocation push at the zero time,
+// before every test grant's T_e.
+func pushed(p *Provider, id TagID) bool {
+	_, ids := p.Revocations(time.Time{})
+	return slices.Contains(ids, id)
+}
 
 func TestIssueRenewRevoke(t *testing.T) {
 	s, _ := newTestProvider(t, 1, time.Hour)
@@ -52,7 +60,7 @@ func TestIssueRenewRevoke(t *testing.T) {
 	if s.Outstanding() != 1 {
 		t.Fatalf("outstanding after renew = %d", s.Outstanding())
 	}
-	if s.Revocations().Contains(tag.ID()) {
+	if pushed(s, tag.ID()) {
 		t.Fatal("renewal revoked the old tag")
 	}
 	if _, err := s.Renew(tag.ID(), time.Unix(9999, 0)); !errors.Is(err, ErrNotActive) {
@@ -64,8 +72,8 @@ func TestIssueRenewRevoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 || !s.Revocations().Contains(tag2.ID()) {
-		t.Fatalf("revocation set version=%d contains=%v", v, s.Revocations().Contains(tag2.ID()))
+	if v != 1 || !pushed(s, tag2.ID()) {
+		t.Fatalf("revocation set version=%d contains=%v", v, pushed(s, tag2.ID()))
 	}
 	if rec, _ := s.Lookup(tag2.ID()); rec.Status != GrantRevoked {
 		t.Fatalf("revoked record = %+v", rec)
@@ -100,7 +108,7 @@ func TestRegisteredGrantRevocable(t *testing.T) {
 	if g, ok := p.Lookup(id); !ok || g.Status != GrantActive || g.Level != 2 || !g.Expiry.Equal(resp.Tag.Expiry) {
 		t.Fatalf("registration grant = %+v ok=%v", g, ok)
 	}
-	if v, err := p.Revoke(id); err != nil || v != 1 || !p.Revocations().Contains(id) {
+	if v, err := p.Revoke(id); err != nil || v != 1 || !pushed(p, id) {
 		t.Fatalf("revoking the registration grant: v%d %v", v, err)
 	}
 }
@@ -151,7 +159,7 @@ func TestLedgerReplay(t *testing.T) {
 	if rec, ok := s2.Lookup(tagB.ID()); !ok || rec.Status != GrantRevoked {
 		t.Fatalf("replayed B = %+v ok=%v", rec, ok)
 	}
-	if !s2.Revocations().Contains(tagB.ID()) {
+	if !pushed(s2, tagB.ID()) {
 		t.Fatal("replay lost the revocation")
 	}
 	// Replay preserves identity: renewing the same record mints a tag
@@ -186,9 +194,9 @@ func TestReissueRevokedStaysRevoked(t *testing.T) {
 		t.Fatalf("re-issuing a revoked tuple = %v, %v; want ErrRevokedGrant", again, err)
 	}
 	rec, _ := s.Lookup(tag.ID())
-	if rec.Status != GrantRevoked || s.Outstanding() != 0 || !s.Revocations().Contains(tag.ID()) {
+	if rec.Status != GrantRevoked || s.Outstanding() != 0 || !pushed(s, tag.ID()) {
 		t.Fatalf("after a refused re-issue: status=%s outstanding=%d revokedInSet=%v",
-			rec.Status, s.Outstanding(), s.Revocations().Contains(tag.ID()))
+			rec.Status, s.Outstanding(), pushed(s, tag.ID()))
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
 		t.Errorf("the refused re-issue wrote %q to the ledger", after[len(before):])
@@ -306,8 +314,42 @@ func TestConcurrentIssueRevoke(t *testing.T) {
 	wg.Wait()
 	// Identical tuples collapse to one grant (same TagID), so assert on
 	// the set sizes rather than raw counts.
-	if n := len(s.Records()); n == 0 || s.Outstanding() <= 0 || s.Revocations().Len() == 0 {
-		t.Fatalf("records=%d outstanding=%d revoked=%d", n, s.Outstanding(), s.Revocations().Len())
+	if _, revoked := s.Revocations(time.Time{}); len(s.Records()) == 0 || s.Outstanding() <= 0 || len(revoked) == 0 {
+		t.Fatalf("records=%d outstanding=%d revoked=%d", len(s.Records()), s.Outstanding(), len(revoked))
+	}
+}
+
+// TestRevokeAllocs: revoking a grant allocates the same with 64 grants
+// already revoked as with 4096 — Revoke marks one record and copies no
+// set.
+func TestRevokeAllocs(t *testing.T) {
+	const runs = 100
+	allocs := func(revoked int) float64 {
+		p, _ := newTestProvider(t, 10, time.Hour)
+		client := names.MustParse("/u/a/KEY/1")
+		ids := make([]TagID, 0, revoked+runs+1)
+		for i := 0; i < revoked+runs+1; i++ {
+			tag, err := p.Issue(client, 1, AccessPath(i), time.Unix(int64(1000+i), 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, tag.ID())
+		}
+		for _, id := range ids[:revoked] {
+			if _, err := p.Revoke(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := revoked
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := p.Revoke(ids[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Errorf("Revoke allocates %.1f times with 64 grants revoked, %.1f with 4096", small, large)
 	}
 }
 
@@ -400,6 +442,65 @@ func TestRegisterForgetsExpiredGrants(t *testing.T) {
 	}
 }
 
+// TestRevocationsDropExpired: a revoked grant is in the push up to its
+// T_e and not after, and the sweep that forgets it changes no version;
+// the next revocation advances the version from where it was.
+func TestRevocationsDropExpired(t *testing.T) {
+	p, _ := newTestProvider(t, 8, 100*time.Second)
+	short, err := p.Issue(names.MustParse("/u/a/KEY/1"), 1, 7, testTime(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := p.Issue(names.MustParse("/u/b/KEY/1"), 1, 7, testTime(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []TagID{short.ID(), long.ID()} {
+		if _, err := p.Revoke(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		now  int64
+		want []TagID
+	}{
+		{100, []TagID{short.ID(), long.ID()}},
+		{101, []TagID{long.ID()}},
+		{1001, nil},
+	} {
+		v, ids := p.Revocations(testTime(tc.now))
+		if v != 2 || len(ids) != len(tc.want) {
+			t.Fatalf("at %ds: v%d %d IDs, want v2 %d", tc.now, v, len(ids), len(tc.want))
+		}
+		for _, id := range tc.want {
+			if !slices.Contains(ids, id) {
+				t.Errorf("at %ds: %s missing from the push", tc.now, id.Short())
+			}
+		}
+	}
+
+	// A registration at 500 s sweeps the expired revoked grant away.
+	client := newTestClient(t, 9, "/u/c/KEY/1")
+	p.Enroll(client.KeyLocator(), clientPublic(t, client, 9), 1)
+	req, err := client.NewRegistrationRequest(AccessPathOf("e0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.Register(req, testTime(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Lookup(short.ID()); ok {
+		t.Error("the sweep kept a revoked grant past its T_e")
+	}
+	if v, ids := p.Revocations(time.Time{}); v != 2 || len(ids) != 1 || ids[0] != long.ID() {
+		t.Errorf("after the sweep: v%d %d IDs, want v2 with the live revoked grant", v, len(ids))
+	}
+	if v, err := p.Revoke(resp.Tag.ID()); err != nil || v != 3 {
+		t.Errorf("next revocation = v%d, %v; want v3", v, err)
+	}
+}
+
 // TestLedgerFormatPin replays a ledger committed under testdata, written
 // by the grant ledger's first implementation: issue, renew and revoke lines, a roaming grant,
 // a revoked renewed grant, and a torn final revoke line. Every record
@@ -474,7 +575,7 @@ func TestLedgerFormatPin(t *testing.T) {
 	if got := s.Outstanding(); got != 3 {
 		t.Errorf("Outstanding() = %d, want 3 (bob, alice's third grant, dave)", got)
 	}
-	version, ids := s.Revocations().Snapshot()
+	version, ids := s.Revocations(time.Unix(0, 0))
 	got := make([]string, 0, len(ids))
 	for _, id := range ids {
 		got = append(got, id.String())

@@ -93,17 +93,17 @@ type Provider struct {
 	signer     pki.Signer
 	tagTTL     time.Duration
 	contentKey [pki.ContentKeySize]byte
-	rev        *RevocationSet
 
-	mu       sync.Mutex // guards everything below and the use of rng
-	rng      io.Reader
-	enrolled map[string]enrollment
-	issued   uint64
-	grants   map[TagID]*Grant
-	active   int // grants in GrantActive
-	sweepAt  int // grant count at which Register next sweeps
-	ledger   *os.File
-	ledgerW  *bufio.Writer
+	mu         sync.Mutex // guards everything below and the use of rng
+	rng        io.Reader
+	enrolled   map[string]enrollment
+	issued     uint64
+	grants     map[TagID]*Grant
+	active     int    // grants in GrantActive
+	revVersion uint64 // advances once per revocation; the pushed set's version
+	sweepAt    int    // grant count at which Register next sweeps
+	ledger     *os.File
+	ledgerW    *bufio.Writer
 }
 
 // NewProvider creates a provider owning the given name prefix. tagTTL is
@@ -117,7 +117,6 @@ func NewProvider(prefix names.Name, signer pki.Signer, tagTTL time.Duration, rng
 		prefix:   prefix,
 		signer:   signer,
 		tagTTL:   tagTTL,
-		rev:      NewRevocationSet(),
 		rng:      rng,
 		enrolled: make(map[string]enrollment),
 		grants:   make(map[TagID]*Grant),

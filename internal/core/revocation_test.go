@@ -39,41 +39,36 @@ func TestTagIDIdentity(t *testing.T) {
 	}
 }
 
+// TestRevocationSetVersioning: every push that advances the version
+// replaces the whole set, with or without IDs; a push that does not
+// advance it changes nothing.
 func TestRevocationSetVersioning(t *testing.T) {
 	s := NewRevocationSet()
 	id1, id2, id3 := TagID{1}, TagID{2}, TagID{3}
 	if s.Contains(id1) || s.Version() != 0 || s.Len() != 0 {
 		t.Fatal("fresh set not empty at version 0")
 	}
-	if v := s.Revoke(id1); v != 1 {
-		t.Fatalf("Revoke version = %d, want 1", v)
+	if !s.Apply(1, []TagID{id1, id2}) {
+		t.Fatal("advancing push rejected")
 	}
-	if !s.Contains(id1) || s.Contains(id2) {
-		t.Fatal("Revoke membership wrong")
-	}
-	// A delta push unions and advances.
-	if !s.Apply(5, false, []TagID{id2}) {
-		t.Fatal("advancing delta rejected")
-	}
-	if !s.Contains(id1) || !s.Contains(id2) || s.Version() != 5 {
-		t.Fatalf("delta apply wrong: len=%d version=%d", s.Len(), s.Version())
+	if !s.Contains(id1) || !s.Contains(id2) || s.Contains(id3) || s.Version() != 1 || s.Len() != 2 {
+		t.Fatalf("push wrong: len=%d version=%d", s.Len(), s.Version())
 	}
 	// Stale and duplicate pushes are ignored.
-	if s.Apply(5, false, []TagID{id3}) || s.Apply(3, true, nil) {
+	if s.Apply(1, []TagID{id3}) || s.Apply(0, nil) {
 		t.Fatal("stale push applied")
 	}
-	if s.Contains(id3) {
+	if s.Contains(id3) || s.Len() != 2 {
 		t.Fatal("stale push mutated the set")
 	}
-	// A full push replaces.
-	if !s.Apply(6, true, []TagID{id3}) {
-		t.Fatal("full push rejected")
+	// A push replaces the set: what it does not name is lifted.
+	if !s.Apply(5, []TagID{id3}) {
+		t.Fatal("advancing push rejected")
 	}
-	if s.Contains(id1) || s.Contains(id2) || !s.Contains(id3) || s.Len() != 1 {
-		t.Fatal("full push did not replace the set")
+	if s.Contains(id1) || s.Contains(id2) || !s.Contains(id3) || s.Len() != 1 || s.Version() != 5 {
+		t.Fatal("push did not replace the set")
 	}
-	v, ids := s.Snapshot()
-	if v != 6 || len(ids) != 1 || ids[0] != id3 {
-		t.Fatalf("snapshot = %d %v", v, ids)
+	if !s.Apply(6, nil) || s.Len() != 0 || s.Contains(id3) {
+		t.Fatal("an empty push did not empty the set")
 	}
 }

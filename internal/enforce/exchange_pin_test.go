@@ -145,7 +145,7 @@ func (p *pinFixture) run(t *testing.T, checkpoint string) (string, string) {
 		return p.parked(t, fast, node.Pending{Op: enforce.OpContent, Content: p.content, Flag: fast.Flag})
 	}
 	if p.revoke {
-		p.r.ApplyRevocation(1, false, []core.TagID{p.tag.ID()})
+		p.r.ApplyRevocation(1, []core.TagID{p.tag.ID()})
 	}
 	edge, recFlag := checkpoint == "edge-agg", 0.0
 	if checkpoint == "agg-F1" {
@@ -164,7 +164,7 @@ func (p *pinFixture) parked(t *testing.T, fast enforce.Verdict, pending node.Pen
 		t.Fatalf("fast verdict %s, want verify", p.verdict(fast))
 	}
 	if p.revoke {
-		p.r.ApplyRevocation(1, false, []core.TagID{p.tag.ID()})
+		p.r.ApplyRevocation(1, []core.TagID{p.tag.ID()})
 	}
 	i := &ndn.Interest{Name: p.content.Meta.Name, Tag: p.tag, AccessPath: p.ap}
 	lead := p.r.VerifyMiss(pending.Input(i, p.now))

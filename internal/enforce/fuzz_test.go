@@ -76,7 +76,7 @@ func FuzzEnforceDecision(f *testing.F) {
 			}
 			if revoked {
 				for _, r := range []*Router{edge, mid} {
-					r.ApplyRevocation(1, false, []core.TagID{tag.ID()})
+					r.ApplyRevocation(1, []core.TagID{tag.ID()})
 				}
 			}
 		}

@@ -132,7 +132,7 @@ func (h *goldenHarness) tagFor(t testing.TB, threat string) (*core.Tag, core.Con
 	case "revoked":
 		tag := valid()
 		for _, r := range []*Router{h.edge, h.core} {
-			if !r.ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
+			if !r.ApplyRevocation(1, []core.TagID{tag.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
 		}

@@ -3,6 +3,7 @@ package enforce
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/tactic-icn/tactic/internal/core"
 )
@@ -26,7 +27,7 @@ func TestRevokedTagDeniedBeforeBF(t *testing.T) {
 		t.Fatalf("expected BF hit, got %+v", d)
 	}
 
-	r.Revocations().Revoke(tag.ID())
+	r.ApplyRevocation(1, []core.TagID{tag.ID()})
 
 	if d := r.EdgeOnInterest(tag, 0, testContentName, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
 		t.Fatalf("edge did not deny revoked tag: %+v", d)
@@ -51,7 +52,7 @@ func TestRevokedTagDeniedBeforeBF(t *testing.T) {
 	// behaviour (and gives the conformance oracle its injectable bug).
 	r2, prov2 := testRouter(t, 63, core.Config{DisableRevocationCheck: true, EdgeValidateOnMiss: true})
 	tag2 := issueTestTag(t, prov2, 2, 0, testTime(1000))
-	r2.Revocations().Revoke(tag2.ID())
+	r2.ApplyRevocation(1, []core.TagID{tag2.ID()})
 	if d := r2.EdgeOnInterest(tag2, 0, testContentName, now); d.Denied() {
 		t.Fatalf("DisableRevocationCheck still denied: %+v", d)
 	}
@@ -68,18 +69,19 @@ func TestApplyRevocationReachesEngine(t *testing.T) {
 		if d := r.EdgeOnInterest(tag, 0, testContentName, now); d.Denied() {
 			t.Fatalf("%v: warm-up denied: %+v", scheme, d)
 		}
-		if !r.ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
-			t.Fatalf("%v: delta push rejected", scheme)
+		if !r.ApplyRevocation(1, []core.TagID{tag.ID()}) {
+			t.Fatalf("%v: advancing push rejected", scheme)
 		}
-		if r.ApplyRevocation(1, false, nil) {
+		if r.ApplyRevocation(1, nil) {
 			t.Fatalf("%v: duplicate version applied", scheme)
 		}
 		if d := r.EdgeOnInterest(tag, 0, testContentName, now); !d.Denied() || !errors.Is(d.Reason, core.ErrTagRevoked) {
 			t.Fatalf("%v: pushed revocation not enforced: %+v", scheme, d)
 		}
-		// A full replacement un-revokes: the tag flows again.
-		if !r.ApplyRevocation(2, true, nil) {
-			t.Fatalf("%v: full push rejected", scheme)
+		// The next push replaces the set: one without the ID un-revokes,
+		// and the tag flows again.
+		if !r.ApplyRevocation(2, nil) {
+			t.Fatalf("%v: advancing push rejected", scheme)
 		}
 		if d := r.EdgeOnInterest(tag, 0, testContentName, now); d.Denied() {
 			t.Fatalf("%v: cleared revocation still enforced: %+v", scheme, d)
@@ -178,6 +180,55 @@ func TestAccessPathAnyMatchesEverywhere(t *testing.T) {
 	for _, ap := range []core.AccessPath{0, core.AccessPathOf("e0"), core.AccessPathOf("e1")} {
 		if d := r.EdgeOnInterest(roam, ap, testContentName, now); d.Denied() {
 			t.Fatalf("roaming tag dropped at path %x: %v", uint64(ap), d.Reason)
+		}
+	}
+}
+
+// TestRevokedThenExpiredDeniedAsExpired: a tag that is revoked and then
+// passes its T_e is denied at the edge as expired, under both schemes,
+// whether the router's set still names it or a later push has dropped
+// it (a provider's push carries only the revoked grants still before
+// T_e). Expiry is checked ahead of the revocation gate, so forgetting an
+// expired ID opens nothing.
+func TestRevokedThenExpiredDeniedAsExpired(t *testing.T) {
+	te := testTime(50)
+	rows := []struct {
+		name    string
+		at      time.Time
+		version uint64 // the push applied before the request; 0 for none
+		named   bool   // whether that push names the tag
+		reason  string
+	}{
+		{"before T_e, revoked", testTime(45), 0, false, "revoked"},
+		{"past T_e, still in the set", testTime(60), 0, false, "expired"},
+		{"past T_e, dropped by the next push", testTime(60), 2, false, "expired"},
+		{"past T_e, named by the next push", testTime(60), 2, true, "expired"},
+	}
+	for _, scheme := range []core.Scheme{core.SchemeTACTIC, core.SchemeIBAC} {
+		for _, row := range rows {
+			t.Run(scheme.String()+"/"+row.name, func(t *testing.T) {
+				r, prov := testRouter(t, 71, core.Config{Scheme: scheme, EdgeValidateOnMiss: true})
+				tag := issueTestTag(t, prov, 2, 0, te)
+				if d := r.EdgeOnInterest(tag, 0, testContentName, testTime(40)); d.Denied() {
+					t.Fatalf("warm-up denied: %+v", d)
+				}
+				if !r.ApplyRevocation(1, []core.TagID{tag.ID()}) {
+					t.Fatal("revocation push rejected")
+				}
+				if row.version != 0 {
+					var ids []core.TagID
+					if row.named {
+						ids = append(ids, tag.ID())
+					}
+					if !r.ApplyRevocation(row.version, ids) {
+						t.Fatal("the next push was rejected")
+					}
+				}
+				d := r.EdgeOnInterest(tag, 0, testContentName, row.at)
+				if !d.Denied() || d.Stage != StageEdgeInterest || d.ReasonLabel() != row.reason {
+					t.Fatalf("edge verdict %+v (reason %q), want denied at the edge as %q", d, d.ReasonLabel(), row.reason)
+				}
+			})
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Router pairs an Engine with the one piece of I/O every scheme needs —
 // the signature validator — and exposes the protocol-shaped entry
 // points the planes call. It owns the revocation set the engine reads,
-// which control-plane pushes update through ApplyRevocation, and it
+// which each control-plane push replaces through ApplyRevocation, and it
 // drives the verification exchange for both schemes: the engine's Check
 // asks for a verification, the Router runs the validator and settles the
 // decision (a failure is a denial; a success goes to the engine's
@@ -59,14 +59,14 @@ func (r *Router) Bloom() *bloom.Filter { return r.engine.Bloom() }
 func (r *Router) Validator() *core.TagValidator { return r.validator }
 
 // Revocations exposes the router's revocation set for metric reads;
-// control-plane updates go through ApplyRevocation.
+// control-plane pushes go through ApplyRevocation.
 func (r *Router) Revocations() *core.RevocationSet { return r.rev }
 
-// ApplyRevocation applies one pushed revocation-set update (full
-// snapshot or delta). It reports whether the update advanced the set's
-// version.
-func (r *Router) ApplyRevocation(version uint64, full bool, ids []core.TagID) bool {
-	return r.rev.Apply(version, full, ids)
+// ApplyRevocation replaces the revocation set with a pushed one, the
+// provider's revoked grants still before their T_e. It reports whether
+// the push advanced the set's version; a stale push changes nothing.
+func (r *Router) ApplyRevocation(version uint64, ids []core.TagID) bool {
+	return r.rev.Apply(version, ids)
 }
 
 // Epoch returns the router's current validation-cache epoch.

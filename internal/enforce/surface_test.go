@@ -87,7 +87,7 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 			if !d.NeedsVerify() {
 				t.Fatalf("fast edge path settled without verification: %+v", d)
 			}
-			if !r.ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
+			if !r.ApplyRevocation(1, []core.TagID{tag.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
 			edgeIn := Input{Op: OpEdgeInterest, Tag: tag, Name: testContentName, Now: now}
@@ -108,7 +108,7 @@ func TestVerifyMissRevokedWhileParked(t *testing.T) {
 			if !d.NeedsVerify() {
 				t.Fatalf("fast content path settled without verification: %+v", d)
 			}
-			if !r2.ApplyRevocation(1, false, []core.TagID{tag2.ID()}) {
+			if !r2.ApplyRevocation(1, []core.TagID{tag2.ID()}) {
 				t.Fatal("revocation push rejected")
 			}
 			contentIn := Input{Op: OpContent, Tag: tag2, Meta: meta, Flag: d.Flag, Now: now}
@@ -144,7 +144,7 @@ func TestIBACDisableRevocationCheck(t *testing.T) {
 	r, prov := testRouter(t, 1, core.Config{Scheme: core.SchemeIBAC, DisableRevocationCheck: true})
 	now := testTime(10)
 	tag := issueTestTag(t, prov, 1, 0, testTime(100))
-	r.ApplyRevocation(1, false, []core.TagID{tag.ID()})
+	r.ApplyRevocation(1, []core.TagID{tag.ID()})
 	if d := r.EdgeOnInterest(tag, 0, testContentName, now); d.Denied() {
 		t.Fatalf("revocation ablation ignored by IBAC edge: %+v", d)
 	}

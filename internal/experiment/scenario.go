@@ -88,10 +88,6 @@ type Scenario struct {
 	CSCapacity int
 	// PITLifetime bounds pending Interests.
 	PITLifetime time.Duration
-	// Consumer is the client/attacker window configuration.
-	Consumer workload.ConsumerConfig
-	// ZipfAlpha is the popularity exponent (paper: 0.7).
-	ZipfAlpha float64
 	// ObjectsPerProvider and ChunksPerObject shape the catalog
 	// (paper: 50 x 50).
 	ObjectsPerProvider int
@@ -103,9 +99,6 @@ type Scenario struct {
 	ContentLevels []core.AccessLevel
 	// ClientLevel is the enrolled clients' AL_u (default 3).
 	ClientLevel core.AccessLevel
-	// LowAttackerLevel is the level granted to low-level attackers
-	// (default 1, below all private content).
-	LowAttackerLevel core.AccessLevel
 	// LinkLoss is the per-link packet loss probability.
 	LinkLoss float64
 	// AttackerMix cycles attacker kinds; default covers all threats.
@@ -114,9 +107,6 @@ type Scenario struct {
 	Ablations core.Config
 	// Delays is the computational delay model (default PaperDelays).
 	Delays sim.OpDelays
-	// ChargeDelays enables delay injection (default on via
-	// DisableDelayCharging = false).
-	DisableDelayCharging bool
 	// UseECDSA switches provider/client signatures to real ECDSA P-256
 	// (slower; the default FastScheme preserves validity semantics and
 	// timing comes from Delays, per the paper's methodology).
@@ -129,8 +119,6 @@ type Scenario struct {
 	// sanitised delay model — the protocol as written. DESIGN.md
 	// discusses the discrepancy.
 	PaperFidelity bool
-	// BFDesignFPP overrides the fidelity design FPP (default 1e-2).
-	BFDesignFPP float64
 	// Baseline substitutes a comparator access-control scheme for
 	// TACTIC on the same substrate (Table II comparison).
 	Baseline baseline.Scheme
@@ -163,6 +151,18 @@ type Scenario struct {
 	TraceEvery int
 }
 
+// Fixed simulation parameters, the paper's values.
+const (
+	// zipfAlpha is the content-popularity exponent (paper: 0.7).
+	zipfAlpha = 0.7
+	// lowAttackerLevel is the level granted to low-level attackers,
+	// below all private content.
+	lowAttackerLevel core.AccessLevel = 1
+	// fidelityDesignFPP is the design FPP PaperFidelity sizes the Bloom
+	// filters for.
+	fidelityDesignFPP = 1e-2
+)
+
 // withDefaults fills the paper's default parameters.
 func (s Scenario) withDefaults() Scenario {
 	if s.PaperTopology == 0 && s.Topology.CoreRouters == 0 {
@@ -186,12 +186,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.PITLifetime <= 0 {
 		s.PITLifetime = 2 * time.Second
 	}
-	if s.Consumer == (workload.ConsumerConfig{}) {
-		s.Consumer = workload.DefaultConsumerConfig()
-	}
-	if s.ZipfAlpha <= 0 {
-		s.ZipfAlpha = 0.7
-	}
 	if s.ObjectsPerProvider <= 0 {
 		s.ObjectsPerProvider = 50
 	}
@@ -207,9 +201,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.ClientLevel == 0 {
 		s.ClientLevel = 3
 	}
-	if s.LowAttackerLevel == 0 {
-		s.LowAttackerLevel = 1
-	}
 	if s.LinkLoss == 0 {
 		s.LinkLoss = 2e-5
 	}
@@ -223,9 +214,6 @@ func (s Scenario) withDefaults() Scenario {
 		s.Ablations.RequestDrivenReset = true
 		s.Ablations.EdgeValidateOnMiss = true
 		s.Ablations.PaperAggregates = true
-		if s.BFDesignFPP <= 0 {
-			s.BFDesignFPP = 1e-2
-		}
 		if s.Delays == (sim.OpDelays{}) {
 			s.Delays = sim.PaperLiteralDelays()
 		}
@@ -380,13 +368,12 @@ func build(s Scenario) (*Deployment, error) {
 	streams := sim.NewStreams(s.Seed)
 	net := network.New(engine, g, streams)
 	net.Delays = s.Delays
-	net.ChargeDelays = !s.DisableDelayCharging
+	net.ChargeDelays = true
 
 	b := &builder{scenario: s, graph: g, engine: engine, streams: streams, net: net}
 	if s.TraceEvery > 0 {
 		b.spans = new(bytes.Buffer)
 		net.Spans = b.spans
-		b.scenario.Consumer.TraceEvery = s.TraceEvery
 	}
 	if s.TraitorThreshold > 0 {
 		b.traitor = core.NewTraitorDetector(s.TraitorThreshold)
@@ -529,11 +516,15 @@ func (b *builder) setupPKIAndProviders() error {
 // routerConfig builds the shared router configuration.
 func (b *builder) routerConfig() network.RouterConfig {
 	behaviour := b.scenario.Baseline.Behaviour()
+	designFPP := 0.0
+	if b.scenario.PaperFidelity {
+		designFPP = fidelityDesignFPP
+	}
 	return network.RouterConfig{
 		Traitor:            b.traitor,
 		BFCapacity:         b.scenario.BFCapacity,
 		BFMaxFPP:           b.scenario.BFMaxFPP,
-		BFDesignFPP:        b.scenario.BFDesignFPP,
+		BFDesignFPP:        designFPP,
 		CSCapacity:         b.scenario.CSCapacity,
 		PITLifetime:        b.scenario.PITLifetime,
 		Tactic:             b.scenario.Ablations,
@@ -611,7 +602,7 @@ func (b *builder) publishCatalog() error {
 		return err
 	}
 	b.catalog = catalog
-	b.zipf, err = workload.NewZipf(len(catalog.Objects), b.scenario.ZipfAlpha)
+	b.zipf, err = workload.NewZipf(len(catalog.Objects), zipfAlpha)
 	if err != nil {
 		return err
 	}
@@ -651,6 +642,8 @@ func (b *builder) setupConsumers() error {
 	b.sharedLatency = metrics.NewTimeSeries(time.Second)
 	b.sharedTagQ = metrics.NewTimeSeries(time.Second)
 	b.sharedTagR = metrics.NewTimeSeries(time.Second)
+	consumerCfg := workload.DefaultConsumerConfig()
+	consumerCfg.TraceEvery = s.TraceEvery
 
 	// Clients: enrolled at every provider with ClientLevel.
 	for _, idx := range b.graph.OfKind(topology.KindClient) {
@@ -667,7 +660,7 @@ func (b *builder) setupConsumers() error {
 			p.Provider().Enroll(cl.KeyLocator(), signerPub, s.ClientLevel)
 		}
 		src := workload.NewHonestSource(cl, ap)
-		consumer := workload.NewConsumer(b.net, idx, src, b.catalog, b.zipf, b.streams.Stream(id+"-consumer"), b.regNames, s.Consumer)
+		consumer := workload.NewConsumer(b.net, idx, src, b.catalog, b.zipf, b.streams.Stream(id+"-consumer"), b.regNames, consumerCfg)
 		consumer.AttachCollectors(b.sharedLatency, b.sharedTagQ, b.sharedTagR)
 		b.net.SetNode(idx, consumer)
 		b.clients = append(b.clients, consumer)
@@ -692,7 +685,7 @@ func (b *builder) setupConsumers() error {
 		if err != nil {
 			return err
 		}
-		consumer := workload.NewConsumer(b.net, idx, src, b.catalog, b.zipf, b.streams.Stream(id+"-consumer"), b.regNames, s.Consumer)
+		consumer := workload.NewConsumer(b.net, idx, src, b.catalog, b.zipf, b.streams.Stream(id+"-consumer"), b.regNames, consumerCfg)
 		b.net.SetNode(idx, consumer)
 		b.attackers = append(b.attackers, consumer)
 		b.attackerKind[consumer] = kind
@@ -748,7 +741,7 @@ func (b *builder) attackerSource(kind AttackerKind, id string, ap core.AccessPat
 			return nil, err
 		}
 		for _, p := range b.providers {
-			p.Provider().Enroll(cl.KeyLocator(), pub, s.LowAttackerLevel)
+			p.Provider().Enroll(cl.KeyLocator(), pub, lowAttackerLevel)
 		}
 		return workload.NewHonestSource(cl, ap), nil
 	case AttackSharedTag:

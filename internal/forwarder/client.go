@@ -409,15 +409,6 @@ const DefaultWindow = 5
 // chunks through a DefaultWindow-sized pipeline, and concatenates the
 // decrypted payloads.
 func (c *Client) FetchObject(base names.Name, timeout time.Duration) ([]byte, int, error) {
-	return c.FetchObjectWindowed(base, DefaultWindow, timeout)
-}
-
-// FetchObjectWindowed is FetchObject with an explicit outstanding-chunk
-// window.
-func (c *Client) FetchObjectWindowed(base names.Name, window int, timeout time.Duration) ([]byte, int, error) {
-	if window < 1 {
-		window = 1
-	}
 	prefix := base.ProviderPrefix()
 	manifest, err := c.Fetch(base.MustAppend("manifest"), timeout)
 	if err != nil {
@@ -446,9 +437,9 @@ func (c *Client) FetchObjectWindowed(base names.Name, window int, timeout time.D
 		err   error
 	}
 	work := make(chan int)
-	results := make(chan result, window)
+	results := make(chan result, DefaultWindow)
 	var wg sync.WaitGroup
-	for w := 0; w < window; w++ {
+	for w := 0; w < DefaultWindow; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -29,7 +29,7 @@ func (f *Forwarder) handleControl(m *ndn.Control, from ndn.FaceID) bool {
 	case st.Outcome == node.ControlStale: // nothing changed, nothing to record
 	case m.Kind == ndn.CtrlRevoke:
 		f.ev.Emit(obs.EventRevocation, int(from), "v"+strconv.Itoa(int(m.Version))+" from "+m.Origin, uint64(len(m.Revoked)))
-		f.logf("control: revocation set v%d (%d entries, full=%v) from %q", m.Version, len(m.Revoked), m.Full, m.Origin)
+		f.logf("control: revocation set v%d (%d entries) from %q", m.Version, len(m.Revoked), m.Origin)
 	case m.Kind == ndn.CtrlRotate:
 		f.ev.Emit(obs.EventEpochRotate, int(from), "ordered by "+m.Origin, m.Version)
 		f.logf("control: rotated BF to epoch %d (ordered by %q)", m.Version, m.Origin)
@@ -68,12 +68,12 @@ func (f *Forwarder) floodControl(m *ndn.Control, except ndn.FaceID) {
 	}
 }
 
-// ApplyRevocation applies a revocation-set update as a CtrlRevoke frame
+// ApplyRevocation applies a whole revocation set as a CtrlRevoke frame
 // originated here — flooded to every attached face when it advances the
 // set — and reports whether it did (used by drivers that hold the
 // provider in-process).
-func (f *Forwarder) ApplyRevocation(version uint64, full bool, revoked []core.TagID) bool {
-	return f.handleControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Origin: f.cfg.ID, Full: full, Revoked: revoked}, ndn.FaceNone)
+func (f *Forwarder) ApplyRevocation(version uint64, revoked []core.TagID) bool {
+	return f.handleControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Origin: f.cfg.ID, Revoked: revoked}, ndn.FaceNone)
 }
 
 // flushRevokedParked NACKs parked verify jobs whose tag fell into the

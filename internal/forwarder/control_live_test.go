@@ -97,7 +97,7 @@ func TestLiveRevocationPush(t *testing.T) {
 	// the core router too.
 	pusher := rawConn(t, n.edgeAddr)
 	if err := pusher.SendControl(&ndn.Control{
-		Kind: ndn.CtrlRevoke, Version: 1, Origin: "issuer", Full: true,
+		Kind: ndn.CtrlRevoke, Version: 1, Origin: "issuer",
 		Revoked: []core.TagID{tag.ID()},
 	}); err != nil {
 		t.Fatal(err)
@@ -111,11 +111,11 @@ func TestLiveRevocationPush(t *testing.T) {
 	}
 
 	// A stale re-push (same version) is a no-op, not a re-flood.
-	if err := pusher.SendControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1, Origin: "issuer", Full: true}); err != nil {
+	if err := pusher.SendControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1, Origin: "issuer"}); err != nil {
 		t.Fatal(err)
 	}
-	// An advancing full push that drops the ID restores service.
-	if err := pusher.SendControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 2, Origin: "issuer", Full: true}); err != nil {
+	// An advancing push that drops the ID restores service.
+	if err := pusher.SendControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 2, Origin: "issuer"}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(liveTimeout)

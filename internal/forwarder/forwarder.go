@@ -79,8 +79,6 @@ type Config struct {
 	BFMaxFPP   float64
 	// CSCapacity is the content-store size in chunks.
 	CSCapacity int
-	// PITLifetime bounds pending Interests (default 4 s).
-	PITLifetime time.Duration
 	// WriteTimeout bounds each frame write on every face, so a wedged
 	// peer surfaces as a send error and the face is recycled instead of
 	// blocking the pipeline (0 = no deadline; tacticd and the origin use
@@ -122,6 +120,9 @@ type Config struct {
 // client that stops reading frees the goroutine sending to it — a verify
 // worker, when the reply follows a verification.
 const DefaultWriteTimeout = 10 * time.Second
+
+// pitLifetime bounds how long an Interest stays pending at a live router.
+const pitLifetime = 4 * time.Second
 
 // faceState is one attached face (stream conn or datagram face).
 type faceState struct {
@@ -222,9 +223,6 @@ func newForwarder(cfg Config, origin *Producer) (*Forwarder, error) {
 	if cfg.CSCapacity <= 0 {
 		cfg.CSCapacity = 4096
 	}
-	if cfg.PITLifetime <= 0 {
-		cfg.PITLifetime = 4 * time.Second
-	}
 	if cfg.VerifyWorkers <= 0 {
 		cfg.VerifyWorkers = 4
 	}
@@ -256,7 +254,7 @@ func newForwarder(cfg Config, origin *Producer) (*Forwarder, error) {
 		faces:  make(map[ndn.FaceID]*faceState),
 		closed: make(chan struct{}),
 	}
-	f.node = node.New(f.tactic, f.fib, f.pit, f.cs, cfg.Role, cfg.PITLifetime)
+	f.node = node.New(f.tactic, f.fib, f.pit, f.cs, cfg.Role, pitLifetime)
 	f.vp = newVerifyPool(f, cfg.VerifyWorkers, cfg.VerifyBudget)
 	f.registerSampled()
 	f.wg.Add(1)

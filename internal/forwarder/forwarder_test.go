@@ -502,8 +502,8 @@ func TestLiveRevokeRegisteredTagByID(t *testing.T) {
 	if _, err := provider.Revoke(tag.ID()); err != nil {
 		t.Fatalf("revoking the registered tag by ID: %v", err)
 	}
-	version, ids := provider.Revocations().Snapshot()
-	if !n.edgeFwd.ApplyRevocation(version, true, ids) {
+	version, ids := provider.Revocations(time.Now())
+	if !n.edgeFwd.ApplyRevocation(version, ids) {
 		t.Fatal("the edge did not take the pushed revocation set")
 	}
 	d := n.askTag(t, n.prefix.MustAppend("report", "chunk1"), tag, 1, tag.Encode())
@@ -565,7 +565,7 @@ func TestLiveWindowedFetchLargeObject(t *testing.T) {
 	alice := n.newLiveClient(t, "alice", 3)
 	defer alice.Close()
 
-	got, chunks, err := alice.FetchObjectWindowed(n.prefix.MustAppend("big"), 8, liveTimeout)
+	got, chunks, err := alice.FetchObject(n.prefix.MustAppend("big"), liveTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,14 +574,6 @@ func TestLiveWindowedFetchLargeObject(t *testing.T) {
 	}
 	if !bytes.Equal(got, big) {
 		t.Errorf("payload mismatch: %d vs %d bytes", len(got), len(big))
-	}
-	// Degenerate window clamps to 1.
-	got2, _, err := alice.FetchObjectWindowed(n.prefix.MustAppend("big"), 0, liveTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, big) {
-		t.Error("window-1 fetch mismatch")
 	}
 }
 

@@ -288,7 +288,7 @@ func TestOriginContract(t *testing.T) {
 				ones.Words = append(ones.Words, bloom.WordDelta{Index: uint32(i), Word: ^uint64(0)})
 			}
 			send(face.SendControl(ones))
-			send(face.SendControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1 << 40, Origin: "client", Full: true,
+			send(face.SendControl(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1 << 40, Origin: "client",
 				Revoked: []core.TagID{valid.ID()}}))
 			send(face.SendControl(&ndn.Control{Kind: ndn.CtrlRotate, Version: 99, Origin: "client"}))
 			if d := e.exchange(face, &ndn.Interest{Name: e.open, Kind: ndn.KindContent, Nonce: 10}); d == nil || d.Content == nil {

@@ -73,7 +73,7 @@ func newCoreHop(t *testing.T, provKey *pki.ECDSAKeyPair, reg *pki.Registry) *cor
 	}
 	t.Cleanup(func() { fwd.Close() })
 	fwd.cs = ndn.NewCS(1)
-	fwd.node = node.New(fwd.tactic, fwd.fib, fwd.pit, fwd.cs, RoleCore, fwd.cfg.PITLifetime)
+	fwd.node = node.New(fwd.tactic, fwd.fib, fwd.pit, fwd.cs, RoleCore, pitLifetime)
 	h := &coreHop{fwd: fwd, down: newFeedFace(), up: newFeedFace()}
 	fwd.AddFace(h.down, true)
 	h.upID = fwd.AddFace(h.up, false)

@@ -224,7 +224,7 @@ func TestVerifyPoolRevocationFlushCoversFollowers(t *testing.T) {
 	e.sendTag(b, doomed, 100, 2)
 	waitFor(t, "followers to attach", func() bool { return e.fwd.vp.Parked() == 3 })
 
-	if !e.fwd.ApplyRevocation(1, false, []core.TagID{doomed.ID()}) {
+	if !e.fwd.ApplyRevocation(1, []core.TagID{doomed.ID()}) {
 		t.Fatal("revocation push rejected")
 	}
 	if got := e.collectNACKs(a, 1); got["revoked"] != 1 {
@@ -255,7 +255,7 @@ func TestVerifyPoolRevokedWhileLeaderVerifies(t *testing.T) {
 	e.leadOn(a, tag, 1)
 	e.sendTag(b, tag, 100, 3)
 	waitFor(t, "followers to attach", func() bool { return e.fwd.vp.Parked() == 3 })
-	if !e.fwd.Tactic().ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
+	if !e.fwd.Tactic().ApplyRevocation(1, []core.TagID{tag.ID()}) {
 		t.Fatal("revocation rejected")
 	}
 	e.gate.release()
@@ -283,7 +283,7 @@ func TestVerifyPoolGateDeniedLeaderHandsOff(t *testing.T) {
 	waitFor(t, "leader to park", func() bool { return e.fwd.vp.Parked() == 1 })
 	e.sendTag(b, tag, 100, 2)
 	waitFor(t, "followers to attach", func() bool { return e.fwd.vp.Parked() == 3 })
-	if !e.fwd.Tactic().ApplyRevocation(1, false, []core.TagID{tag.ID()}) {
+	if !e.fwd.Tactic().ApplyRevocation(1, []core.TagID{tag.ID()}) {
 		t.Fatal("revocation rejected")
 	}
 	e.gate.release()

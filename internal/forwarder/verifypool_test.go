@@ -328,7 +328,7 @@ func TestVerifyPoolFlushOnRevocation(t *testing.T) {
 	}
 	waitFor(t, "jobs to park", func() bool { return e.fwd.vp.Parked() == 2 })
 
-	if !e.fwd.ApplyRevocation(1, false, []core.TagID{doomed.ID()}) {
+	if !e.fwd.ApplyRevocation(1, []core.TagID{doomed.ID()}) {
 		t.Fatal("revocation push rejected")
 	}
 	waitFor(t, "revocation to flush the doomed job", func() bool {

@@ -21,8 +21,8 @@ type ControlKind uint8
 
 // Control message kinds.
 const (
-	// CtrlRevoke carries a revocation-set update (full snapshot or
-	// delta) at a set version.
+	// CtrlRevoke carries a provider's whole revocation set at a set
+	// version; it replaces the receiver's set.
 	CtrlRevoke ControlKind = 1
 	// CtrlRotate orders a BF epoch rotation to the carried epoch.
 	CtrlRotate ControlKind = 2
@@ -56,9 +56,6 @@ type Control struct {
 	// CtrlBFSync it names whose filter the advert carries).
 	Origin string
 
-	// Full marks a CtrlRevoke carrying the complete revocation set
-	// rather than a delta to union in.
-	Full bool
 	// Revoked lists the revoked tag IDs (CtrlRevoke).
 	Revoked []core.TagID
 
@@ -82,7 +79,8 @@ const (
 	ctrlKind    = 0x01
 	ctrlVersion = 0x02
 	ctrlOrigin  = 0x03
-	ctrlFull    = 0x04
+	// 0x04 is retired: every revoke frame is the whole set, and a frame
+	// that still carries the old full-set marker decodes with it skipped.
 	ctrlRevoked = 0x05
 	ctrlShape   = 0x06
 	ctrlWords   = 0x07
@@ -112,9 +110,6 @@ func AppendControl(dst []byte, c *Control) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, c.Version)
 	if c.Origin != "" {
 		dst = appendTLV(dst, ctrlOrigin, []byte(c.Origin))
-	}
-	if c.Full {
-		dst = append(dst, ctrlFull, 0)
 	}
 	if len(c.Revoked) > 0 {
 		dst = append(dst, ctrlRevoked)
@@ -177,8 +172,6 @@ func DecodeControl(b []byte) (*Control, error) {
 			c.Version = binary.BigEndian.Uint64(v)
 		case ctrlOrigin:
 			c.Origin = string(v)
-		case ctrlFull:
-			c.Full = true
 		case ctrlRevoked:
 			if len(v)%tagIDSize != 0 {
 				return nil, fmt.Errorf("ndn: bad Revoked length %d", len(v))

@@ -45,7 +45,7 @@ func TestSimRevocationPush(t *testing.T) {
 	}
 
 	revoke := func(version uint64, ids ...core.TagID) int {
-		return h.net.Control(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Full: true, Revoked: ids})
+		return h.net.Control(&ndn.Control{Kind: ndn.CtrlRevoke, Version: version, Revoked: ids})
 	}
 	if applied := revoke(1, tag.ID()); applied != 2 {
 		t.Fatalf("revocation applied at %d routers, want 2", applied)

@@ -386,7 +386,7 @@ func (c *Core) OnControl(m *ndn.Control) ControlStep {
 	}
 	switch m.Kind {
 	case ndn.CtrlRevoke:
-		if c.tactic.ApplyRevocation(m.Version, m.Full, m.Revoked) {
+		if c.tactic.ApplyRevocation(m.Version, m.Revoked) {
 			return ControlStep{Outcome: ControlApplied, Flood: true, FlushRevoked: true}
 		}
 	case ndn.CtrlRotate:

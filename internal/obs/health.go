@@ -78,18 +78,6 @@ type HealthConfig struct {
 	// UnhealthyFactor scales a degraded threshold up to its unhealthy
 	// threshold (default 10).
 	UnhealthyFactor float64
-	// ReconnectsPerMin degrades the node when uplink reconnects exceed
-	// it (default 6/min).
-	ReconnectsPerMin float64
-	// ReassemblyEvictsPerSec degrades the node when reassembly evictions
-	// exceed it (default 50/s).
-	ReassemblyEvictsPerSec float64
-	// BFDegradedRatio degrades the node when measured FPP >= target *
-	// ratio (default 1: measured at or past target is already the
-	// paper's re-check invariant breaking). BFUnhealthyRatio (default 8)
-	// marks it unhealthy.
-	BFDegradedRatio  float64
-	BFUnhealthyRatio float64
 	// MinWindow is the shortest interval over which rates are computed;
 	// evaluations arriving sooner reuse the previous rates (default 1s).
 	MinWindow time.Duration
@@ -97,24 +85,27 @@ type HealthConfig struct {
 	Now func() time.Time
 }
 
+// The fixed rule thresholds.
+const (
+	// reconnectsPerMin degrades the node when uplink reconnects exceed
+	// it; UnhealthyFactor times it is unhealthy.
+	reconnectsPerMin = 6
+	// reassemblyEvictsPerSec degrades the node when reassembly evictions
+	// exceed it; UnhealthyFactor times it is unhealthy.
+	reassemblyEvictsPerSec = 50
+	// bfDegradedRatio degrades the node when measured FPP >= target *
+	// ratio (measured at or past target is already the paper's re-check
+	// invariant breaking); bfUnhealthyRatio marks it unhealthy.
+	bfDegradedRatio  = 1
+	bfUnhealthyRatio = 8
+)
+
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.ShedRatePerSec <= 0 {
 		c.ShedRatePerSec = 25
 	}
 	if c.UnhealthyFactor <= 0 {
 		c.UnhealthyFactor = 10
-	}
-	if c.ReconnectsPerMin <= 0 {
-		c.ReconnectsPerMin = 6
-	}
-	if c.ReassemblyEvictsPerSec <= 0 {
-		c.ReassemblyEvictsPerSec = 50
-	}
-	if c.BFDegradedRatio <= 0 {
-		c.BFDegradedRatio = 1
-	}
-	if c.BFUnhealthyRatio <= 0 {
-		c.BFUnhealthyRatio = 8
 	}
 	if c.MinWindow <= 0 {
 		c.MinWindow = time.Second
@@ -235,16 +226,16 @@ func (h *Health) Eval() HealthReport {
 		addRule("shed-burn", rates[MetricVerifySheds],
 			cfg.ShedRatePerSec, cfg.ShedRatePerSec*cfg.UnhealthyFactor, "sheds/s")
 		addRule("reconnect-churn", rates[MetricUplinkConnects]*60,
-			cfg.ReconnectsPerMin, cfg.ReconnectsPerMin*cfg.UnhealthyFactor, "reconnects/min")
+			reconnectsPerMin, reconnectsPerMin*cfg.UnhealthyFactor, "reconnects/min")
 		addRule("reassembly-evictions", rates[MetricUDPReassemblyEvictions],
-			cfg.ReassemblyEvictsPerSec, cfg.ReassemblyEvictsPerSec*cfg.UnhealthyFactor, "evictions/s")
+			reassemblyEvictsPerSec, reassemblyEvictsPerSec*cfg.UnhealthyFactor, "evictions/s")
 	}
 	// BF saturation is level-based: the paper's invariant is that the
 	// re-check rate tracks FPP(BF_rE), so measured FPP running past the
 	// configured target means the filter needs an epoch rotation.
 	if targetFPP > 0 {
 		addRule("bf-saturation", measuredFPP,
-			targetFPP*cfg.BFDegradedRatio, targetFPP*cfg.BFUnhealthyRatio, "measured FPP")
+			targetFPP*bfDegradedRatio, targetFPP*bfUnhealthyRatio, "measured FPP")
 	}
 
 	status := HealthReady

@@ -257,7 +257,7 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 	// internal/forwarder's live control-plane tests).
 	if len(mat.revoked) > 0 {
 		for _, f := range fwds {
-			f.ApplyRevocation(1, true, mat.revoked)
+			f.ApplyRevocation(1, mat.revoked)
 		}
 	}
 

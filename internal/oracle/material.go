@@ -22,8 +22,8 @@ type material struct {
 	contents  []*core.Content // aligned with Scenario.Contents
 	tags      []*core.Tag     // aligned with Scenario.Tags
 	// revoked is the scenario's revocation set: the IDs of every
-	// TagRevoked tag, which each plane pushes (version 1, full) to all
-	// of its routers before the first request.
+	// TagRevoked tag, which each plane pushes as the whole set, at
+	// version 1, to all of its routers before the first request.
 	revoked []core.TagID
 }
 

@@ -200,7 +200,7 @@ func RunSim(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, er
 	// plane under test disables the revocation *check*: the injected bug
 	// is "forgot to consult the set", not "never received the push".
 	if len(mat.revoked) > 0 {
-		net.Control(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1, Full: true, Revoked: mat.revoked})
+		net.Control(&ndn.Control{Kind: ndn.CtrlRevoke, Version: 1, Revoked: mat.revoked})
 	}
 
 	h := &simHarness{
