@@ -77,7 +77,12 @@ build:
 # again: core.Provider holds a RevocationSet beside its grants (a revoked
 # grant's status is the one record, and Provider.Revocations lists the
 # live ones), ndn.Control regains a Full marker or RevocationSet a Revoke
-# (every push is the whole set, which Apply installs).
+# (every push is the whole set, which Apply installs), and the
+# twenty-seventh (three lines) when a Bloom filter's FPP has a second
+# source again: bloom.Filter regains an insertion count or MeasuredFPP,
+# MergeWords a count argument, or ndn/control.go writes the retired
+# element count (ctrlCount) again (F, the saturation reset and the
+# gauges all read the filter's set bits).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -108,6 +113,9 @@ vet:
 	! awk '/^func /{fn=$$0} /\.SendFrame\(/ && (fn !~ /\) sendPacket\(/ || $$0 !~ /out\.SendFrame\(fs\.conn, /)' internal/forwarder/forwarder.go | grep .
 	! grep -n 'RevocationSet' internal/core/provider.go internal/core/grants.go
 	! grep -nE '^[[:space:]]+Full[[:space:]]+bool|^func \([a-z]+ \*RevocationSet\) Revoke\(' internal/ndn/control.go internal/core/revocation.go
+	! grep -nE '^[[:space:]]+count[[:space:]]+atomic\.|MeasuredFPP|\) Count\(\)' internal/bloom/bloom.go internal/bloom/sync.go
+	! grep -nE 'func \(f \*Filter\) MergeWords\([^)]*count' internal/bloom/sync.go
+	! grep -n 'ctrlCount' internal/ndn/control.go
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).
@@ -142,11 +150,13 @@ test-repeat:
 # reader-owned receive, a Content or Data decode, a face reader's hit,
 # forward and its relayed, cached Data at a core, a PIT admit/consume
 # cycle, a CS insert that evicts and a hit copied out, an intern hit, an
-# unsampled span, and the Bloom-filter miss — a decoded tag's signing bytes, a forged tag's validation (the scheme's
-# own allocations only), the ECDSA low-s check, a cheap denial, a verify-queue admission, an
-# edge reader's park, verify and NACK — plus the provider's Revoke, which
-# allocates the same with 64 grants revoked as with 4096. -count=1 because a cached pass proves nothing
-# about the toolchain's escape analysis today.
+# unsampled span, the Bloom filter's lookup, insert and FPP — a decoded
+# tag's signing bytes, a forged tag's validation (the scheme's own
+# allocations only), the ECDSA low-s check, a cheap denial, a
+# verify-queue admission, an edge reader's park, verify and NACK — plus
+# the provider's Revoke, which allocates nothing without a ledger, with
+# 64 grants revoked as with 4096. -count=1 because a cached pass proves
+# nothing about the toolchain's escape analysis today.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/...
 

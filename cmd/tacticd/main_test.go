@@ -207,7 +207,7 @@ func TestThreeRoles(t *testing.T) {
 	if got := sample(metrics, `tactic_cs_hits_total{role="producer"}`); got < 4 {
 		t.Errorf(`origin tactic_cs_hits_total{role="producer"} = %v, want >= 4 chunks`, got)
 	}
-	for _, family := range []string{obs.MetricVerifySheds, obs.MetricBFMeasuredFPP, obs.MetricFaces, obs.MetricRegistrations} {
+	for _, family := range []string{obs.MetricVerifySheds, obs.MetricBFFPP, obs.MetricFaces, obs.MetricRegistrations} {
 		if !hasRole(metrics, family, "producer") {
 			t.Errorf("origin /metrics has no %s series with role=\"producer\"", family)
 		}

@@ -80,8 +80,8 @@ func runRegime(roaming, sync bool) (*mobilityStats, error) {
 		ChunksPerObject:    25,
 		// Size the filters (identically, in all regimes) so neighbor sync
 		// does not drive them into saturation resets: each edge absorbs
-		// every other edge's element count, so a filter must hold roughly
-		// edges × its own load before the auto-reset stays quiet.
+		// every other edge's bits, so a filter must hold roughly edges ×
+		// its own load before the auto-reset stays quiet.
 		BFCapacity: 4000,
 		// Edges validate on BF miss so the cost a cold edge charges a
 		// handed-over client is visible in the verification counters.

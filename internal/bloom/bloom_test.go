@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,20 +77,6 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 	}
 }
 
-func TestFPPEstimateTracksTheory(t *testing.T) {
-	f, err := NewWithShape(10000, 5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 800; i++ {
-		f.Add(key(i))
-	}
-	want := TheoreticalFPP(10000, 5, 800)
-	if got := f.FPP(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("FPP() = %g, want %g", got, want)
-	}
-}
-
 func TestEmptyFilter(t *testing.T) {
 	f, err := New(100, 0.01)
 	if err != nil {
@@ -130,8 +117,8 @@ func TestSaturationAndReset(t *testing.T) {
 	if f.Saturated() {
 		t.Error("freshly reset filter should not be saturated")
 	}
-	if f.Count() != 0 {
-		t.Errorf("Count after reset = %d", f.Count())
+	if f.FPP() != 0 || f.FillRatio() != 0 {
+		t.Errorf("FPP %g, fill %g after reset, want 0", f.FPP(), f.FillRatio())
 	}
 	if f.Contains(key(0)) {
 		t.Error("reset filter should contain nothing")
@@ -143,9 +130,8 @@ func TestSaturationAndReset(t *testing.T) {
 	if st.Lookups != lookupsBefore+3 { // 2 before reset + 1 after
 		t.Errorf("Lookups = %d", st.Lookups)
 	}
-	th := f.ResetThresholds()
-	if len(th) != 1 || th[0] != 2 {
-		t.Errorf("ResetThresholds = %v, want [2]", th)
+	if st.Absorbed != lookupsBefore+2 {
+		t.Errorf("Absorbed = %d, want %d", st.Absorbed, lookupsBefore+2)
 	}
 	if f.RequestsSinceReset() != 1 {
 		t.Errorf("RequestsSinceReset = %d, want 1", f.RequestsSinceReset())
@@ -294,7 +280,7 @@ func TestPropertyResetClears(t *testing.T) {
 			flt.Add(key(r.Uint64()))
 		}
 		flt.Reset()
-		return flt.FillRatio() == 0 && flt.Count() == 0 && flt.FPP() == 0
+		return flt.FillRatio() == 0 && popcount(flt) == 0 && flt.FPP() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -347,39 +333,59 @@ func TestNewPaperWithDesign(t *testing.T) {
 	}
 }
 
-// MeasuredFPP is the exact current false-positive probability computed
-// from the real bit array. It must (a) agree closely with the analytic
-// count-based estimate (1-e^{-kn/m})^k while the filter is in its
-// design regime, and (b) predict the empirically observed
-// false-positive rate of random non-member probes within binomial
-// bounds.
-func TestMeasuredFPPMatchesAnalyticAndEmpirical(t *testing.T) {
+// popcount counts the filter's set bits from its words.
+func popcount(f *Filter) int {
+	n := 0
+	for _, w := range f.Words() {
+		n += bits.OnesCount64(w.Word)
+	}
+	return n
+}
+
+// exactFPP is (popcount/m)^k, computed the way FPP must be.
+func exactFPP(f *Filter) float64 {
+	return math.Pow(float64(popcount(f))/float64(f.Bits()), float64(f.Hashes()))
+}
+
+// FPP is the exact current false-positive probability of the real bit
+// array. It must (a) equal (popcount/m)^k bit for bit, (b) agree closely
+// with the textbook expectation (1-e^{-kn/m})^k for n distinct elements
+// while the filter is in its design regime, and (c) predict the
+// empirically observed false-positive rate of random non-member probes
+// within binomial bounds.
+func TestFPPMatchesAnalyticAndEmpirical(t *testing.T) {
 	f, err := NewWithShape(8192, 5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.MeasuredFPP() != 0 {
-		t.Errorf("empty MeasuredFPP = %g, want 0", f.MeasuredFPP())
+	if f.FPP() != 0 {
+		t.Errorf("empty FPP = %g, want 0", f.FPP())
 	}
 	const inserted = 800
 	for i := uint64(0); i < inserted; i++ {
 		f.Add(key(i))
 	}
 
-	analytic := f.FPP()
-	measured := f.MeasuredFPP()
-	if measured <= 0 || measured >= 1 {
-		t.Fatalf("MeasuredFPP = %g, want in (0, 1)", measured)
+	fpp := f.FPP()
+	if fpp <= 0 || fpp >= 1 {
+		t.Fatalf("FPP = %g, want in (0, 1)", fpp)
+	}
+	if want := exactFPP(f); fpp != want {
+		t.Errorf("FPP = %g, want (popcount/m)^k = %g", fpp, want)
+	}
+	if fill, want := f.FillRatio(), float64(popcount(f))/8192; fill != want {
+		t.Errorf("FillRatio = %g, want %g", fill, want)
 	}
 	// The fill ratio concentrates sharply around 1-e^{-kn/m} for a
-	// filter this size, so the two estimators agree within a few
+	// filter this size, so the bits and the theory agree within a few
 	// percent.
-	if rel := math.Abs(measured-analytic) / analytic; rel > 0.10 {
-		t.Errorf("MeasuredFPP %g vs analytic FPP %g (relative gap %.3f)", measured, analytic, rel)
+	analytic := TheoreticalFPP(8192, 5, inserted)
+	if rel := math.Abs(fpp-analytic) / analytic; rel > 0.10 {
+		t.Errorf("FPP %g vs theoretical %g (relative gap %.3f)", fpp, analytic, rel)
 	}
 
 	// Empirical check: the rate at which random non-members hit the
-	// filter is a binomial sample whose mean is exactly MeasuredFPP.
+	// filter is a binomial sample whose mean is exactly FPP.
 	const probes = 200000
 	fp := 0
 	for i := uint64(inserted); i < inserted+probes; i++ {
@@ -388,14 +394,57 @@ func TestMeasuredFPPMatchesAnalyticAndEmpirical(t *testing.T) {
 		}
 	}
 	rate := float64(fp) / probes
-	sigma := math.Sqrt(measured * (1 - measured) / probes)
-	if math.Abs(rate-measured) > 5*sigma {
-		t.Errorf("empirical FP rate %.5f vs MeasuredFPP %.5f (|Δ| > 5σ = %.5f)", rate, measured, 5*sigma)
+	sigma := math.Sqrt(fpp * (1 - fpp) / probes)
+	if math.Abs(rate-fpp) > 5*sigma {
+		t.Errorf("empirical FP rate %.5f vs FPP %.5f (|Δ| > 5σ = %.5f)", rate, fpp, 5*sigma)
 	}
 
-	// Reset drops the measurement back to zero with the bits.
+	// Reset drops the probability back to zero with the bits.
 	f.Reset()
-	if got := f.MeasuredFPP(); got != 0 {
-		t.Errorf("MeasuredFPP after reset = %g, want 0", got)
+	if got := f.FPP(); got != 0 {
+		t.Errorf("FPP after reset = %g, want 0", got)
 	}
 }
+
+// TestDuplicateAddChangesNothing: re-inserting an element sets no new
+// bit, so neither FPP nor FillRatio moves.
+func TestDuplicateAddChangesNothing(t *testing.T) {
+	f, err := NewPaper(500, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 100; i++ {
+		f.Add(key(i))
+	}
+	fpp, fill := f.FPP(), f.FillRatio()
+	for rep := 0; rep < 10; rep++ {
+		for i := uint64(0); i < 100; i++ {
+			f.Add(key(i))
+		}
+	}
+	if f.FPP() != fpp || f.FillRatio() != fill {
+		t.Errorf("duplicates moved FPP %g -> %g, fill %g -> %g", fpp, f.FPP(), fill, f.FillRatio())
+	}
+	if f.Stats().Insertions != 1100 {
+		t.Errorf("Insertions = %d, want every Add counted", f.Stats().Insertions)
+	}
+}
+
+// BenchmarkFPP times the collaboration flag every edge BF hit stamps, on
+// the paper's default filter three quarters full.
+func BenchmarkFPP(b *testing.B) {
+	f, err := NewPaper(500, 1e-4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < 400; i++ {
+		f.Add(key(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fppSink = f.FPP()
+	}
+}
+
+var fppSink float64

@@ -74,8 +74,8 @@ func TestFilterConcurrent(t *testing.T) {
 }
 
 // TestLookupNoAllocs pins the hot-path property the forwarding plane
-// depends on: a Bloom-filter lookup (and insert) performs zero heap
-// allocations per operation.
+// depends on: a Bloom-filter lookup, an insert and the FPP a hit stamps
+// perform zero heap allocations per operation.
 func TestLookupNoAllocs(t *testing.T) {
 	f, err := NewPaper(500, 1e-4)
 	if err != nil {
@@ -89,5 +89,75 @@ func TestLookupNoAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { f.Add(key) }); avg != 0 {
 		t.Errorf("Add allocates %.1f times per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { _ = f.FPP() }); avg != 0 {
+		t.Errorf("FPP allocates %.1f times per op, want 0", avg)
+	}
+}
+
+// TestSetBitCountRaces races Add, MergeWords, Reset and Clone from many
+// goroutines (for the race detector) and then requires, once quiescent,
+// that the set-bit count agrees with the bits: FPP equals (popcount/m)^k
+// bit for bit, on the filter and on every clone taken mid-race.
+func TestSetBitCountRaces(t *testing.T) {
+	f, err := NewPaper(500, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewPaper(500, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		peer.Add([]byte(fmt.Sprintf("peer-%d", i)))
+	}
+	advert := peer.Words()
+
+	const workers, perWorker = 4, 400
+	var wg sync.WaitGroup
+	clones := make([]*Filter, 20)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				f.Add([]byte(fmt.Sprintf("tag-%d-%d", w, i%150)))
+			}
+		}(w)
+	}
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if err := f.MergeWords(peer.Bits(), peer.Hashes(), advert); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			f.Reset()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := range clones {
+			clones[i] = f.Clone()
+		}
+	}()
+	wg.Wait()
+
+	for _, flt := range append(clones, f) {
+		if got, want := flt.FPP(), exactFPP(flt); got != want {
+			t.Fatalf("quiescent FPP = %g, want (popcount/m)^k = %g", got, want)
+		}
+	}
+	// And the count keeps tracking the bits after the race.
+	if err := f.MergeWords(peer.Bits(), peer.Hashes(), advert); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.FPP(), exactFPP(f); got != want {
+		t.Fatalf("FPP after a quiescent merge = %g, want %g", got, want)
 	}
 }

@@ -134,8 +134,10 @@ func (p *Provider) Revoke(id TagID) (uint64, error) {
 	if g.Status == GrantRevoked {
 		return p.revVersion, nil
 	}
-	if err := p.append("revoke " + id.String()); err != nil {
-		return 0, err
+	if p.ledger != nil {
+		if err := p.append("revoke " + id.String()); err != nil {
+			return 0, err
+		}
 	}
 	p.setStatus(g, GrantRevoked)
 	p.revVersion++
@@ -156,12 +158,14 @@ func (p *Provider) mint(clientKey names.Name, level AccessLevel, ap AccessPath, 
 		return nil, err
 	}
 	g := &Grant{ID: tag.ID(), ClientKey: clientKey, Level: level, AccessPath: ap, Expiry: expiry}
-	line := g.line("issue")
-	if renewed != nil {
-		line = g.line("renew") + " " + renewed.ID.String()
-	}
-	if err := p.append(line); err != nil {
-		return nil, err
+	if p.ledger != nil {
+		line := g.line("issue")
+		if renewed != nil {
+			line = g.line("renew") + " " + renewed.ID.String()
+		}
+		if err := p.append(line); err != nil {
+			return nil, err
+		}
 	}
 	p.install(g, renewed)
 	return tag, nil
@@ -323,11 +327,9 @@ func (g *Grant) line(verb string) string {
 		verb, g.ID, g.ClientKey, g.Level, uint64(g.AccessPath), g.Expiry.UnixNano())
 }
 
-// append writes one ledger line; a no-op without a ledger.
+// append writes one ledger line. Callers check that a ledger is open
+// before they build the line, so a ledger-less provider formats none.
 func (p *Provider) append(line string) error {
-	if p.ledger == nil {
-		return nil
-	}
 	if _, err := p.ledgerW.WriteString(line + "\n"); err != nil {
 		return fmt.Errorf("core: append ledger: %w", err)
 	}

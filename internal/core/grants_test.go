@@ -319,9 +319,9 @@ func TestConcurrentIssueRevoke(t *testing.T) {
 	}
 }
 
-// TestRevokeAllocs: revoking a grant allocates the same with 64 grants
-// already revoked as with 4096 — Revoke marks one record and copies no
-// set.
+// TestRevokeAllocs: without a ledger, revoking a grant allocates nothing,
+// with 64 grants already revoked as with 4096 — Revoke marks one record,
+// copies no set and formats no ledger line.
 func TestRevokeAllocs(t *testing.T) {
 	const runs = 100
 	allocs := func(revoked int) float64 {
@@ -348,8 +348,8 @@ func TestRevokeAllocs(t *testing.T) {
 			next++
 		})
 	}
-	if small, large := allocs(64), allocs(4096); small != large {
-		t.Errorf("Revoke allocates %.1f times with 64 grants revoked, %.1f with 4096", small, large)
+	if small, large := allocs(64), allocs(4096); small != 0 || large != 0 {
+		t.Errorf("Revoke allocates %.1f times with 64 grants revoked, %.1f with 4096; want 0 without a ledger", small, large)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // node.Pending's input (after a revocation push, for the revoked tag),
 // the VerifyShared follower of that leader, and aggregated PIT records
 // through OnDataRecord. Each row holds the full verdict — F on deny paths
-// included — and the validation cache's size after it.
+// included — and the insertions into the validation cache after it.
 func TestVerificationExchangePinned(t *testing.T) {
 	type row struct {
 		scheme     core.Scheme
@@ -183,7 +183,7 @@ func (p *pinFixture) verdict(v enforce.Verdict) string {
 	if v.BFHit {
 		s += " bfhit"
 	}
-	return s + fmt.Sprintf(" bf=%d", p.r.Bloom().Count())
+	return s + fmt.Sprintf(" bf=%d", p.r.Bloom().Stats().Insertions)
 }
 
 func (p *pinFixture) record(rv enforce.RecordVerdict) string {
@@ -195,5 +195,5 @@ func (p *pinFixture) record(rv enforce.RecordVerdict) string {
 	if rv.Minted {
 		s += " minted"
 	}
-	return s + fmt.Sprintf(" bf=%d", p.r.Bloom().Count())
+	return s + fmt.Sprintf(" bf=%d", p.r.Bloom().Stats().Insertions)
 }

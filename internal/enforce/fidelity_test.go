@@ -48,7 +48,7 @@ func TestEdgeValidateOnMissDropsForged(t *testing.T) {
 	if !d.Denied() || !errors.Is(d.Reason, core.ErrTagForged) {
 		t.Errorf("forged tag at validating edge: %+v", d)
 	}
-	if r.Bloom().Count() != 0 {
+	if r.Bloom().FillRatio() != 0 {
 		t.Error("forged tag inserted")
 	}
 }

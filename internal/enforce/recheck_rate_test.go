@@ -77,8 +77,8 @@ func TestCoreRecheckRateMatchesEdgeFPP(t *testing.T) {
 	// The F != 0 path must never have inserted the tag into the core
 	// filter — otherwise later flag-0 requests would skip validation the
 	// edge never performed.
-	if coreBF.Count() != 0 {
-		t.Errorf("core filter gained %d entries on the F != 0 path, want 0", coreBF.Count())
+	if ins := coreBF.Stats().Insertions; ins != 0 {
+		t.Errorf("core filter gained %d insertions on the F != 0 path, want 0", ins)
 	}
 
 	rate := float64(rechecks) / trials

@@ -111,8 +111,8 @@ func TestRotateEpoch(t *testing.T) {
 	if r.RotateEpoch(1) || r.RotateEpoch(0) {
 		t.Fatal("stale epoch accepted")
 	}
-	if r.Bloom().Count() != 0 {
-		t.Fatalf("current filter not cleared: count=%d", r.Bloom().Count())
+	if r.Bloom().FillRatio() != 0 {
+		t.Fatalf("current filter not cleared: fill=%g", r.Bloom().FillRatio())
 	}
 
 	// The tag validated before the rotation still hits via the
@@ -124,7 +124,7 @@ func TestRotateEpoch(t *testing.T) {
 	if got := r.Validator().Verifications(); got != verifs {
 		t.Fatalf("rotation forced a re-verification: %d -> %d", verifs, got)
 	}
-	if r.Bloom().Count() == 0 {
+	if r.Bloom().FillRatio() == 0 {
 		t.Fatal("prev-epoch hit did not migrate into the current filter")
 	}
 
@@ -138,11 +138,10 @@ func TestRotateEpoch(t *testing.T) {
 	}
 }
 
-// TestRotationBoundsMeasuredFPP is the revocation-storm acceptance
-// check: a storm of now-revoked tags leaves the filter's measured FPP
-// above its bound, and an epoch rotation brings the live filter back
-// under it.
-func TestRotationBoundsMeasuredFPP(t *testing.T) {
+// TestRotationBoundsFPP is the revocation-storm acceptance check: a
+// storm of now-revoked tags leaves the filter's FPP above its bound, and
+// an epoch rotation brings the live filter back under it.
+func TestRotationBoundsFPP(t *testing.T) {
 	r, prov := testRouter(t, 65, core.Config{EdgeValidateOnMiss: true, DisableAutoReset: true})
 	now := testTime(10)
 	// Storm: validate far more tags than the filter's saturation point
@@ -154,14 +153,14 @@ func TestRotationBoundsMeasuredFPP(t *testing.T) {
 		}
 	}
 	maxFPP := r.Bloom().MaxFPP()
-	if got := r.Bloom().MeasuredFPP(); got < maxFPP {
-		t.Fatalf("storm did not saturate: measured %g < max %g", got, maxFPP)
+	if got := r.Bloom().FPP(); got < maxFPP {
+		t.Fatalf("storm did not saturate: FPP %g < max %g", got, maxFPP)
 	}
 	if !r.RotateEpoch(1) {
 		t.Fatal("rotation rejected")
 	}
-	if got := r.Bloom().MeasuredFPP(); got >= maxFPP {
-		t.Fatalf("rotation left measured FPP at %g >= bound %g", got, maxFPP)
+	if got := r.Bloom().FPP(); got >= maxFPP {
+		t.Fatalf("rotation left FPP at %g >= bound %g", got, maxFPP)
 	}
 }
 

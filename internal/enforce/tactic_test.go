@@ -80,7 +80,7 @@ func TestEdgeOnDataNACKDropsDelivery(t *testing.T) {
 		t.Error("NACKed data must not be delivered (Protocol 2 lines 19-20)")
 	}
 	// And the tag must not have been inserted.
-	if r.Bloom().Count() != 0 {
+	if r.Bloom().FillRatio() != 0 {
 		t.Error("NACKed data should not insert the tag")
 	}
 }

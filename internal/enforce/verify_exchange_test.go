@@ -71,12 +71,12 @@ func TestVerifySharedIsASubsequentRequest(t *testing.T) {
 			if lead.Denied() || !lead.Verified {
 				t.Fatalf("leader: %+v", lead)
 			}
-			inserted := r.Bloom().Count()
+			inserted := r.Bloom().Stats().Insertions
 			if d := r.VerifyShared(in, lead.Reason); d.Denied() || !d.BFHit || d.Verified {
 				t.Fatalf("follower of a success: %+v, want a cache hit", d)
 			}
-			if got := r.Bloom().Count(); got != inserted {
-				t.Fatalf("follower inserted again: %d -> %d entries", inserted, got)
+			if got := r.Bloom().Stats().Insertions; got != inserted {
+				t.Fatalf("follower inserted again: %d -> %d insertions", inserted, got)
 			}
 
 			// The cache no longer vouches for the tag (a reset raced the

@@ -319,11 +319,11 @@ func TestFleetBFWatchdogLive(t *testing.T) {
 	// Direct Add bypasses the router's auto-reset, saturating the bits
 	// the way an un-rotated revocation storm would.
 	bf := node.fwd.Tactic().Bloom()
-	for i := 0; bf.MeasuredFPP() < bf.MaxFPP() && i < 100000; i++ {
+	for i := 0; bf.FPP() < bf.MaxFPP() && i < 100000; i++ {
 		bf.Add([]byte(fmt.Sprintf("saturate-%d", i)))
 	}
-	if bf.MeasuredFPP() < bf.MaxFPP() {
-		t.Fatalf("could not saturate filter: measured %g target %g", bf.MeasuredFPP(), bf.MaxFPP())
+	if bf.FPP() < bf.MaxFPP() {
+		t.Fatalf("could not saturate filter: FPP %g target %g", bf.FPP(), bf.MaxFPP())
 	}
 	hr := getHealth(t, base)
 	if hr.Status == "ready" || !hasReason(&hr, "bf-saturation") {

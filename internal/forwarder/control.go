@@ -137,8 +137,8 @@ func (f *Forwarder) syncLoop(interval time.Duration) {
 	}
 }
 
-// SyncBF sends the node's BF-sync advert — the whole filter and its
-// element count (node.Core.BFAdvert) — to every live sync peer, so a
+// SyncBF sends the node's BF-sync advert — the whole filter
+// (node.Core.BFAdvert) — to every live sync peer, so a
 // peer attached or redialed since the last call loses nothing. It is
 // called from the BFSyncInterval ticker and may be called directly to
 // force an advertisement (tests, handover hooks). Peers whose face died

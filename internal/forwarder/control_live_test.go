@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tactic-icn/tactic/internal/bloom"
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/enforce"
 	"github.com/tactic-icn/tactic/internal/names"
@@ -225,7 +226,7 @@ func TestLiveNeighborBFSync(t *testing.T) {
 	}
 	n.edgeFwd.SyncBF()
 	deadline := time.Now().Add(liveTimeout)
-	for edge2.Tactic().Bloom().Count() == 0 {
+	for edge2.Tactic().Bloom().FillRatio() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("BF sync never reached the neighbor edge")
 		}
@@ -280,7 +281,7 @@ func TestLivePeriodicBFSync(t *testing.T) {
 		t.Fatalf("fetch failed: %+v", d)
 	}
 	deadline := time.Now().Add(liveTimeout)
-	for edge2.Tactic().Bloom().Count() == 0 {
+	for edge2.Tactic().Bloom().FillRatio() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("periodic BF sync never delivered")
 		}
@@ -324,16 +325,20 @@ func syncTo(t *testing.T, src, dst *Forwarder) {
 	waitFor(t, dst.cfg.ID+" to merge "+src.cfg.ID+"'s advert", func() bool { return merged.Value() > n })
 }
 
-// TestLiveBFSyncCountsDistinctTags: two edges syncing both ways, each
-// adding a tag and advertising in turn, count exactly the distinct tags
-// validated between them — a received count is never echoed back and
-// summed.
-func TestLiveBFSyncCountsDistinctTags(t *testing.T) {
+// TestLiveBFSyncHoldsTheUnion: two edges syncing both ways, each adding a
+// tag and advertising in turn, end every round with the FPP of exactly
+// the distinct tags validated between them — one filter holding them all.
+func TestLiveBFSyncHoldsTheUnion(t *testing.T) {
 	a, b := bareEdge(t, "edge-a"), bareEdge(t, "edge-b")
 	fa, fb := linkEdges(a, b)
 	a.AddSyncPeer(fa)
 	b.AddSyncPeer(fb)
-	distinct := 0
+	abf := a.Tactic().Bloom()
+	union, err := bloom.NewWithShape(abf.Bits(), abf.Hashes(), abf.MaxFPP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct, all := 0, 0
 	addTags(a, &distinct, 10)
 	for round := 0; round < 6; round++ {
 		if round > 0 {
@@ -344,8 +349,12 @@ func TestLiveBFSyncCountsDistinctTags(t *testing.T) {
 			addTags(b, &distinct, 1)
 		}
 		syncTo(t, b, a)
-		if ca, cb := a.Tactic().Bloom().Count(), b.Tactic().Bloom().Count(); ca != uint64(distinct) || cb != uint64(distinct) {
-			t.Fatalf("round %d: A counts %d, B %d; want both %d distinct tags", round, ca, cb, distinct)
+		for all < distinct {
+			union.Add([]byte("tag-" + strconv.Itoa(all)))
+			all++
+		}
+		if pa, pb := abf.FPP(), b.Tactic().Bloom().FPP(); pa != union.FPP() || pb != union.FPP() {
+			t.Fatalf("round %d: FPP A %g, B %g; want both %g, the union of %d tags", round, pa, pb, union.FPP(), distinct)
 		}
 	}
 }
@@ -360,7 +369,7 @@ func TestLiveBFSyncLateAndRedialedPeers(t *testing.T) {
 	addTags(a, &next, 10)
 	holdsA := func(f *Forwarder) func() bool {
 		return func() bool {
-			return f.Tactic().Bloom().FillRatio() == a.Tactic().Bloom().FillRatio() && f.Tactic().Bloom().Count() == 10
+			return f.Tactic().Bloom().FillRatio() == a.Tactic().Bloom().FillRatio()
 		}
 	}
 
@@ -423,8 +432,8 @@ func TestControlTable(t *testing.T) {
 			RevocationVersion uint64        `json:"revocation_version"`
 			Revoked           int           `json:"revoked"`
 			Epoch             uint64        `json:"epoch"`
-			BFCount           uint64        `json:"bf_count"`
 			BFBitsSet         int           `json:"bf_bits_set"`
+			BFSaturated       bool          `json:"bf_saturated"`
 		}
 		if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
 			t.Fatalf("%s: %d cases, %v", file, len(cases), err)
@@ -478,9 +487,9 @@ func TestControlTable(t *testing.T) {
 					setBits += bits.OnesCount64(w.Word)
 				}
 				if r.Revocations().Version() != tc.RevocationVersion || r.Revocations().Len() != tc.Revoked || r.Epoch() != tc.Epoch ||
-					r.Bloom().Count() != tc.BFCount || setBits != tc.BFBitsSet {
-					t.Errorf("end state: revocation v%d (%d), epoch %d, BF count %d, %d bits set; want %+v",
-						r.Revocations().Version(), r.Revocations().Len(), r.Epoch(), r.Bloom().Count(), setBits, tc)
+					r.Bloom().Saturated() != tc.BFSaturated || setBits != tc.BFBitsSet {
+					t.Errorf("end state: revocation v%d (%d), epoch %d, %d BF bits set, saturated %v; want %+v",
+						r.Revocations().Version(), r.Revocations().Len(), r.Epoch(), setBits, r.Bloom().Saturated(), tc)
 				}
 			})
 		}

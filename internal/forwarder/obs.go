@@ -245,9 +245,7 @@ func (f *Forwarder) registerSampled() {
 	reg.GaugeFunc(obs.MetricBFEpoch, func() float64 { return float64(f.tactic.Epoch()) }, role)
 	reg.GaugeFunc(obs.MetricBFFillRatio, func() float64 { return f.tactic.Bloom().FillRatio() }, role)
 	reg.GaugeFunc(obs.MetricBFFPP, func() float64 { return f.tactic.Bloom().FPP() }, role)
-	reg.GaugeFunc(obs.MetricBFMeasuredFPP, func() float64 { return f.tactic.Bloom().MeasuredFPP() }, role)
 	reg.GaugeFunc(obs.MetricBFTargetFPP, func() float64 { return f.tactic.Bloom().MaxFPP() }, role)
-	reg.GaugeFunc(obs.MetricBFEntries, func() float64 { return float64(f.tactic.Bloom().Count()) }, role)
 	reg.GaugeFunc(obs.MetricPITEntries, func() float64 { return float64(f.pit.Len()) }, role)
 	reg.GaugeFunc(obs.MetricCSEntries, func() float64 { return float64(f.cs.Len()) }, role)
 	reg.GaugeFunc(obs.MetricFIBEntries, func() float64 { return float64(f.fib.Len()) }, role)
@@ -263,12 +261,10 @@ type BloomStatus struct {
 	// Bits and Hashes are the filter shape (m, k).
 	Bits   uint64 `json:"bits"`
 	Hashes uint32 `json:"hashes"`
-	// Entries counts elements inserted since the last reset.
-	Entries uint64 `json:"entries"`
 	// FillRatio is the fraction of set bits.
 	FillRatio float64 `json:"fill_ratio"`
-	// FPP is the live false-positive probability estimate; MaxFPP the
-	// reset threshold.
+	// FPP is the false-positive probability read from the set bits;
+	// MaxFPP the reset threshold.
 	FPP    float64 `json:"fpp"`
 	MaxFPP float64 `json:"max_fpp"`
 	// Lookups, Insertions, Resets are lifetime operation counts.
@@ -283,7 +279,7 @@ type BloomStatus struct {
 func bloomStatus(f *bloom.Filter) BloomStatus {
 	st := f.Stats()
 	return BloomStatus{
-		Bits: f.Bits(), Hashes: f.Hashes(), Entries: f.Count(),
+		Bits: f.Bits(), Hashes: f.Hashes(),
 		FillRatio: f.FillRatio(), FPP: f.FPP(), MaxFPP: f.MaxFPP(),
 		Lookups: st.Lookups, Insertions: st.Insertions, Resets: st.Resets,
 		RequestsSinceReset: f.RequestsSinceReset(),

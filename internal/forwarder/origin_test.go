@@ -283,7 +283,7 @@ func TestOriginContract(t *testing.T) {
 				Registration: &core.RegistrationResponse{Tag: hostile}}))
 			send(face.SendData(&ndn.Data{Name: e.unpublished.Meta.Name, Content: e.unpublished}))
 			ones := &ndn.Control{Kind: ndn.CtrlBFSync, Origin: "client",
-				Bits: router.Bloom().Bits(), Hashes: router.Bloom().Hashes(), Count: 1}
+				Bits: router.Bloom().Bits(), Hashes: router.Bloom().Hashes()}
 			for i := uint64(0); i < (router.Bloom().Bits()+63)/64; i++ {
 				ones.Words = append(ones.Words, bloom.WordDelta{Index: uint32(i), Word: ^uint64(0)})
 			}

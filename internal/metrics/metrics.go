@@ -170,8 +170,12 @@ type RouterOps struct {
 	Verifications uint64
 	// Resets is Table V's reset count.
 	Resets uint64
-	// ResetThresholds lists requests absorbed per reset (Fig. 8).
-	ResetThresholds []uint64
+	// ResetRequests sums the requests absorbed per reset over every reset
+	// merged (Fig. 8), and ResetsMerged counts those resets: unlike
+	// Resets, it is never divided by a seed count, so their quotient is
+	// the mean over every reset.
+	ResetRequests uint64
+	ResetsMerged  uint64
 }
 
 // Merge accumulates another router's operations.
@@ -180,20 +184,17 @@ func (r *RouterOps) Merge(o RouterOps) {
 	r.Insertions += o.Insertions
 	r.Verifications += o.Verifications
 	r.Resets += o.Resets
-	r.ResetThresholds = append(r.ResetThresholds, o.ResetThresholds...)
+	r.ResetRequests += o.ResetRequests
+	r.ResetsMerged += o.ResetsMerged
 }
 
 // MeanResetThreshold returns the average number of requests absorbed per
 // reset (NaN with no resets).
 func (r *RouterOps) MeanResetThreshold() float64 {
-	if len(r.ResetThresholds) == 0 {
+	if r.ResetsMerged == 0 {
 		return math.NaN()
 	}
-	var sum float64
-	for _, v := range r.ResetThresholds {
-		sum += float64(v)
-	}
-	return sum / float64(len(r.ResetThresholds))
+	return float64(r.ResetRequests) / float64(r.ResetsMerged)
 }
 
 // MeanStd returns the mean and sample standard deviation of values.

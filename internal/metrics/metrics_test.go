@@ -107,8 +107,8 @@ func TestDelivery(t *testing.T) {
 }
 
 func TestRouterOpsMerge(t *testing.T) {
-	a := RouterOps{Lookups: 10, Insertions: 2, Verifications: 1, Resets: 1, ResetThresholds: []uint64{100}}
-	b := RouterOps{Lookups: 5, Insertions: 3, Verifications: 2, Resets: 2, ResetThresholds: []uint64{200, 300}}
+	a := RouterOps{Lookups: 10, Insertions: 2, Verifications: 1, Resets: 1, ResetRequests: 100, ResetsMerged: 1}
+	b := RouterOps{Lookups: 5, Insertions: 3, Verifications: 2, Resets: 2, ResetRequests: 200 + 300, ResetsMerged: 2}
 	a.Merge(b)
 	if a.Lookups != 15 || a.Insertions != 5 || a.Verifications != 3 || a.Resets != 3 {
 		t.Errorf("merged = %+v", a)

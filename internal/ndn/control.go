@@ -64,12 +64,9 @@ type Control struct {
 	Bits   uint64
 	Hashes uint32
 	// Words are the sender's non-zero bit-array words (CtrlBFSync): the
-	// whole filter, at most 12 bytes per 64 bits of its shape.
+	// whole filter, at most 12 bytes per 64 bits of its shape. The
+	// receiver ORs them in and reads its FPP from the bits.
 	Words []bloom.WordDelta
-	// Count is the sender's element count (CtrlBFSync); the receiver
-	// raises its own to it if that is higher, for its count-based FPP
-	// estimate.
-	Count uint64
 }
 
 // Control TLV types (outer frame type plus elements scoped to its body).
@@ -84,7 +81,9 @@ const (
 	ctrlRevoked = 0x05
 	ctrlShape   = 0x06
 	ctrlWords   = 0x07
-	ctrlCount   = 0x08
+	// 0x08 is retired: an advert carries no element count, since the
+	// receiver reads its FPP from its bits, and a frame that still
+	// carries one decodes with it skipped.
 )
 
 // tagIDSize is the wire size of one revoked-tag ID.
@@ -130,10 +129,6 @@ func AppendControl(dst []byte, c *Control) ([]byte, error) {
 			dst = binary.BigEndian.AppendUint32(dst, w.Index)
 			dst = binary.BigEndian.AppendUint64(dst, w.Word)
 		}
-	}
-	if c.Count != 0 {
-		dst = append(dst, ctrlCount, 8)
-		dst = binary.BigEndian.AppendUint64(dst, c.Count)
 	}
 	return closeOuter(dst, start), nil
 }
@@ -196,11 +191,6 @@ func DecodeControl(b []byte) (*Control, error) {
 				c.Words[i].Index = binary.BigEndian.Uint32(v[off:])
 				c.Words[i].Word = binary.BigEndian.Uint64(v[off+4:])
 			}
-		case ctrlCount:
-			if len(v) != 8 {
-				return nil, fmt.Errorf("ndn: bad Count length %d", len(v))
-			}
-			c.Count = binary.BigEndian.Uint64(v)
 		default:
 			// Skip unknown elements.
 		}

@@ -48,9 +48,9 @@ func (n *Network) Control(m *ndn.Control) int {
 // every edge router's advert is built first, then delivered to every
 // other edge, so a round is symmetric (merges apply what each edge held at
 // the start of the round) and a client roaming between edges hits a warm
-// filter. Each receiver ends the round with the union of the filters and
-// the largest count. Returns the number of advertised words merged. All
-// edge filters must share a shape.
+// filter. Each receiver ends the round with the union of the filters,
+// and its FPP is the union's. Returns the number of advertised words
+// merged. All edge filters must share a shape.
 func (n *Network) SyncEdgeBFs() (int, error) {
 	var edges []*RouterNode
 	n.routers(func(r *RouterNode) {

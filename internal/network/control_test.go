@@ -175,8 +175,8 @@ func TestSimNeighborBFSync(t *testing.T) {
 	if !edgeB.Tactic().Bloom().Contains(tag.CacheKey()) {
 		t.Fatal("edge B cold after sync: the roaming client would re-pay verification")
 	}
-	if a, b := edgeA.Tactic().Bloom().Count(), edgeB.Tactic().Bloom().Count(); a != 1 || b != 1 {
-		t.Fatalf("counts after one round: A %d, B %d; want both 1", a, b)
+	if a, b := edgeA.Tactic().Bloom().FPP(), edgeB.Tactic().Bloom().FPP(); a == 0 || a != b {
+		t.Fatalf("FPP after one round: A %g, B %g; want B to hold A's bits", a, b)
 	}
 
 	// Scheduled rounds: a later registration propagates without an
@@ -229,7 +229,7 @@ func TestSimEpochRotation(t *testing.T) {
 	if edgeA.Tactic().Epoch() != 1 || edgeB.Tactic().Epoch() != 1 {
 		t.Fatalf("epochs = %d, %d", edgeA.Tactic().Epoch(), edgeB.Tactic().Epoch())
 	}
-	if edgeA.Tactic().Bloom().Count() != 0 {
+	if edgeA.Tactic().Bloom().FillRatio() != 0 {
 		t.Error("rotation left the current filter populated")
 	}
 	// The fallback vouches without a re-verification.
@@ -250,13 +250,13 @@ type controlState struct {
 	RevocationVersion uint64 `json:"revocation_version"`
 	Revoked           int    `json:"revoked"`
 	Epoch             uint64 `json:"epoch"`
-	BFCount           uint64 `json:"bf_count"`
 	BFBitsSet         int    `json:"bf_bits_set"`
+	BFSaturated       bool   `json:"bf_saturated"`
 }
 
 func controlStateOf(r *enforce.Router) controlState {
 	st := controlState{RevocationVersion: r.Revocations().Version(), Revoked: r.Revocations().Len(),
-		Epoch: r.Epoch(), BFCount: r.Bloom().Count()}
+		Epoch: r.Epoch(), BFSaturated: r.Bloom().Saturated()}
 	for _, w := range r.Bloom().Words() {
 		st.BFBitsSet += bits.OnesCount64(w.Word)
 	}

@@ -248,7 +248,7 @@ func TestOriginRefusesData(t *testing.T) {
 	if n := len(o.CSNames()); n != 1 {
 		t.Errorf("catalogue holds %d chunks, want the 1 published", n)
 	}
-	if st.Ops.Insertions != 0 || o.Tactic().Bloom().Count() != 0 {
-		t.Errorf("Bloom filter changed: %d insertions, count %d", st.Ops.Insertions, o.Tactic().Bloom().Count())
+	if st.Ops.Insertions != 0 || o.Tactic().Bloom().FillRatio() != 0 {
+		t.Errorf("Bloom filter changed: %d insertions, fill %g", st.Ops.Insertions, o.Tactic().Bloom().FillRatio())
 	}
 }

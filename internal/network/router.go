@@ -448,11 +448,12 @@ func (r *RouterNode) Stats() RouterNodeStats {
 	}
 	return RouterNodeStats{
 		Ops: metrics.RouterOps{
-			Lookups:         bf.Lookups,
-			Insertions:      bf.Insertions,
-			Verifications:   r.tactic.Validator().Verifications(),
-			Resets:          bf.Resets,
-			ResetThresholds: r.tactic.Bloom().ResetThresholds(),
+			Lookups:       bf.Lookups,
+			Insertions:    bf.Insertions,
+			Verifications: r.tactic.Validator().Verifications(),
+			Resets:        bf.Resets,
+			ResetRequests: bf.Absorbed,
+			ResetsMerged:  bf.Resets,
 		},
 		Interests:           r.interests,
 		Data:                r.dataSeen,

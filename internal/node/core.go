@@ -378,7 +378,7 @@ type ControlStep struct {
 // OnControl applies one control frame: a revocation-set update or an
 // epoch rotation when it advances the node's version (ControlStale
 // otherwise), a BF-sync advert merged by MergeWords' rule (the words ORed
-// in, the count raised to the sender's). An origin has no upstream to
+// in, so the filter's FPP is the union's). An origin has no upstream to
 // hear a push from and no peer to sync with: every frame is invalid there.
 func (c *Core) OnControl(m *ndn.Control) ControlStep {
 	if c.role == RoleOrigin {
@@ -394,7 +394,7 @@ func (c *Core) OnControl(m *ndn.Control) ControlStep {
 			return ControlStep{Outcome: ControlApplied, Flood: true}
 		}
 	case ndn.CtrlBFSync:
-		if err := c.tactic.Bloom().MergeWords(m.Bits, m.Hashes, m.Words, m.Count); err != nil {
+		if err := c.tactic.Bloom().MergeWords(m.Bits, m.Hashes, m.Words); err != nil {
 			return ControlStep{Outcome: ControlInvalid, Err: err}
 		}
 		return ControlStep{Outcome: ControlApplied}
@@ -404,9 +404,9 @@ func (c *Core) OnControl(m *ndn.Control) ControlStep {
 	return ControlStep{Outcome: ControlStale}
 }
 
-// BFAdvert is the node's BF-sync advert from origin: its filter's shape,
-// non-zero words and element count.
+// BFAdvert is the node's BF-sync advert from origin: its filter's shape
+// and non-zero words.
 func (c *Core) BFAdvert(origin string) *ndn.Control {
 	bf := c.tactic.Bloom()
-	return &ndn.Control{Kind: ndn.CtrlBFSync, Origin: origin, Bits: bf.Bits(), Hashes: bf.Hashes(), Words: bf.Words(), Count: bf.Count()}
+	return &ndn.Control{Kind: ndn.CtrlBFSync, Origin: origin, Bits: bf.Bits(), Hashes: bf.Hashes(), Words: bf.Words()}
 }

@@ -29,9 +29,7 @@ const (
 	MetricBFResets       = "tactic_bf_resets_total"
 	MetricBFFillRatio    = "tactic_bf_fill_ratio"
 	MetricBFFPP          = "tactic_bf_fpp"
-	MetricBFMeasuredFPP  = "tactic_bf_measured_fpp"
 	MetricBFTargetFPP    = "tactic_bf_target_fpp"
-	MetricBFEntries      = "tactic_bf_entries"
 	MetricVerifications  = "tactic_tag_verifications_total"
 	MetricVerifyFailed   = "tactic_tag_verify_failures_total"
 	MetricVerifyInFlight = "tactic_tag_verifications_in_flight"
@@ -129,10 +127,8 @@ var catalogue = []FamilySpec{
 	counter(MetricBFInsertions, "Bloom-filter insertions.", "role"),
 	counter(MetricBFResets, "Bloom-filter resets (FPP threshold or epoch rotation).", "role"),
 	gauge(MetricBFFillRatio, "Fraction of Bloom-filter bits set.", "role"),
-	gauge(MetricBFFPP, "Live Bloom-filter false-positive probability estimate (from insert count).", "role"),
-	gauge(MetricBFMeasuredFPP, "Bits-exact measured Bloom-filter false-positive probability (fill ratio ^ k).", "role"),
+	gauge(MetricBFFPP, "Bloom-filter false-positive probability, exact from the set bits (fill ratio ^ k).", "role"),
 	gauge(MetricBFTargetFPP, "Configured Bloom-filter false-positive probability target.", "role"),
-	gauge(MetricBFEntries, "Elements inserted into the Bloom filter since its last reset.", "role"),
 	counter(MetricVerifications, "Tag signature verifications executed.", "role"),
 	counter(MetricVerifyFailed, "Tag verification failures, by reason.", "role", "reason"),
 	gauge(MetricVerifyInFlight, "Tag signature verifications currently executing.", "role"),

@@ -1,10 +1,11 @@
 // Health engine: evaluates per-node health rules against the metric
 // registry. The rules are grounded in the paper's own invariants — the
 // measured tag re-check rate should track FPP(BF_rE), so a Bloom filter
-// whose measured FPP runs past its configured target is a saturation
-// (or un-rotated revocation storm) signal; a sustained verify-shed burn
-// is the stateless-forwarding brute-force signal; reconnect churn and
-// reassembly evictions flag link instability and fragment floods.
+// whose FPP (read from its set bits) runs past its configured target is a
+// saturation (or un-rotated revocation storm) signal; a sustained
+// verify-shed burn is the stateless-forwarding brute-force signal;
+// reconnect churn and reassembly evictions flag link instability and
+// fragment floods.
 // Surfaced machine-readable via /healthz (eventz.go).
 package obs
 
@@ -93,9 +94,9 @@ const (
 	// reassemblyEvictsPerSec degrades the node when reassembly evictions
 	// exceed it; UnhealthyFactor times it is unhealthy.
 	reassemblyEvictsPerSec = 50
-	// bfDegradedRatio degrades the node when measured FPP >= target *
-	// ratio (measured at or past target is already the paper's re-check
-	// invariant breaking); bfUnhealthyRatio marks it unhealthy.
+	// bfDegradedRatio degrades the node when FPP >= target * ratio (at
+	// or past target is already the paper's re-check invariant
+	// breaking); bfUnhealthyRatio marks it unhealthy.
 	bfDegradedRatio  = 1
 	bfUnhealthyRatio = 8
 )
@@ -159,14 +160,14 @@ func (h *Health) Eval() HealthReport {
 	// counter families (rates are computed over the sum across labels)
 	// and maxes for the FPP gauges (the worst filter on the node wins).
 	totals := map[string]float64{}
-	var measuredFPP, targetFPP float64
+	var fpp, targetFPP float64
 	for series, v := range snap {
 		switch fam := familyOf(series); fam {
 		case MetricVerifySheds, MetricUplinkConnects, MetricUDPReassemblyEvictions:
 			totals[fam] += v
-		case MetricBFMeasuredFPP:
-			if v > measuredFPP {
-				measuredFPP = v
+		case MetricBFFPP:
+			if v > fpp {
+				fpp = v
 			}
 		case MetricBFTargetFPP:
 			if v > targetFPP {
@@ -231,11 +232,11 @@ func (h *Health) Eval() HealthReport {
 			reassemblyEvictsPerSec, reassemblyEvictsPerSec*cfg.UnhealthyFactor, "evictions/s")
 	}
 	// BF saturation is level-based: the paper's invariant is that the
-	// re-check rate tracks FPP(BF_rE), so measured FPP running past the
+	// re-check rate tracks FPP(BF_rE), so an FPP running past the
 	// configured target means the filter needs an epoch rotation.
 	if targetFPP > 0 {
-		addRule("bf-saturation", measuredFPP,
-			targetFPP*bfDegradedRatio, targetFPP*bfUnhealthyRatio, "measured FPP")
+		addRule("bf-saturation", fpp,
+			targetFPP*bfDegradedRatio, targetFPP*bfUnhealthyRatio, "FPP")
 	}
 
 	status := HealthReady

@@ -113,7 +113,7 @@ func TestHealthReconnectChurnAndEvictions(t *testing.T) {
 func TestHealthBFSaturationWatchdog(t *testing.T) {
 	reg := NewRegistry()
 	measured := 0.0005
-	reg.GaugeFunc(MetricBFMeasuredFPP, func() float64 { return measured })
+	reg.GaugeFunc(MetricBFFPP, func() float64 { return measured })
 	reg.GaugeFunc(MetricBFTargetFPP, func() float64 { return 0.001 })
 	clk := newFakeClock()
 	ev := NewEvents("n", 8)
@@ -144,7 +144,7 @@ func TestHealthBFSaturationWatchdog(t *testing.T) {
 		t.Fatalf("8x status = %s, want unhealthy", rep.Status)
 	}
 
-	// Rotation resets the filter; measured FPP collapses and the
+	// Rotation resets the filter; its FPP collapses and the
 	// watchdog clears.
 	measured = 0
 	clk.step(2 * time.Second)
