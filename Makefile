@@ -82,7 +82,12 @@ build:
 # source again: bloom.Filter regains an insertion count or MeasuredFPP,
 # MergeWords a count argument, or ndn/control.go writes the retired
 # element count (ctrlCount) again (F, the saturation reset and the
-# gauges all read the filter's set bits).
+# gauges all read the filter's set bits), and the twenty-eighth when a
+# driver declares a packet counter of its own again: a drops map,
+# nacksSent or dataSeen, or a registry counter of a packet family
+# (interests, data, cs_hits, nacks, drops, control, registrations) in a
+# non-test file of internal/network or internal/forwarder (the node
+# core's ledger counts every packet once; the series read it).
 vet:
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/... | grep -x testing
@@ -116,6 +121,7 @@ vet:
 	! grep -nE '^[[:space:]]+count[[:space:]]+atomic\.|MeasuredFPP|\) Count\(\)' internal/bloom/bloom.go internal/bloom/sync.go
 	! grep -nE 'func \(f \*Filter\) MergeWords\([^)]*count' internal/bloom/sync.go
 	! grep -n 'ctrlCount' internal/ndn/control.go
+	! grep -nE '\bdrops[[:space:]]+map|nacksSent|dataSeen|\.Counter\(obs\.Metric(Interests|Data|CSHits|NACKs|Drops|Control|Registrations)\b' $$(ls internal/network/*.go internal/forwarder/*.go | grep -v _test.go)
 
 # Formatting gate: fails when gofmt would change any file (bench/, a
 # module of its own, included).

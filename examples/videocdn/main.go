@@ -21,6 +21,7 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/core"
 	"github.com/tactic-icn/tactic/internal/experiment"
+	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/topology"
 )
 
@@ -106,6 +107,6 @@ func run() error {
 	}
 	fmt.Printf("\nedge caching kept working under enforcement: %d cache hits (%.3f hit ratio)\n", res.CSHits, hitRatio)
 	fmt.Printf("answers the edge did not deliver (NACKed for insufficient level, or private content to a tagless requester; Protocol 2): %d\n",
-		res.Drops["undeliverable"])
+		res.Drops[node.DropUndeliverable])
 	return nil
 }

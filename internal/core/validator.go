@@ -84,6 +84,10 @@ var reasons = [...]struct {
 	9: {ErrOverload, "overload"},
 }
 
+// NumReasons is the size of the reason vocabulary: every ReasonCode is
+// below it, so a counter per reason is an array indexed by the code.
+const NumReasons = len(reasons)
+
 // ReasonCode maps a validation error to its 1-byte wire code for the
 // NackReason TLV. Unknown errors (and nil) map to 0.
 func ReasonCode(err error) uint8 {

@@ -3,6 +3,7 @@ package enforce_test
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestVerificationExchangePinned(t *testing.T) {
 	}
 	T, I := core.SchemeTACTIC, core.SchemeIBAC
 	rows := []row{
-		{T, "edge-miss", "valid", "deliver edge-interest \"\" F=4.89e-18 verified bf=1", "deliver edge-interest \"\" F=4.89e-18 bfhit bf=1"},
+		{T, "edge-miss", "valid", "deliver edge-interest \"\" F=4.893932325938508e-18 verified bf=1", "deliver edge-interest \"\" F=4.893932325938508e-18 bfhit bf=1"},
 		{T, "edge-miss", "forged", "deny edge-interest \"forged\" F=0 verified bf=0", "deny edge-interest \"forged\" F=0 verified bf=0"},
 		{T, "edge-miss", "revoked", "deny edge-interest \"revoked\" F=0 bf=0", ""},
 		{T, "content-F0", "valid", "deliver content \"\" F=0 verified bf=1", "deliver content \"\" F=0 bfhit bf=1"},
@@ -176,7 +177,7 @@ func (p *pinFixture) parked(t *testing.T, fast enforce.Verdict, pending node.Pen
 }
 
 func (p *pinFixture) verdict(v enforce.Verdict) string {
-	s := fmt.Sprintf("%s %s %q F=%.3g", v.Action, v.Stage, v.ReasonLabel(), v.Flag)
+	s := fmt.Sprintf("%s %s %q F=%s", v.Action, v.Stage, v.ReasonLabel(), strconv.FormatFloat(v.Flag, 'g', -1, 64))
 	if v.Verified {
 		s += " verified"
 	}
@@ -191,7 +192,7 @@ func (p *pinFixture) record(rv enforce.RecordVerdict) string {
 		enforce.DeliverNothing: "nothing", enforce.DeliverContent: "content",
 		enforce.DeliverContentNACK: "content+nack", enforce.DeliverNACK: "nack",
 	}[rv.Deliver]
-	s := fmt.Sprintf("%s %s %q F=%.3g", deliver, rv.Stage, core.ReasonLabel(rv.Reason), rv.Flag)
+	s := fmt.Sprintf("%s %s %q F=%s", deliver, rv.Stage, core.ReasonLabel(rv.Reason), strconv.FormatFloat(rv.Flag, 'g', -1, 64))
 	if rv.Minted {
 		s += " minted"
 	}

@@ -12,15 +12,15 @@ import (
 )
 
 // handleControl applies one lifecycle control frame through the node
-// core and acts on its step: count it, record an applied revocation or
-// rotation, flush parked verifications of newly revoked tags, and flood
-// what the step says to every face but the arrival face — so a push to
-// any router reaches the whole deployment, and version checks make
-// re-floods stale and terminate the flood. from is ndn.FaceNone for a
-// frame this node originates. It reports whether the frame was applied.
+// core (which counts it) and acts on its step: record an applied
+// revocation or rotation, flush parked verifications of newly revoked
+// tags, and flood what the step says to every face but the arrival face
+// — so a push to any router reaches the whole deployment, and version
+// checks make re-floods stale and terminate the flood. from is
+// ndn.FaceNone for a frame this node originates. It reports whether the
+// frame was applied.
 func (f *Forwarder) handleControl(m *ndn.Control, from ndn.FaceID) bool {
 	st := f.node.OnControl(m)
-	f.m.control(m.Kind, st.Outcome)
 	switch {
 	case st.Err != nil:
 		if n := f.rejectGate.Add(1); n > 0 { // a bad-frame stream (any frame, at an origin) logs once a second

@@ -6,6 +6,7 @@ import (
 	mrand "math/rand"
 	"net"
 	"os"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -319,10 +320,10 @@ func addTags(f *Forwarder, next *int, n int) {
 // syncTo forces one advert from src and waits until dst has merged it.
 func syncTo(t *testing.T, src, dst *Forwarder) {
 	t.Helper()
-	merged := dst.m.ctrls[ndn.CtrlBFSync.String()+"/"+node.ControlApplied]
-	n := merged.Value()
+	merged := func() uint64 { return dst.node.Ledger().Control(ndn.CtrlBFSync, node.ControlApplied) }
+	n := merged()
 	src.SyncBF()
-	waitFor(t, dst.cfg.ID+" to merge "+src.cfg.ID+"'s advert", func() bool { return merged.Value() > n })
+	waitFor(t, dst.cfg.ID+" to merge "+src.cfg.ID+"'s advert", func() bool { return merged() > n })
 }
 
 // TestLiveBFSyncHoldsTheUnion: two edges syncing both ways, each adding a
@@ -414,7 +415,8 @@ func TestLiveBFSyncLateAndRedialedPeers(t *testing.T) {
 // (internal/node/testdata/control.json, shared with the core's own test
 // and the simulator's) through a live edge's face, and its origin rows
 // (control_origin.json) through a live origin's: each frame is counted
-// under the row's outcome and leaves the row's end state.
+// under the row's outcome, leaves the row's end state, and the ledger
+// holds the row's control counts.
 func TestControlTable(t *testing.T) {
 	for file, newNode := range map[string]func(t *testing.T) *Forwarder{
 		"control.json":        func(t *testing.T) *Forwarder { return bareEdge(t, "edge-0") },
@@ -425,15 +427,16 @@ func TestControlTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var cases []struct {
-			Name              string        `json:"name"`
-			Before            []ndn.Control `json:"before"`
-			Frame             ndn.Control   `json:"frame"`
-			Outcome           string        `json:"outcome"`
-			RevocationVersion uint64        `json:"revocation_version"`
-			Revoked           int           `json:"revoked"`
-			Epoch             uint64        `json:"epoch"`
-			BFBitsSet         int           `json:"bf_bits_set"`
-			BFSaturated       bool          `json:"bf_saturated"`
+			Name              string            `json:"name"`
+			Before            []ndn.Control     `json:"before"`
+			Frame             ndn.Control       `json:"frame"`
+			Outcome           string            `json:"outcome"`
+			RevocationVersion uint64            `json:"revocation_version"`
+			Revoked           int               `json:"revoked"`
+			Epoch             uint64            `json:"epoch"`
+			BFBitsSet         int               `json:"bf_bits_set"`
+			BFSaturated       bool              `json:"bf_saturated"`
+			Ledger            map[string]uint64 `json:"ledger"`
 		}
 		if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
 			t.Fatalf("%s: %d cases, %v", file, len(cases), err)
@@ -445,31 +448,28 @@ func TestControlTable(t *testing.T) {
 				f.AddFace(transport.New(faceSide), false)
 				pusher := transport.New(pusherSide)
 				t.Cleanup(func() { pusher.Close() })
-				// send pushes one frame and returns the series it was counted in.
+				// send pushes one frame and returns the row it was counted in.
 				send := func(m *ndn.Control) string {
 					t.Helper()
-					counted := make(map[string]uint64, len(f.m.ctrls))
-					for key, c := range f.m.ctrls {
-						counted[key] = c.Value()
-					}
+					counted := f.Ledger().ControlRows()
 					if err := pusher.SendControl(m); err != nil {
 						t.Fatal(err)
 					}
-					var series string
+					var row string
 					waitFor(t, "the frame to be counted", func() bool {
-						for key, c := range f.m.ctrls {
-							if c.Value() != counted[key] {
-								series = key
+						for key, n := range f.Ledger().ControlRows() {
+							if n != counted[key] {
+								row = key
 								return true
 							}
 						}
 						return false
 					})
-					return series
+					return row
 				}
 				label := func(m *ndn.Control, outcome string) string {
-					if _, ok := f.m.ctrls[m.Kind.String()+"/"+outcome]; !ok {
-						return "other"
+					if m.Kind < ndn.CtrlRevoke || m.Kind > ndn.CtrlBFSync {
+						return node.ControlKindOther + "/" + outcome
 					}
 					return m.Kind.String() + "/" + outcome
 				}
@@ -490,6 +490,9 @@ func TestControlTable(t *testing.T) {
 					r.Bloom().Saturated() != tc.BFSaturated || setBits != tc.BFBitsSet {
 					t.Errorf("end state: revocation v%d (%d), epoch %d, %d BF bits set, saturated %v; want %+v",
 						r.Revocations().Version(), r.Revocations().Len(), r.Epoch(), setBits, r.Bloom().Saturated(), tc)
+				}
+				if got := f.Ledger().ControlRows(); !reflect.DeepEqual(got, tc.Ledger) {
+					t.Errorf("ledger control rows %v, want %v", got, tc.Ledger)
 				}
 			})
 		}
@@ -534,8 +537,9 @@ func TestOriginRefusalLogGated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	invalid := f.m.ctrls[ndn.CtrlRotate.String()+"/"+node.ControlInvalid]
-	waitFor(t, "every frame to be counted invalid", func() bool { return invalid.Value() == frames })
+	waitFor(t, "every frame to be counted invalid", func() bool {
+		return f.node.Ledger().Control(ndn.CtrlRotate, node.ControlInvalid) == frames
+	})
 	if got, most := logged.Load(), 1+int64(time.Since(start)/time.Second); got < 1 || got > most {
 		t.Errorf("%d refusals logged %d lines, want 1..%d", frames, got, most)
 	}

@@ -187,9 +187,11 @@ type Stats struct {
 	Interests, Data uint64
 	// CSHits counts content served from the store.
 	CSHits uint64
-	// NACKs counts invalidity signals sent.
+	// NACKs counts invalidity signals sent: refusals, content-router
+	// denials, minted NACKs, sheds and flushes.
 	NACKs uint64
-	// Drops counts packets dropped (no route, invalid, unsolicited).
+	// Drops counts packets left unanswered, by any node.DropCauses cause
+	// (a refused Interest is answered, with a NACK).
 	Drops uint64
 	// VerifySheds counts Interests shed with Overload NACKs because
 	// their arrival face exceeded its verification budget.
@@ -256,6 +258,7 @@ func newForwarder(cfg Config, origin *Producer) (*Forwarder, error) {
 	}
 	f.node = node.New(f.tactic, f.fib, f.pit, f.cs, cfg.Role, pitLifetime)
 	f.vp = newVerifyPool(f, cfg.VerifyWorkers, cfg.VerifyBudget)
+	f.exposeLedger()
 	f.registerSampled()
 	f.wg.Add(1)
 	go f.expireLoop()
@@ -338,11 +341,14 @@ func faceAttr(conn transport.Face, downstream bool) string {
 // into its verify job; a Data's Content, into the content store). What
 // the loop sends goes through the same scratch (sendPacket), so a
 // datagram face's reader writes its own sends as one batch when its
-// input runs dry; the batch is written before the loop exits.
+// input runs dry; the batch is written before the loop exits. The loop
+// counts its Interests for the 1-in-64 stage sampler: a plain count of
+// its own, not a second atomic beside the ledger's.
 func (f *Forwarder) readLoop(fs *faceState) {
 	defer f.wg.Done()
 	scratch := new(transport.Scratch)
 	var hit core.Content
+	var interests uint64
 	for {
 		pkt, err := fs.conn.ReceiveInto(scratch)
 		if err != nil {
@@ -352,7 +358,8 @@ func (f *Forwarder) readLoop(fs *faceState) {
 		}
 		switch {
 		case pkt.Interest != nil:
-			f.handleInterest(pkt.Interest, fs, scratch, &hit, pkt.DecodeDur)
+			interests++
+			f.handleInterest(pkt.Interest, fs, scratch, &hit, pkt.DecodeDur, interests&stageSampleMask == 0)
 		case pkt.Data != nil:
 			f.handleData(pkt.Data, fs, scratch, pkt.DecodeDur)
 		case pkt.Control != nil:
@@ -457,19 +464,25 @@ func (f *Forwarder) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the forwarder's counters: the /metrics
-// series themselves, NACKs summed over reasons and drops over causes.
+// Stats returns a snapshot of the forwarder's counters: the node core's
+// ledger, as the /metrics series read it, NACKs summed over reasons and
+// drops over causes.
 func (f *Forwarder) Stats() Stats {
+	l := f.Ledger()
 	return Stats{
-		Interests:     f.m.interest.Value(),
-		Data:          f.m.data.Value(),
-		CSHits:        f.m.csHits.Value(),
-		NACKs:         sumCounters(f.m.nacks),
-		Drops:         sumCounters(f.m.drops),
+		Interests:     l.Interests(),
+		Data:          l.Data(),
+		CSHits:        l.CSHits(),
+		NACKs:         l.TotalNACKs(),
+		Drops:         l.TotalDrops(),
 		VerifySheds:   f.vp.Sheds(),
 		VerifyFlushed: f.vp.Flushed(),
 	}
 }
+
+// Ledger is the node's packet accounting (its node core's), which Stats
+// and the packet series read.
+func (f *Forwarder) Ledger() *node.Ledger { return f.node.Ledger() }
 
 // Tactic exposes the router state (Bloom filter, validator) for
 // inspection.
@@ -484,25 +497,21 @@ func (f *Forwarder) CSNames() []string { return f.cs.Names() }
 var errNoFace = errors.New("forwarder: face detached")
 
 // send transmits a Data on a face, through out when a face reader sends
-// (see sendPacket). Failures are counted as drops.
+// (see sendPacket). A failure is counted as a drop.
 func (f *Forwarder) send(out *transport.Scratch, face ndn.FaceID, d *ndn.Data) {
-	switch err := f.sendPacket(out, face, nil, d); {
-	case err == nil:
-	case errors.Is(err, errNoFace):
-		f.m.drop(node.DropNoFace)
-	default:
-		f.m.drop(node.DropSendErr)
+	if err := f.sendPacket(out, face, nil, d); err != nil {
+		f.Ledger().SendFailed(errors.Is(err, errNoFace))
 	}
 }
 
 // sendPacket sends an Interest (i non-nil) or a Data on a face. A
 // connection-level failure detaches the face, so the next packet does not
-// hit the same dead peer; the caller accounts the drop. The packet is
-// encoded here, with the concrete encoder, into a pooled buffer and
-// handed to the face as a frame: passed through the Face interface it
-// would escape, and every reply literal the pipeline builds would be a
-// heap allocation. out is the sending face reader's scratch, nil on any
-// other goroutine: a reader's datagrams join its batch
+// hit the same dead peer; the caller reports the failure to the ledger.
+// The packet is encoded here, with the concrete encoder, into a pooled
+// buffer and handed to the face as a frame: passed through the Face
+// interface it would escape, and every reply literal the pipeline builds
+// would be a heap allocation. out is the sending face reader's scratch,
+// nil on any other goroutine: a reader's datagrams join its batch
 // (transport.Scratch.SendFrame) instead of the socket's write queue.
 func (f *Forwarder) sendPacket(out *transport.Scratch, face ndn.FaceID, i *ndn.Interest, d *ndn.Data) error {
 	f.mu.RLock()
@@ -560,17 +569,17 @@ type arrival struct {
 // the hop histogram and the pit_cs stage measure the reader's hot path
 // only. (Aggregated PIT records are still verified inline, on the Data
 // path.) A content-store hit is copied into hit, the reader's buffer.
-func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, out *transport.Scratch, hit *core.Content, decodeDur time.Duration) {
+// sample selects the Interest for pit_cs / encode_send stage timings (the
+// reader's 1 in 64; bf_lookup and verify are timed inside their own
+// layers); one with a span is always timed so its trace shows the
+// decomposition.
+func (f *Forwarder) handleInterest(i *ndn.Interest, from *faceState, out *transport.Scratch, hit *core.Content, decodeDur time.Duration, sample bool) {
 	now := time.Now()
 	a := arrival{i: i, from: from, out: out, now: now}
 	a.sp = f.cfg.Tracer.StartCtx(i.Trace, "interest", i.Name.String())
 	a.outTC = a.sp.Onward(i.Trace)
-	n := f.m.interest.Inc()
 	defer func() { f.m.hop.Observe(time.Since(now).Seconds()) }()
-	// 1-in-64 packets contribute pit_cs / encode_send stage timings
-	// (bf_lookup and verify are timed inside their own layers); a packet
-	// with a span is always timed so its trace shows the decomposition.
-	a.sampled = a.sp != nil || n&stageSampleMask == 0
+	a.sampled = a.sp != nil || sample
 	if a.sp != nil && decodeDur > 0 {
 		a.sp.EventDur("decode", decodeDur, "")
 	}
@@ -660,6 +669,7 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 		if errors.Is(err, errNoFace) {
 			st.Cause = node.DropNoFace
 		}
+		f.Ledger().SendFailed(st.Cause == node.DropNoFace)
 		fallthrough
 	case node.Drop:
 		// An Interest admitted to the PIT that never left — no route, or
@@ -674,24 +684,18 @@ func (f *Forwarder) act(a arrival, st node.Step) {
 		if st.Cause == node.DropNoRoute && f.origin == nil {
 			f.logf("no route for %s", i.Name)
 		}
-		f.m.drop(st.Cause)
 		sp.End(node.OutcomeDrop+st.Cause, 0)
 	}
 }
 
 // reply answers an Interest on its arrival face: the content (alongside a
 // NACK when the tag failed at a router — the paper's §5.B trade-off), the
-// content alone, or a bare NACK. It counts the NACK or the hit and ends
-// the span.
+// content alone, or a bare NACK, as the node core answered (and counted)
+// it. It ends the span.
 func (f *Forwarder) reply(a arrival, ans node.Answer, sendStart time.Time) {
 	outcome := node.OutcomeCSHit
-	if ans.Nack {
-		f.m.nack(ans.Reason)
-		if a.sp != nil { // joining allocates; only a span reads it
-			outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
-		}
-	} else {
-		f.m.csHits.Inc()
+	if ans.Nack && a.sp != nil { // joining allocates; only a span reads it
+		outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
 	}
 	f.send(a.out, a.from.id, &ndn.Data{
 		Name: a.i.Name, Content: ans.Content, Tag: a.i.Tag,
@@ -710,7 +714,6 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, out *transport.Scra
 	inTC := d.Trace
 	sp := f.cfg.Tracer.StartCtx(inTC, "data", d.Name.String())
 	outTC := sp.Onward(inTC)
-	f.m.data.Inc()
 	if sp != nil && decodeDur > 0 {
 		sp.EventDur("decode", decodeDur, "")
 	}
@@ -720,7 +723,6 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, out *transport.Scra
 	var scratch [4]ndn.PITRecord
 	records, cause := f.node.OnData(d, from.id, true, scratch[:0])
 	if cause != "" {
-		f.m.drop(cause)
 		sp.End(node.OutcomeDrop+cause, 0)
 		return
 	}
@@ -736,12 +738,10 @@ func (f *Forwarder) handleData(d *ndn.Data, from *faceState, out *transport.Scra
 	for idx, rec := range records {
 		dl := f.node.OnRecord(d, rec, idx == 0, now)
 		if dl.Minted {
-			f.m.nack(dl.Answer.Reason)
 			sp.Event("nack_aggregate", core.ReasonLabel(dl.Answer.Reason))
 		}
 		if dl.Cause != "" {
 			// Tell the client so it can fail fast rather than time out.
-			f.m.drop(dl.Cause)
 			sp.Event("edge_drop", core.ReasonLabel(dl.Answer.Reason))
 		}
 		f.send(out, rec.InFace, &ndn.Data{

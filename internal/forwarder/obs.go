@@ -6,7 +6,6 @@ import (
 
 	"github.com/tactic-icn/tactic/internal/bloom"
 	"github.com/tactic-icn/tactic/internal/core"
-	"github.com/tactic-icn/tactic/internal/ndn"
 	"github.com/tactic-icn/tactic/internal/node"
 	"github.com/tactic-icn/tactic/internal/obs"
 	"github.com/tactic-icn/tactic/internal/transport"
@@ -20,22 +19,17 @@ const (
 )
 
 // obsMetrics pre-resolves the forwarder's registry series so the packet
-// pipeline increments lock-free atomics only. These series are the
-// forwarder's only packet counters — Stats() reads them back — so reg is
-// never nil: without a Config.Obs the forwarder counts into a private
-// registry.
+// pipeline increments lock-free atomics only. It holds no packet counter:
+// what became of each packet is the node core's ledger, which the
+// registry reads at scrape time (exposeLedger). reg is never nil: without
+// a Config.Obs the forwarder registers into a private registry.
 type obsMetrics struct {
 	reg            *obs.Registry
 	role           obs.Label
-	interest       *obs.Counter
-	data           *obs.Counter
-	csHits         *obs.Counter
 	hop            *obs.Histogram
 	pitExpired     *obs.Counter
 	pitFlushed     *obs.Counter
 	routesDetached *obs.Counter
-	nacks          map[string]*obs.Counter // by reason label
-	drops          map[string]*obs.Counter // by cause
 
 	// Sampled stage latencies (obs.MetricStageSeconds). stagePITCS and
 	// stageEncodeSend are observed by the pipeline; stageDecode is fed to
@@ -49,15 +43,13 @@ type obsMetrics struct {
 	// registerSampled callbacks).
 	parkSeconds *obs.Histogram
 
-	// Lifecycle control plane: frames by kind and outcome, and BF-sync
-	// advert words by direction.
-	ctrls        map[string]*obs.Counter // by kind + "/" + outcome
+	// BF-sync advert words by direction.
 	syncWordsIn  *obs.Counter
 	syncWordsOut *obs.Counter
 }
 
-// stageSampleMask selects which packets contribute pit_cs / encode_send
-// stage timings: packet counts where count&mask == 0.
+// stageSampleMask selects which Interests contribute pit_cs / encode_send
+// stage timings: a face reader's Interest counts where count&mask == 0.
 const stageSampleMask = 63
 
 // observeStageSpan records one stage timing into the stage histogram
@@ -87,29 +79,10 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 		reg = obs.NewRegistry()
 	}
 	m := &obsMetrics{reg: reg, role: obs.L("role", role.String())}
-	m.interest = reg.Counter(obs.MetricInterests, m.role)
-	m.data = reg.Counter(obs.MetricData, m.role)
-	m.csHits = reg.Counter(obs.MetricCSHits, m.role)
 	m.hop = reg.Histogram(obs.MetricHopSeconds, nil, m.role)
 	m.pitExpired = reg.Counter(obs.MetricPITExpired, m.role)
 	m.pitFlushed = reg.Counter(obs.MetricPITFlushed, m.role)
 	m.routesDetached = reg.Counter(obs.MetricRoutesDetached, m.role)
-	m.nacks = make(map[string]*obs.Counter)
-	for _, reason := range core.ReasonLabels() {
-		m.nacks[reason] = reg.Counter(obs.MetricNACKs, m.role, obs.L("reason", reason))
-	}
-	m.drops = make(map[string]*obs.Counter)
-	for _, cause := range node.DropCauses {
-		m.drops[cause] = reg.Counter(obs.MetricDrops, m.role, obs.L("cause", cause))
-	}
-	m.ctrls = make(map[string]*obs.Counter)
-	for _, kind := range []ndn.ControlKind{ndn.CtrlRevoke, ndn.CtrlRotate, ndn.CtrlBFSync} {
-		for _, outcome := range []string{node.ControlApplied, node.ControlStale, node.ControlInvalid} {
-			m.ctrls[kind.String()+"/"+outcome] = reg.Counter(obs.MetricControl, m.role,
-				obs.L("kind", kind.String()), obs.L("outcome", outcome))
-		}
-	}
-	m.ctrls["other"] = reg.Counter(obs.MetricControl, m.role, obs.L("kind", "other"), obs.L("outcome", node.ControlInvalid))
 	m.syncWordsIn = reg.Counter(obs.MetricBFSyncWords, m.role, obs.L("dir", "in"))
 	m.syncWordsOut = reg.Counter(obs.MetricBFSyncWords, m.role, obs.L("dir", "out"))
 	m.stagePITCS = reg.Histogram(obs.MetricStageSeconds, nil, m.role, obs.L("stage", "pit_cs"))
@@ -118,39 +91,6 @@ func newObsMetrics(reg *obs.Registry, role Role) *obsMetrics {
 	m.parkSeconds = reg.Histogram(obs.MetricVerifyParkSeconds, nil, m.role)
 	return m
 }
-
-// sumCounters totals one labelled family's pre-created series.
-func sumCounters(byLabel map[string]*obs.Counter) uint64 {
-	var n uint64
-	for _, c := range byLabel {
-		n += c.Value()
-	}
-	return n
-}
-
-// nack counts one NACK under its reason label (a reasonless one under
-// "other").
-func (m *obsMetrics) nack(reason error) {
-	c, ok := m.nacks[core.ReasonLabel(reason)]
-	if !ok {
-		c = m.nacks["other"]
-	}
-	c.Inc()
-}
-
-// control counts one control frame under its kind and outcome labels.
-// The map is read-only after newObsMetrics (handleControl runs on
-// concurrent per-face goroutines); unknown kinds count under "other".
-func (m *obsMetrics) control(kind ndn.ControlKind, outcome string) {
-	c, ok := m.ctrls[kind.String()+"/"+outcome]
-	if !ok {
-		c = m.ctrls["other"]
-	}
-	c.Inc()
-}
-
-// drop counts one drop under its cause label (node.DropCauses).
-func (m *obsMetrics) drop(cause string) { m.drops[cause].Inc() }
 
 // faceStatSeries lists what transport.Stats counts as face series, so
 // the series and Stats() are one ledger read twice. stats is the face's
@@ -208,6 +148,37 @@ func (f *Forwarder) release(fs *faceState) {
 	for _, s := range fs.series {
 		last := s.Read()
 		f.m.reg.CounterFunc(s.Name, func() float64 { return last }, s.Labels...)
+	}
+}
+
+// exposeLedger registers the node core's ledger as scrape-time series:
+// the packet families are views of the one count Stats() reads too. Only
+// an origin answers registrations, so only it exports their family.
+func (f *Forwarder) exposeLedger() {
+	reg, role, l := f.m.reg, f.m.role, f.Ledger()
+	count := func(name string, read func() uint64, labels ...obs.Label) {
+		reg.CounterFunc(name, func() float64 { return float64(read()) }, append([]obs.Label{role}, labels...)...)
+	}
+	count(obs.MetricInterests, l.Interests)
+	count(obs.MetricData, l.Data)
+	count(obs.MetricCSHits, l.CSHits)
+	for code, reason := range core.ReasonLabels() {
+		count(obs.MetricNACKs, func() uint64 { return l.NACKs(uint8(code)) }, obs.L("reason", reason))
+	}
+	for _, cause := range node.DropCauses {
+		count(obs.MetricDrops, func() uint64 { return l.Drops(cause) }, obs.L("cause", cause))
+	}
+	for _, kind := range node.ControlKinds {
+		for _, outcome := range node.ControlOutcomes {
+			count(obs.MetricControl, func() uint64 { return l.Control(kind, outcome) },
+				obs.L("kind", kind.String()), obs.L("outcome", outcome))
+		}
+	}
+	count(obs.MetricControl, func() uint64 { return l.Control(0, node.ControlInvalid) },
+		obs.L("kind", node.ControlKindOther), obs.L("outcome", node.ControlInvalid))
+	if f.cfg.Role == RoleOrigin {
+		count(obs.MetricRegistrations, func() uint64 { return l.Registrations(true) }, obs.L("result", "issued"))
+		count(obs.MetricRegistrations, func() uint64 { return l.Registrations(false) }, obs.L("result", "failed"))
 	}
 }
 

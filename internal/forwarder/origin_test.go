@@ -451,7 +451,7 @@ func TestOriginReplyAllocs(t *testing.T) {
 	node.mu.RUnlock()
 	i := &ndn.Interest{Name: e.open, Kind: ndn.KindContent, Nonce: 1}
 	var hit core.Content // the reader's hit buffer
-	allocs := testing.AllocsPerRun(1000, func() { node.handleInterest(i, fs, nil, &hit, 0) })
+	allocs := testing.AllocsPerRun(1000, func() { node.handleInterest(i, fs, nil, &hit, 0, false) })
 	if allocs != 0 {
 		t.Errorf("answering a published chunk allocates %.1f/op, want 0", allocs)
 	}
@@ -492,8 +492,8 @@ func TestOriginCountsWhatItRefuses(t *testing.T) {
 	if err := face.SendControl(&ndn.Control{Kind: ndn.CtrlRotate, Version: 1, Origin: "client"}); err != nil {
 		t.Fatal(err)
 	}
-	m := e.prod.node.m
+	l := e.prod.node.node.Ledger()
 	waitFor(t, "the refusals to be counted", func() bool {
-		return m.drops[node.DropUnsolicited].Value() == 1 && m.ctrls[ndn.CtrlRotate.String()+"/"+node.ControlInvalid].Value() == 1
+		return l.Drops(node.DropUnsolicited) == 1 && l.Control(ndn.CtrlRotate, node.ControlInvalid) == 1
 	})
 }

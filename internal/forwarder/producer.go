@@ -22,8 +22,6 @@ import (
 type Producer struct {
 	node     *Forwarder
 	provider *core.Provider // locks itself
-
-	registrations, regFailed *obs.Counter
 }
 
 // NewProducer creates an origin server around a provider identity,
@@ -47,9 +45,6 @@ func NewProducerWithConfig(provider *core.Provider, cfg Config) (*Producer, erro
 	if p.node, err = newForwarder(cfg, p); err != nil {
 		return nil, err
 	}
-	m := p.node.m
-	p.registrations = m.reg.Counter(obs.MetricRegistrations, m.role, obs.L("result", "issued"))
-	p.regFailed = m.reg.Counter(obs.MetricRegistrations, m.role, obs.L("result", "failed"))
 	return p, nil
 }
 
@@ -118,22 +113,21 @@ func (p *Producer) ServeConn(conn net.Conn) { p.node.AddFace(transport.New(conn)
 
 // register is the origin's end of the Interest pipeline (node.Register):
 // a registration Interest is answered with a fresh tag, or — malformed or
-// refused — with silence.
+// refused — with silence. Either result is the ledger's.
 func (p *Producer) register(a arrival) {
 	f := p.node
 	if a.i.Registration == nil {
-		p.regFailed.Inc()
+		f.Ledger().Registered(false)
 		a.sp.End("drop:bad_registration", 0)
 		return
 	}
 	resp, err := p.provider.Register(*a.i.Registration, a.now)
+	f.Ledger().Registered(err == nil)
 	if err != nil {
-		p.regFailed.Inc()
 		f.logf("registration rejected: %v", err)
 		a.sp.End("drop:registration_rejected", 0)
 		return
 	}
-	p.registrations.Inc()
 	f.send(a.out, a.from.id, &ndn.Data{Name: a.i.Name, Registration: resp, Trace: a.outTC})
 	a.sp.End("registered", 0)
 }
@@ -153,12 +147,12 @@ type ProducerStats struct {
 	Registrations, RegistrationsFailed uint64
 }
 
-// Stats returns a snapshot of the producer's counters: content replies
-// are the node's content-store hits and NACKs.
+// Stats returns a snapshot of the producer's counters, its node core's
+// ledger: content replies are the node's content-store hits and NACKs.
 func (p *Producer) Stats() ProducerStats {
-	st := p.node.Stats()
+	l := p.node.Ledger()
 	return ProducerStats{
-		Served: st.CSHits, NACKed: st.NACKs,
-		Registrations: p.registrations.Value(), RegistrationsFailed: p.regFailed.Value(),
+		Served: l.CSHits(), NACKed: l.TotalNACKs(),
+		Registrations: l.Registrations(true), RegistrationsFailed: l.Registrations(false),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -188,18 +189,20 @@ func TestDataFromWrongFaceIsIgnored(t *testing.T) {
 // (internal/node/testdata/unsolicited_data.json, shared with the core's
 // own test and the simulator's) through the live forwarder's Data
 // pipeline: what the three socket-level tests above show an attacker, case
-// by case.
+// by case, and what the ledger counts for it.
 func TestUnsolicitedDataTable(t *testing.T) {
 	raw, err := os.ReadFile("../node/testdata/unsolicited_data.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cases []struct {
-		Name         string `json:"name"`
-		Pending      bool   `json:"pending"`
-		Registration bool   `json:"registration"`
-		FromOutFace  bool   `json:"from_out_face"`
-		Accepted     bool   `json:"accepted"`
+		Name         string            `json:"name"`
+		Pending      bool              `json:"pending"`
+		Registration bool              `json:"registration"`
+		FromOutFace  bool              `json:"from_out_face"`
+		Accepted     bool              `json:"accepted"`
+		DataIn       uint64            `json:"data_in"`
+		Ledger       map[string]uint64 `json:"ledger"`
 	}
 	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
 		t.Fatalf("%d cases, %v", len(cases), err)
@@ -231,13 +234,16 @@ func TestUnsolicitedDataTable(t *testing.T) {
 				d = &ndn.Data{Name: name, Registration: &core.RegistrationResponse{Tag: forged}}
 			}
 			if tc.Pending {
-				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, nil, new(core.Content), 0)
+				edge.handleInterest(&ndn.Interest{Name: name, Kind: kind, Nonce: 1}, client, nil, new(core.Content), 0, false)
 			}
 			from := out
 			if !tc.FromOutFace {
 				from = other
 			}
 			edge.handleData(d, from, nil, 0)
+			if l := edge.Ledger(); l.Data() != tc.DataIn || !reflect.DeepEqual(l.Rows(), tc.Ledger) {
+				t.Errorf("ledger: %d Data in, rows %v; want %d, %v", l.Data(), l.Rows(), tc.DataIn, tc.Ledger)
+			}
 			inserted := edge.Tactic().Bloom().Stats().Insertions == 1
 			cached := len(edge.CSNames()) == 1
 			if tc.Accepted {

@@ -154,7 +154,7 @@ func (p *verifyPool) park(a arrival, pending node.Pending) {
 				p.f.ev.Emit(obs.EventShedBurst, int(a.from.id), "verify_overload", burst)
 			}
 		}
-		p.f.reply(a, node.Answer{Nack: true, Reason: core.ErrOverload}, time.Time{})
+		p.f.reply(a, p.f.node.Refuse(pending, core.ErrOverload), time.Time{})
 	}
 }
 
@@ -251,7 +251,7 @@ func (p *verifyPool) flushWhere(match func(*verifyJob) bool, reason error) int {
 	}
 	for _, job := range out {
 		p.flushed.Add(1)
-		p.f.reply(job.arrival, node.Answer{Nack: true, Reason: reason}, time.Time{})
+		p.f.reply(job.arrival, p.f.node.Refuse(job.pending, reason), time.Time{})
 	}
 	p.mu.Lock()
 	for _, job := range out {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -279,6 +280,7 @@ func TestControlTable(t *testing.T) {
 		Frame   ndn.Control   `json:"frame"`
 		Outcome string        `json:"outcome"`
 		controlState
+		Ledger map[string]uint64 `json:"ledger"`
 	}
 	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
 		t.Fatalf("%d cases, %v", len(cases), err)
@@ -296,6 +298,9 @@ func TestControlTable(t *testing.T) {
 			}
 			if got := controlStateOf(edgeA.Tactic()); got != tc.controlState {
 				t.Errorf("RouterNode end state %+v, want %+v", got, tc.controlState)
+			}
+			if rows := edgeA.Ledger().ControlRows(); !reflect.DeepEqual(rows, tc.Ledger) {
+				t.Errorf("RouterNode ledger control rows %v, want %v", rows, tc.Ledger)
 			}
 
 			net, _, edgeA, edgeB, _, _ = twoEdgeNet(t)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 
 	"github.com/tactic-icn/tactic/internal/bloom"
@@ -96,12 +97,6 @@ type RouterNode struct {
 	rng    *rand.Rand
 	tracer *obs.Tracer
 
-	interests           uint64
-	dataSeen            uint64
-	nacksSent           uint64
-	registrations       uint64
-	registrationsFailed uint64
-	drops               map[string]uint64
 	// cpuBusyUntil serialises computational delays: a router is a
 	// single processing pipeline, so a burst of signature verifications
 	// (e.g. after a Bloom-filter reset) delays subsequent packets — the
@@ -110,7 +105,8 @@ type RouterNode struct {
 	cpuBusyUntil time.Time
 }
 
-// pitGCStride amortises lazy PIT expiry: once every so many Interests.
+// pitGCStride amortises lazy PIT expiry: once every so many Interests, as
+// the node core's ledger counts them.
 const pitGCStride = 2048
 
 // NewRouterNode creates a router for graph node index. isEdge selects
@@ -158,7 +154,6 @@ func newRouterNode(net *Network, index int, role node.Role, provider *core.Provi
 		cfg:      cfg,
 		rng:      rng,
 		tracer:   net.Tracer(id, role.String()),
-		drops:    make(map[string]uint64),
 	}
 	r.core = node.New(r.tactic, r.fib, r.pit, r.cs, role, cfg.PITLifetime)
 	return r, nil
@@ -171,6 +166,9 @@ func (r *RouterNode) FIB() *ndn.FIB { return r.fib }
 
 // Index returns the router's graph index.
 func (r *RouterNode) Index() int { return r.index }
+
+// Ledger is the router's packet accounting (its node core's).
+func (r *RouterNode) Ledger() *node.Ledger { return r.core.Ledger() }
 
 // Tactic exposes the TACTIC state for tests and metrics.
 func (r *RouterNode) Tactic() *enforce.Router { return r.tactic }
@@ -194,9 +192,6 @@ func (r *RouterNode) AddContent(c *core.Content) { r.cs.Insert(c) }
 func (r *RouterNode) RegistrationName() names.Name {
 	return r.provider.Prefix().MustAppend("register")
 }
-
-// drop records a dropped packet by reason.
-func (r *RouterNode) drop(reason string) { r.drops[reason]++ }
 
 // id returns the router's topology node identity.
 func (r *RouterNode) id() string { return r.net.Graph.Nodes[r.index].ID }
@@ -225,9 +220,8 @@ func (r *RouterNode) cpuWait(sp *obs.Span, work time.Duration) time.Duration {
 // HandleInterest runs one Interest through the node core in virtual time
 // and acts on the step it returns.
 func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
-	r.interests++
 	now := r.net.Engine.Now()
-	if r.interests%pitGCStride == 0 {
+	if (r.Ledger().Interests()+1)%pitGCStride == 0 {
 		r.pit.ExpireBefore(now) // lazy expiry: no background work in the event engine
 	}
 	inTC := i.Trace
@@ -286,15 +280,12 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 		switch {
 		case st.Stage == enforce.StageEdgeInterest: // Protocol 2 refused
 			label := core.ReasonLabel(ans.Reason)
-			r.drop(label)
-			r.nacksSent++
 			if r.cfg.Traitor != nil && errors.Is(ans.Reason, core.ErrAccessPathMismatch) {
 				r.cfg.Traitor.Observe(i.Tag, i.AccessPath)
 			}
 			sp.Event("precheck", label)
 			outcome = node.OutcomeNack + label
 		case ans.Nack:
-			r.nacksSent++
 			outcome = node.OutcomeNack + core.ReasonLabel(ans.Reason)
 			if r.cfg.DropContentOnNACK {
 				ans.Content = nil
@@ -315,7 +306,6 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 	case node.Drop:
 		// A routeless entry stays until it expires: sim FIBs are installed
 		// once.
-		r.drop(st.Cause)
 		sp.End(node.OutcomeDrop+st.Cause, proc)
 	}
 }
@@ -325,25 +315,23 @@ func (r *RouterNode) HandleInterest(i *ndn.Interest, from ndn.FaceID) {
 // if she is authorized or drops the request otherwise", §4.A).
 func (r *RouterNode) handleRegistration(i *ndn.Interest, from ndn.FaceID, now time.Time) {
 	if i.Registration == nil {
-		r.registrationsFailed++
+		r.Ledger().Registered(false)
 		return
 	}
 	// The registration request's access path is whatever accumulated
 	// between the client and its edge router; the provider copies it
 	// into the tag.
 	resp, err := r.provider.Register(*i.Registration, now)
+	r.Ledger().Registered(err == nil)
 	if err != nil {
-		r.registrationsFailed++
 		return
 	}
-	r.registrations++
 	r.net.SendData(r.index, from, &ndn.Data{Name: i.Name, Registration: resp}, 0)
 }
 
 // HandleData runs an arriving Data through the node core: admitted (or
 // dropped unsolicited) as one step, then decided per requester.
 func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
-	r.dataSeen++
 	now := r.net.Engine.Now()
 	// Pervasive caching (capacity 0 disables, as configured for edges),
 	// except that ProviderAuthAC keeps private content out of caches.
@@ -358,7 +346,6 @@ func (r *RouterNode) HandleData(d *ndn.Data, from ndn.FaceID) {
 	inTC := d.Trace
 	sp := r.tracer.StartCtx(inTC, "data", d.Name.String())
 	if cause != "" {
-		r.drop(cause)
 		sp.End(node.OutcomeDrop+cause, 0)
 		return
 	}
@@ -403,14 +390,10 @@ func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool,
 	if dl.Stage != enforce.StageNone {
 		proc = r.cpuWait(sp, work)
 	}
-	if dl.Minted {
-		r.nacksSent++
-	}
 	if dl.Cause != "" {
 		// Silent, tagged or not (the live edge sends the bare NACK): the
 		// client's window slot frees at the 1 s request expiry, the
 		// paper's rate limit on attackers.
-		r.drop(dl.Cause)
 		return node.OutcomeDrop + dl.Cause, proc
 	}
 	r.net.SendData(r.index, rec.InFace, &ndn.Data{Name: d.Name, Content: dl.Answer.Content, Tag: rec.Tag,
@@ -418,7 +401,8 @@ func (r *RouterNode) deliverRecord(d *ndn.Data, rec ndn.PITRecord, primary bool,
 	return node.OutcomeDelivered, proc
 }
 
-// Stats snapshots the router's counters.
+// RouterNodeStats snapshots the router's counters: the packet counts are
+// its node core's ledger.
 type RouterNodeStats struct {
 	// Ops are the Fig. 7 / Fig. 8 / Table V operation counters.
 	Ops metrics.RouterOps
@@ -429,7 +413,8 @@ type RouterNodeStats struct {
 	// Registrations and RegistrationsFailed count an origin's tag
 	// issuances and dropped registration attempts.
 	Registrations, RegistrationsFailed uint64
-	// Drops tallies dropped packets by reason.
+	// Drops tallies dropped packets by cause and Protocol 2 refusals by
+	// reason label, non-zero entries only.
 	Drops map[string]uint64
 	// CSHits/CSMisses are content-store statistics.
 	CSHits, CSMisses uint64
@@ -442,9 +427,14 @@ func (r *RouterNode) Stats() RouterNodeStats {
 	bf := r.tactic.Bloom().Stats()
 	hits, misses, _ := r.cs.Stats()
 	created, aggregated, expired := r.pit.Stats()
-	drops := make(map[string]uint64, len(r.drops))
-	for k, v := range r.drops {
-		drops[k] = v
+	l := r.Ledger()
+	drops := make(map[string]uint64)
+	for row, n := range l.Rows() {
+		if key, ok := strings.CutPrefix(row, node.OutcomeDrop); ok {
+			drops[key] = n
+		} else if key, ok := strings.CutPrefix(row, node.RowRefused); ok {
+			drops[key] = n
+		}
 	}
 	return RouterNodeStats{
 		Ops: metrics.RouterOps{
@@ -455,11 +445,11 @@ func (r *RouterNode) Stats() RouterNodeStats {
 			ResetRequests: bf.Absorbed,
 			ResetsMerged:  bf.Resets,
 		},
-		Interests:           r.interests,
-		Data:                r.dataSeen,
-		NACKsSent:           r.nacksSent,
-		Registrations:       r.registrations,
-		RegistrationsFailed: r.registrationsFailed,
+		Interests:           l.Interests(),
+		Data:                l.Data(),
+		NACKsSent:           l.TotalNACKs(),
+		Registrations:       l.Registrations(true),
+		RegistrationsFailed: l.Registrations(false),
 		Drops:               drops,
 		CSHits:              hits,
 		CSMisses:            misses,

@@ -16,13 +16,15 @@
 // in its verify pool and resumes on a worker. Admission to verification is
 // not theirs: both pass every Verify step through one VerifyQueue — the
 // per-face budget, one verification per tag, round-robin across faces —
-// which is as sans-IO as the Core. A driver keeps what differs between
-// the planes: spans and counters, the verify scheduler (when a job runs,
-// and when its charge is released), loss recovery (re-send on Aggregate,
-// consume again on DropNoRoute or a failed send, tell a requester of an
-// undeliverable answer or stay silent), PIT expiry, and which checkpoints an
-// arrival meets (Checks). Every method is called on concrete types and
-// returns by value, so a packet that parks nothing allocates nothing here.
+// which is as sans-IO as the Core. Nor is counting: the Core counts what
+// it decides into its Ledger, which both planes' statistics read. A
+// driver keeps what differs between the planes: spans, the verify
+// scheduler (when a job runs, and when its charge is released), loss
+// recovery (re-send on Aggregate, consume again on DropNoRoute or a
+// failed send, tell a requester of an undeliverable answer or stay
+// silent), PIT expiry, and which checkpoints an arrival meets (Checks).
+// Every method is called on concrete types and returns by value, so a
+// packet that parks nothing allocates nothing here.
 package node
 
 import (
@@ -69,9 +71,9 @@ const (
 	Protocol3
 )
 
-// Drop causes: why a packet went unanswered. One vocabulary for the
-// simulator's drop keys and the live tactic_drops_total{cause} label; the
-// last two are a driver's send failing, which the core never sees.
+// Drop causes: why a packet went unanswered, the Ledger's drop rows (the
+// live tactic_drops_total{cause} label); the last two are a driver's send
+// failing, which the core never sees (Ledger.SendFailed).
 const (
 	DropDupNonce      = "dup_nonce"
 	DropNoRoute       = "no_route"
@@ -81,8 +83,8 @@ const (
 	DropSendErr       = "send_error"
 )
 
-// DropCauses lists every cause, for drivers that pre-create a series each.
-var DropCauses = []string{DropDupNonce, DropNoRoute, DropUnsolicited, DropUndeliverable, DropNoFace, DropSendErr}
+// DropCauses lists every cause, in the Ledger's order.
+var DropCauses = dropCauses[:]
 
 // Control outcomes: what a control frame did to the node (OnControl), the
 // live tactic_control_total{outcome} label.
@@ -124,6 +126,7 @@ type Core struct {
 	fib         *ndn.FIB
 	pit         *ndn.PIT
 	cs          *ndn.CS
+	ledger      *Ledger
 	role        Role
 	pitLifetime time.Duration
 }
@@ -132,8 +135,11 @@ type Core struct {
 // The driver creates the tables and keeps using them for what is not a
 // packet's walk: routes, expiry, face death, gauges.
 func New(tactic *enforce.Router, fib *ndn.FIB, pit *ndn.PIT, cs *ndn.CS, role Role, pitLifetime time.Duration) *Core {
-	return &Core{tactic: tactic, fib: fib, pit: pit, cs: cs, role: role, pitLifetime: pitLifetime}
+	return &Core{tactic: tactic, fib: fib, pit: pit, cs: cs, ledger: new(Ledger), role: role, pitLifetime: pitLifetime}
 }
+
+// Ledger is the node's packet accounting.
+func (c *Core) Ledger() *Ledger { return c.ledger }
 
 // Action is what the driver does with an Interest.
 type Action uint8
@@ -214,8 +220,10 @@ type Step struct {
 // §5.B trade-off), then PIT admission and the FIB. A hit is copied out
 // of the store into hit, the caller's destination (ndn.CS.LookupInto; a
 // nil hit gets a fresh Content), which the step's Reply or Pending
-// Content points at.
+// Content points at. The arrival is counted here, its final step where it
+// is decided.
 func (c *Core) OnInterest(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *core.Content, now time.Time) Step {
+	c.ledger.interests.Add(1)
 	if checks&Protocol2 == 0 || i.Kind != ndn.KindContent {
 		return c.pipeline(i, from, checks, hit, now)
 	}
@@ -232,14 +240,29 @@ func (c *Core) OnInterest(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *
 // OnInterest), a content verdict answers it.
 func (c *Core) ResumeInterest(i *ndn.Interest, from ndn.FaceID, p Pending, dec enforce.Verdict, hit *core.Content, now time.Time) Step {
 	if p.Op == enforce.OpContent {
-		return contentDecided(p.Content, p.checks, dec)
+		return c.contentDecided(p.Content, p.checks, dec)
 	}
 	return c.edgeDecided(i, from, p.checks, dec, hit, now)
+}
+
+// Refuse answers an Interest the driver's verify scheduler will not resume
+// — shed over budget, or flushed on face death, revocation or shutdown —
+// with a bare NACK for reason; waiting on the edge checkpoint, that is a
+// Protocol 2 refusal.
+func (c *Core) Refuse(p Pending, reason error) Answer {
+	code := core.ReasonCode(reason)
+	if p.Op == enforce.OpEdgeInterest {
+		c.ledger.refused[code].Add(1)
+	} else {
+		c.ledger.nacks[code].Add(1)
+	}
+	return Answer{Nack: true, Reason: reason}
 }
 
 // edgeDecided acts on Protocol 2's final verdict.
 func (c *Core) edgeDecided(i *ndn.Interest, from ndn.FaceID, checks Checks, dec enforce.Verdict, hit *core.Content, now time.Time) Step {
 	if dec.Denied() {
+		c.ledger.refused[core.ReasonCode(dec.Reason)].Add(1)
 		return Step{Action: Reply, Stage: dec.Stage, Reply: Answer{Nack: true, Reason: dec.Reason}}
 	}
 	i.Flag = dec.Flag
@@ -255,9 +278,15 @@ func (c *Core) edgeDecided(i *ndn.Interest, from ndn.FaceID, checks Checks, dec 
 // router, for the valid requests aggregated there; an arrival that met
 // Protocol 2 is a client's, and a client denied gets a bare NACK, as on
 // the Data path.
-func contentDecided(content *core.Content, checks Checks, dec enforce.Verdict) Step {
-	if dec.Denied() && checks&Protocol2 != 0 {
+func (c *Core) contentDecided(content *core.Content, checks Checks, dec enforce.Verdict) Step {
+	switch {
+	case !dec.Denied():
+		c.ledger.csHits.Add(1)
+	case checks&Protocol2 != 0:
 		content = nil
+		fallthrough
+	default:
+		c.ledger.nack(dec.Reason)
 	}
 	return Step{Action: Reply, Stage: dec.Stage, BFHit: dec.BFHit,
 		Reply: Answer{Content: content, Flag: dec.Flag, Nack: dec.Denied(), Reason: dec.Reason}}
@@ -268,6 +297,7 @@ func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *co
 	if i.Kind == ndn.KindContent {
 		if content, ok := c.cs.LookupInto(i.Name, hit); ok {
 			if checks&Protocol3 == 0 {
+				c.ledger.csHits.Add(1)
 				return Step{Action: Reply, Reply: Answer{Content: content, Flag: i.Flag}}
 			}
 			dec := c.tactic.ContentOnInterestFast(i.Tag, content.Meta, i.Flag, now)
@@ -275,30 +305,36 @@ func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *co
 				return Step{Action: Verify, Stage: dec.Stage,
 					Pending: Pending{Op: enforce.OpContent, Content: content, Flag: dec.Flag, checks: checks}}
 			}
-			return contentDecided(content, checks, dec)
+			return c.contentDecided(content, checks, dec)
 		}
 	}
 	if c.role == RoleOrigin {
 		if i.Kind == ndn.KindRegistration {
 			return Step{Action: Register}
 		}
-		return Step{Action: Drop, Cause: DropNoRoute} // not published here
+		return c.dropStep(DropNoRoute) // not published here
 	}
 	outcome, outFace := c.pit.Admit(i.Name,
 		ndn.PITRecord{Tag: i.Tag, Flag: i.Flag, InFace: from, Nonce: i.Nonce, Arrived: now},
 		now, now.Add(c.pitLifetime))
 	switch outcome {
 	case ndn.PITDuplicate:
-		return Step{Action: Drop, Cause: DropDupNonce}
+		return c.dropStep(DropDupNonce)
 	case ndn.PITAggregated:
 		return Step{Action: Aggregate, Face: outFace}
 	}
 	face, ok := c.fib.Lookup(i.Name)
 	if !ok {
-		return Step{Action: Drop, Cause: DropNoRoute}
+		return c.dropStep(DropNoRoute)
 	}
 	c.pit.SetOutFace(i.Name, face)
 	return Step{Action: Forward, Face: face}
+}
+
+// dropStep counts and returns a Drop for cause.
+func (c *Core) dropStep(cause string) Step {
+	c.ledger.drop(cause)
+	return Step{Action: Drop, Cause: cause}
 }
 
 // OnData admits a Data arriving on face from. A Data changes state only
@@ -314,11 +350,13 @@ func (c *Core) pipeline(i *ndn.Interest, from ndn.FaceID, checks Checks, hit *co
 // requester, OnRecord.
 // An origin forwards nothing, so every Data it hears is unsolicited.
 func (c *Core) OnData(d *ndn.Data, from ndn.FaceID, cache bool, recs []ndn.PITRecord) ([]ndn.PITRecord, string) {
-	if c.role == RoleOrigin {
-		return recs, DropUnsolicited
+	c.ledger.data.Add(1)
+	ok := false
+	if c.role != RoleOrigin {
+		recs, ok = c.pit.ConsumeFrom(d.Name, from, recs)
 	}
-	recs, ok := c.pit.ConsumeFrom(d.Name, from, recs)
 	if !ok {
+		c.ledger.drop(DropUnsolicited)
 		return recs, DropUnsolicited
 	}
 	switch {
@@ -353,7 +391,11 @@ func (c *Core) OnRecord(d *ndn.Data, rec ndn.PITRecord, primary bool, now time.T
 	v := c.tactic.OnDataRecord(c.role == RoleEdge, primary, rec.Tag, rec.Flag,
 		enforce.ArrivedData{Content: d.Content, Flag: d.Flag, Nack: d.Nack, NackReason: d.NackReason}, now)
 	if v.Deliver == enforce.DeliverNothing {
+		c.ledger.drop(DropUndeliverable)
 		return Delivery{Cause: DropUndeliverable, Stage: v.Stage, Answer: Answer{Nack: true, Reason: v.Reason}}
+	}
+	if v.Minted {
+		c.ledger.nack(v.Reason)
 	}
 	return Delivery{Stage: v.Stage, Minted: v.Minted,
 		Answer: Answer{Content: d.Content, Flag: v.Flag, Nack: v.Deliver.Nack(), Reason: v.Reason}}
@@ -381,6 +423,12 @@ type ControlStep struct {
 // in, so the filter's FPP is the union's). An origin has no upstream to
 // hear a push from and no peer to sync with: every frame is invalid there.
 func (c *Core) OnControl(m *ndn.Control) ControlStep {
+	st := c.onControl(m)
+	c.ledger.controlRow(m.Kind, st.Outcome).Add(1)
+	return st
+}
+
+func (c *Core) onControl(m *ndn.Control) ControlStep {
 	if c.role == RoleOrigin {
 		return ControlStep{Outcome: ControlInvalid, Err: errOriginControl}
 	}

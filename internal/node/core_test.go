@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -251,13 +252,16 @@ func TestCoreRows(t *testing.T) {
 
 // unsolicitedCase is one row of testdata/unsolicited_data.json: the table
 // this test, the simulator's (internal/network) and the live forwarder's
-// (internal/forwarder) all run.
+// (internal/forwarder) all run. DataIn and Ledger are what the node's
+// ledger holds after it (Ledger.Data, Ledger.Rows).
 type unsolicitedCase struct {
-	Name         string `json:"name"`
-	Pending      bool   `json:"pending"`
-	Registration bool   `json:"registration"`
-	FromOutFace  bool   `json:"from_out_face"`
-	Accepted     bool   `json:"accepted"`
+	Name         string            `json:"name"`
+	Pending      bool              `json:"pending"`
+	Registration bool              `json:"registration"`
+	FromOutFace  bool              `json:"from_out_face"`
+	Accepted     bool              `json:"accepted"`
+	DataIn       uint64            `json:"data_in"`
+	Ledger       map[string]uint64 `json:"ledger"`
 }
 
 func unsolicitedCases(t *testing.T) []unsolicitedCase {
@@ -297,6 +301,14 @@ func TestUnsolicitedDataChangesNothing(t *testing.T) {
 				from = otherFace
 			}
 			recs, cause := e.OnData(d, from, true, nil)
+			if !tc.Registration { // decided per requester, as a driver does
+				for idx, rec := range recs {
+					e.OnRecord(d, rec, idx == 0, now)
+				}
+			}
+			if l := e.Ledger(); l.Data() != tc.DataIn || !reflect.DeepEqual(l.Rows(), tc.Ledger) {
+				t.Errorf("ledger: %d Data in, rows %v; want %d, %v", l.Data(), l.Rows(), tc.DataIn, tc.Ledger)
+			}
 			inserted := e.tactic.Bloom().Stats().Insertions == 1
 			cached := len(e.cs.Names()) == 1
 			if tc.Accepted {
@@ -347,6 +359,9 @@ type controlCase struct {
 	Frame   ndn.Control   `json:"frame"`
 	Outcome string        `json:"outcome"`
 	controlState
+	// Ledger is the node's control rows after the frames
+	// (Ledger.ControlRows).
+	Ledger map[string]uint64 `json:"ledger"`
 }
 
 // controlState is the enforcement state a control frame can change.
@@ -402,6 +417,9 @@ func TestControlTable(t *testing.T) {
 					if got != tc.controlState {
 						t.Errorf("end state %+v, want %+v", got, tc.controlState)
 					}
+					if rows := e.Ledger().ControlRows(); !reflect.DeepEqual(rows, tc.Ledger) {
+						t.Errorf("ledger control rows %v, want %v", rows, tc.Ledger)
+					}
 					if bf := e.tactic.Bloom(); bf.FillRatio() != float64(got.BFBitsSet)/float64(bf.Bits()) {
 						t.Errorf("fill ratio %v, want the %d bits set over %d", bf.FillRatio(), got.BFBitsSet, bf.Bits())
 					}
@@ -452,6 +470,49 @@ func TestBFAdvertCarriesTheWholeFilter(t *testing.T) {
 // The allocation guards hold the core to what its tables allocate: the
 // same traffic applied to bare tables is the allowance (zero, but for the
 // records slice a second requester grows).
+
+// TestLedgerCountsEachOutcomeOnce: an Interest is counted once however
+// many calls its walk takes, and its final step once, under the row that
+// says what became of it; Refuse, SendFailed and Registered count what
+// only a driver sees.
+func TestLedgerCountsEachOutcomeOnce(t *testing.T) {
+	edge := newEnv(t, RoleEdge, core.SchemeTACTIC)
+	checks := Protocol2 | Protocol3
+	valid := &ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 1, Tag: edge.tag(t, edge.prov, "alice"), AccessPath: apHome}
+	if st := edge.interest(valid, 1, checks); st.Action != Forward {
+		t.Fatalf("verified: %+v", st)
+	}
+	if st := edge.interest(valid, 1, checks); st.Action != Drop || st.Cause != DropDupNonce {
+		t.Fatalf("same nonce: %+v", st)
+	}
+	forged := &ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 2, Tag: edge.tag(t, edge.rogue, "mallory"), AccessPath: apHome}
+	if st := edge.interest(forged, 2, checks); !st.Reply.Nack {
+		t.Fatalf("forged: %+v", st)
+	}
+	edge.Refuse(Pending{Op: enforce.OpEdgeInterest}, core.ErrOverload)
+	edge.Refuse(Pending{Op: enforce.OpContent}, core.ErrTagRevoked)
+	edge.Ledger().SendFailed(true)
+	edge.Ledger().SendFailed(false)
+	edge.Ledger().Registered(true)
+	want := map[string]uint64{"drop:dup_nonce": 1, "refused:forged": 1, "refused:overload": 1, "nack:revoked": 1,
+		"drop:no_face": 1, "drop:send_error": 1}
+	if l := edge.Ledger(); l.Interests() != 3 || l.CSHits() != 0 || !reflect.DeepEqual(l.Rows(), want) ||
+		l.TotalNACKs() != 3 || l.TotalDrops() != 3 || l.Registrations(true) != 1 || l.Registrations(false) != 0 {
+		t.Errorf("edge ledger: %d Interests, %d hits, rows %v", l.Interests(), l.CSHits(), l.Rows())
+	}
+
+	router := newEnv(t, RoleCore, core.SchemeTACTIC)
+	router.cs.Insert(router.content(private, 2))
+	if st := router.interest(&ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 1, Tag: router.tag(t, router.prov, "alice")}, 1, Protocol3); st.Reply.Nack {
+		t.Fatalf("valid hit: %+v", st)
+	}
+	if st := router.interest(&ndn.Interest{Name: private, Kind: ndn.KindContent, Nonce: 2, Tag: router.tag(t, router.rogue, "mallory")}, 1, Protocol3); st.Reply.Content == nil || !st.Reply.Nack {
+		t.Fatalf("forged hit: %+v", st)
+	}
+	if l := router.Ledger(); l.Interests() != 2 || l.CSHits() != 1 || !reflect.DeepEqual(l.Rows(), map[string]uint64{"nack:forged": 1}) {
+		t.Errorf("router ledger: %d Interests, %d hits, rows %v", l.Interests(), l.CSHits(), l.Rows())
+	}
+}
 
 // TestOnInterestAllocs: a content-store hit through both checkpoints,
 // copied into the caller's reused destination, a forward and an

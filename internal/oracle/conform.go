@@ -3,9 +3,11 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/tactic-icn/tactic/internal/core"
+	"github.com/tactic-icn/tactic/internal/node"
 )
 
 // Options configures one conformance run. The zero value is the
@@ -164,8 +166,50 @@ func RunScenario(scn *Scenario, opts Options) (*Report, error) {
 	compareCS(ref.CS, sim.CS, "sim", diverge)
 	if live != nil {
 		compareCS(ref.CS, live.CS, "live", diverge)
+		compareLedgers(sim.Ledger, live.Ledger, diverge)
 	}
 	return rep, nil
+}
+
+// ledgerPolicyRow reports whether a router's ledger row legitimately
+// differs between the planes (DESIGN.md §6b), so the ledger comparison
+// skips it. What it keeps are the Protocol 2 refusals by reason and the
+// drops the node core decides on arrival (dup_nonce, no_route).
+func ledgerPolicyRow(row string) bool {
+	switch {
+	case row == node.OutcomeDrop+node.DropNoFace, row == node.OutcomeDrop+node.DropSendErr:
+		return true // a live send failure; the sim's sends never fail
+	case row == node.OutcomeDrop+node.DropUnsolicited:
+		return true // a second answer to a live re-sent aggregate finds its entry consumed
+	case row == node.OutcomeDrop+node.DropUndeliverable, strings.HasPrefix(row, node.OutcomeNack):
+		return true // which router answers a denial, as a hit or at the Data, depends on the live plane's racing requests
+	}
+	return false
+}
+
+// compareLedgers checks the live plane's ledgers against the sim plane's,
+// router by router: both planes drive one node core over the same
+// scenario, so each router NACKs and drops the same packets for the same
+// reasons, bar the rows the planes legitimately differ in
+// (ledgerPolicyRow). The sim's count is reported as the reference.
+func compareLedgers(sim, live map[string]map[string]uint64, diverge func(int, string, string, string)) {
+	report := func(router, row string, s, l uint64) {
+		if s != l && !ledgerPolicyRow(row) {
+			diverge(-1, fmt.Sprintf("ledger[%s][%s](live)", router, row), strconv.FormatUint(s, 10), strconv.FormatUint(l, 10))
+		}
+	}
+	for router, rows := range sim {
+		for row, n := range rows {
+			report(router, row, n, live[router][row])
+		}
+	}
+	for router, rows := range live {
+		for row, n := range rows {
+			if _, ok := sim[router][row]; !ok { // Rows holds no zeros
+				report(router, row, 0, n)
+			}
+		}
+	}
 }
 
 // compareCS checks a plane's end-state content stores against the

@@ -479,3 +479,46 @@ func TestInjectedRevocationLiveBugCaught(t *testing.T) {
 	}
 	t.Fatal("revocation check disabled in the live plane, yet 6 seeds produced no divergence")
 }
+
+// TestLedgerDivergenceReported: a router whose live ledger differs from
+// its sim ledger in one compared row — a refusal reason, or a row only one
+// plane holds — is one divergence naming the router and the row; a row a
+// live driver policy moves is not.
+func TestLedgerDivergenceReported(t *testing.T) {
+	sim := map[string]map[string]uint64{
+		"edge-0": {"refused:expired": 2, "refused:access_path": 1, "drop:undeliverable": 3},
+		"core-0": {"drop:no_route": 1},
+	}
+	for _, tc := range []struct {
+		name string
+		live map[string]map[string]uint64
+		want []Divergence
+	}{
+		{"equal", map[string]map[string]uint64{
+			"edge-0": {"refused:expired": 2, "refused:access_path": 1, "drop:undeliverable": 3},
+			"core-0": {"drop:no_route": 1},
+		}, nil},
+		{"one refusal more", map[string]map[string]uint64{
+			"edge-0": {"refused:expired": 3, "refused:access_path": 1, "drop:undeliverable": 3},
+			"core-0": {"drop:no_route": 1},
+		}, []Divergence{{Request: -1, Field: "ledger[edge-0][refused:expired](live)", Oracle: "2", Got: "3"}}},
+		{"a row one plane lacks", map[string]map[string]uint64{
+			"edge-0": {"refused:expired": 2, "refused:access_path": 1, "drop:undeliverable": 3},
+			"core-0": {},
+		}, []Divergence{{Request: -1, Field: "ledger[core-0][drop:no_route](live)", Oracle: "1", Got: "0"}}},
+		{"policy rows only", map[string]map[string]uint64{
+			"edge-0": {"refused:expired": 2, "refused:access_path": 1, "drop:undeliverable": 2, "nack:no_tag": 1, "drop:unsolicited": 4},
+			"core-0": {"drop:no_route": 1, "drop:send_error": 1, "drop:no_face": 2},
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []Divergence
+			compareLedgers(sim, tc.live, func(req int, field, oracle, live string) {
+				got = append(got, Divergence{Request: req, Field: field, Oracle: oracle, Got: live})
+			})
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("divergences %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

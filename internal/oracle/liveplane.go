@@ -312,11 +312,12 @@ func RunLive(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, e
 		lo = hi
 	}
 
-	res := &PlaneResult{Outcomes: outcomes, CS: make(map[string][]string)}
+	res := &PlaneResult{Outcomes: outcomes, CS: make(map[string][]string), Ledger: make(map[string]map[string]uint64)}
 	for idx, f := range fwds {
 		names := f.CSNames()
 		sort.Strings(names)
 		res.CS[info.nodeID(idx)] = names
+		res.Ledger[info.nodeID(idx)] = f.Ledger().Rows()
 	}
 	return res, nil
 }

@@ -30,6 +30,9 @@ type PlaneResult struct {
 	Outcomes []PlaneOutcome
 	// CS maps router ID -> sorted content name keys cached there.
 	CS map[string][]string
+	// Ledger maps router ID -> its ledger's NACK and drop rows
+	// (node.Ledger.Rows).
+	Ledger map[string]map[string]uint64
 }
 
 // Sim-plane timing: steps are StepGap apart on the virtual clock, and
@@ -245,11 +248,12 @@ func RunSim(scn *Scenario, info *topoInfo, tactic core.Config) (*PlaneResult, er
 	}
 	engine.Run()
 
-	res := &PlaneResult{Outcomes: h.outcomes, CS: make(map[string][]string)}
+	res := &PlaneResult{Outcomes: h.outcomes, CS: make(map[string][]string), Ledger: make(map[string]map[string]uint64)}
 	for idx, r := range routers {
 		names := r.CSNames()
 		sort.Strings(names)
 		res.CS[info.nodeID(idx)] = names
+		res.Ledger[info.nodeID(idx)] = r.Ledger().Rows()
 	}
 	if len(res.CS) != len(info.cores)+len(info.edges) {
 		return nil, fmt.Errorf("oracle: sim plane lost a router")
